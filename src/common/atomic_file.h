@@ -1,6 +1,8 @@
-// Atomic file publication + CRC-32 record framing, shared by every
-// on-disk artifact the serving stack produces (replay checkpoints in
-// serve/checkpoint.cc, tree snapshots in hst/snapshot.cc).
+// Atomic file publication + CRC-32, shared by every on-disk artifact the
+// serving stack produces (replay checkpoints in serve/checkpoint.cc, tree
+// snapshots in hst/snapshot.cc), and the one-line-header framing the
+// snapshots use (checkpoints use the journal's record frames instead —
+// serve/wal.h).
 //
 // Two concerns live here because they always travel together:
 //
@@ -12,7 +14,7 @@
 //     a one-line header `<magic> <crc32-hex8> <payload-bytes>\n` whose
 //     CRC-32 (IEEE reflected — bit-compatible with zlib and Python's
 //     binascii.crc32) lets stdlib-only tools validate the artifact
-//     (tools/check_checkpoint.py, tools/check_snapshot.py).
+//     (tools/check_snapshot.py).
 //
 // Unframing returns precise InvalidArgument statuses (bad magic, bad CRC
 // field, length mismatch, CRC mismatch) and never crashes on corrupt

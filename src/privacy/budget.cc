@@ -98,6 +98,7 @@ Status EpochBudgetLedger::BeginEpoch(int64_t epoch) {
   if (epoch > epoch_) {
     epoch_ = epoch;
     epoch_spent_.clear();
+    epoch_order_.clear();
     epoch_metric_->Set(epoch);
   }
   return Status::OK();
@@ -133,8 +134,12 @@ Status EpochBudgetLedger::Charge(const std::string& user, double epsilon) {
     return Status::FailedPrecondition("lifetime budget exhausted for user " +
                                       user);
   }
-  epoch_spent_[user] = in_epoch + epsilon;
-  lifetime_spent_[user] = lifetime + epsilon;
+  const auto [epoch_it, new_in_epoch] = epoch_spent_.try_emplace(user);
+  epoch_it->second = in_epoch + epsilon;
+  if (new_in_epoch) epoch_order_.push_back(&*epoch_it);
+  const auto [lifetime_it, new_user] = lifetime_spent_.try_emplace(user);
+  lifetime_it->second = lifetime + epsilon;
+  if (new_user) lifetime_order_.push_back(&*lifetime_it);
   totals_.epsilon_spent += epsilon;
   ++totals_.charges;
   epsilon_spent_metric_->Add(epsilon);
@@ -176,11 +181,34 @@ double MaxSpend(const std::unordered_map<std::string, double>& spent) {
   return max_spend;
 }
 
-std::vector<std::pair<std::string, double>> SortedSpend(
-    const std::unordered_map<std::string, double>& spent) {
-  std::vector<std::pair<std::string, double>> out(spent.begin(), spent.end());
-  std::sort(out.begin(), out.end());
+template <typename Order>
+std::vector<std::pair<std::string, double>> InOrder(const Order& order) {
+  std::vector<std::pair<std::string, double>> out;
+  out.reserve(order.size());
+  for (const auto* entry : order) out.emplace_back(entry->first, entry->second);
   return out;
+}
+
+// Rebuilds a spend map and its order list from exported rows, refusing
+// non-finite or negative spends and repeated users.
+template <typename Map, typename Order>
+Status LoadSpend(const std::vector<std::pair<std::string, double>>& rows,
+                 const char* scope, Map* map, Order* order) {
+  map->reserve(rows.size());
+  order->reserve(rows.size());
+  for (const auto& [user, eps] : rows) {
+    if (!std::isfinite(eps) || eps < 0.0) {
+      return Status::InvalidArgument(std::string("ledger state: bad ") +
+                                     scope + " spend for " + user);
+    }
+    const auto [it, inserted] = map->emplace(user, eps);
+    if (!inserted) {
+      return Status::InvalidArgument(std::string("ledger state: repeated ") +
+                                     scope + " spend for " + user);
+    }
+    order->push_back(&*it);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -196,31 +224,26 @@ double EpochBudgetLedger::MaxEpochSpent() const {
 EpochBudgetLedger::State EpochBudgetLedger::ExportState() const {
   State state;
   state.epoch = epoch_;
-  state.epoch_spent = SortedSpend(epoch_spent_);
-  state.lifetime_spent = SortedSpend(lifetime_spent_);
+  state.epoch_spent = InOrder(epoch_order_);
+  state.lifetime_spent = InOrder(lifetime_order_);
   state.totals = totals_;
   return state;
 }
 
 Status EpochBudgetLedger::RestoreState(const State& state) {
-  for (const auto& [user, eps] : state.epoch_spent) {
-    if (!std::isfinite(eps) || eps < 0.0) {
-      return Status::InvalidArgument("ledger state: bad epoch spend for " +
-                                     user);
-    }
-  }
-  for (const auto& [user, eps] : state.lifetime_spent) {
-    if (!std::isfinite(eps) || eps < 0.0) {
-      return Status::InvalidArgument("ledger state: bad lifetime spend for " +
-                                     user);
-    }
-  }
+  // Build aside and swap in, so a refused state leaves the ledger as it
+  // was. Swapping maps keeps node addresses, so the order lists hold.
+  SpendMap epoch_spent, lifetime_spent;
+  SpendOrder epoch_order, lifetime_order;
+  TBF_RETURN_NOT_OK(
+      LoadSpend(state.epoch_spent, "epoch", &epoch_spent, &epoch_order));
+  TBF_RETURN_NOT_OK(LoadSpend(state.lifetime_spent, "lifetime",
+                              &lifetime_spent, &lifetime_order));
   epoch_ = state.epoch;
-  epoch_spent_.clear();
-  epoch_spent_.insert(state.epoch_spent.begin(), state.epoch_spent.end());
-  lifetime_spent_.clear();
-  lifetime_spent_.insert(state.lifetime_spent.begin(),
-                         state.lifetime_spent.end());
+  epoch_spent_.swap(epoch_spent);
+  lifetime_spent_.swap(lifetime_spent);
+  epoch_order_.swap(epoch_order);
+  lifetime_order_.swap(lifetime_order);
   totals_ = state.totals;
   epoch_metric_->Set(epoch_);
   users_metric_->Set(static_cast<int64_t>(lifetime_spent_.size()));

@@ -88,8 +88,10 @@ class EpochBudgetLedger {
   };
 
   /// Full serializable accounting state (for crash-safe checkpoints).
-  /// Spend maps are exported sorted by user so serialization is
-  /// byte-deterministic.
+  /// Spend lists are in first-charge order (the order users first spent
+  /// within the epoch / ever); RestoreState keeps that order, so an
+  /// uninterrupted and a restored run export identical vectors and
+  /// serialization is byte-deterministic without a sort.
   struct State {
     int64_t epoch = 0;
     std::vector<std::pair<std::string, double>> epoch_spent;
@@ -106,6 +108,10 @@ class EpochBudgetLedger {
   explicit EpochBudgetLedger(double epoch_budget,
                              std::optional<double> lifetime_budget = std::nullopt,
                              obs::MetricRegistry* metrics = nullptr);
+
+  // The order lists point into the spend maps' nodes.
+  EpochBudgetLedger(const EpochBudgetLedger&) = delete;
+  EpochBudgetLedger& operator=(const EpochBudgetLedger&) = delete;
 
   /// Current epoch index (starts at 0).
   int64_t epoch() const { return epoch_; }
@@ -153,7 +159,8 @@ class EpochBudgetLedger {
   /// \brief Largest current-epoch spend across all users (0 when empty).
   double MaxEpochSpent() const;
 
-  /// \brief Snapshot of the full accounting state, sorted by user.
+  /// \brief Snapshot of the full accounting state, in first-charge order
+  /// (O(users), no sort).
   State ExportState() const;
 
   /// \brief Restores a state produced by ExportState. Caps are not part of
@@ -166,8 +173,16 @@ class EpochBudgetLedger {
   double epoch_budget_;
   std::optional<double> lifetime_budget_;
   int64_t epoch_ = 0;
-  std::unordered_map<std::string, double> epoch_spent_;
-  std::unordered_map<std::string, double> lifetime_spent_;
+  using SpendMap = std::unordered_map<std::string, double>;
+  /// Map nodes in first-charge order. Node pointers survive rehashing and
+  /// entries are only ever cleared wholesale (with their list), so the
+  /// pointers stay valid for the list's lifetime.
+  using SpendOrder = std::vector<const SpendMap::value_type*>;
+
+  SpendMap epoch_spent_;
+  SpendMap lifetime_spent_;
+  SpendOrder epoch_order_;
+  SpendOrder lifetime_order_;
 
   Totals totals_;
   // Registry mirrors of totals_ (Prometheus/JSONL export surface).

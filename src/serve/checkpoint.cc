@@ -1,20 +1,14 @@
 #include "serve/checkpoint.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <array>
 #include <cstring>
-#include <sstream>
+#include <optional>
+#include <type_traits>
 
 #include "common/atomic_file.h"
+#include "serve/wal.h"
 
 namespace tbf {
-
-namespace {
-
-constexpr char kCheckpointMagic[] = "TBFCKPT1";
-
-}  // namespace
 
 uint32_t FingerprintEventTrace(const EventTrace& trace) {
   // Byte-stream identical to CRC-ing each field separately (CRC chains
@@ -61,423 +55,398 @@ uint32_t FingerprintEventTrace(const EventTrace& trace) {
 
 namespace {
 
-// ------------------------- token (de)serialization -------------------------
+constexpr std::string_view kMagic = "TBF-CKPT";
+constexpr uint32_t kCheckpointVersion = 4;
+// Header token of the retired v1-v3 text format.
+constexpr std::string_view kTextMagic = "TBFCKPT1 ";
 
-// %XX-escapes space, '%', control bytes, DEL and a *leading* '-', so every
-// escaped string is a single whitespace-free token and the standalone
-// token "-" unambiguously means "absent".
-std::string Esc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(s[i]);
-    if (c == '%' || c <= 0x20 || c == 0x7F || (i == 0 && c == '-')) {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02X", c);
-      out += buf;
+// Record kinds of a v4 file; docs/ROBUSTNESS.md has the catalog.
+enum Rec : uint8_t {
+  kHeader, kIdentity, kCursor, kReport, kEpoch, kTask, kQuarantine, kServer,
+  kRng, kSlot, kFree, kWorker, kLedger, kSpend, kCounter, kGauge, kHistogram,
+  kEnd, kNumRecs,
+};
+constexpr std::array<const char*, kNumRecs> kRecNames = {
+    "header", "identity", "cursor", "report", "epoch", "task",
+    "quarantine", "server", "rng", "slot", "free", "worker",
+    "ledger", "spend", "counter", "gauge", "histogram", "end"};
+
+constexpr uint32_t Bit(int kind) { return 1u << kind; }
+constexpr uint32_t kRequired = Bit(kHeader) | Bit(kIdentity) | Bit(kCursor) |
+                               Bit(kReport) | Bit(kServer) | Bit(kRng) |
+                               Bit(kEnd);
+constexpr uint32_t kSingletons = kRequired | Bit(kLedger);
+constexpr uint8_t kSpendEpoch = 0;
+constexpr uint8_t kSpendLifetime = 1;
+
+// Field codecs. Each record's schema is one function template over an
+// `io` that FieldWriter implements by appending the fields and
+// FieldReader by parsing into them, so the two directions cannot drift.
+// Integers take their own width (u8/u32/u64), bools a 0/1 byte, doubles
+// their IEEE-754 bits, strings <len:u32><bytes>; a Status is <code:u32>
+// <message:str>, an optional string a 0/1 byte then the string.
+class FieldWriter {
+ public:
+  explicit FieldWriter(std::string* out) : out_(out) {}
+
+  template <typename... T>
+  Status operator()(const T&... fields) {
+    (Put(fields), ...);
+    return Status::OK();
+  }
+
+ private:
+  template <typename T>
+  void Put(const T& v) {
+    if constexpr (sizeof(T) == 1) {  // bool or u8
+      wire::PutU8(out_, static_cast<uint8_t>(v));
+    } else if constexpr (std::is_floating_point_v<T>) {
+      wire::PutF64(out_, v);
+    } else if constexpr (sizeof(T) == 4) {
+      wire::PutU32(out_, static_cast<uint32_t>(v));
     } else {
-      out += static_cast<char>(c);
+      static_assert(std::is_integral_v<T> && sizeof(T) == 8);
+      wire::PutU64(out_, static_cast<uint64_t>(v));
     }
   }
-  return out;
+  void Put(const std::string& s) { wire::PutStr(out_, s); }
+  void Put(const Status& s) {
+    Put(static_cast<uint32_t>(s.code()));
+    Put(s.message());
+  }
+  void Put(const std::optional<std::string>& s) {
+    Put(s.has_value());
+    if (s) Put(*s);
+  }
+  template <size_t N>
+  void Put(const std::array<uint64_t, N>& values) {
+    for (const uint64_t v : values) Put(v);
+  }
+
+  std::string* out_;
+};
+
+class FieldReader {
+ public:
+  FieldReader(std::string_view payload, const char* what)
+      : r_(payload, what), what_(what) {}
+
+  template <typename... T>
+  Status operator()(T&... fields) {
+    Status status = Status::OK();
+    static_cast<void>((... && (status = Get(fields)).ok()));
+    return status;
+  }
+  bool AtEnd() const { return r_.AtEnd(); }
+
+ private:
+  template <typename T>
+  Status Get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      TBF_ASSIGN_OR_RETURN(const uint8_t b, r_.U8());
+      if (b > 1) return Bad("flag byte " + std::to_string(b) + " is not 0/1");
+      v = b == 1;
+    } else if constexpr (sizeof(T) == 1) {
+      TBF_ASSIGN_OR_RETURN(v, r_.U8());
+    } else if constexpr (std::is_floating_point_v<T>) {
+      TBF_ASSIGN_OR_RETURN(v, r_.F64());
+    } else if constexpr (sizeof(T) == 4) {
+      TBF_ASSIGN_OR_RETURN(const uint32_t u, r_.U32());
+      v = static_cast<T>(u);
+    } else {
+      TBF_ASSIGN_OR_RETURN(const uint64_t u, r_.U64());
+      v = static_cast<T>(u);
+    }
+    return Status::OK();
+  }
+  Status Get(std::string& s) {
+    TBF_ASSIGN_OR_RETURN(s, r_.Str());
+    return Status::OK();
+  }
+  Status Get(Status& s) {
+    uint32_t code = 0;
+    std::string message;
+    TBF_RETURN_NOT_OK(operator()(code, message));
+    if (code > static_cast<uint32_t>(StatusCode::kAborted)) {
+      return Bad("status code " + std::to_string(code) + " out of range");
+    }
+    s = code == 0 ? Status::OK()
+                  : Status(static_cast<StatusCode>(code), std::move(message));
+    return Status::OK();
+  }
+  Status Get(std::optional<std::string>& s) {
+    bool present = false;
+    TBF_RETURN_NOT_OK(Get(present));
+    if (present) return Get(s.emplace());
+    s.reset();
+    return Status::OK();
+  }
+  template <size_t N>
+  Status Get(std::array<uint64_t, N>& values) {
+    for (uint64_t& v : values) TBF_RETURN_NOT_OK(Get(v));
+    return Status::OK();
+  }
+  Status Bad(const std::string& why) const {
+    return Status::InvalidArgument(std::string(what_) + ": " + why);
+  }
+
+  wire::ByteReader r_;
+  const char* what_;
+};
+
+// Record schemas; `C` is ReplayCheckpoint (or a row type), const when
+// writing.
+template <typename Io, typename C>
+Status IdentityFields(Io& io, C& c) {
+  return io(c.trace_fingerprint, c.num_shards, c.epoch_seconds, c.server_seed,
+            c.obfuscation_seed);
+}
+template <typename Io, typename C>
+Status CursorFields(Io& io, C& c) {
+  return io(c.next_event, c.arrivals_obfuscated, c.next_task_slot,
+            c.wal_next_lsn);
+}
+template <typename Io, typename R>
+Status ReportFields(Io& io, R& r) {
+  return io(r.registered, r.assigned, r.unassigned, r.denied, r.shed,
+            r.quarantined, r.missed_departures, r.processed_events,
+            r.faults_dropped, r.faults_duplicated, r.faults_reordered,
+            r.faults_stalled, r.checkpoints_written);
+}
+template <typename Io, typename E>
+Status EpochFields(Io& io, E& e) {
+  return io(e.epoch, e.worker_arrivals, e.task_arrivals, e.departures,
+            e.assigned, e.unassigned, e.denied, e.obfuscate_seconds,
+            e.dispatch_seconds, e.epsilon_spent, e.denied_epoch_budget,
+            e.denied_lifetime_budget, e.shed, e.quarantined);
+}
+template <typename Io, typename T>
+Status TaskFields(Io& io, T& t) {
+  return io(t.task_id, t.status, t.worker, t.reported_tree_distance);
+}
+template <typename Io, typename Q>
+Status QuarantineFields(Io& io, Q& q) {
+  return io(q.event_index, q.id, q.cause);
+}
+template <typename Io, typename S>
+Status ServerFields(Io& io, S& s) {
+  return io(s.packed, s.assigned_tasks, s.tree_epoch);
+}
+template <typename Io, typename W>
+Status WorkerFields(Io& io, W& w) {
+  return io(w.id, w.code, w.leaf_digits, w.index_id, w.shard);
+}
+template <typename Io, typename L>
+Status LedgerFields(Io& io, L& l) {
+  return io(l.epoch, l.totals.epsilon_spent, l.totals.charges,
+            l.totals.denied_epoch, l.totals.denied_lifetime);
+}
+template <typename Io, typename H>
+Status HistogramFields(Io& io, H& h) {
+  return io(h.name, h.count, h.sum, h.buckets);
 }
 
-Result<std::string> Unesc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out += s[i];
-      continue;
+// Decodes one record per call, enforcing the file grammar: header first,
+// end last, singletons once, spend rows after the ledger row.
+class CheckpointDecoder {
+ public:
+  Status Decode(std::string_view payload) {
+    if (payload.empty()) return Status::InvalidArgument("empty record");
+    const auto kind = static_cast<uint8_t>(payload[0]);
+    if (kind >= kNumRecs) {
+      return Status::InvalidArgument("unknown record kind " +
+                                     std::to_string(kind));
     }
-    if (i + 2 >= s.size()) {
-      return Status::InvalidArgument("truncated %-escape in token");
-    }
-    auto hex = [](char c) -> int {
-      if (c >= '0' && c <= '9') return c - '0';
-      if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-      if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-      return -1;
+    const std::string name = std::string(kRecNames[kind]) + " record";
+    const auto bad = [&name](const std::string& why) {
+      return Status::InvalidArgument(name + ": " + why);
     };
-    const int hi = hex(s[i + 1]);
-    const int lo = hex(s[i + 2]);
-    if (hi < 0 || lo < 0) {
-      return Status::InvalidArgument("bad %-escape in token");
+    if (records_ == 0 && kind != kHeader) {
+      return bad("the first record must be the checkpoint header");
     }
-    out += static_cast<char>((hi << 4) | lo);
-    i += 2;
+    if ((seen_ & Bit(kEnd)) != 0) return bad("follows the end record");
+    if ((kSingletons & seen_ & Bit(kind)) != 0) return bad("duplicate");
+    FieldReader io(payload, name.c_str());
+    uint8_t kind_byte = 0;
+    TBF_RETURN_NOT_OK(io(kind_byte));
+    TBF_RETURN_NOT_OK(DecodeFields(static_cast<Rec>(kind), io));
+    if (!io.AtEnd()) return bad("trailing bytes after a complete record");
+    seen_ |= Bit(kind);
+    ++records_;
+    return Status::OK();
   }
-  return out;
-}
 
-std::string FmtF64(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-Result<uint64_t> ParseU64(const std::string& tok, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (tok.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
-      tok[0] == '-') {
-    return Status::InvalidArgument(std::string("checkpoint: bad ") + what +
-                                   " '" + tok + "'");
+  Status Finish() const {
+    if (records_ == 0) return Status::InvalidArgument("checkpoint: empty file");
+    std::string missing;
+    for (int kind = 0; kind < kNumRecs; ++kind) {
+      if ((kRequired & ~seen_ & Bit(kind)) == 0) continue;
+      missing += (missing.empty() ? "" : ", ") + std::string(kRecNames[kind]);
+    }
+    if (missing.empty()) return Status::OK();
+    return Status::InvalidArgument(
+        "checkpoint: missing required record(s) " + missing + " after " +
+        std::to_string(records_) + " records — truncated or corrupt file");
   }
-  return static_cast<uint64_t>(v);
-}
 
-Result<int64_t> ParseI64(const std::string& tok, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(tok.c_str(), &end, 10);
-  if (tok.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument(std::string("checkpoint: bad ") + what +
-                                   " '" + tok + "'");
+  ReplayCheckpoint Take() { return std::move(c_); }
+
+ private:
+  Status DecodeFields(Rec kind, FieldReader& io) {
+    const auto bad = [kind](const std::string& why) {
+      return Status::InvalidArgument(std::string(kRecNames[kind]) +
+                                     " record: " + why);
+    };
+    ShardedServerState& server = c_.server;
+    switch (kind) {
+      case kHeader: {
+        std::string magic;
+        uint32_t version = 0;
+        TBF_RETURN_NOT_OK(io(magic, version));
+        if (magic != kMagic) return bad("bad magic '" + magic + "'");
+        if (version != kCheckpointVersion) {
+          return bad("unsupported version " + std::to_string(version) +
+                     " (this build reads v4)");
+        }
+        c_.version = static_cast<int>(version);
+        return Status::OK();
+      }
+      case kIdentity: return IdentityFields(io, c_);
+      case kCursor: return CursorFields(io, c_);
+      case kReport: return ReportFields(io, c_.report);
+      case kEpoch: return EpochFields(io, c_.per_epoch.emplace_back());
+      case kTask: return TaskFields(io, c_.task_outcomes.emplace_back());
+      case kQuarantine:
+        return QuarantineFields(io, c_.quarantined_events.emplace_back());
+      case kServer: return ServerFields(io, server);
+      case kRng: return io(server.rng_state);
+      case kSlot: return io(server.worker_by_index_id.emplace_back());
+      case kFree: return io(server.free_index_ids.emplace_back());
+      case kWorker: return WorkerFields(io, server.workers.emplace_back());
+      case kLedger: return LedgerFields(io, server.ledger.emplace());
+      case kSpend: {
+        if (!server.ledger) return bad("precedes the ledger record");
+        uint8_t scope = 0;
+        TBF_RETURN_NOT_OK(io(scope));
+        if (scope != kSpendEpoch && scope != kSpendLifetime) {
+          return bad("scope must be 0 (epoch) or 1 (lifetime)");
+        }
+        auto& spends = scope == kSpendEpoch ? server.ledger->epoch_spent
+                                            : server.ledger->lifetime_spent;
+        auto& [user, eps] = spends.emplace_back();
+        return io(user, eps);
+      }
+      case kCounter: {
+        obs::CounterSample& sample = c_.metrics.counters.emplace_back();
+        return io(sample.name, sample.value);
+      }
+      case kGauge: {
+        obs::GaugeSample& sample = c_.metrics.gauges.emplace_back();
+        return io(sample.name, sample.value);
+      }
+      case kHistogram:
+        return HistogramFields(io, c_.metrics.histograms.emplace_back());
+      case kEnd: {
+        uint64_t records = 0;
+        TBF_RETURN_NOT_OK(io(records));
+        if (records == records_) return Status::OK();
+        return bad("counts " + std::to_string(records) +
+                   " records before it, the file has " +
+                   std::to_string(records_));
+      }
+      case kNumRecs: break;
+    }
+    return Status::OK();
   }
-  return static_cast<int64_t>(v);
-}
 
-Result<double> ParseF64(const std::string& tok, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (tok.empty() || end == nullptr || *end != '\0') {
-    return Status::InvalidArgument(std::string("checkpoint: bad ") + what +
-                                   " '" + tok + "'");
-  }
-  return v;
-}
-
-constexpr int kMaxStatusCode = static_cast<int>(StatusCode::kAborted);
-
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    const size_t space = line.find(' ', pos);
-    const size_t end = space == std::string::npos ? line.size() : space;
-    if (end > pos) tokens.push_back(line.substr(pos, end - pos));
-    pos = end + 1;
-  }
-  return tokens;
-}
+  ReplayCheckpoint c_;
+  uint64_t records_ = 0;
+  uint32_t seen_ = 0;
+};
 
 }  // namespace
 
 std::string SerializeReplayCheckpoint(const ReplayCheckpoint& c) {
-  std::ostringstream out;
-  out << "version " << c.version << '\n';
-  out << "trace_fp " << c.trace_fingerprint << '\n';
-  out << "config " << c.num_shards << ' ' << FmtF64(c.epoch_seconds) << ' '
-      << c.server_seed << ' ' << c.obfuscation_seed << '\n';
-  out << "cursor " << c.next_event << ' ' << c.arrivals_obfuscated << ' '
-      << c.next_task_slot << '\n';
-  out << "wal " << c.wal_next_lsn << '\n';
-  const ReplayCheckpoint::ReportCounters& r = c.report;
-  out << "report " << r.registered << ' ' << r.assigned << ' ' << r.unassigned
-      << ' ' << r.denied << ' ' << r.shed << ' ' << r.quarantined << ' '
-      << r.missed_departures << ' ' << r.processed_events << ' '
-      << r.faults_dropped << ' ' << r.faults_duplicated << ' '
-      << r.faults_reordered << ' ' << r.faults_stalled << ' '
-      << r.checkpoints_written << '\n';
+  const ShardedServerState& server = c.server;
+  const size_t rows = c.per_epoch.size() + c.task_outcomes.size() +
+                      c.quarantined_events.size() +
+                      server.worker_by_index_id.size() +
+                      server.free_index_ids.size() + server.workers.size() +
+                      (server.ledger ? server.ledger->epoch_spent.size() +
+                                           server.ledger->lifetime_spent.size()
+                                     : 0);
+  std::string out;
+  out.reserve(64 * rows + 1024 * (c.metrics.histograms.size() + 1));
+  uint64_t records = 0;
+  // Frames one record in place with the journal's frame writer: the
+  // payload is the kind byte, then whatever `fields` writes.
+  const auto add = [&](Rec kind, const auto& fields) {
+    const size_t frame = BeginWalFrame(&out);
+    out.push_back(static_cast<char>(kind));
+    FieldWriter io(&out);
+    fields(io);
+    EndWalFrame(&out, frame);
+    ++records;
+  };
+  add(kHeader, [](FieldWriter& io) { io(std::string(kMagic), kCheckpointVersion); });
+  add(kIdentity, [&](FieldWriter& io) { IdentityFields(io, c); });
+  add(kCursor, [&](FieldWriter& io) { CursorFields(io, c); });
+  add(kReport, [&](FieldWriter& io) { ReportFields(io, c.report); });
   for (const EpochStats& e : c.per_epoch) {
-    out << "epoch " << e.epoch << ' ' << e.worker_arrivals << ' '
-        << e.task_arrivals << ' ' << e.departures << ' ' << e.assigned << ' '
-        << e.unassigned << ' ' << e.denied << ' '
-        << FmtF64(e.obfuscate_seconds) << ' ' << FmtF64(e.dispatch_seconds)
-        << ' ' << FmtF64(e.epsilon_spent) << ' ' << e.denied_epoch_budget
-        << ' ' << e.denied_lifetime_budget << ' ' << e.shed << ' '
-        << e.quarantined << '\n';
+    add(kEpoch, [&](FieldWriter& io) { EpochFields(io, e); });
   }
   for (const TaskOutcome& t : c.task_outcomes) {
-    out << "task " << Esc(t.task_id) << ' '
-        << static_cast<int>(t.status.code()) << ' '
-        << (t.status.message().empty() ? "-" : Esc(t.status.message())) << ' '
-        << (t.worker ? Esc(*t.worker) : "-") << ' '
-        << FmtF64(t.reported_tree_distance) << '\n';
+    add(kTask, [&](FieldWriter& io) { TaskFields(io, t); });
   }
   for (const QuarantineRecord& q : c.quarantined_events) {
-    out << "quar " << q.event_index << ' '
-        << (q.id.empty() ? "-" : Esc(q.id)) << ' ' << Esc(q.cause) << '\n';
+    add(kQuarantine, [&](FieldWriter& io) { QuarantineFields(io, q); });
   }
-  out << "server " << (c.server.packed ? 1 : 0) << ' '
-      << c.server.assigned_tasks << ' ' << c.server.tree_epoch << '\n';
-  out << "rng " << Esc(c.server.rng_state) << '\n';
-  for (const std::string& id : c.server.worker_by_index_id) {
-    out << "slot " << (id.empty() ? "-" : Esc(id)) << '\n';
+  add(kServer, [&](FieldWriter& io) { ServerFields(io, server); });
+  add(kRng, [&](FieldWriter& io) { io(server.rng_state); });
+  for (const std::string& id : server.worker_by_index_id) {
+    add(kSlot, [&](FieldWriter& io) { io(id); });
   }
-  out << "free";
-  for (const int id : c.server.free_index_ids) out << ' ' << id;
-  out << '\n';
-  for (const ShardedServerState::Worker& w : c.server.workers) {
-    out << "worker " << Esc(w.id) << ' ' << w.code << ' '
-        << (w.leaf_digits.empty() ? "-" : Esc(w.leaf_digits)) << ' '
-        << w.index_id << ' ' << w.shard << '\n';
+  for (const int id : server.free_index_ids) {
+    add(kFree, [&](FieldWriter& io) { io(id); });
   }
-  if (c.server.ledger) {
-    const EpochBudgetLedger::State& ledger = *c.server.ledger;
-    out << "ledger " << ledger.epoch << ' '
-        << FmtF64(ledger.totals.epsilon_spent) << ' ' << ledger.totals.charges
-        << ' ' << ledger.totals.denied_epoch << ' '
-        << ledger.totals.denied_lifetime << '\n';
+  for (const ShardedServerState::Worker& w : server.workers) {
+    add(kWorker, [&](FieldWriter& io) { WorkerFields(io, w); });
+  }
+  if (server.ledger) {
+    const EpochBudgetLedger::State& ledger = *server.ledger;
+    add(kLedger, [&](FieldWriter& io) { LedgerFields(io, ledger); });
     for (const auto& [user, eps] : ledger.epoch_spent) {
-      out << "lspend e " << Esc(user) << ' ' << FmtF64(eps) << '\n';
+      add(kSpend, [&](FieldWriter& io) { io(kSpendEpoch, user, eps); });
     }
     for (const auto& [user, eps] : ledger.lifetime_spent) {
-      out << "lspend l " << Esc(user) << ' ' << FmtF64(eps) << '\n';
+      add(kSpend, [&](FieldWriter& io) { io(kSpendLifetime, user, eps); });
     }
   }
   for (const obs::CounterSample& sample : c.metrics.counters) {
-    out << "counter " << Esc(sample.name) << ' ' << FmtF64(sample.value)
-        << '\n';
+    add(kCounter, [&](FieldWriter& io) { io(sample.name, sample.value); });
   }
   for (const obs::GaugeSample& sample : c.metrics.gauges) {
-    out << "gauge " << Esc(sample.name) << ' ' << sample.value << '\n';
+    add(kGauge, [&](FieldWriter& io) { io(sample.name, sample.value); });
   }
   for (const obs::HistogramSample& sample : c.metrics.histograms) {
-    out << "hist " << Esc(sample.name) << ' ' << sample.count << ' '
-        << sample.sum;
-    for (const uint64_t bucket : sample.buckets) out << ' ' << bucket;
-    out << '\n';
+    add(kHistogram, [&](FieldWriter& io) { HistogramFields(io, sample); });
   }
-  const std::string payload = out.str();
-  return FrameCrcPayload(kCheckpointMagic, payload);
+  add(kEnd, [records](FieldWriter& io) { io(records); });
+  return out;
 }
 
-Result<ReplayCheckpoint> ParseReplayCheckpoint(const std::string& text) {
-  TBF_ASSIGN_OR_RETURN(const std::string payload,
-                       UnframeCrcPayload(kCheckpointMagic, text, "checkpoint"));
-
-  ReplayCheckpoint c;
-  bool saw_version = false, saw_config = false, saw_cursor = false,
-       saw_report = false, saw_server = false, saw_rng = false,
-       saw_free = false;
-  size_t line_no = 1;
-  size_t pos = 0;
-  while (pos < payload.size()) {
-    ++line_no;
-    size_t eol = payload.find('\n', pos);
-    if (eol == std::string::npos) eol = payload.size();
-    const std::string line = payload.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    const std::vector<std::string> tok = SplitTokens(line);
-    const std::string& key = tok[0];
-    const auto bad = [&](const std::string& why) {
-      return Status::InvalidArgument("checkpoint line " +
-                                     std::to_string(line_no) + ": " + why);
-    };
-    if (key == "version") {
-      if (tok.size() != 2) return bad("version needs 1 field");
-      TBF_ASSIGN_OR_RETURN(const int64_t v, ParseI64(tok[1], "version"));
-      if (v != 2 && v != 3) {
-        return bad("unsupported version " + tok[1] +
-                   " (this build reads v2 and v3 checkpoints)");
-      }
-      c.version = static_cast<int>(v);
-      saw_version = true;
-    } else if (key == "trace_fp") {
-      if (tok.size() != 2) return bad("trace_fp needs 1 field");
-      TBF_ASSIGN_OR_RETURN(const uint64_t fp, ParseU64(tok[1], "trace_fp"));
-      c.trace_fingerprint = static_cast<uint32_t>(fp);
-    } else if (key == "config") {
-      if (tok.size() != 5) return bad("config needs 4 fields");
-      TBF_ASSIGN_OR_RETURN(const int64_t shards,
-                           ParseI64(tok[1], "num_shards"));
-      c.num_shards = static_cast<int>(shards);
-      TBF_ASSIGN_OR_RETURN(c.epoch_seconds, ParseF64(tok[2], "epoch_seconds"));
-      TBF_ASSIGN_OR_RETURN(c.server_seed, ParseU64(tok[3], "server_seed"));
-      TBF_ASSIGN_OR_RETURN(c.obfuscation_seed,
-                           ParseU64(tok[4], "obfuscation_seed"));
-      saw_config = true;
-    } else if (key == "cursor") {
-      if (tok.size() != 4) return bad("cursor needs 3 fields");
-      TBF_ASSIGN_OR_RETURN(c.next_event, ParseU64(tok[1], "next_event"));
-      TBF_ASSIGN_OR_RETURN(c.arrivals_obfuscated,
-                           ParseU64(tok[2], "arrivals_obfuscated"));
-      TBF_ASSIGN_OR_RETURN(c.next_task_slot,
-                           ParseI64(tok[3], "next_task_slot"));
-      saw_cursor = true;
-    } else if (key == "wal") {
-      if (tok.size() != 2) return bad("wal needs 1 field");
-      TBF_ASSIGN_OR_RETURN(c.wal_next_lsn, ParseU64(tok[1], "wal_next_lsn"));
-    } else if (key == "report") {
-      if (tok.size() != 14) return bad("report needs 13 fields");
-      uint64_t* fields[] = {
-          &c.report.registered,        &c.report.assigned,
-          &c.report.unassigned,        &c.report.denied,
-          &c.report.shed,              &c.report.quarantined,
-          &c.report.missed_departures, &c.report.processed_events,
-          &c.report.faults_dropped,    &c.report.faults_duplicated,
-          &c.report.faults_reordered,  &c.report.faults_stalled,
-          &c.report.checkpoints_written};
-      for (size_t i = 0; i < 13; ++i) {
-        TBF_ASSIGN_OR_RETURN(*fields[i], ParseU64(tok[i + 1], "report field"));
-      }
-      saw_report = true;
-    } else if (key == "epoch") {
-      if (tok.size() != 15) return bad("epoch needs 14 fields");
-      EpochStats e;
-      TBF_ASSIGN_OR_RETURN(e.epoch, ParseI64(tok[1], "epoch"));
-      uint64_t v = 0;
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[2], "worker_arrivals"));
-      e.worker_arrivals = static_cast<size_t>(v);
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[3], "task_arrivals"));
-      e.task_arrivals = static_cast<size_t>(v);
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[4], "departures"));
-      e.departures = static_cast<size_t>(v);
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[5], "assigned"));
-      e.assigned = static_cast<size_t>(v);
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[6], "unassigned"));
-      e.unassigned = static_cast<size_t>(v);
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[7], "denied"));
-      e.denied = static_cast<size_t>(v);
-      TBF_ASSIGN_OR_RETURN(e.obfuscate_seconds,
-                           ParseF64(tok[8], "obfuscate_seconds"));
-      TBF_ASSIGN_OR_RETURN(e.dispatch_seconds,
-                           ParseF64(tok[9], "dispatch_seconds"));
-      TBF_ASSIGN_OR_RETURN(e.epsilon_spent, ParseF64(tok[10], "epsilon_spent"));
-      TBF_ASSIGN_OR_RETURN(e.denied_epoch_budget,
-                           ParseU64(tok[11], "denied_epoch_budget"));
-      TBF_ASSIGN_OR_RETURN(e.denied_lifetime_budget,
-                           ParseU64(tok[12], "denied_lifetime_budget"));
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[13], "shed"));
-      e.shed = static_cast<size_t>(v);
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[14], "quarantined"));
-      e.quarantined = static_cast<size_t>(v);
-      c.per_epoch.push_back(e);
-    } else if (key == "task") {
-      if (tok.size() != 6) return bad("task needs 5 fields");
-      TaskOutcome t;
-      TBF_ASSIGN_OR_RETURN(t.task_id, Unesc(tok[1]));
-      TBF_ASSIGN_OR_RETURN(const int64_t code, ParseI64(tok[2], "status code"));
-      if (code < 0 || code > kMaxStatusCode) {
-        return bad("status code out of range: " + tok[2]);
-      }
-      std::string message;
-      if (tok[3] != "-") {
-        TBF_ASSIGN_OR_RETURN(message, Unesc(tok[3]));
-      }
-      t.status = code == 0 ? Status::OK()
-                           : Status(static_cast<StatusCode>(code), message);
-      if (tok[4] != "-") {
-        TBF_ASSIGN_OR_RETURN(std::string worker, Unesc(tok[4]));
-        t.worker = std::move(worker);
-      }
-      TBF_ASSIGN_OR_RETURN(t.reported_tree_distance,
-                           ParseF64(tok[5], "tree distance"));
-      c.task_outcomes.push_back(std::move(t));
-    } else if (key == "quar") {
-      if (tok.size() != 4) return bad("quar needs 3 fields");
-      QuarantineRecord q;
-      TBF_ASSIGN_OR_RETURN(q.event_index, ParseU64(tok[1], "event index"));
-      if (tok[2] != "-") {
-        TBF_ASSIGN_OR_RETURN(q.id, Unesc(tok[2]));
-      }
-      TBF_ASSIGN_OR_RETURN(q.cause, Unesc(tok[3]));
-      c.quarantined_events.push_back(std::move(q));
-    } else if (key == "server") {
-      if (tok.size() != 4) return bad("server needs 3 fields");
-      TBF_ASSIGN_OR_RETURN(const uint64_t packed, ParseU64(tok[1], "packed"));
-      if (packed > 1) return bad("packed must be 0 or 1");
-      c.server.packed = packed == 1;
-      TBF_ASSIGN_OR_RETURN(c.server.assigned_tasks,
-                           ParseU64(tok[2], "assigned_tasks"));
-      TBF_ASSIGN_OR_RETURN(c.server.tree_epoch,
-                           ParseU64(tok[3], "tree_epoch"));
-      saw_server = true;
-    } else if (key == "rng") {
-      if (tok.size() != 2) return bad("rng needs 1 field");
-      TBF_ASSIGN_OR_RETURN(c.server.rng_state, Unesc(tok[1]));
-      saw_rng = true;
-    } else if (key == "slot") {
-      if (tok.size() != 2) return bad("slot needs 1 field");
-      std::string id;
-      if (tok[1] != "-") {
-        TBF_ASSIGN_OR_RETURN(id, Unesc(tok[1]));
-      }
-      c.server.worker_by_index_id.push_back(std::move(id));
-    } else if (key == "free") {
-      for (size_t i = 1; i < tok.size(); ++i) {
-        TBF_ASSIGN_OR_RETURN(const int64_t id, ParseI64(tok[i], "free id"));
-        c.server.free_index_ids.push_back(static_cast<int>(id));
-      }
-      saw_free = true;
-    } else if (key == "worker") {
-      if (tok.size() != 6) return bad("worker needs 5 fields");
-      ShardedServerState::Worker w;
-      TBF_ASSIGN_OR_RETURN(w.id, Unesc(tok[1]));
-      TBF_ASSIGN_OR_RETURN(w.code, ParseU64(tok[2], "worker code"));
-      if (tok[3] != "-") {
-        TBF_ASSIGN_OR_RETURN(w.leaf_digits, Unesc(tok[3]));
-      }
-      TBF_ASSIGN_OR_RETURN(const int64_t index_id,
-                           ParseI64(tok[4], "index id"));
-      w.index_id = static_cast<int>(index_id);
-      TBF_ASSIGN_OR_RETURN(const int64_t shard, ParseI64(tok[5], "shard"));
-      w.shard = static_cast<int>(shard);
-      c.server.workers.push_back(std::move(w));
-    } else if (key == "ledger") {
-      if (tok.size() != 6) return bad("ledger needs 5 fields");
-      EpochBudgetLedger::State ledger;
-      TBF_ASSIGN_OR_RETURN(ledger.epoch, ParseI64(tok[1], "ledger epoch"));
-      TBF_ASSIGN_OR_RETURN(ledger.totals.epsilon_spent,
-                           ParseF64(tok[2], "epsilon_spent"));
-      TBF_ASSIGN_OR_RETURN(ledger.totals.charges,
-                           ParseU64(tok[3], "charges"));
-      TBF_ASSIGN_OR_RETURN(ledger.totals.denied_epoch,
-                           ParseU64(tok[4], "denied_epoch"));
-      TBF_ASSIGN_OR_RETURN(ledger.totals.denied_lifetime,
-                           ParseU64(tok[5], "denied_lifetime"));
-      c.server.ledger = std::move(ledger);
-    } else if (key == "lspend") {
-      if (tok.size() != 4 || (tok[1] != "e" && tok[1] != "l")) {
-        return bad("lspend needs kind (e|l), user, epsilon");
-      }
-      if (!c.server.ledger) return bad("lspend before ledger line");
-      TBF_ASSIGN_OR_RETURN(std::string user, Unesc(tok[2]));
-      TBF_ASSIGN_OR_RETURN(const double eps, ParseF64(tok[3], "spend"));
-      auto& target = tok[1] == "e" ? c.server.ledger->epoch_spent
-                                   : c.server.ledger->lifetime_spent;
-      target.emplace_back(std::move(user), eps);
-    } else if (key == "counter") {
-      if (tok.size() != 3) return bad("counter needs 2 fields");
-      obs::CounterSample sample;
-      TBF_ASSIGN_OR_RETURN(sample.name, Unesc(tok[1]));
-      TBF_ASSIGN_OR_RETURN(sample.value, ParseF64(tok[2], "counter value"));
-      c.metrics.counters.push_back(std::move(sample));
-    } else if (key == "gauge") {
-      if (tok.size() != 3) return bad("gauge needs 2 fields");
-      obs::GaugeSample sample;
-      TBF_ASSIGN_OR_RETURN(sample.name, Unesc(tok[1]));
-      TBF_ASSIGN_OR_RETURN(sample.value, ParseI64(tok[2], "gauge value"));
-      c.metrics.gauges.push_back(std::move(sample));
-    } else if (key == "hist") {
-      if (tok.size() != 4 + obs::Histogram::kBuckets) {
-        return bad("hist needs name, count, sum and 64 buckets");
-      }
-      obs::HistogramSample sample;
-      TBF_ASSIGN_OR_RETURN(sample.name, Unesc(tok[1]));
-      TBF_ASSIGN_OR_RETURN(sample.count, ParseU64(tok[2], "hist count"));
-      TBF_ASSIGN_OR_RETURN(sample.sum, ParseU64(tok[3], "hist sum"));
-      for (int i = 0; i < obs::Histogram::kBuckets; ++i) {
-        TBF_ASSIGN_OR_RETURN(
-            sample.buckets[static_cast<size_t>(i)],
-            ParseU64(tok[static_cast<size_t>(i) + 4], "hist bucket"));
-      }
-      c.metrics.histograms.push_back(std::move(sample));
-    } else {
-      return bad("unknown record kind '" + key + "'");
-    }
-  }
-  if (!saw_version || !saw_config || !saw_cursor || !saw_report ||
-      !saw_server || !saw_rng || !saw_free) {
+Result<ReplayCheckpoint> ParseReplayCheckpoint(const std::string& bytes) {
+  if (std::string_view(bytes).substr(0, kTextMagic.size()) == kTextMagic) {
     return Status::InvalidArgument(
-        "checkpoint: missing required record(s) — truncated or corrupt "
-        "payload");
+        "checkpoint: text-format (v1-v3) file; this build reads binary v4 "
+        "checkpoints only");
   }
-  return c;
+  CheckpointDecoder decoder;
+  const WalFrameWalk walk = WalkWalFrames(
+      bytes, [&decoder](std::string_view p) { return decoder.Decode(p); });
+  if (walk.bad) return Status::InvalidArgument("checkpoint " + walk.bad_detail);
+  TBF_RETURN_NOT_OK(decoder.Finish());
+  return decoder.Take();
 }
 
 Status WriteReplayCheckpointFile(const ReplayCheckpoint& checkpoint,
@@ -487,9 +456,9 @@ Status WriteReplayCheckpointFile(const ReplayCheckpoint& checkpoint,
 }
 
 Result<ReplayCheckpoint> ReadReplayCheckpointFile(const std::string& path) {
-  TBF_ASSIGN_OR_RETURN(const std::string text,
+  TBF_ASSIGN_OR_RETURN(const std::string bytes,
                        ReadFileToString(path, "checkpoint"));
-  return ParseReplayCheckpoint(text);
+  return ParseReplayCheckpoint(bytes);
 }
 
 }  // namespace tbf

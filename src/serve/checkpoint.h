@@ -10,18 +10,26 @@
 // epoch length, seeds) let resume refuse a checkpoint that does not
 // belong to the run being resumed.
 //
-// On-disk format (docs/ROBUSTNESS.md has the full catalog):
+// On-disk format, v4 (docs/ROBUSTNESS.md has the record catalog): a
+// stream of CRC-framed binary records with exactly the journal's framing
+// (serve/wal.h — the same frame writer, frame walker and little-endian
+// field helpers):
 //
-//   TBFCKPT1 <crc32-hex8> <payload-bytes>\n
-//   <payload>
+//   file    := header record* end
+//   frame   := <len:u32> <crc:u32> <payload: len bytes>
+//   payload := <kind:u8> <kind-specific fields>
 //
-// The payload is line-oriented `key v1 v2 ...` records. Strings are
-// %XX-escaped (space, '%', control bytes, and a leading '-' — so the
-// standalone token `-` unambiguously means "absent"); doubles are
-// printf %a hexfloats, which round-trip bit-exactly. The CRC-32 (IEEE,
-// reflected, the same polynomial as zlib/binascii.crc32) covers the
-// payload bytes, so tools/check_checkpoint.py can validate a file with
-// nothing but the Python standard library.
+// The header carries the magic "TBF-CKPT" and the version; every other
+// row (identity, cursor, report, each epoch/task/quarantine row, server,
+// rng, each slot/free/worker row, ledger, each spend row, each
+// counter/gauge/histogram) is one record; the end record counts the
+// records before it, so a file cut at a frame boundary is refused too.
+// Integers are little-endian, doubles are IEEE-754 bit patterns (they
+// round-trip bit-exactly), strings are <len:u32><bytes>. The CRC-32 (IEEE
+// reflected, zlib/binascii-compatible) covers each payload, so
+// tools/check_checkpoint.py validates a file with only the Python
+// standard library. The v1-v3 text format is no longer read: such a file
+// is refused with InvalidArgument like any other corrupt checkpoint.
 //
 // WriteReplayCheckpointFile is atomic: the bytes go to `<path>.tmp`,
 // are fsync'd, and rename(2) publishes them — a crash mid-write leaves
@@ -53,15 +61,11 @@ uint32_t FingerprintEventTrace(const EventTrace& trace);
 
 /// \brief Serializable state of one replay run (see RunEventReplay).
 ///
-/// Version history: v1 had a 2-field `server` record; v2 added the
-/// server's tree epoch (number of republishes applied — see
-/// serve/republish.h) so resume can fast-forward the engine onto the
-/// correct published tree before restoring worker state; v3 added the
-/// `wal` record (wal_next_lsn — the journal position this checkpoint
-/// covers, see serve/wal.h). The parser reads v2 and v3 (a v2 file
-/// simply has wal_next_lsn == 0).
+/// Version history: v1-v3 were a line-oriented text format (v2 added the
+/// server's tree epoch, v3 the journal position wal_next_lsn); v4 is the
+/// binary record stream described above and the only version read.
 struct ReplayCheckpoint {
-  int version = 3;
+  int version = 4;
 
   // Identity: resume refuses a checkpoint whose trace or configuration
   // does not match the run being resumed.
@@ -107,13 +111,13 @@ struct ReplayCheckpoint {
   obs::MetricsSnapshot metrics;
 };
 
-/// \brief Serializes header + payload (see the format note above).
+/// \brief Serializes to the v4 record stream (see the format note above).
 std::string SerializeReplayCheckpoint(const ReplayCheckpoint& checkpoint);
 
-/// \brief Parses and validates (header, CRC, schema) a serialized
-/// checkpoint. Corruption anywhere yields a precise InvalidArgument,
-/// never a crash.
-Result<ReplayCheckpoint> ParseReplayCheckpoint(const std::string& text);
+/// \brief Parses and validates (frames, CRCs, record schema, file
+/// grammar) a serialized checkpoint. Corruption anywhere yields an
+/// InvalidArgument naming the record and byte offset, never a crash.
+Result<ReplayCheckpoint> ParseReplayCheckpoint(const std::string& bytes);
 
 /// \brief Atomic write: tmp file + fsync + rename.
 Status WriteReplayCheckpointFile(const ReplayCheckpoint& checkpoint,

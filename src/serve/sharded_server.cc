@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/fault.h"
+#include "common/logging.h"
 #include "common/timer.h"
 #include "obs/scoped_timer.h"
 
@@ -603,20 +604,30 @@ ShardedServerState ShardedTbfServer::ExportState() const {
     std::lock_guard<std::mutex> pool_lock(pool_mu_);
     state.worker_by_index_id = worker_by_index_id_;
     state.free_index_ids = free_index_ids_;
+    // Index-id order: deterministic, reproduced by RestoreState (which
+    // keeps every index id), and a single pass with no sort.
     state.workers.reserve(workers_.size());
-    for (const auto& [id, worker] : workers_) {
-      ShardedServerState::Worker w;
-      w.id = id;
+    for (size_t index_id = 0; index_id < worker_by_index_id_.size();
+         ++index_id) {
+      const auto it = workers_.find(worker_by_index_id_[index_id]);
+      if (it == workers_.end() ||
+          it->second.index_id != static_cast<int>(index_id)) {
+        continue;  // a free slot
+      }
+      const WorkerState& worker = it->second;
+      ShardedServerState::Worker& w = state.workers.emplace_back();
+      w.id = it->first;
       w.code = worker.code;
       if (!packed_) w.leaf_digits = LeafDigitsOf(worker.leaf);
       w.index_id = worker.index_id;
       w.shard = worker.shard;
-      state.workers.push_back(std::move(w));
     }
+    // Every registered worker holds exactly one slot; a miss here would
+    // silently drop a live worker from the checkpoint.
+    TBF_CHECK(state.workers.size() == workers_.size())
+        << "ExportState: " << workers_.size() << " registered workers but "
+        << state.workers.size() << " reachable through their index ids";
   }
-  std::sort(state.workers.begin(), state.workers.end(),
-            [](const ShardedServerState::Worker& a,
-               const ShardedServerState::Worker& b) { return a.id < b.id; });
   if (ledger_ != nullptr) {
     std::lock_guard<std::mutex> lock(budget_mu_);
     state.ledger = ledger_->ExportState();

@@ -102,7 +102,8 @@ struct ShardedServerOptions {
 
 /// \brief Full serializable state of a ShardedTbfServer (crash-safe replay
 /// checkpoints). Everything is exported in a deterministic order (workers
-/// sorted by id) so serialization is byte-stable.
+/// by index id, ledger spends in first-charge order) that RestoreState
+/// reproduces, so serialization is byte-stable without sorting.
 struct ShardedServerState {
   struct Worker {
     std::string id;
@@ -118,7 +119,7 @@ struct ShardedServerState {
   std::string rng_state;                     ///< Rng::SerializeState
   std::vector<std::string> worker_by_index_id;  ///< "" = free slot
   std::vector<int> free_index_ids;           ///< recycling order matters
-  std::vector<Worker> workers;               ///< sorted by id
+  std::vector<Worker> workers;               ///< index-id order
   std::optional<EpochBudgetLedger::State> ledger;
 };
 

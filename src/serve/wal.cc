@@ -32,125 +32,14 @@ double MonotonicSeconds() {
       .count();
 }
 
-// ---- little-endian byte helpers ------------------------------------------
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out->append(buf, 4);  // one append, not four push_backs (hot path)
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out->append(buf, 8);
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutStr(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-void PutPath(std::string* out, const LeafPath& p) {
-  PutU32(out, static_cast<uint32_t>(p.size()));
-  for (const char16_t d : p) {
-    PutU8(out, static_cast<uint8_t>(d & 0xFF));
-    PutU8(out, static_cast<uint8_t>((d >> 8) & 0xFF));
-  }
-}
-
-// Bounds-checked little-endian reader over one payload.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  Result<uint8_t> U8() {
-    if (pos_ + 1 > data_.size()) return Short("u8");
-    return static_cast<uint8_t>(data_[pos_++]);
-  }
-  Result<uint32_t> U32() {
-    if (pos_ + 4 > data_.size()) return Short("u32");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  Result<uint64_t> U64() {
-    if (pos_ + 8 > data_.size()) return Short("u64");
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  Result<int64_t> I64() {
-    TBF_ASSIGN_OR_RETURN(uint64_t v, U64());
-    return static_cast<int64_t>(v);
-  }
-  Result<double> F64() {
-    TBF_ASSIGN_OR_RETURN(uint64_t bits, U64());
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  Result<std::string> Str() {
-    TBF_ASSIGN_OR_RETURN(uint32_t len, U32());
-    if (pos_ + len > data_.size()) return Short("string body");
-    std::string s(data_.substr(pos_, len));
-    pos_ += len;
-    return s;
-  }
-  Result<LeafPath> Path() {
-    TBF_ASSIGN_OR_RETURN(uint32_t len, U32());
-    if (pos_ + static_cast<size_t>(len) * 2 > data_.size()) {
-      return Short("leaf path body");
-    }
-    LeafPath p;
-    p.reserve(len);
-    for (uint32_t i = 0; i < len; ++i) {
-      const auto lo = static_cast<unsigned char>(data_[pos_ + 2 * i]);
-      const auto hi = static_cast<unsigned char>(data_[pos_ + 2 * i + 1]);
-      p.push_back(static_cast<char16_t>(lo | (hi << 8)));
-    }
-    pos_ += static_cast<size_t>(len) * 2;
-    return p;
-  }
-  bool AtEnd() const { return pos_ == data_.size(); }
-  size_t pos() const { return pos_; }
-
- private:
-  Status Short(const char* what) const {
-    return Status::InvalidArgument(std::string("wal record: short read (") +
-                                   what + " at byte " + std::to_string(pos_) +
-                                   ")");
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
+using wire::ByteReader;
+using wire::PutF64;
+using wire::PutI64;
+using wire::PutPath;
+using wire::PutStr;
+using wire::PutU32;
+using wire::PutU64;
+using wire::PutU8;
 
 // Flags byte of dispatch records.
 constexpr uint8_t kFlagPacked = 1 << 0;
@@ -179,6 +68,30 @@ Status ReadOutcome(ByteReader* r, WalOutcome* o) {
 }
 
 }  // namespace
+
+void wire::PutPath(std::string* out, const LeafPath& p) {
+  PutU32(out, static_cast<uint32_t>(p.size()));
+  for (const char16_t d : p) {
+    PutU8(out, static_cast<uint8_t>(d & 0xFF));
+    PutU8(out, static_cast<uint8_t>((d >> 8) & 0xFF));
+  }
+}
+
+Result<LeafPath> wire::ByteReader::Path() {
+  TBF_ASSIGN_OR_RETURN(uint32_t len, U32());
+  if (static_cast<size_t>(len) * 2 > data_.size() - pos_) {
+    return Short("leaf path body");
+  }
+  LeafPath p;
+  p.reserve(len);
+  for (uint32_t i = 0; i < len; ++i) {
+    const auto lo = static_cast<unsigned char>(data_[pos_ + 2 * i]);
+    const auto hi = static_cast<unsigned char>(data_[pos_ + 2 * i + 1]);
+    p.push_back(static_cast<char16_t>(lo | (hi << 8)));
+  }
+  pos_ += static_cast<size_t>(len) * 2;
+  return p;
+}
 
 std::string EncodeWalRecord(const WalRecord& record) {
   std::string out;
@@ -255,7 +168,7 @@ void EncodeWalRecordTo(const WalRecord& record, std::string* out_ptr) {
 }
 
 Result<WalRecord> DecodeWalRecord(std::string_view payload) {
-  ByteReader r(payload);
+  ByteReader r(payload, "wal record");
   WalRecord rec;
   TBF_ASSIGN_OR_RETURN(uint8_t kind, r.U8());
   if (kind > static_cast<uint8_t>(WalRecordKind::kRepublish)) {
@@ -352,10 +265,89 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
   return rec;
 }
 
+size_t BeginWalFrame(std::string* out) {
+  const size_t frame_start = out->size();
+  out->append(kFrameHeaderBytes, '\0');
+  return frame_start;
+}
+
+void EndWalFrame(std::string* out, size_t frame_start) {
+  const size_t payload_start = frame_start + kFrameHeaderBytes;
+  const std::string_view payload(out->data() + payload_start,
+                                 out->size() - payload_start);
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  const uint32_t crc = Crc32(payload);
+  char header[kFrameHeaderBytes];
+  for (int i = 0; i < 4; ++i) {
+    header[i] = static_cast<char>((len >> (8 * i)) & 0xFFu);
+    header[4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFFu);
+  }
+  std::memcpy(out->data() + frame_start, header, kFrameHeaderBytes);
+}
+
 void AppendWalFrame(std::string* out, std::string_view payload) {
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32(payload));
+  const size_t frame_start = BeginWalFrame(out);
   out->append(payload.data(), payload.size());
+  EndWalFrame(out, frame_start);
+}
+
+WalFrameWalk WalkWalFrames(
+    std::string_view bytes,
+    const std::function<Status(std::string_view payload)>& visit) {
+  WalFrameWalk walk;
+  size_t pos = 0;
+  const auto bad = [&](const std::string& reason) {
+    walk.bad = true;
+    walk.bad_detail = "record " + std::to_string(walk.frames) + " (offset " +
+                      std::to_string(pos) + "): " + reason;
+  };
+  while (pos < bytes.size()) {
+    if (bytes.size() - pos < kFrameHeaderBytes) {
+      bad("short frame header (" + std::to_string(bytes.size() - pos) +
+          " trailing bytes)");
+      break;
+    }
+    uint32_t len = 0;
+    uint32_t crc = 0;
+    for (int i = 0; i < 4; ++i) {
+      len |= static_cast<uint32_t>(static_cast<unsigned char>(bytes[pos + i]))
+             << (8 * i);
+      crc |= static_cast<uint32_t>(
+                 static_cast<unsigned char>(bytes[pos + 4 + i]))
+             << (8 * i);
+    }
+    if (len > kMaxWalPayload) {
+      bad("frame length " + std::to_string(len) + " exceeds the " +
+          std::to_string(kMaxWalPayload) + "-byte cap");
+      break;
+    }
+    if (pos + kFrameHeaderBytes + len > bytes.size()) {
+      bad("frame extends " +
+          std::to_string(pos + kFrameHeaderBytes + len - bytes.size()) +
+          " bytes past end of file (torn write)");
+      break;
+    }
+    const std::string_view payload = bytes.substr(pos + kFrameHeaderBytes, len);
+    const uint32_t actual = Crc32(payload);
+    if (actual != crc) {
+      char hex[48];
+      std::snprintf(hex, sizeof(hex), "declared %08x, computed %08x", crc,
+                    actual);
+      bad(std::string("payload CRC mismatch (") + hex + ")");
+      break;
+    }
+    const Status visited = visit(payload);
+    if (!visited.ok()) {
+      // CRC-valid but schema-bad is corruption (or a format skew), never
+      // a torn write — surface the decoder's message verbatim.
+      bad(visited.message());
+      break;
+    }
+    pos += kFrameHeaderBytes + len;
+    walk.valid_bytes = pos;
+    ++walk.frames;
+  }
+  return walk;
 }
 
 std::string WalSegmentFileName(uint64_t seq) {
@@ -379,60 +371,15 @@ struct SegmentScan {
 
 SegmentScan ScanSegmentBytes(const std::string& blob) {
   SegmentScan scan;
-  size_t pos = 0;
-  uint64_t ordinal = 0;
-  const auto bad = [&](const std::string& reason) {
-    scan.bad = true;
-    scan.bad_detail = "record " + std::to_string(ordinal) + " (offset " +
-                      std::to_string(pos) + "): " + reason;
-  };
-  while (pos < blob.size()) {
-    if (blob.size() - pos < kFrameHeaderBytes) {
-      bad("short frame header (" + std::to_string(blob.size() - pos) +
-          " trailing bytes)");
-      break;
-    }
-    uint32_t len = 0;
-    uint32_t crc = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<uint32_t>(static_cast<unsigned char>(blob[pos + i]))
-             << (8 * i);
-      crc |= static_cast<uint32_t>(
-                 static_cast<unsigned char>(blob[pos + 4 + i]))
-             << (8 * i);
-    }
-    if (len > kMaxWalPayload) {
-      bad("frame length " + std::to_string(len) + " exceeds the " +
-          std::to_string(kMaxWalPayload) + "-byte cap");
-      break;
-    }
-    if (pos + kFrameHeaderBytes + len > blob.size()) {
-      bad("frame extends " +
-          std::to_string(pos + kFrameHeaderBytes + len - blob.size()) +
-          " bytes past end of file (torn write)");
-      break;
-    }
-    const std::string_view payload(blob.data() + pos + kFrameHeaderBytes, len);
-    const uint32_t actual = Crc32(payload);
-    if (actual != crc) {
-      char hex[48];
-      std::snprintf(hex, sizeof(hex), "declared %08x, computed %08x", crc,
-                    actual);
-      bad(std::string("payload CRC mismatch (") + hex + ")");
-      break;
-    }
-    Result<WalRecord> rec = DecodeWalRecord(payload);
-    if (!rec.ok()) {
-      // CRC-valid but schema-bad is corruption (or a format skew), never
-      // a torn write — surface the decoder's message verbatim.
-      bad(rec.status().message());
-      break;
-    }
-    scan.records.push_back(std::move(rec).MoveValueUnsafe());
-    pos += kFrameHeaderBytes + len;
-    scan.valid_bytes = pos;
-    ++ordinal;
-  }
+  const WalFrameWalk walk =
+      WalkWalFrames(blob, [&scan](std::string_view payload) -> Status {
+        TBF_ASSIGN_OR_RETURN(WalRecord rec, DecodeWalRecord(payload));
+        scan.records.push_back(std::move(rec));
+        return Status::OK();
+      });
+  scan.valid_bytes = walk.valid_bytes;
+  scan.bad = walk.bad;
+  scan.bad_detail = walk.bad_detail;
   return scan;
 }
 
@@ -693,19 +640,9 @@ Status WalWriter::Append(WalRecord* record) {
   // the payload size is known. The hot path copies each record exactly
   // once and allocates nothing once the buffer is warmed up.
   if (pending_records_ == 0) group_opened_seconds_ = MonotonicSeconds();
-  const size_t base = pending_.size();
-  pending_.append(8, '\0');
+  const size_t base = BeginWalFrame(&pending_);
   EncodeWalRecordTo(*record, &pending_);
-  const std::string_view payload(pending_.data() + base + 8,
-                                 pending_.size() - base - 8);
-  char header[8];
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32(payload);
-  for (int i = 0; i < 4; ++i) {
-    header[i] = static_cast<char>((len >> (8 * i)) & 0xFFu);
-    header[4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFFu);
-  }
-  std::memcpy(pending_.data() + base, header, 8);
+  EndWalFrame(&pending_, base);
   const size_t frame_bytes = pending_.size() - base;
 
   const Status injected = TBF_FAULT_INJECT_AT("wal.append", record->lsn);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace tbf {
 namespace {
@@ -215,6 +218,56 @@ TEST(EpochLedgerTest, RejectsNonFiniteCharge) {
   EXPECT_DOUBLE_EQ(ledger.SpentLifetime("frank"), 0.5);
   EXPECT_TRUE(ledger.Charge("frank", 0.5).ok());
   EXPECT_EQ(ledger.totals().charges, 2u);
+}
+
+TEST(EpochLedgerTest, ExportListsUsersInFirstChargeOrderAndRestoreKeepsIt) {
+  using Rows = std::vector<std::pair<std::string, double>>;
+  obs::MetricRegistry metrics;
+  EpochBudgetLedger ledger(1.0, 3.0, &metrics);
+  ASSERT_TRUE(ledger.Charge("zoe", 0.5).ok());
+  ASSERT_TRUE(ledger.Charge("adam", 0.25).ok());
+  ASSERT_TRUE(ledger.Charge("zoe", 0.25).ok());   // a repeat keeps its slot
+  EXPECT_FALSE(ledger.Charge("adam", 0.9).ok());  // refused: records nothing
+  EXPECT_FALSE(ledger.Charge("ivy", 1.5).ok());   // never charged: not listed
+  ASSERT_TRUE(ledger.Charge("mia", 0.5).ok());
+  EpochBudgetLedger::State state = ledger.ExportState();
+  const Rows first_epoch{{"zoe", 0.75}, {"adam", 0.25}, {"mia", 0.5}};
+  EXPECT_EQ(state.epoch_spent, first_epoch);
+  EXPECT_EQ(state.lifetime_spent, first_epoch);
+
+  // Rollover restarts the epoch order; the lifetime order persists.
+  ASSERT_TRUE(ledger.BeginEpoch(1).ok());
+  ASSERT_TRUE(ledger.Charge("mia", 0.5).ok());
+  ASSERT_TRUE(ledger.Charge("bob", 0.5).ok());
+  ASSERT_TRUE(ledger.Charge("zoe", 0.5).ok());
+  state = ledger.ExportState();
+  EXPECT_EQ(state.epoch_spent, (Rows{{"mia", 0.5}, {"bob", 0.5}, {"zoe", 0.5}}));
+  EXPECT_EQ(state.lifetime_spent, (Rows{{"zoe", 1.25},
+                                        {"adam", 0.25},
+                                        {"mia", 1.0},
+                                        {"bob", 0.5}}));
+
+  // A restore keeps the order, and later first charges append after it
+  // exactly as they do in the uninterrupted ledger.
+  EpochBudgetLedger restored(1.0, 3.0, &metrics);
+  ASSERT_TRUE(restored.RestoreState(state).ok());
+  for (EpochBudgetLedger* l : {&ledger, &restored}) {
+    ASSERT_TRUE(l->Charge("eve", 0.5).ok());
+    ASSERT_TRUE(l->Charge("adam", 0.5).ok());
+  }
+  const EpochBudgetLedger::State want = ledger.ExportState();
+  const EpochBudgetLedger::State got = restored.ExportState();
+  EXPECT_EQ(got.epoch_spent, want.epoch_spent);
+  EXPECT_EQ(got.lifetime_spent, want.lifetime_spent);
+  EXPECT_EQ(got.epoch_spent.back().first, "adam");
+  EXPECT_EQ(got.lifetime_spent.back().first, "eve");
+
+  // A state listing a user twice is refused and changes nothing.
+  EpochBudgetLedger::State repeated = want;
+  repeated.lifetime_spent.emplace_back("zoe", 0.1);
+  EXPECT_EQ(restored.RestoreState(repeated).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(restored.ExportState().lifetime_spent, want.lifetime_spent);
 }
 
 TEST(EpochLedgerDeathTest, RejectsBadBudgets) {

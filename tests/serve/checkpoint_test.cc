@@ -4,8 +4,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
+
+#include "geo/grid.h"
+#include "serve/wal.h"
+#include "workload/synthetic.h"
 
 namespace tbf {
 namespace {
@@ -50,7 +56,7 @@ ReplayCheckpoint MakeTrickyCheckpoint() {
   ReplayCheckpoint c;
   c.trace_fingerprint = 0xDEADBEEF;
   c.num_shards = 4;
-  c.epoch_seconds = 0.1;  // not exactly representable — hexfloat must hold it
+  c.epoch_seconds = 0.1;  // not exactly representable — the bits must hold it
   c.server_seed = 7;
   c.obfuscation_seed = 11;
   c.next_event = 42;
@@ -61,6 +67,8 @@ ReplayCheckpoint MakeTrickyCheckpoint() {
   c.report.quarantined = 2;
   c.report.processed_events = 40;
   c.report.faults_duplicated = 1;
+  c.report.checkpoints_written = 6;
+  c.wal_next_lsn = 1234;
 
   EpochStats epoch;
   epoch.epoch = -3;  // negative epochs are legal (events before t0? keep i64)
@@ -80,7 +88,7 @@ ReplayCheckpoint MakeTrickyCheckpoint() {
   assigned.task_id = "t2";
   assigned.worker = "worker\nwith\tcontrol";
   assigned.reported_tree_distance =
-      std::numeric_limits<double>::infinity();  // hexfloat handles inf
+      std::numeric_limits<double>::infinity();  // IEEE bits carry inf
   c.task_outcomes.push_back(assigned);
 
   c.quarantined_events.push_back(
@@ -90,7 +98,7 @@ ReplayCheckpoint MakeTrickyCheckpoint() {
 
   c.server.packed = true;
   c.server.assigned_tasks = 5;
-  c.server.rng_state = "7 1234 5678 90";  // spaces survive escaping
+  c.server.rng_state = "7 1234 5678 90";  // spaces survive
   c.server.worker_by_index_id = {"w0", "", "w2"};
   c.server.free_index_ids = {1};
   ShardedServerState::Worker w;
@@ -99,13 +107,22 @@ ReplayCheckpoint MakeTrickyCheckpoint() {
   w.index_id = 0;
   w.shard = 3;
   c.server.workers.push_back(w);
+  w.id = "w2";
+  w.code = 0;
+  w.leaf_digits = "3.0.1";
+  w.index_id = 2;
+  w.shard = 0;
+  c.server.workers.push_back(w);
 
   EpochBudgetLedger::State ledger;
   ledger.epoch = 2;
   ledger.totals.epsilon_spent = 3.3;
   ledger.totals.charges = 11;
   ledger.totals.denied_epoch = 1;
+  // First-charge order, not sorted: the codec must keep it.
+  ledger.epoch_spent.emplace_back("user b", 0.3);
   ledger.epoch_spent.emplace_back("user a", 0.6);
+  ledger.lifetime_spent.emplace_back("user b", 0.9);
   ledger.lifetime_spent.emplace_back("user a", 1.8);
   c.server.ledger = ledger;
 
@@ -163,17 +180,24 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   EXPECT_EQ(c.quarantined_events[0].cause, "empty event id");
   EXPECT_EQ(c.quarantined_events[1].id, "-weird id");
 
+  EXPECT_EQ(c.report.checkpoints_written, 6u);
+  EXPECT_EQ(c.wal_next_lsn, 1234u);
+  EXPECT_EQ(c.version, 4);
+
   EXPECT_EQ(c.server.packed, true);
   EXPECT_EQ(c.server.rng_state, original.server.rng_state);
   EXPECT_EQ(c.server.worker_by_index_id, original.server.worker_by_index_id);
   EXPECT_EQ(c.server.free_index_ids, original.server.free_index_ids);
-  ASSERT_EQ(c.server.workers.size(), 1u);
+  ASSERT_EQ(c.server.workers.size(), 2u);
   EXPECT_EQ(c.server.workers[0].code, original.server.workers[0].code);
   EXPECT_EQ(c.server.workers[0].shard, 3);
+  EXPECT_EQ(c.server.workers[1].leaf_digits, "3.0.1");
   ASSERT_TRUE(c.server.ledger.has_value());
   EXPECT_EQ(c.server.ledger->totals.epsilon_spent, 3.3);
-  ASSERT_EQ(c.server.ledger->epoch_spent.size(), 1u);
-  EXPECT_EQ(c.server.ledger->epoch_spent[0].first, "user a");
+  EXPECT_EQ(c.server.ledger->epoch_spent,
+            original.server.ledger->epoch_spent);  // order kept
+  EXPECT_EQ(c.server.ledger->lifetime_spent,
+            original.server.ledger->lifetime_spent);
 
   ASSERT_EQ(c.metrics.counters.size(), 1u);
   EXPECT_EQ(c.metrics.counters[0].name, original.metrics.counters[0].name);
@@ -189,32 +213,75 @@ TEST(CheckpointTest, SerializationIsDeterministic) {
   EXPECT_EQ(SerializeReplayCheckpoint(c), SerializeReplayCheckpoint(c));
 }
 
+// One CRC-framed record: a kind byte, then `fields`.
+std::string Frame(uint8_t kind, const std::string& fields) {
+  std::string frame;
+  AppendWalFrame(&frame, std::string(1, static_cast<char>(kind)) + fields);
+  return frame;
+}
+
+std::string HeaderFields(const std::string& magic, uint32_t version) {
+  std::string fields;
+  wire::PutStr(&fields, magic);
+  wire::PutU32(&fields, version);
+  return fields;
+}
+
+void ExpectRejected(const std::string& bytes, const std::string& needle) {
+  auto parsed = ParseReplayCheckpoint(bytes);
+  ASSERT_FALSE(parsed.ok()) << "accepted; wanted '" << needle << "'";
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find(needle), std::string::npos)
+      << parsed.status().message();
+}
+
 TEST(CheckpointTest, DetectsCorruptionPrecisely) {
-  const std::string text =
-      SerializeReplayCheckpoint(MakeTrickyCheckpoint());
+  const std::string bytes = SerializeReplayCheckpoint(MakeTrickyCheckpoint());
+  const std::string header = Frame(0, HeaderFields("TBF-CKPT", 4));
+  ASSERT_EQ(bytes.substr(0, header.size()), header);
 
-  // Flipped payload byte: CRC mismatch.
-  std::string flipped = text;
-  flipped[flipped.size() / 2] ^= 0x01;
-  auto r1 = ParseReplayCheckpoint(flipped);
-  ASSERT_FALSE(r1.ok());
-  EXPECT_NE(r1.status().message().find("CRC mismatch"), std::string::npos);
+  // Flipped payload byte: CRC mismatch, naming the record and its offset.
+  std::string flipped = bytes;
+  flipped[bytes.size() / 2] ^= 0x01;
+  ExpectRejected(flipped, "CRC mismatch");
+  ExpectRejected(flipped, "checkpoint record ");
 
-  // Truncated write: length mismatch, not a crash.
-  auto r2 = ParseReplayCheckpoint(text.substr(0, text.size() - 10));
-  ASSERT_FALSE(r2.ok());
-  EXPECT_NE(r2.status().message().find("length mismatch"), std::string::npos);
+  // Torn tail inside a frame, and a cut exactly at a frame boundary (the
+  // end record is gone): both refused, not silently short.
+  ExpectRejected(bytes.substr(0, bytes.size() - 3), "past end of file");
+  const std::string end_frame = Frame(17, std::string(8, '\0'));
+  ExpectRejected(bytes.substr(0, bytes.size() - end_frame.size()),
+                 "missing required record(s) end");
 
-  // Wrong magic.
-  std::string wrong = text;
-  wrong[0] = 'X';
-  auto r3 = ParseReplayCheckpoint(wrong);
-  ASSERT_FALSE(r3.ok());
-  EXPECT_NE(r3.status().message().find("magic"), std::string::npos);
+  // Header damage: wrong magic, unknown version, or no header at all.
+  const std::string body = bytes.substr(header.size());
+  ExpectRejected(Frame(0, HeaderFields("TBF-NOPE", 4)) + body, "bad magic");
+  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 5)) + body,
+                 "unsupported version 5");
+  ExpectRejected(body, "first record must be the checkpoint header");
+
+  // Grammar: a duplicated singleton, a record after the end, a record of
+  // unknown kind, trailing bytes, and an end record that miscounts.
+  ExpectRejected(header + header + body, "header record: duplicate");
+  ExpectRejected(bytes + Frame(9, std::string(4, '\0')),
+                 "slot record: follows the end record");
+  ExpectRejected(header + Frame(42, ""), "unknown record kind 42");
+  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 4) + "x"),
+                 "trailing bytes");
+  std::string miscounted = bytes.substr(0, bytes.size() - end_frame.size());
+  std::string count;
+  wire::PutU64(&count, 7);
+  ExpectRejected(miscounted + Frame(17, count), "end record: counts 7");
+
+  // Short fields name the field and byte.
+  ExpectRejected(header + Frame(1, "abc"), "identity record: short read");
+
+  // The retired text format gets a precise refusal, not a frame error.
+  ExpectRejected("TBFCKPT1 0badc0de 12\nversion 3\n", "text-format");
 
   // Empty / garbage inputs.
-  EXPECT_FALSE(ParseReplayCheckpoint("").ok());
-  EXPECT_FALSE(ParseReplayCheckpoint("not a checkpoint at all").ok());
+  ExpectRejected("", "empty file");
+  ExpectRejected("not a checkpoint at all", "checkpoint record 0 (offset 0)");
 }
 
 TEST(CheckpointTest, FileRoundTripIsAtomicAndLossless) {
@@ -231,6 +298,71 @@ TEST(CheckpointTest, FileRoundTripIsAtomicAndLossless) {
   EXPECT_EQ(read->server.rng_state, original.server.rng_state);
   std::remove(path.c_str());
   EXPECT_FALSE(ReadReplayCheckpointFile(path).ok());  // precise IOError
+}
+
+// encode -> decode -> RestoreState into a fresh engine -> ExportState ->
+// encode must reproduce the file byte for byte on a churned, multi-epoch,
+// budgeted replay. ExportState no longer sorts the ledger, so this is the
+// guarantee that the first-charge order survives a restore and that the
+// format is deterministic.
+TEST(CheckpointTest, RestoreExportIsAByteFixedPoint) {
+  Rng rng(7);
+  auto grid = UniformGridPoints(BBox::Square(200), 8);
+  ASSERT_TRUE(grid.ok());
+  auto framework = TbfFramework::Build(std::move(*grid), EuclideanMetric(),
+                                       &rng, TbfOptions{});
+  ASSERT_TRUE(framework.ok());
+
+  SyntheticEventConfig config;
+  config.base.num_workers = 150;
+  config.base.num_tasks = 120;
+  config.base.seed = 404;
+  config.horizon_seconds = 600.0;
+  config.departure_probability = 0.3;
+  auto trace = GenerateEventTrace(config);
+  ASSERT_TRUE(trace.ok());
+
+  ReplayOptions options;
+  options.epoch_seconds = 60.0;
+  options.num_shards = 2;
+  options.epoch_budget = 1.5;
+  options.lifetime_budget = 4.0;
+  options.checkpoint_every_epochs = 3;
+  options.checkpoint_path =
+      ::testing::TempDir() + "/tbf_checkpoint_fixed_point.ckpt";
+  auto report = RunEventReplay(*framework, *trace, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  std::ifstream in(options.checkpoint_path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::remove(options.checkpoint_path.c_str());
+  auto decoded = ParseReplayCheckpoint(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  // The state is genuinely churned: several epochs, recycled index ids,
+  // ledger rows in both scopes.
+  ASSERT_GE(decoded->per_epoch.size(), 6u);
+  ASSERT_FALSE(decoded->server.free_index_ids.empty());
+  ASSERT_TRUE(decoded->server.ledger.has_value());
+  ASSERT_FALSE(decoded->server.ledger->epoch_spent.empty());
+  ASSERT_GT(decoded->server.ledger->lifetime_spent.size(),
+            decoded->server.ledger->epoch_spent.size());
+
+  ShardedServerOptions server_options;
+  server_options.num_shards = options.num_shards;
+  server_options.epoch_budget = options.epoch_budget;
+  server_options.lifetime_budget = options.lifetime_budget;
+  server_options.seed = options.server_seed;
+  obs::MetricRegistry metrics;
+  server_options.metrics = &metrics;
+  auto fresh = ShardedTbfServer::Create(framework->tree_ptr(), server_options);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE((*fresh)->RestoreState(decoded->server).ok());
+
+  ReplayCheckpoint reexported = *decoded;
+  reexported.server = (*fresh)->ExportState();
+  EXPECT_TRUE(SerializeReplayCheckpoint(reexported) == bytes)
+      << "restore + export changed the checkpoint bytes";
 }
 
 }  // namespace

@@ -170,6 +170,16 @@ TEST(RecoveryTest, FallsBackWhenTheNewestCheckpointIsCorrupt) {
   EXPECT_EQ(after->suffix_begin,
             static_cast<size_t>(previous.wal_next_lsn -
                                 after->wal.records.front().lsn));
+
+  // A checkpoint in the retired text format is rejected the same way.
+  {
+    std::ofstream text(newest.path, std::ios::binary | std::ios::trunc);
+    text << "TBFCKPT1 00000000 10\nversion 3\n";
+  }
+  auto text_after = RecoverReplayDir(dir);
+  ASSERT_TRUE(text_after.ok()) << text_after.status().ToString();
+  EXPECT_EQ(text_after->checkpoints_rejected, 1u);
+  EXPECT_EQ(text_after->checkpoint_path, previous.path);
 }
 
 TEST(RecoveryTest, AllCheckpointsLostMeansGapUnlessJournalIsComplete) {

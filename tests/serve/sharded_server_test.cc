@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <set>
 #include <string>
 #include <thread>
@@ -314,22 +315,34 @@ TEST(ShardedServerTest, ConcurrentChurnKeepsInvariants) {
       static_cast<size_t>(kThreads));
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
+  // Relocations land before any task is submitted: a relocating
+  // re-registration racing another thread's dispatch of the same worker
+  // would legitimately re-register an already assigned worker. Every
+  // other registration still races the mixed wave.
+  std::barrier relocated(kThreads);
   for (int thread_index = 0; thread_index < kThreads; ++thread_index) {
     threads.emplace_back([&, thread_index] {
       Rng rng(1000 + static_cast<uint64_t>(thread_index));
       const std::string prefix = "p" + std::to_string(thread_index) + "-";
-      // Registration wave (also relocates every 10th worker).
-      for (int w = 0; w < kWorkersPerThread; ++w) {
+      auto register_worker = [&](int w) {
         std::string id = prefix + "w" + std::to_string(w);
         if (!engine->RegisterWorker(id, RandomLeafPath(depth, arity, &rng))
                  .ok()) {
           ++failures;
         }
+        // Every 10th worker is registered twice, the second time a
+        // relocation.
         if (w % 10 == 0 &&
             !engine->RegisterWorker(id, RandomLeafPath(depth, arity, &rng))
                  .ok()) {
           ++failures;
         }
+      };
+      for (int w = 0; w < kWorkersPerThread; w += 10) register_worker(w);
+      relocated.arrive_and_wait();
+      // Registration wave for the rest, racing other threads' tasks.
+      for (int w = 0; w < kWorkersPerThread; ++w) {
+        if (w % 10 != 0) register_worker(w);
       }
       // Mixed wave: submissions racing departures.
       for (int t = 0; t < kTasksPerThread; ++t) {

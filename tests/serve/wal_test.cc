@@ -1,7 +1,9 @@
 // Segmented write-ahead journal: record codec round-trips, precise
 // corruption rejection, fsync policies, rotation + compaction, torn-tail
 // repair, fault sites, and the seeded mutation + truncation fuzz sweep
-// (2000 cases; house style of hst/serialize_fuzz_test.cc).
+// over everything framed with the journal's records — journal payloads,
+// journal directories and replay checkpoints (2600 cases; house style of
+// hst/serialize_fuzz_test.cc).
 
 #include "serve/wal.h"
 
@@ -15,6 +17,7 @@
 
 #include "common/fault.h"
 #include "common/rng.h"
+#include "serve/checkpoint.h"
 
 namespace tbf {
 namespace {
@@ -579,10 +582,23 @@ TEST(WalFaults, FsyncAndRotateFailuresSurface) {
 #endif  // TBF_FAULTS_DISABLED
 
 // ---------------------------------------------------------------------
-// Seeded fuzz sweep (satellite): 2000 cases total. Mutation and
-// truncation must never crash the parser or the scanner — every case
-// either parses, or fails with a Status, or (tail cases) repairs with an
-// accurate truncation report.
+// Seeded fuzz sweep: 2600 cases total. Mutation and truncation must never
+// crash a parser or the scanner — every case either parses, or fails with
+// a Status, or (tail cases) repairs with an accurate truncation report.
+
+// One to three random byte overwrites, then — one time in four — a cut
+// at a random length.
+std::string MutateOrTruncate(std::string bytes, Rng& rng) {
+  const int mutations = 1 + static_cast<int>(rng.NextU64() % 3);
+  for (int m = 0; m < mutations; ++m) {
+    const size_t pos = static_cast<size_t>(rng.NextU64() % bytes.size());
+    bytes[pos] = static_cast<char>(rng.NextU64() & 0xFF);
+  }
+  if (rng.NextU64() % 4 == 0) {
+    bytes.resize(static_cast<size_t>(rng.NextU64() % (bytes.size() + 1)));
+  }
+  return bytes;
+}
 
 TEST(WalFuzzTest, MutatedAndTruncatedPayloadsNeverCrash) {
   std::vector<std::string> payloads;
@@ -613,21 +629,75 @@ TEST(WalFuzzTest, MutatedAndTruncatedPayloadsNeverCrash) {
   Rng rng(20260808);
   int decoded_ok = 0;
   for (int iter = 0; iter < 1400; ++iter) {
-    std::string bytes = payloads[static_cast<size_t>(
+    const std::string& original = payloads[static_cast<size_t>(
         rng.NextU64() % payloads.size())];
-    const int mutations = 1 + static_cast<int>(rng.NextU64() % 3);
-    for (int m = 0; m < mutations; ++m) {
-      const size_t pos = static_cast<size_t>(rng.NextU64() % bytes.size());
-      bytes[pos] = static_cast<char>(rng.NextU64() & 0xFF);
-    }
-    if (rng.NextU64() % 4 == 0) {
-      bytes.resize(static_cast<size_t>(rng.NextU64() % (bytes.size() + 1)));
-    }
-    Result<WalRecord> r = DecodeWalRecord(bytes);
+    Result<WalRecord> r = DecodeWalRecord(MutateOrTruncate(original, rng));
     if (r.ok()) ++decoded_ok;  // benign mutation — fine, just must not crash
   }
   // Sanity: the sweep actually exercised the reject paths.
   EXPECT_LT(decoded_ok, 1400);
+}
+
+// Checkpoints share the journal's frames, so the same sweep covers them:
+// a damaged file is refused with an InvalidArgument that names the record
+// (and, for frame damage, its byte offset) — never a crash, never a
+// silently shortened state.
+TEST(WalFuzzTest, MutatedAndTruncatedCheckpointsFailPrecisely) {
+  ReplayCheckpoint c;
+  c.trace_fingerprint = 0xC0FFEE11u;
+  c.num_shards = 2;
+  c.epoch_seconds = 60.0;
+  c.next_event = 40;
+  c.report.registered = 9;
+  c.per_epoch.resize(2);
+  for (int i = 0; i < 4; ++i) {
+    TaskOutcome task;
+    task.task_id = "task-" + std::to_string(i);
+    if (i % 2 == 0) task.worker = "w-" + std::to_string(i);
+    task.reported_tree_distance = 1.5 * i;
+    c.task_outcomes.push_back(task);
+  }
+  c.quarantined_events.push_back(QuarantineRecord{3, "w-x", "empty id"});
+  c.server.rng_state = "1 2 3";
+  c.server.worker_by_index_id = {"w-0", "", "w-2"};
+  c.server.free_index_ids = {1};
+  for (const int id : {0, 2}) {
+    ShardedServerState::Worker w;
+    w.id = "w-" + std::to_string(id);
+    w.code = 0x1234u + static_cast<uint64_t>(id);
+    w.index_id = id;
+    w.shard = id / 2;
+    c.server.workers.push_back(w);
+  }
+  EpochBudgetLedger::State ledger;
+  ledger.epoch_spent = {{"w-2", 0.6}, {"w-0", 0.6}};
+  ledger.lifetime_spent = {{"w-2", 1.2}, {"w-0", 0.6}};
+  c.server.ledger = ledger;
+  c.metrics.counters.push_back({"tbf_serve_assigned_total", 2.0});
+  c.metrics.histograms.emplace_back().name = "tbf_serve_dispatch_latency_ns";
+  const std::string golden = SerializeReplayCheckpoint(c);
+  ASSERT_TRUE(ParseReplayCheckpoint(golden).ok());
+
+  Rng rng(20261017);
+  int rejected = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    const std::string bytes = MutateOrTruncate(golden, rng);
+    Result<ReplayCheckpoint> r = ParseReplayCheckpoint(bytes);
+    if (r.ok()) {
+      // Only a no-op mutation (a byte overwritten with itself) parses.
+      EXPECT_EQ(bytes, golden) << iter;
+      continue;
+    }
+    ++rejected;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << iter;
+    const std::string message = r.status().message();
+    const bool precise =
+        message.rfind("checkpoint record ", 0) == 0 ||
+        message.rfind("checkpoint: missing required record(s)", 0) == 0 ||
+        message == "checkpoint: empty file";
+    EXPECT_TRUE(precise) << iter << ": " << message;
+  }
+  EXPECT_GT(rejected, 550);
 }
 
 TEST(WalFuzzTest, MutatedJournalDirectoriesNeverCrashTheScanner) {

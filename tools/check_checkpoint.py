@@ -3,80 +3,123 @@
 
 Stdlib only — CI runs this against the checkpoints the seeded chaos drill
 leaves behind, as an independent (non-C++) check that what the writer
-fsync'd to disk is a complete, CRC-clean, schema-valid snapshot.
+fsync'd to disk is a complete, CRC-clean, schema-valid snapshot, and
+against corrupted copies that must be refused.
 
-Format (docs/ROBUSTNESS.md):
-    TBFCKPT1 <crc32 hex8> <payload bytes>\\n
-    <payload: one record per line, space-separated %XX-escaped tokens>
+Format v4 (docs/ROBUSTNESS.md): the journal's frames (tools/tbf_frames.py)
+    <len:u32 LE> <crc32:u32 LE> <payload: len bytes>
+    payload = <kind:u8> <kind-specific fields, LE>
+    file    = header record* end
+The header carries the magic "TBF-CKPT" and version 4; the end record
+counts the records before it.
 
-Exit status: 0 when every file validates, 1 otherwise.
+Exit status: 0 when every file validates, 1 otherwise (--expect-fail
+inverts it).
 
 Usage:
     tools/check_checkpoint.py FILE [FILE...]
     tools/check_checkpoint.py --dir DIR      # every *.ckpt under DIR
+    tools/check_checkpoint.py --expect-fail FILE...  # corrupted fixtures
 """
 
 import argparse
-import binascii
 import os
-import re
 import sys
 
+from tbf_frames import FrameError, Reader, iter_frames
+
+MAGIC = b"TBF-CKPT"
+VERSION = 4
+TEXT_MAGIC = b"TBFCKPT1 "  # the retired v1-v3 text format
 HIST_BUCKETS = 64  # obs::Histogram::kBuckets
+MAX_STATUS_CODE = 10  # StatusCode::kAborted
 
-# record key -> (min tokens after key, max tokens after key, doc)
-_UNBOUNDED = 1 << 30
-SCHEMA = {
-    "version": (1, 1, "format version"),
-    "trace_fp": (1, 1, "trace fingerprint"),
-    "config": (4, 4, "num_shards epoch_seconds server_seed obfuscation_seed"),
-    "cursor": (3, 3, "next_event arrivals_obfuscated next_task_slot"),
-    "wal": (1, 1, "wal_next_lsn"),
-    "report": (13, 13, "replay report counters"),
-    "epoch": (14, 14, "per-epoch stats"),
-    "task": (5, 5, "task_id status_code message worker distance"),
-    "quar": (3, 3, "event_index id cause"),
-    "server": (3, 3, "packed assigned_tasks tree_epoch"),
-    "rng": (1, 1, "serialized rng state"),
-    "slot": (1, 1, "worker_by_index_id entry"),
-    "free": (0, _UNBOUNDED, "free index ids"),
-    "worker": (5, 5, "id code leaf_digits index_id shard"),
-    "ledger": (5, 5, "epoch epsilon_spent charges denied_epoch denied_lifetime"),
-    "lspend": (3, 3, "e|l user epsilon"),
-    "counter": (2, 2, "name value"),
-    "gauge": (2, 2, "name value"),
-    "hist": (3 + HIST_BUCKETS, 3 + HIST_BUCKETS, "name count sum buckets..."),
-}
-
-REQUIRED = {"version", "config", "cursor", "report", "server", "rng", "free"}
-
-_ESCAPE_RE = re.compile(r"%([0-9A-Fa-f]{2})|%")
-
-
-def unescape(token):
-    """Reverses checkpoint.cc's Esc(): %XX byte escapes ('%' itself is
-    stored as %25). Raises ValueError on truncated or malformed escapes."""
-    out = []
-    i = 0
-    while i < len(token):
-        ch = token[i]
-        if ch == "%":
-            hex2 = token[i + 1 : i + 3]
-            if len(hex2) != 2:
-                raise ValueError("truncated %-escape")
-            if not re.fullmatch(r"[0-9A-Fa-f]{2}", hex2):
-                raise ValueError("bad %-escape '%s'" % token[i : i + 3])
-            out.append(chr(int(hex2, 16)))
-            i += 3
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+U64 = "u64"
+# kind byte -> (name, field types), in src/serve/checkpoint.cc order.
+SCHEMA = [
+    ("header", ["str", "u32"]),
+    ("identity", ["u32", "u32", "f64", U64, U64]),
+    ("cursor", [U64, U64, "i64", U64]),
+    ("report", [U64] * 13),
+    ("epoch", ["i64"] + [U64] * 6 + ["f64"] * 3 + [U64] * 4),
+    ("task", ["str", "status", "optstr", "f64"]),
+    ("quarantine", [U64, "str", "str"]),
+    ("server", ["flag", U64, U64]),
+    ("rng", ["str"]),
+    ("slot", ["str"]),
+    ("free", ["u32"]),
+    ("worker", ["str", U64, "str", "u32", "u32"]),
+    ("ledger", ["i64", "f64", U64, U64, U64]),
+    ("spend", ["flag", "str", "f64"]),  # scope: 0 epoch, 1 lifetime
+    ("counter", ["str", "f64"]),
+    ("gauge", ["str", "i64"]),
+    ("histogram", ["str", U64, U64] + [U64] * HIST_BUCKETS),
+    ("end", [U64]),
+]
+NAMES = [name for name, _ in SCHEMA]
+REQUIRED = {"header", "identity", "cursor", "report", "server", "rng", "end"}
+SINGLETONS = REQUIRED | {"ledger"}
 
 
-def _fail(path, line_no, message):
-    where = path if line_no is None else "%s:%d" % (path, line_no)
-    print("FAIL %s: %s" % (where, message))
+def read_field(r, kind):
+    if kind == "flag":
+        value = r.u8()
+        if value > 1:
+            raise ValueError("flag byte %d is not 0/1" % value)
+        return value
+    if kind == "status":
+        code = r.u32()
+        if code > MAX_STATUS_CODE:
+            raise ValueError("status code %d out of range" % code)
+        return code, r.string()
+    if kind == "optstr":
+        return r.string() if read_field(r, "flag") else None
+    return {"u32": r.u32, "u64": r.u64, "i64": r.i64, "f64": r.f64,
+            "str": r.string}[kind]()
+
+
+def decode_record(payload, records, seen):
+    """Decodes one payload against the schema and the file grammar;
+    returns the record name. Raises ValueError on any violation."""
+    if not payload:
+        raise ValueError("empty record")
+    if payload[0] >= len(SCHEMA):
+        raise ValueError("unknown record kind %d" % payload[0])
+    name, fields = SCHEMA[payload[0]]
+    if records == 0 and name != "header":
+        raise ValueError("%s record: the first record must be the checkpoint header" % name)
+    if "end" in seen:
+        raise ValueError("%s record: follows the end record" % name)
+    if name in SINGLETONS and name in seen:
+        raise ValueError("%s record: duplicate" % name)
+    if name == "spend" and "ledger" not in seen:
+        raise ValueError("spend record: precedes the ledger record")
+    r = Reader(payload)
+    r.u8()
+    try:
+        values = [read_field(r, field) for field in fields]
+    except ValueError as e:
+        raise ValueError("%s: %s" % (name, e))
+    if not r.at_end():
+        raise ValueError("%s record: trailing bytes after a complete record" % name)
+    if name == "header":
+        if values[0] != MAGIC:
+            raise ValueError("header record: bad magic %r" % values[0])
+        if values[1] != VERSION:
+            raise ValueError(
+                "header record: unsupported version %d (this tool reads v%d)"
+                % (values[1], VERSION)
+            )
+    if name == "end" and values[0] != records:
+        raise ValueError(
+            "end record: counts %d records before it, the file has %d"
+            % (values[0], records)
+        )
+    return name
+
+
+def _fail(path, message):
+    print("FAIL %s: %s" % (path, message))
     return False
 
 
@@ -85,82 +128,44 @@ def check_file(path):
         with open(path, "rb") as f:
             blob = f.read()
     except OSError as e:
-        return _fail(path, None, "unreadable: %s" % e)
-
-    newline = blob.find(b"\n")
-    if newline < 0:
-        return _fail(path, None, "no header line")
-    header = blob[:newline].decode("ascii", errors="replace").split(" ")
-    if len(header) != 3 or header[0] != "TBFCKPT1":
-        return _fail(path, None, "bad magic (expected 'TBFCKPT1 <crc> <len>')")
-    if not re.fullmatch(r"[0-9a-f]{8}", header[1]):
-        return _fail(path, None, "CRC field is not 8 hex digits: %r" % header[1])
-    declared_crc = int(header[1], 16)
-    try:
-        declared_len = int(header[2])
-    except ValueError:
-        return _fail(path, None, "payload length is not an integer")
-
-    payload = blob[newline + 1 :]
-    if len(payload) != declared_len:
-        return _fail(
-            path, None,
-            "payload length mismatch: header says %d, file has %d "
-            "(truncated write?)" % (declared_len, len(payload)),
-        )
-    actual_crc = binascii.crc32(payload) & 0xFFFFFFFF
-    if actual_crc != declared_crc:
-        return _fail(
-            path, None,
-            "CRC mismatch: header %08x, payload %08x (corrupt file)"
-            % (declared_crc, actual_crc),
-        )
+        return _fail(path, "unreadable: %s" % e)
+    if blob.startswith(TEXT_MAGIC):
+        return _fail(path, "text-format (v1-v3) checkpoint; v4 is binary")
 
     seen = set()
-    ok = True
-    for line_no, raw in enumerate(payload.split(b"\n"), start=2):
-        if not raw:
-            continue
-        try:
-            tokens = raw.decode("ascii").split(" ")
-        except UnicodeDecodeError:
-            ok = _fail(path, line_no, "non-ASCII byte outside %-escaping")
-            continue
-        key = tokens[0]
-        if key not in SCHEMA:
-            ok = _fail(path, line_no, "unknown record kind '%s'" % key)
-            continue
-        low, high, doc = SCHEMA[key]
-        n = len(tokens) - 1
-        if not low <= n <= high:
-            ok = _fail(
-                path, line_no,
-                "'%s' has %d fields, wants %s (%s)"
-                % (key, n, low if low == high else "%d..%d" % (low, high), doc),
-            )
-            continue
-        try:
-            for token in tokens[1:]:
-                unescape(token)
-        except ValueError as e:
-            ok = _fail(path, line_no, "%s in '%s' record" % (e, key))
-            continue
-        if key == "lspend" and tokens[1] not in ("e", "l"):
-            ok = _fail(path, line_no, "lspend scope must be 'e' or 'l'")
-        seen.add(key)
-
+    records = 0
+    try:
+        for ordinal, offset, payload in iter_frames(blob):
+            try:
+                seen.add(decode_record(payload, records, seen))
+            except ValueError as e:
+                raise FrameError.at(ordinal, offset, str(e))
+            records += 1
+    except FrameError as e:
+        return _fail(path, str(e))
+    if records == 0:
+        return _fail(path, "empty file")
     missing = REQUIRED - seen
     if missing:
-        ok = _fail(path, None, "missing required records: %s" % ", ".join(sorted(missing)))
-    if ok:
-        print("OK   %s (%d payload bytes, crc %08x)" % (path, declared_len, declared_crc))
-    return ok
+        return _fail(
+            path,
+            "missing required record(s) %s after %d records "
+            "(truncated or corrupt file)" % (", ".join(sorted(missing)), records),
+        )
+    print("OK   %s (%d records, %d bytes)" % (path, records, len(blob)))
+    return True
 
 
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("files", nargs="*", help="checkpoint files")
     parser.add_argument("--dir", help="validate every *.ckpt under this directory")
+    parser.add_argument(
+        "--expect-fail",
+        action="store_true",
+        help="invert the verdict: succeed only when every file FAILS "
+        "(CI uses this to prove corrupted fixtures are rejected)",
+    )
     args = parser.parse_args(argv)
 
     files = list(args.files)
@@ -170,8 +175,10 @@ def main(argv):
     if not files:
         parser.error("no checkpoint files given (pass FILE... or --dir DIR)")
 
-    all_ok = all([check_file(f) for f in files])
-    return 0 if all_ok else 1
+    results = [check_file(f) for f in files]
+    if args.expect_fail:
+        return 0 if not any(results) else 1
+    return 0 if all(results) else 1
 
 
 if __name__ == "__main__":

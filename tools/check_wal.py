@@ -7,7 +7,7 @@ writer fsync'd to disk is a frame-clean, schema-valid, LSN-contiguous
 log.
 
 Format (docs/ROBUSTNESS.md):
-    wal-<seq:08>.seg, each a sequence of frames
+    wal-<seq:08>.seg, each a sequence of frames (tools/tbf_frames.py)
         <len:u32 LE> <crc32:u32 LE> <payload: len bytes>
     payload = <kind:u8> <lsn:u64 LE> <kind-specific fields, LE>
     kinds: 0 segment_header, 1 epoch_begin, 2 worker_arrival,
@@ -32,11 +32,11 @@ Usage:
 """
 
 import argparse
-import binascii
 import os
 import re
-import struct
 import sys
+
+from tbf_frames import FrameError, Reader, iter_frames
 
 KIND_NAMES = {
     0: "segment_header",
@@ -56,49 +56,6 @@ FLAG_HAS_WORKER = 1 << 3
 FLAG_MISSED = 1 << 4
 
 _SEG_RE = re.compile(r"^wal-(\d{8})\.seg$")
-
-
-class ShortRead(ValueError):
-    pass
-
-
-class Reader:
-    """Bounds-checked little-endian reader over one payload."""
-
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-
-    def _take(self, n, what):
-        if self.pos + n > len(self.data):
-            raise ShortRead("short read (%s at byte %d)" % (what, self.pos))
-        piece = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return piece
-
-    def u8(self):
-        return self._take(1, "u8")[0]
-
-    def u32(self):
-        return struct.unpack("<I", self._take(4, "u32"))[0]
-
-    def u64(self):
-        return struct.unpack("<Q", self._take(8, "u64"))[0]
-
-    def i64(self):
-        return struct.unpack("<q", self._take(8, "i64"))[0]
-
-    def f64(self):
-        return struct.unpack("<d", self._take(8, "f64"))[0]
-
-    def string(self):
-        return self._take(self.u32(), "string body")
-
-    def path(self):
-        return self._take(2 * self.u32(), "leaf path body")
-
-    def at_end(self):
-        return self.pos == len(self.data)
 
 
 def read_outcome(r):
@@ -172,6 +129,41 @@ def _fail(where, message):
     return False
 
 
+def check_segment(blob, seq, scan):
+    """Walks one segment; `scan` carries identity and the expected LSN
+    across segments. Returns the record count; raises FrameError."""
+    records = 0
+    for ordinal, offset, payload in iter_frames(blob):
+        try:
+            kind, lsn, identity, segment_seq = decode_record(payload)
+        except ValueError as e:
+            raise FrameError.at(ordinal, offset, str(e))
+        if ordinal == 0:
+            if kind != 0:
+                raise FrameError.at(ordinal, offset, "segment does not start with a header")
+            if segment_seq != seq:
+                raise FrameError.at(
+                    ordinal, offset,
+                    "header claims seq %d, filename says %d" % (segment_seq, seq),
+                )
+            if scan["identity"] is None:
+                scan["identity"] = identity
+            elif identity != scan["identity"]:
+                raise FrameError.at(ordinal, offset, "segment identity differs from scan head")
+        elif kind == 0:
+            raise FrameError.at(ordinal, offset, "segment header mid-segment")
+        if scan["next_lsn"] is not None and lsn != scan["next_lsn"]:
+            raise FrameError.at(
+                ordinal, offset,
+                "LSN gap: record %d, expected %d" % (lsn, scan["next_lsn"]),
+            )
+        scan["next_lsn"] = lsn + 1
+        records += 1
+    if records == 0:
+        raise FrameError("empty segment (no header frame)")
+    return records
+
+
 def check_dir(path):
     try:
         names = sorted(os.listdir(path))
@@ -183,8 +175,7 @@ def check_dir(path):
 
     ok = True
     prev_seq = None
-    expected_lsn = None
-    identity = None
+    scan = {"identity": None, "next_lsn": None}
     total_records = 0
     for seq, name in segments:
         seg_path = os.path.join(path, name)
@@ -197,72 +188,14 @@ def check_dir(path):
         except OSError as e:
             ok = _fail(seg_path, "unreadable: %s" % e)
             continue
-        offset = 0
-        first = True
-        while offset < len(blob):
-            header = blob[offset : offset + 8]
-            if len(header) < 8:
-                ok = _fail(seg_path, "torn frame header at byte %d" % offset)
-                break
-            length, declared_crc = struct.unpack("<II", header)
-            payload = blob[offset + 8 : offset + 8 + length]
-            if len(payload) < length:
-                ok = _fail(
-                    seg_path,
-                    "torn frame at byte %d (%d payload bytes of %d)"
-                    % (offset, len(payload), length),
-                )
-                break
-            actual_crc = binascii.crc32(payload) & 0xFFFFFFFF
-            if actual_crc != declared_crc:
-                ok = _fail(
-                    seg_path,
-                    "CRC mismatch at byte %d: frame %08x, payload %08x"
-                    % (offset, declared_crc, actual_crc),
-                )
-                break
-            try:
-                kind, lsn, rec_identity, segment_seq = decode_record(payload)
-            except ValueError as e:
-                ok = _fail(seg_path, "record at byte %d: %s" % (offset, e))
-                break
-            if first:
-                if kind != 0:
-                    ok = _fail(seg_path, "segment does not start with a header")
-                    break
-                if segment_seq != seq:
-                    ok = _fail(
-                        seg_path,
-                        "header claims seq %d, filename says %d"
-                        % (segment_seq, seq),
-                    )
-                    break
-                if identity is None:
-                    identity = rec_identity
-                elif rec_identity != identity:
-                    ok = _fail(seg_path, "segment identity differs from scan head")
-                    break
-                first = False
-            elif kind == 0:
-                ok = _fail(seg_path, "segment header mid-segment at byte %d" % offset)
-                break
-            if expected_lsn is not None and lsn != expected_lsn:
-                ok = _fail(
-                    seg_path,
-                    "LSN gap at byte %d: record %d, expected %d"
-                    % (offset, lsn, expected_lsn),
-                )
-                break
-            expected_lsn = lsn + 1
-            total_records += 1
-            offset += 8 + length
-        else:
-            if first:
-                ok = _fail(seg_path, "empty segment (no header frame)")
+        try:
+            total_records += check_segment(blob, seq, scan)
+        except FrameError as e:
+            ok = _fail(seg_path, str(e))
     if ok:
         print(
             "OK   %s (%d segments, %d records, next lsn %d)"
-            % (path, len(segments), total_records, expected_lsn)
+            % (path, len(segments), total_records, scan["next_lsn"])
         )
     return ok
 
