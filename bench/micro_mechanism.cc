@@ -4,8 +4,8 @@
 // code-native samplers (walk-vs-inverse-CDF and path-vs-code rows pair up
 // by identical depth/arity counters for BENCH JSON comparisons), and the
 // availability-index churn (packed insert/remove vs the LeafPath entry
-// point). The inverse-CDF row also audits the allocator: one sample must
-// never touch the heap.
+// point), and the per-report Rng stream set-up. The inverse-CDF row also
+// audits the allocator: one sample must never touch the heap.
 
 #include <benchmark/benchmark.h>
 
@@ -324,7 +324,8 @@ void BM_PlanarLaplace(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanarLaplace);
 
-// Client-side mapping: nearest predefined point via the k-d tree.
+// Client-side mapping: nearest predefined point via the k-d tree (32 x 32
+// is the grid perfbench/ publishes).
 void BM_MapToNearestLeaf(benchmark::State& state) {
   const Setup& setup = GetSetup(static_cast<int>(state.range(0)));
   Rng rng(4);
@@ -333,7 +334,24 @@ void BM_MapToNearestLeaf(benchmark::State& state) {
     benchmark::DoNotOptimize(setup.tree.MapToNearestLeaf(p));
   }
 }
-BENCHMARK(BM_MapToNearestLeaf)->Arg(16)->Arg(64);
+BENCHMARK(BM_MapToNearestLeaf)->Arg(16)->Arg(32)->Arg(64);
+
+// Per-report stream cost: a fresh ForkAt child plus N words, the pattern of
+// the batched obfuscation pipeline (one child per report, about depth + 2
+// words each). 400 words crosses the first full regeneration at 312.
+void BM_RngForkAtDraws(benchmark::State& state) {
+  const Rng stream(5);
+  const int draws = static_cast<int>(state.range(0));
+  uint64_t index = 0;
+  for (auto _ : state) {
+    Rng item = stream.ForkAt(index++);
+    uint64_t sum = 0;
+    for (int i = 0; i < draws; ++i) sum += item.NextU64();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngForkAtDraws)->Arg(4)->Arg(16)->Arg(64)->Arg(400);
 
 }  // namespace
 }  // namespace tbf

@@ -1,9 +1,10 @@
 #include "common/rng.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <numeric>
-#include <sstream>
+#include <random>
 
 namespace tbf {
 
@@ -15,6 +16,44 @@ uint64_t Mix(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+// MT19937-64 parameters (std::mt19937_64).
+constexpr uint32_t kN = Rng::kStateWords;
+constexpr uint32_t kM = 156;
+constexpr uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;
+constexpr uint64_t kInitMultiplier = 6364136223846793005ULL;
+
+// Word i of the seeded state, from word i - 1.
+inline uint64_t SeedWord(uint64_t prev, uint32_t i) {
+  return kInitMultiplier * (prev ^ (prev >> 62)) + i;
+}
+
+// The twist of one word: `self` and `next` are words k and k + 1 (mod n)
+// as the in-place pass sees them, `far` is word k + m (mod n). The matrix
+// term is masked in, not branched on: y & 1 is a coin flip per word.
+inline uint64_t TwistWord(uint64_t self, uint64_t next, uint64_t far) {
+  const uint64_t y = (self & kUpperMask) | (next & ~kUpperMask);
+  return far ^ (y >> 1) ^ (kMatrixA & (0 - (y & 1)));
+}
+
+// One in-place twist of word k, in the order std::mt19937_64 runs them.
+inline void TwistAt(uint64_t* x, uint32_t k) {
+  x[k] = TwistWord(x[k], x[k + 1 < kN ? k + 1 : 0],
+                   x[k < kN - kM ? k + kM : k - (kN - kM)]);
+}
+
+// Words [0, SeededWords(end)) of a stream hold seeded or twisted values,
+// where end is Rng::end_: before the first draw only word 0; after the
+// first-cycle twist of word k, every word up to k + m, which it read.
+inline uint32_t SeededWords(uint32_t end) {
+  return end == 0 ? 1 : std::min(end + kM, kN);
+}
+
+// Seeds words [from, to) of `x`, whose words below `from` are seeded.
+void SeedWords(uint64_t* x, uint32_t from, uint32_t to) {
+  for (uint32_t i = from; i < to; ++i) x[i] = SeedWord(x[i - 1], i);
 }
 
 // UniformRandomBitGenerator facade over Rng::NextU64 so the std
@@ -30,7 +69,43 @@ struct CountingBits {
 
 }  // namespace
 
-Rng::Rng(uint64_t seed) : seed_(seed), engine_(Mix(seed)) {}
+Rng::Rng(uint64_t seed) : seed_(seed) { state_[0] = Mix(seed); }
+
+Rng::Rng(const Rng& other) { *this = other; }
+
+Rng& Rng::operator=(const Rng& other) {
+  seed_ = other.seed_;
+  draws_ = other.draws_;
+  pos_ = other.pos_;
+  end_ = other.end_;
+  std::copy_n(other.state_, SeededWords(end_), state_);
+  return *this;
+}
+
+void Rng::Refill() {
+  if (end_ < kN) {
+    // Lazy first cycle. The twist of word k < m reads word k + m, seeded
+    // here; every later word reads only words already twisted.
+    const uint32_t k = end_;
+    if (k == 0) {
+      SeedWords(state_, 1, kM + 1);
+    } else if (k < kN - kM) {
+      state_[k + kM] = SeedWord(state_[k + kM - 1], k + kM);
+    }
+    TwistAt(state_, k);
+    end_ = k + 1;
+    return;
+  }
+  uint32_t k = 0;
+  for (; k < kN - kM; ++k) {
+    state_[k] = TwistWord(state_[k], state_[k + 1], state_[k + kM]);
+  }
+  for (; k < kN - 1; ++k) {
+    state_[k] = TwistWord(state_[k], state_[k + 1], state_[k - (kN - kM)]);
+  }
+  state_[kN - 1] = TwistWord(state_[kN - 1], state_[0], state_[kM - 1]);
+  pos_ = 0;
+}
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   std::uniform_int_distribution<int64_t> dist(lo, hi);
@@ -81,20 +156,55 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
 Rng Rng::Split(uint64_t salt) { return Rng(Mix(NextU64() ^ Mix(salt))); }
 
 std::string Rng::SerializeState() const {
-  std::ostringstream os;
-  os << seed_ << ' ' << engine_;
-  return os.str();
+  // Materialise what std::mt19937_64 would hold: the fully seeded state,
+  // and, once a first-cycle word has been drawn, the whole first twist.
+  uint64_t x[kN];
+  std::copy_n(state_, SeededWords(end_), x);
+  SeedWords(x, SeededWords(end_), kN);
+  uint32_t index = pos_;
+  if (end_ == 0) {
+    index = kN;
+  } else {
+    for (uint32_t k = end_; k < kN; ++k) TwistAt(x, k);
+  }
+  std::string out = std::to_string(seed_);
+  out.reserve(kN * 21 + 24);
+  char buf[24];
+  for (uint64_t word : x) {
+    out.push_back(' ');
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), word).ptr);
+  }
+  out.push_back(' ');
+  out += std::to_string(index);
+  return out;
 }
 
 Status Rng::RestoreState(const std::string& state) {
-  std::istringstream is(state);
+  const char* p = state.data();
+  const char* const end = p + state.size();
+  // Reads one decimal token, after a single space unless it is the first.
+  auto next = [&](uint64_t* value, bool first) {
+    if (!first && (p == end || *p++ != ' ')) return false;
+    const auto parsed = std::from_chars(p, end, *value);
+    if (parsed.ec != std::errc()) return false;
+    p = parsed.ptr;
+    return true;
+  };
   uint64_t seed = 0;
-  std::mt19937_64 engine;
-  if (!(is >> seed >> engine)) {
-    return Status::InvalidArgument("Rng::RestoreState: malformed state token");
+  uint64_t words[kN];
+  uint64_t index = 0;
+  bool ok = next(&seed, true);
+  for (uint32_t i = 0; ok && i < kN; ++i) ok = next(&words[i], false);
+  ok = ok && next(&index, false) && p == end && index <= kN;
+  if (!ok) {
+    return Status::InvalidArgument(
+        "Rng::RestoreState: expected a seed, 312 words and an index in "
+        "[0, 312], nothing more");
   }
   seed_ = seed;
-  engine_ = engine;
+  std::copy_n(words, kN, state_);
+  end_ = kN;
+  pos_ = static_cast<uint32_t>(index);
   return Status::OK();
 }
 

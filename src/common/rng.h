@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -15,7 +14,20 @@
 
 namespace tbf {
 
-/// \brief Seeded pseudo-random generator wrapping std::mt19937_64.
+/// \brief Seeded pseudo-random generator: an in-house MT19937-64 whose
+/// output is word-for-word identical to std::mt19937_64 seeded with the
+/// same mixed seed, but whose first cycle is seeded and twisted lazily.
+///
+/// A fresh std::mt19937_64 seeds all 312 state words and twists all of
+/// them on the first draw, although a ForkAt stream feeding one mechanism
+/// sample reads only a handful. Here a stream that has handed out k words
+/// of its first cycle has seeded only words 0..155+k and twisted only
+/// words 0..k-1. That is exact: in the first cycle the twist of word
+/// i < 156 reads untouched word i + 156, and every later word reads only
+/// words already twisted (the last one the new word 0, as the standard
+/// engine does). Each later cycle regenerates all 312 words at once. When
+/// the engine seeds or twists depends only on how many words were drawn,
+/// never on their values, so fixed-draw schedules stay fixed.
 ///
 /// Not thread-safe; create one Rng per thread (use Split() to derive
 /// independent streams deterministically).
@@ -23,6 +35,10 @@ class Rng {
  public:
   /// Constructs a generator from a 64-bit seed.
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
+
+  // Copies carry only the state words that have been seeded.
+  Rng(const Rng& other);
+  Rng& operator=(const Rng& other);
 
   // The leaf draw primitives are defined inline: the mechanism samplers
   // spend a handful of nanoseconds per sample, and an out-of-line call per
@@ -86,7 +102,12 @@ class Rng {
   /// \brief Raw 64-bit draw.
   uint64_t NextU64() {
     ++draws_;
-    return engine_();
+    if (pos_ == end_) Refill();
+    uint64_t z = state_[pos_++];  // MT19937-64 tempering follows
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
   }
 
   uint64_t seed() const { return seed_; }
@@ -101,19 +122,38 @@ class Rng {
   uint64_t draw_count() const { return draws_; }
 
   /// \brief Serializes seed + full engine state into a printable
-  /// space-separated decimal token string. RestoreState round-trips it so
-  /// the restored generator continues the draw sequence exactly where the
-  /// serialized one left off (crash-safe replay checkpoints rely on this).
+  /// space-separated decimal token string: the seed, then exactly what
+  /// `operator<<` prints for a std::mt19937_64 in the same state (312
+  /// words and the index; a stream with no draws yet prints its seeded
+  /// words and index 312). RestoreState round-trips it so the restored
+  /// generator continues the draw sequence exactly where the serialized
+  /// one left off (crash-safe replay checkpoints rely on this).
   std::string SerializeState() const;
 
-  /// \brief Restores a state produced by SerializeState. On failure the
-  /// generator is left unchanged and InvalidArgument is returned.
+  /// \brief Restores a state produced by SerializeState: exactly a seed,
+  /// 312 words and an index in [0, 312], in decimal, with nothing after
+  /// them. On anything else the generator is left unchanged and
+  /// InvalidArgument is returned.
   Status RestoreState(const std::string& state);
 
+  /// Words of MT19937-64 state.
+  static constexpr uint32_t kStateWords = 312;
+
  private:
+  // Makes state_[pos_] readable: twists the next first-cycle word, or
+  // regenerates the whole state once pos_ reaches kStateWords.
+  void Refill();
+
   uint64_t seed_;
   uint64_t draws_ = 0;
-  std::mt19937_64 engine_;
+  // Next word to hand out. Words [pos_, end_) are twisted and unread; in
+  // the lazy first cycle end_ == pos_ == words handed out so far, and the
+  // words seeded so far follow from end_ alone. Words past them are left
+  // uninitialized and never read, so a fresh stream does not pay 2.5 KB
+  // of stores up front.
+  uint32_t pos_ = 0;
+  uint32_t end_ = 0;
+  uint64_t state_[kStateWords];
 };
 
 }  // namespace tbf

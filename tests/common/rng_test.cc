@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "common/stats.h"
 
@@ -248,6 +251,113 @@ TEST(RngTest, DrawCountSurvivesStateRoundTripAsDiagnostic) {
     EXPECT_EQ(restored.NextU64(), original.NextU64());
   }
   EXPECT_EQ(restored.draw_count() - restored_base, 20u);
+}
+
+// Rng's own seed finalizer, copied so the oracle below is independent of
+// the code under test.
+uint64_t SplitMix(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+std::string OracleState(uint64_t seed, const std::mt19937_64& engine) {
+  std::ostringstream os;
+  os << seed << ' ' << engine;
+  return os.str();
+}
+
+// Draws `count` words from `rng` and from `oracle` (a std::mt19937_64 in
+// the same state) and expects identical words, draw counts, serialized
+// states, and a restored copy that continues the same stream.
+void ExpectMatchesOracle(Rng* rng, std::mt19937_64* oracle, int count) {
+  const uint64_t before = rng->draw_count();
+  for (int i = 0; i < count; ++i) {
+    ASSERT_EQ(rng->NextU64(), (*oracle)())
+        << "seed " << rng->seed() << " draw " << i;
+  }
+  ASSERT_EQ(rng->draw_count() - before, static_cast<uint64_t>(count));
+  const std::string state = rng->SerializeState();
+  ASSERT_EQ(state, OracleState(rng->seed(), *oracle)) << "seed " << rng->seed();
+
+  Rng restored(0);
+  ASSERT_TRUE(restored.RestoreState(state).ok());
+  std::mt19937_64 oracle_copy = *oracle;
+  Rng rng_copy = *rng;
+  for (int i = 0; i < 320; ++i) {
+    const uint64_t expected = oracle_copy();
+    ASSERT_EQ(restored.NextU64(), expected) << "restored, draw " << i;
+    ASSERT_EQ(rng_copy.NextU64(), expected) << "copy, draw " << i;
+  }
+  ASSERT_EQ(restored.SerializeState(), OracleState(rng->seed(), oracle_copy));
+}
+
+TEST(RngOracleTest, LazyEngineMatchesStdMt19937_64) {
+  // The lazy first cycle must be invisible: at every draw count around
+  // the seeding/twist boundaries (156 = m, 312 = n) the outputs and the
+  // serialized state equal std::mt19937_64's, also for ForkAt and Split
+  // children and for streams continued after a state round trip.
+  const int kCounts[] = {0, 1, 7, 8, 9, 155, 156, 157, 311, 312, 313, 700};
+  for (uint64_t seed = 0; seed < 2000; ++seed) {
+    for (int count : kCounts) {
+      Rng rng(seed);
+      std::mt19937_64 oracle(SplitMix(seed));
+      ExpectMatchesOracle(&rng, &oracle, count);
+    }
+    // Child streams: a ForkAt stream and a Split stream (drawn before the
+    // split so the parent's own lazy state is exercised too).
+    const int count = kCounts[seed % std::size(kCounts)];
+    Rng parent(seed);
+    const uint64_t index = seed * 7 + 3;
+    Rng fork = parent.ForkAt(index);
+    const uint64_t fork_seed =
+        SplitMix(seed ^ SplitMix(index + 0x6a09e667f3bcc909ULL));
+    ASSERT_EQ(fork.seed(), fork_seed);
+    std::mt19937_64 fork_oracle(SplitMix(fork_seed));
+    ExpectMatchesOracle(&fork, &fork_oracle, count);
+
+    std::mt19937_64 parent_oracle(SplitMix(seed));
+    for (int i = 0; i < count; ++i) ASSERT_EQ(parent.NextU64(), parent_oracle());
+    Rng child = parent.Split(seed);
+    const uint64_t child_seed = SplitMix(parent_oracle() ^ SplitMix(seed));
+    ASSERT_EQ(child.seed(), child_seed);
+    std::mt19937_64 child_oracle(SplitMix(child_seed));
+    ExpectMatchesOracle(&child, &child_oracle, count);
+    ASSERT_EQ(parent.SerializeState(), OracleState(seed, parent_oracle));
+  }
+}
+
+TEST(RngTest, RestoreStateRejectsMalformedStrings) {
+  Rng source(5);
+  for (int i = 0; i < 3; ++i) source.NextU64();
+  const std::string good = source.SerializeState();
+
+  Rng target(9);
+  target.NextU64();
+  const std::string before = target.SerializeState();
+  const std::string index_999 = good.substr(0, good.rfind(' ') + 1) + "999";
+  const std::string index_313 = good.substr(0, good.rfind(' ') + 1) + "313";
+  const std::string no_index = good.substr(0, good.rfind(' '));
+  const std::string bad[] = {
+      "",       good + " 7", good + " ", " " + good, index_999, index_313,
+      no_index, "1 2 3",     good.substr(0, good.size() / 2),  "x" + good,
+      good + "x",
+  };
+  for (const std::string& state : bad) {
+    const Status status = target.RestoreState(state);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "tail: " << state.substr(state.size() > 40 ? state.size() - 40 : 0);
+    EXPECT_EQ(target.SerializeState(), before);
+  }
+  // The well-formed string, including index 312 (a fresh stream), loads.
+  ASSERT_TRUE(target.RestoreState(good).ok());
+  EXPECT_EQ(target.SerializeState(), good);
+  const std::string fresh = Rng(11).SerializeState();
+  EXPECT_EQ(fresh.substr(fresh.rfind(' ') + 1), "312");
+  ASSERT_TRUE(target.RestoreState(fresh).ok());
+  Rng eleven(11);
+  EXPECT_EQ(target.NextU64(), eleven.NextU64());
 }
 
 TEST(RngTest, ShuffleKeepsMultiset) {
