@@ -5,8 +5,8 @@
 // ShardedTbfServer.
 //
 // The shards axis is the acceptance gate of the sharded engine: 1 shard
-// runs the exact sequential baseline (threads=1, event-order dispatch —
-// what a single TbfServer does), K > 1 shards run K dispatch lanes over a
+// runs the exact sequential baseline (threads=1, event-order dispatch
+// into one index), K > 1 shards run K dispatch lanes over a
 // K-wide pool. Obfuscation and dispatch both parallelize, so on a machine
 // with >= 4 cores the 8-shard row should clear 2x the 1-shard row at 100k
 // workers; on a single-core machine the rows collapse to ~1x (the engine

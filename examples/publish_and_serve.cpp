@@ -14,9 +14,9 @@
 
 #include "common/cli.h"
 #include "core/hst_mechanism.h"
-#include "core/server.h"
 #include "geo/grid.h"
 #include "hst/serialize.h"
+#include "serve/sharded_server.h"
 
 using namespace tbf;
 
@@ -52,13 +52,14 @@ int main(int argc, char** argv) {
   }
 
   // --- Server: budget-enforcing dispatch. ---
-  TbfServerOptions options;
+  ShardedServerOptions options;
   options.lifetime_budget = budget;
-  auto server = TbfServer::Create(client_tree, options);
-  if (!server.ok()) {
-    std::cerr << server.status() << "\n";
+  auto created = ShardedTbfServer::Create(client_tree, options);
+  if (!created.ok()) {
+    std::cerr << created.status() << "\n";
     return 1;
   }
+  ShardedTbfServer& server = **created;
 
   Rng world(99);
   auto report = [&](const Point& loc) {
@@ -73,7 +74,7 @@ int main(int argc, char** argv) {
         {"driver-cy", {100, 160}}}) {
     wave.push_back({id, report(loc), eps});
   }
-  std::vector<Status> joined = server->RegisterWorkers(wave);
+  std::vector<Status> joined = server.RegisterWorkers(wave);
   for (size_t i = 0; i < wave.size(); ++i) {
     std::cout << "register " << wave[i].user_id << ": " << joined[i] << "\n";
   }
@@ -85,7 +86,7 @@ int main(int argc, char** argv) {
     Point pickup{world.Uniform(0, 200), world.Uniform(0, 200)};
     std::string rider = "rider-";
     rider += std::to_string(round);
-    auto dispatch = server->SubmitTask(rider, report(pickup), eps);
+    auto dispatch = server.SubmitTask(rider, report(pickup), eps);
     if (!dispatch.ok()) {
       std::cout << rider << ": " << dispatch.status() << "\n";
       continue;
@@ -100,14 +101,14 @@ int main(int argc, char** argv) {
               << dispatch->reported_tree_distance << ")\n";
     // The driver finishes the trip and tries to come back online.
     Point dropoff{world.Uniform(0, 200), world.Uniform(0, 200)};
-    Status back = server->RegisterWorker(*dispatch->worker, report(dropoff), eps);
+    Status back = server.RegisterWorker(*dispatch->worker, report(dropoff), eps);
     if (!back.ok()) {
       std::cout << "  " << *dispatch->worker
                 << " cannot re-register: " << back << "\n";
     }
   }
   std::cout << "completed trips: " << trips
-            << "; drivers still online: " << server->available_workers()
+            << "; drivers still online: " << server.available_workers()
             << "\n(each report cost eps=" << eps << " of a lifetime budget of "
             << budget << ")\n";
   return 0;

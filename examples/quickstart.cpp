@@ -4,10 +4,10 @@
 //   1. The server builds and publishes a complete HST over predefined
 //      points (TbfFramework).
 //   2. Workers obfuscate client-side (batched HST mechanism) and register
-//      with the server in one wave (TbfServer::RegisterWorkers).
+//      with the server in one wave (ShardedTbfServer::RegisterWorkers).
 //   3. Tasks arrive online, also reporting obfuscated leaves, and are
 //      dispatched to the nearest available worker on the tree
-//      (TbfServer::SubmitTasks).
+//      (ShardedTbfServer::SubmitTasks).
 //
 // The snippet in docs/API.md is kept in sync with this file.
 //
@@ -17,9 +17,9 @@
 
 #include "common/cli.h"
 #include "common/thread_pool.h"
-#include "core/server.h"
 #include "core/tbf.h"
 #include "geo/grid.h"
+#include "serve/sharded_server.h"
 
 using namespace tbf;
 
@@ -49,11 +49,12 @@ int main(int argc, char** argv) {
             << " predefined points N=" << framework->tree().num_points()
             << " (logical leaves c^D=" << framework->tree().num_leaves() << ")\n";
 
-  auto server = TbfServer::Create(framework->tree_ptr());
-  if (!server.ok()) {
-    std::cerr << server.status() << "\n";
+  auto created = ShardedTbfServer::Create(framework->tree_ptr());
+  if (!created.ok()) {
+    std::cerr << created.status() << "\n";
     return 1;
   }
+  ShardedTbfServer& server = **created;
 
   // --- Step 2: workers obfuscate client-side and register in one wave. ---
   Rng world(42);
@@ -69,10 +70,10 @@ int main(int argc, char** argv) {
     registrations.push_back({"w" + std::to_string(w),
                              worker_reports[static_cast<size_t>(w)], {}});
   }
-  for (const Status& status : server->RegisterWorkers(registrations)) {
+  for (const Status& status : server.RegisterWorkers(registrations)) {
     if (!status.ok()) std::cerr << status << "\n";
   }
-  std::cout << server->available_workers() << " workers available\n";
+  std::cout << server.available_workers() << " workers available\n";
 
   // --- Step 3: tasks arrive online and are dispatched on the tree. ---
   std::vector<Point> task_locations;
@@ -87,7 +88,7 @@ int main(int argc, char** argv) {
                            task_reports[static_cast<size_t>(t)], {}});
   }
   double total_true_distance = 0.0;
-  std::vector<BatchDispatchOutcome> outcomes = server->SubmitTasks(submissions);
+  std::vector<BatchDispatchOutcome> outcomes = server.SubmitTasks(submissions);
   for (int t = 0; t < num_tasks; ++t) {
     const BatchDispatchOutcome& outcome = outcomes[static_cast<size_t>(t)];
     if (!outcome.status.ok()) {

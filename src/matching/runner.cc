@@ -1,7 +1,6 @@
 #include "matching/runner.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
@@ -15,7 +14,6 @@
 #include "matching/prob_matcher.h"
 #include "privacy/exponential.h"
 #include "privacy/planar_laplace.h"
-#include "serve/sharded_server.h"
 
 namespace tbf {
 
@@ -142,45 +140,6 @@ Result<RunMetrics> RunEuclidPipeline(Algorithm algorithm,
   return metrics;
 }
 
-// Adapter giving the sharded serving engine the matcher's Assign shape so
-// RunAssignLoop can drive it: worker ids are decimal worker indexes (the
-// Matching index space), tasks get synthetic sequential ids.
-class ServeEngineMatcher {
- public:
-  static Result<ServeEngineMatcher> Create(const TbfFramework& framework,
-                                           std::vector<LeafPath> workers,
-                                           int num_shards) {
-    ShardedServerOptions options;
-    options.num_shards = num_shards;
-    TBF_ASSIGN_OR_RETURN(
-        std::unique_ptr<ShardedTbfServer> server,
-        ShardedTbfServer::Create(framework.tree_ptr(), options));
-    std::vector<LeafReport> batch;
-    batch.reserve(workers.size());
-    for (size_t w = 0; w < workers.size(); ++w) {
-      batch.push_back({std::to_string(w), std::move(workers[w]), std::nullopt});
-    }
-    for (const Status& status : server->RegisterWorkers(batch)) {
-      TBF_RETURN_NOT_OK(status);
-    }
-    return ServeEngineMatcher(std::move(server));
-  }
-
-  int Assign(const LeafPath& task) {
-    Result<DispatchResult> dispatched =
-        server_->SubmitTask(std::to_string(next_task_id_++), task);
-    if (!dispatched.ok() || !dispatched->worker) return -1;
-    return std::atoi(dispatched->worker->c_str());
-  }
-
- private:
-  explicit ServeEngineMatcher(std::unique_ptr<ShardedTbfServer> server)
-      : server_(std::move(server)) {}
-
-  std::unique_ptr<ShardedTbfServer> server_;
-  uint64_t next_task_id_ = 0;
-};
-
 // Maps already-noisy points onto their nearest published leaves in parallel
 // (pure reads; ordering-independent).
 std::vector<LeafPath> MapToLeaves(const std::vector<Point>& points,
@@ -247,23 +206,10 @@ Result<RunMetrics> RunHstPipeline(Algorithm algorithm,
   metrics.stages.batch_items = instance.workers.size() + instance.tasks.size();
   probe.Sample();
 
-  if (algorithm == Algorithm::kTbf && config.serve_shards > 0) {
-    // Dispatch through the sharded serving engine instead of the matcher.
-    // Driven sequentially from this loop, the engine's choices are
-    // draw-for-draw identical for every shard count (see
-    // serve/sharded_server.h), so this only changes what is measured.
-    TBF_ASSIGN_OR_RETURN(
-        ServeEngineMatcher matcher,
-        ServeEngineMatcher::Create(framework, std::move(reported_workers),
-                                   config.serve_shards));
-    metrics.stages.shards = config.serve_shards;
-    RunAssignLoop(&matcher, reported_tasks, &metrics);
-  } else {
-    HstGreedyMatcher matcher(std::move(reported_workers),
-                             framework.tree().depth(),
-                             framework.tree().arity(), config.hst_engine);
-    RunAssignLoop(&matcher, reported_tasks, &metrics);
-  }
+  HstGreedyMatcher matcher(std::move(reported_workers),
+                           framework.tree().depth(), framework.tree().arity(),
+                           config.hst_engine);
+  RunAssignLoop(&matcher, reported_tasks, &metrics);
   probe.Sample();
 
   metrics.total_distance =

@@ -71,14 +71,6 @@ struct PipelineConfig {
   /// always draws from the same Rng::ForkAt(i) stream. Assignment itself
   /// stays sequential — it is an online process.
   int threads = 0;
-
-  /// TBF only: when > 0, dispatch through the sharded serving engine
-  /// (serve/sharded_server.h) with this many spatial shards instead of
-  /// the in-process HstGreedyMatcher. Driven sequentially here, so any
-  /// shard count produces the identical matching (tested); the knob
-  /// exists to exercise and measure the serving path inside the standard
-  /// pipeline harness.
-  int serve_shards = 0;
 };
 
 /// \brief Measurements of one pipeline run.
@@ -105,7 +97,6 @@ struct RunMetrics {
     double assign_seconds = 0.0;     ///< sequential online assignment
     int threads = 1;                 ///< pool width of the batched stages
     size_t batch_items = 0;          ///< workers + tasks obfuscated
-    int shards = 1;                  ///< serving-engine shards (1: matcher)
   };
   StageBreakdown stages;
 

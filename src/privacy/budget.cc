@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/fault.h"
 #include "common/logging.h"
@@ -21,11 +22,12 @@ int MaxReports(double total_budget, double epsilon_per_report) {
 
 namespace {
 
-// Cap admission with a relative tolerance, shared by both ledgers so
-// they agree on spends that reach a cap exactly despite representation
-// error at exact multiples.
-inline bool FitsCap(double spent, double epsilon, double cap) {
-  return spent + epsilon <= cap * (1.0 + 1e-12);
+// Cap admission with a relative tolerance, so spends that reach a cap
+// exactly are admitted despite representation error at exact multiples.
+// An unset cap admits everything.
+inline bool FitsCap(double spent, double epsilon,
+                    const std::optional<double>& cap) {
+  return !cap || spent + epsilon <= *cap * (1.0 + 1e-12);
 }
 
 // A chargeable epsilon is strictly positive AND finite. `epsilon <= 0.0`
@@ -37,44 +39,12 @@ inline bool ChargeableEpsilon(double epsilon) {
 
 }  // namespace
 
-PrivacyBudgetLedger::PrivacyBudgetLedger(double lifetime_budget)
-    : lifetime_budget_(lifetime_budget) {
-  TBF_CHECK(lifetime_budget > 0.0) << "lifetime budget must be positive";
-}
-
-Status PrivacyBudgetLedger::Charge(const std::string& user, double epsilon) {
-  if (!ChargeableEpsilon(epsilon)) {
-    return Status::InvalidArgument("epsilon must be positive and finite");
-  }
-  double& spent = spent_[user];
-  if (!FitsCap(spent, epsilon, lifetime_budget_)) {
-    if (spent == 0.0) spent_.erase(user);  // keep num_users() meaningful
-    return Status::FailedPrecondition("budget exhausted for user " + user);
-  }
-  spent += epsilon;
-  return Status::OK();
-}
-
-double PrivacyBudgetLedger::Spent(const std::string& user) const {
-  auto it = spent_.find(user);
-  return it == spent_.end() ? 0.0 : it->second;
-}
-
-double PrivacyBudgetLedger::Remaining(const std::string& user) const {
-  double rest = lifetime_budget_ - Spent(user);
-  return rest > 0.0 ? rest : 0.0;
-}
-
-bool PrivacyBudgetLedger::CanCharge(const std::string& user, double epsilon) const {
-  return ChargeableEpsilon(epsilon) &&
-         FitsCap(Spent(user), epsilon, lifetime_budget_);
-}
-
-EpochBudgetLedger::EpochBudgetLedger(double epoch_budget,
+EpochBudgetLedger::EpochBudgetLedger(std::optional<double> epoch_budget,
                                      std::optional<double> lifetime_budget,
                                      obs::MetricRegistry* metrics)
     : epoch_budget_(epoch_budget), lifetime_budget_(lifetime_budget) {
-  TBF_CHECK(epoch_budget > 0.0) << "epoch budget must be positive";
+  TBF_CHECK(!epoch_budget || *epoch_budget > 0.0)
+      << "epoch budget must be positive";
   TBF_CHECK(!lifetime_budget || *lifetime_budget > 0.0)
       << "lifetime budget must be positive";
   if (metrics == nullptr) metrics = obs::MetricRegistry::Global();
@@ -128,7 +98,7 @@ Status EpochBudgetLedger::Charge(const std::string& user, double epsilon) {
     return Status::FailedPrecondition("epoch budget exhausted for user " + user);
   }
   const double lifetime = SpentLifetime(user);
-  if (lifetime_budget_ && !FitsCap(lifetime, epsilon, *lifetime_budget_)) {
+  if (!FitsCap(lifetime, epsilon, lifetime_budget_)) {
     ++totals_.denied_lifetime;
     denied_lifetime_metric_->Add(1);
     return Status::FailedPrecondition("lifetime budget exhausted for user " +
@@ -149,10 +119,9 @@ Status EpochBudgetLedger::Charge(const std::string& user, double epsilon) {
 }
 
 bool EpochBudgetLedger::CanCharge(const std::string& user, double epsilon) const {
-  if (!ChargeableEpsilon(epsilon)) return false;
-  if (!FitsCap(SpentThisEpoch(user), epsilon, epoch_budget_)) return false;
-  return !lifetime_budget_ ||
-         FitsCap(SpentLifetime(user), epsilon, *lifetime_budget_);
+  return ChargeableEpsilon(epsilon) &&
+         FitsCap(SpentThisEpoch(user), epsilon, epoch_budget_) &&
+         FitsCap(SpentLifetime(user), epsilon, lifetime_budget_);
 }
 
 double EpochBudgetLedger::SpentThisEpoch(const std::string& user) const {
@@ -166,7 +135,8 @@ double EpochBudgetLedger::SpentLifetime(const std::string& user) const {
 }
 
 double EpochBudgetLedger::RemainingThisEpoch(const std::string& user) const {
-  double rest = epoch_budget_ - SpentThisEpoch(user);
+  double rest = std::numeric_limits<double>::infinity();
+  if (epoch_budget_) rest = *epoch_budget_ - SpentThisEpoch(user);
   if (lifetime_budget_) {
     rest = std::min(rest, *lifetime_budget_ - SpentLifetime(user));
   }

@@ -3,15 +3,11 @@
 // The paper analyzes a single report per user. Deployments re-report
 // (drivers move, tasks are reposted); each extra report through an
 // eps-Geo-I mechanism composes additively (sequential composition of
-// differential privacy). Two ledgers implement the resulting admission
-// control:
-//
-//   * PrivacyBudgetLedger — per-user spend against a single lifetime cap.
-//   * EpochBudgetLedger — the serving engine's epoch-aware variant: spend
-//     is additionally rate-limited per event-time epoch, so a user who
-//     burns their per-epoch allowance is refused only until the next
-//     epoch begins (rollover), while an optional lifetime cap still
-//     composes across all epochs.
+// differential privacy). EpochBudgetLedger implements the resulting
+// admission control: per-user spend is capped by an optional lifetime cap
+// that composes across all epochs and, optionally, rate-limited per
+// event-time epoch, so a user who burns their per-epoch allowance is
+// refused only until the next epoch begins (rollover).
 
 #pragma once
 
@@ -34,42 +30,12 @@ double ComposedEpsilon(double epsilon_per_report, int reports);
 /// (floor; 0 when a single report already exceeds the budget).
 int MaxReports(double total_budget, double epsilon_per_report);
 
-/// \brief Per-user privacy-spend ledger with a lifetime cap.
-///
-/// Thread-compatible (guard externally if shared across threads).
-class PrivacyBudgetLedger {
- public:
-  /// \param lifetime_budget maximum cumulative epsilon per user (> 0).
-  explicit PrivacyBudgetLedger(double lifetime_budget);
-
-  /// \brief Records a spend of `epsilon` for `user`; fails with
-  /// FailedPrecondition (and records nothing) if the cap would be exceeded.
-  Status Charge(const std::string& user, double epsilon);
-
-  /// \brief Budget already consumed by `user` (0 for unknown users).
-  double Spent(const std::string& user) const;
-
-  /// \brief Budget still available to `user`.
-  double Remaining(const std::string& user) const;
-
-  /// \brief True when a further spend of `epsilon` would be admitted.
-  bool CanCharge(const std::string& user, double epsilon) const;
-
-  double lifetime_budget() const { return lifetime_budget_; }
-
-  /// Number of users with non-zero spend.
-  size_t num_users() const { return spent_.size(); }
-
- private:
-  double lifetime_budget_;
-  std::unordered_map<std::string, double> spent_;
-};
-
 /// \brief Epoch-aware per-user budget ledger.
 ///
-/// Charges are admitted only when they fit the per-epoch cap AND (when
-/// configured) the lifetime cap; a refused charge records nothing against
-/// either. BeginEpoch moves accounting to a later epoch and clears every
+/// Charges are admitted only when they fit every configured cap: the
+/// per-epoch cap and the lifetime cap. A refused charge records nothing
+/// against either. Per-epoch spend is tracked (and exported) whether or
+/// not an epoch cap is set. BeginEpoch moves accounting to a later epoch and clears every
 /// user's per-epoch spend (rollover) — lifetime spend persists. Independent
 /// ledgers share no state, so a serving engine may keep one per shard (or
 /// one global one) without cross-talk.
@@ -99,13 +65,14 @@ class EpochBudgetLedger {
     Totals totals;
   };
 
-  /// \param epoch_budget maximum epsilon per user within one epoch (> 0).
+  /// \param epoch_budget optional maximum epsilon per user within one
+  ///   epoch (> 0); unset, only the lifetime cap applies.
   /// \param lifetime_budget optional cumulative cap across all epochs
   ///   (> 0, and at least `epoch_budget` to be satisfiable in one epoch —
   ///   smaller values are allowed but make the epoch cap unreachable).
   /// \param metrics registry receiving the tbf_privacy_* series
   ///   (see docs/OBSERVABILITY.md); nullptr uses the process-wide one.
-  explicit EpochBudgetLedger(double epoch_budget,
+  explicit EpochBudgetLedger(std::optional<double> epoch_budget,
                              std::optional<double> lifetime_budget = std::nullopt,
                              obs::MetricRegistry* metrics = nullptr);
 
@@ -125,8 +92,9 @@ class EpochBudgetLedger {
   void AdvanceEpoch();
 
   /// \brief Records a spend of `epsilon` for `user`; fails with
-  /// FailedPrecondition (recording nothing) when either the per-epoch or
-  /// the lifetime cap would be exceeded.
+  /// FailedPrecondition (recording nothing) when a configured per-epoch or
+  /// lifetime cap would be exceeded, and with InvalidArgument when
+  /// `epsilon` is not positive and finite.
   Status Charge(const std::string& user, double epsilon);
 
   /// \brief True when a further spend of `epsilon` would be admitted now.
@@ -138,10 +106,11 @@ class EpochBudgetLedger {
   /// \brief Cumulative spend of `user` across all epochs.
   double SpentLifetime(const std::string& user) const;
 
-  /// \brief Epoch headroom of `user` (also capped by lifetime headroom).
+  /// \brief Headroom of `user` under every configured cap (infinite when
+  /// none is set).
   double RemainingThisEpoch(const std::string& user) const;
 
-  double epoch_budget() const { return epoch_budget_; }
+  const std::optional<double>& epoch_budget() const { return epoch_budget_; }
   const std::optional<double>& lifetime_budget() const {
     return lifetime_budget_;
   }
@@ -170,7 +139,7 @@ class EpochBudgetLedger {
   Status RestoreState(const State& state);
 
  private:
-  double epoch_budget_;
+  std::optional<double> epoch_budget_;
   std::optional<double> lifetime_budget_;
   int64_t epoch_ = 0;
   using SpendMap = std::unordered_map<std::string, double>;

@@ -87,8 +87,8 @@ struct ReplayOptions {
   /// shard, concurrently (tasks by home shard; a worker's events all
   /// share one lane so their relative order holds). When false, events
   /// are dispatched one by one in event order — fully deterministic, and
-  /// with canonical tie-breaking draw-for-draw identical to feeding a
-  /// single TbfServer.
+  /// with canonical tie-breaking draw-for-draw identical for every shard
+  /// count.
   bool parallel_dispatch = false;
 
   /// Per-user budget caps (see ShardedServerOptions). When either is set,

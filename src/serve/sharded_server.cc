@@ -74,6 +74,42 @@ class InflightToken {
 
 }  // namespace
 
+Status ValidateReportedLeaf(const CompleteHst& tree, const LeafPath& leaf) {
+  if (static_cast<int>(leaf.size()) != tree.depth()) {
+    return Status::InvalidArgument("leaf depth does not match the published tree");
+  }
+  for (char16_t digit : leaf) {
+    if (static_cast<int>(digit) >= tree.arity()) {
+      return Status::InvalidArgument("leaf digit exceeds the published arity");
+    }
+  }
+  return Status::OK();
+}
+
+Status ValidateReportedLeafCode(const CompleteHst& tree, LeafCode code) {
+  const LeafCodec* codec = tree.codec();
+  if (codec == nullptr) {
+    return Status::InvalidArgument(
+        "published tree has no packed-code codec; report a leaf path");
+  }
+  // Bits below the last digit must be zero, or two distinct codes could
+  // name the same leaf and canonical comparisons would drift.
+  const int low = 64 - codec->bits_per_digit() * codec->depth();
+  if (low > 0 && (code & ((uint64_t{1} << low) - 1)) != 0) {
+    return Status::InvalidArgument("leaf code has stray bits below the leaf");
+  }
+  // For power-of-two arity every digit field value is a valid digit;
+  // otherwise each field must be range-checked.
+  if ((tree.arity() & (tree.arity() - 1)) != 0) {
+    for (int j = 0; j < codec->depth(); ++j) {
+      if (codec->Digit(code, j) >= tree.arity()) {
+        return Status::InvalidArgument("leaf code digit exceeds the published arity");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 Result<std::unique_ptr<ShardedTbfServer>> ShardedTbfServer::Create(
     std::shared_ptr<const CompleteHst> tree,
     const ShardedServerOptions& options) {
@@ -117,12 +153,8 @@ ShardedTbfServer::ShardedTbfServer(std::shared_ptr<const CompleteHst> tree,
   metrics_ = options.metrics != nullptr ? options.metrics
                                         : obs::MetricRegistry::Global();
   if (options_.epoch_budget || options_.lifetime_budget) {
-    // Without an explicit epoch cap the per-epoch constraint must never
-    // bind on its own; a cap equal to the lifetime cap is implied by it.
-    const double epoch_cap =
-        options_.epoch_budget.value_or(*options_.lifetime_budget);
     ledger_ = std::make_unique<EpochBudgetLedger>(
-        epoch_cap, options_.lifetime_budget, metrics_);
+        options_.epoch_budget, options_.lifetime_budget, metrics_);
   }
   for (int s = 0; s < options.num_shards; ++s) {
     const std::string shard_label = std::to_string(s);
@@ -354,8 +386,8 @@ template <typename Key>
 std::optional<std::pair<int, int>> ShardedTbfServer::QueryShard(
     int shard, const Key& key) {
   HstAvailabilityIndex& index = shards_[static_cast<size_t>(shard)]->index;
-  // K == 1 only (enforced at Create), so the single shard mutex also
-  // serializes rng_ and the draw sequence matches TbfServer's.
+  // Uniform ties are K == 1 only (enforced at Create), so the single
+  // shard mutex also serializes rng_: one global draw sequence.
   return options_.tie_break == HstTieBreak::kCanonical
              ? index.Nearest(key)
              : index.NearestUniform(key, &rng_);

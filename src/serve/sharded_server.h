@@ -1,10 +1,25 @@
-// ShardedTbfServer — the sharded, epoch-aware online serving engine.
+// ShardedTbfServer — the online serving engine: the untrusted
+// crowdsourcing server of the paper's interaction model (Sec. II-A).
 //
-// TbfServer processes one global availability index single-threaded. This
-// engine partitions the leaf space into K spatial shards by leaf-code
-// prefix (serve/shard_router.h); each shard owns its own
-// HstAvailabilityIndex behind its own mutex (a striped lock over the leaf
-// space), so event streams touching different subtrees proceed in
+//   * It holds the published CompleteHst (serializable via hst/serialize.h).
+//   * It accepts worker registrations and task submissions as *obfuscated
+//     leaves*; it never sees a true location, and its whole interface
+//     speaks leaf paths or packed leaf codes.
+//   * It assigns each task on arrival to the nearest available worker on
+//     the tree (HST-Greedy, Alg. 4).
+//   * It optionally enforces per-user privacy budgets: clients declare
+//     the epsilon their report was drawn with, and repeated reports
+//     compose additively against a lifetime cap and/or a per-epoch cap
+//     (privacy/budget.h).
+//
+// Worker lifecycle: Register (join the pool / relocate with a fresh
+// report) -> assigned by SubmitTask (leaves the pool; to serve again the
+// worker registers anew, spending budget again) or Unregister (go offline).
+//
+// The engine partitions the leaf space into K spatial shards by leaf-code
+// prefix (serve/shard_router.h); K = 1 is the default. Each shard owns its
+// own HstAvailabilityIndex behind its own mutex (a striped lock over the
+// leaf space), so event streams touching different subtrees proceed in
 // parallel.
 //
 // Nearest-worker resolution stays *globally exact*: a task first probes
@@ -15,21 +30,19 @@
 // levels — fan out, locking all shards in ascending order and taking the
 // canonical minimum across the per-shard candidates. Because the
 // canonical order (LCA level, leaf path, index id) is a total order that
-// partitioning preserves, the sharded engine reproduces the single-index
-// engine's choices *exactly*: driven sequentially with canonical
-// tie-breaking, any K produces draw-for-draw the same assignments as
-// TbfServer (enforced by tests/serve/sharded_server_test.cc).
+// partitioning preserves, the choice does not depend on K: driven
+// sequentially with canonical tie-breaking, every K produces draw-for-draw
+// the same assignments as one global index (tests/serve/
+// sharded_server_test.cc checks this against a reference model).
 //
-// Shards share one worker registry and one index-id pool (pool_mu_),
-// mirroring TbfServer's id recycling bit for bit — that shared pool is
-// what makes the equivalence hold even through churn, and its critical
-// sections are a few map/vector operations, orders of magnitude cheaper
-// than an index query.
+// Shards share one worker registry and one LIFO index-id pool (pool_mu_):
+// ids recycle in the same order whatever K is, which is what makes the
+// equivalence hold even through churn, and its critical sections are a
+// few map/vector operations, orders of magnitude cheaper than an index
+// query.
 //
-// Epoch budgets: on top of TbfServer's lifetime cap, the engine can
-// rate-limit per-user spend per event-time epoch (EpochBudgetLedger);
-// BeginEpoch rolls accounting forward (the replay loop drives this from
-// event time, serve/replay.h).
+// Budgets: BeginEpoch rolls per-epoch accounting forward (the replay loop
+// drives this from event time, serve/replay.h).
 //
 // Lock order (deadlock freedom): budget_mu_ alone; otherwise shard
 // mutexes in ascending shard id, then pool_mu_. Uniform-random
@@ -42,15 +55,17 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
-#include "core/server.h"
 #include "hst/complete_hst.h"
 #include "hst/hst_index.h"
+#include "hst/leaf_code.h"
+#include "hst/leaf_path.h"
 #include "obs/metrics.h"
 #include "privacy/budget.h"
 #include "serve/republish.h"
@@ -58,12 +73,57 @@
 
 namespace tbf {
 
+/// \brief Result of one task submission.
+struct DispatchResult {
+  /// Registration id of the assigned worker; empty if none was available.
+  std::optional<std::string> worker;
+  /// Tree distance (metric units) between the reported leaves.
+  double reported_tree_distance = 0.0;
+};
+
+/// \brief One entry of a batch registration or submission: a user id plus
+/// the obfuscated leaf their client reported (and the declared epsilon when
+/// the server enforces budgets).
+struct LeafReport {
+  std::string user_id;
+  LeafPath leaf;
+  std::optional<double> declared_epsilon;
+};
+
+/// \brief Code-native batch entry: the obfuscated leaf as a packed
+/// LeafCode (what TbfFramework::ObfuscateCodes emits).
+struct LeafCodeReport {
+  std::string user_id;
+  LeafCode code = 0;
+  std::optional<double> declared_epsilon;
+};
+
+/// \brief Outcome of one item of a batch submission.
+struct BatchDispatchOutcome {
+  Status status;          ///< per-item admission result
+  DispatchResult result;  ///< meaningful when status.ok()
+};
+
+/// \brief Depth + digit-range validation of an untrusted client leaf
+/// against a published tree. The flat index would index child tables with
+/// these digits, so out-of-range ones are rejected up front instead of
+/// aborting (or reading out of bounds) deeper down.
+Status ValidateReportedLeaf(const CompleteHst& tree, const LeafPath& leaf);
+
+/// \brief Packed-code variant: rejects codes with stray bits below the
+/// last digit and (for non-power-of-two arity) digit fields >= arity, and
+/// fails outright when the published tree has no packed-code codec. O(1)
+/// for power-of-two arity.
+Status ValidateReportedLeafCode(const CompleteHst& tree, LeafCode code);
+
 /// \brief Configuration of the sharded serving engine.
 struct ShardedServerOptions {
-  /// Spatial shards (>= 1; at most arity^depth). 1 reproduces TbfServer.
+  /// Spatial shards (>= 1; at most arity^depth). Any count produces the
+  /// same assignments when driven sequentially.
   int num_shards = 1;
 
-  /// Per-user lifetime epsilon cap (TbfServer semantics).
+  /// Per-user lifetime epsilon cap: every declared report is charged, and
+  /// a charge that would exceed the cap is refused.
   std::optional<double> lifetime_budget;
 
   /// Per-user per-epoch epsilon cap; epochs advance via BeginEpoch. When
@@ -136,14 +196,17 @@ class ShardedTbfServer {
       const ShardedServerOptions& options = {});
 
   /// \brief Registers (or relocates) a worker at an obfuscated leaf.
-  /// Budget semantics match TbfServer: the charge happens first, and a
-  /// refused charge leaves any previous registration untouched.
+  ///
+  /// `declared_epsilon` is the budget the client spent producing the
+  /// report; it is required (and charged per report) when the server
+  /// enforces budgets. The charge happens first, and a refused charge
+  /// leaves any previous registration untouched.
   Status RegisterWorker(const std::string& worker_id, const LeafPath& leaf,
                         std::optional<double> declared_epsilon = std::nullopt);
 
-  /// \brief Code-native registration (TbfServer contract): the report is
-  /// a packed LeafCode and stays packed through routing, locking and the
-  /// per-shard trie. Fails when the tree has no codec.
+  /// \brief Code-native registration: identical semantics, but the report
+  /// is a packed LeafCode and stays packed through routing, locking and
+  /// the per-shard trie. Fails when the tree has no codec.
   Status RegisterWorker(const std::string& worker_id, LeafCode code,
                         std::optional<double> declared_epsilon = std::nullopt);
 
@@ -154,7 +217,8 @@ class ShardedTbfServer {
   bool IsRegistered(const std::string& worker_id) const;
 
   /// \brief Submits a task; assigns and consumes the globally nearest
-  /// available worker (exact, across all shards).
+  /// available worker (exact, across all shards). Budget rules apply to
+  /// the task id exactly as to workers.
   Result<DispatchResult> SubmitTask(const std::string& task_id,
                                     const LeafPath& leaf,
                                     std::optional<double> declared_epsilon =
@@ -165,10 +229,12 @@ class ShardedTbfServer {
                                     std::optional<double> declared_epsilon =
                                         std::nullopt);
 
-  /// \brief Batch wrappers, item semantics identical to the single-call
-  /// API (TbfServer contract). Items are issued sequentially by the
-  /// calling thread; parallelism comes from *concurrent* callers (the
-  /// replay loop drives one caller per shard).
+  /// \brief Batch wrappers: item k's status is exactly what the single
+  /// call would have returned, and a failed item is skipped while the rest
+  /// of the batch proceeds. Items are issued sequentially by the calling
+  /// thread, each seeing the pool its predecessors left behind;
+  /// parallelism comes from *concurrent* callers (the replay loop drives
+  /// one caller per shard).
   std::vector<Status> RegisterWorkers(const std::vector<LeafReport>& batch);
   std::vector<BatchDispatchOutcome> SubmitTasks(
       const std::vector<LeafReport>& batch);
@@ -179,7 +245,7 @@ class ShardedTbfServer {
       std::span<const LeafCodeReport> batch);
 
   /// \brief Rolls per-epoch budget accounting forward to `epoch` (no-op
-  /// without an epoch budget; going backwards fails).
+  /// when no budget is set; going backwards fails).
   Status BeginEpoch(int64_t epoch);
 
   /// \brief Atomically swaps the published tree for `new_tree` while the
@@ -224,9 +290,11 @@ class ShardedTbfServer {
     return assigned_tasks_.load(std::memory_order_relaxed);
   }
 
-  /// \brief Size of the shared index-id pool (bounded by the peak pool
-  /// size, as in TbfServer — ids recycle through one free list across all
-  /// shards).
+  /// \brief Size of the shared index-id pool. Ids recycle through one
+  /// free list across all shards on every removal path (assignment,
+  /// unregister, relocation), so this stays bounded by the peak number of
+  /// concurrently registered workers — exposed for monitoring and leak
+  /// tests.
   size_t index_id_pool_size() const;
 
   /// Workers currently held by shard `shard` (monitoring).
@@ -246,7 +314,7 @@ class ShardedTbfServer {
   /// Shared ownership of the currently published tree.
   std::shared_ptr<const CompleteHst> tree_shared() const;
 
-  /// The epoch/lifetime ledger, when budgeting is enabled (else nullptr).
+  /// The budget ledger, when either budget is set (else nullptr).
   /// Synchronize externally with concurrent operations before reading.
   const EpochBudgetLedger* ledger() const { return ledger_.get(); }
 
@@ -307,7 +375,7 @@ class ShardedTbfServer {
   Status ChargeIfRequired(const std::string& user,
                           std::optional<double> declared_epsilon);
 
-  // Shared id pool, guarded by pool_mu_ (TbfServer's exact recycling).
+  // Shared LIFO id pool, guarded by pool_mu_.
   int AcquireIndexId(const std::string& worker_id);
   void ReleaseIndexId(int index_id);
 

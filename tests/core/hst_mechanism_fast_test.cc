@@ -16,9 +16,9 @@
 #include "common/stat_policy.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
-#include "core/server.h"
 #include "core/tbf.h"
 #include "geo/grid.h"
+#include "serve/sharded_server.h"
 
 namespace tbf {
 namespace {

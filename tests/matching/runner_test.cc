@@ -221,31 +221,6 @@ INSTANTIATE_TEST_SUITE_P(All, CaseStudyAlgorithmsTest,
                          testing::Values(CaseStudyAlgorithm::kProb,
                                          CaseStudyAlgorithm::kTbf));
 
-TEST(ServeShardsTest, ShardedDispatchReproducesTheMatcherExactly) {
-  // serve_shards routes TBF dispatch through the sharded serving engine;
-  // driven sequentially it must reproduce the matcher's assignment
-  // sequence pair for pair, for any shard count.
-  OnlineInstance inst = SmallInstance(80, 160, 19);
-  PipelineConfig base = SmallConfig();
-  auto matcher_run = RunPipeline(Algorithm::kTbf, inst, base);
-  ASSERT_TRUE(matcher_run.ok());
-  for (int shards : {1, 4}) {
-    PipelineConfig sharded = base;
-    sharded.serve_shards = shards;
-    auto serve_run = RunPipeline(Algorithm::kTbf, inst, sharded);
-    ASSERT_TRUE(serve_run.ok());
-    EXPECT_EQ(serve_run->stages.shards, shards);
-    ASSERT_EQ(serve_run->matching.pairs.size(),
-              matcher_run->matching.pairs.size());
-    for (size_t p = 0; p < matcher_run->matching.pairs.size(); ++p) {
-      EXPECT_EQ(serve_run->matching.pairs[p].worker_id,
-                matcher_run->matching.pairs[p].worker_id)
-          << "shards=" << shards << " task " << p;
-    }
-    EXPECT_DOUBLE_EQ(serve_run->total_distance, matcher_run->total_distance);
-  }
-}
-
 TEST(CaseStudyTest, MoreNotificationsNeverHurt) {
   CaseStudyInstance inst = SmallCaseStudy(33);
   CaseStudyConfig one;

@@ -24,37 +24,47 @@ TEST(MaxReportsTest, Floors) {
   EXPECT_EQ(MaxReports(0.0, 0.2), 0);
 }
 
+// LedgerTest: an EpochBudgetLedger with only a lifetime cap — the ledger
+// a server configured with `lifetime_budget` alone runs.
+
 TEST(LedgerTest, ChargesAndTracks) {
-  PrivacyBudgetLedger ledger(1.0);
+  EpochBudgetLedger ledger(std::nullopt, 1.0);
   EXPECT_TRUE(ledger.Charge("alice", 0.4).ok());
   EXPECT_TRUE(ledger.Charge("alice", 0.4).ok());
-  EXPECT_DOUBLE_EQ(ledger.Spent("alice"), 0.8);
-  EXPECT_NEAR(ledger.Remaining("alice"), 0.2, 1e-12);
+  EXPECT_DOUBLE_EQ(ledger.SpentLifetime("alice"), 0.8);
+  EXPECT_NEAR(ledger.RemainingThisEpoch("alice"), 0.2, 1e-12);
   EXPECT_EQ(ledger.num_users(), 1u);
 }
 
 TEST(LedgerTest, RefusesOverspend) {
-  PrivacyBudgetLedger ledger(1.0);
+  EpochBudgetLedger ledger(std::nullopt, 1.0);
   EXPECT_TRUE(ledger.Charge("bob", 0.9).ok());
   Status overspend = ledger.Charge("bob", 0.2);
   EXPECT_EQ(overspend.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(overspend.message().find("lifetime budget exhausted"),
+            std::string::npos);
+  EXPECT_EQ(ledger.totals().denied_lifetime, 1u);
+  EXPECT_EQ(ledger.totals().denied_epoch, 0u);
   // A refused charge must not consume anything.
-  EXPECT_DOUBLE_EQ(ledger.Spent("bob"), 0.9);
+  EXPECT_DOUBLE_EQ(ledger.SpentLifetime("bob"), 0.9);
   // A smaller charge still fits.
   EXPECT_TRUE(ledger.Charge("bob", 0.1).ok());
-  EXPECT_NEAR(ledger.Spent("bob"), 1.0, 1e-12);
+  EXPECT_NEAR(ledger.SpentLifetime("bob"), 1.0, 1e-12);
 }
 
 TEST(LedgerTest, ExactBudgetIsAdmitted) {
-  PrivacyBudgetLedger ledger(1.0);
+  EpochBudgetLedger ledger(std::nullopt, 1.0);
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(ledger.Charge("carol", 0.2).ok()) << "report " << i;
   }
   EXPECT_FALSE(ledger.Charge("carol", 0.2).ok());
+  // Without an epoch cap, rollover does not restore anything.
+  ledger.AdvanceEpoch();
+  EXPECT_FALSE(ledger.Charge("carol", 0.2).ok());
 }
 
 TEST(LedgerTest, UsersAreIndependent) {
-  PrivacyBudgetLedger ledger(0.5);
+  EpochBudgetLedger ledger(std::nullopt, 0.5);
   EXPECT_TRUE(ledger.Charge("u1", 0.5).ok());
   EXPECT_TRUE(ledger.Charge("u2", 0.5).ok());
   EXPECT_FALSE(ledger.Charge("u1", 0.1).ok());
@@ -62,7 +72,7 @@ TEST(LedgerTest, UsersAreIndependent) {
 }
 
 TEST(LedgerTest, CanChargePredictsCharge) {
-  PrivacyBudgetLedger ledger(1.0);
+  EpochBudgetLedger ledger(std::nullopt, 1.0);
   EXPECT_TRUE(ledger.CanCharge("dave", 1.0));
   EXPECT_FALSE(ledger.CanCharge("dave", 1.1));
   EXPECT_FALSE(ledger.CanCharge("dave", 0.0));
@@ -72,7 +82,7 @@ TEST(LedgerTest, CanChargePredictsCharge) {
 }
 
 TEST(LedgerTest, RejectsNonPositiveCharge) {
-  PrivacyBudgetLedger ledger(1.0);
+  EpochBudgetLedger ledger(std::nullopt, 1.0);
   EXPECT_EQ(ledger.Charge("eve", 0.0).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(ledger.Charge("eve", -0.5).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(ledger.num_users(), 0u);
@@ -82,7 +92,7 @@ TEST(LedgerTest, RejectsNonFiniteCharge) {
   // NaN defeats every cap comparison (all comparisons false) and +inf
   // would blow past any cap; both must be refused up front, charging
   // nothing and leaving the user table untouched.
-  PrivacyBudgetLedger ledger(1.0);
+  EpochBudgetLedger ledger(std::nullopt, 1.0);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_EQ(ledger.Charge("mallory", nan).code(),
@@ -94,19 +104,19 @@ TEST(LedgerTest, RejectsNonFiniteCharge) {
   EXPECT_FALSE(ledger.CanCharge("mallory", nan));
   EXPECT_FALSE(ledger.CanCharge("mallory", inf));
   EXPECT_EQ(ledger.num_users(), 0u);
-  EXPECT_DOUBLE_EQ(ledger.Spent("mallory"), 0.0);
+  EXPECT_DOUBLE_EQ(ledger.SpentLifetime("mallory"), 0.0);
   // The guard must not break legitimate extreme-but-finite charges.
   EXPECT_TRUE(ledger.Charge("mallory", 1e-300).ok());
 }
 
 TEST(LedgerTest, UnknownUserHasFullBudget) {
-  PrivacyBudgetLedger ledger(2.0);
-  EXPECT_DOUBLE_EQ(ledger.Spent("nobody"), 0.0);
-  EXPECT_DOUBLE_EQ(ledger.Remaining("nobody"), 2.0);
+  EpochBudgetLedger ledger(std::nullopt, 2.0);
+  EXPECT_DOUBLE_EQ(ledger.SpentLifetime("nobody"), 0.0);
+  EXPECT_DOUBLE_EQ(ledger.RemainingThisEpoch("nobody"), 2.0);
 }
 
 TEST(LedgerDeathTest, RejectsBadLifetimeBudget) {
-  EXPECT_DEATH(PrivacyBudgetLedger(0.0), "positive");
+  EXPECT_DEATH(EpochBudgetLedger(std::nullopt, 0.0), "positive");
 }
 
 TEST(EpochLedgerTest, ExhaustedEpochBudgetRefusesUntilRollover) {

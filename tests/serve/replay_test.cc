@@ -6,8 +6,8 @@
 #include <string>
 
 #include "common/thread_pool.h"
-#include "core/server.h"
 #include "geo/grid.h"
+#include "serve/reference_server.h"
 #include "workload/synthetic.h"
 #include "workload/trace.h"
 
@@ -60,8 +60,9 @@ TEST(ReplayTest, ValidatesInput) {
 }
 
 // The replay loop applied sequentially must reproduce, event for event,
-// what a hand-driven TbfServer sees when fed the same obfuscated reports:
-// the loop only adds epoching and sharding around the same online process.
+// what the hand-driven reference model sees when fed the same obfuscated
+// reports: the loop only adds epoching and sharding around the same online
+// process.
 TEST(ReplayTest, SequentialReplayMatchesDirectServerDrive) {
   TbfFramework framework = BuildFramework();
   EventTrace trace = SmallTrace(100, 60, 0.15);
@@ -75,9 +76,8 @@ TEST(ReplayTest, SequentialReplayMatchesDirectServerDrive) {
   auto report = RunEventReplay(framework, trace, options);
   ASSERT_TRUE(report.ok());
 
-  // Hand-drive a plain TbfServer with the identical report stream.
-  auto server = TbfServer::Create(framework.tree_ptr());
-  ASSERT_TRUE(server.ok());
+  // Hand-drive the reference model with the identical report stream.
+  ReferenceServer model(framework.tree_ptr());
   ThreadPool pool(1);
   const Rng stream(options.obfuscation_seed);
   std::vector<Point> locations;
@@ -96,10 +96,10 @@ TEST(ReplayTest, SequentialReplayMatchesDirectServerDrive) {
     switch (event.kind) {
       case EventKind::kWorkerArrival:
         ASSERT_TRUE(
-            server->RegisterWorker(event.id, reports[next_report++]).ok());
+            model.RegisterWorker(event.id, reports[next_report++]).ok());
         break;
       case EventKind::kTaskArrival: {
-        auto dispatched = server->SubmitTask(event.id, reports[next_report++]);
+        auto dispatched = model.SubmitTask(event.id, reports[next_report++]);
         ASSERT_TRUE(dispatched.ok());
         const TaskOutcome& outcome = report->task_outcomes[next_task++];
         EXPECT_EQ(outcome.task_id, event.id);
@@ -111,13 +111,13 @@ TEST(ReplayTest, SequentialReplayMatchesDirectServerDrive) {
         break;
       }
       case EventKind::kWorkerDeparture:
-        server->UnregisterWorker(event.id);  // NotFound == expected churn
+        model.UnregisterWorker(event.id);  // NotFound == expected churn
         break;
     }
   }
   EXPECT_EQ(next_task, report->task_outcomes.size());
   EXPECT_EQ(report->assigned, assigned);
-  EXPECT_EQ(report->available_workers_end, server->available_workers());
+  EXPECT_EQ(report->available_workers_end, model.available_workers());
 }
 
 TEST(ReplayTest, OutcomeIsIndependentOfEpochLength) {
@@ -242,6 +242,39 @@ TEST(ReplayTest, EpochBudgetDeniesWithinWindowOnly) {
   EXPECT_DOUBLE_EQ(report->epsilon_spent, 3 * framework.epsilon());
   EXPECT_EQ(report->denied_epoch_budget, 1u);
   EXPECT_EQ(report->denied_lifetime_budget, 0u);
+}
+
+TEST(ReplayTest, LifetimeOnlyBudgetDeniesAsLifetime) {
+  // The same re-reporting worker under a lifetime cap alone: both
+  // overspending reports are lifetime denials, in the report totals and
+  // in every per-epoch row — there is no epoch cap to blame.
+  TbfFramework framework = BuildFramework(0.4);
+  EventTrace trace;
+  trace.region = BBox::Square(200);
+  for (double time : {0.0, 1.0, 2.0, 70.0}) {
+    TimedEvent event;
+    event.time = time;
+    event.kind = EventKind::kWorkerArrival;
+    event.id = "w";
+    event.location = Point{100.0, 100.0};
+    trace.events.push_back(event);
+  }
+
+  ReplayOptions options;
+  options.epoch_seconds = 60.0;
+  options.lifetime_budget = 2 * framework.epsilon() + 1e-9;
+  auto report = RunEventReplay(framework, trace, options);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->denied, 2u);
+  EXPECT_EQ(report->denied_lifetime_budget, 2u);
+  EXPECT_EQ(report->denied_epoch_budget, 0u);
+  ASSERT_EQ(report->per_epoch.size(), 2u);
+  for (const EpochStats& stats : report->per_epoch) {
+    EXPECT_EQ(stats.denied_lifetime_budget, stats.denied);
+    EXPECT_EQ(stats.denied_epoch_budget, 0u);
+  }
+  EXPECT_EQ(report->per_epoch[0].denied_lifetime_budget, 1u);
+  EXPECT_EQ(report->per_epoch[1].denied_lifetime_budget, 1u);
 }
 
 #ifndef TBF_METRICS_DISABLED

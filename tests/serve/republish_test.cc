@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "core/server.h"
 #include "geo/grid.h"
 #include "hst/snapshot.h"
 #include "serve/replay.h"

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/server.h"
 #include "geo/grid.h"
 
 namespace tbf {
@@ -169,6 +168,47 @@ TEST(ShardedServerErrorTest, BeginEpochMovesForwardOnly) {
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE((*plain)->BeginEpoch(7).ok());
   EXPECT_TRUE((*plain)->BeginEpoch(1).ok());
+}
+
+TEST(ShardedServerErrorTest, LifetimeOnlyBudgetDeniesAsLifetime) {
+  // With only a lifetime cap there is no epoch cap to hit: the overspending
+  // charge is a lifetime denial, in the status and in the ledger totals.
+  auto tree = BuildTree();
+  ShardedServerOptions options;
+  options.lifetime_budget = 1.0;
+  auto server = ShardedTbfServer::Create(tree, options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->RegisterWorker("w", SomeLeaf(*tree, 1), 0.6).ok());
+  const Status refused =
+      (*server)->RegisterWorker("w", SomeLeaf(*tree, 2), 0.6);
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.message().find("lifetime budget exhausted"),
+            std::string::npos)
+      << refused.message();
+  ASSERT_NE((*server)->ledger(), nullptr);
+  EXPECT_EQ((*server)->ledger()->totals().denied_lifetime, 1u);
+  EXPECT_EQ((*server)->ledger()->totals().denied_epoch, 0u);
+}
+
+TEST(ShardedServerErrorTest, EpochOnlyBudgetDeniesAsEpoch) {
+  auto tree = BuildTree();
+  ShardedServerOptions options;
+  options.epoch_budget = 0.5;
+  auto server = ShardedTbfServer::Create(tree, options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->RegisterWorker("w", SomeLeaf(*tree, 1), 0.3).ok());
+  const Status refused =
+      (*server)->RegisterWorker("w", SomeLeaf(*tree, 2), 0.3);
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.message().find("epoch budget exhausted"),
+            std::string::npos)
+      << refused.message();
+  ASSERT_NE((*server)->ledger(), nullptr);
+  EXPECT_EQ((*server)->ledger()->totals().denied_epoch, 1u);
+  EXPECT_EQ((*server)->ledger()->totals().denied_lifetime, 0u);
+  // No lifetime cap: the next epoch admits the same spend again.
+  ASSERT_TRUE((*server)->BeginEpoch(1).ok());
+  EXPECT_TRUE((*server)->RegisterWorker("w", SomeLeaf(*tree, 2), 0.3).ok());
 }
 
 TEST(ShardedServerErrorTest, RestoreStateValidatesItsInput) {

@@ -4,13 +4,14 @@
 
 #include <atomic>
 #include <barrier>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/server.h"
 #include "geo/grid.h"
+#include "serve/reference_server.h"
 
 namespace tbf {
 namespace {
@@ -53,20 +54,43 @@ TEST(ShardedServerTest, CreateValidates) {
   EXPECT_TRUE(ShardedTbfServer::Create(tree, good).ok());
 }
 
+// Report leaves for the churn scripts. Half come from six hot leaves, so
+// co-located workers tie and the index-id order (the LIFO free list)
+// decides between them; the rest are uniform over all leaves.
+class ChurnLeaves {
+ public:
+  ChurnLeaves(const CompleteHst& tree, Rng* script)
+      : depth_(tree.depth()), arity_(tree.arity()), script_(script) {
+    for (int i = 0; i < 6; ++i) {
+      hot_.push_back(RandomLeafPath(depth_, arity_, script_));
+    }
+  }
+
+  LeafPath Next() {
+    if (script_->UniformInt(0, 1) == 0) {
+      return hot_[static_cast<size_t>(script_->UniformInt(0, 5))];
+    }
+    return RandomLeafPath(depth_, arity_, script_);
+  }
+
+ private:
+  int depth_;
+  int arity_;
+  Rng* script_;
+  std::vector<LeafPath> hot_;
+};
+
 // Replays an identical randomized churn script (registrations,
-// relocations, departures, submissions — budgeted or not) into a plain
-// TbfServer and a ShardedTbfServer, asserting draw-for-draw identical
-// behavior at every step. This is the golden equivalence contract: the
-// sharded engine is an implementation strategy, not a semantics change.
+// relocations, departures, submissions — budgeted or not) into the
+// reference model (serve/reference_server.h) and the engine, asserting
+// draw-for-draw identical behavior at every step. This is the golden
+// equivalence contract: sharding is an implementation strategy, not a
+// semantics change.
 void RunGoldenChurn(int num_shards, HstTieBreak tie_break,
                     std::optional<double> lifetime_budget, uint64_t seed) {
+  SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
   auto tree = BuildTree();
-  TbfServerOptions single_options;
-  single_options.tie_break = tie_break;
-  single_options.seed = 99;
-  single_options.lifetime_budget = lifetime_budget;
-  auto single = TbfServer::Create(tree, single_options);
-  ASSERT_TRUE(single.ok());
+  ReferenceServer model(tree, tie_break, 99, lifetime_budget);
 
   ShardedServerOptions sharded_options;
   sharded_options.num_shards = num_shards;
@@ -76,9 +100,8 @@ void RunGoldenChurn(int num_shards, HstTieBreak tie_break,
   auto sharded = ShardedTbfServer::Create(tree, sharded_options);
   ASSERT_TRUE(sharded.ok());
 
-  const int depth = tree->depth();
-  const int arity = tree->arity();
   Rng script(seed);
+  ChurnLeaves leaves(*tree, &script);
   const std::optional<double> eps =
       lifetime_budget ? std::optional<double>(0.3) : std::nullopt;
   std::vector<std::string> known_workers;
@@ -87,45 +110,45 @@ void RunGoldenChurn(int num_shards, HstTieBreak tie_break,
     const int op = static_cast<int>(script.UniformInt(0, 9));
     if (op < 4) {  // fresh registration
       std::string id = "w" + std::to_string(next_worker++);
-      LeafPath leaf = RandomLeafPath(depth, arity, &script);
-      Status a = (*single).RegisterWorker(id, leaf, eps);
+      LeafPath leaf = leaves.Next();
+      Status a = model.RegisterWorker(id, leaf, eps);
       Status b = (*sharded)->RegisterWorker(id, leaf, eps);
       ASSERT_EQ(a.code(), b.code()) << "step " << step;
       if (a.ok()) known_workers.push_back(id);
     } else if (op < 5 && !known_workers.empty()) {  // relocation
       const std::string& id = known_workers[static_cast<size_t>(
           script.UniformInt(0, static_cast<int64_t>(known_workers.size()) - 1))];
-      LeafPath leaf = RandomLeafPath(depth, arity, &script);
-      Status a = (*single).RegisterWorker(id, leaf, eps);
+      LeafPath leaf = leaves.Next();
+      Status a = model.RegisterWorker(id, leaf, eps);
       Status b = (*sharded)->RegisterWorker(id, leaf, eps);
       ASSERT_EQ(a.code(), b.code()) << "step " << step;
     } else if (op < 6 && !known_workers.empty()) {  // departure
       const std::string& id = known_workers[static_cast<size_t>(
           script.UniformInt(0, static_cast<int64_t>(known_workers.size()) - 1))];
-      Status a = (*single).UnregisterWorker(id);
+      Status a = model.UnregisterWorker(id);
       Status b = (*sharded)->UnregisterWorker(id);
       ASSERT_EQ(a.code(), b.code()) << "step " << step;
     } else {  // task submission
       std::string id = "t" + std::to_string(step);
-      LeafPath leaf = RandomLeafPath(depth, arity, &script);
-      auto a = (*single).SubmitTask(id, leaf, eps);
+      LeafPath leaf = leaves.Next();
+      auto a = model.SubmitTask(id, leaf, eps);
       auto b = (*sharded)->SubmitTask(id, leaf, eps);
-      ASSERT_EQ(a.ok(), b.ok()) << "step " << step;
+      ASSERT_EQ(a.status().code(), b.status().code()) << "step " << step;
       if (a.ok()) {
         ASSERT_EQ(a->worker, b->worker) << "step " << step;
         ASSERT_DOUBLE_EQ(a->reported_tree_distance, b->reported_tree_distance)
             << "step " << step;
       }
     }
-    ASSERT_EQ((*single).available_workers(), (*sharded)->available_workers())
+    ASSERT_EQ(model.available_workers(), (*sharded)->available_workers())
         << "step " << step;
-    ASSERT_EQ((*single).assigned_tasks(), (*sharded)->assigned_tasks());
-    // The shared id pool recycles exactly like TbfServer's.
-    ASSERT_EQ((*single).index_id_pool_size(), (*sharded)->index_id_pool_size());
+    ASSERT_EQ(model.assigned_tasks(), (*sharded)->assigned_tasks());
+    // The shared id pool recycles exactly like the model's LIFO list.
+    ASSERT_EQ(model.index_id_pool_size(), (*sharded)->index_id_pool_size());
   }
   // The workers remaining available agree one by one.
   for (const std::string& id : known_workers) {
-    EXPECT_EQ((*single).IsRegistered(id), (*sharded)->IsRegistered(id)) << id;
+    EXPECT_EQ(model.IsRegistered(id), (*sharded)->IsRegistered(id)) << id;
   }
 }
 
@@ -135,57 +158,62 @@ TEST(ShardedServerTest, GoldenEquivalenceSingleShard) {
 
 TEST(ShardedServerTest, GoldenEquivalenceSingleShardUniformTieBreak) {
   // Uniform-random tie-breaking draws from the engine rng; at K = 1 the
-  // draw sequence must match TbfServer's exactly.
+  // draw sequence must match the model's map index exactly.
   RunGoldenChurn(1, HstTieBreak::kUniformRandom, std::nullopt, 6);
 }
 
 TEST(ShardedServerTest, GoldenEquivalenceManyShards) {
-  for (int shards : {2, 3, 8}) {
+  for (int shards : {2, 3, 4, 8}) {
     RunGoldenChurn(shards, HstTieBreak::kCanonical, std::nullopt,
                    100 + static_cast<uint64_t>(shards));
   }
 }
 
 TEST(ShardedServerTest, GoldenEquivalenceManyShardsWithBudgets) {
-  RunGoldenChurn(4, HstTieBreak::kCanonical, 0.9, 21);
+  for (int shards : {1, 2, 3, 4, 8}) {
+    RunGoldenChurn(shards, HstTieBreak::kCanonical, 0.9, 21);
+  }
 }
 
 TEST(ShardedServerTest, CodeEntryPointIsGoldenEquivalentAcrossShards) {
-  // Same churn script, the single server fed LeafPaths and the sharded
-  // engine fed packed LeafCodes: the entry representation must not change
-  // one assignment (the path API packs at the boundary, so both run the
-  // identical code-native engine — this pins that equivalence down).
+  // Same churn script, the model fed LeafPaths and the engine fed packed
+  // LeafCodes: the entry representation must not change one assignment
+  // (the path API packs at the boundary, so both engine entry points run
+  // the identical code-native core — this pins that equivalence down).
   auto tree = BuildTree();
   const LeafCodec* codec = tree->codec();
   ASSERT_NE(codec, nullptr);
-  auto single = TbfServer::Create(tree);
-  ASSERT_TRUE(single.ok());
-  ShardedServerOptions options;
-  options.num_shards = 4;
-  auto sharded = ShardedTbfServer::Create(tree, options);
-  ASSERT_TRUE(sharded.ok());
+  for (int shards : {1, 2, 3, 4, 8}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(shards));
+    ReferenceServer model(tree);
+    ShardedServerOptions options;
+    options.num_shards = shards;
+    auto sharded = ShardedTbfServer::Create(tree, options);
+    ASSERT_TRUE(sharded.ok());
 
-  Rng script(77);
-  int next_worker = 0;
-  for (int step = 0; step < 400; ++step) {
-    const int op = static_cast<int>(script.UniformInt(0, 9));
-    LeafPath leaf = RandomLeafPath(tree->depth(), tree->arity(), &script);
-    const LeafCode code = codec->Pack(leaf);
-    if (op < 5) {
-      std::string id = "w" + std::to_string(next_worker++);
-      ASSERT_EQ((*single).RegisterWorker(id, leaf).code(),
-                (*sharded)->RegisterWorker(id, code).code())
-          << "step " << step;
-    } else {
-      std::string id = "t" + std::to_string(step);
-      auto a = (*single).SubmitTask(id, leaf);
-      auto b = (*sharded)->SubmitTask(id, code);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      ASSERT_EQ(a->worker, b->worker) << "step " << step;
-      ASSERT_DOUBLE_EQ(a->reported_tree_distance, b->reported_tree_distance);
+    Rng script(77);
+    ChurnLeaves leaves(*tree, &script);
+    int next_worker = 0;
+    for (int step = 0; step < 400; ++step) {
+      const int op = static_cast<int>(script.UniformInt(0, 9));
+      LeafPath leaf = leaves.Next();
+      const LeafCode code = codec->Pack(leaf);
+      if (op < 5) {
+        std::string id = "w" + std::to_string(next_worker++);
+        ASSERT_EQ(model.RegisterWorker(id, leaf).code(),
+                  (*sharded)->RegisterWorker(id, code).code())
+            << "step " << step;
+      } else {
+        std::string id = "t" + std::to_string(step);
+        auto a = model.SubmitTask(id, leaf);
+        auto b = (*sharded)->SubmitTask(id, code);
+        ASSERT_TRUE(a.ok());
+        ASSERT_TRUE(b.ok());
+        ASSERT_EQ(a->worker, b->worker) << "step " << step;
+        ASSERT_DOUBLE_EQ(a->reported_tree_distance, b->reported_tree_distance);
+      }
+      ASSERT_EQ(model.available_workers(), (*sharded)->available_workers());
     }
-    ASSERT_EQ((*single).available_workers(), (*sharded)->available_workers());
   }
 }
 
@@ -198,8 +226,7 @@ TEST(ShardedServerTest, CrossShardResolutionFindsTheGlobalNearest) {
   options.num_shards = tree->arity();  // prefix_depth == 1: shard == digit 0
   auto server = ShardedTbfServer::Create(tree, options);
   ASSERT_TRUE(server.ok());
-  auto single = TbfServer::Create(tree);
-  ASSERT_TRUE(single.ok());
+  ReferenceServer model(tree);
 
   const int depth = tree->depth();
   const int arity = tree->arity();
@@ -210,14 +237,14 @@ TEST(ShardedServerTest, CrossShardResolutionFindsTheGlobalNearest) {
     if (leaf[0] == 0) leaf[0] = 1;
     std::string id = "w" + std::to_string(w);
     ASSERT_TRUE((*server)->RegisterWorker(id, leaf).ok());
-    ASSERT_TRUE((*single).RegisterWorker(id, leaf).ok());
+    ASSERT_TRUE(model.RegisterWorker(id, leaf).ok());
   }
   EXPECT_EQ((*server)->shard_size(0), 0u);
   for (int t = 0; t < 40; ++t) {
     LeafPath leaf = RandomLeafPath(depth, arity, &rng);
     leaf[0] = 0;  // home shard 0 is empty: always the slow path
     std::string id = "t" + std::to_string(t);
-    auto a = (*single).SubmitTask(id, leaf);
+    auto a = model.SubmitTask(id, leaf);
     auto b = (*server)->SubmitTask(id, leaf);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
@@ -290,6 +317,226 @@ TEST(ShardedServerTest, RejectsInvalidLeaves) {
   EXPECT_FALSE((*server)->RegisterWorker("w", bogus).ok());
   EXPECT_FALSE((*server)->SubmitTask("t", bogus).ok());
   EXPECT_EQ((*server)->available_workers(), 0u);
+}
+
+TEST(ShardedServerTest, RandomTieBreakStillNearest) {
+  auto tree = BuildTree();
+  ShardedServerOptions options;
+  options.tie_break = HstTieBreak::kUniformRandom;
+  options.seed = 9;
+  auto server = ShardedTbfServer::Create(tree, options);
+  ASSERT_TRUE(server.ok());
+  // Two co-located workers, one far: dispatch must pick a co-located one.
+  ASSERT_TRUE((*server)->RegisterWorker("near1", tree->leaf_of_point(7)).ok());
+  ASSERT_TRUE((*server)->RegisterWorker("near2", tree->leaf_of_point(7)).ok());
+  ASSERT_TRUE((*server)->RegisterWorker("far", tree->leaf_of_point(35)).ok());
+  auto dispatch = (*server)->SubmitTask("t", tree->leaf_of_point(7));
+  ASSERT_TRUE(dispatch.ok());
+  EXPECT_NE(*dispatch->worker, "far");
+  EXPECT_DOUBLE_EQ(dispatch->reported_tree_distance, 0.0);
+}
+
+TEST(ShardedServerTest, RandomTieBreakIsUniformAcrossRuns) {
+  auto tree = BuildTree();
+  std::map<std::string, int> counts;
+  for (uint64_t seed = 0; seed < 2000; ++seed) {
+    ShardedServerOptions options;
+    options.tie_break = HstTieBreak::kUniformRandom;
+    options.seed = seed;
+    auto server = ShardedTbfServer::Create(tree, options);
+    ASSERT_TRUE(server.ok());
+    ASSERT_TRUE((*server)->RegisterWorker("a", tree->leaf_of_point(7)).ok());
+    ASSERT_TRUE((*server)->RegisterWorker("b", tree->leaf_of_point(7)).ok());
+    auto dispatch = (*server)->SubmitTask("t", tree->leaf_of_point(7));
+    ASSERT_TRUE(dispatch.ok());
+    ++counts[*dispatch->worker];
+  }
+  EXPECT_NEAR(counts["a"] / 2000.0, 0.5, 0.05);
+}
+
+TEST(ShardedServerTest, ReportedTreeDistanceMatchesLeaves) {
+  auto tree = BuildTree();
+  for (int shards : {1, 4}) {
+    ShardedServerOptions options;
+    options.num_shards = shards;
+    auto server = ShardedTbfServer::Create(tree, options);
+    ASSERT_TRUE(server.ok());
+    ASSERT_TRUE((*server)->RegisterWorker("w", tree->leaf_of_point(5)).ok());
+    const LeafPath task_leaf = tree->leaf_of_point(30);
+    auto dispatch = (*server)->SubmitTask("t", task_leaf);
+    ASSERT_TRUE(dispatch.ok());
+    EXPECT_DOUBLE_EQ(dispatch->reported_tree_distance,
+                     tree->TreeDistance(task_leaf, tree->leaf_of_point(5)))
+        << "shards=" << shards;
+  }
+}
+
+TEST(ShardedServerTest, TasksSpendBudgetToo) {
+  auto tree = BuildTree();
+  for (int shards : {1, 4}) {
+    ShardedServerOptions options;
+    options.num_shards = shards;
+    options.lifetime_budget = 0.3;
+    auto server = ShardedTbfServer::Create(tree, options);
+    ASSERT_TRUE(server.ok());
+    ASSERT_TRUE(
+        (*server)->RegisterWorker("w", tree->leaf_of_point(0), 0.3).ok());
+    EXPECT_TRUE(
+        (*server)->SubmitTask("rider", tree->leaf_of_point(0), 0.3).ok());
+    // Same task id again: budget gone.
+    auto refused = (*server)->SubmitTask("rider", tree->leaf_of_point(0), 0.3);
+    EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition)
+        << "shards=" << shards;
+  }
+}
+
+TEST(ShardedServerTest, BatchRegisterAndSubmitMatchSingleCalls) {
+  auto tree = BuildTree();
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedServerOptions options;
+    options.num_shards = shards;
+    auto batch_server = ShardedTbfServer::Create(tree, options);
+    auto single_server = ShardedTbfServer::Create(tree, options);
+    ASSERT_TRUE(batch_server.ok());
+    ASSERT_TRUE(single_server.ok());
+
+    std::vector<LeafReport> workers;
+    for (int w = 0; w < 12; ++w) {
+      workers.push_back(
+          {"w" + std::to_string(w), tree->leaf_of_point(w * 3), {}});
+    }
+    std::vector<Status> statuses = (*batch_server)->RegisterWorkers(workers);
+    ASSERT_EQ(statuses.size(), workers.size());
+    for (size_t i = 0; i < workers.size(); ++i) {
+      EXPECT_TRUE(statuses[i].ok()) << i;
+      EXPECT_TRUE((*single_server)
+                      ->RegisterWorker(workers[i].user_id, workers[i].leaf)
+                      .ok());
+    }
+    EXPECT_EQ((*batch_server)->available_workers(), workers.size());
+
+    std::vector<LeafReport> tasks;
+    for (int t = 0; t < 6; ++t) {
+      tasks.push_back(
+          {"t" + std::to_string(t), tree->leaf_of_point(t * 5 + 1), {}});
+    }
+    std::vector<BatchDispatchOutcome> outcomes =
+        (*batch_server)->SubmitTasks(tasks);
+    ASSERT_EQ(outcomes.size(), tasks.size());
+    for (size_t t = 0; t < tasks.size(); ++t) {
+      ASSERT_TRUE(outcomes[t].status.ok()) << t;
+      auto expected =
+          (*single_server)->SubmitTask(tasks[t].user_id, tasks[t].leaf);
+      ASSERT_TRUE(expected.ok());
+      // Batch submission is the same online process: identical assignment
+      // sequence and reported distances.
+      EXPECT_EQ(outcomes[t].result.worker, expected->worker) << t;
+      EXPECT_DOUBLE_EQ(outcomes[t].result.reported_tree_distance,
+                       expected->reported_tree_distance);
+    }
+    EXPECT_EQ((*batch_server)->assigned_tasks(),
+              (*single_server)->assigned_tasks());
+  }
+}
+
+TEST(ShardedServerTest, CodeBatchSpansMatchPathBatches) {
+  auto tree = BuildTree();
+  const LeafCodec* codec = tree->codec();
+  ASSERT_NE(codec, nullptr);
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedServerOptions options;
+    options.num_shards = shards;
+    auto by_path = ShardedTbfServer::Create(tree, options);
+    auto by_code = ShardedTbfServer::Create(tree, options);
+    ASSERT_TRUE(by_path.ok());
+    ASSERT_TRUE(by_code.ok());
+
+    std::vector<LeafReport> path_workers;
+    std::vector<LeafCodeReport> code_workers;
+    for (int i = 0; i < 12; ++i) {
+      const LeafPath& leaf = tree->leaf_of_point(3 * i);
+      path_workers.push_back({"w" + std::to_string(i), leaf, std::nullopt});
+      code_workers.push_back(
+          {"w" + std::to_string(i), codec->Pack(leaf), std::nullopt});
+    }
+    auto path_statuses = (*by_path)->RegisterWorkers(path_workers);
+    auto code_statuses = (*by_code)->RegisterWorkers(code_workers);
+    ASSERT_EQ(path_statuses.size(), code_statuses.size());
+    for (size_t i = 0; i < path_statuses.size(); ++i) {
+      EXPECT_EQ(path_statuses[i].ok(), code_statuses[i].ok()) << i;
+    }
+
+    std::vector<LeafReport> path_tasks;
+    std::vector<LeafCodeReport> code_tasks;
+    for (int i = 0; i < 8; ++i) {
+      const LeafPath& leaf =
+          tree->leaf_of_point((5 * i + 1) % tree->num_points());
+      path_tasks.push_back({"t" + std::to_string(i), leaf, std::nullopt});
+      code_tasks.push_back(
+          {"t" + std::to_string(i), codec->Pack(leaf), std::nullopt});
+    }
+    auto path_outcomes = (*by_path)->SubmitTasks(path_tasks);
+    auto code_outcomes = (*by_code)->SubmitTasks(code_tasks);
+    ASSERT_EQ(path_outcomes.size(), code_outcomes.size());
+    for (size_t i = 0; i < path_outcomes.size(); ++i) {
+      EXPECT_EQ(path_outcomes[i].result.worker,
+                code_outcomes[i].result.worker)
+          << i;
+    }
+  }
+}
+
+TEST(ShardedServerTest, RejectsMalformedLeafCodes) {
+  auto tree = BuildTree();
+  const LeafCodec* codec = tree->codec();
+  ASSERT_NE(codec, nullptr);
+  ShardedServerOptions options;
+  options.num_shards = 4;
+  auto server = ShardedTbfServer::Create(tree, options);
+  ASSERT_TRUE(server.ok());
+  const LeafCode good = codec->Pack(tree->leaf_of_point(0));
+  ASSERT_TRUE(ValidateReportedLeafCode(*tree, good).ok());
+
+  const int low = 64 - codec->bits_per_digit() * codec->depth();
+  if (low > 0) {
+    // Stray bits below the last digit name no leaf: rejected, not aborted.
+    EXPECT_FALSE((*server)->RegisterWorker("w", good | 1).ok());
+    EXPECT_FALSE((*server)->SubmitTask("t", good | 1).ok());
+  }
+  if ((tree->arity() & (tree->arity() - 1)) != 0) {
+    // Non-power-of-two arity: a field holding `arity` is out of range.
+    const LeafCode bad = codec->WithDigit(good, 0, tree->arity());
+    EXPECT_FALSE((*server)->RegisterWorker("w", bad).ok());
+  }
+  EXPECT_EQ((*server)->available_workers(), 0u);
+}
+
+TEST(ShardedServerTest, BatchRegisterSkipsOnlyFailedItems) {
+  auto tree = BuildTree();
+  ShardedServerOptions options;
+  options.num_shards = 4;
+  options.lifetime_budget = 1.0;
+  auto server = ShardedTbfServer::Create(tree, options);
+  ASSERT_TRUE(server.ok());
+
+  std::vector<LeafReport> batch;
+  batch.push_back({"a", tree->leaf_of_point(0), 0.5});
+  batch.push_back({"b", tree->leaf_of_point(1), std::nullopt});  // no epsilon
+  batch.push_back({"c", LeafPath({0}), 0.5});                    // bad depth
+  batch.push_back({"d", tree->leaf_of_point(2), 0.5});
+  std::vector<Status> statuses = (*server)->RegisterWorkers(batch);
+  ASSERT_EQ(statuses.size(), 4u);
+  EXPECT_TRUE(statuses[0].ok());
+  EXPECT_FALSE(statuses[1].ok());
+  EXPECT_FALSE(statuses[2].ok());
+  EXPECT_TRUE(statuses[3].ok());
+  EXPECT_EQ((*server)->available_workers(), 2u);
+  EXPECT_TRUE((*server)->IsRegistered("a"));
+  EXPECT_FALSE((*server)->IsRegistered("b"));
+  EXPECT_FALSE((*server)->IsRegistered("c"));
+  EXPECT_TRUE((*server)->IsRegistered("d"));
 }
 
 TEST(ShardedServerTest, ConcurrentChurnKeepsInvariants) {
