@@ -14,12 +14,13 @@
 //     the leading set bit of a^b always falls inside the first differing
 //     digit's field. A digit-loop fallback is kept only for verification.
 //
-// A (depth, arity) shape fits iff depth * ⌈log2(c)⌉ <= 64; every tree the
-// builder produces over up to ~100k points fits comfortably (≤ ~45 bits).
-// Callers must check LeafCodec::Fits before constructing a codec; the
-// availability index transparently works without one (walking LeafPath
-// digits directly), so oversized trees degrade gracefully instead of
-// breaking.
+// A (depth, arity) shape fits iff depth * ⌈log2(c)⌉ <= 64. Measured on
+// TbfFramework::Build over uniform grids (seeds 1-3): 100² points need 50
+// bits, 316² (~100k) need 55, and 1000² (1M) need 65, so million-point
+// trees get no codec. Callers must check LeafCodec::Fits before
+// constructing a codec; the availability index transparently works
+// without one (walking LeafPath digits directly), so oversized trees
+// degrade to the LeafPath path instead of breaking.
 
 #pragma once
 

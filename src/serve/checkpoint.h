@@ -81,7 +81,7 @@ struct ReplayCheckpoint {
   int64_t next_task_slot = 0;        ///< next ReplayReport task slot
 
   /// First journal LSN *not* covered by this checkpoint: recovery
-  /// replays WAL records with lsn >= wal_next_lsn, and compaction may
+  /// verifies WAL records with lsn >= wal_next_lsn, and compaction may
   /// delete segments entirely below the oldest retained checkpoint's
   /// value. 0 for non-durable runs (no journal).
   uint64_t wal_next_lsn = 0;

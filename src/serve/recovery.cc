@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <thread>
 
 #include "common/fault.h"
 #include "hst/snapshot.h"
-#include "serve/republish.h"
 
 namespace tbf {
 
@@ -58,11 +56,6 @@ Result<ReplayCheckpoint> ReadCheckpointWithRetry(const std::string& path,
     }
   }
   return last;
-}
-
-std::string DivergenceAt(uint64_t lsn, const std::string& what) {
-  return "recovery: journal/state divergence at lsn " + std::to_string(lsn) +
-         ": " + what;
 }
 
 }  // namespace
@@ -172,164 +165,6 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
         ->Add(run.wal.truncated_records);
   }
   return run;
-}
-
-Result<WalReplayResult> ReplayWalSuffix(
-    ShardedTbfServer* server, const std::vector<WalRecord>& records,
-    size_t suffix_begin,
-    const std::vector<std::shared_ptr<const CompleteHst>>& republish_trees,
-    obs::MetricRegistry* metrics) {
-  WalReplayResult out;
-  RecoveredWindow* window = nullptr;
-
-  for (size_t i = suffix_begin; i < records.size(); ++i) {
-    const WalRecord& rec = records[i];
-    ++out.replayed_records;
-    switch (rec.kind) {
-      case WalRecordKind::kSegmentHeader:
-        break;  // carries no state
-
-      case WalRecordKind::kRepublish: {
-        if (rec.tree_epoch != server->tree_epoch() + 1) {
-          return Status::Internal(DivergenceAt(
-              rec.lsn, "republish to tree epoch " +
-                           std::to_string(rec.tree_epoch) +
-                           " but the engine is at tree epoch " +
-                           std::to_string(server->tree_epoch())));
-        }
-        if (rec.tree_epoch > republish_trees.size()) {
-          return Status::FailedPrecondition(
-              "recovery: journal records republish #" +
-              std::to_string(rec.tree_epoch) +
-              " but the run's schedule has only " +
-              std::to_string(republish_trees.size()) + " republish trees");
-        }
-        RepublishOptions fast_forward;
-        fast_forward.fast_forward = true;
-        Result<RepublishReport> swapped = server->Republish(
-            republish_trees[rec.tree_epoch - 1], fast_forward);
-        if (!swapped.ok()) return swapped.status();
-        break;
-      }
-
-      case WalRecordKind::kEpochBegin: {
-        out.windows.push_back(RecoveredWindow{});
-        window = &out.windows.back();
-        window->epoch = rec.epoch;
-        window->begin_index = rec.begin_index;
-        window->arrivals_obfuscated = rec.arrivals_obfuscated;
-        window->next_task_slot = rec.next_task_slot;
-        window->epoch_begun = true;
-        TBF_RETURN_NOT_OK(server->BeginEpoch(rec.epoch));
-        break;
-      }
-
-      case WalRecordKind::kQuarantine:
-      case WalRecordKind::kStreamFault: {
-        if (window == nullptr) {
-          return Status::Internal(
-              DivergenceAt(rec.lsn,
-                           "stage-1 record before any epoch-begin marker — "
-                           "the journal suffix does not start at a window "
-                           "boundary"));
-        }
-        ++window->stage1_records;
-        break;
-      }
-
-      case WalRecordKind::kWorkerArrival:
-      case WalRecordKind::kTaskArrival:
-      case WalRecordKind::kWorkerDeparture: {
-        if (window == nullptr) {
-          return Status::Internal(
-              DivergenceAt(rec.lsn,
-                           "dispatch record before any epoch-begin marker — "
-                           "the journal suffix does not start at a window "
-                           "boundary"));
-        }
-        // Forced records never reached the engine originally; re-applying
-        // them would fork ledger history.
-        if (!rec.outcome.forced) {
-          const std::optional<double> epsilon =
-              rec.has_epsilon ? std::optional<double>(rec.declared_epsilon)
-                              : std::nullopt;
-          if (rec.kind == WalRecordKind::kWorkerArrival) {
-            const Status applied =
-                rec.packed
-                    ? server->RegisterWorker(rec.id,
-                                             static_cast<LeafCode>(rec.code),
-                                             epsilon)
-                    : server->RegisterWorker(rec.id, rec.digits, epsilon);
-            if (static_cast<int32_t>(applied.code()) !=
-                rec.outcome.status_code) {
-              return Status::Internal(DivergenceAt(
-                  rec.lsn, "worker '" + rec.id + "' registration returned " +
-                               applied.ToString() + " but the journal "
-                               "recorded status code " +
-                               std::to_string(rec.outcome.status_code)));
-            }
-          } else if (rec.kind == WalRecordKind::kTaskArrival) {
-            const Result<DispatchResult> dispatched =
-                rec.packed
-                    ? server->SubmitTask(rec.id,
-                                         static_cast<LeafCode>(rec.code),
-                                         epsilon)
-                    : server->SubmitTask(rec.id, rec.digits, epsilon);
-            if (static_cast<int32_t>(dispatched.status().code()) !=
-                rec.outcome.status_code) {
-              return Status::Internal(DivergenceAt(
-                  rec.lsn, "task '" + rec.id + "' submission returned " +
-                               dispatched.status().ToString() +
-                               " but the journal recorded status code " +
-                               std::to_string(rec.outcome.status_code)));
-            }
-            if (dispatched.ok()) {
-              const bool has_worker = dispatched->worker.has_value();
-              if (has_worker != rec.outcome.has_worker ||
-                  (has_worker && *dispatched->worker != rec.outcome.worker)) {
-                return Status::Internal(DivergenceAt(
-                    rec.lsn,
-                    "task '" + rec.id + "' was assigned '" +
-                        (has_worker ? *dispatched->worker : "<none>") +
-                        "' but the journal recorded '" +
-                        (rec.outcome.has_worker ? rec.outcome.worker
-                                                : "<none>") +
-                        "'"));
-              }
-              if (dispatched->reported_tree_distance !=
-                  rec.outcome.tree_distance) {
-                return Status::Internal(DivergenceAt(
-                    rec.lsn, "task '" + rec.id + "' tree distance differs "
-                             "from the journaled value"));
-              }
-            }
-          } else {  // kWorkerDeparture — on disk only the missed flag
-            const Status applied = server->UnregisterWorker(rec.id);
-            if (applied.ok() == rec.missed) {
-              return Status::Internal(DivergenceAt(
-                  rec.lsn, "worker '" + rec.id + "' departure " +
-                               (applied.ok() ? "succeeded" : "missed") +
-                               " but the journal recorded the opposite"));
-            }
-          }
-        }
-        window->dispatched.push_back(rec);
-        window->epsilon_charged += rec.outcome.epsilon_charged;
-        if (rec.outcome.budget_denied == 1) ++window->denied_epoch;
-        if (rec.outcome.budget_denied == 2) ++window->denied_lifetime;
-        ++out.recovered_events;
-        break;
-      }
-    }
-  }
-
-  if (metrics != nullptr) {
-    metrics->FindOrCreateCounter("tbf_recovery_replayed_records_total")
-        ->Add(out.replayed_records);
-    metrics->FindOrCreateCounter("tbf_wal_recovered_events_total")
-        ->Add(out.recovered_events);
-  }
-  return out;
 }
 
 Result<CompleteHst> ReadHstSnapshotFileWithRetry(const std::string& path,

@@ -4,7 +4,7 @@
 // periodic checkpoints `ckpt-<ordinal:08>.ckpt` (serve/checkpoint.h) and
 // the segmented event journal `wal-<seq:08>.seg` (serve/wal.h). After a
 // crash — mid-append, mid-fsync, mid-rotation, mid-checkpoint — recovery
-// proceeds in three steps:
+// proceeds in two steps:
 //
 //   1. RecoverReplayDir picks the newest *valid* checkpoint. A checkpoint
 //      that fails to read with a transient IOError is retried once with a
@@ -13,22 +13,24 @@
 //      to the next-newest. It then scans the journal, repairs the torn
 //      tail (truncating at the first bad CRC / short frame with a
 //      record-precise report), cross-checks the journal identity against
-//      the checkpoint, and locates the replay suffix: the first journal
+//      the checkpoint, and locates the journal suffix: the first journal
 //      record with lsn >= the checkpoint's wal_next_lsn.
-//   2. The caller restores the checkpoint into a fresh ShardedTbfServer
-//      (the existing resume path), then ReplayWalSuffix re-applies the
-//      journal suffix through the engine. Each dispatched record carries
-//      the outcome the original run observed; the replayed outcome must
-//      match field-for-field or recovery fails with a journal/state
-//      divergence error rather than silently forking history.
-//   3. ReplayWalSuffix also reconstructs, per event window touched by the
-//      suffix, what the window had already completed (stage-1 quarantine
-//      records, dispatched events, ledger charges) so the replay loop can
-//      re-enter the window and skip exactly the journaled work.
+//   2. The replay loop (serve/replay.h, ReplayOptions::recover) restores
+//      the checkpoint into a fresh engine and continues from its cursor
+//      exactly as a fresh run would: republish, BeginEpoch, stage-1
+//      records, obfuscation, dispatch. Each record it produces is
+//      compared, byte for byte under the journaled lsn, with the next
+//      suffix record instead of being appended; the first difference is
+//      an Internal "journal/state divergence at lsn N" error, never a
+//      silent fork of history. Once every suffix record is verified the
+//      loop appends as usual. The engine is reached only through the
+//      loop's own dispatch, so recovery decides, charges and journals
+//      exactly what the uninterrupted run did.
 //
 // Metrics: tbf_recovery_attempts_total, tbf_recovery_checkpoints_rejected
-// _total, tbf_recovery_io_retries_total, tbf_recovery_replayed_records
-// _total, tbf_wal_recovered_events_total, tbf_wal_truncated_records_total.
+// _total, tbf_recovery_io_retries_total, tbf_wal_truncated_records_total
+// (RecoverReplayDir); tbf_recovery_replayed_records_total and
+// tbf_wal_recovered_events_total (the replay loop's verification).
 // Fault site: "recovery.scan" fires on every checkpoint read attempt.
 
 #pragma once
@@ -42,7 +44,6 @@
 #include "hst/complete_hst.h"
 #include "obs/metrics.h"
 #include "serve/checkpoint.h"
-#include "serve/sharded_server.h"
 #include "serve/wal.h"
 
 namespace tbf {
@@ -91,56 +92,12 @@ struct RecoveredRun {
 /// \brief Scans a durable replay directory: newest-valid checkpoint
 /// selection (transient reads retried, corrupt files rejected with
 /// fallback), journal scan + torn-tail repair, identity cross-checks,
-/// suffix location. Fails (never silently drops events) when the journal
+/// suffix location. Applies nothing: the replay loop re-runs and
+/// verifies the suffix. Fails (never silently drops events) when the journal
 /// has a gap the surviving checkpoints cannot cover.
 Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
                                       const RecoveryPolicy& policy = {},
                                       obs::MetricRegistry* metrics = nullptr);
-
-/// \brief What the journal proves one event window had already completed
-/// before the crash. The replay loop re-enters the window and skips
-/// exactly this much work (the outcomes below are the journaled ones, so
-/// skipping re-dispatch cannot fork history — and cannot re-spend
-/// privacy budget).
-struct RecoveredWindow {
-  int64_t epoch = 0;
-  uint64_t begin_index = 0;          ///< first trace index of the window
-  uint64_t arrivals_obfuscated = 0;  ///< ForkAt offset at window start
-  int64_t next_task_slot = 0;        ///< report task slot at window start
-  bool epoch_begun = false;  ///< BeginEpoch already applied (via journal)
-  /// Stage-1 (pre-dispatch) records already journaled: quarantines and
-  /// stream-fault bookkeeping, in journal order.
-  size_t stage1_records = 0;
-  /// Dispatched events already journaled (arrival/task/departure records
-  /// with their outcomes), in dispatch order.
-  std::vector<WalRecord> dispatched;
-  /// Ledger deltas the journaled dispatches produced (per window).
-  double epsilon_charged = 0.0;
-  uint64_t denied_epoch = 0;
-  uint64_t denied_lifetime = 0;
-};
-
-struct WalReplayResult {
-  /// Windows the suffix touched, oldest first. The last one may be
-  /// partial (the crash happened inside it).
-  std::vector<RecoveredWindow> windows;
-  uint64_t replayed_records = 0;  ///< journal records consumed
-  uint64_t recovered_events = 0;  ///< dispatched events re-applied
-};
-
-/// \brief Re-applies `records[suffix_begin..]` through the engine:
-/// BeginEpoch at window markers, registration/submission/unregistration
-/// with the *journaled* obfuscated reports, republishes fast-forwarded
-/// from `republishes` (the run's schedule). Verifies every replayed
-/// outcome against the journaled one; any divergence (status code,
-/// assigned worker, tree distance, ledger charge) is an Internal error —
-/// the journal and the engine disagree and recovery must not guess.
-/// Records whose outcome is `forced` (an injected pre-engine denial)
-/// are counted but not re-applied.
-Result<WalReplayResult> ReplayWalSuffix(
-    ShardedTbfServer* server, const std::vector<WalRecord>& records,
-    size_t suffix_begin, const std::vector<std::shared_ptr<const CompleteHst>>& republish_trees,
-    obs::MetricRegistry* metrics = nullptr);
 
 /// \brief ReadHstSnapshotFile with the recovery retry policy: a transient
 /// IOError (file vanished mid-read, open refused) is retried up to

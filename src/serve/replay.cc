@@ -324,11 +324,16 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     TBF_RETURN_NOT_OK(restore_from_checkpoint(ckpt));
   }
 
-  // Durable serving: recover the directory (newest valid checkpoint +
-  // journal-suffix re-apply), then open the journal for appending.
+  // Durable serving: restore the directory's newest valid checkpoint, then
+  // open the journal for appending. The journal records past that
+  // checkpoint are not applied here: the loop below re-runs them from the
+  // checkpoint's cursor exactly as a fresh run would, and journal() checks
+  // each record it produces against the journaled one until none remain.
   std::unique_ptr<WalWriter> wal;
-  std::vector<RecoveredWindow> resume_windows;
-  size_t resume_window_idx = 0;
+  std::vector<WalRecord> journaled;  // recovered journal, lsn order
+  size_t verify_next = 0;            // first journaled record not verified
+  obs::Counter* verified_records_metric = nullptr;
+  obs::Counter* verified_events_metric = nullptr;
   std::vector<RetainedCheckpoint> retained;  // valid ckpts, ordinal order
   if (durable) {
     WalIdentity wal_identity;
@@ -351,39 +356,63 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       }
       retained = std::move(recovered.retained);
       report.wal_truncated_records = recovered.wal.truncated_records;
+      verified_records_metric = run_metrics.FindOrCreateCounter(
+          "tbf_recovery_replayed_records_total");
+      verified_events_metric =
+          run_metrics.FindOrCreateCounter("tbf_wal_recovered_events_total");
       if (recovered.checkpoint.has_value()) {
         TBF_RETURN_NOT_OK(restore_from_checkpoint(*recovered.checkpoint));
       }
-      std::vector<std::shared_ptr<const CompleteHst>> republish_trees;
-      republish_trees.reserve(options.republishes.size());
-      for (const ReplayRepublish& entry : options.republishes) {
-        republish_trees.push_back(entry.tree);
-      }
-      TBF_ASSIGN_OR_RETURN(
-          WalReplayResult applied,
-          ReplayWalSuffix(server.get(), recovered.wal.records,
-                          recovered.suffix_begin, republish_trees,
-                          &run_metrics));
-      report.recovered_events = applied.recovered_events;
-      resume_windows = std::move(applied.windows);
-      if (!resume_windows.empty()) {
-        // Rewind the cursor to the first suffix window's start: the loop
-        // re-enters it and skips exactly the journaled work.
-        const RecoveredWindow& first = resume_windows.front();
-        begin = static_cast<size_t>(first.begin_index);
-        arrivals_obfuscated = first.arrivals_obfuscated;
-        next_task_slot = static_cast<int>(first.next_task_slot);
-        report.resumed = true;
-      }
-      // The engine's tree epoch counts schedule entries applied (via the
-      // checkpoint fast-forward and/or journaled republish records).
-      next_republish = static_cast<size_t>(server->tree_epoch());
-      report.republishes = server->tree_epoch();
+      journaled = std::move(recovered.wal.records);
+      verify_next = recovered.suffix_begin;
     }
     TBF_ASSIGN_OR_RETURN(wal, WalWriter::Open(options.durable_dir,
                                               wal_identity, options.wal_fsync,
                                               &run_metrics));
   }
+
+  // True while recovered journal records remain unverified. Segment
+  // headers carry no loop state and are passed over.
+  const auto verifying = [&]() {
+    while (verify_next < journaled.size() &&
+           journaled[verify_next].kind == WalRecordKind::kSegmentHeader) {
+      ++verify_next;
+      verified_records_metric->Add(1);
+    }
+    return verify_next < journaled.size();
+  };
+  // Every record the loop produces goes through here. While recovered
+  // records remain, the record (re-decided by the loop from the restored
+  // state) must encode exactly as the journaled one under its lsn; any
+  // difference means the journal and this run disagree, and recovery
+  // must not guess which is right. Afterwards records are appended.
+  const auto journal = [&](WalRecord* rec) -> Status {
+    if (wal == nullptr) return Status::OK();
+    if (!verifying()) return wal->Append(rec);
+    const WalRecord& logged = journaled[verify_next];
+    rec->lsn = logged.lsn;
+    if (EncodeWalRecord(*rec) != EncodeWalRecord(logged)) {
+      const auto label = [](const WalRecord& r) {
+        return "kind " + std::to_string(static_cast<int>(r.kind)) +
+               ", event " + std::to_string(r.event_index) + " '" + r.id + "'";
+      };
+      return Status::Internal(
+          "recovery: journal/state divergence at lsn " +
+          std::to_string(logged.lsn) + ": the re-run loop produced (" +
+          label(*rec) + ") but the journal holds (" + label(logged) +
+          ") with different fields");
+    }
+    ++verify_next;
+    verified_records_metric->Add(1);
+    if (rec->kind == WalRecordKind::kWorkerArrival ||
+        rec->kind == WalRecordKind::kTaskArrival ||
+        rec->kind == WalRecordKind::kWorkerDeparture) {
+      ++report.recovered_events;
+      verified_events_metric->Add(1);
+    }
+    return Status::OK();
+  };
+  if (verifying()) report.resumed = true;
 
   WallTimer total_timer;
   uint64_t epochs_completed_this_run = 0;
@@ -404,51 +433,20 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       if (!republished.ok()) return republished.status();
       ++next_republish;
       ++report.republishes;
-      if (wal != nullptr) {
-        WalRecord rec;
-        rec.kind = WalRecordKind::kRepublish;
-        rec.tree_epoch = server->tree_epoch();
-        TBF_RETURN_NOT_OK(wal->Append(&rec));
-      }
+      WalRecord rec;
+      rec.kind = WalRecordKind::kRepublish;
+      rec.tree_epoch = server->tree_epoch();
+      TBF_RETURN_NOT_OK(journal(&rec));
     }
-
-    // Recovery re-entry: `rw` describes what the journal proved this
-    // window had already completed. The loop recomputes the window from
-    // the trace and skips exactly that much work — re-journaling,
-    // BeginEpoch, and re-dispatch of the journaled prefix.
-    RecoveredWindow* rw = resume_window_idx < resume_windows.size()
-                              ? &resume_windows[resume_window_idx]
-                              : nullptr;
-    if (rw != nullptr &&
-        (rw->epoch != epoch || rw->begin_index != begin ||
-         rw->arrivals_obfuscated != arrivals_obfuscated ||
-         rw->next_task_slot != next_task_slot)) {
-      return Status::Internal(
-          "recovery: journaled window cursor (epoch " +
-          std::to_string(rw->epoch) + ", event " +
-          std::to_string(rw->begin_index) +
-          ") disagrees with the replay loop (epoch " + std::to_string(epoch) +
-          ", event " + std::to_string(begin) +
-          ") — trace or schedule changed since the crash?");
-    }
-    if (wal != nullptr && !(rw != nullptr && rw->epoch_begun)) {
+    {
       WalRecord rec;
       rec.kind = WalRecordKind::kEpochBegin;
       rec.epoch = epoch;
       rec.begin_index = static_cast<uint64_t>(begin);
       rec.arrivals_obfuscated = arrivals_obfuscated;
       rec.next_task_slot = next_task_slot;
-      TBF_RETURN_NOT_OK(wal->Append(&rec));
+      TBF_RETURN_NOT_OK(journal(&rec));
     }
-    const size_t stage1_skip = rw != nullptr ? rw->stage1_records : 0;
-    size_t stage1_seen = 0;
-    // Journals one stage-1 (pre-dispatch) record, skipping the prefix the
-    // journal already holds from before the crash.
-    const auto journal_stage1 = [&](WalRecord rec) -> Status {
-      const size_t ordinal = stage1_seen++;
-      if (wal == nullptr || ordinal < stage1_skip) return Status::OK();
-      return wal->Append(&rec);
-    };
 
     EpochStats stats;
     stats.epoch = epoch;
@@ -465,7 +463,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       rec.event_index = static_cast<uint64_t>(i);
       rec.id = trace.events[i].id;
       rec.cause = std::move(cause);
-      return journal_stage1(std::move(rec));
+      return journal(&rec);
     };
     const auto journal_stream_fault = [&](size_t i,
                                           uint8_t fault_kind) -> Status {
@@ -473,7 +471,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       rec.kind = WalRecordKind::kStreamFault;
       rec.event_index = static_cast<uint64_t>(i);
       rec.fault_kind = fault_kind;
-      return journal_stage1(std::move(rec));
+      return journal(&rec);
     };
 
     // The window's event order, after quarantine and after the armed
@@ -543,15 +541,6 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       }
     }
     if (reorder_deferred) order.push_back(*reorder_deferred);
-    if (stage1_seen < stage1_skip) {
-      return Status::Internal(
-          "recovery: the journal holds " + std::to_string(stage1_skip) +
-          " stage-1 records for epoch " + std::to_string(epoch) +
-          " but the re-run window produced only " +
-          std::to_string(stage1_seen) +
-          " — the event stream is not reproducible (stream-fault plan "
-          "not re-armed?)");
-    }
 
     // Client-side reporting for this window, batched over the pool. The
     // fork offset makes report i of the trace independent of where the
@@ -589,29 +578,10 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       prepared.push_back(item);
       ++report.processed_events;
     }
-    // Journaled dispatch prefix of a recovered window: those events were
-    // already re-applied to the engine from the journal, so the loop
-    // only reconstructs their report-level bookkeeping below.
-    const size_t dispatch_skip =
-        rw != nullptr ? rw->dispatched.size() : 0;
-    if (dispatch_skip > prepared.size()) {
-      return Status::Internal(
-          "recovery: the journal holds " + std::to_string(dispatch_skip) +
-          " dispatched events for epoch " + std::to_string(epoch) +
-          " but the re-run window prepared only " +
-          std::to_string(prepared.size()) +
-          " — the event stream is not reproducible (stream-fault plan "
-          "not re-armed?)");
-    }
 
     std::vector<LeafCode> code_reports;
     std::vector<LeafPath> path_reports;
-    // A fully journaled window never touches the engine again, so its
-    // obfuscated reports are not needed; the draw stream stays aligned
-    // because report i always forks at offset arrivals_obfuscated + i.
-    const bool skip_obfuscation = dispatch_skip == prepared.size() &&
-                                  rw != nullptr;
-    if (!skip_obfuscation) {
+    {
       obs::ScopedTimer obf_timer(&stats.obfuscate_seconds);
       if (packed) {
         code_reports =
@@ -626,7 +596,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       }
     }
     arrivals_obfuscated += locations.size();
-    if (!locations.empty() && !skip_obfuscation) {
+    if (!locations.empty()) {
       // The batched pass's wall time, attributed evenly to its reports
       // (one O(1) RecordN, not one Record per report).
       const double per_report =
@@ -637,11 +607,8 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     }
 
     // Epoch budgets roll over at the window boundary, even across empty
-    // windows (BeginEpoch jumps forward). Recovery already applied this
-    // window's rollover from its journal marker.
-    if (!(rw != nullptr && rw->epoch_begun)) {
-      TBF_RETURN_NOT_OK(server->BeginEpoch(epoch));
-    }
+    // windows (BeginEpoch jumps forward).
+    TBF_RETURN_NOT_OK(server->BeginEpoch(epoch));
 
     // Dispatch. One lane per shard in parallel mode: lanes preserve
     // per-shard event order, the engine's locks linearize the rest.
@@ -657,8 +624,8 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
         forced = TBF_FAULT_INJECT_AT("replay.budget", item.event_index);
       }
       // Journal-after-apply: the record carries the engine's outcome and
-      // the ledger delta this one dispatch produced, so recovery can
-      // replay it without re-deciding (or re-charging) anything.
+      // the ledger delta this one dispatch produced. Recovery re-decides
+      // the event and must reproduce this record exactly.
       WalRecord rec;
       rec.event_index = item.event_index;
       rec.id = event.id;
@@ -751,93 +718,17 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
           break;
         }
       }
-      if (wal != nullptr) {
-        if (event_ledger != nullptr) {
-          const EpochBudgetLedger::Totals charged = event_ledger->totals();
-          rec.outcome.epsilon_charged =
-              charged.epsilon_spent - charged_before.epsilon_spent;
-          if (charged.denied_epoch > charged_before.denied_epoch) {
-            rec.outcome.budget_denied = 1;
-          } else if (charged.denied_lifetime > charged_before.denied_lifetime) {
-            rec.outcome.budget_denied = 2;
-          }
+      if (event_ledger != nullptr) {
+        const EpochBudgetLedger::Totals charged = event_ledger->totals();
+        rec.outcome.epsilon_charged =
+            charged.epsilon_spent - charged_before.epsilon_spent;
+        if (charged.denied_epoch > charged_before.denied_epoch) {
+          rec.outcome.budget_denied = 1;
+        } else if (charged.denied_lifetime > charged_before.denied_lifetime) {
+          rec.outcome.budget_denied = 2;
         }
-        TBF_RETURN_NOT_OK(wal->Append(&rec));
       }
-      return Status::OK();
-    };
-
-    // Reconstructs the report-level bookkeeping of one journaled dispatch
-    // (the engine was already advanced by recovery's journal replay) and
-    // verifies the re-run window lines up with the journal.
-    const auto skip_journaled = [&](const PreparedEvent& item,
-                                    const WalRecord& logged,
-                                    LaneStats* lane) -> Status {
-      const TimedEvent& event = *item.event;
-      WalRecordKind want = WalRecordKind::kWorkerDeparture;
-      if (event.kind == EventKind::kWorkerArrival) {
-        want = WalRecordKind::kWorkerArrival;
-      } else if (event.kind == EventKind::kTaskArrival) {
-        want = WalRecordKind::kTaskArrival;
-      }
-      if (logged.kind != want || logged.event_index != item.event_index ||
-          logged.id != event.id) {
-        return Status::Internal(
-            "recovery: re-run window event " +
-            std::to_string(item.event_index) + " ('" + event.id +
-            "') disagrees with the journaled record at lsn " +
-            std::to_string(logged.lsn) +
-            " — the event stream is not reproducible");
-      }
-      const StatusCode logged_code =
-          static_cast<StatusCode>(logged.outcome.status_code);
-      switch (event.kind) {
-        case EventKind::kWorkerArrival:
-          if (logged.outcome.status_code == 0) {
-            ++lane->registered;
-          } else if (logged_code == StatusCode::kResourceExhausted) {
-            ++lane->shed;
-          } else {
-            ++lane->denied;
-          }
-          break;
-        case EventKind::kTaskArrival: {
-          if (logged.task_slot != item.task_slot) {
-            return Status::Internal(
-                "recovery: journaled task slot " +
-                std::to_string(logged.task_slot) +
-                " disagrees with the re-run slot " +
-                std::to_string(item.task_slot) + " at lsn " +
-                std::to_string(logged.lsn));
-          }
-          TaskOutcome& outcome =
-              report.task_outcomes[static_cast<size_t>(item.task_slot)];
-          outcome.task_id = event.id;
-          if (logged.outcome.status_code == 0) {
-            outcome.status = Status::OK();
-            outcome.reported_tree_distance = logged.outcome.tree_distance;
-            if (logged.outcome.has_worker) {
-              outcome.worker = logged.outcome.worker;
-              ++lane->assigned;
-            } else {
-              outcome.worker = std::nullopt;
-              ++lane->unassigned;
-            }
-          } else {
-            outcome.status = Status(logged_code, logged.outcome.message);
-            if (logged_code == StatusCode::kResourceExhausted) {
-              ++lane->shed;
-            } else {
-              ++lane->denied;
-            }
-          }
-          break;
-        }
-        case EventKind::kWorkerDeparture:
-          if (logged.missed) ++lane->missed_departures;
-          break;
-      }
-      return Status::OK();
+      return journal(&rec);
     };
 
     // Ledger totals bracket the dispatch: every charge (and denial)
@@ -850,15 +741,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     std::vector<LaneStats> lanes;
     if (!options.parallel_dispatch || options.num_shards == 1) {
       lanes.resize(1);
-      size_t pos = 0;
       for (const PreparedEvent& item : prepared) {
-        if (pos < dispatch_skip) {
-          TBF_RETURN_NOT_OK(
-              skip_journaled(item, rw->dispatched[pos], &lanes[0]));
-          ++pos;
-          continue;
-        }
-        ++pos;
         TBF_RETURN_NOT_OK(dispatch_one(item, &lanes[0]));
       }
     } else {
@@ -922,14 +805,6 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       stats.denied_lifetime_budget =
           totals.denied_lifetime - totals_before.denied_lifetime;
     }
-    if (rw != nullptr) {
-      // The journaled prefix's charges landed during recovery's journal
-      // replay, before this window's bracket: add them back so the
-      // window's stats match the uninterrupted run.
-      stats.epsilon_spent += rw->epsilon_charged;
-      stats.denied_epoch_budget += rw->denied_epoch;
-      stats.denied_lifetime_budget += rw->denied_lifetime;
-    }
     for (const LaneStats& lane : lanes) {
       report.registered += lane.registered;
       stats.assigned += lane.assigned;
@@ -947,7 +822,6 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     report.dispatch_seconds += stats.dispatch_seconds;
     report.per_epoch.push_back(stats);
     begin = end;
-    if (rw != nullptr) ++resume_window_idx;
 
     ++epochs_completed_this_run;
     const auto build_checkpoint = [&]() -> ReplayCheckpoint {
@@ -995,12 +869,10 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     // Durable checkpoint: journal barrier first, so wal_next_lsn names a
     // durable journal position; then retention + whole-segment rotation
     // and compaction below the *oldest* retained checkpoint (keeping the
-    // fallback recoverable). Suppressed while earlier recovered windows
-    // are still being re-entered: a checkpoint here would claim journal
-    // coverage of windows whose work is journaled but not yet in this
-    // run's report.
-    if (durable && checkpoint_due &&
-        resume_window_idx >= resume_windows.size()) {
+    // fallback recoverable). None while recovered journal records remain
+    // unverified: a checkpoint here would claim journal coverage of
+    // records this run has not yet re-produced.
+    if (durable && checkpoint_due && !verifying()) {
       TBF_RETURN_NOT_OK(wal->Sync());
       ++report.checkpoints_written;
       checkpoint_metric->Add(1);
@@ -1027,12 +899,12 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
         "replay.epoch", static_cast<uint64_t>(report.per_epoch.size() - 1)));
   }
 
-  if (resume_window_idx < resume_windows.size()) {
+  if (verifying()) {
     return Status::Internal(
-        "recovery: " +
-        std::to_string(resume_windows.size() - resume_window_idx) +
-        " journaled window(s) were never re-entered by the replay loop — "
-        "trace shorter than the journaled run?");
+        "recovery: journal records from lsn " +
+        std::to_string(journaled[verify_next].lsn) +
+        " on were never re-produced by the replay loop — trace shorter "
+        "than the journaled run?");
   }
   // Final journal barrier: everything this run processed is durable
   // before the report is assembled.

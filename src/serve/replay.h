@@ -109,9 +109,12 @@ struct ReplayOptions {
   /// the framework's configured sampler (TbfOptions::sampler). A non-walk
   /// sampler (kInverseCdf, or the timing-oblivious kOblivious) requires a
   /// tree shape that fits packed codes. Like the seeds, the sampler is
-  /// part of a run's identity: resuming a checkpointed run with a
+  /// part of a run's identity. Resuming a single-file checkpoint with a
   /// different sampler changes the obfuscation draw stream and is on the
-  /// caller, exactly as rebuilding the framework differently would be.
+  /// caller, exactly as rebuilding the framework differently would be. A
+  /// durable `recover` with a different sampler (or declared epsilon)
+  /// re-draws reports that differ from the journaled ones and fails as a
+  /// journal/state divergence.
   std::optional<SamplerKind> sampler;
 
   /// Poison-event handling (see PoisonPolicy).
@@ -156,10 +159,15 @@ struct ReplayOptions {
   int keep_checkpoints = 2;
 
   /// Crash-anywhere recovery: before replaying, scan `durable_dir`
-  /// (serve/recovery.h) — restore the newest valid checkpoint, repair
-  /// the journal's torn tail, re-apply the journal suffix through the
-  /// engine, and re-enter the interrupted window skipping exactly the
-  /// journaled work. A fresh (empty) directory starts a normal run.
+  /// (serve/recovery.h), repair the journal's torn tail and restore the
+  /// newest valid checkpoint. The loop then continues from the
+  /// checkpoint's cursor as a fresh run would, checking every record it
+  /// produces against the journal suffix (Internal "journal/state
+  /// divergence at lsn N" on the first difference) until the suffix is
+  /// used up, and appending from there on. Fault plans armed for the
+  /// original run must be armed again: injected stream faults and forced
+  /// denials are re-decided, not read back. A fresh (empty) directory
+  /// starts a normal run.
   bool recover = false;
 
   /// Export the engine's full final state (worker registry, free-list
@@ -279,9 +287,11 @@ struct ReplayReport {
 
   /// Checkpoints written by this run (resumed runs count only their own).
   uint64_t checkpoints_written = 0;
-  /// True when this run resumed from a checkpoint.
+  /// True when this run resumed from a checkpoint or re-ran journaled
+  /// work during recovery.
   bool resumed = false;
-  /// Journaled events re-applied by crash recovery (0 for fresh runs).
+  /// Journaled dispatch records (arrivals, tasks, departures) recovery
+  /// re-produced and verified (0 for fresh runs).
   uint64_t recovered_events = 0;
   /// Torn journal records dropped by the tail repair during recovery.
   uint64_t wal_truncated_records = 0;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <type_traits>
+#include <unordered_set>
 #include <utility>
 
 #include "common/fault.h"
@@ -686,53 +688,97 @@ Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
         ") — fast-forward the engine by re-applying the republish schedule "
         "before restoring");
   }
+  // The documented lock order: every shard mutex ascending, then the pool.
+  std::vector<std::unique_lock<std::mutex>> shard_locks;
+  shard_locks.reserve(shards_.size());
+  for (auto& shard : shards_) shard_locks.emplace_back(shard->mu);
   std::lock_guard<std::mutex> pool_lock(pool_mu_);
   if (!workers_.empty()) {
     return Status::FailedPrecondition(
         "RestoreState requires a freshly created engine");
   }
+  // Validate everything before the first mutation, so a refused state
+  // leaves the engine fresh and the index never sees a bad digit or a
+  // duplicate item id.
   const size_t pool_size = state.worker_by_index_id.size();
+  std::vector<uint8_t> id_taken(pool_size, 0);
   for (int free_id : state.free_index_ids) {
     if (free_id < 0 || static_cast<size_t>(free_id) >= pool_size) {
       return Status::InvalidArgument("server state: free id out of range");
     }
+    if (id_taken[static_cast<size_t>(free_id)]++ != 0) {
+      return Status::InvalidArgument("server state: free id " +
+                                     std::to_string(free_id) +
+                                     " listed twice");
+    }
   }
+  std::unordered_set<std::string_view> listed;
+  std::vector<LeafPath> leaves;  // path mode: parsed once, inserted below
+  if (!packed_) leaves.reserve(state.workers.size());
   for (const ShardedServerState::Worker& w : state.workers) {
+    const auto refuse = [&w](const std::string& why) {
+      return Status::InvalidArgument("server state: worker '" + w.id + "' " +
+                                     why);
+    };
     if (w.index_id < 0 || static_cast<size_t>(w.index_id) >= pool_size ||
         state.worker_by_index_id[static_cast<size_t>(w.index_id)] != w.id) {
       return Status::InvalidArgument(
           "server state: worker/index-id table mismatch for '" + w.id + "'");
     }
+    if (!listed.insert(w.id).second) return refuse("is listed twice");
+    if (id_taken[static_cast<size_t>(w.index_id)]++ != 0) {
+      return refuse("holds a free index id");
+    }
     if (w.shard < 0 || w.shard >= router_.num_shards()) {
       return Status::InvalidArgument("server state: shard out of range for '" +
                                      w.id + "'");
     }
+    Status valid;
+    int route = 0;
+    if (packed_) {
+      valid = ValidateReportedLeafCode(tree(), w.code);
+      if (valid.ok()) route = router_.ShardOf(w.code, *tree().codec());
+    } else {
+      TBF_ASSIGN_OR_RETURN(LeafPath leaf, LeafFromDigits(w.leaf_digits));
+      valid = ValidateReportedLeaf(tree(), leaf);
+      if (valid.ok()) route = router_.ShardOf(leaf);
+      leaves.push_back(std::move(leaf));
+    }
+    if (!valid.ok()) return refuse("has a bad leaf: " + valid.message());
+    if (route != w.shard) {
+      return refuse("is stored on shard " + std::to_string(w.shard) +
+                    " but its leaf routes to shard " + std::to_string(route));
+    }
   }
-  TBF_RETURN_NOT_OK(rng_.RestoreState(state.rng_state));
+  Rng rng = rng_;
+  TBF_RETURN_NOT_OK(rng.RestoreState(state.rng_state));
+  // The ledger validates its own input and restores all-or-nothing, so it
+  // is the first (and only fallible) mutation.
+  if (ledger_ != nullptr) {
+    std::lock_guard<std::mutex> lock(budget_mu_);
+    TBF_RETURN_NOT_OK(ledger_->RestoreState(*state.ledger));
+  }
+  rng_ = rng;
   worker_by_index_id_ = state.worker_by_index_id;
   free_index_ids_ = state.free_index_ids;
-  for (const ShardedServerState::Worker& w : state.workers) {
+  for (size_t i = 0; i < state.workers.size(); ++i) {
+    const ShardedServerState::Worker& w = state.workers[i];
     WorkerState& worker = workers_[w.id];
     worker.index_id = w.index_id;
     worker.shard = w.shard;
-    Shard& shard = *shards_[static_cast<size_t>(w.shard)];
-    std::lock_guard<std::mutex> shard_lock(shard.mu);
+    HstAvailabilityIndex& index = shards_[static_cast<size_t>(w.shard)]->index;
     if (packed_) {
       worker.code = w.code;
-      shard.index.Insert(w.code, w.index_id);
+      index.Insert(w.code, w.index_id);
     } else {
-      TBF_ASSIGN_OR_RETURN(worker.leaf, LeafFromDigits(w.leaf_digits));
-      shard.index.Insert(worker.leaf, w.index_id);
+      worker.leaf = std::move(leaves[i]);
+      index.Insert(worker.leaf, w.index_id);
     }
   }
   available_.store(state.workers.size(), std::memory_order_relaxed);
   assigned_tasks_.store(static_cast<size_t>(state.assigned_tasks),
                         std::memory_order_relaxed);
   available_metric_->Set(static_cast<int64_t>(state.workers.size()));
-  if (ledger_ != nullptr) {
-    std::lock_guard<std::mutex> lock(budget_mu_);
-    TBF_RETURN_NOT_OK(ledger_->RestoreState(*state.ledger));
-  }
   return Status::OK();
 }
 

@@ -341,8 +341,10 @@ class ShardedTbfServer {
   /// created engine with identical construction options (tree, shard
   /// count, budgets). After restore, the engine continues draw-for-draw
   /// as the exported one would have. Do not call concurrently with
-  /// operations; fails (leaving the engine unusable for determinism
-  /// purposes) on inconsistent input.
+  /// operations. Inconsistent input (out-of-range or duplicated ids, a
+  /// leaf invalid for the published tree, a shard its leaf does not route
+  /// to, a bad RNG or ledger state) is refused with InvalidArgument before
+  /// anything changes, so a refused state leaves the engine fresh.
   Status RestoreState(const ShardedServerState& state);
 
  private:

@@ -6,13 +6,14 @@
 // carried and the outcome (status, assignment, ledger charge) the engine
 // produced*, before the loop moves on. Together with the periodic
 // checkpoints (serve/checkpoint.h) this closes the durability gap between
-// checkpoints: after a crash anywhere, the recovery supervisor
-// (serve/recovery.h) restores the newest valid checkpoint and replays the
-// journal suffix through the engine, reproducing state field-for-field
-// identical to an uninterrupted run. Logging the report (not just the
-// event) matters in a DP system: re-collecting a location to rebuild
-// state would re-spend privacy budget; replaying the logged report spends
-// nothing.
+// checkpoints: after a crash anywhere, recovery (serve/recovery.h)
+// restores the newest valid checkpoint and re-runs the replay loop from
+// it, checking every record the loop produces against the journal suffix,
+// which reproduces state field-for-field identical to an uninterrupted
+// run. Logging the report (not just the event) matters in a DP system: a
+// re-run that drew a different report for an already-served event would
+// release that location a second time, so recovery refuses any report
+// that differs from the logged one.
 //
 // On-disk layout. A journal is a directory of segment files
 // `wal-<seq:08>.seg`. Each segment is a stream of CRC-framed records:
@@ -34,7 +35,7 @@
 // LSNs are assigned by the writer and strictly increase by one across
 // records *and* segments (segment headers consume an LSN too), so a
 // checkpoint's `wal_next_lsn` names an exact journal position: recovery
-// replays records with lsn >= wal_next_lsn and compaction deletes
+// verifies records with lsn >= wal_next_lsn and compaction deletes
 // segments entirely below the oldest retained checkpoint.
 //
 // Durability policies (WalFsyncPolicy):
@@ -115,7 +116,8 @@ struct WalOutcome {
   double epsilon_charged = 0.0;    ///< ledger delta of this dispatch
   uint8_t budget_denied = 0;       ///< 0 none, 1 epoch cap, 2 lifetime cap
   /// True when an injected fault refused the report *before* it reached
-  /// the engine ("replay.budget"): recovery must not re-apply it either.
+  /// the engine ("replay.budget"). Recovery re-decides it under the
+  /// re-armed fault plan and must reproduce this flag.
   bool forced = false;
 };
 

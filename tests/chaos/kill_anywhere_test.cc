@@ -8,7 +8,9 @@
 // The drill covers >= 50 kill points across >= 3 trace seeds, rotating
 // the journal fsync policy (every-record / group-commit / none) so each
 // crash-surface shows up: a torn tail of at most one record, at most one
-// group, or whatever fflush left behind.
+// group, or whatever fflush left behind. Further kills run with a seeded
+// stream-fault and forced-denial plan armed for the killed run, its
+// recovery and the reference alike.
 //
 // CI hooks: TBF_CHAOS_SEED pins the drill to one seed per job;
 // TBF_CHAOS_CHECKPOINT_DIR makes the last kill of each seed leave its
@@ -183,6 +185,87 @@ ReplayOptions DrillOptions(const std::string& dir, int policy_rotation) {
   return options;
 }
 
+// One kill: a durable run with `stream_plan` plus a "wal.append" kill at
+// `kill_lsn` armed, then a recovery with `stream_plan` alone re-armed,
+// checked field for field against `reference` (the uninterrupted run
+// under the same `stream_plan`).
+void KillAndRecover(const TbfFramework& framework, const EventTrace& trace,
+                    const std::vector<ReplayRepublish>& schedule,
+                    const fault::FaultPlan& stream_plan,
+                    const ReplayReport& reference, uint64_t kill_lsn,
+                    int policy_rotation, const std::string& dir,
+                    const std::string& what) {
+  fs::remove_all(dir);
+  ReplayOptions options = DrillOptions(dir, policy_rotation);
+  options.republishes = schedule;
+  bool crashed = false;
+  {
+    fault::FaultPlan plan = stream_plan;
+    fault::FaultSpec kill;
+    kill.site = "wal.append";
+    kill.kind = fault::FaultKind::kFail;
+    kill.code = StatusCode::kAborted;
+    kill.after = kill_lsn;
+    kill.count = 1;
+    plan.faults.push_back(kill);
+    fault::ScopedFaultPlan armed(plan);
+    auto died = RunEventReplay(framework, trace, options);
+    crashed = !died.ok();
+    if (crashed) {
+      EXPECT_EQ(died.status().code(), StatusCode::kAborted) << what;
+    }
+  }
+
+  ReplayOptions resume = options;
+  resume.recover = true;
+  Result<ReplayReport> recovered = Status::Internal("unset");
+  {
+    fault::ScopedFaultPlan armed(stream_plan);
+    recovered = RunEventReplay(framework, trace, resume);
+  }
+  ASSERT_TRUE(recovered.ok()) << what << ": " << recovered.status().ToString();
+  ASSERT_TRUE(recovered->final_state.has_value()) << what;
+  if (crashed) {
+    EXPECT_TRUE(recovered->resumed || recovered->recovered_events > 0 ||
+                recovered->wal_truncated_records > 0)
+        << what << ": a crashed run recovered nothing";
+  }
+
+  ExpectDeterministicReportEqual(*recovered, reference, what);
+  ExpectServerStateEqual(*recovered->final_state, *reference.final_state,
+                         what);
+  ExpectLedgerNeverOverspends(*recovered->final_state, kEpochBudget,
+                              kLifetimeBudget, what);
+
+  // The recovered directory itself must be in a recoverable state
+  // (checkpoints valid, journal scannable) — CI additionally runs
+  // tools/check_wal.py over the kept artifact.
+  auto post = RecoverReplayDir(dir);
+  EXPECT_TRUE(post.ok()) << what << ": " << post.status().ToString();
+}
+
+// The uninterrupted reference run under `stream_plan` (also durable: the
+// journal length defines the kill range). Returns its journal's next lsn.
+uint64_t RunReference(const TbfFramework& framework, const EventTrace& trace,
+                      const std::vector<ReplayRepublish>& schedule,
+                      const fault::FaultPlan& stream_plan,
+                      const std::string& dir, Result<ReplayReport>* out) {
+  fs::remove_all(dir);
+  ReplayOptions options = DrillOptions(dir, 0);
+  options.republishes = schedule;
+  {
+    fault::ScopedFaultPlan armed(stream_plan);
+    *out = RunEventReplay(framework, trace, options);
+  }
+  EXPECT_TRUE(out->ok()) << out->status().ToString();
+  if (!out->ok()) return 0;
+  EXPECT_TRUE((*out)->final_state.has_value());
+  auto scan = ScanWalDir(dir, /*repair_torn_tail=*/false);
+  EXPECT_TRUE(scan.ok()) << scan.status().ToString();
+  fs::remove_all(dir);
+  return scan.ok() ? scan->next_lsn : 0;
+}
+
 TEST(KillAnywhereDrill, RecoveryIsFieldForFieldIdentical) {
   const char* pinned = std::getenv("TBF_CHAOS_SEED");
   const char* artifact_root = std::getenv("TBF_CHAOS_CHECKPOINT_DIR");
@@ -191,11 +274,14 @@ TEST(KillAnywhereDrill, RecoveryIsFieldForFieldIdentical) {
     seeds.assign(1, static_cast<uint64_t>(std::strtoull(pinned, nullptr, 10)));
   }
   // 18 kills per seed: 54 >= 50 kill points across the default 3 seeds.
+  // Then 6 more per seed with a stream + forced-denial fault plan armed
+  // in every run: recovery re-decides those faults under the same plan.
   const int kills_per_seed = 18;
+  const int faulted_kills_per_seed = 6;
 
   TbfFramework framework = BuildFramework();
   // A mid-run live republish so kills land before, inside and after a
-  // tree swap (the journal's kRepublish records must fast-forward).
+  // tree swap (the journal's kRepublish records must be re-produced).
   std::vector<ReplayRepublish> schedule;
   schedule.push_back({2, CopiedTree(framework.tree())});
 
@@ -203,84 +289,57 @@ TEST(KillAnywhereDrill, RecoveryIsFieldForFieldIdentical) {
     EventTrace trace = DrillTrace(seed);
     const std::string tag = "seed" + std::to_string(seed);
 
-    // The uninterrupted reference run (also durable: the journal length
-    // defines the kill range).
-    const std::string clean_dir =
-        ::testing::TempDir() + "/tbf_drill_clean_" + tag;
-    fs::remove_all(clean_dir);
-    ReplayOptions clean_options = DrillOptions(clean_dir, 0);
-    clean_options.republishes = schedule;
-    auto clean = RunEventReplay(framework, trace, clean_options);
-    ASSERT_TRUE(clean.ok()) << tag << ": " << clean.status().ToString();
-    ASSERT_TRUE(clean->final_state.has_value());
-    auto clean_scan = ScanWalDir(clean_dir, /*repair_torn_tail=*/false);
-    ASSERT_TRUE(clean_scan.ok()) << clean_scan.status().ToString();
-    const uint64_t total_lsns = clean_scan->next_lsn;
+    const fault::FaultPlan no_faults;
+    Result<ReplayReport> clean = Status::Internal("unset");
+    const uint64_t total_lsns =
+        RunReference(framework, trace, schedule, no_faults,
+                     ::testing::TempDir() + "/tbf_drill_clean_" + tag, &clean);
+    ASSERT_TRUE(clean.ok()) << tag;
     ASSERT_GT(total_lsns, 10u) << tag;
 
+    // Caller-indexed sites only (trace positions), so the plan means the
+    // same faults in the killed run, its recovery and the reference. One
+    // explicit forced-denial window guarantees "replay.budget" fires.
+    fault::FaultPlan stream_plan = fault::FaultPlan::Seeded(
+        seed, {"replay.event", "replay.budget"}, 8, trace.events.size());
+    {
+      fault::FaultSpec denial;
+      denial.site = "replay.budget";
+      denial.kind = fault::FaultKind::kFail;
+      denial.after = trace.events.size() / 2;
+      denial.count = 4;
+      stream_plan.faults.push_back(denial);
+    }
+    Result<ReplayReport> faulted = Status::Internal("unset");
+    const uint64_t faulted_lsns = RunReference(
+        framework, trace, schedule, stream_plan,
+        ::testing::TempDir() + "/tbf_drill_faulted_" + tag, &faulted);
+    ASSERT_TRUE(faulted.ok()) << tag;
+    ASSERT_GT(faulted_lsns, 10u) << tag;
+    ASSERT_GT(faulted->denied, clean->denied) << tag;
+
     Rng kill_rng(seed * 7919 + 1);
-    for (int t = 0; t < kills_per_seed; ++t) {
+    for (int t = 0; t < kills_per_seed + faulted_kills_per_seed; ++t) {
+      const bool with_faults = t >= kills_per_seed;
       // RANDOM kill position over the whole journal LSN range. Kills that
       // land on a segment-header LSN never fire (headers are not
       // appended), which degenerates to recover-after-clean-exit — a
       // crash surface worth covering too.
-      const uint64_t kill_lsn = kill_rng.NextU64() % total_lsns;
-      const std::string what = tag + " kill@" + std::to_string(kill_lsn);
+      const uint64_t kill_lsn =
+          kill_rng.NextU64() % (with_faults ? faulted_lsns : total_lsns);
+      const std::string what = tag + (with_faults ? " faulted" : "") +
+                               " kill@" + std::to_string(kill_lsn);
       const bool keep_artifacts =
           artifact_root != nullptr && t + 1 == kills_per_seed;
       const std::string dir =
           keep_artifacts
               ? std::string(artifact_root) + "/kill_anywhere_" + tag
               : ::testing::TempDir() + "/tbf_drill_" + tag;
-      fs::remove_all(dir);
-
-      ReplayOptions options = DrillOptions(dir, t);
-      options.republishes = schedule;
-      bool crashed = false;
-      {
-        fault::FaultPlan plan;
-        fault::FaultSpec kill;
-        kill.site = "wal.append";
-        kill.kind = fault::FaultKind::kFail;
-        kill.code = StatusCode::kAborted;
-        kill.after = kill_lsn;
-        kill.count = 1;
-        plan.faults.push_back(kill);
-        fault::ScopedFaultPlan armed(plan);
-        auto died = RunEventReplay(framework, trace, options);
-        crashed = !died.ok();
-        if (crashed) {
-          EXPECT_EQ(died.status().code(), StatusCode::kAborted) << what;
-        }
-      }
-
-      ReplayOptions resume = options;
-      resume.recover = true;
-      auto recovered = RunEventReplay(framework, trace, resume);
-      ASSERT_TRUE(recovered.ok())
-          << what << ": " << recovered.status().ToString();
-      ASSERT_TRUE(recovered->final_state.has_value()) << what;
-      if (crashed) {
-        EXPECT_TRUE(recovered->resumed || recovered->recovered_events > 0 ||
-                    recovered->wal_truncated_records > 0)
-            << what << ": a crashed run recovered nothing";
-      }
-
-      ExpectDeterministicReportEqual(*recovered, *clean, what);
-      ExpectServerStateEqual(*recovered->final_state, *clean->final_state,
-                             what);
-      ExpectLedgerNeverOverspends(*recovered->final_state, kEpochBudget,
-                                  kLifetimeBudget, what);
-
-      // The recovered directory itself must be in a recoverable state
-      // (checkpoints valid, journal scannable) — CI additionally runs
-      // tools/check_wal.py over the kept artifact.
-      auto post = RecoverReplayDir(dir);
-      EXPECT_TRUE(post.ok()) << what << ": " << post.status().ToString();
-
+      KillAndRecover(framework, trace, schedule,
+                     with_faults ? stream_plan : no_faults,
+                     with_faults ? *faulted : *clean, kill_lsn, t, dir, what);
       if (!keep_artifacts) fs::remove_all(dir);
     }
-    fs::remove_all(clean_dir);
   }
 }
 

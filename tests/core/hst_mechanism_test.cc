@@ -309,11 +309,16 @@ TEST(HstMechanismTest, EpsilonConversionUsesTreeScale) {
 }
 
 // Property sweep: Theorem 2 (walk == closed form) and normalization on
-// wider/deeper synthetic trees across epsilon.
+// wider/deeper synthetic trees across epsilon, walking from more than one
+// source leaf. `source_point` sits between the int and the double so the
+// struct has no padding: gtest prints the parameter's raw bytes into the test
+// name, and padding bytes would make those names vary from build to build.
 struct MechanismSweepParam {
   int grid_side;
+  int source_point;
   double epsilon;
 };
+static_assert(sizeof(MechanismSweepParam) == 16, "no padding bytes");
 
 class MechanismSweepTest : public testing::TestWithParam<MechanismSweepParam> {};
 
@@ -337,7 +342,7 @@ TEST_P(MechanismSweepTest, WalkMatchesClosedFormOnGridTrees) {
   // Walk == closed form on sampled outputs.
   Rng sample_rng(GetParam().grid_side * 1000 +
                  static_cast<uint64_t>(GetParam().epsilon * 10));
-  const LeafPath& x = tree->leaf_of_point(0);
+  const LeafPath& x = tree->leaf_of_point(GetParam().source_point);
   for (int i = 0; i < 200; ++i) {
     LeafPath z = m->Obfuscate(x, &sample_rng);
     EXPECT_NEAR(m->WalkProbability(x, z), m->Probability(x, z),
@@ -347,9 +352,12 @@ TEST_P(MechanismSweepTest, WalkMatchesClosedFormOnGridTrees) {
 
 INSTANTIATE_TEST_SUITE_P(
     GridsAndEpsilons, MechanismSweepTest,
-    testing::Values(MechanismSweepParam{3, 0.2}, MechanismSweepParam{3, 1.0},
-                    MechanismSweepParam{5, 0.2}, MechanismSweepParam{5, 0.6},
-                    MechanismSweepParam{8, 0.4}, MechanismSweepParam{8, 1.0}));
+    testing::Values(MechanismSweepParam{3, 0, 0.2},
+                    MechanismSweepParam{3, 3, 1.0},
+                    MechanismSweepParam{5, 0, 0.2},
+                    MechanismSweepParam{5, 0, 0.6},
+                    MechanismSweepParam{8, 0, 0.4},
+                    MechanismSweepParam{8, 3, 1.0}));
 
 }  // namespace
 }  // namespace tbf

@@ -1,6 +1,7 @@
 // Recovery supervisor: newest-valid checkpoint selection with fallback,
 // transient-IO retry with bounded backoff, gap detection, identity
-// cross-checks, snapshot read retry, and an end-to-end crash/recover
+// cross-checks, snapshot read retry, journal verification (a rewritten
+// record is a divergence naming its lsn), and an end-to-end crash/recover
 // equivalence smoke test (the full kill-anywhere drill lives in
 // tests/chaos/kill_anywhere_test.cc).
 
@@ -10,6 +11,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -257,23 +261,145 @@ TEST(RecoveryTest, EmptyDirectoryIsAFreshStart) {
   EXPECT_EQ(recovered->suffix_begin, 0u);
 }
 
-TEST(RecoveryTest, SuffixNotAtWindowBoundaryIsDivergence) {
-  TbfFramework framework = BuildFramework();
-  auto server = ShardedTbfServer::Create(framework.tree_ptr());
-  ASSERT_TRUE(server.ok());
+// A durable run that never checkpoints, so recovery re-runs the whole
+// trace against the whole journal.
+ReplayOptions UncheckpointedOptions(const std::string& dir) {
+  ReplayOptions options = DurableOptions(dir);
+  options.checkpoint_every_epochs = 1 << 20;
+  return options;
+}
 
-  WalRecord rec;
-  rec.kind = WalRecordKind::kWorkerArrival;
-  rec.lsn = 40;
-  rec.id = "w-1";
-  rec.packed = true;
-  rec.code = 5;
-  std::vector<WalRecord> records{rec};
-  auto replayed = ReplayWalSuffix(server->get(), records, 0, {});
-  ASSERT_FALSE(replayed.ok());
-  EXPECT_EQ(replayed.status().code(), StatusCode::kInternal);
-  EXPECT_NE(replayed.status().message().find("window boundary"),
-            std::string::npos);
+// Rewrites the journal record at `lsn` in place, re-framed so its CRC
+// stays valid. Returns false when no segment holds that lsn.
+bool RewriteJournalRecord(const std::string& dir, uint64_t lsn,
+                          const std::function<void(WalRecord*)>& edit) {
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind("wal-", 0) != 0) continue;
+    std::string bytes;
+    {
+      std::ifstream in(entry.path(), std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    std::string rewritten;
+    bool found = false;
+    const WalFrameWalk walk =
+        WalkWalFrames(bytes, [&](std::string_view payload) -> Status {
+          TBF_ASSIGN_OR_RETURN(WalRecord rec, DecodeWalRecord(payload));
+          if (rec.lsn == lsn) {
+            edit(&rec);
+            AppendWalFrame(&rewritten, EncodeWalRecord(rec));
+            found = true;
+          } else {
+            AppendWalFrame(&rewritten, payload);
+          }
+          return Status::OK();
+        });
+    EXPECT_FALSE(walk.bad) << walk.bad_detail;
+    if (found) {
+      std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+      out << rewritten;
+      return true;
+    }
+  }
+  return false;
+}
+
+// Recovering `dir` must fail as a divergence naming `lsn`.
+void ExpectDivergenceAt(const TbfFramework& framework, const EventTrace& trace,
+                        const std::string& dir, uint64_t lsn) {
+  ReplayOptions resume = UncheckpointedOptions(dir);
+  resume.recover = true;
+  auto recovered = RunEventReplay(framework, trace, resume);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kInternal);
+  EXPECT_NE(recovered.status().message().find(
+                "journal/state divergence at lsn " + std::to_string(lsn) +
+                ":"),
+            std::string::npos)
+      << recovered.status().message();
+}
+
+TEST(RecoveryTest, RewrittenAssignedWorkerIsDivergenceAtItsLsn) {
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = SmallTrace();
+  const std::string dir = FreshDir("forged_worker");
+  ASSERT_TRUE(
+      RunEventReplay(framework, trace, UncheckpointedOptions(dir)).ok());
+  auto scan = ScanWalDir(dir, /*repair_torn_tail=*/false);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+
+  // The untouched journal verifies end to end: every dispatch record is
+  // re-produced by the loop.
+  const std::string copy = FreshDir("forged_worker_copy");
+  fs::copy(dir, copy,
+           fs::copy_options::recursive | fs::copy_options::overwrite_existing);
+  ReplayOptions resume = UncheckpointedOptions(copy);
+  resume.recover = true;
+  auto clean = RunEventReplay(framework, trace, resume);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  uint64_t dispatch_records = 0;
+  std::optional<uint64_t> target;
+  for (const WalRecord& rec : scan->records) {
+    if (rec.kind == WalRecordKind::kWorkerArrival ||
+        rec.kind == WalRecordKind::kTaskArrival ||
+        rec.kind == WalRecordKind::kWorkerDeparture) {
+      ++dispatch_records;
+    }
+    if (rec.kind == WalRecordKind::kTaskArrival && rec.outcome.has_worker) {
+      target = rec.lsn;  // the last assignment: deep into the run
+    }
+  }
+  EXPECT_TRUE(clean->resumed);
+  EXPECT_EQ(clean->recovered_events, dispatch_records);
+
+  ASSERT_TRUE(target.has_value());
+  ASSERT_TRUE(RewriteJournalRecord(dir, *target, [](WalRecord* rec) {
+    rec->outcome.worker = "forged-worker";
+  }));
+  ExpectDivergenceAt(framework, trace, dir, *target);
+}
+
+TEST(RecoveryTest, RewrittenEpochBeginCursorIsDivergenceAtItsLsn) {
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = SmallTrace();
+  const std::string dir = FreshDir("forged_cursor");
+  ASSERT_TRUE(
+      RunEventReplay(framework, trace, UncheckpointedOptions(dir)).ok());
+  auto scan = ScanWalDir(dir, /*repair_torn_tail=*/false);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+
+  std::vector<uint64_t> epoch_begins;
+  for (const WalRecord& rec : scan->records) {
+    if (rec.kind == WalRecordKind::kEpochBegin) epoch_begins.push_back(rec.lsn);
+  }
+  ASSERT_GE(epoch_begins.size(), 3u);
+  const uint64_t target = epoch_begins[2];
+  ASSERT_TRUE(RewriteJournalRecord(dir, target, [](WalRecord* rec) {
+    ++rec->next_task_slot;
+  }));
+  ExpectDivergenceAt(framework, trace, dir, target);
+}
+
+TEST(RecoveryTest, RecoverWithADifferentSamplerIsDivergence) {
+  // A small epsilon, so the two samplers' reports actually differ.
+  TbfFramework framework = BuildFramework(/*epsilon=*/0.02);
+  EventTrace trace = SmallTrace();
+  const std::string dir = FreshDir("other_sampler");
+  ASSERT_TRUE(
+      RunEventReplay(framework, trace, UncheckpointedOptions(dir)).ok());
+
+  // The reports re-drawn under another sampler differ from the journaled
+  // ones: recovery refuses instead of mixing two runs' reports.
+  ReplayOptions resume = UncheckpointedOptions(dir);
+  resume.recover = true;
+  resume.sampler = SamplerKind::kInverseCdf;
+  auto recovered = RunEventReplay(framework, trace, resume);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kInternal);
+  EXPECT_NE(recovered.status().message().find("journal/state divergence"),
+            std::string::npos)
+      << recovered.status().message();
 }
 
 #ifndef TBF_FAULTS_DISABLED

@@ -270,6 +270,50 @@ TEST(ShardedServerErrorTest, RestoreStateValidatesItsInput) {
     EXPECT_NE(s.message().find("shard out of range"), std::string::npos);
   }
 
+  // A CRC-valid state can still name a leaf the tree does not have, list a
+  // worker twice, hand a live worker's index id out again, or file a
+  // worker under a shard its leaf does not route to. Each is refused
+  // before anything changes: the same engine then restores the good state.
+  ASSERT_TRUE(good.packed);
+  // With a non-power-of-two arity the all-ones digit field is no digit.
+  const int bits = tree->codec()->bits_per_digit();
+  const LeafCode field = (LeafCode{1} << bits) - 1;
+  ASSERT_GT(static_cast<int>(field), tree->arity() - 1);
+  const int top_shift = 64 - bits;
+  const auto expect_refused = [&](const ShardedServerState& corrupt,
+                                  const std::string& why) {
+    auto target = ShardedTbfServer::Create(tree, options);
+    ASSERT_TRUE(target.ok());
+    const Status s = (*target)->RestoreState(corrupt);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << why;
+    EXPECT_NE(s.message().find(why), std::string::npos) << s.ToString();
+    EXPECT_EQ((*target)->available_workers(), 0u) << why;
+    EXPECT_TRUE((*target)->RestoreState(good).ok()) << why;
+  };
+  {
+    ShardedServerState corrupt = good;
+    LeafCode& code = corrupt.workers[0].code;
+    code |= field << top_shift;
+    expect_refused(corrupt, "exceeds the published arity");
+  }
+  {
+    ShardedServerState corrupt = good;
+    corrupt.workers.push_back(corrupt.workers[0]);
+    expect_refused(corrupt, "listed twice");
+  }
+  {
+    ShardedServerState corrupt = good;
+    corrupt.free_index_ids.push_back(corrupt.workers[0].index_id);
+    expect_refused(corrupt, "holds a free index id");
+    corrupt.free_index_ids.push_back(corrupt.workers[0].index_id);
+    expect_refused(corrupt, "free id 0 listed twice");
+  }
+  {
+    ShardedServerState corrupt = good;
+    corrupt.workers[0].shard = (corrupt.workers[0].shard + 1) % 4;
+    expect_refused(corrupt, "routes to shard");
+  }
+
   // The untouched export still restores, and the restored engine behaves
   // like the original (same worker answers the same task).
   {
