@@ -1,12 +1,8 @@
 #include "common/atomic_file.h"
 
-#include <array>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <vector>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -14,118 +10,6 @@
 #endif
 
 namespace tbf {
-
-uint32_t Crc32(std::string_view data, uint32_t crc) {
-  // Slice-by-8: tables[j] advances a byte through j+1 rounds of the
-  // polynomial, so the loop folds 8 input bytes per step with no
-  // inter-byte dependency chain. Same polynomial, same values as the
-  // classic one-table loop — only the throughput changes (this sits on
-  // the WAL append path, where every frame is checksummed).
-  static const std::array<std::array<uint32_t, 256>, 8> kTables = [] {
-    std::array<std::array<uint32_t, 256>, 8> tables{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      }
-      tables[0][i] = c;
-    }
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = tables[0][i];
-      for (int j = 1; j < 8; ++j) {
-        c = tables[0][c & 0xFFu] ^ (c >> 8);
-        tables[j][i] = c;
-      }
-    }
-    return tables;
-  }();
-  const auto& t = kTables;
-  crc = ~crc;
-  const unsigned char* p = reinterpret_cast<const unsigned char*>(data.data());
-  size_t n = data.size();
-  while (n >= 8) {
-    const uint32_t low = crc ^ (static_cast<uint32_t>(p[0]) |
-                                (static_cast<uint32_t>(p[1]) << 8) |
-                                (static_cast<uint32_t>(p[2]) << 16) |
-                                (static_cast<uint32_t>(p[3]) << 24));
-    crc = t[7][low & 0xFFu] ^ t[6][(low >> 8) & 0xFFu] ^
-          t[5][(low >> 16) & 0xFFu] ^ t[4][low >> 24] ^ t[3][p[4]] ^
-          t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
-    p += 8;
-    n -= 8;
-  }
-  while (n-- > 0) {
-    crc = t[0][(crc ^ *p++) & 0xFFu] ^ (crc >> 8);
-  }
-  return ~crc;
-}
-
-std::string FrameCrcPayload(std::string_view magic, std::string_view payload) {
-  char header[80];
-  std::snprintf(header, sizeof(header), "%.*s %08x %zu\n",
-                static_cast<int>(magic.size()), magic.data(), Crc32(payload),
-                payload.size());
-  std::string out;
-  out.reserve(std::string_view(header).size() + payload.size());
-  out += header;
-  out.append(payload.data(), payload.size());
-  return out;
-}
-
-Result<std::string> UnframeCrcPayload(std::string_view magic,
-                                      const std::string& text,
-                                      std::string_view what) {
-  const std::string label(what);
-  const size_t header_end = text.find('\n');
-  if (header_end == std::string::npos) {
-    return Status::InvalidArgument(label + ": missing header line");
-  }
-  const std::string header = text.substr(0, header_end);
-  // Tokenize the header: exactly `<magic> <crc> <len>`.
-  std::vector<std::string> tokens;
-  size_t pos = 0;
-  while (pos < header.size()) {
-    const size_t space = header.find(' ', pos);
-    const size_t end = space == std::string::npos ? header.size() : space;
-    if (end > pos) tokens.push_back(header.substr(pos, end - pos));
-    pos = end + 1;
-  }
-  if (tokens.size() != 3 || tokens[0] != magic) {
-    return Status::InvalidArgument(label + ": bad magic (not a " +
-                                   std::string(magic) + " file)");
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long declared_crc = std::strtoul(tokens[1].c_str(), &end, 16);
-  if (end == nullptr || *end != '\0' || tokens[1].size() != 8) {
-    return Status::InvalidArgument(label + ": bad CRC field '" + tokens[1] +
-                                   "'");
-  }
-  errno = 0;
-  const unsigned long long declared_len =
-      std::strtoull(tokens[2].c_str(), &end, 10);
-  if (tokens[2].empty() || end == nullptr || *end != '\0' ||
-      errno == ERANGE || tokens[2][0] == '-') {
-    return Status::InvalidArgument(label + ": bad payload length '" +
-                                   tokens[2] + "'");
-  }
-  std::string payload = text.substr(header_end + 1);
-  if (payload.size() != declared_len) {
-    return Status::InvalidArgument(
-        label + ": payload length mismatch (declared " +
-        std::to_string(declared_len) + ", got " +
-        std::to_string(payload.size()) + ") — truncated write?");
-  }
-  const uint32_t actual_crc = Crc32(payload);
-  if (actual_crc != static_cast<uint32_t>(declared_crc)) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "declared %08lx, computed %08x",
-                  declared_crc, actual_crc);
-    return Status::InvalidArgument(label + ": CRC mismatch (" + buf +
-                                   ") — corrupt file");
-  }
-  return payload;
-}
 
 Status WriteFileAtomic(const std::string& path, std::string_view bytes,
                        std::string_view what) {

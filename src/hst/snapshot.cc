@@ -1,257 +1,258 @@
 #include "hst/snapshot.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
 #include "common/atomic_file.h"
 #include "common/fault.h"
+#include "common/frames.h"
 #include "hst/leaf_code.h"
 
 namespace tbf {
 
 namespace {
 
-constexpr char kSnapshotMagic[] = "TBFSNAP1";
-constexpr uint32_t kSnapshotVersion = 1;
+constexpr std::string_view kMagic = "TBF-SNAP";
+constexpr uint32_t kSnapshotVersion = 2;
 constexpr uint32_t kFlagPackedLeaves = 1u << 0;
 
-// Little-endian byte I/O. Explicit byte shuffles (not memcpy of host
-// integers) so the format is identical on every platform and bit-exact
-// for tools/check_snapshot.py.
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-}
+// Record kinds, in the only order a file may hold them.
+enum Rec : uint8_t { kHeader, kPoints, kLeaves, kEnd, kNumRecs };
+constexpr std::array<const char*, kNumRecs> kRecNames = {"header", "points",
+                                                         "leaves", "end"};
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+// A table record carries whole rows and at most this many row bytes, far
+// below the frame cap: a 100k-point digit-path table (5.6 MB) must split.
+constexpr size_t kTableRecordBytes = size_t{1} << 16;
+constexpr size_t kPointBytes = 16;  // f64 x, f64 y
+
+// Copies little-endian words of `W` bytes into `out`: one memcpy on
+// little-endian hosts (every CI target), plus a per-word byte reversal on
+// big-endian ones. The bulk table loads go through here.
+template <size_t W>
+void LoadWords(const void* in, size_t bytes, void* out) {
+  std::memcpy(out, in, bytes);
+  if constexpr (std::endian::native != std::endian::little) {
+    auto* p = static_cast<unsigned char*>(out);
+    for (size_t i = 0; i < bytes; i += W) std::reverse(p + i, p + i + W);
   }
 }
 
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+// Decodes one record per call, enforcing the file grammar (header, point
+// records, leaf records, end) and the header's schema. Table records are
+// kept as views into the file and their rows only counted, so a corrupt
+// point count is caught against the actual table sizes (Finish) before
+// anything is allocated for the rows.
+struct SnapshotDecoder {
+  uint32_t flags = 0;
+  int depth = 0;
+  int arity = 0;
+  double scale = 0.0;
+  uint64_t num_points = 0;
+  std::array<std::vector<std::string_view>, kNumRecs> tables;
+  std::array<uint64_t, kNumRecs> rows{};
+  uint64_t records = 0;
+  uint8_t last = kHeader;
+  bool ended = false;
+
+  bool packed() const { return (flags & kFlagPackedLeaves) != 0; }
+  size_t leaf_bytes() const {
+    return packed() ? 8 : 2 * static_cast<size_t>(depth);
   }
-}
 
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-// Bounds-checked reader over the unframed payload. Every Get* fails with
-// a precise offset instead of reading past the end.
-class PayloadReader {
- public:
-  explicit PayloadReader(const std::string& bytes) : bytes_(bytes) {}
-
-  size_t offset() const { return offset_; }
-  size_t remaining() const { return bytes_.size() - offset_; }
-
-  Status Need(size_t n, const char* what) {
-    if (remaining() < n) {
-      return Status::InvalidArgument(
-          "snapshot: truncated payload (need " + std::to_string(n) +
-          " bytes for " + what + " at offset " + std::to_string(offset_) +
-          ", have " + std::to_string(remaining()) + ")");
+  Status Decode(std::string_view payload) {
+    if (payload.empty()) return Status::InvalidArgument("empty record");
+    const auto kind = static_cast<uint8_t>(payload[0]);
+    if (kind >= kNumRecs) {
+      return Status::InvalidArgument("unknown record kind " +
+                                     std::to_string(kind));
     }
+    const std::string name = std::string(kRecNames[kind]) + " record";
+    const auto bad = [&name](const std::string& why) {
+      return Status::InvalidArgument(name + ": " + why);
+    };
+    if (records == 0 && kind != kHeader) {
+      return bad("the first record must be the snapshot header");
+    }
+    if (ended) return bad("follows the end record");
+    if (records > 0 && (kind < last || kind == kHeader)) {
+      return bad(std::string("follows a ") + kRecNames[last] +
+                 " record (the order is header, points, leaves, end)");
+    }
+    const std::string_view body = payload.substr(1);
+    wire::ByteReader r(body, name.c_str());
+    if (kind == kHeader) {
+      TBF_RETURN_NOT_OK(DecodeHeader(r, bad));
+    } else if (kind == kEnd) {
+      TBF_ASSIGN_OR_RETURN(const uint64_t counted, r.U64());
+      if (!r.AtEnd()) return bad("trailing bytes after a complete record");
+      if (counted != records) {
+        return bad("counts " + std::to_string(counted) +
+                   " records before it, the file has " +
+                   std::to_string(records));
+      }
+      ended = true;
+    } else {
+      const size_t row = kind == kPoints ? kPointBytes : leaf_bytes();
+      if (body.size() % row != 0) {
+        return bad(std::to_string(body.size() % row) +
+                   " trailing bytes after " +
+                   std::to_string(body.size() / row) + " whole " +
+                   std::to_string(row) + "-byte rows");
+      }
+      tables[kind].push_back(body);
+      rows[kind] += body.size() / row;
+    }
+    last = kind;
+    ++records;
     return Status::OK();
   }
 
-  uint16_t GetU16() {
-    uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) {
-      v = static_cast<uint16_t>(v | (Byte() << (8 * i)));
+  template <typename Bad>
+  Status DecodeHeader(wire::ByteReader& r, const Bad& bad) {
+    TBF_ASSIGN_OR_RETURN(const std::string magic, r.Str());
+    if (magic != kMagic) return bad("bad magic '" + magic + "'");
+    TBF_ASSIGN_OR_RETURN(const uint32_t version, r.U32());
+    if (version != kSnapshotVersion) {
+      return bad("unsupported version " + std::to_string(version) +
+                 " (this build reads v" + std::to_string(kSnapshotVersion) +
+                 ")");
     }
-    return v;
+    TBF_ASSIGN_OR_RETURN(flags, r.U32());
+    TBF_ASSIGN_OR_RETURN(const uint32_t depth_bits, r.U32());
+    TBF_ASSIGN_OR_RETURN(const uint32_t arity_bits, r.U32());
+    TBF_ASSIGN_OR_RETURN(scale, r.F64());
+    TBF_ASSIGN_OR_RETURN(num_points, r.U64());
+    if (!r.AtEnd()) return bad("trailing bytes after a complete record");
+    depth = static_cast<int32_t>(depth_bits);
+    arity = static_cast<int32_t>(arity_bits);
+    if ((flags & ~kFlagPackedLeaves) != 0) {
+      return bad("unknown flag bits 0x" +
+                 std::to_string(flags & ~kFlagPackedLeaves));
+    }
+    if (depth < 1) {
+      return bad("depth " + std::to_string(depth) + " must be >= 1");
+    }
+    if (arity < 2 || arity > 0xFFFF) {
+      return bad("arity " + std::to_string(arity) + " out of range [2, 65535]");
+    }
+    if (!std::isfinite(scale) || scale <= 0.0) {
+      return bad("scale must be positive and finite");
+    }
+    const bool fits = LeafCodec::Fits(depth, arity);
+    if (packed() != fits) {
+      return bad("leaf encoding does not match the tree shape (packed flag " +
+                 std::string(packed() ? "set" : "clear") + ", but depth " +
+                 std::to_string(depth) + " x arity " + std::to_string(arity) +
+                 (fits ? " fits" : " does not fit") + " 64-bit codes)");
+    }
+    if (num_points == 0) return bad("empty point set");
+    return Status::OK();
   }
 
-  uint32_t GetU32() {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(Byte()) << (8 * i);
-    return v;
+  Status Finish() const {
+    if (records == 0) return Status::InvalidArgument("snapshot: empty file");
+    if (!ended) {
+      return Status::InvalidArgument(
+          "snapshot: no end record after " + std::to_string(records) +
+          " records — truncated or corrupt file");
+    }
+    for (const Rec table : {kPoints, kLeaves}) {
+      if (rows[table] != num_points) {
+        return Status::InvalidArgument(
+            "snapshot: " + std::to_string(num_points) +
+            " points declared, the " + (table == kPoints ? "point" : "leaf") +
+            " table holds " + std::to_string(rows[table]) + " rows");
+      }
+    }
+    return Status::OK();
   }
-
-  uint64_t GetU64() {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(Byte()) << (8 * i);
-    return v;
-  }
-
-  double GetF64() {
-    const uint64_t bits = GetU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  // Raw view of the unread tail — the bulk table loads below read through
-  // it directly (offset bookkeeping stays with the caller).
-  const unsigned char* Tail() const {
-    return reinterpret_cast<const unsigned char*>(bytes_.data()) + offset_;
-  }
-
- private:
-  uint32_t Byte() {
-    return static_cast<unsigned char>(bytes_[offset_++]);
-  }
-
-  const std::string& bytes_;
-  size_t offset_ = 0;
 };
-
-// Aligned-agnostic little-endian loads for the bulk tables. On
-// little-endian hosts (every CI target) the memcpy compiles to a plain
-// load; the byte-shuffle branch keeps big-endian hosts correct.
-constexpr bool kHostLittleEndian = std::endian::native == std::endian::little;
-
-uint16_t LoadU16(const unsigned char* p) {
-  if constexpr (kHostLittleEndian) {
-    uint16_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  } else {
-    return static_cast<uint16_t>(p[0] | (p[1] << 8));
-  }
-}
-
-uint64_t LoadU64(const unsigned char* p) {
-  if constexpr (kHostLittleEndian) {
-    uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  } else {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    return v;
-  }
-}
-
-double LoadF64(const unsigned char* p) {
-  const uint64_t bits = LoadU64(p);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
 
 }  // namespace
 
 std::string SerializeHstSnapshot(const CompleteHst& tree) {
   const bool packed = tree.codec() != nullptr;
   const size_t n = static_cast<size_t>(tree.num_points());
-  std::string payload;
-  payload.reserve(32 + n * (16 + (packed ? 8 : 2 * static_cast<size_t>(
-                                                    tree.depth()))));
-  PutU32(&payload, kSnapshotVersion);
-  PutU32(&payload, packed ? kFlagPackedLeaves : 0);
-  PutU32(&payload, static_cast<uint32_t>(tree.depth()));
-  PutU32(&payload, static_cast<uint32_t>(tree.arity()));
-  PutF64(&payload, tree.scale());
-  PutU64(&payload, static_cast<uint64_t>(n));
-  for (const Point& p : tree.points()) {
-    PutF64(&payload, p.x);
-    PutF64(&payload, p.y);
-  }
-  for (size_t i = 0; i < n; ++i) {
+  const size_t leaf_bytes = packed ? 8 : 2 * static_cast<size_t>(tree.depth());
+  const size_t table_bytes = n * (kPointBytes + leaf_bytes);
+  std::string out;
+  // Frame overhead is 9 bytes per >= 64 KiB table record, plus the
+  // header and end records.
+  out.reserve(256 + table_bytes + table_bytes / 1024);
+  uint64_t records = 0;
+  // Frames one record in place: the payload is the kind byte, then
+  // whatever `fields` appends.
+  const auto add = [&](Rec kind, const auto& fields) {
+    const size_t frame = BeginFrame(&out);
+    wire::PutU8(&out, kind);
+    fields();
+    EndFrame(&out, frame);
+    ++records;
+  };
+  // One table as consecutive records of whole rows.
+  const auto add_table = [&](Rec kind, size_t row_bytes, const auto& put_row) {
+    const size_t rows = std::max<size_t>(1, kTableRecordBytes / row_bytes);
+    for (size_t first = 0; first < n; first += rows) {
+      add(kind, [&] {
+        for (size_t i = first; i < std::min(n, first + rows); ++i) put_row(i);
+      });
+    }
+  };
+  add(kHeader, [&] {
+    wire::PutStr(&out, kMagic);
+    wire::PutU32(&out, kSnapshotVersion);
+    wire::PutU32(&out, packed ? kFlagPackedLeaves : 0);
+    wire::PutU32(&out, static_cast<uint32_t>(tree.depth()));
+    wire::PutU32(&out, static_cast<uint32_t>(tree.arity()));
+    wire::PutF64(&out, tree.scale());
+    wire::PutU64(&out, n);
+  });
+  add_table(kPoints, kPointBytes, [&](size_t i) {
+    wire::PutF64(&out, tree.points()[i].x);
+    wire::PutF64(&out, tree.points()[i].y);
+  });
+  add_table(kLeaves, leaf_bytes, [&](size_t i) {
     if (packed) {
-      PutU64(&payload, tree.leaf_code_of_point(static_cast<int>(i)));
+      wire::PutU64(&out, tree.leaf_code_of_point(static_cast<int>(i)));
     } else {
-      const LeafPath& leaf = tree.leaf_of_point(static_cast<int>(i));
-      for (const char16_t digit : leaf) {
-        PutU16(&payload, static_cast<uint16_t>(digit));
+      for (const char16_t digit : tree.leaf_of_point(static_cast<int>(i))) {
+        wire::PutU16(&out, static_cast<uint16_t>(digit));
       }
     }
-  }
-  return FrameCrcPayload(kSnapshotMagic, payload);
+  });
+  add(kEnd, [&] { wire::PutU64(&out, records); });
+  return out;
 }
 
 Result<CompleteHst> ParseHstSnapshot(const std::string& bytes) {
-  TBF_ASSIGN_OR_RETURN(const std::string payload,
-                       UnframeCrcPayload(kSnapshotMagic, bytes, "snapshot"));
-  PayloadReader reader(payload);
-  TBF_RETURN_NOT_OK(reader.Need(4 + 4 + 4 + 4 + 8 + 8, "header"));
-  const uint32_t version = reader.GetU32();
-  if (version != kSnapshotVersion) {
-    return Status::InvalidArgument(
-        "snapshot: unsupported version " + std::to_string(version) +
-        " (this build reads v" + std::to_string(kSnapshotVersion) + ")");
-  }
-  const uint32_t flags = reader.GetU32();
-  if ((flags & ~kFlagPackedLeaves) != 0) {
-    return Status::InvalidArgument("snapshot: unknown flag bits 0x" +
-                                   std::to_string(flags & ~kFlagPackedLeaves));
-  }
-  const int depth = static_cast<int32_t>(reader.GetU32());
-  const int arity = static_cast<int32_t>(reader.GetU32());
-  const double scale = reader.GetF64();
-  const uint64_t num_points = reader.GetU64();
-  if (depth < 1) {
-    return Status::InvalidArgument("snapshot: depth " + std::to_string(depth) +
-                                   " must be >= 1");
-  }
-  if (arity < 2 || arity > 0xFFFF) {
-    return Status::InvalidArgument("snapshot: arity " + std::to_string(arity) +
-                                   " out of range [2, 65535]");
-  }
-  if (!std::isfinite(scale) || scale <= 0.0) {
-    return Status::InvalidArgument(
-        "snapshot: scale must be positive and finite");
-  }
-  const bool packed = (flags & kFlagPackedLeaves) != 0;
-  if (packed != LeafCodec::Fits(depth, arity)) {
-    return Status::InvalidArgument(
-        "snapshot: leaf encoding does not match the tree shape (packed flag " +
-        std::string(packed ? "set" : "clear") + ", but depth " +
-        std::to_string(depth) + " x arity " + std::to_string(arity) +
-        (LeafCodec::Fits(depth, arity) ? " fits" : " does not fit") +
-        " 64-bit codes)");
-  }
-  if (num_points == 0) {
-    return Status::InvalidArgument("snapshot: empty point set");
-  }
-  // Cross-check the declared count against the actual payload size before
-  // any allocation: a corrupted count must not trigger a huge reserve (or
-  // overflow the byte arithmetic).
-  const uint64_t leaf_bytes =
-      packed ? 8 : 2 * static_cast<uint64_t>(depth);
-  const uint64_t bytes_per_point = 16 + leaf_bytes;
-  if (num_points > reader.remaining() / bytes_per_point) {
-    return Status::InvalidArgument(
-        "snapshot: truncated payload (" + std::to_string(num_points) +
-        " points declared need " + std::to_string(bytes_per_point) +
-        " bytes each, have " + std::to_string(reader.remaining()) + ")");
-  }
-  TBF_RETURN_NOT_OK(
-      reader.Need(num_points * bytes_per_point, "point and leaf tables"));
-  const size_t trailing = reader.remaining() - num_points * bytes_per_point;
-  if (trailing != 0) {
-    return Status::InvalidArgument("snapshot: " + std::to_string(trailing) +
-                                   " trailing bytes after the leaf table");
-  }
-  // Both tables are fully size-checked above; read them in bulk through
-  // raw pointers (the load path is the hot path — a per-byte reader here
-  // costs more than everything else in the parse combined).
-  const unsigned char* point_table = reader.Tail();
-  const unsigned char* leaf_table = point_table + num_points * 16;
+  SnapshotDecoder snap;
+  const FrameWalk walk = WalkFrames(
+      bytes, [&snap](std::string_view p) { return snap.Decode(p); });
+  if (walk.bad) return Status::InvalidArgument("snapshot " + walk.bad_detail);
+  TBF_RETURN_NOT_OK(snap.Finish());
+  const uint64_t num_points = snap.num_points;
+
+  // Both tables are size-checked against the header; read them in bulk
+  // straight from the record payloads (the load path is the hot path — a
+  // per-field reader here costs more than everything else in the parse).
   std::vector<Point> points(num_points);
-  static_assert(sizeof(Point) == 16 && std::is_trivially_copyable_v<Point>,
+  static_assert(sizeof(Point) == kPointBytes &&
+                    std::is_trivially_copyable_v<Point>,
                 "Point must match the snapshot's (f64 x, f64 y) layout");
-  if constexpr (kHostLittleEndian) {
-    std::memcpy(points.data(), point_table, num_points * 16);
-  } else {
-    for (uint64_t i = 0; i < num_points; ++i) {
-      points[i].x = LoadF64(point_table + 16 * i);
-      points[i].y = LoadF64(point_table + 16 * i + 8);
-    }
+  size_t filled = 0;
+  for (const std::string_view record : snap.tables[kPoints]) {
+    LoadWords<8>(record.data(), record.size(), points.data() + filled);
+    filled += record.size() / kPointBytes;
   }
   for (uint64_t i = 0; i < num_points; ++i) {
     if (!std::isfinite(points[i].x) || !std::isfinite(points[i].y)) {
@@ -259,51 +260,51 @@ Result<CompleteHst> ParseHstSnapshot(const std::string& bytes) {
                                      ": non-finite coordinate");
     }
   }
+
+  const size_t leaf_bytes = snap.leaf_bytes();
   std::vector<LeafPath> leaves;
   leaves.reserve(num_points);
   std::optional<LeafCodec> codec;
-  if (packed) codec.emplace(depth, arity);  // checked against Fits above
-  for (uint64_t i = 0; i < num_points; ++i) {
-    LeafPath leaf;
-    if (packed) {
-      const uint64_t code = LoadU64(leaf_table + 8 * i);
-      leaf = codec->Unpack(code);
-      // Unpack masks each digit to the codec's bit width; re-packing
-      // detects digits that exceeded the arity (corrupt high bits).
-      if (codec->Pack(leaf) != code) {
-        return Status::InvalidArgument("snapshot: leaf " + std::to_string(i) +
-                                       ": code has bits outside the shape");
-      }
-    } else {
-      const unsigned char* row = leaf_table + 2 * static_cast<uint64_t>(depth) * i;
-      leaf.resize(static_cast<size_t>(depth));
-      if constexpr (kHostLittleEndian) {
-        std::memcpy(leaf.data(), row, 2 * static_cast<size_t>(depth));
+  if (snap.packed()) codec.emplace(snap.depth, snap.arity);  // Fits checked
+  for (const std::string_view record : snap.tables[kLeaves]) {
+    for (size_t off = 0; off < record.size(); off += leaf_bytes) {
+      const char* row = record.data() + off;
+      const size_t i = leaves.size();
+      LeafPath leaf;
+      if (codec) {
+        uint64_t code = 0;
+        LoadWords<8>(row, sizeof(code), &code);
+        leaf = codec->Unpack(code);
+        // Unpack masks each digit to the codec's bit width; re-packing
+        // detects digits that exceeded the arity (corrupt high bits).
+        if (codec->Pack(leaf) != code) {
+          return Status::InvalidArgument("snapshot: leaf " +
+                                         std::to_string(i) +
+                                         ": code has bits outside the shape");
+        }
       } else {
-        for (int d = 0; d < depth; ++d) {
-          leaf[static_cast<size_t>(d)] =
-              static_cast<char16_t>(LoadU16(row + 2 * d));
+        leaf.resize(static_cast<size_t>(snap.depth));
+        LoadWords<2>(row, leaf_bytes, leaf.data());
+      }
+      for (size_t d = 0; d < leaf.size(); ++d) {
+        if (static_cast<int>(leaf[d]) >= snap.arity) {
+          return Status::InvalidArgument(
+              "snapshot: leaf " + std::to_string(i) + ": digit " +
+              std::to_string(static_cast<int>(leaf[d])) + " at level " +
+              std::to_string(d) + " out of arity range [0, " +
+              std::to_string(snap.arity) + ")");
         }
       }
+      leaves.push_back(std::move(leaf));
     }
-    for (size_t d = 0; d < leaf.size(); ++d) {
-      if (static_cast<int>(leaf[d]) >= arity) {
-        return Status::InvalidArgument(
-            "snapshot: leaf " + std::to_string(i) + ": digit " +
-            std::to_string(static_cast<int>(leaf[d])) + " at level " +
-            std::to_string(d) + " out of arity range [0, " +
-            std::to_string(arity) + ")");
-      }
-    }
-    leaves.push_back(std::move(leaf));
   }
   // FromParts checks duplicates/counts and rebuilds the leaf-lookup
   // tables; kPrevalidated skips its per-digit loop (the ranges and
   // lengths were proved above, with better error messages), and the
   // nearest-point mapper is lazy — nothing until the first MapToNearest*.
   Result<CompleteHst> tree = CompleteHst::FromParts(
-      depth, arity, scale, std::move(points), std::move(leaves),
-      CompleteHst::PartsValidation::kPrevalidated);
+      snap.depth, snap.arity, snap.scale, std::move(points),
+      std::move(leaves), CompleteHst::PartsValidation::kPrevalidated);
   if (!tree.ok()) {
     return Status::InvalidArgument("snapshot: " + tree.status().message());
   }

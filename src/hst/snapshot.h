@@ -9,28 +9,39 @@
 // cheaper than a full build; bench/micro_hst_build.cc measures the
 // ratio).
 //
-// On-disk layout (tools/check_snapshot.py validates it with nothing but
-// the Python standard library):
+// On-disk layout: the journal's CRC frames (common/frames.h), like a v4
+// replay checkpoint, so tools/check_snapshot.py validates it with
+// tools/tbf_frames.py and nothing but the Python standard library:
 //
-//   TBFSNAP1 <crc32-hex8> <payload-bytes>\n     header (common/atomic_file.h)
-//   payload, little-endian:
-//     u32  version            (1)
-//     u32  flags              bit 0: leaves as packed u64 codes
-//                             (set exactly when the shape fits 64-bit
-//                             codes, LeafCodec::Fits); otherwise leaves
-//                             are depth x u16 digit paths
-//     i32  depth
-//     i32  arity
-//     f64  scale
-//     u64  num_points
-//     num_points x (f64 x, f64 y)               predefined points
-//     num_points x u64                          leaf codes   (bit 0 set)
-//     num_points x depth x u16                  leaf digits  (bit 0 clear)
+//   file    := header points+ leaves+ end
+//   frame   := <len:u32> <crc:u32> <payload: len bytes>
+//   payload := <kind:u8> <kind-specific fields>, little-endian
 //
-// Parsing is defensive: truncation, bad version, flag/shape mismatch,
-// non-finite values and structural violations all yield precise
-// InvalidArgument statuses (with record indexes), never a crash — the
-// same contract the checkpoint parser honors.
+//   header (0): str  magic "TBF-SNAP"
+//               u32  version     (2)
+//               u32  flags       bit 0: leaves as packed u64 codes (set
+//                                exactly when the shape fits 64-bit codes,
+//                                LeafCodec::Fits); otherwise leaves are
+//                                depth x u16 digit paths
+//               u32  depth, u32 arity (as i32)
+//               f64  scale
+//               u64  num_points
+//   points (1): whole (f64 x, f64 y) rows         predefined points
+//   leaves (2): whole u64 rows                    leaf codes  (bit 0 set)
+//               whole depth x u16 rows            leaf digits (bit 0 clear)
+//   end    (3): u64  records before it
+//
+// Each table is split over as many records as it needs (at most 64 KiB
+// of rows each, far below the frame cap); its rows concatenate in file
+// order and must total num_points. The end record makes a file cut at a
+// frame boundary fail too. The retired v1 layout (one text header line
+// over a single payload) fails the frame walk like any corrupt file.
+//
+// Parsing is defensive: truncation, bad magic or version, flag/shape
+// mismatch, row counts that disagree with the header (checked before any
+// table allocation), non-finite values and structural violations all
+// yield precise InvalidArgument statuses (with record and row indexes),
+// never a crash — the same contract the checkpoint parser honors.
 //
 // WriteHstSnapshotFile publishes atomically (tmp + fsync + rename) and
 // carries the fault site "snapshot.write"; ReadHstSnapshotFile carries
@@ -46,12 +57,13 @@
 
 namespace tbf {
 
-/// \brief Serializes `tree` into the framed binary snapshot format.
+/// \brief Serializes `tree` into the snapshot record stream.
 std::string SerializeHstSnapshot(const CompleteHst& tree);
 
 /// \brief Parses a snapshot produced by SerializeHstSnapshot; validates
-/// the frame (magic, CRC, length), the schema, and every structural
-/// invariant before reconstructing the tree via CompleteHst::FromParts.
+/// the frames (length, CRC), the record grammar, the schema and every
+/// structural invariant before reconstructing the tree via
+/// CompleteHst::FromParts.
 Result<CompleteHst> ParseHstSnapshot(const std::string& bytes);
 
 /// \brief Atomic write (tmp + fsync + rename; fault site

@@ -6,7 +6,7 @@
 #include <type_traits>
 
 #include "common/atomic_file.h"
-#include "serve/wal.h"
+#include "common/frames.h"
 
 namespace tbf {
 
@@ -378,14 +378,14 @@ std::string SerializeReplayCheckpoint(const ReplayCheckpoint& c) {
   std::string out;
   out.reserve(64 * rows + 1024 * (c.metrics.histograms.size() + 1));
   uint64_t records = 0;
-  // Frames one record in place with the journal's frame writer: the
-  // payload is the kind byte, then whatever `fields` writes.
+  // Frames one record in place (common/frames.h): the payload is the
+  // kind byte, then whatever `fields` writes.
   const auto add = [&](Rec kind, const auto& fields) {
-    const size_t frame = BeginWalFrame(&out);
+    const size_t frame = BeginFrame(&out);
     out.push_back(static_cast<char>(kind));
     FieldWriter io(&out);
     fields(io);
-    EndWalFrame(&out, frame);
+    EndFrame(&out, frame);
     ++records;
   };
   add(kHeader, [](FieldWriter& io) { io(std::string(kMagic), kCheckpointVersion); });
@@ -442,7 +442,7 @@ Result<ReplayCheckpoint> ParseReplayCheckpoint(const std::string& bytes) {
         "checkpoints only");
   }
   CheckpointDecoder decoder;
-  const WalFrameWalk walk = WalkWalFrames(
+  const FrameWalk walk = WalkFrames(
       bytes, [&decoder](std::string_view p) { return decoder.Decode(p); });
   if (walk.bad) return Status::InvalidArgument("checkpoint " + walk.bad_detail);
   TBF_RETURN_NOT_OK(decoder.Finish());

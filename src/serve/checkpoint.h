@@ -11,9 +11,9 @@
 // belong to the run being resumed.
 //
 // On-disk format, v4 (docs/ROBUSTNESS.md has the record catalog): a
-// stream of CRC-framed binary records with exactly the journal's framing
-// (serve/wal.h — the same frame writer, frame walker and little-endian
-// field helpers):
+// stream of CRC-framed binary records in the frame format every on-disk
+// artifact shares (common/frames.h — the same frame writer, frame walker
+// and little-endian field helpers as the journal and tree snapshots):
 //
 //   file    := header record* end
 //   frame   := <len:u32> <crc:u32> <payload: len bytes>
@@ -42,10 +42,6 @@
 #include <string_view>
 #include <vector>
 
-// Crc32 and the atomic tmp+fsync+rename write live in common/atomic_file.h
-// (shared with hst/snapshot.h); this include keeps them visible to every
-// checkpoint consumer that historically found them here.
-#include "common/atomic_file.h"
 #include "common/result.h"
 #include "obs/metrics.h"
 #include "serve/replay.h"

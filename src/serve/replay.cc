@@ -257,9 +257,19 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
           "checkpoint configuration mismatch (shards, epoch length or "
           "seeds differ from the checkpointed run)");
     }
-    if (ckpt.next_event > n || ckpt.next_task_slot < 0) {
+    if (ckpt.next_event > n) {
       return Status::InvalidArgument(
           "checkpoint cursor out of range for this trace");
+    }
+    // Every writer stores exactly the first next_task_slot task outcomes;
+    // any other slot would index past the restored rows.
+    if (ckpt.next_task_slot < 0 ||
+        static_cast<uint64_t>(ckpt.next_task_slot) !=
+            ckpt.task_outcomes.size()) {
+      return Status::InvalidArgument(
+          "checkpoint next_task_slot " + std::to_string(ckpt.next_task_slot) +
+          " disagrees with its " + std::to_string(ckpt.task_outcomes.size()) +
+          " task rows");
     }
     // Fast-forward the fresh engine through the prefix of the republish
     // schedule the checkpointed run had already applied: RestoreState

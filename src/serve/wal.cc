@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <utility>
 
@@ -13,18 +12,13 @@
 
 #include "common/atomic_file.h"
 #include "common/fault.h"
+#include "common/frames.h"
 
 namespace tbf {
 
 namespace {
 
 namespace fs = std::filesystem;
-
-// A frame is <len:u32><crc:u32><payload>; anything claiming a larger
-// payload than this is garbage (torn or corrupt), not a real record —
-// the cap keeps a corrupted length field from driving a huge allocation.
-constexpr size_t kMaxWalPayload = 1 << 22;
-constexpr size_t kFrameHeaderBytes = 8;
 
 double MonotonicSeconds() {
   return std::chrono::duration<double>(
@@ -68,30 +62,6 @@ Status ReadOutcome(ByteReader* r, WalOutcome* o) {
 }
 
 }  // namespace
-
-void wire::PutPath(std::string* out, const LeafPath& p) {
-  PutU32(out, static_cast<uint32_t>(p.size()));
-  for (const char16_t d : p) {
-    PutU8(out, static_cast<uint8_t>(d & 0xFF));
-    PutU8(out, static_cast<uint8_t>((d >> 8) & 0xFF));
-  }
-}
-
-Result<LeafPath> wire::ByteReader::Path() {
-  TBF_ASSIGN_OR_RETURN(uint32_t len, U32());
-  if (static_cast<size_t>(len) * 2 > data_.size() - pos_) {
-    return Short("leaf path body");
-  }
-  LeafPath p;
-  p.reserve(len);
-  for (uint32_t i = 0; i < len; ++i) {
-    const auto lo = static_cast<unsigned char>(data_[pos_ + 2 * i]);
-    const auto hi = static_cast<unsigned char>(data_[pos_ + 2 * i + 1]);
-    p.push_back(static_cast<char16_t>(lo | (hi << 8)));
-  }
-  pos_ += static_cast<size_t>(len) * 2;
-  return p;
-}
 
 std::string EncodeWalRecord(const WalRecord& record) {
   std::string out;
@@ -265,91 +235,6 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
   return rec;
 }
 
-size_t BeginWalFrame(std::string* out) {
-  const size_t frame_start = out->size();
-  out->append(kFrameHeaderBytes, '\0');
-  return frame_start;
-}
-
-void EndWalFrame(std::string* out, size_t frame_start) {
-  const size_t payload_start = frame_start + kFrameHeaderBytes;
-  const std::string_view payload(out->data() + payload_start,
-                                 out->size() - payload_start);
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32(payload);
-  char header[kFrameHeaderBytes];
-  for (int i = 0; i < 4; ++i) {
-    header[i] = static_cast<char>((len >> (8 * i)) & 0xFFu);
-    header[4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFFu);
-  }
-  std::memcpy(out->data() + frame_start, header, kFrameHeaderBytes);
-}
-
-void AppendWalFrame(std::string* out, std::string_view payload) {
-  const size_t frame_start = BeginWalFrame(out);
-  out->append(payload.data(), payload.size());
-  EndWalFrame(out, frame_start);
-}
-
-WalFrameWalk WalkWalFrames(
-    std::string_view bytes,
-    const std::function<Status(std::string_view payload)>& visit) {
-  WalFrameWalk walk;
-  size_t pos = 0;
-  const auto bad = [&](const std::string& reason) {
-    walk.bad = true;
-    walk.bad_detail = "record " + std::to_string(walk.frames) + " (offset " +
-                      std::to_string(pos) + "): " + reason;
-  };
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < kFrameHeaderBytes) {
-      bad("short frame header (" + std::to_string(bytes.size() - pos) +
-          " trailing bytes)");
-      break;
-    }
-    uint32_t len = 0;
-    uint32_t crc = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<uint32_t>(static_cast<unsigned char>(bytes[pos + i]))
-             << (8 * i);
-      crc |= static_cast<uint32_t>(
-                 static_cast<unsigned char>(bytes[pos + 4 + i]))
-             << (8 * i);
-    }
-    if (len > kMaxWalPayload) {
-      bad("frame length " + std::to_string(len) + " exceeds the " +
-          std::to_string(kMaxWalPayload) + "-byte cap");
-      break;
-    }
-    if (pos + kFrameHeaderBytes + len > bytes.size()) {
-      bad("frame extends " +
-          std::to_string(pos + kFrameHeaderBytes + len - bytes.size()) +
-          " bytes past end of file (torn write)");
-      break;
-    }
-    const std::string_view payload = bytes.substr(pos + kFrameHeaderBytes, len);
-    const uint32_t actual = Crc32(payload);
-    if (actual != crc) {
-      char hex[48];
-      std::snprintf(hex, sizeof(hex), "declared %08x, computed %08x", crc,
-                    actual);
-      bad(std::string("payload CRC mismatch (") + hex + ")");
-      break;
-    }
-    const Status visited = visit(payload);
-    if (!visited.ok()) {
-      // CRC-valid but schema-bad is corruption (or a format skew), never
-      // a torn write — surface the decoder's message verbatim.
-      bad(visited.message());
-      break;
-    }
-    pos += kFrameHeaderBytes + len;
-    walk.valid_bytes = pos;
-    ++walk.frames;
-  }
-  return walk;
-}
-
 std::string WalSegmentFileName(uint64_t seq) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "wal-%08llu.seg",
@@ -371,8 +256,8 @@ struct SegmentScan {
 
 SegmentScan ScanSegmentBytes(const std::string& blob) {
   SegmentScan scan;
-  const WalFrameWalk walk =
-      WalkWalFrames(blob, [&scan](std::string_view payload) -> Status {
+  const FrameWalk walk =
+      WalkFrames(blob, [&scan](std::string_view payload) -> Status {
         TBF_ASSIGN_OR_RETURN(WalRecord rec, DecodeWalRecord(payload));
         scan.records.push_back(std::move(rec));
         return Status::OK();
@@ -587,7 +472,7 @@ Status WalWriter::OpenSegment(uint64_t seq) {
   header.segment_seq = seq;
   header.identity = identity_;
   std::string frame;
-  AppendWalFrame(&frame, EncodeWalRecord(header));
+  AppendFrame(&frame, EncodeWalRecord(header));
   bool ok = std::fwrite(frame.data(), 1, frame.size(), file_) == frame.size();
   ok = ok && std::fflush(file_) == 0;
 #ifndef _WIN32
@@ -640,9 +525,9 @@ Status WalWriter::Append(WalRecord* record) {
   // the payload size is known. The hot path copies each record exactly
   // once and allocates nothing once the buffer is warmed up.
   if (pending_records_ == 0) group_opened_seconds_ = MonotonicSeconds();
-  const size_t base = BeginWalFrame(&pending_);
+  const size_t base = BeginFrame(&pending_);
   EncodeWalRecordTo(*record, &pending_);
-  EndWalFrame(&pending_, base);
+  EndFrame(&pending_, base);
   const size_t frame_bytes = pending_.size() - base;
 
   const Status injected = TBF_FAULT_INJECT_AT("wal.append", record->lsn);

@@ -16,17 +16,18 @@
 // that differs from the logged one.
 //
 // On-disk layout. A journal is a directory of segment files
-// `wal-<seq:08>.seg`. Each segment is a stream of CRC-framed records:
+// `wal-<seq:08>.seg`. Each segment is a stream of CRC-framed records in
+// the frame format checkpoints and tree snapshots share
+// (common/frames.h owns the frames, the CRC and the field encodings):
 //
 //   frame   := <len:u32> <crc:u32> <payload: len bytes>
 //   payload := <kind:u8> <lsn:u64> <kind-specific fields>
 //
 // All integers are little-endian; doubles are IEEE-754 bit patterns
 // (u64); strings are <len:u32><bytes>; leaf paths are <len:u32> u16
-// digits. The CRC-32 (IEEE reflected, zlib/binascii-compatible, the same
-// Crc32 as checkpoints and snapshots) covers the payload bytes, so
-// tools/check_wal.py can validate a segment with only the Python
-// standard library. The first record of every segment is a
+// digits. The CRC-32 (IEEE reflected, zlib/binascii-compatible) covers
+// the payload bytes, so tools/check_wal.py can validate a segment with
+// only the Python standard library. The first record of every segment is a
 // kSegmentHeader carrying the format version, the segment sequence
 // number, and the run's identity (trace fingerprint, shard count, epoch
 // length, seeds) so recovery can refuse a journal that belongs to a
@@ -63,8 +64,7 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <functional>
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
@@ -200,149 +200,6 @@ void EncodeWalRecordTo(const WalRecord& record, std::string* out);
 /// trailing bytes with precise InvalidArgument statuses; never crashes
 /// on corrupt input.
 Result<WalRecord> DecodeWalRecord(std::string_view payload);
-
-// ---- Shared record framing ------------------------------------------------
-//
-// The little-endian field helpers, the bounds-checked reader and the frame
-// walker below are the serving stack's one binary framing layer: journal
-// segments and replay checkpoints (serve/checkpoint.cc) are both streams
-// of <len:u32><crc:u32><payload> frames built from these primitives, and
-// tools/tbf_frames.py mirrors them for the stdlib Python validators.
-
-namespace wire {
-
-inline void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-inline void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out->append(buf, 4);  // one append, not four push_backs (hot path)
-}
-
-inline void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out->append(buf, 8);
-}
-
-inline void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-inline void PutF64(std::string* out, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-/// <len:u32><bytes>.
-inline void PutStr(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-/// <len:u32> then each digit as a u16.
-void PutPath(std::string* out, const LeafPath& p);
-
-/// \brief Bounds-checked little-endian reader over one payload. A read
-/// past the end fails with "<what>: short read (<field> at byte N)".
-class ByteReader {
- public:
-  ByteReader(std::string_view data, const char* what)
-      : data_(data), what_(what) {}
-
-  Result<uint8_t> U8() {
-    if (pos_ + 1 > data_.size()) return Short("u8");
-    return static_cast<uint8_t>(data_[pos_++]);
-  }
-  Result<uint32_t> U32() {
-    if (pos_ + 4 > data_.size()) return Short("u32");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  Result<uint64_t> U64() {
-    if (pos_ + 8 > data_.size()) return Short("u64");
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  Result<int64_t> I64() {
-    TBF_ASSIGN_OR_RETURN(uint64_t v, U64());
-    return static_cast<int64_t>(v);
-  }
-  Result<double> F64() {
-    TBF_ASSIGN_OR_RETURN(uint64_t bits, U64());
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  Result<std::string> Str() {
-    TBF_ASSIGN_OR_RETURN(uint32_t len, U32());
-    if (len > data_.size() - pos_) return Short("string body");
-    std::string s(data_.substr(pos_, len));
-    pos_ += len;
-    return s;
-  }
-  Result<LeafPath> Path();
-  bool AtEnd() const { return pos_ == data_.size(); }
-  size_t pos() const { return pos_; }
-
- private:
-  Status Short(const char* field) const {
-    return Status::InvalidArgument(std::string(what_) + ": short read (" +
-                                   field + " at byte " + std::to_string(pos_) +
-                                   ")");
-  }
-
-  std::string_view data_;
-  const char* what_;
-  size_t pos_ = 0;
-};
-
-}  // namespace wire
-
-/// \brief In-place framing: BeginWalFrame reserves the 8-byte frame
-/// header at the end of `out` and returns where the frame starts; the
-/// caller appends the payload; EndWalFrame writes <len><crc> over the
-/// reserved bytes. The writer's hot path and the checkpoint encoder
-/// frame this way, so each record is written exactly once.
-size_t BeginWalFrame(std::string* out);
-void EndWalFrame(std::string* out, size_t frame_start);
-
-/// \brief Appends the frame `<len><crc><payload>` to `out`.
-void AppendWalFrame(std::string* out, std::string_view payload);
-
-/// \brief Outcome of walking a frame stream (see WalkWalFrames).
-struct WalFrameWalk {
-  uint64_t frames = 0;       ///< frames the visitor accepted
-  uint64_t valid_bytes = 0;  ///< byte length of the accepted prefix
-  bool bad = false;          ///< stopped at a bad or refused frame
-  std::string bad_detail;    ///< "record N (offset B): reason"
-};
-
-/// \brief Walks the `<len><crc><payload>` frames of `bytes` from the
-/// start, handing each CRC-valid payload to `visit`. Stops at the first
-/// short header, over-cap length, frame running past the end (torn
-/// write), CRC mismatch, or payload `visit` refuses (its message becomes
-/// the reason). Never reads outside `bytes`.
-WalFrameWalk WalkWalFrames(
-    std::string_view bytes,
-    const std::function<Status(std::string_view payload)>& visit);
 
 /// \brief `wal-<seq:08>.seg`.
 std::string WalSegmentFileName(uint64_t seq);

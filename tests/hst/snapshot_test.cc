@@ -7,8 +7,10 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include "common/atomic_file.h"
+#include "common/frames.h"
 #include "common/fault.h"
 #include "core/hst_mechanism.h"
 #include "geo/grid.h"
@@ -41,16 +43,59 @@ CompleteHst BuildDeepTree() {
   return std::move(tree).MoveValueUnsafe();
 }
 
-// --- payload surgery helpers -------------------------------------------
-
-std::string PayloadOf(const std::string& framed) {
-  const size_t nl = framed.find('\n');
-  EXPECT_NE(nl, std::string::npos);
-  return framed.substr(nl + 1);
+// A deep digit-path tree (depth 70, arity 2) or a packed one (depth 20)
+// with `n` synthetic points: leaf i spells i in binary over its first 14
+// digits. Big enough that both tables span several records.
+CompleteHst BuildWideTree(int depth, int n) {
+  std::vector<Point> points;
+  std::vector<LeafPath> paths;
+  for (int i = 0; i < n; ++i) {
+    points.push_back({static_cast<double>(i), static_cast<double>(i % 7)});
+    LeafPath path(static_cast<size_t>(depth), char16_t{0});
+    for (int d = 0; d < 14; ++d) {
+      path[static_cast<size_t>(d)] = static_cast<char16_t>((i >> (13 - d)) & 1);
+    }
+    paths.push_back(std::move(path));
+  }
+  auto tree = CompleteHst::FromParts(depth, 2, 1.5, std::move(points),
+                                     std::move(paths));
+  EXPECT_TRUE(tree.ok()) << tree.status();
+  return std::move(tree).MoveValueUnsafe();
 }
 
-std::string Reframe(const std::string& payload) {
-  return FrameCrcPayload("TBFSNAP1", payload);
+// --- record surgery helpers --------------------------------------------
+
+enum RecordKind : char { kHeader = 0, kPoints = 1, kLeaves = 2, kEnd = 3 };
+
+// The record payloads of a snapshot, in file order.
+std::vector<std::string> RecordsOf(const std::string& bytes) {
+  std::vector<std::string> records;
+  const FrameWalk walk = WalkFrames(bytes, [&](std::string_view payload) {
+    records.emplace_back(payload);
+    return Status::OK();
+  });
+  EXPECT_FALSE(walk.bad) << walk.bad_detail;
+  return records;
+}
+
+// The records of the small grid tree's snapshot.
+std::vector<std::string> GridRecords() {
+  return RecordsOf(SerializeHstSnapshot(BuildTree()));
+}
+
+// Frames `records` back into a file. Every frame is CRC-valid, so a
+// parse failure is the schema's verdict, not the CRC's.
+std::string Reframe(const std::vector<std::string>& records) {
+  std::string out;
+  for (const std::string& record : records) AppendFrame(&out, record);
+  return out;
+}
+
+// The end record of a file with `records_before` records before it.
+std::string EndRecord(uint64_t records_before) {
+  std::string payload(1, kEnd);
+  wire::PutU64(&payload, records_before);
+  return payload;
 }
 
 void PatchU32(std::string* payload, size_t off, uint32_t v) {
@@ -73,15 +118,21 @@ void PatchF64(std::string* payload, size_t off, double v) {
   PatchU64(payload, off, bits);
 }
 
-// Payload layout: version@0 flags@4 depth@8 arity@12 scale@16 count@24,
-// point table @32.
-constexpr size_t kOffVersion = 0;
-constexpr size_t kOffFlags = 4;
-constexpr size_t kOffDepth = 8;
-constexpr size_t kOffArity = 12;
-constexpr size_t kOffScale = 16;
-constexpr size_t kOffCount = 24;
-constexpr size_t kOffPoints = 32;
+// Header record layout: kind@0, magic <len:u32>"TBF-SNAP"@1, version@13,
+// flags@17, depth@21, arity@25, scale@29, count@37. Table rows start at
+// byte 1 of their record.
+constexpr size_t kOffMagic = 5;
+constexpr size_t kOffVersion = 13;
+constexpr size_t kOffFlags = 17;
+constexpr size_t kOffDepth = 21;
+constexpr size_t kOffArity = 25;
+constexpr size_t kOffScale = 29;
+constexpr size_t kOffCount = 37;
+constexpr size_t kOffRows = 1;
+
+// Record indexes of a small tree: one record per table.
+constexpr size_t kPointRecord = 1;
+constexpr size_t kLeafRecord = 2;
 
 void ExpectParseError(const std::string& bytes, const std::string& substring) {
   auto parsed = ParseHstSnapshot(bytes);
@@ -139,6 +190,33 @@ TEST(HstSnapshotTest, RoundTripPreservesDeepDigitPathTree) {
   }
 }
 
+TEST(HstSnapshotTest, RoundTripTablesSpanningSeveralRecords) {
+  for (const int depth : {70, 20}) {  // digit paths, then packed codes
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    CompleteHst original = BuildWideTree(depth, 10000);
+    ASSERT_EQ(original.codec() != nullptr, depth == 20);
+    const std::string bytes = SerializeHstSnapshot(original);
+    int point_records = 0;
+    int leaf_records = 0;
+    for (const std::string& record : RecordsOf(bytes)) {
+      EXPECT_LE(record.size(), kMaxFramePayload);
+      point_records += record[0] == kPoints;
+      leaf_records += record[0] == kLeaves;
+    }
+    EXPECT_GE(point_records, 2);
+    EXPECT_GE(leaf_records, 2);
+    auto parsed = ParseHstSnapshot(bytes);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    ASSERT_EQ(parsed->num_points(), original.num_points());
+    for (int p = 0; p < original.num_points(); ++p) {
+      ASSERT_EQ(parsed->points()[static_cast<size_t>(p)],
+                original.points()[static_cast<size_t>(p)]);
+      ASSERT_EQ(parsed->leaf_of_point(p), original.leaf_of_point(p));
+    }
+    EXPECT_EQ(SerializeHstSnapshot(*parsed), bytes);
+  }
+}
+
 TEST(HstSnapshotTest, SerializationIsDeterministic) {
   CompleteHst tree = BuildTree(11);
   EXPECT_EQ(SerializeHstSnapshot(tree), SerializeHstSnapshot(tree));
@@ -147,9 +225,10 @@ TEST(HstSnapshotTest, SerializationIsDeterministic) {
 // --- frame corruption ---------------------------------------------------
 
 TEST(HstSnapshotTest, RejectsBadMagic) {
-  std::string bytes = SerializeHstSnapshot(BuildTree());
-  bytes[0] = 'X';
-  ExpectParseError(bytes, "bad magic");
+  // A CRC-valid header naming another artifact.
+  std::vector<std::string> records = GridRecords();
+  records[0].replace(kOffMagic, 8, "TBF-NOPE");
+  ExpectParseError(Reframe(records), "bad magic 'TBF-NOPE'");
 }
 
 TEST(HstSnapshotTest, RejectsFlippedPayloadByte) {
@@ -160,86 +239,143 @@ TEST(HstSnapshotTest, RejectsFlippedPayloadByte) {
 
 TEST(HstSnapshotTest, RejectsTruncatedFile) {
   std::string bytes = SerializeHstSnapshot(BuildTree());
-  bytes.resize(bytes.size() - 10);
-  ExpectParseError(bytes, "length mismatch");
+  bytes.resize(bytes.size() / 2);
+  ExpectParseError(bytes, "past end of file (torn write)");
+}
+
+TEST(HstSnapshotTest, RejectsFileCutAtRecordBoundary) {
+  // Every proper prefix that ends on a frame boundary is a well-formed
+  // frame stream; the missing end record is what refuses it.
+  const std::string bytes = SerializeHstSnapshot(BuildWideTree(70, 3000));
+  const std::vector<std::string> records = RecordsOf(bytes);
+  ASSERT_GT(records.size(), 4u);
+  for (size_t keep = 1; keep < records.size(); ++keep) {
+    ExpectParseError(
+        Reframe({records.begin(), records.begin() + static_cast<long>(keep)}),
+        "no end record after " + std::to_string(keep) + " records");
+  }
 }
 
 TEST(HstSnapshotTest, RejectsEmptyAndGarbageInput) {
-  ExpectParseError("", "missing header line");
-  ExpectParseError("complete garbage, not a snapshot", "missing header line");
-  ExpectParseError("garbage with a newline\nand more\n", "bad magic");
-  ExpectParseError("TBFSNAP1 zzzzzzzz 10\n0123456789", "bad CRC field");
+  ExpectParseError("", "empty file");
+  ExpectParseError("abc", "short frame header (3 trailing bytes)");
+  ExpectParseError("complete garbage, not a snapshot", "byte cap");
+  std::string frames;
+  AppendFrame(&frames, "");
+  ExpectParseError(frames, "empty record");
+  frames.clear();
+  AppendFrame(&frames, "\x07junk");
+  ExpectParseError(frames, "unknown record kind 7");
 }
 
-// --- schema corruption (valid frame, hostile payload) -------------------
+TEST(HstSnapshotTest, RejectsRecordGrammarViolations) {
+  const std::vector<std::string> base = GridRecords();
+  ASSERT_EQ(base.size(), 4u);  // header, points, leaves, end
+
+  std::vector<std::string> records(base.begin() + 1, base.end());
+  ExpectParseError(Reframe(records),
+                   "first record must be the snapshot header");
+
+  records = base;
+  records.insert(records.begin() + 1, base[0]);
+  ExpectParseError(Reframe(records), "header record: follows a header record");
+
+  records = base;
+  std::swap(records[kPointRecord], records[kLeafRecord]);
+  ExpectParseError(Reframe(records), "points record: follows a leaves record");
+
+  records = base;
+  records.erase(records.begin() + kPointRecord);
+  ExpectParseError(Reframe(records),
+                   "counts 3 records before it, the file has 2");
+
+  records = base;
+  records.push_back(EndRecord(records.size()));
+  ExpectParseError(Reframe(records), "end record: follows the end record");
+}
+
+// --- schema corruption (CRC-valid frames, hostile records) ---------------
 
 TEST(HstSnapshotTest, RejectsUnsupportedVersion) {
-  std::string payload = PayloadOf(SerializeHstSnapshot(BuildTree()));
-  PatchU32(&payload, kOffVersion, 2);
-  ExpectParseError(Reframe(payload), "unsupported version 2");
+  std::vector<std::string> records = GridRecords();
+  PatchU32(&records[0], kOffVersion, 3);
+  ExpectParseError(Reframe(records), "unsupported version 3");
 }
 
 TEST(HstSnapshotTest, RejectsUnknownFlagBits) {
-  std::string payload = PayloadOf(SerializeHstSnapshot(BuildTree()));
-  PatchU32(&payload, kOffFlags, 0x2 | 0x1);
-  ExpectParseError(Reframe(payload), "unknown flag bits");
+  std::vector<std::string> records = GridRecords();
+  PatchU32(&records[0], kOffFlags, 0x2 | 0x1);
+  ExpectParseError(Reframe(records), "unknown flag bits");
 }
 
 TEST(HstSnapshotTest, RejectsFlagShapeMismatch) {
   // The grid tree fits packed codes, so a clear packed bit contradicts
   // the shape (and vice versa for the deep tree).
-  std::string payload = PayloadOf(SerializeHstSnapshot(BuildTree()));
-  PatchU32(&payload, kOffFlags, 0);
-  ExpectParseError(Reframe(payload), "leaf encoding does not match");
+  std::vector<std::string> records = GridRecords();
+  PatchU32(&records[0], kOffFlags, 0);
+  ExpectParseError(Reframe(records), "leaf encoding does not match");
 
-  std::string deep = PayloadOf(SerializeHstSnapshot(BuildDeepTree()));
-  PatchU32(&deep, kOffFlags, 1);
+  std::vector<std::string> deep =
+      RecordsOf(SerializeHstSnapshot(BuildDeepTree()));
+  PatchU32(&deep[0], kOffFlags, 1);
   ExpectParseError(Reframe(deep), "leaf encoding does not match");
 }
 
 TEST(HstSnapshotTest, RejectsBadGeometryHeader) {
-  const std::string base = PayloadOf(SerializeHstSnapshot(BuildTree()));
+  const std::vector<std::string> base = GridRecords();
 
-  std::string payload = base;
-  PatchU32(&payload, kOffDepth, 0);
-  ExpectParseError(Reframe(payload), "depth 0 must be >= 1");
+  std::vector<std::string> records = base;
+  PatchU32(&records[0], kOffDepth, 0);
+  ExpectParseError(Reframe(records), "depth 0 must be >= 1");
 
-  payload = base;
-  PatchU32(&payload, kOffArity, 1);
-  ExpectParseError(Reframe(payload), "arity 1 out of range");
+  records = base;
+  PatchU32(&records[0], kOffArity, 1);
+  ExpectParseError(Reframe(records), "arity 1 out of range");
 
-  payload = base;
-  PatchF64(&payload, kOffScale, -4.0);
-  ExpectParseError(Reframe(payload), "scale must be positive");
+  records = base;
+  PatchF64(&records[0], kOffScale, -4.0);
+  ExpectParseError(Reframe(records), "scale must be positive");
 }
 
 TEST(HstSnapshotTest, RejectsEmptyPointSet) {
-  std::string payload = PayloadOf(SerializeHstSnapshot(BuildTree()));
-  PatchU64(&payload, kOffCount, 0);
-  ExpectParseError(Reframe(payload), "empty point set");
+  std::vector<std::string> records = GridRecords();
+  PatchU64(&records[0], kOffCount, 0);
+  ExpectParseError(Reframe(records), "empty point set");
 }
 
 TEST(HstSnapshotTest, HugePointCountFailsWithoutAllocating) {
-  // A corrupt count must be caught by the byte-size cross-check before
-  // any reserve — not by an out-of-memory crash.
-  std::string payload = PayloadOf(SerializeHstSnapshot(BuildTree()));
-  PatchU64(&payload, kOffCount, uint64_t{1} << 60);
-  ExpectParseError(Reframe(payload), "truncated payload");
+  // A corrupt count must be caught by the row-count cross-check before
+  // any table allocation — not by an out-of-memory crash.
+  std::vector<std::string> records = GridRecords();
+  PatchU64(&records[0], kOffCount, uint64_t{1} << 60);
+  ExpectParseError(Reframe(records),
+                   "1152921504606846976 points declared, the point table "
+                   "holds 25 rows");
 }
 
 TEST(HstSnapshotTest, RejectsTruncatedPayload) {
-  std::string payload = PayloadOf(SerializeHstSnapshot(BuildTree()));
-  payload.resize(payload.size() - 3);
-  ExpectParseError(Reframe(payload), "truncated payload");
+  const std::vector<std::string> base = GridRecords();
 
-  payload.resize(kOffCount + 2);  // cut mid-header
-  ExpectParseError(Reframe(payload), "truncated payload");
+  std::vector<std::string> records = base;
+  records[kLeafRecord].resize(records[kLeafRecord].size() - 8);  // one row
+  ExpectParseError(Reframe(records),
+                   "25 points declared, the leaf table holds 24 rows");
+
+  records = base;
+  records.erase(records.begin() + kLeafRecord);
+  records.back() = EndRecord(records.size() - 1);
+  ExpectParseError(Reframe(records), "the leaf table holds 0 rows");
+
+  records = base;
+  records[0].resize(kOffCount + 2);  // cut mid-header
+  ExpectParseError(Reframe(records), "header record: short read");
 }
 
 TEST(HstSnapshotTest, RejectsNonFinitePoint) {
-  std::string payload = PayloadOf(SerializeHstSnapshot(BuildTree()));
-  PatchF64(&payload, kOffPoints, std::numeric_limits<double>::quiet_NaN());
-  ExpectParseError(Reframe(payload), "point 0: non-finite coordinate");
+  std::vector<std::string> records = GridRecords();
+  PatchF64(&records[kPointRecord], kOffRows,
+           std::numeric_limits<double>::quiet_NaN());
+  ExpectParseError(Reframe(records), "point 0: non-finite coordinate");
 }
 
 TEST(HstSnapshotTest, RejectsCodeBitsOutsideShape) {
@@ -255,42 +391,43 @@ TEST(HstSnapshotTest, RejectsCodeBitsOutsideShape) {
       CompleteHst::FromParts(3, 4, 2.0, std::move(points), std::move(paths));
   ASSERT_TRUE(tree.ok()) << tree.status();
   ASSERT_NE(tree->codec(), nullptr);
-  std::string payload = PayloadOf(SerializeHstSnapshot(*tree));
-  const size_t codes_off =
-      kOffPoints + static_cast<size_t>(tree->num_points()) * 16;
-  payload[codes_off + 7] = static_cast<char>(0xFF);  // poison high byte
-  ExpectParseError(Reframe(payload), "leaf 0: code has bits outside");
+  std::vector<std::string> records = RecordsOf(SerializeHstSnapshot(*tree));
+  records[kLeafRecord][kOffRows + 7] = static_cast<char>(0xFF);  // high byte
+  ExpectParseError(Reframe(records), "leaf 0: code has bits outside");
 }
 
 TEST(HstSnapshotTest, RejectsDigitOutOfArityRange) {
-  CompleteHst tree = BuildDeepTree();
-  std::string payload = PayloadOf(SerializeHstSnapshot(tree));
-  const size_t digits_off =
-      kOffPoints + static_cast<size_t>(tree.num_points()) * 16;
-  payload[digits_off] = 5;  // arity is 2; digit 5 is out of range
-  payload[digits_off + 1] = 0;
-  ExpectParseError(Reframe(payload),
+  std::vector<std::string> records =
+      RecordsOf(SerializeHstSnapshot(BuildDeepTree()));
+  records[kLeafRecord][kOffRows] = 5;  // arity is 2; digit 5 is out of range
+  records[kLeafRecord][kOffRows + 1] = 0;
+  ExpectParseError(Reframe(records),
                    "leaf 0: digit 5 at level 0 out of arity range");
 }
 
 TEST(HstSnapshotTest, RejectsDuplicateLeafViaBackstop) {
   CompleteHst tree = BuildTree();
-  std::string payload = PayloadOf(SerializeHstSnapshot(tree));
-  const size_t codes_off =
-      kOffPoints + static_cast<size_t>(tree.num_points()) * 16;
+  std::vector<std::string> records = RecordsOf(SerializeHstSnapshot(tree));
   // Make leaf 1's code identical to leaf 0's: structural validation
   // passes, FromParts rejects the duplicate with the "snapshot: " prefix.
-  PatchU64(&payload, codes_off + 8, tree.leaf_code_of_point(0));
-  auto parsed = ParseHstSnapshot(Reframe(payload));
+  PatchU64(&records[kLeafRecord], kOffRows + 8, tree.leaf_code_of_point(0));
+  auto parsed = ParseHstSnapshot(Reframe(records));
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.status().message().find("snapshot: "), std::string::npos);
   EXPECT_NE(parsed.status().message().find("duplicate"), std::string::npos);
 }
 
 TEST(HstSnapshotTest, RejectsTrailingBytes) {
-  std::string payload = PayloadOf(SerializeHstSnapshot(BuildTree()));
-  payload.append("\0\0\0\0", 4);
-  ExpectParseError(Reframe(payload), "4 trailing bytes");
+  std::vector<std::string> records = GridRecords();
+  records[kLeafRecord].append("\0\0\0\0", 4);
+  ExpectParseError(
+      Reframe(records),
+      "leaves record: 4 trailing bytes after 25 whole 8-byte rows");
+
+  records = GridRecords();
+  records[0].append("\0", 1);
+  ExpectParseError(Reframe(records),
+                   "header record: trailing bytes after a complete record");
 }
 
 // --- mutation sweep: corrupt bytes never crash the parser ---------------
@@ -304,8 +441,8 @@ TEST(HstSnapshotTest, RandomSingleByteMutationsAlwaysRejected) {
     char flip = static_cast<char>(prng() % 256);
     while (flip == mutated[pos]) flip = static_cast<char>(prng() % 256);
     mutated[pos] = flip;
-    // Every byte is covered: the header tokens are validated, the payload
-    // is CRC-checked. A one-byte substitution must always be detected.
+    // Every byte is covered: a changed length breaks the frame walk or
+    // the CRC, every other byte is CRC-checked.
     EXPECT_FALSE(ParseHstSnapshot(mutated).ok()) << "byte " << pos;
   }
   for (int iter = 0; iter < 100; ++iter) {

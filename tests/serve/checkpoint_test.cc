@@ -9,8 +9,8 @@
 #include <limits>
 #include <string>
 
+#include "common/frames.h"
 #include "geo/grid.h"
-#include "serve/wal.h"
 #include "workload/synthetic.h"
 
 namespace tbf {
@@ -216,7 +216,7 @@ TEST(CheckpointTest, SerializationIsDeterministic) {
 // One CRC-framed record: a kind byte, then `fields`.
 std::string Frame(uint8_t kind, const std::string& fields) {
   std::string frame;
-  AppendWalFrame(&frame, std::string(1, static_cast<char>(kind)) + fields);
+  AppendFrame(&frame, std::string(1, static_cast<char>(kind)) + fields);
   return frame;
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/frames.h"
 #include "geo/grid.h"
 #include "hst/snapshot.h"
 #include "serve/replay.h"
@@ -252,6 +254,61 @@ TEST(RecoveryTest, ForeignCheckpointIsRejectedByIdentity) {
             std::string::npos);
 }
 
+TEST(RecoveryTest, CheckpointWithInconsistentTaskSlotIsRefused) {
+  // A CRC-valid checkpoint whose cursor names other than exactly its
+  // stored task rows must be refused by both restore paths, never index
+  // past those rows (or resize to the bogus slot) on the next window.
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = SmallTrace();
+  const std::string dir = FreshDir("task_slot");
+  ReplayOptions options = DurableOptions(dir);
+  options.keep_checkpoints = 1000;
+  auto durable = RunEventReplay(framework, trace, options);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  std::vector<std::string> ckpts;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".ckpt") ckpts.push_back(entry.path());
+  }
+  std::sort(ckpts.begin(), ckpts.end());
+  ASSERT_GT(ckpts.size(), 2u);
+
+  // Single-file resume from the oldest checkpoint: windows remain.
+  auto oldest = ReadReplayCheckpointFile(ckpts.front());
+  ASSERT_TRUE(oldest.ok()) << oldest.status().ToString();
+  ASSERT_LT(oldest->next_event, trace.events.size());
+  ReplayOptions resume = options;
+  resume.durable_dir.clear();
+  resume.checkpoint_path = dir + "/bumped.single";
+  resume.resume_from_checkpoint = true;
+  const int64_t slot = oldest->next_task_slot;
+  for (const int64_t bumped : {slot + 1, slot + 1000, int64_t{1} << 40,
+                               int64_t{-1}}) {
+    ReplayCheckpoint ckpt = *oldest;
+    ckpt.next_task_slot = bumped;
+    ASSERT_TRUE(WriteReplayCheckpointFile(ckpt, resume.checkpoint_path).ok());
+    auto resumed = RunEventReplay(framework, trace, resume);
+    ASSERT_FALSE(resumed.ok()) << "next_task_slot " << bumped;
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(resumed.status().message().find("next_task_slot"),
+              std::string::npos)
+        << resumed.status().ToString();
+  }
+
+  // Durable recovery restores the newest checkpoint the same way.
+  auto newest = ReadReplayCheckpointFile(ckpts.back());
+  ASSERT_TRUE(newest.ok()) << newest.status().ToString();
+  newest->next_task_slot += 1;
+  ASSERT_TRUE(WriteReplayCheckpointFile(*newest, ckpts.back()).ok());
+  ReplayOptions recover = options;
+  recover.recover = true;
+  auto recovered = RunEventReplay(framework, trace, recover);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(recovered.status().message().find("next_task_slot"),
+            std::string::npos)
+      << recovered.status().ToString();
+}
+
 TEST(RecoveryTest, EmptyDirectoryIsAFreshStart) {
   const std::string dir = FreshDir("empty");
   auto recovered = RecoverReplayDir(dir);
@@ -283,15 +340,15 @@ bool RewriteJournalRecord(const std::string& dir, uint64_t lsn,
     }
     std::string rewritten;
     bool found = false;
-    const WalFrameWalk walk =
-        WalkWalFrames(bytes, [&](std::string_view payload) -> Status {
+    const FrameWalk walk =
+        WalkFrames(bytes, [&](std::string_view payload) -> Status {
           TBF_ASSIGN_OR_RETURN(WalRecord rec, DecodeWalRecord(payload));
           if (rec.lsn == lsn) {
             edit(&rec);
-            AppendWalFrame(&rewritten, EncodeWalRecord(rec));
+            AppendFrame(&rewritten, EncodeWalRecord(rec));
             found = true;
           } else {
-            AppendWalFrame(&rewritten, payload);
+            AppendFrame(&rewritten, payload);
           }
           return Status::OK();
         });

@@ -22,11 +22,9 @@ Usage:
     tools/check_checkpoint.py --expect-fail FILE...  # corrupted fixtures
 """
 
-import argparse
-import os
 import sys
 
-from tbf_frames import FrameError, Reader, iter_frames
+from tbf_frames import FrameError, Reader, fail, file_checker_main, iter_frames
 
 MAGIC = b"TBF-CKPT"
 VERSION = 4
@@ -118,19 +116,14 @@ def decode_record(payload, records, seen):
     return name
 
 
-def _fail(path, message):
-    print("FAIL %s: %s" % (path, message))
-    return False
-
-
 def check_file(path):
     try:
         with open(path, "rb") as f:
             blob = f.read()
     except OSError as e:
-        return _fail(path, "unreadable: %s" % e)
+        return fail(path, "unreadable: %s" % e)
     if blob.startswith(TEXT_MAGIC):
-        return _fail(path, "text-format (v1-v3) checkpoint; v4 is binary")
+        return fail(path, "text-format (v1-v3) checkpoint; v4 is binary")
 
     seen = set()
     records = 0
@@ -142,12 +135,12 @@ def check_file(path):
                 raise FrameError.at(ordinal, offset, str(e))
             records += 1
     except FrameError as e:
-        return _fail(path, str(e))
+        return fail(path, str(e))
     if records == 0:
-        return _fail(path, "empty file")
+        return fail(path, "empty file")
     missing = REQUIRED - seen
     if missing:
-        return _fail(
+        return fail(
             path,
             "missing required record(s) %s after %d records "
             "(truncated or corrupt file)" % (", ".join(sorted(missing)), records),
@@ -156,30 +149,5 @@ def check_file(path):
     return True
 
 
-def main(argv):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("files", nargs="*", help="checkpoint files")
-    parser.add_argument("--dir", help="validate every *.ckpt under this directory")
-    parser.add_argument(
-        "--expect-fail",
-        action="store_true",
-        help="invert the verdict: succeed only when every file FAILS "
-        "(CI uses this to prove corrupted fixtures are rejected)",
-    )
-    args = parser.parse_args(argv)
-
-    files = list(args.files)
-    if args.dir:
-        for root, _, names in os.walk(args.dir):
-            files.extend(os.path.join(root, n) for n in sorted(names) if n.endswith(".ckpt"))
-    if not files:
-        parser.error("no checkpoint files given (pass FILE... or --dir DIR)")
-
-    results = [check_file(f) for f in files]
-    if args.expect_fail:
-        return 0 if not any(results) else 1
-    return 0 if all(results) else 1
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(file_checker_main(sys.argv[1:], __doc__, check_file, ".ckpt"))

@@ -3,39 +3,39 @@
 
 Stdlib only — CI runs this against snapshots written by the benchmark and
 chaos jobs, as an independent (non-C++) check that what the writer
-fsync'd to disk is a complete, CRC-clean, schema-valid tree.
+fsync'd to disk is a complete, CRC-clean, schema-valid tree, and against
+corrupted copies that must be refused.
 
-Format (docs/ROBUSTNESS.md):
-    TBFSNAP1 <crc32 hex8> <payload bytes>\\n
-    payload, little-endian:
-        u32 version (1)
-        u32 flags   (bit 0: leaves as packed u64 codes)
-        i32 depth
-        i32 arity
-        f64 scale
-        u64 num_points
-        num_points x (f64 x, f64 y)
-        num_points x u64            leaf codes   (flags bit 0 set)
-        num_points x depth x u16    leaf digits  (flags bit 0 clear)
+Format v2 (docs/ROBUSTNESS.md): the journal's frames (tools/tbf_frames.py)
+    <len:u32 LE> <crc32:u32 LE> <payload: len bytes>
+    payload = <kind:u8> <kind-specific fields, LE>
+    file    = header points+ leaves+ end
+The header carries the magic "TBF-SNAP", version 2, flags (bit 0: leaves
+as packed u64 codes), depth, arity, scale and num_points. Point records
+hold whole (f64 x, f64 y) rows; leaf records whole u64 codes (flags bit 0
+set) or depth x u16 digit rows (clear); each table's rows total
+num_points. The end record counts the records before it.
 
-Exit status: 0 when every file validates, 1 otherwise.
+Exit status: 0 when every file validates, 1 otherwise (--expect-fail
+inverts it).
 
 Usage:
     tools/check_snapshot.py FILE [FILE...]
     tools/check_snapshot.py --dir DIR      # every *.snap under DIR
+    tools/check_snapshot.py --expect-fail FILE...  # corrupted fixtures
 """
 
-import argparse
-import binascii
 import math
-import os
-import re
 import struct
 import sys
 
-MAGIC = "TBFSNAP1"
-VERSION = 1
+from tbf_frames import FrameError, Reader, fail, file_checker_main, iter_frames
+
+MAGIC = b"TBF-SNAP"
+VERSION = 2
 FLAG_PACKED = 1 << 0
+HEADER, POINTS, LEAVES, END = range(4)
+NAMES = ["header", "points", "leaves", "end"]
 
 
 def bits_per_digit(arity):
@@ -48,9 +48,136 @@ def shape_fits(depth, arity):
     return depth >= 1 and arity >= 2 and depth * bits_per_digit(arity) <= 64
 
 
-def _fail(path, message):
-    print("FAIL %s: %s" % (path, message))
-    return False
+class Snapshot:
+    """Decodes one record per call, enforcing the file grammar (header,
+    point records, leaf records, end) and the header schema; the table
+    rows are checked after the walk (check_tables)."""
+
+    def __init__(self):
+        self.records, self.last, self.ended = 0, HEADER, False
+        self.tables = {POINTS: [], LEAVES: []}
+
+    def decode(self, payload):
+        if not payload:
+            raise ValueError("empty record")
+        kind = payload[0]
+        if kind >= len(NAMES):
+            raise ValueError("unknown record kind %d" % kind)
+        try:
+            self.decode_body(kind, payload[1:])
+        except ValueError as e:
+            raise ValueError("%s record: %s" % (NAMES[kind], e))
+        self.last = kind
+        self.records += 1
+
+    def decode_body(self, kind, body):
+        if self.records == 0 and kind != HEADER:
+            raise ValueError("the first record must be the snapshot header")
+        if self.ended:
+            raise ValueError("follows the end record")
+        if self.records > 0 and (kind < self.last or kind == HEADER):
+            raise ValueError(
+                "follows a %s record (the order is header, points, leaves, end)"
+                % NAMES[self.last]
+            )
+        r = Reader(body)
+        if kind == HEADER:
+            self.decode_header(r)
+        elif kind == END:
+            counted = r.u64()
+            if not r.at_end():
+                raise ValueError("trailing bytes after a complete record")
+            if counted != self.records:
+                raise ValueError(
+                    "counts %d records before it, the file has %d"
+                    % (counted, self.records)
+                )
+            self.ended = True
+        else:
+            row = 16 if kind == POINTS else self.leaf_bytes
+            if len(body) % row:
+                raise ValueError(
+                    "%d trailing bytes after %d whole %d-byte rows"
+                    % (len(body) % row, len(body) // row, row)
+                )
+            self.tables[kind].append(body)
+
+    def decode_header(self, r):
+        magic = r.string()
+        if magic != MAGIC:
+            raise ValueError("bad magic %r" % magic)
+        version = r.u32()
+        if version != VERSION:
+            raise ValueError(
+                "unsupported version %d (this tool reads v%d)" % (version, VERSION)
+            )
+        flags, depth, arity = r.u32(), r.i32(), r.i32()
+        scale, self.num_points = r.f64(), r.u64()
+        if not r.at_end():
+            raise ValueError("trailing bytes after a complete record")
+        if flags & ~FLAG_PACKED:
+            raise ValueError("unknown flag bits 0x%x" % (flags & ~FLAG_PACKED))
+        if depth < 1:
+            raise ValueError("depth %d must be >= 1" % depth)
+        if not 2 <= arity <= 0xFFFF:
+            raise ValueError("arity %d out of range [2, 65535]" % arity)
+        if not math.isfinite(scale) or scale <= 0.0:
+            raise ValueError("scale must be positive and finite, got %r" % scale)
+        self.packed, fits = bool(flags & FLAG_PACKED), shape_fits(depth, arity)
+        if self.packed != fits:
+            raise ValueError(
+                "leaf encoding does not match the tree shape: packed flag %s "
+                "but depth %d x arity %d %s 64-bit codes"
+                % ("set" if self.packed else "clear", depth, arity,
+                   "fits" if fits else "does not fit")
+            )
+        if self.num_points == 0:
+            raise ValueError("empty point set")
+        self.depth, self.arity = depth, arity
+        self.leaf_bytes = 8 if self.packed else 2 * depth
+
+    def rows(self, kind, fmt):
+        return [r for body in self.tables[kind] for r in struct.iter_unpack(fmt, body)]
+
+    def check_tables(self):
+        """Row counts, then every row; raises ValueError on the first
+        violation."""
+        if not self.ended:
+            raise ValueError(
+                "no end record after %d records (truncated or corrupt file)"
+                % self.records
+            )
+        points = self.rows(POINTS, "<dd")
+        leaves = self.rows(LEAVES, "<Q" if self.packed else "<%dH" % self.depth)
+        for rows, table in ((points, "point"), (leaves, "leaf")):
+            if len(rows) != self.num_points:
+                raise ValueError(
+                    "%d points declared, the %s table holds %d rows"
+                    % (self.num_points, table, len(rows))
+                )
+        for i, (x, y) in enumerate(points):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError("point %d: non-finite coordinate" % i)
+        bits = bits_per_digit(self.arity)
+        # Packed digits sit root-first from the top bit down (LeafCodec);
+        # everything below the last digit must be zero.
+        shifts = [64 - bits * (level + 1) for level in range(self.depth)]
+        seen = set()
+        for i, row in enumerate(leaves):
+            digits = row
+            if self.packed:
+                if row[0] & ((1 << shifts[-1]) - 1):
+                    raise ValueError("leaf %d: code has bits outside the shape" % i)
+                digits = [(row[0] >> s) & ((1 << bits) - 1) for s in shifts]
+            for level, digit in enumerate(digits):
+                if digit >= self.arity:
+                    raise ValueError(
+                        "leaf %d: digit %d at level %d out of arity range [0, %d)"
+                        % (i, digit, level, self.arity)
+                    )
+            if row in seen:
+                raise ValueError("leaf %d: duplicate leaf path" % i)
+            seen.add(row)
 
 
 def check_file(path):
@@ -58,150 +185,27 @@ def check_file(path):
         with open(path, "rb") as f:
             blob = f.read()
     except OSError as e:
-        return _fail(path, "unreadable: %s" % e)
+        return fail(path, "unreadable: %s" % e)
 
-    newline = blob.find(b"\n")
-    if newline < 0:
-        return _fail(path, "no header line")
-    header = blob[:newline].decode("ascii", errors="replace").split(" ")
-    if len(header) != 3 or header[0] != MAGIC:
-        return _fail(path, "bad magic (expected '%s <crc> <len>')" % MAGIC)
-    if not re.fullmatch(r"[0-9a-f]{8}", header[1]):
-        return _fail(path, "CRC field is not 8 hex digits: %r" % header[1])
-    declared_crc = int(header[1], 16)
+    snap = Snapshot()
     try:
-        declared_len = int(header[2])
-    except ValueError:
-        return _fail(path, "payload length is not an integer")
-
-    payload = blob[newline + 1 :]
-    if len(payload) != declared_len:
-        return _fail(
-            path,
-            "payload length mismatch: header says %d, file has %d "
-            "(truncated write?)" % (declared_len, len(payload)),
-        )
-    actual_crc = binascii.crc32(payload) & 0xFFFFFFFF
-    if actual_crc != declared_crc:
-        return _fail(
-            path,
-            "CRC mismatch: header %08x, payload %08x (corrupt file)"
-            % (declared_crc, actual_crc),
-        )
-
-    if len(payload) < 32:
-        return _fail(path, "payload shorter than the 32-byte header")
-    version, flags, depth, arity = struct.unpack_from("<IIii", payload, 0)
-    (scale,) = struct.unpack_from("<d", payload, 16)
-    (num_points,) = struct.unpack_from("<Q", payload, 24)
-
-    if version != VERSION:
-        return _fail(path, "unsupported version %d (reads v%d)" % (version, VERSION))
-    if flags & ~FLAG_PACKED:
-        return _fail(path, "unknown flag bits 0x%x" % (flags & ~FLAG_PACKED))
-    if depth < 1:
-        return _fail(path, "depth %d must be >= 1" % depth)
-    if not 2 <= arity <= 0xFFFF:
-        return _fail(path, "arity %d out of range [2, 65535]" % arity)
-    if not math.isfinite(scale) or scale <= 0.0:
-        return _fail(path, "scale must be positive and finite, got %r" % scale)
-    packed = bool(flags & FLAG_PACKED)
-    if packed != shape_fits(depth, arity):
-        return _fail(
-            path,
-            "leaf encoding does not match the shape: packed flag %s but "
-            "depth %d x arity %d %s 64-bit codes"
-            % (
-                "set" if packed else "clear",
-                depth,
-                arity,
-                "fits" if shape_fits(depth, arity) else "does not fit",
-            ),
-        )
-    if num_points == 0:
-        return _fail(path, "empty point set")
-
-    leaf_bytes = 8 if packed else 2 * depth
-    want = 32 + num_points * (16 + leaf_bytes)
-    if len(payload) != want:
-        return _fail(
-            path,
-            "payload is %d bytes, %d points need %d" % (len(payload), num_points, want),
-        )
-
-    points_off = 32
-    for i in range(num_points):
-        x, y = struct.unpack_from("<dd", payload, points_off + 16 * i)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return _fail(path, "point %d: non-finite coordinate" % i)
-
-    leaves_off = points_off + 16 * num_points
-    seen = set()
-    bits = bits_per_digit(arity)
-    mask = (1 << bits) - 1
-    for i in range(num_points):
-        if packed:
-            (code,) = struct.unpack_from("<Q", payload, leaves_off + 8 * i)
-            # Digits sit root-first from the top bit down (LeafCodec);
-            # everything below the last digit must be zero.
-            digits = [
-                (code >> (64 - bits * (level + 1))) & mask for level in range(depth)
-            ]
-            repacked = 0
-            for level, digit in enumerate(digits):
-                repacked |= digit << (64 - bits * (level + 1))
-            if repacked != code:
-                return _fail(path, "leaf %d: code has bits outside the shape" % i)
-            key = code
-        else:
-            digits = struct.unpack_from(
-                "<%dH" % depth, payload, leaves_off + 2 * depth * i
-            )
-            key = tuple(digits)
-        for level, digit in enumerate(digits):
-            if digit >= arity:
-                return _fail(
-                    path,
-                    "leaf %d: digit %d at level %d out of arity range [0, %d)"
-                    % (i, digit, level, arity),
-                )
-        if key in seen:
-            return _fail(path, "leaf %d: duplicate leaf path" % i)
-        seen.add(key)
-
+        for ordinal, offset, payload in iter_frames(blob):
+            try:
+                snap.decode(payload)
+            except ValueError as e:
+                raise FrameError.at(ordinal, offset, str(e))
+        if snap.records == 0:
+            raise ValueError("empty file")
+        snap.check_tables()
+    except ValueError as e:  # FrameError included
+        return fail(path, str(e))
     print(
-        "OK   %s (%d points, depth %d, arity %d, %s leaves, crc %08x)"
-        % (path, num_points, depth, arity, "packed" if packed else "digit", declared_crc)
+        "OK   %s (%d points, depth %d, arity %d, %s leaves, %d records)"
+        % (path, snap.num_points, snap.depth, snap.arity,
+           "packed" if snap.packed else "digit", snap.records)
     )
     return True
 
 
-def main(argv):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("files", nargs="*", help="snapshot files")
-    parser.add_argument("--dir", help="validate every *.snap under this directory")
-    parser.add_argument(
-        "--expect-fail",
-        action="store_true",
-        help="invert the verdict: succeed only when every file FAILS "
-        "(CI uses this to prove corrupted fixtures are rejected)",
-    )
-    args = parser.parse_args(argv)
-
-    files = list(args.files)
-    if args.dir:
-        for root, _, names in os.walk(args.dir):
-            files.extend(
-                os.path.join(root, n) for n in sorted(names) if n.endswith(".snap")
-            )
-    if not files:
-        parser.error("no snapshot files given (pass FILE... or --dir DIR)")
-
-    results = [check_file(f) for f in files]
-    if args.expect_fail:
-        return 0 if not any(results) else 1
-    return 0 if all(results) else 1
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(file_checker_main(sys.argv[1:], __doc__, check_file, ".snap"))

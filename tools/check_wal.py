@@ -36,7 +36,7 @@ import os
 import re
 import sys
 
-from tbf_frames import FrameError, Reader, iter_frames
+from tbf_frames import FrameError, Reader, fail, iter_frames
 
 KIND_NAMES = {
     0: "segment_header",
@@ -124,11 +124,6 @@ def decode_record(payload):
     return kind, lsn, identity, segment_seq
 
 
-def _fail(where, message):
-    print("FAIL %s: %s" % (where, message))
-    return False
-
-
 def check_segment(blob, seq, scan):
     """Walks one segment; `scan` carries identity and the expected LSN
     across segments. Returns the record count; raises FrameError."""
@@ -168,10 +163,10 @@ def check_dir(path):
     try:
         names = sorted(os.listdir(path))
     except OSError as e:
-        return _fail(path, "unreadable: %s" % e)
+        return fail(path, "unreadable: %s" % e)
     segments = [(int(m.group(1)), n) for n in names for m in [_SEG_RE.match(n)] if m]
     if not segments:
-        return _fail(path, "no wal-*.seg segments")
+        return fail(path, "no wal-*.seg segments")
 
     ok = True
     prev_seq = None
@@ -180,18 +175,18 @@ def check_dir(path):
     for seq, name in segments:
         seg_path = os.path.join(path, name)
         if prev_seq is not None and seq != prev_seq + 1:
-            ok = _fail(seg_path, "segment sequence gap after %08d" % prev_seq)
+            ok = fail(seg_path, "segment sequence gap after %08d" % prev_seq)
         prev_seq = seq
         try:
             with open(seg_path, "rb") as f:
                 blob = f.read()
         except OSError as e:
-            ok = _fail(seg_path, "unreadable: %s" % e)
+            ok = fail(seg_path, "unreadable: %s" % e)
             continue
         try:
             total_records += check_segment(blob, seq, scan)
         except FrameError as e:
-            ok = _fail(seg_path, str(e))
+            ok = fail(seg_path, str(e))
     if ok:
         print(
             "OK   %s (%d segments, %d records, next lsn %d)"

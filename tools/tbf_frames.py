@@ -1,21 +1,27 @@
 """Shared record framing for the TBF validators (stdlib only).
 
-Journal segments (src/serve/wal.cc) and replay checkpoints
-(src/serve/checkpoint.cc) are both streams of CRC-framed records:
+Every on-disk artifact — journal segments (src/serve/wal.cc), replay
+checkpoints (src/serve/checkpoint.cc) and tree snapshots
+(src/hst/snapshot.cc) — is a stream of CRC-framed records, the format
+src/common/frames.h owns:
 
     frame := <len:u32 LE> <crc32:u32 LE> <payload: len bytes>
 
 The CRC-32 is zlib's (binascii.crc32). Payload fields are little-endian;
 doubles are IEEE-754 bits, strings <len:u32><bytes>. This module walks a
-frame stream the way WalkWalFrames in src/serve/wal.cc does, with the
+frame stream the way WalkFrames in src/common/frames.cc does, with the
 same record-precise messages, and reads payload fields with bounds
-checks. tools/check_wal.py and tools/check_checkpoint.py import it.
+checks. tools/check_wal.py, tools/check_checkpoint.py and
+tools/check_snapshot.py import it and share its FAIL line (fail); the
+single-file validators also share its command line (file_checker_main).
 """
 
+import argparse
 import binascii
+import os
 import struct
 
-# kMaxWalPayload in src/serve/wal.cc: a larger declared length is garbage.
+# kMaxFramePayload in src/common/frames.h: a larger declared length is garbage.
 MAX_PAYLOAD = 1 << 22
 FRAME_HEADER_BYTES = 8
 
@@ -48,6 +54,9 @@ class Reader:
 
     def u32(self):
         return struct.unpack("<I", self._take(4, "u32"))[0]
+
+    def i32(self):
+        return struct.unpack("<i", self._take(4, "i32"))[0]
 
     def u64(self):
         return struct.unpack("<Q", self._take(8, "u64"))[0]
@@ -106,3 +115,36 @@ def iter_frames(blob):
         yield ordinal, offset, payload
         offset = end
         ordinal += 1
+
+
+def fail(path, message):
+    print("FAIL %s: %s" % (path, message))
+    return False
+
+
+def file_checker_main(argv, doc, check_file, ext):
+    """Command line of a single-file validator: FILE... and/or --dir DIR
+    (every *ext under it); exit 0 when every file validates, 1
+    otherwise, inverted by --expect-fail."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("files", nargs="*", help="files to validate")
+    parser.add_argument("--dir", help="validate every *%s under this directory" % ext)
+    parser.add_argument(
+        "--expect-fail",
+        action="store_true",
+        help="invert the verdict: succeed only when every file FAILS "
+        "(CI uses this to prove corrupted fixtures are rejected)",
+    )
+    args = parser.parse_args(argv)
+
+    files = list(args.files)
+    if args.dir:
+        for root, _, names in os.walk(args.dir):
+            files.extend(os.path.join(root, n) for n in sorted(names) if n.endswith(ext))
+    if not files:
+        parser.error("no files given (pass FILE... or --dir DIR)")
+
+    results = [check_file(f) for f in files]
+    if args.expect_fail:
+        return 0 if not any(results) else 1
+    return 0 if all(results) else 1
