@@ -3,8 +3,8 @@
 // Reference-vs-fast comparison rows pair up by the N counter:
 // BM_HstBuildReference (the seed's O(N^2 D) Algorithm 1) against
 // BM_HstBuildFast (grid-accelerated min-rank builder, bit-identical tree)
-// on the same point sets, up to N = 100k. A 1M-point CompleteHst smoke row
-// hides behind --big (pass it before the --benchmark_* flags). The
+// on the same point sets, up to N = 100k. Two 1M-point CompleteHst smoke
+// rows hide behind --big (pass it before the --benchmark_* flags). The
 // min-rank query rows audit the allocator: the level-assignment inner loop
 // must never touch the heap.
 
@@ -20,10 +20,13 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/tbf.h"
 #include "geo/grid.h"
 #include "geo/rank_index.h"
 #include "hst/complete_hst.h"
 #include "hst/snapshot.h"
+#include "serve/replay.h"
+#include "workload/synthetic.h"
 
 // Global allocation counter feeding the zero-allocation assertions below
 // (same idiom as micro_mechanism.cc): replacing operator new counts every
@@ -254,28 +257,70 @@ BENCHMARK(BM_TreeDistance);
 }  // namespace
 
 // --big smoke: a full million-point publish-side build (Algorithm 1 +
-// complete-tree padding + leaf paths + nearest-point mapper), all
-// hardware threads. One iteration — the row exists to prove city-scale
-// construction completes, not to average it. Outside the anonymous
-// namespace so main() can register it conditionally.
-void BM_CompleteHstBuildBig(benchmark::State& state) {
-  const std::vector<Point>& points = GetPoints(1000000);
+// complete-tree padding + leaf codes + nearest-point mapper), all
+// hardware threads. One iteration — the rows exist to prove city-scale
+// construction completes, not to average it. The build must yield a
+// leaf codec, and the tree must then serve a short event replay on codes
+// (outside the timing). Outside the anonymous namespace so main() can
+// register the rows conditionally.
+void BuildAndServeBig(benchmark::State& state,
+                      const std::vector<Point>& points) {
   EuclideanMetric metric;
   HstTreeOptions options;
   options.num_threads = 0;
-  uint64_t seed = 0;
+  std::shared_ptr<const CompleteHst> tree;
   for (auto _ : state) {
-    Rng rng(seed++);
-    auto tree = CompleteHst::BuildFromPoints(points, metric, &rng, options);
-    if (!tree.ok()) {
-      state.SkipWithError("1M-point build failed");
+    Rng rng(0);
+    auto built = CompleteHst::BuildFromPoints(points, metric, &rng, options);
+    if (!built.ok()) {
+      state.SkipWithError(built.status().ToString().c_str());
       return;
     }
-    state.counters["nodes_points"] = static_cast<double>(tree->num_points());
-    state.counters["depth"] = static_cast<double>(tree->depth());
-    benchmark::DoNotOptimize(tree);
+    tree = std::make_shared<const CompleteHst>(
+        std::move(built).MoveValueUnsafe());
   }
-  state.counters["N"] = 1e6;
+  const LeafCodec& codec = *tree->codec();
+  state.counters["N"] = static_cast<double>(points.size());
+  state.counters["published_points"] = tree->num_points();
+  state.counters["depth"] = codec.depth();
+  state.counters["arity"] = codec.arity();
+  state.counters["code_bits"] = codec.depth() * codec.bits_per_digit();
+
+  auto framework = TbfFramework::FromTree(tree);
+  SyntheticEventConfig trace_config;
+  trace_config.base.num_workers = 400;
+  trace_config.base.num_tasks = 200;
+  trace_config.base.seed = 7;
+  auto trace = GenerateEventTrace(trace_config);
+  if (!framework.ok() || !trace.ok()) {
+    state.SkipWithError("replay setup failed");
+    return;
+  }
+  ReplayOptions replay;
+  replay.epoch_seconds = 60.0;
+  replay.num_shards = 4;
+  auto report = RunEventReplay(*framework, *trace, replay);
+  if (!report.ok() || report->assigned == 0) {
+    state.SkipWithError(report.ok() ? "replay assigned no task"
+                                    : report.status().ToString().c_str());
+    return;
+  }
+  state.counters["replay_assigned"] = static_cast<double>(report->assigned);
+}
+
+// Uniform random points: their minimum spacing is tiny, so the raw tree
+// is deep and wide (depth 25 x arity 36 from seed 0, a 150-bit leaf
+// code). BuildFromPoints snaps them to the coarsest lattice that fits
+// 128 bits, so this row pays two builds.
+void BM_CompleteHstBuildBig(benchmark::State& state) {
+  BuildAndServeBig(state, GetPoints(1000000));
+}
+
+// The 1000^2 grid of predefined points, the shape the paper publishes:
+// it fits codes as built.
+void BM_CompleteHstServeGridBig(benchmark::State& state) {
+  BuildAndServeBig(state, std::move(UniformGridPoints(BBox::Square(200), 1000))
+                              .MoveValueUnsafe());
 }
 
 }  // namespace tbf
@@ -294,6 +339,10 @@ int main(int argc, char** argv) {
   if (big) {
     benchmark::RegisterBenchmark("BM_CompleteHstBuildBig",
                                  tbf::BM_CompleteHstBuildBig)
+        ->Iterations(1)
+        ->Unit(benchmark::kSecond);
+    benchmark::RegisterBenchmark("BM_CompleteHstServeGridBig",
+                                 tbf::BM_CompleteHstServeGridBig)
         ->Iterations(1)
         ->Unit(benchmark::kSecond);
   }

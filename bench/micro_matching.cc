@@ -9,10 +9,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "bench/json_main.h"
 #include "core/tbf.h"
 #include "geo/grid.h"
+#include "hst/hst_index.h"
 #include "hst/hst_map_index.h"
 #include "matching/greedy_euclid.h"
 #include "matching/hst_greedy.h"
@@ -116,6 +118,15 @@ BENCHMARK(BM_HstGreedyIndex)->Arg(1000)->Arg(4000)->Arg(16000)->Arg(100000);
 // worker/query leaves; the index only ever sees (depth, arity) + leaf
 // paths, so no O(n^2) tree construction is needed at 100k.
 
+// Leaf key each index takes: the map reference keys on digit paths, the
+// flat index on packed codes.
+const LeafPath& KeyOf(const HstAvailabilityMapIndex&, const LeafPath& leaf) {
+  return leaf;
+}
+LeafCode KeyOf(const HstAvailabilityIndex& index, const LeafPath& leaf) {
+  return index.codec()->Pack(leaf);
+}
+
 template <typename Index>
 void RunNearestQueries(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
@@ -124,11 +135,11 @@ void RunNearestQueries(benchmark::State& state) {
   Rng rng(41);
   Index index(depth, arity);
   for (int i = 0; i < workers; ++i) {
-    index.Insert(RandomLeafPath(depth, arity, &rng), i);
+    index.Insert(KeyOf(index, RandomLeafPath(depth, arity, &rng)), i);
   }
-  std::vector<LeafPath> queries;
+  std::vector<std::decay_t<decltype(KeyOf(index, LeafPath()))>> queries;
   for (int i = 0; i < 1024; ++i) {
-    queries.push_back(RandomLeafPath(depth, arity, &rng));
+    queries.push_back(KeyOf(index, RandomLeafPath(depth, arity, &rng)));
   }
   size_t next = 0;
   for (auto _ : state) {

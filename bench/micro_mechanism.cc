@@ -251,9 +251,8 @@ BENCHMARK(BM_ObliviousObfuscateCode)
 // --------------------------- index churn rows ------------------------------
 // Steady-state insert/remove churn of the availability index at the fast
 // path's shape: one worker leaves a leaf, another arrives elsewhere —
-// exactly what every assignment + re-registration costs the trie. The
-// packed row reads digits straight out of the code; the path row is the
-// LeafPath entry point (packs at the boundary).
+// exactly what every assignment + re-registration costs the trie, reading
+// digits straight out of the code.
 
 constexpr int kChurnItems = 4096;
 
@@ -267,28 +266,6 @@ std::vector<LeafPath> ChurnLeaves(const Setup& setup, int count) {
   }
   return leaves;
 }
-
-void BM_IndexChurnPath(benchmark::State& state) {
-  const Setup& setup = GetShapedSetup(16, 4);
-  const std::vector<LeafPath> leaves = ChurnLeaves(setup, 2 * kChurnItems);
-  HstAvailabilityIndex index(setup.tree.depth(), setup.tree.arity());
-  for (int i = 0; i < kChurnItems; ++i) {
-    index.Insert(leaves[static_cast<size_t>(i)], i);
-  }
-  // Each pass moves every item between layout A (leaves[i]) and layout B
-  // (leaves[i + N]); alternating passes keep the books consistent forever.
-  size_t cursor = 0;
-  for (auto _ : state) {
-    const size_t i = cursor % kChurnItems;
-    const bool to_b = (cursor / kChurnItems) % 2 == 0;
-    index.Remove(leaves[to_b ? i : i + kChurnItems], static_cast<int>(i));
-    index.Insert(leaves[to_b ? i + kChurnItems : i], static_cast<int>(i));
-    ++cursor;
-  }
-  state.SetItemsProcessed(state.iterations() * 2);  // one remove + one insert
-  state.counters["items"] = kChurnItems;
-}
-BENCHMARK(BM_IndexChurnPath);
 
 void BM_IndexChurnCode(benchmark::State& state) {
   const Setup& setup = GetShapedSetup(16, 4);

@@ -63,11 +63,12 @@ int main(int argc, char** argv) {
 
   Rng world(99);
   auto report = [&](const Point& loc) {
-    return mechanism->Obfuscate(client_tree->MapToNearestLeaf(loc), &world);
+    return mechanism->ObfuscateCodeWalk(client_tree->MapToNearestLeafCode(loc),
+                                        &world);
   };
 
   // Three drivers join as one arrival wave (the batch API).
-  std::vector<LeafReport> wave;
+  std::vector<LeafCodeReport> wave;
   for (const auto& [id, loc] :
        {std::pair<const char*, Point>{"driver-ann", {40, 40}},
         {"driver-bo", {160, 40}},

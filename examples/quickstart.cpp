@@ -63,9 +63,9 @@ int main(int argc, char** argv) {
     worker_locations.push_back({world.Uniform(0, 200), world.Uniform(0, 200)});
   }
   ThreadPool pool;  // batched reporting: item i draws from ForkAt(i)
-  std::vector<LeafPath> worker_reports =
-      framework->ObfuscateBatch(worker_locations, world.Split(1), &pool);
-  std::vector<LeafReport> registrations;
+  std::vector<LeafCode> worker_reports =
+      framework->ObfuscateCodes(worker_locations, world.Split(1), &pool);
+  std::vector<LeafCodeReport> registrations;
   for (int w = 0; w < num_workers; ++w) {
     registrations.push_back({"w" + std::to_string(w),
                              worker_reports[static_cast<size_t>(w)], {}});
@@ -80,9 +80,9 @@ int main(int argc, char** argv) {
   for (int t = 0; t < num_tasks; ++t) {
     task_locations.push_back({world.Uniform(0, 200), world.Uniform(0, 200)});
   }
-  std::vector<LeafPath> task_reports =
-      framework->ObfuscateBatch(task_locations, world.Split(2), &pool);
-  std::vector<LeafReport> submissions;
+  std::vector<LeafCode> task_reports =
+      framework->ObfuscateCodes(task_locations, world.Split(2), &pool);
+  std::vector<LeafCodeReport> submissions;
   for (int t = 0; t < num_tasks; ++t) {
     submissions.push_back({"t" + std::to_string(t),
                            task_reports[static_cast<size_t>(t)], {}});

@@ -56,30 +56,6 @@ uint32_t Crc32(std::string_view data, uint32_t crc) {
   return ~crc;
 }
 
-void wire::PutPath(std::string* out, const std::u16string& p) {
-  PutU32(out, static_cast<uint32_t>(p.size()));
-  for (const char16_t d : p) {
-    PutU8(out, static_cast<uint8_t>(d & 0xFF));
-    PutU8(out, static_cast<uint8_t>((d >> 8) & 0xFF));
-  }
-}
-
-Result<std::u16string> wire::ByteReader::Path() {
-  TBF_ASSIGN_OR_RETURN(uint32_t len, U32());
-  if (static_cast<size_t>(len) * 2 > data_.size() - pos_) {
-    return Short("leaf path body");
-  }
-  std::u16string p;
-  p.reserve(len);
-  for (uint32_t i = 0; i < len; ++i) {
-    const auto lo = static_cast<unsigned char>(data_[pos_ + 2 * i]);
-    const auto hi = static_cast<unsigned char>(data_[pos_ + 2 * i + 1]);
-    p.push_back(static_cast<char16_t>(lo | (hi << 8)));
-  }
-  pos_ += static_cast<size_t>(len) * 2;
-  return p;
-}
-
 size_t BeginFrame(std::string* out) {
   const size_t frame_start = out->size();
   out->append(kFrameHeaderBytes, '\0');

@@ -8,8 +8,8 @@
 // format: the CRC, the in-place frame writer, the frame walker (with its
 // payload cap and record-precise messages) and the little-endian field
 // helpers the artifacts build their payloads from. Integers are
-// little-endian, doubles their IEEE-754 bit patterns, strings
-// <len:u32><bytes>, leaf paths <len:u32> then u16 digits.
+// little-endian (a 128-bit leaf code is its low u64 then its high u64),
+// doubles their IEEE-754 bit patterns, strings <len:u32><bytes>.
 // tools/tbf_frames.py mirrors it for the stdlib Python validators.
 
 #pragma once
@@ -79,8 +79,11 @@ inline void PutStr(std::string* out, std::string_view s) {
   out->append(s.data(), s.size());
 }
 
-/// <len:u32> then each digit of a leaf path as a u16.
-void PutPath(std::string* out, const std::u16string& p);
+/// Low word, then high word: 16 little-endian bytes.
+inline void PutU128(std::string* out, unsigned __int128 v) {
+  PutU64(out, static_cast<uint64_t>(v));
+  PutU64(out, static_cast<uint64_t>(v >> 64));
+}
 
 /// \brief Bounds-checked little-endian reader over one payload. A read
 /// past the end fails with "<what>: short read (<field> at byte N)".
@@ -130,7 +133,11 @@ class ByteReader {
     pos_ += len;
     return s;
   }
-  Result<std::u16string> Path();
+  Result<unsigned __int128> U128() {
+    TBF_ASSIGN_OR_RETURN(uint64_t lo, U64());
+    TBF_ASSIGN_OR_RETURN(uint64_t hi, U64());
+    return (static_cast<unsigned __int128>(hi) << 64) | lo;
+  }
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t pos() const { return pos_; }
 

@@ -98,7 +98,7 @@ Result<HstMechanism> HstMechanism::Build(const CompleteHst& tree, double epsilon
   }
 
   m.pow2_arity_ = (m.arity_ & (m.arity_ - 1)) == 0;
-  if (LeafCodec::Fits(depth, m.arity_)) m.codec_.emplace(depth, m.arity_);
+  m.codec_.emplace(depth, m.arity_);  // every CompleteHst shape fits
 
   obs::MetricRegistry* metrics = obs::MetricRegistry::Global();
   m.draws_walk_ = metrics->FindOrCreateCounter(
@@ -165,7 +165,6 @@ struct TallyProbe {
 }  // namespace
 
 LeafCode HstMechanism::ObfuscateCode(LeafCode truth, Rng* rng) const {
-  TBF_CHECK(codec_) << "tree shape exceeds packed-code capacity";
   draws_inverse_cdf_->Add(1);
   const int level = TurnLevelFromUniform(rng->Uniform01());
   if (level == 0) return truth;  // LCA at the leaf: output x itself
@@ -177,23 +176,34 @@ LeafCode HstMechanism::ObfuscateCode(LeafCode truth, Rng* rng) const {
   const int suffix_digits = level - 1;
 
   if (pow2_arity_ && suffix_digits > 0) {
-    // Power-of-two arity: every bits_-wide field of one random word is an
-    // exact uniform digit, so the whole suffix (at most 64 - bits_ bits,
-    // since depth * bits_ <= 64) fills by a single shift/mask. When the
-    // word's unused high bits can carry the first-digit remap too, the
-    // entire rewrite costs one rng draw; only suffixes within 32 bits of
-    // the full word draw a second word for the remap.
+    // Power-of-two arity: every bits_-wide field of uniform random bits is
+    // an exact uniform digit, so the whole suffix fills by one shift/mask.
+    // A suffix narrower than 64 bits comes from a single random word;
+    // when that word's unused high bits can carry the first-digit remap
+    // too, the entire rewrite costs one rng draw, and only suffixes
+    // within 32 bits of the full word draw a second word for the remap.
+    // A suffix of 64 bits or more (shapes beyond 64-bit codes) draws two
+    // words for the suffix and a third for the remap.
     const int bits = codec_->bits_per_digit();
     const int suffix_bits = bits * suffix_digits;
-    const int spare = 64 - suffix_bits;
-    const uint64_t word = rng->NextU64();
-    int pick = spare >= 32 ? RemapBits(word >> suffix_bits, arity_ - 1, spare)
-                           : RemapWord(rng->NextU64(), arity_ - 1);
+    LeafCode random;
+    int pick;
+    if (suffix_bits < 64) {
+      const int spare = 64 - suffix_bits;
+      const uint64_t word = rng->NextU64();
+      pick = spare >= 32 ? RemapBits(word >> suffix_bits, arity_ - 1, spare)
+                         : RemapWord(rng->NextU64(), arity_ - 1);
+      random = word;
+    } else {
+      const uint64_t low_word = rng->NextU64();
+      random = (LeafCode{rng->NextU64()} << 64) | low_word;
+      pick = RemapWord(rng->NextU64(), arity_ - 1);
+    }
     if (pick >= old_digit) ++pick;
     LeafCode out = codec_->WithDigit(truth, first, pick);
-    const int low = 64 - bits * depth_;  // unused bits below the last digit
-    const uint64_t suffix_mask = ((uint64_t{1} << suffix_bits) - 1) << low;
-    return (out & ~suffix_mask) | ((word << low) & suffix_mask);
+    const int low = codec_->low_bits();
+    const LeafCode suffix_mask = ((LeafCode{1} << suffix_bits) - 1) << low;
+    return (out & ~suffix_mask) | ((random << low) & suffix_mask);
   }
 
   int pick = RemapWord(rng->NextU64(), arity_ - 1);
@@ -211,7 +221,6 @@ LeafCode HstMechanism::ObfuscateCode(LeafCode truth, Rng* rng) const {
 template <typename Probe>
 LeafCode HstMechanism::ObfuscateCodeObliviousImpl(LeafCode truth, Rng* rng,
                                                   Probe probe) const {
-  TBF_CHECK(codec_) << "tree shape exceeds packed-code capacity";
   // Word 1: the turn level, by a full scan of the cumulative level table.
   // Unlike TurnLevelFromUniform there is no guide-table shortcut and no
   // early exit — every call executes exactly depth_ compare-accumulate
@@ -250,7 +259,7 @@ LeafCode HstMechanism::ObfuscateCodeObliviousImpl(LeafCode truth, Rng* rng,
   // makes every position a "keep", which returns the truth itself
   // through the identical schedule.
   const int bits = codec_->bits_per_digit();
-  uint64_t acc = 0;
+  LeafCode acc = 0;
   for (int pos = 0; pos < depth_; ++pos) {
     const uint64_t word = rng->NextU64();
     probe.RngWord();
@@ -266,7 +275,7 @@ LeafCode HstMechanism::ObfuscateCodeObliviousImpl(LeafCode truth, Rng* rng,
     probe.DescentIter();
     probe.SelectOp();
   }
-  return acc << (64 - bits * depth_);
+  return acc << codec_->low_bits();
 }
 
 LeafCode HstMechanism::ObfuscateCodeOblivious(LeafCode truth, Rng* rng) const {
@@ -281,7 +290,6 @@ LeafCode HstMechanism::ObfuscateCodeOblivious(LeafCode truth, Rng* rng,
 }
 
 LeafCode HstMechanism::ObfuscateCodeWalk(LeafCode truth, Rng* rng) const {
-  TBF_CHECK(codec_) << "tree shape exceeds packed-code capacity";
   draws_walk_->Add(1);
   // Exactly Obfuscate's draw sequence, digit for digit, on the packed word.
   int turn_level = 0;
@@ -352,7 +360,6 @@ double HstMechanism::Probability(const LeafPath& x, const LeafPath& z) const {
 }
 
 double HstMechanism::LogProbability(LeafCode x, LeafCode z) const {
-  TBF_CHECK(codec_) << "tree shape exceeds packed-code capacity";
   const int level = codec_->LcaLevel(x, z);
   return log_weight_[static_cast<size_t>(level)] - log_total_weight_;
 }

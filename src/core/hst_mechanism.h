@@ -16,9 +16,10 @@
 //   * ObfuscateCode  — the serving fast path: one Uniform01() inverse-CDF
 //     draw against the precomputed level marginal (binary search over a
 //     cumulative table), then the suffix digits of the packed code are
-//     rewritten in place — for power-of-two arity from a single 64-bit
-//     random word with shift/mask, so a sample costs O(log D) + O(1) rng
-//     draws and zero heap allocations at any depth.
+//     rewritten in place — for power-of-two arity from one 64-bit random
+//     word with shift/mask (two when the suffix spans 64 bits or more),
+//     so a sample costs O(log D) + O(1) rng draws and zero heap
+//     allocations at any depth.
 //
 // All probability math is in log space: wt_i underflows double by level ~6
 // at eps_T = 1, but log wt_i is exact at any depth.
@@ -96,16 +97,16 @@ class HstMechanism final : public LeafMechanism {
 
   /// \brief Fast sampler on packed codes: one Uniform01() picks the LCA
   /// ("turn") level by inverse CDF over the precomputed level marginal,
-  /// then the suffix digits are rewritten directly in the 64-bit word (for
-  /// power-of-two arity from one extra random word). Same distribution as
-  /// Obfuscate (chi-square + marginal tests), O(1) rng draws, no
-  /// allocations. Requires codec() != nullptr (CHECKed).
+  /// then the suffix digits are rewritten directly in the packed code (for
+  /// power-of-two arity from one or two extra random words). Same
+  /// distribution as Obfuscate (chi-square + marginal tests), O(1) rng
+  /// draws, no allocations.
   LeafCode ObfuscateCode(LeafCode truth, Rng* rng) const;
 
   /// \brief Algorithm 3 on packed codes: consumes exactly the same rng
   /// draws as Obfuscate on the unpacked path, so for any seed
   /// ObfuscateCodeWalk(Pack(x)) == Pack(Obfuscate(x)) — the golden
-  /// reference identity the serve pipeline leans on. Requires codec().
+  /// reference identity the serve pipeline leans on.
   LeafCode ObfuscateCodeWalk(LeafCode truth, Rng* rng) const;
 
   /// \brief Timing-oblivious sampler on packed codes: the same exact
@@ -117,7 +118,7 @@ class HstMechanism final : public LeafMechanism {
   /// (rejection-free Lemire-style bounded reduction, all arities), and the
   /// descent writes every digit position through branchless mask selects.
   /// An observer timing the call, counting its branches or tracing its rng
-  /// learns nothing beyond the tree shape. Requires codec() (CHECKed).
+  /// learns nothing beyond the tree shape.
   LeafCode ObfuscateCodeOblivious(LeafCode truth, Rng* rng) const;
 
   /// \brief Instrumented variant filling `tally` with the executed
@@ -151,7 +152,7 @@ class HstMechanism final : public LeafMechanism {
   /// \brief Exact M(x)(z).
   double Probability(const LeafPath& x, const LeafPath& z) const;
 
-  /// \brief Exact M(x)(z) on packed codes (codec() must be non-null).
+  /// \brief Exact M(x)(z) on packed codes.
   double LogProbability(LeafCode x, LeafCode z) const;
   double Probability(LeafCode x, LeafCode z) const;
 
@@ -187,8 +188,7 @@ class HstMechanism final : public LeafMechanism {
   int depth() const { return depth_; }
   int arity() const { return arity_; }
 
-  /// \brief Codec of the packed-code sampler API, or nullptr when the tree
-  /// shape exceeds 64 bits (then only the LeafPath samplers are usable).
+  /// \brief Codec of the packed-code sampler API (never null).
   const LeafCodec* codec() const { return codec_ ? &*codec_ : nullptr; }
 
   std::string Name() const override { return "hst-mechanism"; }
@@ -222,7 +222,7 @@ class HstMechanism final : public LeafMechanism {
   std::vector<double> cum_level_prob_;   // inverse-CDF table over levels
   std::vector<int> level_guide_;         // bucket -> first candidate level
   double log_total_weight_ = 0.0;        // log WT
-  std::optional<LeafCodec> codec_;       // set when the shape fits 64 bits
+  std::optional<LeafCodec> codec_;       // always set by Build
 
   // Draw counters by sampler kind (tbf_mechanism_draws_total{sampler=...}
   // in the process-wide registry): one relaxed striped increment per

@@ -1,6 +1,5 @@
 #include "core/tbf.h"
 
-#include "common/logging.h"
 #include "common/timer.h"
 
 namespace tbf {
@@ -11,18 +10,19 @@ Result<TbfFramework> TbfFramework::Build(std::vector<Point> predefined_points,
   TBF_ASSIGN_OR_RETURN(
       CompleteHst tree,
       CompleteHst::BuildFromPoints(predefined_points, metric, rng, options.tree));
+  return FromTree(std::make_shared<const CompleteHst>(std::move(tree)),
+                  options);
+}
+
+Result<TbfFramework> TbfFramework::FromTree(
+    std::shared_ptr<const CompleteHst> tree, const TbfOptions& options) {
+  if (tree == nullptr) return Status::InvalidArgument("tree must not be null");
   TbfFramework framework;
-  framework.tree_ = std::make_shared<const CompleteHst>(std::move(tree));
+  framework.tree_ = std::move(tree);
   TBF_ASSIGN_OR_RETURN(HstMechanism mechanism,
                        HstMechanism::Build(*framework.tree_, options.epsilon));
   framework.mechanism_ = std::make_shared<const HstMechanism>(std::move(mechanism));
   framework.sampler_ = options.sampler;
-  if (options.sampler != SamplerKind::kWalk &&
-      framework.tree_->codec() == nullptr) {
-    return Status::InvalidArgument(
-        "inverse-CDF/oblivious samplers require a tree shape that fits "
-        "packed codes");
-  }
   return framework;
 }
 
@@ -45,8 +45,6 @@ std::vector<LeafPath> TbfFramework::ObfuscateBatch(
   const SamplerKind kind = sampler_override.value_or(sampler_);
   const bool packed = kind != SamplerKind::kWalk;
   const LeafCodec* codec = tree_->codec();
-  TBF_CHECK(!packed || codec != nullptr)
-      << "non-walk samplers require a tree shape that fits packed codes";
   pool->ParallelFor(n, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       Rng item_rng = stream.ForkAt(fork_offset + i);
@@ -64,8 +62,6 @@ std::vector<LeafCode> TbfFramework::ObfuscateCodes(
     const std::vector<Point>& locations, const Rng& stream, ThreadPool* pool,
     BatchStageTimings* timings, uint64_t fork_offset,
     std::optional<SamplerKind> sampler_override) const {
-  TBF_CHECK(tree_->codec() != nullptr)
-      << "tree shape exceeds packed-code capacity";
   const size_t n = locations.size();
   // Stage 1: nearest-predefined-point mapping straight to point ids (the
   // packed code per id is precomputed on the tree).

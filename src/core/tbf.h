@@ -37,8 +37,7 @@ struct TbfOptions {
   /// draws the same distribution in O(1) rng calls per sample
   /// (HstMechanism::ObfuscateCode); kOblivious draws it through a
   /// constant-shape schedule whose timing and trip counts are independent
-  /// of the true leaf (HstMechanism::ObfuscateCodeOblivious). The non-walk
-  /// samplers require a tree shape that fits packed codes.
+  /// of the true leaf (HstMechanism::ObfuscateCodeOblivious).
   SamplerKind sampler = SamplerKind::kWalk;
 
   /// Algorithm-1 options (beta, normalization).
@@ -54,6 +53,12 @@ class TbfFramework {
   static Result<TbfFramework> Build(std::vector<Point> predefined_points,
                                     const Metric& metric, Rng* rng,
                                     const TbfOptions& options = {});
+
+  /// \brief Derives the mechanism for an already published tree — one
+  /// reloaded from its snapshot (hst/snapshot.h) or its text form
+  /// (hst/serialize.h). `options.tree` is unused.
+  static Result<TbfFramework> FromTree(std::shared_ptr<const CompleteHst> tree,
+                                       const TbfOptions& options = {});
 
   /// The published complete c-ary HST.
   const CompleteHst& tree() const { return *tree_; }
@@ -92,8 +97,7 @@ class TbfFramework {
   /// fall by passing the number of items already obfuscated as the
   /// offset. `timings`, when given, accumulates the per-stage wall clock.
   /// `sampler_override` replaces TbfOptions::sampler for this batch only
-  /// (the replay loop plumbs its per-run sampler through here); a
-  /// non-walk override requires codec() != nullptr (CHECKed).
+  /// (the replay loop plumbs its per-run sampler through here).
   std::vector<LeafPath> ObfuscateBatch(
       const std::vector<Point>& locations, const Rng& stream, ThreadPool* pool,
       BatchStageTimings* timings = nullptr, uint64_t fork_offset = 0,
@@ -103,14 +107,14 @@ class TbfFramework {
   /// override contract to ObfuscateBatch, but maps to precomputed leaf
   /// codes and samples in the packed domain — no LeafPath is materialized
   /// for any item. With the default kWalk sampler, element i is exactly
-  /// codec()->Pack(ObfuscateBatch(...)[i]). Requires codec() != nullptr.
+  /// codec()->Pack(ObfuscateBatch(...)[i]).
   std::vector<LeafCode> ObfuscateCodes(
       const std::vector<Point>& locations, const Rng& stream, ThreadPool* pool,
       BatchStageTimings* timings = nullptr, uint64_t fork_offset = 0,
       std::optional<SamplerKind> sampler_override = std::nullopt) const;
 
-  /// \brief Codec of the published tree's packed leaf addressing, or
-  /// nullptr when the shape exceeds 64 bits.
+  /// \brief Codec of the published tree's packed leaf addressing (never
+  /// null: every published tree fits 128-bit codes).
   const LeafCodec* codec() const { return tree_->codec(); }
 
   /// The sampler the batched paths draw with.

@@ -83,7 +83,9 @@ void KdTree::NearestRecursive(int node_index, const Point& query, double* best_d
   int pid = node.point_id;
   if (active_[static_cast<size_t>(pid)]) {
     double d2 = SquaredDistance(query, points_[static_cast<size_t>(pid)]);
-    if (d2 < *best_d2 || (d2 == *best_d2 && pid < *best_id)) {
+    // The first active point always wins, so a query whose squared
+    // distances all overflow to inf (or are NaN) still gets an answer.
+    if (*best_id < 0 || d2 < *best_d2 || (d2 == *best_d2 && pid < *best_id)) {
       *best_d2 = d2;
       *best_id = pid;
     }

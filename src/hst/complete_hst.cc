@@ -3,11 +3,46 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/logging.h"
 #include "common/math.h"
 
 namespace tbf {
+
+namespace {
+
+Status WideShape(int depth, int arity) {
+  return Status::InvalidArgument(
+      "tree shape depth " + std::to_string(depth) + " x arity " +
+      std::to_string(arity) + " needs " +
+      std::to_string(int64_t{depth} * LeafCodec::BitsPerDigit(arity)) +
+      " bits of leaf code, more than " + std::to_string(kLeafCodeBits));
+}
+
+bool FitsCodes(const HstTree& tree) {
+  return LeafCodec::Fits(tree.depth(), std::max(2, tree.max_branching()));
+}
+
+// `points` moved to the nearest node of a square lattice of the given
+// spacing, duplicates merged, sorted by x then y. Distinct lattice nodes
+// lie at least `spacing` apart.
+std::vector<Point> SnapToLattice(const std::vector<Point>& points,
+                                 double spacing) {
+  std::vector<Point> out;
+  out.reserve(points.size());
+  for (const Point& p : points) {
+    out.emplace_back(std::round(p.x / spacing) * spacing,
+                     std::round(p.y / spacing) * spacing);
+  }
+  std::sort(out.begin(), out.end(), [](const Point& a, const Point& b) {
+    return a.x < b.x || (a.x == b.x && a.y < b.y);
+  });
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+}  // namespace
 
 Result<CompleteHst> CompleteHst::Build(const HstTree& tree,
                                        std::vector<Point> points) {
@@ -19,6 +54,9 @@ Result<CompleteHst> CompleteHst::Build(const HstTree& tree,
   out.arity_ = std::max(2, tree.max_branching());
   if (out.arity_ > std::numeric_limits<char16_t>::max()) {
     return Status::OutOfRange("tree branching exceeds digit capacity (65535)");
+  }
+  if (!LeafCodec::Fits(out.depth_, out.arity_)) {
+    return WideShape(out.depth_, out.arity_);
   }
   out.scale_ = tree.scale();
   out.points_ = std::move(points);
@@ -57,8 +95,7 @@ Result<CompleteHst> CompleteHst::Build(const HstTree& tree,
     out.leaf_paths_[pid] = std::move(path);
   }
 
-  out.FinishLeafCodes();
-  TBF_CHECK(out.BuildLeafLookup()) << "duplicate leaf path in built tree";
+  TBF_CHECK(out.FinishLeafCodes()) << "duplicate leaf path in built tree";
   out.Mapper();  // the build path pays the k-d tree up front
   return out;
 }
@@ -67,7 +104,26 @@ Result<CompleteHst> CompleteHst::BuildFromPoints(const std::vector<Point>& point
                                                  const Metric& metric, Rng* rng,
                                                  const HstTreeOptions& options) {
   TBF_ASSIGN_OR_RETURN(HstTree tree, HstTree::Build(points, metric, rng, options));
-  return Build(tree, points);
+  if (FitsCodes(tree) || !options.normalize || !options.permutation.empty()) {
+    return Build(tree, points);
+  }
+  // A dense set (tiny minimum spacing, large diameter) builds a tree too
+  // deep for 128-bit codes. Each level the tree sheds doubles the minimum
+  // spacing, so snap to a lattice 2^excess times coarser than the current
+  // one and rebuild, until the shape fits or stops shrinking.
+  std::vector<Point> snapped = points;
+  while (true) {
+    const int bits =
+        LeafCodec::BitsPerDigit(std::max(2, tree.max_branching()));
+    const int excess = tree.depth() - kLeafCodeBits / bits;
+    const double min_spacing = HstTreeOptions::kMinSeparation / tree.scale();
+    snapped = SnapToLattice(snapped, std::ldexp(min_spacing, excess));
+    TBF_ASSIGN_OR_RETURN(HstTree coarser,
+                         HstTree::Build(snapped, metric, rng, options));
+    const bool shrank = coarser.depth() < tree.depth();
+    tree = std::move(coarser);
+    if (!shrank || FitsCodes(tree)) return Build(tree, std::move(snapped));
+  }
 }
 
 Result<CompleteHst> CompleteHst::FromParts(int depth, int arity, double scale,
@@ -84,6 +140,7 @@ Result<CompleteHst> CompleteHst::FromParts(int depth, int arity, double scale,
   if (points.size() != leaf_paths.size()) {
     return Status::InvalidArgument("points/leaf_paths size mismatch");
   }
+  if (!LeafCodec::Fits(depth, arity)) return WideShape(depth, arity);
   CompleteHst out;
   out.depth_ = depth;
   out.arity_ = arity;
@@ -103,8 +160,7 @@ Result<CompleteHst> CompleteHst::FromParts(int depth, int arity, double scale,
       }
     }
   }
-  out.FinishLeafCodes();
-  if (!out.BuildLeafLookup()) {
+  if (!out.FinishLeafCodes()) {
     return Status::InvalidArgument("duplicate leaf path");
   }
   // No Mapper() here: the deserialization path returns as soon as the
@@ -114,36 +170,17 @@ Result<CompleteHst> CompleteHst::FromParts(int depth, int arity, double scale,
   return out;
 }
 
-void CompleteHst::FinishLeafCodes() {
-  if (!LeafCodec::Fits(depth_, arity_)) return;
+bool CompleteHst::FinishLeafCodes() {
   codec_.emplace(depth_, arity_);
   leaf_codes_.reserve(leaf_paths_.size());
+  point_by_code_.reserve(leaf_paths_.size());
   for (const LeafPath& path : leaf_paths_) {
-    leaf_codes_.push_back(codec_->Pack(path));
-  }
-}
-
-bool CompleteHst::BuildLeafLookup() {
-  // Packing is injective on valid paths, so duplicate detection through
-  // either map is equivalent.
-  if (codec_) {
-    point_by_code_.reserve(leaf_codes_.size());
-    for (size_t pid = 0; pid < leaf_codes_.size(); ++pid) {
-      if (!point_by_code_.emplace(leaf_codes_[pid], static_cast<int>(pid))
-               .second) {
-        return false;
-      }
-    }
-    return true;
-  }
-  point_by_leaf_.reserve(leaf_paths_.size());
-  for (size_t pid = 0; pid < leaf_paths_.size(); ++pid) {
-    if (!point_by_leaf_
-             .emplace(std::u16string_view(leaf_paths_[pid]),
-                      static_cast<int>(pid))
+    const LeafCode code = codec_->Pack(path);
+    if (!point_by_code_.emplace(code, static_cast<int>(leaf_codes_.size()))
              .second) {
       return false;
     }
+    leaf_codes_.push_back(code);
   }
   return true;
 }
@@ -153,22 +190,16 @@ double CompleteHst::num_leaves() const {
 }
 
 std::optional<int> CompleteHst::point_of_leaf(const LeafPath& leaf) const {
-  if (codec_) {
-    // Validate shape before packing (Pack CHECKs what a map lookup would
-    // simply miss), then hit the uint64-keyed map.
-    if (static_cast<int>(leaf.size()) != depth_) return std::nullopt;
-    for (char16_t digit : leaf) {
-      if (static_cast<int>(digit) >= arity_) return std::nullopt;
-    }
-    return point_of_leaf(codec_->Pack(leaf));
+  // Validate shape before packing (Pack CHECKs what a map lookup would
+  // simply miss).
+  if (static_cast<int>(leaf.size()) != depth_) return std::nullopt;
+  for (char16_t digit : leaf) {
+    if (static_cast<int>(digit) >= arity_) return std::nullopt;
   }
-  auto it = point_by_leaf_.find(std::u16string_view(leaf));
-  if (it == point_by_leaf_.end()) return std::nullopt;
-  return it->second;
+  return point_of_leaf(codec_->Pack(leaf));
 }
 
 std::optional<int> CompleteHst::point_of_leaf(LeafCode leaf) const {
-  TBF_CHECK(codec_) << "tree shape exceeds packed-code capacity";
   auto it = point_by_code_.find(leaf);
   if (it == point_by_code_.end()) return std::nullopt;
   return it->second;
@@ -199,7 +230,6 @@ const LeafPath& CompleteHst::MapToNearestLeaf(const Point& location) const {
 }
 
 LeafCode CompleteHst::MapToNearestLeafCode(const Point& location) const {
-  TBF_CHECK(codec_) << "tree shape exceeds packed-code capacity";
   return leaf_code_of_point(MapToNearestPoint(location));
 }
 

@@ -12,7 +12,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -40,7 +39,15 @@ class CompleteHst {
   /// order as digits 0..k-1; fake children take the remaining digits.
   static Result<CompleteHst> Build(const HstTree& tree, std::vector<Point> points);
 
-  /// Convenience: run Algorithm 1 and pad, in one call.
+  /// Convenience: run Algorithm 1 and pad, in one call. Build refuses
+  /// (InvalidArgument) a tree whose leaf codes would need more than 128
+  /// bits (LeafCodec::Fits), so codec() is never null. BuildFromPoints
+  /// publishes such a dense set (e.g. a million uniform random points:
+  /// depth 25 x arity 36, 150 bits) on its points snapped to a square
+  /// lattice just coarse enough to fit, duplicates merged: points() then
+  /// holds the snapped set, sorted by x then y. A set that already fits
+  /// is never snapped. With normalize off or a fixed permutation the
+  /// wide tree is refused instead, as is one that snapping cannot shrink.
   static Result<CompleteHst> BuildFromPoints(const std::vector<Point>& points,
                                              const Metric& metric, Rng* rng,
                                              const HstTreeOptions& options = {});
@@ -55,7 +62,8 @@ class CompleteHst {
 
   /// \brief Reconstructs a published tree from its parts (the
   /// deserialization path — see hst/serialize.h). Validates depth/arity/
-  /// scale ranges, path lengths, digit bounds, and path uniqueness.
+  /// scale ranges, path lengths, digit bounds, and path uniqueness. Like
+  /// Build, refuses a shape whose leaf codes would need more than 128 bits.
   static Result<CompleteHst> FromParts(
       int depth, int arity, double scale, std::vector<Point> points,
       std::vector<LeafPath> leaf_paths,
@@ -86,22 +94,21 @@ class CompleteHst {
   }
 
   /// \brief Packed code of the leaf holding real point `point_id`
-  /// (precomputed at build time; codec() must be non-null).
+  /// (precomputed at build time).
   LeafCode leaf_code_of_point(int point_id) const {
     return leaf_codes_[static_cast<size_t>(point_id)];
   }
 
-  /// \brief Codec of the packed-code addressing, or nullptr when the tree
-  /// shape exceeds 64 bits (then only the LeafPath API is usable).
-  const LeafCodec* codec() const { return codec_ ? &*codec_ : nullptr; }
+  /// \brief Codec of the packed-code addressing; never null (every
+  /// constructed tree fits 128-bit codes).
+  const LeafCodec* codec() const { return &*codec_; }
 
   /// \brief Real point stored at `leaf`, or nullopt for fake leaves (and
-  /// for paths of the wrong length or with out-of-range digits). When a
-  /// codec exists the lookup packs at the boundary and hits the
-  /// LeafCode-keyed map — hashing one uint64 instead of a digit vector.
+  /// for paths of the wrong length or with out-of-range digits). Packs at
+  /// the boundary and hits the LeafCode-keyed map.
   std::optional<int> point_of_leaf(const LeafPath& leaf) const;
 
-  /// \brief Packed-domain lookup (codec() must be non-null).
+  /// \brief Packed-domain lookup.
   std::optional<int> point_of_leaf(LeafCode leaf) const;
 
   /// \brief Tree distance between two leaves in *metric* units.
@@ -118,8 +125,7 @@ class CompleteHst {
   const LeafPath& MapToNearestLeaf(const Point& location) const;
 
   /// \brief Packed code of the nearest predefined point's leaf — the
-  /// client-side mapping step of the code-native serve path (codec()
-  /// must be non-null).
+  /// client-side mapping step of the code-native serve path.
   LeafCode MapToNearestLeafCode(const Point& location) const;
 
   /// Size of |L_i(x)| = (c-1) c^{i-1}, the sibling set at level i >= 1
@@ -129,13 +135,9 @@ class CompleteHst {
  private:
   CompleteHst() = default;
 
-  // Packs every real leaf once the paths are final (no-op when the shape
-  // does not fit 64-bit codes).
-  void FinishLeafCodes();
-
-  // Fills the leaf -> point lookup (code-keyed when a codec exists,
-  // path-keyed otherwise). Returns false on a duplicate leaf.
-  bool BuildLeafLookup();
+  // Packs every real leaf once the paths are final and fills the
+  // code -> point lookup. Returns false on a duplicate leaf.
+  bool FinishLeafCodes();
 
   int depth_ = 0;
   int arity_ = 2;
@@ -143,14 +145,8 @@ class CompleteHst {
   std::vector<Point> points_;
   std::vector<LeafPath> leaf_paths_;
   std::vector<LeafCode> leaf_codes_;  // parallel to leaf_paths_ (packed)
-  std::optional<LeafCodec> codec_;    // set when the shape fits 64 bits
-  // Leaf -> point id. point_by_code_ when a codec exists (uint64 hashing);
-  // the view-keyed map only serves shapes beyond 64-bit codes. Its keys
-  // view into leaf_paths_ (no per-key copy on the snapshot-load path);
-  // they stay valid because leaf_paths_ is never mutated after
-  // construction and moving the vector does not move its elements.
-  std::unordered_map<LeafCode, int> point_by_code_;
-  std::unordered_map<std::u16string_view, int> point_by_leaf_;
+  std::optional<LeafCodec> codec_;    // always set once constructed
+  std::unordered_map<LeafCode, int, LeafCodeHash> point_by_code_;
 
   // Nearest-point mapper (the client-side mapping step), constructed on
   // first use. A tree reloaded from its snapshot serves leaf-addressed

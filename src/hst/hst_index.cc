@@ -8,8 +8,8 @@ namespace tbf {
 
 namespace {
 
-// Query-path node buffer: inline for every realistic depth, heap only for
-// trees deeper than 64 levels (which cannot happen with packed codes).
+// Query-path node buffer: inline for depths up to 64 levels, heap only
+// for deeper binary trees (packed codes allow up to 128).
 struct ScratchNodes {
   static constexpr int kStack = 65;
 
@@ -27,28 +27,10 @@ struct ScratchNodes {
   int32_t* data;
 };
 
-// Digit accessors for the templated core: a position in [0, depth) maps to
-// the digit at that root-first position.
-struct PathDigits {
-  const char16_t* digits;
-  int operator()(int position) const {
-    return static_cast<int>(digits[position]);
-  }
-};
-
-struct CodeDigits {
-  LeafCode code;
-  const LeafCodec* codec;
-  int operator()(int position) const { return codec->Digit(code, position); }
-};
-
 }  // namespace
 
 HstAvailabilityIndex::HstAvailabilityIndex(int depth, int arity)
-    : depth_(depth), arity_(arity) {
-  TBF_CHECK(depth >= 1) << "depth must be >= 1";
-  TBF_CHECK(arity >= 2) << "arity must be >= 2";
-  if (LeafCodec::Fits(depth, arity)) codec_.emplace(depth, arity);
+    : depth_(depth), arity_(arity), codec_(depth, arity) {
   NewNode(/*is_leaf=*/false);  // the root; depth >= 1 makes it internal
 }
 
@@ -65,28 +47,7 @@ int32_t HstAvailabilityIndex::NewNode(bool is_leaf) {
   return id;
 }
 
-void HstAvailabilityIndex::Insert(const LeafPath& leaf, int item_id) {
-  TBF_CHECK(static_cast<int>(leaf.size()) == depth_) << "leaf depth mismatch";
-  InsertDigits(PathDigits{leaf.data()}, item_id);
-}
-
-void HstAvailabilityIndex::Remove(const LeafPath& leaf, int item_id) {
-  TBF_CHECK(static_cast<int>(leaf.size()) == depth_) << "leaf depth mismatch";
-  RemoveDigits(PathDigits{leaf.data()}, item_id);
-}
-
 void HstAvailabilityIndex::Insert(LeafCode leaf, int item_id) {
-  TBF_CHECK(codec_) << "tree shape exceeds packed-code capacity";
-  InsertDigits(CodeDigits{leaf, &*codec_}, item_id);
-}
-
-void HstAvailabilityIndex::Remove(LeafCode leaf, int item_id) {
-  TBF_CHECK(codec_) << "tree shape exceeds packed-code capacity";
-  RemoveDigits(CodeDigits{leaf, &*codec_}, item_id);
-}
-
-template <typename Digits>
-void HstAvailabilityIndex::InsertDigits(const Digits& digits, int item_id) {
   TBF_CHECK(item_id >= 0) << "item ids must be non-negative";
   if (item_id >= static_cast<int>(node_of_item_.size())) {
     node_of_item_.resize(static_cast<size_t>(item_id) + 1, kNoNode);
@@ -96,7 +57,7 @@ void HstAvailabilityIndex::InsertDigits(const Digits& digits, int item_id) {
   int32_t node = 0;
   ++count_[0];
   for (int d = 0; d < depth_; ++d) {
-    const int digit = digits(d);
+    const int digit = codec_.Digit(leaf, d);
     TBF_CHECK(digit < arity_) << "digit " << digit << " out of range";
     const size_t child_index =
         static_cast<size_t>(slot_[static_cast<size_t>(node)] + digit);
@@ -115,8 +76,7 @@ void HstAvailabilityIndex::InsertDigits(const Digits& digits, int item_id) {
   ++size_;
 }
 
-template <typename Digits>
-void HstAvailabilityIndex::RemoveDigits(const Digits& digits, int item_id) {
+void HstAvailabilityIndex::Remove(LeafCode leaf, int item_id) {
   TBF_CHECK(item_id >= 0 &&
             item_id < static_cast<int>(node_of_item_.size()) &&
             node_of_item_[static_cast<size_t>(item_id)] != kNoNode)
@@ -127,7 +87,7 @@ void HstAvailabilityIndex::RemoveDigits(const Digits& digits, int item_id) {
   int32_t node = 0;
   scratch.data[0] = node;
   for (int d = 0; d < depth_; ++d) {
-    const int digit = digits(d);
+    const int digit = codec_.Digit(leaf, d);
     TBF_CHECK(digit < arity_) << "digit " << digit << " out of range";
     const int32_t child = node == kNoNode ? kNoNode : ChildAt(node, digit);
     node = child;
@@ -151,16 +111,14 @@ void HstAvailabilityIndex::RemoveDigits(const Digits& digits, int item_id) {
   --size_;
 }
 
-template <typename Digits>
-int HstAvailabilityIndex::WalkQueryPath(const Digits& digits,
-                                        int32_t* nodes) const {
+int HstAvailabilityIndex::WalkQueryPath(LeafCode query, int32_t* nodes) const {
   nodes[0] = 0;
   int d_last = 0;
   for (int d = 1; d <= depth_; ++d) {
     const int32_t parent = nodes[d - 1];
     int32_t child = kNoNode;
     if (parent != kNoNode) {
-      const int digit = digits(d - 1);
+      const int digit = codec_.Digit(query, d - 1);
       TBF_CHECK(digit < arity_) << "digit out of range";
       child = ChildAt(parent, digit);
       if (child != kNoNode && count_[static_cast<size_t>(child)] == 0) {
@@ -198,46 +156,20 @@ int32_t HstAvailabilityIndex::DescendCanonical(int32_t node, int d,
 }
 
 std::optional<std::pair<int, int>> HstAvailabilityIndex::Nearest(
-    const LeafPath& query) const {
-  TBF_CHECK(static_cast<int>(query.size()) == depth_) << "leaf depth mismatch";
-  return NearestDigits(PathDigits{query.data()});
-}
-
-std::optional<std::pair<int, int>> HstAvailabilityIndex::Nearest(
     LeafCode query) const {
-  TBF_CHECK(codec_) << "tree shape exceeds packed-code capacity";
-  return NearestDigits(CodeDigits{query, &*codec_});
-}
-
-template <typename Digits>
-std::optional<std::pair<int, int>> HstAvailabilityIndex::NearestDigits(
-    const Digits& digits) const {
   if (size_ == 0) return std::nullopt;
   ScratchNodes scratch(depth_);
-  const int d_last = WalkQueryPath(digits, scratch.data);
+  const int d_last = WalkQueryPath(query, scratch.data);
   if (d_last == depth_) {
     return std::pair<int, int>(ItemsOf(scratch.data[depth_]).front(), 0);
   }
-  const int32_t leaf =
-      DescendCanonical(scratch.data[d_last], d_last, digits(d_last));
+  const int32_t leaf = DescendCanonical(scratch.data[d_last], d_last,
+                                        codec_.Digit(query, d_last));
   return std::pair<int, int>(ItemsOf(leaf).front(), depth_ - d_last);
 }
 
 std::optional<std::pair<int, int>> HstAvailabilityIndex::NearestUniform(
-    const LeafPath& query, Rng* rng) const {
-  TBF_CHECK(static_cast<int>(query.size()) == depth_) << "leaf depth mismatch";
-  return NearestUniformDigits(PathDigits{query.data()}, rng);
-}
-
-std::optional<std::pair<int, int>> HstAvailabilityIndex::NearestUniform(
     LeafCode query, Rng* rng) const {
-  TBF_CHECK(codec_) << "tree shape exceeds packed-code capacity";
-  return NearestUniformDigits(CodeDigits{query, &*codec_}, rng);
-}
-
-template <typename Digits>
-std::optional<std::pair<int, int>> HstAvailabilityIndex::NearestUniformDigits(
-    const Digits& digits, Rng* rng) const {
   TBF_CHECK(rng != nullptr) << "rng required";
   if (size_ == 0) return std::nullopt;
 
@@ -252,12 +184,12 @@ std::optional<std::pair<int, int>> HstAvailabilityIndex::NearestUniformDigits(
   };
 
   ScratchNodes scratch(depth_);
-  const int d_last = WalkQueryPath(digits, scratch.data);
+  const int d_last = WalkQueryPath(query, scratch.data);
   if (d_last == depth_) return pick_from_leaf(scratch.data[depth_], 0);
 
   const int level = depth_ - d_last;
   int32_t node = scratch.data[d_last];
-  int skip = digits(d_last);
+  int skip = codec_.Digit(query, d_last);
   for (int d = d_last; d < depth_; ++d) {
     // An internal node's count is the sum of its children's, so the
     // candidate total needs no scan: subtract the skipped branch (dead at
@@ -291,20 +223,7 @@ std::optional<std::pair<int, int>> HstAvailabilityIndex::NearestUniformDigits(
 }
 
 std::vector<std::pair<int, int>> HstAvailabilityIndex::NearestK(
-    const LeafPath& query, size_t limit) const {
-  TBF_CHECK(static_cast<int>(query.size()) == depth_) << "leaf depth mismatch";
-  return NearestKDigits(PathDigits{query.data()}, limit);
-}
-
-std::vector<std::pair<int, int>> HstAvailabilityIndex::NearestK(
     LeafCode query, size_t limit) const {
-  TBF_CHECK(codec_) << "tree shape exceeds packed-code capacity";
-  return NearestKDigits(CodeDigits{query, &*codec_}, limit);
-}
-
-template <typename Digits>
-std::vector<std::pair<int, int>> HstAvailabilityIndex::NearestKDigits(
-    const Digits& digits, size_t limit) const {
   std::vector<std::pair<int, int>> out;
   if (limit == 0 || size_ == 0) return out;
   // At most min(limit, size_) entries can come back; reserving up front
@@ -312,7 +231,7 @@ std::vector<std::pair<int, int>> HstAvailabilityIndex::NearestKDigits(
   out.reserve(std::min(limit, size_));
 
   ScratchNodes scratch(depth_);
-  WalkQueryPath(digits, scratch.data);
+  WalkQueryPath(query, scratch.data);
 
   // Level 0: items co-located on the query leaf itself.
   if (scratch.data[depth_] != kNoNode) {
@@ -332,7 +251,7 @@ std::vector<std::pair<int, int>> HstAvailabilityIndex::NearestKDigits(
                                ? 0
                                : count_[static_cast<size_t>(scratch.data[d + 1])];
     if (count_[static_cast<size_t>(node)] <= closer) continue;
-    Collect(node, d, digits(d), limit, level, &out);
+    Collect(node, d, codec_.Digit(query, d), limit, level, &out);
     if (out.size() >= limit) return out;
   }
   return out;

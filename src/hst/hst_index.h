@@ -11,7 +11,7 @@
 // Engine: a trie of occupied subtrees laid out in contiguous arrays — one
 // int32 count per node, one arity-wide int32 child block per internal node,
 // one sorted item vector per leaf node, all indexed by dense node ids. A
-// query is pure pointer-free array walking: no hashing, no LeafPath
+// query is pure pointer-free array walking: no hashing, no digit-path
 // materialization, zero heap allocations (NearestK only allocates its
 // result). Nodes are created lazily on first insert and kept (count 0) after
 // their last remove, so a long-running server reuses them instead of
@@ -33,7 +33,6 @@
 
 #include "common/rng.h"
 #include "hst/leaf_code.h"
-#include "hst/leaf_path.h"
 
 namespace tbf {
 
@@ -63,20 +62,16 @@ enum class HstTieBreak {
 /// concurrent reads without writers are fine.
 class HstAvailabilityIndex {
  public:
-  /// `depth`/`arity` must match the CompleteHst the leaf paths come from.
+  /// `depth`/`arity` must match the CompleteHst the leaf codes come from
+  /// (which guarantees LeafCodec::Fits).
   HstAvailabilityIndex(int depth, int arity);
 
   /// Adds `item_id` at `leaf`. Ids must be unique across the index.
-  void Insert(const LeafPath& leaf, int item_id);
+  /// Digits are read straight out of the packed code by shift/mask — no
+  /// unpacking into a scratch digit buffer anywhere in the index.
+  void Insert(LeafCode leaf, int item_id);
 
   /// Removes `item_id` from `leaf`; the pair must be present.
-  void Remove(const LeafPath& leaf, int item_id);
-
-  /// Packed-code variants (require LeafCodec::Fits(depth, arity), which
-  /// holds for every tree the builder produces; see codec()). Digits are
-  /// read straight out of the 64-bit word by shift/mask — no unpacking
-  /// into a scratch digit buffer anywhere on these paths.
-  void Insert(LeafCode leaf, int item_id);
   void Remove(LeafCode leaf, int item_id);
 
   /// Number of items currently present.
@@ -86,25 +81,19 @@ class HstAvailabilityIndex {
 
   /// \brief Nearest item to `query` by tree distance (canonical
   /// tie-breaking); nullopt when empty. Returns (item_id, lca_level).
-  std::optional<std::pair<int, int>> Nearest(const LeafPath& query) const;
   std::optional<std::pair<int, int>> Nearest(LeafCode query) const;
 
   /// \brief Like Nearest, but uniformly random among all items at the
   /// minimal tree distance (subtree-count-weighted descent, O(c D)).
-  std::optional<std::pair<int, int>> NearestUniform(const LeafPath& query,
-                                                    Rng* rng) const;
   std::optional<std::pair<int, int>> NearestUniform(LeafCode query,
                                                     Rng* rng) const;
 
   /// \brief Up to `limit` items in non-decreasing tree distance from
   /// `query` (canonical order). Each entry is (item_id, lca_level).
-  std::vector<std::pair<int, int>> NearestK(const LeafPath& query,
-                                            size_t limit) const;
   std::vector<std::pair<int, int>> NearestK(LeafCode query, size_t limit) const;
 
-  /// \brief Codec for the packed-code API, or nullptr when the tree shape
-  /// exceeds 64 bits (then only the LeafPath API is usable).
-  const LeafCodec* codec() const { return codec_ ? &*codec_ : nullptr; }
+  /// \brief Codec of the index's leaf codes (never null).
+  const LeafCodec* codec() const { return &codec_; }
 
  private:
   static constexpr int32_t kNoNode = -1;
@@ -126,29 +115,9 @@ class HstAvailabilityIndex {
     return leaf_items_[static_cast<size_t>(slot_[static_cast<size_t>(leaf_node)])];
   }
 
-  // Digit-accessor core of the public API. `Digits` is a lightweight
-  // functor mapping a root-first position in [0, depth_) to a digit: the
-  // LeafPath overloads pass a pointer reader, the LeafCode overloads a
-  // shift/mask reader over the packed word, so the trie walk reads digits
-  // straight out of the register with no scratch buffer. Definitions live
-  // in the .cc (both instantiations are internal).
-  template <typename Digits>
-  void InsertDigits(const Digits& digits, int item_id);
-  template <typename Digits>
-  void RemoveDigits(const Digits& digits, int item_id);
-  template <typename Digits>
-  std::optional<std::pair<int, int>> NearestDigits(const Digits& digits) const;
-  template <typename Digits>
-  std::optional<std::pair<int, int>> NearestUniformDigits(const Digits& digits,
-                                                          Rng* rng) const;
-  template <typename Digits>
-  std::vector<std::pair<int, int>> NearestKDigits(const Digits& digits,
-                                                  size_t limit) const;
-
-  // Fills nodes[d] with the node at digit-depth d along `digits` when it
+  // Fills nodes[d] with the node at digit-depth d along `query` when it
   // exists with count > 0, else kNoNode; returns the deepest live d.
-  template <typename Digits>
-  int WalkQueryPath(const Digits& digits, int32_t* nodes) const;
+  int WalkQueryPath(LeafCode query, int32_t* nodes) const;
 
   // Descends from `node` (digit-depth d) to the canonically smallest
   // occupied leaf, skipping child `skip_digit` at the first step (-1: none).
@@ -164,7 +133,7 @@ class HstAvailabilityIndex {
   int depth_;
   int arity_;
   size_t size_ = 0;
-  std::optional<LeafCodec> codec_;
+  LeafCodec codec_;
 
   std::vector<int32_t> count_;  // per node: live items in its subtree
   std::vector<int32_t> slot_;   // per node: child-block offset or leaf slot

@@ -11,15 +11,15 @@ int LeafCodec::BitsPerDigit(int arity) {
 
 bool LeafCodec::Fits(int depth, int arity) {
   if (depth < 1 || arity < 2) return false;
-  return depth * BitsPerDigit(arity) <= 64;
+  return int64_t{depth} * BitsPerDigit(arity) <= kLeafCodeBits;
 }
 
 LeafCodec::LeafCodec(int depth, int arity)
     : depth_(depth), arity_(arity), bits_(BitsPerDigit(arity)),
       mask_((uint64_t{1} << bits_) - 1) {
   TBF_CHECK(Fits(depth, arity))
-      << "leaf codes need " << depth * bits_ << " bits for depth " << depth
-      << ", arity " << arity;
+      << "leaf codes need " << int64_t{depth} * bits_ << " bits for depth "
+      << depth << ", arity " << arity;
 }
 
 LeafCode LeafCodec::Pack(const LeafPath& path) const {
@@ -29,7 +29,7 @@ LeafCode LeafCodec::Pack(const LeafPath& path) const {
     const int digit = static_cast<int>(path[static_cast<size_t>(j)]);
     TBF_DCHECK(digit >= 0 && digit < arity_) << "digit " << digit
                                              << " out of range";
-    code |= static_cast<uint64_t>(digit) << Shift(j);
+    code |= LeafCode{static_cast<uint64_t>(digit)} << Shift(j);
   }
   return code;
 }

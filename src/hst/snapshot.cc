@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -22,8 +21,7 @@ namespace tbf {
 namespace {
 
 constexpr std::string_view kMagic = "TBF-SNAP";
-constexpr uint32_t kSnapshotVersion = 2;
-constexpr uint32_t kFlagPackedLeaves = 1u << 0;
+constexpr uint32_t kSnapshotVersion = 3;
 
 // Record kinds, in the only order a file may hold them.
 enum Rec : uint8_t { kHeader, kPoints, kLeaves, kEnd, kNumRecs };
@@ -31,9 +29,10 @@ constexpr std::array<const char*, kNumRecs> kRecNames = {"header", "points",
                                                          "leaves", "end"};
 
 // A table record carries whole rows and at most this many row bytes, far
-// below the frame cap: a 100k-point digit-path table (5.6 MB) must split.
+// below the frame cap: a 100k-point table (1.6 MB) must split.
 constexpr size_t kTableRecordBytes = size_t{1} << 16;
 constexpr size_t kPointBytes = 16;  // f64 x, f64 y
+constexpr size_t kLeafBytes = 16;   // LeafCode: low u64, high u64
 
 // Copies little-endian words of `W` bytes into `out`: one memcpy on
 // little-endian hosts (every CI target), plus a per-word byte reversal on
@@ -53,7 +52,6 @@ void LoadWords(const void* in, size_t bytes, void* out) {
 // point count is caught against the actual table sizes (Finish) before
 // anything is allocated for the rows.
 struct SnapshotDecoder {
-  uint32_t flags = 0;
   int depth = 0;
   int arity = 0;
   double scale = 0.0;
@@ -63,11 +61,6 @@ struct SnapshotDecoder {
   uint64_t records = 0;
   uint8_t last = kHeader;
   bool ended = false;
-
-  bool packed() const { return (flags & kFlagPackedLeaves) != 0; }
-  size_t leaf_bytes() const {
-    return packed() ? 8 : 2 * static_cast<size_t>(depth);
-  }
 
   Status Decode(std::string_view payload) {
     if (payload.empty()) return Status::InvalidArgument("empty record");
@@ -102,7 +95,7 @@ struct SnapshotDecoder {
       }
       ended = true;
     } else {
-      const size_t row = kind == kPoints ? kPointBytes : leaf_bytes();
+      const size_t row = kind == kPoints ? kPointBytes : kLeafBytes;
       if (body.size() % row != 0) {
         return bad(std::to_string(body.size() % row) +
                    " trailing bytes after " +
@@ -127,7 +120,6 @@ struct SnapshotDecoder {
                  " (this build reads v" + std::to_string(kSnapshotVersion) +
                  ")");
     }
-    TBF_ASSIGN_OR_RETURN(flags, r.U32());
     TBF_ASSIGN_OR_RETURN(const uint32_t depth_bits, r.U32());
     TBF_ASSIGN_OR_RETURN(const uint32_t arity_bits, r.U32());
     TBF_ASSIGN_OR_RETURN(scale, r.F64());
@@ -135,10 +127,6 @@ struct SnapshotDecoder {
     if (!r.AtEnd()) return bad("trailing bytes after a complete record");
     depth = static_cast<int32_t>(depth_bits);
     arity = static_cast<int32_t>(arity_bits);
-    if ((flags & ~kFlagPackedLeaves) != 0) {
-      return bad("unknown flag bits 0x" +
-                 std::to_string(flags & ~kFlagPackedLeaves));
-    }
     if (depth < 1) {
       return bad("depth " + std::to_string(depth) + " must be >= 1");
     }
@@ -148,12 +136,10 @@ struct SnapshotDecoder {
     if (!std::isfinite(scale) || scale <= 0.0) {
       return bad("scale must be positive and finite");
     }
-    const bool fits = LeafCodec::Fits(depth, arity);
-    if (packed() != fits) {
-      return bad("leaf encoding does not match the tree shape (packed flag " +
-                 std::string(packed() ? "set" : "clear") + ", but depth " +
-                 std::to_string(depth) + " x arity " + std::to_string(arity) +
-                 (fits ? " fits" : " does not fit") + " 64-bit codes)");
+    if (!LeafCodec::Fits(depth, arity)) {
+      return bad("depth " + std::to_string(depth) + " x arity " +
+                 std::to_string(arity) + " does not fit " +
+                 std::to_string(kLeafCodeBits) + "-bit leaf codes");
     }
     if (num_points == 0) return bad("empty point set");
     return Status::OK();
@@ -181,10 +167,8 @@ struct SnapshotDecoder {
 }  // namespace
 
 std::string SerializeHstSnapshot(const CompleteHst& tree) {
-  const bool packed = tree.codec() != nullptr;
   const size_t n = static_cast<size_t>(tree.num_points());
-  const size_t leaf_bytes = packed ? 8 : 2 * static_cast<size_t>(tree.depth());
-  const size_t table_bytes = n * (kPointBytes + leaf_bytes);
+  const size_t table_bytes = n * (kPointBytes + kLeafBytes);
   std::string out;
   // Frame overhead is 9 bytes per >= 64 KiB table record, plus the
   // header and end records.
@@ -211,7 +195,6 @@ std::string SerializeHstSnapshot(const CompleteHst& tree) {
   add(kHeader, [&] {
     wire::PutStr(&out, kMagic);
     wire::PutU32(&out, kSnapshotVersion);
-    wire::PutU32(&out, packed ? kFlagPackedLeaves : 0);
     wire::PutU32(&out, static_cast<uint32_t>(tree.depth()));
     wire::PutU32(&out, static_cast<uint32_t>(tree.arity()));
     wire::PutF64(&out, tree.scale());
@@ -221,14 +204,8 @@ std::string SerializeHstSnapshot(const CompleteHst& tree) {
     wire::PutF64(&out, tree.points()[i].x);
     wire::PutF64(&out, tree.points()[i].y);
   });
-  add_table(kLeaves, leaf_bytes, [&](size_t i) {
-    if (packed) {
-      wire::PutU64(&out, tree.leaf_code_of_point(static_cast<int>(i)));
-    } else {
-      for (const char16_t digit : tree.leaf_of_point(static_cast<int>(i))) {
-        wire::PutU16(&out, static_cast<uint16_t>(digit));
-      }
-    }
+  add_table(kLeaves, kLeafBytes, [&](size_t i) {
+    wire::PutU128(&out, tree.leaf_code_of_point(static_cast<int>(i)));
   });
   add(kEnd, [&] { wire::PutU64(&out, records); });
   return out;
@@ -261,31 +238,16 @@ Result<CompleteHst> ParseHstSnapshot(const std::string& bytes) {
     }
   }
 
-  const size_t leaf_bytes = snap.leaf_bytes();
   std::vector<LeafPath> leaves;
   leaves.reserve(num_points);
-  std::optional<LeafCodec> codec;
-  if (snap.packed()) codec.emplace(snap.depth, snap.arity);  // Fits checked
+  const LeafCodec codec(snap.depth, snap.arity);  // Fits checked
   for (const std::string_view record : snap.tables[kLeaves]) {
-    for (size_t off = 0; off < record.size(); off += leaf_bytes) {
-      const char* row = record.data() + off;
+    for (size_t off = 0; off < record.size(); off += kLeafBytes) {
+      uint64_t words[2];
+      LoadWords<8>(record.data() + off, kLeafBytes, words);
+      const LeafCode code = (LeafCode{words[1]} << 64) | words[0];
       const size_t i = leaves.size();
-      LeafPath leaf;
-      if (codec) {
-        uint64_t code = 0;
-        LoadWords<8>(row, sizeof(code), &code);
-        leaf = codec->Unpack(code);
-        // Unpack masks each digit to the codec's bit width; re-packing
-        // detects digits that exceeded the arity (corrupt high bits).
-        if (codec->Pack(leaf) != code) {
-          return Status::InvalidArgument("snapshot: leaf " +
-                                         std::to_string(i) +
-                                         ": code has bits outside the shape");
-        }
-      } else {
-        leaf.resize(static_cast<size_t>(snap.depth));
-        LoadWords<2>(row, leaf_bytes, leaf.data());
-      }
+      LeafPath leaf = codec.Unpack(code);
       for (size_t d = 0; d < leaf.size(); ++d) {
         if (static_cast<int>(leaf[d]) >= snap.arity) {
           return Status::InvalidArgument(
@@ -294,6 +256,12 @@ Result<CompleteHst> ParseHstSnapshot(const std::string& bytes) {
               std::to_string(d) + " out of arity range [0, " +
               std::to_string(snap.arity) + ")");
         }
+      }
+      // Unpack masks each digit to the codec's bit width; re-packing
+      // detects bits below the last digit.
+      if (codec.Pack(leaf) != code) {
+        return Status::InvalidArgument("snapshot: leaf " + std::to_string(i) +
+                                       ": code has bits outside the shape");
       }
       leaves.push_back(std::move(leaf));
     }

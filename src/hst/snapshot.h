@@ -9,7 +9,7 @@
 // cheaper than a full build; bench/micro_hst_build.cc measures the
 // ratio).
 //
-// On-disk layout: the journal's CRC frames (common/frames.h), like a v4
+// On-disk layout: the journal's CRC frames (common/frames.h), like a
 // replay checkpoint, so tools/check_snapshot.py validates it with
 // tools/tbf_frames.py and nothing but the Python standard library:
 //
@@ -18,28 +18,27 @@
 //   payload := <kind:u8> <kind-specific fields>, little-endian
 //
 //   header (0): str  magic "TBF-SNAP"
-//               u32  version     (2)
-//               u32  flags       bit 0: leaves as packed u64 codes (set
-//                                exactly when the shape fits 64-bit codes,
-//                                LeafCodec::Fits); otherwise leaves are
-//                                depth x u16 digit paths
+//               u32  version     (3)
 //               u32  depth, u32 arity (as i32)
 //               f64  scale
 //               u64  num_points
 //   points (1): whole (f64 x, f64 y) rows         predefined points
-//   leaves (2): whole u64 rows                    leaf codes  (bit 0 set)
-//               whole depth x u16 rows            leaf digits (bit 0 clear)
+//   leaves (2): whole 16-byte rows                LeafCodes (low u64,
+//                                                 then high u64)
 //   end    (3): u64  records before it
 //
 // Each table is split over as many records as it needs (at most 64 KiB
 // of rows each, far below the frame cap); its rows concatenate in file
 // order and must total num_points. The end record makes a file cut at a
-// frame boundary fail too. The retired v1 layout (one text header line
-// over a single payload) fails the frame walk like any corrupt file.
+// frame boundary fail too. Every published shape fits 128-bit codes, so
+// the leaf code is the only leaf encoding. Older versions are refused
+// with a message naming the version: v2 (whose header carried a flag
+// choosing u64 codes or depth x u16 digit paths) and the v1 layout (one
+// text header line over a single payload, which fails the frame walk).
 //
-// Parsing is defensive: truncation, bad magic or version, flag/shape
-// mismatch, row counts that disagree with the header (checked before any
-// table allocation), non-finite values and structural violations all
+// Parsing is defensive: truncation, bad magic or version, a shape beyond
+// 128-bit codes, row counts that disagree with the header (checked before
+// any table allocation), non-finite values and structural violations all
 // yield precise InvalidArgument statuses (with record and row indexes),
 // never a crash — the same contract the checkpoint parser honors.
 //

@@ -5,19 +5,16 @@
 namespace tbf {
 namespace {
 
-// One scan body serves both representations: LeafPath and LeafCode compare
-// in lexicographic path order alike, so the canonical tie-break rule (LCA
-// level, leaf path, worker id) carries over unchanged; only the LCA functor
-// differs (digit loop vs XOR + countl_zero).
-template <typename Worker, typename Lca>
-int ScanCanonical(const std::vector<Worker>& workers,
-                  const std::vector<bool>& taken, int depth,
-                  const Worker& task, Lca&& lca) {
+// Canonical tie-break rule (LCA level, leaf, worker id): unsigned code
+// order is lexicographic path order.
+int ScanCanonical(const std::vector<LeafCode>& workers,
+                  const std::vector<bool>& taken, const LeafCodec& codec,
+                  LeafCode task) {
   int best = -1;
-  int best_level = depth + 1;
+  int best_level = codec.depth() + 1;
   for (size_t i = 0; i < workers.size(); ++i) {
     if (taken[i]) continue;
-    const int level = lca(task, workers[i]);
+    const int level = codec.LcaLevel(task, workers[i]);
     if (level < best_level ||
         (level == best_level &&
          workers[i] < workers[static_cast<size_t>(best)])) {
@@ -30,16 +27,15 @@ int ScanCanonical(const std::vector<Worker>& workers,
 
 // Reservoir sampling over the minimal-level workers: one pass, uniform
 // among ties.
-template <typename Worker, typename Lca>
-int ScanReservoir(const std::vector<Worker>& workers,
-                  const std::vector<bool>& taken, int depth,
-                  const Worker& task, Lca&& lca, Rng* rng) {
+int ScanReservoir(const std::vector<LeafCode>& workers,
+                  const std::vector<bool>& taken, const LeafCodec& codec,
+                  LeafCode task, Rng* rng) {
   int best = -1;
-  int best_level = depth + 1;
+  int best_level = codec.depth() + 1;
   int tie_count = 0;
   for (size_t i = 0; i < workers.size(); ++i) {
     if (taken[i]) continue;
-    const int level = lca(task, workers[i]);
+    const int level = codec.LcaLevel(task, workers[i]);
     if (level < best_level) {
       best_level = level;
       best = static_cast<int>(i);
@@ -60,71 +56,41 @@ HstGreedyMatcher::HstGreedyMatcher(std::vector<LeafPath> workers, int depth,
     : engine_(engine),
       tie_break_(tie_break),
       depth_(depth),
-      workers_(std::move(workers)),
-      taken_(workers_.size(), false),
-      available_count_(workers_.size()),
+      codec_(depth, arity),
+      taken_(workers.size(), false),
+      available_count_(workers.size()),
       rng_(rng) {
-  for (const LeafPath& leaf : workers_) {
-    TBF_CHECK(static_cast<int>(leaf.size()) == depth_) << "leaf depth mismatch";
-  }
   TBF_CHECK(tie_break_ == HstTieBreak::kCanonical || rng_ != nullptr)
       << "kUniformRandom tie-breaking requires an rng";
-  if (LeafCodec::Fits(depth, arity)) {
-    codec_.emplace(depth, arity);
-    worker_codes_.reserve(workers_.size());
-    for (const LeafPath& leaf : workers_) {
-      worker_codes_.push_back(codec_->Pack(leaf));
-    }
+  workers_.reserve(workers.size());
+  for (const LeafPath& leaf : workers) {
+    workers_.push_back(codec_.Pack(leaf));  // CHECKs the leaf depth
   }
   if (engine_ == HstEngine::kIndex) {
     index_ = std::make_unique<HstAvailabilityIndex>(depth, arity);
     for (size_t i = 0; i < workers_.size(); ++i) {
-      if (codec_) {
-        index_->Insert(worker_codes_[i], static_cast<int>(i));
-      } else {
-        index_->Insert(workers_[i], static_cast<int>(i));
-      }
+      index_->Insert(workers_[i], static_cast<int>(i));
     }
-  }
-  if (codec_) {
-    // Every post-construction path runs on worker_codes_; drop the heap-heavy
-    // LeafPath copies (several MB at 100k workers).
-    workers_.clear();
-    workers_.shrink_to_fit();
   }
 }
 
 int HstGreedyMatcher::Assign(const LeafPath& task) {
   TBF_DCHECK(static_cast<int>(task.size()) == depth_) << "leaf depth mismatch";
   if (available_count_ == 0) return -1;
+  const LeafCode code = codec_.Pack(task);
   int best = -1;
   if (engine_ == HstEngine::kIndex) {
     auto nearest = tie_break_ == HstTieBreak::kCanonical
-                       ? index_->Nearest(task)
-                       : index_->NearestUniform(task, rng_);
+                       ? index_->Nearest(code)
+                       : index_->NearestUniform(code, rng_);
     if (nearest) {
       best = nearest->first;
-      if (codec_) {
-        index_->Remove(worker_codes_[static_cast<size_t>(best)], best);
-      } else {
-        index_->Remove(workers_[static_cast<size_t>(best)], best);
-      }
+      index_->Remove(workers_[static_cast<size_t>(best)], best);
     }
-  } else if (codec_) {
-    const LeafCode code = codec_->Pack(task);
-    const auto lca = [this](LeafCode a, LeafCode b) {
-      return codec_->LcaLevel(a, b);
-    };
-    best = tie_break_ == HstTieBreak::kCanonical
-               ? ScanCanonical(worker_codes_, taken_, depth_, code, lca)
-               : ScanReservoir(worker_codes_, taken_, depth_, code, lca, rng_);
   } else {
-    const auto lca = [](const LeafPath& a, const LeafPath& b) {
-      return LcaLevel(a, b);
-    };
     best = tie_break_ == HstTieBreak::kCanonical
-               ? ScanCanonical(workers_, taken_, depth_, task, lca)
-               : ScanReservoir(workers_, taken_, depth_, task, lca, rng_);
+               ? ScanCanonical(workers_, taken_, codec_, code)
+               : ScanReservoir(workers_, taken_, codec_, code, rng_);
   }
   if (best >= 0) {
     taken_[static_cast<size_t>(best)] = true;

@@ -3,16 +3,14 @@
 // tree. Used by both Lap-HG (on Laplace-obfuscated, re-mapped leaves) and
 // TBF (on leaves obfuscated by the HST mechanism).
 //
-// When the tree shape fits packed codes (every built tree does — see
-// leaf_code.h), worker leaves are stored as LeafCodes: the scan engine's
-// per-pair LCA becomes one XOR + countl_zero instead of a digit loop, and
-// the index engine runs on the flat node-pool trie. Oversized shapes fall
-// back to LeafPath transparently.
+// The matcher takes LeafPaths and packs each leaf once (every published
+// shape fits a LeafCode — see leaf_code.h): the scan engine's per-pair LCA
+// is one XOR + count-leading-zeros instead of a digit loop, and the index
+// engine runs on the flat node-pool trie.
 
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -55,9 +53,8 @@ class HstGreedyMatcher {
   HstEngine engine_;
   HstTieBreak tie_break_;
   int depth_;
-  std::vector<LeafPath> workers_;
-  std::vector<LeafCode> worker_codes_;  // packed copy; empty when !codec_
-  std::optional<LeafCodec> codec_;
+  LeafCodec codec_;
+  std::vector<LeafCode> workers_;  // packed reported leaves
   std::vector<bool> taken_;
   size_t available_count_;
   std::unique_ptr<HstAvailabilityIndex> index_;  // only for kIndex

@@ -129,16 +129,18 @@ void ProbMatcher::Consume(int worker_id) {
 
 HstCaseStudyMatcher::HstCaseStudyMatcher(std::vector<LeafPath> workers, int depth,
                                          int arity)
-    : workers_(std::move(workers)), index_(depth, arity) {
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    index_.Insert(workers_[i], static_cast<int>(i));
+    : index_(depth, arity) {
+  workers_.reserve(workers.size());
+  for (size_t i = 0; i < workers.size(); ++i) {
+    workers_.push_back(index_.codec()->Pack(workers[i]));
+    index_.Insert(workers_.back(), static_cast<int>(i));
   }
 }
 
 std::vector<int> HstCaseStudyMatcher::Candidates(const LeafPath& task,
                                                  size_t limit) const {
   std::vector<int> out;
-  for (const auto& item : index_.NearestK(task, limit)) {
+  for (const auto& item : index_.NearestK(index_.codec()->Pack(task), limit)) {
     out.push_back(item.first);
   }
   return out;

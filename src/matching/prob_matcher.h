@@ -90,7 +90,7 @@ class ProbMatcher {
 
 /// \brief TBF's matching-size variant: ranks available workers by HST
 /// distance to the reported task leaf (nearest reachable worker on the
-/// tree, Sec. IV-C).
+/// tree, Sec. IV-C). Leaves are packed once on the way in.
 class HstCaseStudyMatcher {
  public:
   HstCaseStudyMatcher(std::vector<LeafPath> workers, int depth, int arity);
@@ -103,8 +103,8 @@ class HstCaseStudyMatcher {
   size_t available() const { return index_.size(); }
 
  private:
-  std::vector<LeafPath> workers_;
   HstAvailabilityIndex index_;
+  std::vector<LeafCode> workers_;
 };
 
 }  // namespace tbf

@@ -187,10 +187,6 @@ double EpochBudgetLedger::MaxLifetimeSpent() const {
   return MaxSpend(lifetime_spent_);
 }
 
-double EpochBudgetLedger::MaxEpochSpent() const {
-  return MaxSpend(epoch_spent_);
-}
-
 EpochBudgetLedger::State EpochBudgetLedger::ExportState() const {
   State state;
   state.epoch = epoch_;

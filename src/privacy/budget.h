@@ -125,9 +125,6 @@ class EpochBudgetLedger {
   /// chaos harness asserts this never exceeds the lifetime cap.
   double MaxLifetimeSpent() const;
 
-  /// \brief Largest current-epoch spend across all users (0 when empty).
-  double MaxEpochSpent() const;
-
   /// \brief Snapshot of the full accounting state, in first-charge order
   /// (O(users), no sort).
   State ExportState() const;

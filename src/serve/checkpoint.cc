@@ -56,11 +56,11 @@ uint32_t FingerprintEventTrace(const EventTrace& trace) {
 namespace {
 
 constexpr std::string_view kMagic = "TBF-CKPT";
-constexpr uint32_t kCheckpointVersion = 4;
+constexpr uint32_t kCheckpointVersion = 5;
 // Header token of the retired v1-v3 text format.
 constexpr std::string_view kTextMagic = "TBFCKPT1 ";
 
-// Record kinds of a v4 file; docs/ROBUSTNESS.md has the catalog.
+// Record kinds of a v5 file; docs/ROBUSTNESS.md has the catalog.
 enum Rec : uint8_t {
   kHeader, kIdentity, kCursor, kReport, kEpoch, kTask, kQuarantine, kServer,
   kRng, kSlot, kFree, kWorker, kLedger, kSpend, kCounter, kGauge, kHistogram,
@@ -82,9 +82,10 @@ constexpr uint8_t kSpendLifetime = 1;
 // Field codecs. Each record's schema is one function template over an
 // `io` that FieldWriter implements by appending the fields and
 // FieldReader by parsing into them, so the two directions cannot drift.
-// Integers take their own width (u8/u32/u64), bools a 0/1 byte, doubles
-// their IEEE-754 bits, strings <len:u32><bytes>; a Status is <code:u32>
-// <message:str>, an optional string a 0/1 byte then the string.
+// Integers take their own width (u8/u32/u64, a LeafCode 16 bytes), bools
+// a 0/1 byte, doubles their IEEE-754 bits, strings <len:u32><bytes>; a
+// Status is <code:u32><message:str>, an optional string a 0/1 byte then
+// the string.
 class FieldWriter {
  public:
   explicit FieldWriter(std::string* out) : out_(out) {}
@@ -104,6 +105,8 @@ class FieldWriter {
       wire::PutF64(out_, v);
     } else if constexpr (sizeof(T) == 4) {
       wire::PutU32(out_, static_cast<uint32_t>(v));
+    } else if constexpr (std::is_same_v<T, LeafCode>) {
+      wire::PutU128(out_, v);
     } else {
       static_assert(std::is_integral_v<T> && sizeof(T) == 8);
       wire::PutU64(out_, static_cast<uint64_t>(v));
@@ -153,6 +156,8 @@ class FieldReader {
     } else if constexpr (sizeof(T) == 4) {
       TBF_ASSIGN_OR_RETURN(const uint32_t u, r_.U32());
       v = static_cast<T>(u);
+    } else if constexpr (std::is_same_v<T, LeafCode>) {
+      TBF_ASSIGN_OR_RETURN(v, r_.U128());
     } else {
       TBF_ASSIGN_OR_RETURN(const uint64_t u, r_.U64());
       v = static_cast<T>(u);
@@ -230,11 +235,11 @@ Status QuarantineFields(Io& io, Q& q) {
 }
 template <typename Io, typename S>
 Status ServerFields(Io& io, S& s) {
-  return io(s.packed, s.assigned_tasks, s.tree_epoch);
+  return io(s.assigned_tasks, s.tree_epoch);
 }
 template <typename Io, typename W>
 Status WorkerFields(Io& io, W& w) {
-  return io(w.id, w.code, w.leaf_digits, w.index_id, w.shard);
+  return io(w.id, w.code, w.index_id, w.shard);
 }
 template <typename Io, typename L>
 Status LedgerFields(Io& io, L& l) {
@@ -306,7 +311,7 @@ class CheckpointDecoder {
         if (magic != kMagic) return bad("bad magic '" + magic + "'");
         if (version != kCheckpointVersion) {
           return bad("unsupported version " + std::to_string(version) +
-                     " (this build reads v4)");
+                     " (this build reads v5)");
         }
         c_.version = static_cast<int>(version);
         return Status::OK();
@@ -438,7 +443,7 @@ std::string SerializeReplayCheckpoint(const ReplayCheckpoint& c) {
 Result<ReplayCheckpoint> ParseReplayCheckpoint(const std::string& bytes) {
   if (std::string_view(bytes).substr(0, kTextMagic.size()) == kTextMagic) {
     return Status::InvalidArgument(
-        "checkpoint: text-format (v1-v3) file; this build reads binary v4 "
+        "checkpoint: text-format (v1-v3) file; this build reads binary v5 "
         "checkpoints only");
   }
   CheckpointDecoder decoder;

@@ -10,7 +10,7 @@
 // epoch length, seeds) let resume refuse a checkpoint that does not
 // belong to the run being resumed.
 //
-// On-disk format, v4 (docs/ROBUSTNESS.md has the record catalog): a
+// On-disk format, v5 (docs/ROBUSTNESS.md has the record catalog): a
 // stream of CRC-framed binary records in the frame format every on-disk
 // artifact shares (common/frames.h — the same frame writer, frame walker
 // and little-endian field helpers as the journal and tree snapshots):
@@ -25,11 +25,14 @@
 // counter/gauge/histogram) is one record; the end record counts the
 // records before it, so a file cut at a frame boundary is refused too.
 // Integers are little-endian, doubles are IEEE-754 bit patterns (they
-// round-trip bit-exactly), strings are <len:u32><bytes>. The CRC-32 (IEEE
-// reflected, zlib/binascii-compatible) covers each payload, so
-// tools/check_checkpoint.py validates a file with only the Python
-// standard library. The v1-v3 text format is no longer read: such a file
-// is refused with InvalidArgument like any other corrupt checkpoint.
+// round-trip bit-exactly), strings are <len:u32><bytes>, and a worker's
+// report is its 128-bit LeafCode as 16 bytes (low u64, then high u64) —
+// the only leaf encoding. The CRC-32 (IEEE reflected, zlib/binascii-
+// compatible) covers each payload, so tools/check_checkpoint.py validates
+// a file with only the Python standard library. Older versions are
+// refused with InvalidArgument naming the version: v4 (whose server
+// record carried a packed-mode flag and whose worker rows carried a u64
+// code next to a "d0.d1…" digit string) and the v1-v3 text format.
 //
 // WriteReplayCheckpointFile is atomic: the bytes go to `<path>.tmp`,
 // are fsync'd, and rename(2) publishes them — a crash mid-write leaves
@@ -58,10 +61,11 @@ uint32_t FingerprintEventTrace(const EventTrace& trace);
 /// \brief Serializable state of one replay run (see RunEventReplay).
 ///
 /// Version history: v1-v3 were a line-oriented text format (v2 added the
-/// server's tree epoch, v3 the journal position wal_next_lsn); v4 is the
-/// binary record stream described above and the only version read.
+/// server's tree epoch, v3 the journal position wal_next_lsn); v4 was the
+/// binary record stream with two worker leaf encodings; v5 is the record
+/// stream described above, with one, and the only version read.
 struct ReplayCheckpoint {
-  int version = 4;
+  int version = 5;
 
   // Identity: resume refuses a checkpoint whose trace or configuration
   // does not match the run being resumed.
@@ -107,7 +111,7 @@ struct ReplayCheckpoint {
   obs::MetricsSnapshot metrics;
 };
 
-/// \brief Serializes to the v4 record stream (see the format note above).
+/// \brief Serializes to the v5 record stream (see the format note above).
 std::string SerializeReplayCheckpoint(const ReplayCheckpoint& checkpoint);
 
 /// \brief Parses and validates (frames, CRCs, record schema, file

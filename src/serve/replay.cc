@@ -1,5 +1,6 @@
 #include "serve/replay.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -31,6 +32,30 @@ struct PreparedEvent {
   int report_index = -1;  // into the epoch's obfuscated batch (arrivals)
   int task_slot = -1;     // into ReplayReport::task_outcomes (tasks)
 };
+
+// The poison causes whose kFail messages predate the quarantine policy.
+constexpr char kNonFiniteTime[] = "non-finite event time";
+constexpr char kTimeRegressed[] =
+    "event time regressed below preceding surviving event";
+
+// Why the loop cannot serve `event`, or nullptr when it can — the one
+// poison predicate of both policies. `last_time` is the time of the
+// preceding surviving event (nullopt before the first).
+const char* PoisonCause(const TimedEvent& event,
+                        std::optional<double> last_time) {
+  if (!std::isfinite(event.time)) return kNonFiniteTime;
+  if (last_time && event.time < *last_time) return kTimeRegressed;
+  if (event.id.empty()) return "empty event id";
+  if (event.kind == EventKind::kWorkerDeparture) return nullptr;
+  const Point& p = event.location;
+  if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+    return "non-finite location coordinates";
+  }
+  if (!std::isfinite(p.x * p.x + p.y * p.y)) {
+    return "location too far out: its squared norm overflows";
+  }
+  return nullptr;
+}
 
 struct LaneStats {
   size_t registered = 0;
@@ -96,53 +121,33 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
   }
 
   const size_t n = trace.events.size();
-  const bool quarantining = options.poison_policy == PoisonPolicy::kQuarantine;
-  // Poison handling. kFail keeps the historical contract (and its exact
-  // messages): the first bad event aborts the whole run up front.
-  // kQuarantine pre-scans instead: poison events are marked and carry a
-  // cause, surviving events behave exactly as if the trace never
-  // contained the poison (time ordering is checked across survivors
-  // only, and quarantined events consume no obfuscation draws).
-  std::vector<uint8_t> poison;
-  std::vector<std::string> poison_cause;
-  if (!quarantining) {
+  // Poison handling, one predicate for both policies (PoisonCause). kFail
+  // aborts the whole run up front on the first poison event. kQuarantine
+  // marks each one with its cause instead: surviving events behave
+  // exactly as if the trace never contained the poison (time ordering is
+  // checked across survivors only, and quarantined events consume no
+  // obfuscation draws).
+  std::vector<const char*> poison(n, nullptr);  // cause, or none
+  {
+    std::optional<double> last_time;
     for (size_t i = 0; i < n; ++i) {
-      if (!std::isfinite(trace.events[i].time)) {
-        return Status::InvalidArgument("event times must be finite (event " +
-                                       std::to_string(i) + ")");
+      const char* cause = PoisonCause(trace.events[i], last_time);
+      if (cause == nullptr) {
+        last_time = trace.events[i].time;
+        continue;
       }
-      if (i > 0 && trace.events[i].time < trace.events[i - 1].time) {
-        return Status::InvalidArgument(
-            "events must be in nondecreasing time order (event " +
-            std::to_string(i) + ")");
+      if (options.poison_policy == PoisonPolicy::kFail) {
+        const std::string where = " (event " + std::to_string(i) + ")";
+        if (cause == kNonFiniteTime) {
+          return Status::InvalidArgument("event times must be finite" + where);
+        }
+        if (cause == kTimeRegressed) {
+          return Status::InvalidArgument(
+              "events must be in nondecreasing time order" + where);
+        }
+        return Status::InvalidArgument(cause + where);
       }
-    }
-  } else {
-    poison.assign(n, 0);
-    poison_cause.resize(n);
-    double last_time = 0.0;
-    bool have_last = false;
-    for (size_t i = 0; i < n; ++i) {
-      const TimedEvent& event = trace.events[i];
-      std::string cause;
-      if (!std::isfinite(event.time)) {
-        cause = "non-finite event time";
-      } else if (have_last && event.time < last_time) {
-        cause = "event time regressed below preceding surviving event";
-      } else if (event.id.empty()) {
-        cause = "empty event id";
-      } else if (event.kind != EventKind::kWorkerDeparture &&
-                 (!std::isfinite(event.location.x) ||
-                  !std::isfinite(event.location.y))) {
-        cause = "non-finite location coordinates";
-      }
-      if (!cause.empty()) {
-        poison[i] = 1;
-        poison_cause[i] = std::move(cause);
-      } else {
-        last_time = event.time;
-        have_last = true;
-      }
+      poison[i] = cause;
     }
   }
 
@@ -204,7 +209,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     bool have_t0 = false;
     int64_t last_epoch = 0;
     for (size_t i = 0; i < n; ++i) {
-      if (quarantining && poison[i]) {
+      if (poison[i] != nullptr) {
         event_epoch[i] = last_epoch;
         continue;
       }
@@ -225,18 +230,8 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
 
   ThreadPool pool(options.threads);
   const Rng obfuscation_stream(options.obfuscation_seed);
-  // Packed fast path: obfuscate, route and dispatch entirely on LeafCodes
-  // (one uint64 per report, no LeafPath materialized per event). Trees too
-  // deep for 64-bit codes degrade to the LeafPath pipeline — same arrivals,
-  // same draws, just heavier reports.
-  const LeafCodec* codec = framework.codec();
-  const bool packed = codec != nullptr;
-  if (!packed && options.sampler.has_value() &&
-      *options.sampler != SamplerKind::kWalk) {
-    return Status::InvalidArgument(
-        "ReplayOptions::sampler: non-walk samplers require a tree shape "
-        "that fits packed codes");
-  }
+  // Obfuscate, route and dispatch entirely on LeafCodes (one 128-bit code
+  // per report, no digit path materialized per event).
   uint64_t arrivals_obfuscated = 0;  // global ForkAt offset
   int next_task_slot = 0;
   size_t begin = 0;
@@ -501,8 +496,8 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       }
     };
     for (size_t i = begin; i < end; ++i) {
-      if (quarantining && poison[i]) {
-        TBF_RETURN_NOT_OK(quarantine(i, poison_cause[i]));
+      if (poison[i] != nullptr) {
+        TBF_RETURN_NOT_OK(quarantine(i, poison[i]));
         continue;
       }
       const std::optional<fault::FaultAction> action =
@@ -589,21 +584,12 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       ++report.processed_events;
     }
 
-    std::vector<LeafCode> code_reports;
-    std::vector<LeafPath> path_reports;
+    std::vector<LeafCode> reports;
     {
       obs::ScopedTimer obf_timer(&stats.obfuscate_seconds);
-      if (packed) {
-        code_reports =
-            framework.ObfuscateCodes(locations, obfuscation_stream, &pool,
-                                     nullptr, arrivals_obfuscated,
-                                     options.sampler);
-      } else {
-        path_reports =
-            framework.ObfuscateBatch(locations, obfuscation_stream, &pool,
-                                     nullptr, arrivals_obfuscated,
-                                     options.sampler);
-      }
+      reports = framework.ObfuscateCodes(locations, obfuscation_stream, &pool,
+                                         nullptr, arrivals_obfuscated,
+                                         options.sampler);
     }
     arrivals_obfuscated += locations.size();
     if (!locations.empty()) {
@@ -645,12 +631,8 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
           event_ledger != nullptr ? event_ledger->totals()
                                   : EpochBudgetLedger::Totals{};
       if (wal != nullptr && event.kind != EventKind::kWorkerDeparture) {
-        rec.packed = packed;
-        if (packed) {
-          rec.code = code_reports[idx];
-        } else {
-          rec.digits = path_reports[idx];
-        }
+        rec.packed = true;
+        rec.code = reports[idx];
         rec.has_epsilon = declared_epsilon.has_value();
         rec.declared_epsilon = declared_epsilon.value_or(0.0);
         rec.outcome.forced = !forced.ok();
@@ -658,14 +640,9 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       switch (event.kind) {
         case EventKind::kWorkerArrival: {
           const Status status =
-              !forced.ok()
-                  ? forced
-                  : (packed ? server->RegisterWorker(event.id,
-                                                     code_reports[idx],
-                                                     declared_epsilon)
-                            : server->RegisterWorker(event.id,
-                                                     path_reports[idx],
-                                                     declared_epsilon));
+              !forced.ok() ? forced
+                           : server->RegisterWorker(event.id, reports[idx],
+                                                    declared_epsilon);
           if (status.ok()) {
             ++lane->registered;
           } else if (status.code() == StatusCode::kResourceExhausted) {
@@ -692,10 +669,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
             break;
           }
           Result<DispatchResult> dispatched =
-              packed ? server->SubmitTask(event.id, code_reports[idx],
-                                          declared_epsilon)
-                     : server->SubmitTask(event.id, path_reports[idx],
-                                          declared_epsilon);
+              server->SubmitTask(event.id, reports[idx], declared_epsilon);
           if (dispatched.ok()) {
             outcome.worker = dispatched->worker;
             outcome.reported_tree_distance = dispatched->reported_tree_distance;
@@ -759,6 +733,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       lanes.resize(num_lanes);
       std::vector<std::vector<const PreparedEvent*>> queues(num_lanes);
       const ShardRouter& router = server->router();
+      const LeafCodec& codec = *framework.codec();
       // All of one worker's events in the epoch must share a lane, or a
       // departure (or re-registration) could overtake the arrival it
       // follows in event time and leave the pool in a state sequential
@@ -769,9 +744,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       std::unordered_map<std::string, size_t> worker_lane;
       const auto home_shard = [&](int report_index) {
         const size_t idx = static_cast<size_t>(report_index);
-        return static_cast<size_t>(
-            packed ? router.ShardOf(code_reports[idx], *codec)
-                   : router.ShardOf(path_reports[idx]));
+        return static_cast<size_t>(router.ShardOf(reports[idx], codec));
       };
       for (const PreparedEvent& item : prepared) {
         size_t lane;

@@ -8,9 +8,8 @@
 //
 //   1. Events are grouped into fixed event-time windows (epochs).
 //   2. Each epoch's arrivals are obfuscated client-side through the
-//      batched pipeline — code-native (TbfFramework::ObfuscateCodes, one
-//      packed uint64 per report, sampler per TbfOptions::sampler) whenever
-//      the tree fits 64-bit codes, else via ObfuscateBatch on LeafPaths.
+//      batched code-native pipeline (TbfFramework::ObfuscateCodes, one
+//      packed LeafCode per report, sampler per TbfOptions::sampler).
 //      Arrival i of the whole trace always draws from
 //      ForkAt(obfuscation_seed stream, i), so reports are bit-identical
 //      regardless of epoch length, thread count or shard count.
@@ -48,7 +47,8 @@ namespace tbf {
 
 /// \brief What the replay loop does with a poison event — one whose
 /// fields the loop cannot process (non-finite time or coordinates, time
-/// regression, empty id).
+/// regression, empty id, or a location so far out that x*x + y*y
+/// overflows). Both policies apply the same predicate.
 enum class PoisonPolicy {
   /// Abort the run with InvalidArgument on the first poison event
   /// (historical behavior, the default).
@@ -106,15 +106,14 @@ struct ReplayOptions {
   uint64_t obfuscation_seed = 11;
 
   /// Mechanism sampler for the client-side obfuscation pass; nullopt uses
-  /// the framework's configured sampler (TbfOptions::sampler). A non-walk
-  /// sampler (kInverseCdf, or the timing-oblivious kOblivious) requires a
-  /// tree shape that fits packed codes. Like the seeds, the sampler is
-  /// part of a run's identity. Resuming a single-file checkpoint with a
-  /// different sampler changes the obfuscation draw stream and is on the
-  /// caller, exactly as rebuilding the framework differently would be. A
-  /// durable `recover` with a different sampler (or declared epsilon)
-  /// re-draws reports that differ from the journaled ones and fails as a
-  /// journal/state divergence.
+  /// the framework's configured sampler (TbfOptions::sampler): kWalk,
+  /// kInverseCdf, or the timing-oblivious kOblivious. Like the seeds, the
+  /// sampler is part of a run's identity. Resuming a single-file
+  /// checkpoint with a different sampler changes the obfuscation draw
+  /// stream and is on the caller, exactly as rebuilding the framework
+  /// differently would be. A durable `recover` with a different sampler
+  /// (or declared epsilon) re-draws reports that differ from the
+  /// journaled ones and fails as a journal/state divergence.
   std::optional<SamplerKind> sampler;
 
   /// Poison-event handling (see PoisonPolicy).

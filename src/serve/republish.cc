@@ -8,7 +8,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -38,16 +37,6 @@ LeafCode RekeyReport(const CompleteHst& from, const CompleteHst& to,
   return key;
 }
 
-LeafPath RekeyReport(const CompleteHst& from, const CompleteHst& to,
-                     const LeafPath& key, bool* fake) {
-  if (std::optional<int> point = from.point_of_leaf(key)) {
-    *fake = false;
-    return to.MapToNearestLeaf(from.points()[static_cast<size_t>(*point)]);
-  }
-  *fake = true;
-  return key;
-}
-
 }  // namespace
 
 Result<RepublishReport> ShardedTbfServer::Republish(
@@ -59,7 +48,7 @@ Result<RepublishReport> ShardedTbfServer::Republish(
   // One republish at a time: the whole rekey + swap sequence runs against
   // a stable old tree (only Republish itself ever changes the tree).
   std::lock_guard<std::mutex> republish_lock(republish_mu_);
-  const CompleteHst& old_tree = tree();
+  const CompleteHst& old_tree = tree();  // stable: republish_mu_ held
   if (new_tree->depth() != old_tree.depth() ||
       new_tree->arity() != old_tree.arity()) {
     return Status::InvalidArgument(
@@ -73,15 +62,6 @@ Result<RepublishReport> ShardedTbfServer::Republish(
         "geometry");
   }
   if (!options.fast_forward) republish_started_metric_->Add(1);
-  if (packed_) return RepublishImpl<LeafCode>(std::move(new_tree), options);
-  return RepublishImpl<LeafPath>(std::move(new_tree), options);
-}
-
-template <typename Key>
-Result<RepublishReport> ShardedTbfServer::RepublishImpl(
-    std::shared_ptr<const CompleteHst> new_tree,
-    const RepublishOptions& options) {
-  const CompleteHst& old_tree = tree();  // stable: republish_mu_ held
   const size_t batch_size =
       options.rekey_batch_size == 0 ? 1024 : options.rekey_batch_size;
   RepublishReport rep;
@@ -92,21 +72,15 @@ Result<RepublishReport> ShardedTbfServer::RepublishImpl(
   // deterministic). Concurrent traffic proceeds; workers that churn
   // between snapshot and flip are re-keyed inline in phase B.
   struct Staged {
-    Key old_key{};
-    Key new_key{};
+    LeafCode old_code = 0;
+    LeafCode new_code = 0;
     bool fake = false;
   };
-  std::vector<std::pair<std::string, Key>> live;
+  std::vector<std::pair<std::string, LeafCode>> live;
   {
     std::lock_guard<std::mutex> pool_lock(pool_mu_);
     live.reserve(workers_.size());
-    for (const auto& [id, state] : workers_) {
-      if constexpr (std::is_same_v<Key, LeafCode>) {
-        live.emplace_back(id, state.code);
-      } else {
-        live.emplace_back(id, state.leaf);
-      }
-    }
+    for (const auto& [id, state] : workers_) live.emplace_back(id, state.code);
   }
   std::sort(live.begin(), live.end());
   WallTimer rekey_timer;
@@ -124,10 +98,10 @@ Result<RepublishReport> ShardedTbfServer::RepublishImpl(
     const size_t end = std::min(live.size(), i + batch_size);
     for (size_t j = i; j < end; ++j) {
       Staged entry;
-      entry.old_key = live[j].second;
-      entry.new_key =
+      entry.old_code = live[j].second;
+      entry.new_code =
           RekeyReport(old_tree, *new_tree, live[j].second, &entry.fake);
-      staged.emplace(live[j].first, std::move(entry));
+      staged.emplace(live[j].first, entry);
     }
   }
   rep.rekey_seconds = rekey_timer.ElapsedSeconds();
@@ -155,35 +129,20 @@ Result<RepublishReport> ShardedTbfServer::RepublishImpl(
     fresh.emplace_back(new_tree->depth(), new_tree->arity());
   }
   for (auto& [id, state] : workers_) {
-    Key old_key;
-    if constexpr (std::is_same_v<Key, LeafCode>) {
-      old_key = state.code;
-    } else {
-      old_key = state.leaf;
-    }
-    Key new_key;
+    LeafCode new_code;
     bool fake = false;
     const auto it = staged.find(id);
-    if (it != staged.end() && it->second.old_key == old_key) {
-      new_key = it->second.new_key;
+    if (it != staged.end() && it->second.old_code == state.code) {
+      new_code = it->second.new_code;
       fake = it->second.fake;
     } else {
-      new_key = RekeyReport(old_tree, *new_tree, old_key, &fake);
+      new_code = RekeyReport(old_tree, *new_tree, state.code, &fake);
     }
-    int new_shard;
-    if constexpr (std::is_same_v<Key, LeafCode>) {
-      new_shard = router_.ShardOf(new_key, *new_tree->codec());
-    } else {
-      new_shard = router_.ShardOf(new_key);
-    }
+    const int new_shard = router_.ShardOf(new_code, *new_tree->codec());
     if (new_shard != state.shard) ++rep.relocated;
-    if constexpr (std::is_same_v<Key, LeafCode>) {
-      state.code = new_key;
-    } else {
-      state.leaf = new_key;
-    }
+    state.code = new_code;
     state.shard = new_shard;
-    fresh[static_cast<size_t>(new_shard)].Insert(new_key, state.index_id);
+    fresh[static_cast<size_t>(new_shard)].Insert(new_code, state.index_id);
     ++rep.workers_rekeyed;
     if (fake) {
       ++rep.fake_kept;
@@ -209,12 +168,5 @@ Result<RepublishReport> ShardedTbfServer::RepublishImpl(
   tree_epoch_metric_->Set(static_cast<int64_t>(rep.tree_epoch));
   return rep;
 }
-
-template Result<RepublishReport> ShardedTbfServer::RepublishImpl<LeafCode>(
-    std::shared_ptr<const CompleteHst> new_tree,
-    const RepublishOptions& options);
-template Result<RepublishReport> ShardedTbfServer::RepublishImpl<LeafPath>(
-    std::shared_ptr<const CompleteHst> new_tree,
-    const RepublishOptions& options);
 
 }  // namespace tbf

@@ -35,24 +35,10 @@ ShardRouter::ShardRouter(int depth, int arity, int num_shards)
     : depth_(depth),
       arity_(arity),
       num_shards_(num_shards),
-      prefix_depth_(MinimalPrefixDepth(depth, arity, num_shards)),
-      bits_per_digit_(LeafCodec::BitsPerDigit(arity)) {
+      prefix_depth_(MinimalPrefixDepth(depth, arity, num_shards)) {
   TBF_CHECK(Fits(depth, arity, num_shards))
       << "num_shards=" << num_shards << " exceeds the " << arity << "^"
       << depth << " leaf prefixes";
-}
-
-int ShardRouter::ShardOf(const LeafPath& leaf) const {
-  TBF_DCHECK(static_cast<int>(leaf.size()) == depth_);
-  // Same radix as LeafCodec::PrefixValue (one field of bits_per_digit_
-  // bits per digit), so the LeafPath and LeafCode overloads agree for
-  // every arity, power of two or not.
-  uint64_t prefix = 0;
-  for (int d = 0; d < prefix_depth_; ++d) {
-    prefix = (prefix << bits_per_digit_) |
-             static_cast<uint64_t>(leaf[static_cast<size_t>(d)]);
-  }
-  return static_cast<int>(prefix % static_cast<uint64_t>(num_shards_));
 }
 
 }  // namespace tbf

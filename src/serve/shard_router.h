@@ -20,7 +20,6 @@
 #include <cstdint>
 
 #include "hst/leaf_code.h"
-#include "hst/leaf_path.h"
 
 namespace tbf {
 
@@ -47,10 +46,8 @@ class ShardRouter {
   /// router returns depth, i.e. every candidate wins locally.
   int cutoff_level() const { return depth_ - prefix_depth_; }
 
-  /// \brief Shard owning `leaf` (length/digits must match the tree shape).
-  int ShardOf(const LeafPath& leaf) const;
-
-  /// \brief Packed-code variant; `codec` must describe the same shape.
+  /// \brief Shard owning the leaf `code`; `codec` must describe the
+  /// router's shape.
   int ShardOf(LeafCode code, const LeafCodec& codec) const {
     return static_cast<int>(codec.PrefixValue(code, prefix_depth_) %
                             static_cast<uint64_t>(num_shards_));
@@ -61,7 +58,6 @@ class ShardRouter {
   int arity_;
   int num_shards_;
   int prefix_depth_;
-  int bits_per_digit_;  // LeafCodec::BitsPerDigit(arity): PrefixValue radix
 };
 
 }  // namespace tbf

@@ -1,10 +1,8 @@
 #include "serve/sharded_server.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <unordered_set>
 #include <utility>
 
@@ -28,23 +26,6 @@ inline void LockTimed(std::mutex& mu, obs::Histogram* wait_hist) {
   wait_hist->Record(elapsed <= 0.0 ? 0
                                    : static_cast<uint64_t>(elapsed * 1e9));
 }
-
-// Key access for the templated cores: packed mode keys workers by code,
-// path mode by leaf. Both orders are the same lexicographic digit order.
-template <typename Key>
-struct KeyTraits;
-
-template <>
-struct KeyTraits<LeafCode> {
-  static LeafCode Of(const auto& state) { return state.code; }
-  static void Store(auto* state, LeafCode code) { state->code = code; }
-};
-
-template <>
-struct KeyTraits<LeafPath> {
-  static const LeafPath& Of(const auto& state) { return state.leaf; }
-  static void Store(auto* state, const LeafPath& leaf) { state->leaf = leaf; }
-};
 
 // RAII in-flight tracking for admission control / degradation: entry
 // increments the home shard's and the engine's counters, exit decrements
@@ -76,28 +57,12 @@ class InflightToken {
 
 }  // namespace
 
-Status ValidateReportedLeaf(const CompleteHst& tree, const LeafPath& leaf) {
-  if (static_cast<int>(leaf.size()) != tree.depth()) {
-    return Status::InvalidArgument("leaf depth does not match the published tree");
-  }
-  for (char16_t digit : leaf) {
-    if (static_cast<int>(digit) >= tree.arity()) {
-      return Status::InvalidArgument("leaf digit exceeds the published arity");
-    }
-  }
-  return Status::OK();
-}
-
 Status ValidateReportedLeafCode(const CompleteHst& tree, LeafCode code) {
   const LeafCodec* codec = tree.codec();
-  if (codec == nullptr) {
-    return Status::InvalidArgument(
-        "published tree has no packed-code codec; report a leaf path");
-  }
   // Bits below the last digit must be zero, or two distinct codes could
   // name the same leaf and canonical comparisons would drift.
-  const int low = 64 - codec->bits_per_digit() * codec->depth();
-  if (low > 0 && (code & ((uint64_t{1} << low) - 1)) != 0) {
+  const int low = codec->low_bits();
+  if (low > 0 && (code & ((LeafCode{1} << low) - 1)) != 0) {
     return Status::InvalidArgument("leaf code has stray bits below the leaf");
   }
   // For power-of-two arity every digit field value is a valid digit;
@@ -142,8 +107,7 @@ ShardedTbfServer::ShardedTbfServer(std::shared_ptr<const CompleteHst> tree,
                                    const ShardedServerOptions& options)
     : options_(options),
       router_(tree->depth(), tree->arity(), options.num_shards),
-      rng_(options.seed),
-      packed_(tree->codec() != nullptr) {
+      rng_(options.seed) {
   shards_.reserve(static_cast<size_t>(options.num_shards));
   shard_inflight_.reserve(static_cast<size_t>(options.num_shards));
   for (int s = 0; s < options.num_shards; ++s) {
@@ -242,16 +206,11 @@ void ShardedTbfServer::ReleaseIndexId(int index_id) {
   free_index_ids_.push_back(index_id);
 }
 
-template <typename Key>
-Status ShardedTbfServer::RegisterImpl(const std::string& worker_id,
-                                      const Key& key,
-                                      std::optional<double> declared_epsilon) {
-  int new_shard;
-  if constexpr (std::is_same_v<Key, LeafCode>) {
-    new_shard = router_.ShardOf(key, *tree().codec());
-  } else {
-    new_shard = router_.ShardOf(key);
-  }
+Status ShardedTbfServer::RegisterWorker(
+    const std::string& worker_id, LeafCode code,
+    std::optional<double> declared_epsilon) {
+  TBF_RETURN_NOT_OK(ValidateReportedLeafCode(tree(), code));
+  const int new_shard = router_.ShardOf(code, *tree().codec());
   // Admission control runs before the budget charge: a shed report must
   // not burn epsilon (the client will retry it verbatim).
   InflightToken inflight(shard_inflight_[static_cast<size_t>(new_shard)].get(),
@@ -264,7 +223,6 @@ Status ShardedTbfServer::RegisterImpl(const std::string& worker_id,
         std::to_string(options_.max_backlog_per_shard) + " in flight)");
   }
   if (!admitted.ok()) {
-    shed_operations_.fetch_add(1, std::memory_order_relaxed);
     shed_metric_->Add(1);
     return admitted;
   }
@@ -298,7 +256,7 @@ Status ShardedTbfServer::RegisterImpl(const std::string& worker_id,
     if (it != workers_.end()) {
       // Relocation: drop the old report before inserting the new one.
       shards_[static_cast<size_t>(current_shard)]->index.Remove(
-          KeyTraits<Key>::Of(it->second), it->second.index_id);
+          it->second.code, it->second.index_id);
       ReleaseIndexId(it->second.index_id);
     } else {
       available_.fetch_add(1, std::memory_order_relaxed);
@@ -306,30 +264,13 @@ Status ShardedTbfServer::RegisterImpl(const std::string& worker_id,
     }
     shard_arrivals_metric_[static_cast<size_t>(new_shard)]->Add(1);
     const int index_id = AcquireIndexId(worker_id);
-    shards_[static_cast<size_t>(new_shard)]->index.Insert(key, index_id);
+    shards_[static_cast<size_t>(new_shard)]->index.Insert(code, index_id);
     WorkerState& state = workers_[worker_id];
-    KeyTraits<Key>::Store(&state, key);
+    state.code = code;
     state.index_id = index_id;
     state.shard = new_shard;
     return Status::OK();
   }
-}
-
-Status ShardedTbfServer::RegisterWorker(const std::string& worker_id,
-                                        const LeafPath& leaf,
-                                        std::optional<double> declared_epsilon) {
-  TBF_RETURN_NOT_OK(ValidateReportedLeaf(tree(), leaf));
-  if (packed_) {
-    return RegisterImpl(worker_id, tree().codec()->Pack(leaf), declared_epsilon);
-  }
-  return RegisterImpl(worker_id, leaf, declared_epsilon);
-}
-
-Status ShardedTbfServer::RegisterWorker(const std::string& worker_id,
-                                        LeafCode code,
-                                        std::optional<double> declared_epsilon) {
-  TBF_RETURN_NOT_OK(ValidateReportedLeafCode(tree(), code));
-  return RegisterImpl(worker_id, code, declared_epsilon);
 }
 
 Status ShardedTbfServer::UnregisterWorker(const std::string& worker_id) {
@@ -352,13 +293,8 @@ Status ShardedTbfServer::UnregisterWorker(const std::string& worker_id) {
       return Status::NotFound("unknown worker " + worker_id);
     }
     if (it->second.shard != observed_shard) continue;  // relocated: retry
-    if (packed_) {
-      shards_[static_cast<size_t>(observed_shard)]->index.Remove(
-          it->second.code, it->second.index_id);
-    } else {
-      shards_[static_cast<size_t>(observed_shard)]->index.Remove(
-          it->second.leaf, it->second.index_id);
-    }
+    shards_[static_cast<size_t>(observed_shard)]->index.Remove(
+        it->second.code, it->second.index_id);
     ReleaseIndexId(it->second.index_id);
     workers_.erase(it);
     available_.fetch_sub(1, std::memory_order_relaxed);
@@ -384,15 +320,14 @@ size_t ShardedTbfServer::shard_size(int shard) const {
 }
 
 // The shard's mutex must be held.
-template <typename Key>
 std::optional<std::pair<int, int>> ShardedTbfServer::QueryShard(
-    int shard, const Key& key) {
+    int shard, LeafCode code) {
   HstAvailabilityIndex& index = shards_[static_cast<size_t>(shard)]->index;
   // Uniform ties are K == 1 only (enforced at Create), so the single
   // shard mutex also serializes rng_: one global draw sequence.
   return options_.tie_break == HstTieBreak::kCanonical
-             ? index.Nearest(key)
-             : index.NearestUniform(key, &rng_);
+             ? index.Nearest(code)
+             : index.NearestUniform(code, &rng_);
 }
 
 // The candidate's shard mutex and pool_mu_ must be held.
@@ -400,13 +335,8 @@ DispatchResult ShardedTbfServer::ConsumeCandidate(const Candidate& candidate) {
   const std::string worker_id =
       worker_by_index_id_[static_cast<size_t>(candidate.index_id)];
   const WorkerState& state = workers_.at(worker_id);
-  if (packed_) {
-    shards_[static_cast<size_t>(state.shard)]->index.Remove(state.code,
-                                                            state.index_id);
-  } else {
-    shards_[static_cast<size_t>(state.shard)]->index.Remove(state.leaf,
-                                                            state.index_id);
-  }
+  shards_[static_cast<size_t>(state.shard)]->index.Remove(state.code,
+                                                          state.index_id);
   ReleaseIndexId(state.index_id);
   workers_.erase(worker_id);  // assigned: must register anew to serve again
   available_.fetch_sub(1, std::memory_order_relaxed);
@@ -420,17 +350,12 @@ DispatchResult ShardedTbfServer::ConsumeCandidate(const Candidate& candidate) {
   return result;
 }
 
-template <typename Key>
-Result<DispatchResult> ShardedTbfServer::SubmitImpl(
-    const std::string& task_id, const Key& key,
+Result<DispatchResult> ShardedTbfServer::SubmitTask(
+    const std::string& task_id, LeafCode code,
     std::optional<double> declared_epsilon) {
-  int home;
-  if constexpr (std::is_same_v<Key, LeafCode>) {
-    home = router_.ShardOf(key, *tree().codec());
-  } else {
-    home = router_.ShardOf(key);
-  }
-  // Admission control before the budget charge (see RegisterImpl).
+  TBF_RETURN_NOT_OK(ValidateReportedLeafCode(tree(), code));
+  const int home = router_.ShardOf(code, *tree().codec());
+  // Admission control before the budget charge (see RegisterWorker).
   InflightToken inflight(shard_inflight_[static_cast<size_t>(home)].get(),
                          &total_inflight_);
   Status admitted = TBF_FAULT_INJECT("serve.admission");
@@ -441,7 +366,6 @@ Result<DispatchResult> ShardedTbfServer::SubmitImpl(
         std::to_string(options_.max_backlog_per_shard) + " in flight)");
   }
   if (!admitted.ok()) {
-    shed_operations_.fetch_add(1, std::memory_order_relaxed);
     shed_metric_->Add(1);
     return admitted;
   }
@@ -460,7 +384,7 @@ Result<DispatchResult> ShardedTbfServer::SubmitImpl(
     LockTimed(shards_[static_cast<size_t>(home)]->mu, lock_wait_metric_);
     std::lock_guard<std::mutex> home_lock(
         shards_[static_cast<size_t>(home)]->mu, std::adopt_lock);
-    auto nearest = QueryShard(home, key);
+    auto nearest = QueryShard(home, code);
     if (nearest && nearest->second <= router_.cutoff_level()) {
       std::lock_guard<std::mutex> pool_lock(pool_mu_);
       return ConsumeCandidate(Candidate{home, nearest->first, nearest->second});
@@ -484,7 +408,6 @@ Result<DispatchResult> ShardedTbfServer::SubmitImpl(
       degrade = action && action->kind == fault::FaultKind::kDegrade;
     }
     if (degrade) {
-      degraded_fanouts_.fetch_add(1, std::memory_order_relaxed);
       degraded_fanout_metric_->Add(1);
       if (nearest) {
         std::lock_guard<std::mutex> pool_lock(pool_mu_);
@@ -512,7 +435,7 @@ Result<DispatchResult> ShardedTbfServer::SubmitImpl(
   std::optional<Candidate> best;
   const WorkerState* best_state = nullptr;
   for (int s = 0; s < router_.num_shards(); ++s) {
-    auto nearest = shards_[static_cast<size_t>(s)]->index.Nearest(key);
+    auto nearest = shards_[static_cast<size_t>(s)]->index.Nearest(code);
     if (!nearest) continue;
     const std::string& worker_id =
         worker_by_index_id_[static_cast<size_t>(nearest->first)];
@@ -521,8 +444,8 @@ Result<DispatchResult> ShardedTbfServer::SubmitImpl(
     // the rule each index applies internally (unsigned code comparison is
     // lexicographic digit comparison), so the cross-shard minimum is the
     // choice one global index would have made.
-    const auto& worker_key = KeyTraits<Key>::Of(*state);
-    const auto& best_key = best ? KeyTraits<Key>::Of(*best_state) : worker_key;
+    const LeafCode worker_key = state->code;
+    const LeafCode best_key = best ? best_state->code : worker_key;
     if (!best || nearest->second < best->lca_level ||
         (nearest->second == best->lca_level &&
          (worker_key < best_key ||
@@ -538,52 +461,6 @@ Result<DispatchResult> ShardedTbfServer::SubmitImpl(
   return ConsumeCandidate(*best);
 }
 
-Result<DispatchResult> ShardedTbfServer::SubmitTask(
-    const std::string& task_id, const LeafPath& leaf,
-    std::optional<double> declared_epsilon) {
-  TBF_RETURN_NOT_OK(ValidateReportedLeaf(tree(), leaf));
-  if (packed_) {
-    return SubmitImpl(task_id, tree().codec()->Pack(leaf), declared_epsilon);
-  }
-  return SubmitImpl(task_id, leaf, declared_epsilon);
-}
-
-Result<DispatchResult> ShardedTbfServer::SubmitTask(
-    const std::string& task_id, LeafCode code,
-    std::optional<double> declared_epsilon) {
-  TBF_RETURN_NOT_OK(ValidateReportedLeafCode(tree(), code));
-  return SubmitImpl(task_id, code, declared_epsilon);
-}
-
-std::vector<Status> ShardedTbfServer::RegisterWorkers(
-    const std::vector<LeafReport>& batch) {
-  std::vector<Status> statuses;
-  statuses.reserve(batch.size());
-  for (const LeafReport& report : batch) {
-    statuses.push_back(
-        RegisterWorker(report.user_id, report.leaf, report.declared_epsilon));
-  }
-  return statuses;
-}
-
-std::vector<BatchDispatchOutcome> ShardedTbfServer::SubmitTasks(
-    const std::vector<LeafReport>& batch) {
-  std::vector<BatchDispatchOutcome> outcomes;
-  outcomes.reserve(batch.size());
-  for (const LeafReport& report : batch) {
-    BatchDispatchOutcome outcome;
-    Result<DispatchResult> dispatched =
-        SubmitTask(report.user_id, report.leaf, report.declared_epsilon);
-    if (dispatched.ok()) {
-      outcome.result = std::move(dispatched).MoveValueUnsafe();
-    } else {
-      outcome.status = dispatched.status();
-    }
-    outcomes.push_back(std::move(outcome));
-  }
-  return outcomes;
-}
-
 std::vector<Status> ShardedTbfServer::RegisterWorkers(
     std::span<const LeafCodeReport> batch) {
   std::vector<Status> statuses;
@@ -595,41 +472,8 @@ std::vector<Status> ShardedTbfServer::RegisterWorkers(
   return statuses;
 }
 
-namespace {
-
-std::string LeafDigitsOf(const LeafPath& leaf) {
-  std::string out;
-  for (size_t i = 0; i < leaf.size(); ++i) {
-    if (i > 0) out += '.';
-    out += std::to_string(static_cast<int>(leaf[i]));
-  }
-  return out;
-}
-
-Result<LeafPath> LeafFromDigits(const std::string& digits) {
-  LeafPath leaf;
-  size_t pos = 0;
-  while (pos < digits.size()) {
-    size_t dot = digits.find('.', pos);
-    if (dot == std::string::npos) dot = digits.size();
-    const std::string token = digits.substr(pos, dot - pos);
-    char* end = nullptr;
-    const long digit = std::strtol(token.c_str(), &end, 10);
-    if (token.empty() || end == nullptr || *end != '\0' || digit < 0 ||
-        digit > 0xFFFF) {
-      return Status::InvalidArgument("bad leaf digit '" + token + "'");
-    }
-    leaf.push_back(static_cast<char16_t>(digit));
-    pos = dot + 1;
-  }
-  return leaf;
-}
-
-}  // namespace
-
 ShardedServerState ShardedTbfServer::ExportState() const {
   ShardedServerState state;
-  state.packed = packed_;
   state.assigned_tasks =
       static_cast<uint64_t>(assigned_tasks_.load(std::memory_order_relaxed));
   state.tree_epoch = tree_epoch_.load(std::memory_order_acquire);
@@ -652,7 +496,6 @@ ShardedServerState ShardedTbfServer::ExportState() const {
       ShardedServerState::Worker& w = state.workers.emplace_back();
       w.id = it->first;
       w.code = worker.code;
-      if (!packed_) w.leaf_digits = LeafDigitsOf(worker.leaf);
       w.index_id = worker.index_id;
       w.shard = worker.shard;
     }
@@ -670,11 +513,6 @@ ShardedServerState ShardedTbfServer::ExportState() const {
 }
 
 Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
-  if (state.packed != packed_) {
-    return Status::InvalidArgument(
-        "server state packed-mode mismatch (checkpoint from a different "
-        "tree?)");
-  }
   if ((state.ledger.has_value()) != (ledger_ != nullptr)) {
     return Status::InvalidArgument(
         "server state budget-ledger mismatch (checkpoint from different "
@@ -713,8 +551,6 @@ Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
     }
   }
   std::unordered_set<std::string_view> listed;
-  std::vector<LeafPath> leaves;  // path mode: parsed once, inserted below
-  if (!packed_) leaves.reserve(state.workers.size());
   for (const ShardedServerState::Worker& w : state.workers) {
     const auto refuse = [&w](const std::string& why) {
       return Status::InvalidArgument("server state: worker '" + w.id + "' " +
@@ -733,18 +569,9 @@ Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
       return Status::InvalidArgument("server state: shard out of range for '" +
                                      w.id + "'");
     }
-    Status valid;
-    int route = 0;
-    if (packed_) {
-      valid = ValidateReportedLeafCode(tree(), w.code);
-      if (valid.ok()) route = router_.ShardOf(w.code, *tree().codec());
-    } else {
-      TBF_ASSIGN_OR_RETURN(LeafPath leaf, LeafFromDigits(w.leaf_digits));
-      valid = ValidateReportedLeaf(tree(), leaf);
-      if (valid.ok()) route = router_.ShardOf(leaf);
-      leaves.push_back(std::move(leaf));
-    }
+    const Status valid = ValidateReportedLeafCode(tree(), w.code);
     if (!valid.ok()) return refuse("has a bad leaf: " + valid.message());
+    const int route = router_.ShardOf(w.code, *tree().codec());
     if (route != w.shard) {
       return refuse("is stored on shard " + std::to_string(w.shard) +
                     " but its leaf routes to shard " + std::to_string(route));
@@ -761,19 +588,9 @@ Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
   rng_ = rng;
   worker_by_index_id_ = state.worker_by_index_id;
   free_index_ids_ = state.free_index_ids;
-  for (size_t i = 0; i < state.workers.size(); ++i) {
-    const ShardedServerState::Worker& w = state.workers[i];
-    WorkerState& worker = workers_[w.id];
-    worker.index_id = w.index_id;
-    worker.shard = w.shard;
-    HstAvailabilityIndex& index = shards_[static_cast<size_t>(w.shard)]->index;
-    if (packed_) {
-      worker.code = w.code;
-      index.Insert(w.code, w.index_id);
-    } else {
-      worker.leaf = std::move(leaves[i]);
-      index.Insert(worker.leaf, w.index_id);
-    }
+  for (const ShardedServerState::Worker& w : state.workers) {
+    workers_[w.id] = WorkerState{w.code, w.index_id, w.shard};
+    shards_[static_cast<size_t>(w.shard)]->index.Insert(w.code, w.index_id);
   }
   available_.store(state.workers.size(), std::memory_order_relaxed);
   assigned_tasks_.store(static_cast<size_t>(state.assigned_tasks),

@@ -4,7 +4,9 @@
 //   * It holds the published CompleteHst (serializable via hst/serialize.h).
 //   * It accepts worker registrations and task submissions as *obfuscated
 //     leaves*; it never sees a true location, and its whole interface
-//     speaks leaf paths or packed leaf codes.
+//     speaks packed leaf codes (hst/leaf_code.h; every published tree has
+//     a codec, so one 128-bit code per report is all the engine stores,
+//     routes, indexes and journals).
 //   * It assigns each task on arrival to the nearest available worker on
 //     the tree (HST-Greedy, Alg. 4).
 //   * It optionally enforces per-user privacy budgets: clients declare
@@ -29,7 +31,7 @@
 // tasks near a shard boundary — home subtree empty up to the prefix
 // levels — fan out, locking all shards in ascending order and taking the
 // canonical minimum across the per-shard candidates. Because the
-// canonical order (LCA level, leaf path, index id) is a total order that
+// canonical order (LCA level, leaf code, index id) is a total order that
 // partitioning preserves, the choice does not depend on K: driven
 // sequentially with canonical tie-breaking, every K produces draw-for-draw
 // the same assignments as one global index (tests/serve/
@@ -65,7 +67,6 @@
 #include "hst/complete_hst.h"
 #include "hst/hst_index.h"
 #include "hst/leaf_code.h"
-#include "hst/leaf_path.h"
 #include "obs/metrics.h"
 #include "privacy/budget.h"
 #include "serve/republish.h"
@@ -82,16 +83,9 @@ struct DispatchResult {
 };
 
 /// \brief One entry of a batch registration or submission: a user id plus
-/// the obfuscated leaf their client reported (and the declared epsilon when
-/// the server enforces budgets).
-struct LeafReport {
-  std::string user_id;
-  LeafPath leaf;
-  std::optional<double> declared_epsilon;
-};
-
-/// \brief Code-native batch entry: the obfuscated leaf as a packed
-/// LeafCode (what TbfFramework::ObfuscateCodes emits).
+/// the obfuscated leaf their client reported, as a packed LeafCode (what
+/// TbfFramework::ObfuscateCodes emits), and the declared epsilon when the
+/// server enforces budgets.
 struct LeafCodeReport {
   std::string user_id;
   LeafCode code = 0;
@@ -104,16 +98,12 @@ struct BatchDispatchOutcome {
   DispatchResult result;  ///< meaningful when status.ok()
 };
 
-/// \brief Depth + digit-range validation of an untrusted client leaf
-/// against a published tree. The flat index would index child tables with
-/// these digits, so out-of-range ones are rejected up front instead of
-/// aborting (or reading out of bounds) deeper down.
-Status ValidateReportedLeaf(const CompleteHst& tree, const LeafPath& leaf);
-
-/// \brief Packed-code variant: rejects codes with stray bits below the
-/// last digit and (for non-power-of-two arity) digit fields >= arity, and
-/// fails outright when the published tree has no packed-code codec. O(1)
-/// for power-of-two arity.
+/// \brief Validation of an untrusted client leaf code against a published
+/// tree: rejects codes with stray bits below the last digit and (for
+/// non-power-of-two arity) digit fields >= arity. The flat index would
+/// index child tables with these digits, so bad ones are rejected up front
+/// instead of aborting (or reading out of bounds) deeper down. O(1) for
+/// power-of-two arity.
 Status ValidateReportedLeafCode(const CompleteHst& tree, LeafCode code);
 
 /// \brief Configuration of the sharded serving engine.
@@ -167,13 +157,11 @@ struct ShardedServerOptions {
 struct ShardedServerState {
   struct Worker {
     std::string id;
-    uint64_t code = 0;        ///< packed report (packed mode)
-    std::string leaf_digits;  ///< "d0.d1...." (path mode)
+    LeafCode code = 0;  ///< packed report
     int index_id = -1;
     int shard = -1;
   };
 
-  bool packed = false;
   uint64_t assigned_tasks = 0;
   uint64_t tree_epoch = 0;  ///< republishes applied (published-tree version)
   std::string rng_state;                     ///< Rng::SerializeState
@@ -200,13 +188,8 @@ class ShardedTbfServer {
   /// `declared_epsilon` is the budget the client spent producing the
   /// report; it is required (and charged per report) when the server
   /// enforces budgets. The charge happens first, and a refused charge
-  /// leaves any previous registration untouched.
-  Status RegisterWorker(const std::string& worker_id, const LeafPath& leaf,
-                        std::optional<double> declared_epsilon = std::nullopt);
-
-  /// \brief Code-native registration: identical semantics, but the report
-  /// is a packed LeafCode and stays packed through routing, locking and
-  /// the per-shard trie. Fails when the tree has no codec.
+  /// leaves any previous registration untouched. The report stays packed
+  /// through routing, locking and the per-shard trie.
   Status RegisterWorker(const std::string& worker_id, LeafCode code,
                         std::optional<double> declared_epsilon = std::nullopt);
 
@@ -219,12 +202,6 @@ class ShardedTbfServer {
   /// \brief Submits a task; assigns and consumes the globally nearest
   /// available worker (exact, across all shards). Budget rules apply to
   /// the task id exactly as to workers.
-  Result<DispatchResult> SubmitTask(const std::string& task_id,
-                                    const LeafPath& leaf,
-                                    std::optional<double> declared_epsilon =
-                                        std::nullopt);
-
-  /// \brief Code-native submission (see the code RegisterWorker overload).
   Result<DispatchResult> SubmitTask(const std::string& task_id, LeafCode code,
                                     std::optional<double> declared_epsilon =
                                         std::nullopt);
@@ -235,11 +212,6 @@ class ShardedTbfServer {
   /// thread, each seeing the pool its predecessors left behind;
   /// parallelism comes from *concurrent* callers (the replay loop drives
   /// one caller per shard).
-  std::vector<Status> RegisterWorkers(const std::vector<LeafReport>& batch);
-  std::vector<BatchDispatchOutcome> SubmitTasks(
-      const std::vector<LeafReport>& batch);
-
-  /// \brief Code-native batch spans (pair with ObfuscateCodes).
   std::vector<Status> RegisterWorkers(std::span<const LeafCodeReport> batch);
   std::vector<BatchDispatchOutcome> SubmitTasks(
       std::span<const LeafCodeReport> batch);
@@ -322,16 +294,6 @@ class ShardedTbfServer {
   /// docs/OBSERVABILITY.md for the catalog).
   obs::MetricRegistry* metrics() const { return metrics_; }
 
-  /// Operations shed by per-shard admission control so far.
-  uint64_t shed_operations() const {
-    return shed_operations_.load(std::memory_order_relaxed);
-  }
-
-  /// Boundary fan-outs resolved home-shard-only under pressure so far.
-  uint64_t degraded_fanouts() const {
-    return degraded_fanouts_.load(std::memory_order_relaxed);
-  }
-
   /// \brief Snapshot of the engine's full mutable state, deterministic
   /// byte-for-byte for a quiescent engine. Do not call concurrently with
   /// operations.
@@ -354,12 +316,9 @@ class ShardedTbfServer {
     HstAvailabilityIndex index;
   };
 
-  // When the published tree has a codec the engine stores, routes and
-  // indexes workers by packed LeafCode only (LeafPath reports pack once at
-  // the boundary); `leaf` is used solely on codec-less trees.
+  // The engine stores, routes and indexes workers by packed LeafCode.
   struct WorkerState {
     LeafCode code = 0;
-    LeafPath leaf;
     int index_id = -1;
     int shard = -1;
   };
@@ -381,42 +340,18 @@ class ShardedTbfServer {
   int AcquireIndexId(const std::string& worker_id);
   void ReleaseIndexId(int index_id);
 
-  // Shared cores over the report key type (LeafCode in packed mode,
-  // LeafPath otherwise); both instantiations live in the .cc. The
-  // canonical total order is the same either way — unsigned LeafCode
-  // comparison is lexicographic digit comparison — so any mix of entry
-  // points produces identical assignments. The caller has already
-  // validated the report.
-  template <typename Key>
-  Status RegisterImpl(const std::string& worker_id, const Key& key,
-                      std::optional<double> declared_epsilon);
-  template <typename Key>
-  Result<DispatchResult> SubmitImpl(const std::string& task_id, const Key& key,
-                                    std::optional<double> declared_epsilon);
-
   // Queries shard `shard` (its mutex must be held). Uses rng_ for
   // uniform-random tie-breaking (K == 1 only, so the shard mutex also
   // serializes the rng).
-  template <typename Key>
-  std::optional<std::pair<int, int>> QueryShard(int shard, const Key& key);
+  std::optional<std::pair<int, int>> QueryShard(int shard, LeafCode code);
 
   // Consumes `candidate` as the assignment of one task. Its shard's mutex
   // must be held; takes pool_mu_ internally.
   DispatchResult ConsumeCandidate(const Candidate& candidate);
 
-  // Republish core over the report key type (see RegisterImpl); the
-  // caller holds republish_mu_ and has validated the new tree's shape.
-  template <typename Key>
-  Result<RepublishReport> RepublishImpl(
-      std::shared_ptr<const CompleteHst> new_tree,
-      const RepublishOptions& options);
-
   ShardedServerOptions options_;
   ShardRouter router_;
   Rng rng_;
-  bool packed_ = false;  // tree()->codec() != nullptr (invariant: shape,
-                         // and hence codec-ness, never changes — Republish
-                         // requires the published depth and arity)
 
   // The published tree. tree_ptr_ is the lock-free read path (entry-point
   // validation, packing, distance reporting); tree_history_ owns every
@@ -451,8 +386,6 @@ class ShardedTbfServer {
   // signals, not synchronization).
   std::vector<std::unique_ptr<std::atomic<size_t>>> shard_inflight_;
   std::atomic<size_t> total_inflight_{0};
-  std::atomic<uint64_t> shed_operations_{0};
-  std::atomic<uint64_t> degraded_fanouts_{0};
 
   // Metrics handles (resolved once at construction; mutations on the hot
   // path are striped relaxed atomics, compiled out under

@@ -29,14 +29,15 @@ double MonotonicSeconds() {
 using wire::ByteReader;
 using wire::PutF64;
 using wire::PutI64;
-using wire::PutPath;
+using wire::PutU128;
 using wire::PutStr;
 using wire::PutU32;
 using wire::PutU64;
 using wire::PutU8;
 
-// Flags byte of dispatch records.
-constexpr uint8_t kFlagPacked = 1 << 0;
+// Flags byte of dispatch records. kFlagReport must be set on every
+// arrival and task record: it carries the reported leaf code.
+constexpr uint8_t kFlagReport = 1 << 0;
 constexpr uint8_t kFlagHasEpsilon = 1 << 1;
 constexpr uint8_t kFlagForced = 1 << 2;
 constexpr uint8_t kFlagHasWorker = 1 << 3;
@@ -65,9 +66,8 @@ Status ReadOutcome(ByteReader* r, WalOutcome* o) {
 
 std::string EncodeWalRecord(const WalRecord& record) {
   std::string out;
-  out.reserve(64 + record.id.size() + record.outcome.message.size() +
-              record.outcome.worker.size() + record.cause.size() +
-              record.digits.size() * 2);
+  out.reserve(80 + record.id.size() + record.outcome.message.size() +
+              record.outcome.worker.size() + record.cause.size());
   EncodeWalRecordTo(record, &out);
   return out;
 }
@@ -96,17 +96,14 @@ void EncodeWalRecordTo(const WalRecord& record, std::string* out_ptr) {
     case WalRecordKind::kTaskArrival: {
       PutU64(&out, record.event_index);
       PutStr(&out, record.id);
-      uint8_t flags = 0;
-      if (record.packed) flags |= kFlagPacked;
+      // Every v2 arrival/task record carries its report, whatever
+      // `packed` says.
+      uint8_t flags = kFlagReport;
       if (record.has_epsilon) flags |= kFlagHasEpsilon;
       if (record.outcome.forced) flags |= kFlagForced;
       if (record.outcome.has_worker) flags |= kFlagHasWorker;
       PutU8(&out, flags);
-      if (record.packed) {
-        PutU64(&out, record.code);
-      } else {
-        PutPath(&out, record.digits);
-      }
+      PutU128(&out, record.code);
       if (record.has_epsilon) PutF64(&out, record.declared_epsilon);
       PutOutcome(&out, record.outcome);
       if (record.kind == WalRecordKind::kTaskArrival) {
@@ -150,10 +147,11 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
   switch (rec.kind) {
     case WalRecordKind::kSegmentHeader: {
       TBF_ASSIGN_OR_RETURN(rec.format_version, r.U32());
-      if (rec.format_version != 1) {
+      if (rec.format_version != kWalFormatVersion) {
         return Status::InvalidArgument(
             "wal segment header: unsupported format version " +
-            std::to_string(rec.format_version) + " (this build reads v1)");
+            std::to_string(rec.format_version) + " (this build reads v" +
+            std::to_string(kWalFormatVersion) + ")");
       }
       TBF_ASSIGN_OR_RETURN(rec.segment_seq, r.U64());
       TBF_ASSIGN_OR_RETURN(rec.identity.trace_fingerprint, r.U32());
@@ -176,15 +174,15 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
       TBF_ASSIGN_OR_RETURN(rec.event_index, r.U64());
       TBF_ASSIGN_OR_RETURN(rec.id, r.Str());
       TBF_ASSIGN_OR_RETURN(uint8_t flags, r.U8());
-      rec.packed = (flags & kFlagPacked) != 0;
+      rec.packed = (flags & kFlagReport) != 0;
       rec.has_epsilon = (flags & kFlagHasEpsilon) != 0;
       rec.outcome.forced = (flags & kFlagForced) != 0;
       rec.outcome.has_worker = (flags & kFlagHasWorker) != 0;
-      if (rec.packed) {
-        TBF_ASSIGN_OR_RETURN(rec.code, r.U64());
-      } else {
-        TBF_ASSIGN_OR_RETURN(rec.digits, r.Path());
+      if (!rec.packed) {
+        return Status::InvalidArgument(
+            "wal record: arrival/task record without its report (flag clear)");
       }
+      TBF_ASSIGN_OR_RETURN(rec.code, r.U128());
       if (rec.has_epsilon) {
         TBF_ASSIGN_OR_RETURN(rec.declared_epsilon, r.F64());
       }

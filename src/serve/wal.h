@@ -24,10 +24,14 @@
 //   payload := <kind:u8> <lsn:u64> <kind-specific fields>
 //
 // All integers are little-endian; doubles are IEEE-754 bit patterns
-// (u64); strings are <len:u32><bytes>; leaf paths are <len:u32> u16
-// digits. The CRC-32 (IEEE reflected, zlib/binascii-compatible) covers
-// the payload bytes, so tools/check_wal.py can validate a segment with
-// only the Python standard library. The first record of every segment is a
+// (u64); strings are <len:u32><bytes>; a reported leaf is its 128-bit
+// LeafCode as 16 bytes (low u64, then high u64). Format v2: every arrival
+// and task record carries exactly that code (its report flag must be
+// set); the v1 journal, whose records could carry a u16 digit path
+// instead, is refused with a message naming the version. The CRC-32
+// (IEEE reflected, zlib/binascii-compatible) covers the payload bytes,
+// so tools/check_wal.py can validate a segment with only the Python
+// standard library. The first record of every segment is a
 // kSegmentHeader carrying the format version, the segment sequence
 // number, and the run's identity (trace fingerprint, shard count, epoch
 // length, seeds) so recovery can refuse a journal that belongs to a
@@ -72,10 +76,13 @@
 #include <vector>
 
 #include "common/result.h"
-#include "hst/leaf_path.h"
+#include "hst/leaf_code.h"
 #include "obs/metrics.h"
 
 namespace tbf {
+
+/// The segment format version this build writes and reads.
+inline constexpr uint32_t kWalFormatVersion = 2;
 
 /// \brief Identity of the run a journal belongs to; mirrors the
 /// checkpoint identity fields. Recovery refuses a journal whose identity
@@ -128,7 +135,7 @@ struct WalRecord {
   uint64_t lsn = 0;  ///< assigned by WalWriter::Append
 
   // kSegmentHeader
-  uint32_t format_version = 1;
+  uint32_t format_version = kWalFormatVersion;
   uint64_t segment_seq = 0;
   WalIdentity identity;
 
@@ -141,9 +148,11 @@ struct WalRecord {
   // Dispatch records (arrival/task/departure/quarantine/stream fault).
   uint64_t event_index = 0;  ///< absolute index into EventTrace::events
   std::string id;            ///< worker/task id
-  bool packed = false;       ///< report representation
-  uint64_t code = 0;         ///< packed LeafCode bits (packed mode)
-  LeafPath digits;           ///< LeafPath digits (path mode)
+  /// Arrival/task: the record carries a report. Always true: the encoder
+  /// writes the code and sets the on-disk flag whatever this says, and
+  /// the decoder refuses an arrival or task record with the flag clear.
+  bool packed = true;
+  LeafCode code = 0;         ///< the reported LeafCode
   bool has_epsilon = false;
   double declared_epsilon = 0.0;
   int64_t task_slot = -1;    ///< kTaskArrival: ReplayReport slot

@@ -12,15 +12,21 @@
 // stream-fault and forced-denial plan armed for the killed run, its
 // recovery and the reference alike.
 //
+// A second drill runs the same kills on a tree whose leaf codes need 65
+// bits (depth 13, arity 32): the smallest shape past one 64-bit word,
+// served, journaled, checkpointed and snapshotted on its 128-bit codes.
+//
 // CI hooks: TBF_CHAOS_SEED pins the drill to one seed per job;
 // TBF_CHAOS_CHECKPOINT_DIR makes the last kill of each seed leave its
 // recovered durable directory behind for tools/check_wal.py and
-// tools/check_checkpoint.py to validate as artifacts.
+// tools/check_checkpoint.py to validate as artifacts (and the wide drill
+// its tree snapshot for tools/check_snapshot.py).
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -60,6 +66,26 @@ EventTrace DrillTrace(uint64_t seed) {
   return std::move(trace).MoveValueUnsafe();
 }
 
+// A published tree of the smallest shape past 64-bit codes: depth 13 x
+// arity 32 = 65 bits. The points are uniform over the drill's region, each
+// on a random distinct leaf (FromParts takes any leaf assignment).
+std::shared_ptr<const CompleteHst> Wide65BitTree() {
+  Rng rng(65);
+  std::vector<Point> points;
+  std::vector<LeafPath> paths;
+  std::set<LeafPath> taken;
+  while (points.size() < 300) {
+    LeafPath path = RandomLeafPath(13, 32, &rng);
+    if (!taken.insert(path).second) continue;
+    points.push_back({rng.Uniform(0, 200), rng.Uniform(0, 200)});
+    paths.push_back(std::move(path));
+  }
+  auto tree = CompleteHst::FromParts(13, 32, 0.05, std::move(points),
+                                     std::move(paths));
+  EXPECT_TRUE(tree.ok()) << tree.status();
+  return std::make_shared<const CompleteHst>(std::move(tree).MoveValueUnsafe());
+}
+
 std::shared_ptr<const CompleteHst> CopiedTree(const CompleteHst& tree) {
   auto copy = ParseHstSnapshot(SerializeHstSnapshot(tree));
   EXPECT_TRUE(copy.ok());
@@ -70,7 +96,6 @@ std::shared_ptr<const CompleteHst> CopiedTree(const CompleteHst& tree) {
 void ExpectServerStateEqual(const ShardedServerState& got,
                             const ShardedServerState& want,
                             const std::string& what) {
-  EXPECT_EQ(got.packed, want.packed) << what;
   EXPECT_EQ(got.assigned_tasks, want.assigned_tasks) << what;
   EXPECT_EQ(got.tree_epoch, want.tree_epoch) << what;
   EXPECT_EQ(got.rng_state, want.rng_state) << what;
@@ -80,8 +105,6 @@ void ExpectServerStateEqual(const ShardedServerState& got,
   for (size_t i = 0; i < got.workers.size(); ++i) {
     EXPECT_EQ(got.workers[i].id, want.workers[i].id) << what << " #" << i;
     EXPECT_EQ(got.workers[i].code, want.workers[i].code) << what << " #" << i;
-    EXPECT_EQ(got.workers[i].leaf_digits, want.workers[i].leaf_digits)
-        << what << " #" << i;
     EXPECT_EQ(got.workers[i].index_id, want.workers[i].index_id)
         << what << " #" << i;
     EXPECT_EQ(got.workers[i].shard, want.workers[i].shard) << what << " #" << i;
@@ -340,6 +363,54 @@ TEST(KillAnywhereDrill, RecoveryIsFieldForFieldIdentical) {
                      with_faults ? *faulted : *clean, kill_lsn, t, dir, what);
       if (!keep_artifacts) fs::remove_all(dir);
     }
+  }
+}
+
+TEST(KillAnywhereDrill, WideCodeShapeRecoversFieldForField) {
+  // The drill above on a 65-bit shape: every report, journal record,
+  // checkpoint worker row and snapshot leaf uses both words of its code.
+  const char* artifact_root = std::getenv("TBF_CHAOS_CHECKPOINT_DIR");
+  std::shared_ptr<const CompleteHst> tree = Wide65BitTree();
+  ASSERT_EQ(tree->codec()->low_bits(), 63);
+  TbfOptions options;
+  options.epsilon = 0.6;
+  auto built = TbfFramework::FromTree(tree, options);
+  ASSERT_TRUE(built.ok()) << built.status();
+  const TbfFramework framework = std::move(built).MoveValueUnsafe();
+  // The republish swaps in a snapshot round trip of the same tree.
+  const std::vector<ReplayRepublish> schedule = {{2, CopiedTree(*tree)}};
+  const EventTrace trace = DrillTrace(404);
+  const fault::FaultPlan no_faults;
+
+  Result<ReplayReport> clean = Status::Internal("unset");
+  const uint64_t total_lsns =
+      RunReference(framework, trace, schedule, no_faults,
+                   ::testing::TempDir() + "/tbf_drill_clean_wide65", &clean);
+  ASSERT_TRUE(clean.ok());
+  ASSERT_GT(total_lsns, 10u);
+  ASSERT_GT(clean->assigned, 0u);
+  bool low_word_used = false;
+  for (const ShardedServerState::Worker& w : clean->final_state->workers) {
+    low_word_used |= static_cast<uint64_t>(w.code) != 0;
+  }
+  EXPECT_TRUE(low_word_used) << "no live report used the 65th bit";
+
+  Rng kill_rng(404);
+  const int kills = 8;
+  for (int t = 0; t < kills; ++t) {
+    const uint64_t kill_lsn = kill_rng.NextU64() % total_lsns;
+    const bool keep_artifacts = artifact_root != nullptr && t + 1 == kills;
+    const std::string dir =
+        keep_artifacts ? std::string(artifact_root) + "/kill_anywhere_wide65"
+                       : ::testing::TempDir() + "/tbf_drill_wide65";
+    KillAndRecover(framework, trace, schedule, no_faults, *clean, kill_lsn, t,
+                   dir, "wide65 kill@" + std::to_string(kill_lsn));
+    if (!keep_artifacts) fs::remove_all(dir);
+  }
+  if (artifact_root != nullptr) {
+    ASSERT_TRUE(
+        WriteHstSnapshotFile(*tree, std::string(artifact_root) + "/wide65.snap")
+            .ok());
   }
 }
 

@@ -142,6 +142,105 @@ TEST(ObfuscateCodeTest, AllSamplersMarginalsAgreeAcrossRandomEpsilons) {
   }
 }
 
+// Chi-square of one sampler on a shape past 64 bits, where the full leaf
+// set is far too large to enumerate: the cells are (LCA level, digit at
+// `position`), whose exact probability is LevelProbability(level) times
+// the digit's conditional law — the truth's digit above the first
+// rewritten position, uniform over the other arity - 1 values at it, and
+// uniform over all `arity` values below it. Cells expected under 5 pool
+// into one. "" on pass, a diagnostic on rejection.
+std::string WideShapeCellTrial(int depth, int arity, int position,
+                               double eps_tree, SamplerKind kind, int n,
+                               uint64_t seed) {
+  CompleteHst tree = ShapedTree(depth, arity);
+  HstMechanism m = BuildMechanism(tree, eps_tree);
+  const LeafCodec& codec = *m.codec();
+  Rng truth_rng(seed ^ 0x5EED);
+  const LeafCode x = codec.Pack(RandomLeafPath(depth, arity, &truth_rng));
+  const int truth_digit = codec.Digit(x, position);
+
+  const auto cell = [&](int level, int digit) {
+    return static_cast<size_t>(level * arity + digit);
+  };
+  std::vector<double> probs(static_cast<size_t>((depth + 1) * arity), 0.0);
+  for (int level = 0; level <= depth; ++level) {
+    const int first = depth - level;  // == depth: nothing rewritten
+    for (int digit = 0; digit < arity; ++digit) {
+      double p = 0.0;
+      if (position < first) {
+        p = digit == truth_digit ? 1.0 : 0.0;
+      } else if (position == first) {
+        p = digit == truth_digit ? 0.0 : 1.0 / (arity - 1);
+      } else {
+        p = 1.0 / arity;
+      }
+      probs[cell(level, digit)] = m.LevelProbability(level) * p;
+    }
+  }
+  std::vector<size_t> counts(probs.size(), 0);
+  Rng rng(seed);
+  for (int i = 0; i < n; ++i) {
+    const LeafCode z = m.ObfuscateCodeWith(x, &rng, kind);
+    ++counts[cell(codec.LcaLevel(x, z), codec.Digit(z, position))];
+  }
+  std::vector<double> expected;
+  std::vector<size_t> observed;
+  double pooled_p = 0.0;
+  size_t pooled_n = 0;
+  for (size_t c = 0; c < probs.size(); ++c) {
+    if (probs[c] * n >= 5.0) {
+      expected.push_back(probs[c]);
+      observed.push_back(counts[c]);
+    } else {
+      pooled_p += probs[c];
+      pooled_n += counts[c];
+    }
+  }
+  if (pooled_p * n >= 5.0) {
+    expected.push_back(pooled_p);
+    observed.push_back(pooled_n);
+  } else if (pooled_n > 25) {
+    return "impossible cells drawn " + std::to_string(pooled_n) + " times";
+  }
+  const double df = static_cast<double>(expected.size()) - 1.0;
+  const double chi2 = ChiSquareStatistic(observed, expected);
+  const double threshold = ChiSquareQuantile(df);
+  if (chi2 < threshold) return "";
+  std::ostringstream failure;
+  failure << "chi2=" << chi2 << " > " << threshold << " at df=" << df;
+  return failure.str();
+}
+
+TEST(ObfuscateCodeTest, WideShapeSamplersMatchExactCellsAcrossWordBoundary) {
+  // depth 13 x arity 32 (65 bits): the last digit straddles bit 64 of
+  // the code, so every suffix the samplers write crosses the word
+  // boundary. depth 20 x arity 16 (80 bits) at a tiny epsilon: levels
+  // 18-20 carry nearly all the mass, and there the power-of-two suffix is
+  // 68-76 bits, the inverse-CDF sampler's two-word fill. Position 16 is
+  // the first digit in the code's low word (filled from the low random
+  // word), position 4 one filled from the high random word.
+  struct Case {
+    int depth, arity, position;
+    double eps_tree;
+  };
+  const Case cases[] = {
+      {13, 32, 12, 0.01}, {20, 16, 16, 1e-7}, {20, 16, 4, 1e-7}};
+  for (const Case& c : cases) {
+    for (const SamplerKind kind :
+         {SamplerKind::kInverseCdf, SamplerKind::kOblivious}) {
+      std::ostringstream label;
+      label << (kind == SamplerKind::kOblivious ? "oblivious" : "inverse-CDF")
+            << " sampler, depth " << c.depth << " arity " << c.arity;
+      tbf::testing::ExpectStatistical(
+          label.str(), /*primary_seed=*/20261017, /*retry_seed=*/6502,
+          [&](uint64_t seed) {
+            return WideShapeCellTrial(c.depth, c.arity, c.position,
+                                      c.eps_tree, kind, 100000, seed);
+          });
+    }
+  }
+}
+
 TEST(ObfuscateCodeTest, CodeWalkIsDrawForDrawIdenticalToPathWalk) {
   // The golden identity the serve pipeline relies on: for any seed,
   // ObfuscateCodeWalk(Pack(x)) == Pack(Obfuscate(x)).
@@ -166,7 +265,9 @@ TEST(ObfuscateCodeTest, CodeWalkIsDrawForDrawIdenticalToPathWalk) {
 TEST(ObfuscateCodeTest, OutputsAreValidLeafCodes) {
   // Digit ranges and zero stray bits, for power-of-two and odd arities
   // (the latter exercises the per-digit fallback of the suffix fill).
-  const std::pair<int, int> shapes[] = {{16, 4}, {9, 7}, {21, 3}, {8, 8}};
+  // {13, 32}, {40, 3} and {64, 2} need more than 64 bits.
+  const std::pair<int, int> shapes[] = {{16, 4}, {9, 7},  {21, 3},
+                                        {8, 8},  {13, 32}, {40, 3}, {64, 2}};
   for (const auto& shape : shapes) {
     CompleteHst tree = ShapedTree(shape.first, shape.second);
     HstMechanism m = BuildMechanism(tree, 0.05);

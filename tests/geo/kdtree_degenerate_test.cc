@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 #include "common/rng.h"
@@ -95,6 +96,16 @@ TEST(KdTreeDegenerateTest, RadiusZeroFindsExactHitsOnly) {
   KdTree tree(pts);
   EXPECT_EQ(tree.RadiusSearch({1, 1}, 0.0), (std::vector<int>{0, 2}));
   EXPECT_TRUE(tree.RadiusSearch({1.5, 1.5}, 0.0).empty());
+}
+
+TEST(KdTreeDegenerateTest, OverflowingQueryStillGetsAnAnswer) {
+  // Every squared distance is inf: the tie resolves to the smallest
+  // active id, as every other tie does.
+  KdTree tree({{0, 0}, {1, 1}, {5, 5}});
+  EXPECT_EQ(tree.NearestNeighbor({1e300, -1e300}), 0);
+  tree.Deactivate(0);
+  EXPECT_EQ(tree.NearestNeighbor({1e300, -1e300}), 1);
+  EXPECT_GE(tree.NearestNeighbor({std::nan(""), 0.0}), 1);  // some active id
 }
 
 TEST(KdTreeDegenerateTest, NegativeRadiusIsEmpty) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "geo/grid.h"
@@ -206,8 +207,9 @@ TEST(CompleteHstTest, MalformedPathsYieldNulloptNotCrash) {
   EXPECT_FALSE(tree.point_of_leaf(bad_digit).has_value());
 }
 
-TEST(CompleteHstTest, OversizedShapeFallsBackToPathMap) {
-  // depth 65 at arity 2 needs 65 bits: no codec, the LeafPath map serves.
+TEST(CompleteHstTest, WideShapeGetsACodecAndWiderIsRefused) {
+  // depth 65 at arity 2 needs 65 bits: the last digit lands in the code's
+  // low word, and both lookups serve through the code map.
   const int depth = 65;
   std::vector<Point> pts = {{0, 0}, {10, 0}, {0, 10}};
   std::vector<LeafPath> paths;
@@ -219,14 +221,90 @@ TEST(CompleteHstTest, OversizedShapeFallsBackToPathMap) {
   }
   auto tree = CompleteHst::FromParts(depth, 2, 1.0, pts, paths);
   ASSERT_TRUE(tree.ok()) << tree.status();
-  EXPECT_EQ(tree->codec(), nullptr);
+  ASSERT_NE(tree->codec(), nullptr);
+  EXPECT_EQ(tree->codec()->low_bits(), 63);
   for (int p = 0; p < 3; ++p) {
     EXPECT_EQ(tree->point_of_leaf(paths[static_cast<size_t>(p)]).value_or(-1),
               p);
+    EXPECT_EQ(tree->point_of_leaf(tree->leaf_code_of_point(p)).value_or(-1),
+              p);
   }
+  EXPECT_EQ(static_cast<uint64_t>(tree->leaf_code_of_point(1)),
+            uint64_t{1} << 63);
   LeafPath fake(static_cast<size_t>(depth), 0);
   fake[0] = 1;
   EXPECT_FALSE(tree->point_of_leaf(fake).has_value());
+
+  // 129 binary digits fit no code: refused, never published.
+  std::vector<LeafPath> deeper(
+      3, LeafPath(static_cast<size_t>(129), char16_t{0}));
+  deeper[1][0] = 1;
+  deeper[2][1] = 1;
+  auto refused = CompleteHst::FromParts(129, 2, 1.0, pts, deeper);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("needs 129 bits"),
+            std::string::npos)
+      << refused.status();
+}
+
+TEST(CompleteHstTest, DenseSetIsSnappedUntilItFitsCodes) {
+  // Two points 1e-40 apart next to one 1 away: depth 135, past 128 bits
+  // even at arity 2. Build refuses the raw tree; BuildFromPoints merges
+  // the close pair on a coarser lattice and publishes two points.
+  const std::vector<Point> pts = {{0, 0}, {1e-40, 0}, {1, 0}};
+  EuclideanMetric metric;
+  Rng raw_rng(5);
+  auto raw = HstTree::Build(pts, metric, &raw_rng);
+  ASSERT_TRUE(raw.ok()) << raw.status();
+  EXPECT_EQ(raw->depth(), 135);
+  auto refused = CompleteHst::Build(*raw, pts);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+
+  Rng rng(5);
+  auto tree = CompleteHst::BuildFromPoints(pts, metric, &rng);
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  ASSERT_EQ(tree->num_points(), 2);
+  EXPECT_EQ(tree->points()[0], Point(0, 0));
+  EXPECT_NEAR(tree->points()[1].x, 1.0, 1e-30);
+  EXPECT_TRUE(LeafCodec::Fits(tree->depth(), tree->arity()));
+  EXPECT_EQ(tree->MapToNearestPoint(pts[1]), 0);
+}
+
+TEST(CompleteHstTest, DenseRandomSetKeepsEveryDistinctPoint) {
+  // 300 random points plus a twin 1e-12 from the first: the tree needs
+  // more than 128 bits. The snap merges the twin and moves no point by
+  // more than a hair.
+  Rng gen(17);
+  std::vector<Point> pts;
+  for (int i = 0; i < 300; ++i) {
+    pts.push_back({gen.Uniform(0, 100), gen.Uniform(0, 100)});
+  }
+  pts.push_back({pts[0].x + 1e-12, pts[0].y});
+  EuclideanMetric metric;
+  Rng raw_rng(3);
+  auto raw = HstTree::Build(pts, metric, &raw_rng);
+  ASSERT_TRUE(raw.ok()) << raw.status();
+  ASSERT_FALSE(LeafCodec::Fits(raw->depth(), std::max(2, raw->max_branching())))
+      << "depth " << raw->depth() << " arity " << raw->max_branching();
+
+  Rng rng(3);
+  auto tree = CompleteHst::BuildFromPoints(pts, metric, &rng);
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  EXPECT_EQ(tree->num_points(), 300);
+  EXPECT_LT(tree->depth(), raw->depth());
+  for (const Point& p : pts) {
+    const Point& q = tree->points()[static_cast<size_t>(tree->MapToNearestPoint(p))];
+    EXPECT_LT(EuclideanDistance(p, q), 1e-6) << p;
+  }
+}
+
+TEST(CompleteHstTest, OverflowingLocationStillMapsToAPoint) {
+  CompleteHst tree = BuildExample();
+  const int id = tree.MapToNearestPoint({1e300, -1e300});
+  EXPECT_GE(id, 0);
+  EXPECT_LT(id, tree.num_points());
 }
 
 TEST(CompleteHstTest, FromPartsRejectsDuplicateLeafThroughCodeMap) {

@@ -25,14 +25,15 @@ struct Shape {
 class HstIndexFuzzTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(HstIndexFuzzTest, FlatMatchesMapReference) {
-  const Shape shapes[] = {{3, 2}, {5, 3}, {4, 7}, {6, 2}, {2, 13}, {70, 2}};
+  // {13, 32} needs 65 bits of code and {70, 2} 70: both past one word.
+  const Shape shapes[] = {{3, 2},  {5, 3},   {4, 7},
+                          {6, 2},  {2, 13},  {13, 32}, {70, 2}};
   for (const Shape& shape : shapes) {
     Rng driver(GetParam() * 1000003 + static_cast<uint64_t>(shape.depth) * 131 +
                static_cast<uint64_t>(shape.arity));
     HstAvailabilityIndex flat(shape.depth, shape.arity);
     HstAvailabilityMapIndex reference(shape.depth, shape.arity);
-    const bool packed = flat.codec() != nullptr;
-    EXPECT_EQ(packed, LeafCodec::Fits(shape.depth, shape.arity));
+    const LeafCodec& codec = *flat.codec();
 
     std::vector<std::pair<LeafPath, int>> live;  // (leaf, id) currently inserted
     int next_id = 0;
@@ -47,57 +48,31 @@ TEST_P(HstIndexFuzzTest, FlatMatchesMapReference) {
       if (op < 3 || live.empty()) {  // insert
         LeafPath leaf = RandomLeafPath(shape.depth, shape.arity, &driver);
         const int id = next_id++;
-        if (packed && driver.UniformInt(0, 1) == 0) {
-          flat.Insert(flat.codec()->Pack(leaf), id);
-        } else {
-          flat.Insert(leaf, id);
-        }
+        flat.Insert(codec.Pack(leaf), id);
         reference.Insert(leaf, id);
         live.emplace_back(std::move(leaf), id);
       } else if (op < 5) {  // remove a random live item
         const size_t victim =
             static_cast<size_t>(driver.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
         const auto [leaf, id] = live[victim];
-        if (packed && driver.UniformInt(0, 1) == 0) {
-          flat.Remove(flat.codec()->Pack(leaf), id);
-        } else {
-          flat.Remove(leaf, id);
-        }
+        flat.Remove(codec.Pack(leaf), id);
         reference.Remove(leaf, id);
         live.erase(live.begin() + static_cast<ptrdiff_t>(victim));
       } else {  // query
         LeafPath query = RandomLeafPath(shape.depth, shape.arity, &driver);
+        const LeafCode code = codec.Pack(query);
         ASSERT_EQ(flat.size(), reference.size());
-        auto flat_nearest = flat.Nearest(query);
-        auto ref_nearest = reference.Nearest(query);
-        ASSERT_EQ(flat_nearest, ref_nearest) << "step " << step;
-        if (packed) {
-          ASSERT_EQ(flat.Nearest(flat.codec()->Pack(query)), ref_nearest);
-        }
+        ASSERT_EQ(flat.Nearest(code), reference.Nearest(query))
+            << "step " << step;
 
-        auto flat_uniform = flat.NearestUniform(query, &flat_rng);
+        auto flat_uniform = flat.NearestUniform(code, &flat_rng);
         auto ref_uniform = reference.NearestUniform(query, &ref_rng);
         ASSERT_EQ(flat_uniform, ref_uniform) << "step " << step;
-        if (packed && !live.empty()) {
-          // The packed query overload must consume the identical draw
-          // sequence: replay the reference's draws off a cloned rng.
-          Rng code_rng = ref_rng;
-          Rng replay_rng = ref_rng;
-          ASSERT_EQ(flat.NearestUniform(flat.codec()->Pack(query), &code_rng),
-                    reference.NearestUniform(query, &replay_rng))
-              << "step " << step;
-          ASSERT_EQ(code_rng.NextU64(), replay_rng.NextU64());
-        }
 
         const size_t limit =
             static_cast<size_t>(driver.UniformInt(0, static_cast<int64_t>(live.size()) + 2));
-        ASSERT_EQ(flat.NearestK(query, limit), reference.NearestK(query, limit))
+        ASSERT_EQ(flat.NearestK(code, limit), reference.NearestK(query, limit))
             << "step " << step;
-        if (packed) {
-          ASSERT_EQ(flat.NearestK(flat.codec()->Pack(query), limit),
-                    reference.NearestK(query, limit))
-              << "step " << step;
-        }
       }
     }
 

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/rng.h"
+#include "hst/path_index.h"
 
 namespace tbf {
 namespace {
@@ -17,14 +18,14 @@ LeafPath P(std::initializer_list<int> digits) {
 }
 
 TEST(HstIndexTest, EmptyIndex) {
-  HstAvailabilityIndex index(3, 2);
+  PathIndex index(3, 2);
   EXPECT_TRUE(index.empty());
   EXPECT_FALSE(index.Nearest(P({0, 0, 0})).has_value());
   EXPECT_TRUE(index.NearestK(P({0, 0, 0}), 5).empty());
 }
 
 TEST(HstIndexTest, SameLeafIsLevelZero) {
-  HstAvailabilityIndex index(3, 2);
+  PathIndex index(3, 2);
   index.Insert(P({1, 0, 1}), 7);
   auto nearest = index.Nearest(P({1, 0, 1}));
   ASSERT_TRUE(nearest.has_value());
@@ -33,7 +34,7 @@ TEST(HstIndexTest, SameLeafIsLevelZero) {
 }
 
 TEST(HstIndexTest, SiblingIsLevelOne) {
-  HstAvailabilityIndex index(3, 2);
+  PathIndex index(3, 2);
   index.Insert(P({1, 0, 0}), 7);
   auto nearest = index.Nearest(P({1, 0, 1}));
   ASSERT_TRUE(nearest.has_value());
@@ -42,7 +43,7 @@ TEST(HstIndexTest, SiblingIsLevelOne) {
 }
 
 TEST(HstIndexTest, PrefersLowerLevel) {
-  HstAvailabilityIndex index(3, 2);
+  PathIndex index(3, 2);
   index.Insert(P({0, 0, 0}), 1);  // LCA with query at level 3
   index.Insert(P({1, 1, 0}), 2);  // LCA at level 1
   auto nearest = index.Nearest(P({1, 1, 1}));
@@ -52,7 +53,7 @@ TEST(HstIndexTest, PrefersLowerLevel) {
 }
 
 TEST(HstIndexTest, RemoveMakesFartherVisible) {
-  HstAvailabilityIndex index(3, 2);
+  PathIndex index(3, 2);
   index.Insert(P({1, 1, 0}), 2);
   index.Insert(P({0, 0, 0}), 1);
   index.Remove(P({1, 1, 0}), 2);
@@ -64,7 +65,7 @@ TEST(HstIndexTest, RemoveMakesFartherVisible) {
 }
 
 TEST(HstIndexTest, TieBreakSmallestIdWithinLeaf) {
-  HstAvailabilityIndex index(2, 3);
+  PathIndex index(2, 3);
   index.Insert(P({2, 1}), 9);
   index.Insert(P({2, 1}), 4);
   auto nearest = index.Nearest(P({2, 1}));
@@ -73,7 +74,7 @@ TEST(HstIndexTest, TieBreakSmallestIdWithinLeaf) {
 }
 
 TEST(HstIndexTest, TieBreakLexicographicAcrossLeaves) {
-  HstAvailabilityIndex index(2, 3);
+  PathIndex index(2, 3);
   // Both at LCA level 2 from query (0,0): paths (1,*) and (2,*).
   index.Insert(P({2, 0}), 1);
   index.Insert(P({1, 2}), 2);
@@ -83,7 +84,7 @@ TEST(HstIndexTest, TieBreakLexicographicAcrossLeaves) {
 }
 
 TEST(HstIndexTest, NearestKOrdersByLevel) {
-  HstAvailabilityIndex index(3, 2);
+  PathIndex index(3, 2);
   index.Insert(P({1, 1, 1}), 10);  // level 0 from query
   index.Insert(P({1, 1, 0}), 11);  // level 1
   index.Insert(P({1, 0, 0}), 12);  // level 2
@@ -97,7 +98,7 @@ TEST(HstIndexTest, NearestKOrdersByLevel) {
 }
 
 TEST(HstIndexTest, NearestKRespectsLimit) {
-  HstAvailabilityIndex index(3, 2);
+  PathIndex index(3, 2);
   for (int i = 0; i < 6; ++i) {
     index.Insert(P({i % 2, (i / 2) % 2, 0}), i);
   }
@@ -106,14 +107,14 @@ TEST(HstIndexTest, NearestKRespectsLimit) {
 }
 
 TEST(HstIndexTest, DuplicateInsertAborts) {
-  HstAvailabilityIndex index(2, 2);
+  PathIndex index(2, 2);
   index.Insert(P({0, 0}), 1);
   EXPECT_DEATH(index.Insert(P({0, 1}), 1), "duplicate item");
   EXPECT_DEATH(index.Insert(P({0, 0}), 1), "duplicate item");
 }
 
 TEST(HstIndexTest, RemoveMissingAborts) {
-  HstAvailabilityIndex index(2, 2);
+  PathIndex index(2, 2);
   EXPECT_DEATH(index.Remove(P({0, 0}), 1), "not registered");
   index.Insert(P({0, 0}), 1);
   EXPECT_DEATH(index.Remove(P({0, 1}), 1), "not registered");
@@ -127,7 +128,7 @@ TEST_P(HstIndexRandomTest, MatchesBruteForce) {
   const int depth = 5;
   const int arity = 3;
   Rng rng(GetParam());
-  HstAvailabilityIndex index(depth, arity);
+  PathIndex index(depth, arity);
   std::vector<LeafPath> items;
   for (int i = 0; i < 60; ++i) {
     items.push_back(RandomLeafPath(depth, arity, &rng));
@@ -179,7 +180,7 @@ TEST_P(HstIndexRandomTest, NearestKIsSortedByLevel) {
   const int depth = 4;
   const int arity = 2;
   Rng rng(GetParam() + 1000);
-  HstAvailabilityIndex index(depth, arity);
+  PathIndex index(depth, arity);
   for (int i = 0; i < 30; ++i) {
     index.Insert(RandomLeafPath(depth, arity, &rng), i);
   }

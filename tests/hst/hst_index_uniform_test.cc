@@ -6,7 +6,7 @@
 #include <map>
 
 #include "common/stats.h"
-#include "hst/hst_index.h"
+#include "hst/path_index.h"
 
 namespace tbf {
 namespace {
@@ -18,13 +18,13 @@ LeafPath P(std::initializer_list<int> digits) {
 }
 
 TEST(NearestUniformTest, EmptyIndex) {
-  HstAvailabilityIndex index(3, 2);
+  PathIndex index(3, 2);
   Rng rng(1);
   EXPECT_FALSE(index.NearestUniform(P({0, 0, 0}), &rng).has_value());
 }
 
 TEST(NearestUniformTest, SingleItemAnyLevel) {
-  HstAvailabilityIndex index(3, 2);
+  PathIndex index(3, 2);
   index.Insert(P({0, 1, 0}), 5);
   Rng rng(2);
   auto got = index.NearestUniform(P({1, 1, 1}), &rng);
@@ -37,7 +37,7 @@ TEST(NearestUniformTest, LevelMatchesCanonicalNearest) {
   const int depth = 5;
   const int arity = 3;
   Rng data_rng(3);
-  HstAvailabilityIndex index(depth, arity);
+  PathIndex index(depth, arity);
   auto random_leaf = [&]() {
     LeafPath p;
     for (int i = 0; i < depth; ++i) {
@@ -58,7 +58,7 @@ TEST(NearestUniformTest, LevelMatchesCanonicalNearest) {
 }
 
 TEST(NearestUniformTest, UniformWithinLeaf) {
-  HstAvailabilityIndex index(2, 2);
+  PathIndex index(2, 2);
   for (int id = 0; id < 4; ++id) index.Insert(P({1, 0}), id);
   Rng rng(5);
   std::map<int, int> counts;
@@ -75,7 +75,7 @@ TEST(NearestUniformTest, UniformAcrossSiblingSubtrees) {
   // Three items in the sibling set at level 2 of query (0,0,0): two in one
   // subtree, one in another — each must be picked w.p. 1/3 (not 1/2 per
   // subtree).
-  HstAvailabilityIndex index(3, 2);
+  PathIndex index(3, 2);
   index.Insert(P({1, 0, 0}), 0);
   index.Insert(P({1, 0, 1}), 1);
   index.Insert(P({1, 1, 0}), 2);
@@ -94,7 +94,7 @@ TEST(NearestUniformTest, UniformAcrossSiblingSubtrees) {
 
 TEST(NearestUniformTest, ExcludesCloserEmptySubtreeCorrectly) {
   // Items only in the far half; query's own level-1 sibling is empty.
-  HstAvailabilityIndex index(3, 2);
+  PathIndex index(3, 2);
   index.Insert(P({1, 1, 1}), 9);
   Rng rng(7);
   auto got = index.NearestUniform(P({0, 0, 0}), &rng);
@@ -104,7 +104,7 @@ TEST(NearestUniformTest, ExcludesCloserEmptySubtreeCorrectly) {
 }
 
 TEST(NearestUniformDeathTest, RequiresRng) {
-  HstAvailabilityIndex index(2, 2);
+  PathIndex index(2, 2);
   index.Insert(P({0, 0}), 1);
   EXPECT_DEATH(index.NearestUniform(P({0, 0}), nullptr), "rng required");
 }

@@ -21,12 +21,15 @@ TEST(LeafCodecTest, BitsPerDigit) {
 }
 
 TEST(LeafCodecTest, FitsBoundaries) {
-  EXPECT_TRUE(LeafCodec::Fits(64, 2));    // 64 * 1
-  EXPECT_FALSE(LeafCodec::Fits(65, 2));
-  EXPECT_TRUE(LeafCodec::Fits(32, 4));    // 32 * 2
-  EXPECT_FALSE(LeafCodec::Fits(33, 4));
-  EXPECT_TRUE(LeafCodec::Fits(12, 22));   // 12 * 5 = 60
-  EXPECT_FALSE(LeafCodec::Fits(13, 22));  // 13 * 5 = 65
+  EXPECT_TRUE(LeafCodec::Fits(128, 2));   // 128 * 1
+  EXPECT_FALSE(LeafCodec::Fits(129, 2));
+  EXPECT_TRUE(LeafCodec::Fits(64, 4));    // 64 * 2
+  EXPECT_FALSE(LeafCodec::Fits(65, 4));
+  EXPECT_TRUE(LeafCodec::Fits(13, 22));   // 13 * 5 = 65: past one word
+  EXPECT_TRUE(LeafCodec::Fits(25, 22));   // 25 * 5 = 125
+  EXPECT_FALSE(LeafCodec::Fits(26, 22));  // 26 * 5 = 130
+  EXPECT_TRUE(LeafCodec::Fits(8, 65535));  // 8 * 16
+  EXPECT_FALSE(LeafCodec::Fits(9, 65535));
   EXPECT_FALSE(LeafCodec::Fits(0, 2));
   EXPECT_FALSE(LeafCodec::Fits(3, 1));
 }
@@ -34,7 +37,7 @@ TEST(LeafCodecTest, FitsBoundaries) {
 TEST(LeafCodecTest, PackUnpackRoundTrip) {
   Rng rng(17);
   for (int arity : {2, 3, 4, 7, 11, 22, 32}) {
-    const int depth = 64 / LeafCodec::BitsPerDigit(arity);
+    const int depth = kLeafCodeBits / LeafCodec::BitsPerDigit(arity);
     LeafCodec codec(depth, arity);
     for (int trial = 0; trial < 200; ++trial) {
       LeafPath path = RandomLeafPath(depth, arity, &rng);
@@ -60,7 +63,7 @@ TEST(LeafCodecTest, WithDigit) {
 TEST(LeafCodecTest, LcaLevelMatchesLeafPathReference) {
   Rng rng(23);
   for (int arity : {2, 3, 8, 13, 22}) {  // power-of-two and not
-    for (int depth : {1, 3, 6, 9}) {
+    for (int depth : {1, 3, 6, 9, 13, 25}) {  // 13 x 5 bits > 64
       LeafCodec codec(depth, arity);
       for (int trial = 0; trial < 300; ++trial) {
         LeafPath a = RandomLeafPath(depth, arity, &rng);
@@ -87,7 +90,7 @@ TEST(LeafCodecTest, CodeOrderIsLexicographicPathOrder) {
   // two orders coincide.
   Rng rng(29);
   for (int arity : {2, 5, 22}) {
-    const int depth = 7;
+    const int depth = arity == 22 ? 20 : 7;  // 20 x 5 bits spans both words
     LeafCodec codec(depth, arity);
     std::vector<LeafPath> paths;
     for (int i = 0; i < 100; ++i) paths.push_back(RandomLeafPath(depth, arity, &rng));
@@ -97,6 +100,23 @@ TEST(LeafCodecTest, CodeOrderIsLexicographicPathOrder) {
       }
     }
   }
+}
+
+TEST(LeafCodecTest, CountlZeroSpansBothWords) {
+  EXPECT_EQ(CountlZero(LeafCode{0}), 128);
+  EXPECT_EQ(CountlZero(LeafCode{1}), 127);
+  EXPECT_EQ(CountlZero(LeafCode{1} << 63), 64);
+  EXPECT_EQ(CountlZero(LeafCode{1} << 64), 63);
+  EXPECT_EQ(CountlZero(LeafCode{1} << 127), 0);
+  EXPECT_EQ(CountlZero((LeafCode{1} << 100) | 1), 27);
+}
+
+TEST(LeafCodecTest, HashSeparatesCodesDifferingInEitherWord) {
+  const LeafCodeHash hash;
+  const LeafCode a = LeafCode{0x1234} << 64;
+  EXPECT_NE(hash(a), hash(a | 1));
+  EXPECT_NE(hash(a), hash(LeafCode{0x1234}));
+  EXPECT_EQ(hash(a), hash(LeafCode{0x1234} << 64));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,8 +28,8 @@ CompleteHst BuildTree(uint64_t seed = 3, int side = 5) {
   return std::move(tree).MoveValueUnsafe();
 }
 
-// A shape too deep for 64-bit codes (70 binary digits) — exercises the
-// digit-path leaf encoding (flags bit 0 clear).
+// A shape too deep for one 64-bit word (70 binary digits): its codes use
+// both halves of the 16-byte leaf rows.
 CompleteHst BuildDeepTree() {
   const int depth = 70;
   std::vector<Point> points = {{0.0, 0.0}, {10.0, 10.0}, {20.0, 0.0}};
@@ -39,13 +40,33 @@ CompleteHst BuildDeepTree() {
   auto tree = CompleteHst::FromParts(depth, 2, 2.5, std::move(points),
                                      std::move(paths));
   EXPECT_TRUE(tree.ok()) << tree.status();
-  EXPECT_EQ(tree->codec(), nullptr);
   return std::move(tree).MoveValueUnsafe();
 }
 
-// A deep digit-path tree (depth 70, arity 2) or a packed one (depth 20)
-// with `n` synthetic points: leaf i spells i in binary over its first 14
-// digits. Big enough that both tables span several records.
+// The smallest shape past 64 bits: depth 13 x arity 32 needs 65, so the
+// last digit's low bit is bit 63 of the code's low word. `n` points on
+// random distinct leaves.
+CompleteHst Build65BitTree(int n, uint64_t seed = 5) {
+  Rng rng(seed);
+  std::vector<Point> points;
+  std::vector<LeafPath> paths;
+  std::set<LeafPath> taken;
+  while (static_cast<int>(paths.size()) < n) {
+    LeafPath path = RandomLeafPath(13, 32, &rng);
+    if (!taken.insert(path).second) continue;
+    points.push_back({static_cast<double>(paths.size()), 1.0});
+    paths.push_back(std::move(path));
+  }
+  auto tree = CompleteHst::FromParts(13, 32, 2.0, std::move(points),
+                                     std::move(paths));
+  EXPECT_TRUE(tree.ok()) << tree.status();
+  return std::move(tree).MoveValueUnsafe();
+}
+
+// A deep tree (depth 70, arity 2: codes past one word) or a shallower
+// one (depth 20) with `n` synthetic points: leaf i spells i in binary
+// over its first 14 digits. Big enough that both tables span several
+// records.
 CompleteHst BuildWideTree(int depth, int n) {
   std::vector<Point> points;
   std::vector<LeafPath> paths;
@@ -112,6 +133,12 @@ void PatchU64(std::string* payload, size_t off, uint64_t v) {
   }
 }
 
+// A LeafCode row: low u64, then high u64.
+void PatchCode(std::string* payload, size_t off, LeafCode v) {
+  PatchU64(payload, off, static_cast<uint64_t>(v));
+  PatchU64(payload, off + 8, static_cast<uint64_t>(v >> 64));
+}
+
 void PatchF64(std::string* payload, size_t off, double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
@@ -119,16 +146,16 @@ void PatchF64(std::string* payload, size_t off, double v) {
 }
 
 // Header record layout: kind@0, magic <len:u32>"TBF-SNAP"@1, version@13,
-// flags@17, depth@21, arity@25, scale@29, count@37. Table rows start at
-// byte 1 of their record.
+// depth@17, arity@21, scale@25, count@33. Table rows start at byte 1 of
+// their record; a leaf row is 16 bytes.
 constexpr size_t kOffMagic = 5;
 constexpr size_t kOffVersion = 13;
-constexpr size_t kOffFlags = 17;
-constexpr size_t kOffDepth = 21;
-constexpr size_t kOffArity = 25;
-constexpr size_t kOffScale = 29;
-constexpr size_t kOffCount = 37;
+constexpr size_t kOffDepth = 17;
+constexpr size_t kOffArity = 21;
+constexpr size_t kOffScale = 25;
+constexpr size_t kOffCount = 33;
 constexpr size_t kOffRows = 1;
+constexpr size_t kLeafRowBytes = 16;
 
 // Record indexes of a small tree: one record per table.
 constexpr size_t kPointRecord = 1;
@@ -183,18 +210,69 @@ TEST(HstSnapshotTest, RoundTripPreservesDeepDigitPathTree) {
   EXPECT_EQ(parsed->depth(), original.depth());
   EXPECT_EQ(parsed->arity(), original.arity());
   EXPECT_DOUBLE_EQ(parsed->scale(), original.scale());
-  EXPECT_EQ(parsed->codec(), nullptr);
   ASSERT_EQ(parsed->num_points(), original.num_points());
   for (int p = 0; p < original.num_points(); ++p) {
     EXPECT_EQ(parsed->leaf_of_point(p), original.leaf_of_point(p));
+    EXPECT_TRUE(
+        parsed->leaf_code_of_point(p) == original.leaf_code_of_point(p));
   }
 }
 
+TEST(HstSnapshotTest, RoundTripPreserves65BitShape) {
+  CompleteHst original = Build65BitTree(500);
+  ASSERT_EQ(original.codec()->low_bits(), 63);
+  const std::string bytes = SerializeHstSnapshot(original);
+  auto parsed = ParseHstSnapshot(bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_EQ(parsed->num_points(), original.num_points());
+  bool low_word_used = false;
+  for (int p = 0; p < original.num_points(); ++p) {
+    EXPECT_EQ(parsed->leaf_of_point(p), original.leaf_of_point(p));
+    EXPECT_TRUE(
+        parsed->leaf_code_of_point(p) == original.leaf_code_of_point(p));
+    low_word_used |= static_cast<uint64_t>(original.leaf_code_of_point(p)) != 0;
+  }
+  EXPECT_TRUE(low_word_used);  // the 65th bit is really exercised
+  EXPECT_EQ(SerializeHstSnapshot(*parsed), bytes);
+}
+
+TEST(HstSnapshotTest, Rejects65BitShapeCorruption) {
+  const CompleteHst tree = Build65BitTree(40);
+  const std::vector<std::string> base =
+      RecordsOf(SerializeHstSnapshot(tree));
+  ASSERT_EQ(base.size(), 4u);
+
+  // Bit 62 sits just below the last digit: outside the shape.
+  std::vector<std::string> records = base;
+  PatchCode(&records[kLeafRecord], kOffRows,
+            tree.leaf_code_of_point(0) | (LeafCode{1} << 62));
+  ExpectParseError(Reframe(records), "leaf 0: code has bits outside");
+
+  // Leaf 1 rewritten to leaf 0's code: two points on one leaf.
+  records = base;
+  PatchCode(&records[kLeafRecord], kOffRows + kLeafRowBytes,
+            tree.leaf_code_of_point(0));
+  ExpectParseError(Reframe(records), "duplicate");
+
+  // A row cut after its low word.
+  records = base;
+  records[kLeafRecord].resize(records[kLeafRecord].size() - 8);
+  ExpectParseError(Reframe(records),
+                   "leaves record: 8 trailing bytes after 39 whole 16-byte "
+                   "rows");
+
+  // A header shape past 128 bits is refused: arity 32 at depth 26 needs
+  // 130.
+  records = base;
+  PatchU32(&records[0], kOffDepth, 26);
+  ExpectParseError(Reframe(records),
+                   "depth 26 x arity 32 does not fit 128-bit leaf codes");
+}
+
 TEST(HstSnapshotTest, RoundTripTablesSpanningSeveralRecords) {
-  for (const int depth : {70, 20}) {  // digit paths, then packed codes
+  for (const int depth : {70, 20}) {  // codes past one word, then within
     SCOPED_TRACE("depth " + std::to_string(depth));
     CompleteHst original = BuildWideTree(depth, 10000);
-    ASSERT_EQ(original.codec() != nullptr, depth == 20);
     const std::string bytes = SerializeHstSnapshot(original);
     int point_records = 0;
     int leaf_records = 0;
@@ -246,7 +324,7 @@ TEST(HstSnapshotTest, RejectsTruncatedFile) {
 TEST(HstSnapshotTest, RejectsFileCutAtRecordBoundary) {
   // Every proper prefix that ends on a frame boundary is a well-formed
   // frame stream; the missing end record is what refuses it.
-  const std::string bytes = SerializeHstSnapshot(BuildWideTree(70, 3000));
+  const std::string bytes = SerializeHstSnapshot(BuildWideTree(70, 10000));
   const std::vector<std::string> records = RecordsOf(bytes);
   ASSERT_GT(records.size(), 4u);
   for (size_t keep = 1; keep < records.size(); ++keep) {
@@ -297,28 +375,24 @@ TEST(HstSnapshotTest, RejectsRecordGrammarViolations) {
 // --- schema corruption (CRC-valid frames, hostile records) ---------------
 
 TEST(HstSnapshotTest, RejectsUnsupportedVersion) {
-  std::vector<std::string> records = GridRecords();
-  PatchU32(&records[0], kOffVersion, 3);
-  ExpectParseError(Reframe(records), "unsupported version 3");
+  // v2 (a flag word choosing u64 codes or u16 digit paths) is refused by
+  // name, like any other version.
+  for (const uint32_t version : {2u, 4u}) {
+    std::vector<std::string> records = GridRecords();
+    PatchU32(&records[0], kOffVersion, version);
+    ExpectParseError(Reframe(records), "unsupported version " +
+                                           std::to_string(version) +
+                                           " (this build reads v3)");
+  }
 }
 
-TEST(HstSnapshotTest, RejectsUnknownFlagBits) {
+TEST(HstSnapshotTest, RejectsShapeBeyondCodeWidth) {
+  // Every snapshot names a shape with a codec; 129 binary digits have none.
   std::vector<std::string> records = GridRecords();
-  PatchU32(&records[0], kOffFlags, 0x2 | 0x1);
-  ExpectParseError(Reframe(records), "unknown flag bits");
-}
-
-TEST(HstSnapshotTest, RejectsFlagShapeMismatch) {
-  // The grid tree fits packed codes, so a clear packed bit contradicts
-  // the shape (and vice versa for the deep tree).
-  std::vector<std::string> records = GridRecords();
-  PatchU32(&records[0], kOffFlags, 0);
-  ExpectParseError(Reframe(records), "leaf encoding does not match");
-
-  std::vector<std::string> deep =
-      RecordsOf(SerializeHstSnapshot(BuildDeepTree()));
-  PatchU32(&deep[0], kOffFlags, 1);
-  ExpectParseError(Reframe(deep), "leaf encoding does not match");
+  PatchU32(&records[0], kOffDepth, 129);
+  PatchU32(&records[0], kOffArity, 2);
+  ExpectParseError(Reframe(records),
+                   "depth 129 x arity 2 does not fit 128-bit leaf codes");
 }
 
 TEST(HstSnapshotTest, RejectsBadGeometryHeader) {
@@ -357,7 +431,8 @@ TEST(HstSnapshotTest, RejectsTruncatedPayload) {
   const std::vector<std::string> base = GridRecords();
 
   std::vector<std::string> records = base;
-  records[kLeafRecord].resize(records[kLeafRecord].size() - 8);  // one row
+  records[kLeafRecord].resize(records[kLeafRecord].size() -
+                              kLeafRowBytes);  // one row
   ExpectParseError(Reframe(records),
                    "25 points declared, the leaf table holds 24 rows");
 
@@ -379,9 +454,10 @@ TEST(HstSnapshotTest, RejectsNonFinitePoint) {
 }
 
 TEST(HstSnapshotTest, RejectsCodeBitsOutsideShape) {
-  // depth 3 x arity 4 = 6 bits of code; the top byte is guaranteed
-  // outside the shape, so poisoning it survives the per-digit masking
-  // and must be caught by the re-pack identity check.
+  // depth 3 x arity 4 = 6 bits of code at the top of the high word; the
+  // low word's lowest byte is guaranteed outside the shape, so poisoning
+  // it survives the per-digit masking and must be caught by the re-pack
+  // identity check.
   std::vector<Point> points = {{0.0, 0.0}, {10.0, 0.0}, {0.0, 10.0}};
   std::vector<LeafPath> paths = {
       {char16_t{0}, char16_t{0}, char16_t{0}},
@@ -392,17 +468,23 @@ TEST(HstSnapshotTest, RejectsCodeBitsOutsideShape) {
   ASSERT_TRUE(tree.ok()) << tree.status();
   ASSERT_NE(tree->codec(), nullptr);
   std::vector<std::string> records = RecordsOf(SerializeHstSnapshot(*tree));
-  records[kLeafRecord][kOffRows + 7] = static_cast<char>(0xFF);  // high byte
+  records[kLeafRecord][kOffRows] = static_cast<char>(0xFF);  // low byte
   ExpectParseError(Reframe(records), "leaf 0: code has bits outside");
 }
 
 TEST(HstSnapshotTest, RejectsDigitOutOfArityRange) {
-  std::vector<std::string> records =
-      RecordsOf(SerializeHstSnapshot(BuildDeepTree()));
-  records[kLeafRecord][kOffRows] = 5;  // arity is 2; digit 5 is out of range
-  records[kLeafRecord][kOffRows + 1] = 0;
+  // Arity 3 takes 2-bit digit fields, so the field value 3 is no digit.
+  std::vector<Point> points = {{0.0, 0.0}, {10.0, 0.0}};
+  std::vector<LeafPath> paths = {{char16_t{0}, char16_t{0}},
+                                 {char16_t{1}, char16_t{2}}};
+  auto tree =
+      CompleteHst::FromParts(2, 3, 2.0, std::move(points), std::move(paths));
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  std::vector<std::string> records = RecordsOf(SerializeHstSnapshot(*tree));
+  // The high byte of leaf 0's code holds digit 0 in its top two bits.
+  records[kLeafRecord][kOffRows + 15] = static_cast<char>(0xC0);
   ExpectParseError(Reframe(records),
-                   "leaf 0: digit 5 at level 0 out of arity range");
+                   "leaf 0: digit 3 at level 0 out of arity range");
 }
 
 TEST(HstSnapshotTest, RejectsDuplicateLeafViaBackstop) {
@@ -410,7 +492,8 @@ TEST(HstSnapshotTest, RejectsDuplicateLeafViaBackstop) {
   std::vector<std::string> records = RecordsOf(SerializeHstSnapshot(tree));
   // Make leaf 1's code identical to leaf 0's: structural validation
   // passes, FromParts rejects the duplicate with the "snapshot: " prefix.
-  PatchU64(&records[kLeafRecord], kOffRows + 8, tree.leaf_code_of_point(0));
+  PatchCode(&records[kLeafRecord], kOffRows + kLeafRowBytes,
+            tree.leaf_code_of_point(0));
   auto parsed = ParseHstSnapshot(Reframe(records));
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.status().message().find("snapshot: "), std::string::npos);
@@ -422,7 +505,7 @@ TEST(HstSnapshotTest, RejectsTrailingBytes) {
   records[kLeafRecord].append("\0\0\0\0", 4);
   ExpectParseError(
       Reframe(records),
-      "leaves record: 4 trailing bytes after 25 whole 8-byte rows");
+      "leaves record: 4 trailing bytes after 25 whole 16-byte rows");
 
   records = GridRecords();
   records[0].append("\0", 1);

@@ -94,18 +94,20 @@ TEST(GoldenEquivalenceTest, FlatIndexMatchesMapIndexUniformDrawForDraw) {
                                   spec.grid_side, spec.epsilon);
     HstAvailabilityIndex flat(episode.depth, episode.arity);
     HstAvailabilityMapIndex reference(episode.depth, episode.arity);
+    const LeafCodec& codec = *flat.codec();
     for (size_t i = 0; i < episode.workers.size(); ++i) {
-      flat.Insert(episode.workers[i], static_cast<int>(i));
+      flat.Insert(codec.Pack(episode.workers[i]), static_cast<int>(i));
       reference.Insert(episode.workers[i], static_cast<int>(i));
     }
     Rng flat_rng(spec.seed);
     Rng ref_rng(spec.seed);
     for (const LeafPath& task : episode.tasks) {
-      auto a = flat.NearestUniform(task, &flat_rng);
+      auto a = flat.NearestUniform(codec.Pack(task), &flat_rng);
       auto b = reference.NearestUniform(task, &ref_rng);
       ASSERT_EQ(a, b);
       ASSERT_TRUE(a.has_value());
-      flat.Remove(episode.workers[static_cast<size_t>(a->first)], a->first);
+      flat.Remove(codec.Pack(episode.workers[static_cast<size_t>(a->first)]),
+                  a->first);
       reference.Remove(episode.workers[static_cast<size_t>(a->first)], a->first);
     }
     EXPECT_EQ(flat_rng.NextU64(), ref_rng.NextU64());

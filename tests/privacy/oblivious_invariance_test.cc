@@ -125,6 +125,38 @@ TEST(ObliviousInvarianceTest, TallyAndDrawCountIdenticalAcrossAllTruths) {
   }
 }
 
+TEST(ObliviousInvarianceTest, TallyIdenticalAcrossSampledTruthsOfWideShapes) {
+  // Shapes past 64 bits have too many leaves to sweep, so 400 random true
+  // leaves per shape stand in for all of them: the tally and the draw
+  // count must still not move, and the schedule keeps its documented
+  // length. {13, 32} is the smallest shape past one word (65 bits).
+  const std::pair<int, int> shapes[] = {{13, 32}, {20, 16}, {40, 3}, {128, 2}};
+  for (const auto& [depth, arity] : shapes) {
+    CompleteHst tree = ShapedTree(depth, arity);
+    HstMechanism m = BuildMechanism(tree, 0.001);
+    Rng truth_rng(static_cast<uint64_t>(depth * 1000 + arity));
+    for (uint64_t seed : {101u, 202u}) {
+      ObliviousTally reference;
+      for (int t = 0; t < 400; ++t) {
+        const LeafCode truth =
+            m.codec()->Pack(RandomLeafPath(depth, arity, &truth_rng));
+        Rng rng(seed);
+        ObliviousTally tally;
+        const LeafCode z = m.ObfuscateCodeOblivious(truth, &rng, &tally);
+        ASSERT_TRUE(ValidateReportedLeafCode(tree, z).ok())
+            << "depth=" << depth << " arity=" << arity;
+        if (t == 0) reference = tally;
+        ASSERT_EQ(tally, reference)
+            << "truth #" << t << " depth=" << depth << " arity=" << arity
+            << " seed=" << seed;
+        ASSERT_EQ(rng.draw_count(), static_cast<uint64_t>(depth) + 2);
+      }
+      EXPECT_EQ(reference.descent_iters, static_cast<uint64_t>(depth));
+      EXPECT_EQ(reference.rng_words, static_cast<uint64_t>(depth) + 2);
+    }
+  }
+}
+
 TEST(ObliviousInvarianceTest, TallyIndependentOfDrawnLevel) {
   // Truth-invariance alone is not enough: the walk sampler is also
   // truth-invariant in distribution yet leaks the DRAWN level through its

@@ -96,20 +96,19 @@ ReplayCheckpoint MakeTrickyCheckpoint() {
   c.quarantined_events.push_back(
       QuarantineRecord{21, "-weird id", "non-finite event time"});
 
-  c.server.packed = true;
   c.server.assigned_tasks = 5;
   c.server.rng_state = "7 1234 5678 90";  // spaces survive
   c.server.worker_by_index_id = {"w0", "", "w2"};
   c.server.free_index_ids = {1};
   ShardedServerState::Worker w;
   w.id = "w0";
-  w.code = 0xFFFFFFFFFFFFFFFFull;
+  // Both words of the 128-bit code must survive.
+  w.code = (LeafCode{0x0123456789ABCDEFull} << 64) | 0xFFFFFFFFFFFFFFFFull;
   w.index_id = 0;
   w.shard = 3;
   c.server.workers.push_back(w);
   w.id = "w2";
   w.code = 0;
-  w.leaf_digits = "3.0.1";
   w.index_id = 2;
   w.shard = 0;
   c.server.workers.push_back(w);
@@ -182,16 +181,15 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
 
   EXPECT_EQ(c.report.checkpoints_written, 6u);
   EXPECT_EQ(c.wal_next_lsn, 1234u);
-  EXPECT_EQ(c.version, 4);
+  EXPECT_EQ(c.version, 5);
 
-  EXPECT_EQ(c.server.packed, true);
   EXPECT_EQ(c.server.rng_state, original.server.rng_state);
   EXPECT_EQ(c.server.worker_by_index_id, original.server.worker_by_index_id);
   EXPECT_EQ(c.server.free_index_ids, original.server.free_index_ids);
   ASSERT_EQ(c.server.workers.size(), 2u);
   EXPECT_EQ(c.server.workers[0].code, original.server.workers[0].code);
   EXPECT_EQ(c.server.workers[0].shard, 3);
-  EXPECT_EQ(c.server.workers[1].leaf_digits, "3.0.1");
+  EXPECT_EQ(c.server.workers[1].code, 0u);
   ASSERT_TRUE(c.server.ledger.has_value());
   EXPECT_EQ(c.server.ledger->totals.epsilon_spent, 3.3);
   EXPECT_EQ(c.server.ledger->epoch_spent,
@@ -237,7 +235,7 @@ void ExpectRejected(const std::string& bytes, const std::string& needle) {
 
 TEST(CheckpointTest, DetectsCorruptionPrecisely) {
   const std::string bytes = SerializeReplayCheckpoint(MakeTrickyCheckpoint());
-  const std::string header = Frame(0, HeaderFields("TBF-CKPT", 4));
+  const std::string header = Frame(0, HeaderFields("TBF-CKPT", 5));
   ASSERT_EQ(bytes.substr(0, header.size()), header);
 
   // Flipped payload byte: CRC mismatch, naming the record and its offset.
@@ -255,9 +253,13 @@ TEST(CheckpointTest, DetectsCorruptionPrecisely) {
 
   // Header damage: wrong magic, unknown version, or no header at all.
   const std::string body = bytes.substr(header.size());
-  ExpectRejected(Frame(0, HeaderFields("TBF-NOPE", 4)) + body, "bad magic");
-  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 5)) + body,
-                 "unsupported version 5");
+  ExpectRejected(Frame(0, HeaderFields("TBF-NOPE", 5)) + body, "bad magic");
+  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 6)) + body,
+                 "unsupported version 6");
+  // The previous version, with its two worker leaf encodings, is refused
+  // by name.
+  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 4)) + body,
+                 "unsupported version 4 (this build reads v5)");
   ExpectRejected(body, "first record must be the checkpoint header");
 
   // Grammar: a duplicated singleton, a record after the end, a record of
@@ -266,7 +268,7 @@ TEST(CheckpointTest, DetectsCorruptionPrecisely) {
   ExpectRejected(bytes + Frame(9, std::string(4, '\0')),
                  "slot record: follows the end record");
   ExpectRejected(header + Frame(42, ""), "unknown record kind 42");
-  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 4) + "x"),
+  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 5) + "x"),
                  "trailing bytes");
   std::string miscounted = bytes.substr(0, bytes.size() - end_frame.size());
   std::string count;

@@ -83,7 +83,6 @@ void CorruptFile(const std::string& path) {
 
 void ExpectServerStateEqual(const ShardedServerState& a,
                             const ShardedServerState& b) {
-  EXPECT_EQ(a.packed, b.packed);
   EXPECT_EQ(a.assigned_tasks, b.assigned_tasks);
   EXPECT_EQ(a.tree_epoch, b.tree_epoch);
   EXPECT_EQ(a.rng_state, b.rng_state);
@@ -93,7 +92,6 @@ void ExpectServerStateEqual(const ShardedServerState& a,
   for (size_t i = 0; i < a.workers.size(); ++i) {
     EXPECT_EQ(a.workers[i].id, b.workers[i].id) << i;
     EXPECT_EQ(a.workers[i].code, b.workers[i].code) << i;
-    EXPECT_EQ(a.workers[i].leaf_digits, b.workers[i].leaf_digits) << i;
     EXPECT_EQ(a.workers[i].index_id, b.workers[i].index_id) << i;
     EXPECT_EQ(a.workers[i].shard, b.workers[i].shard) << i;
   }

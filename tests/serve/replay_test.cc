@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <set>
 #include <string>
 
@@ -367,6 +369,95 @@ TEST(ReplayTest, EventTraceSurvivesCsvRoundTripIntoReplay) {
   for (size_t t = 0; t < direct->task_outcomes.size(); ++t) {
     EXPECT_EQ(direct->task_outcomes[t].worker, via_csv->task_outcomes[t].worker);
   }
+}
+
+// --- poison events: one predicate, both policies ------------------------
+
+// `clean` with one event spliced in at `pos`: a copy of the reporting
+// event there, broken by `mutate`.
+EventTrace WithPoisonAt(const EventTrace& clean, size_t pos,
+                        const std::function<void(TimedEvent*)>& mutate) {
+  EventTrace poisoned = clean;
+  TimedEvent bad = poisoned.events[pos];
+  bad.kind = EventKind::kWorkerArrival;  // location poison needs a report
+  mutate(&bad);
+  poisoned.events.insert(poisoned.events.begin() + static_cast<long>(pos),
+                         bad);
+  return poisoned;
+}
+
+// Under kFail the run is refused with InvalidArgument naming the cause
+// and the event; under kQuarantine the event is recorded with that cause
+// and the survivors' outcomes equal the clean trace's.
+void ExpectPoisonUnderBothPolicies(
+    const std::function<void(TimedEvent*)>& mutate, const std::string& cause) {
+  TbfFramework framework = BuildFramework();
+  const EventTrace clean = SmallTrace(60, 40, 0.1, 9);
+  const size_t pos = clean.events.size() / 2;
+  const EventTrace poisoned = WithPoisonAt(clean, pos, mutate);
+  ReplayOptions options;
+  options.epoch_seconds = 60.0;
+  options.num_shards = 2;
+
+  auto failed = RunEventReplay(framework, poisoned, options);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(failed.status().message(),
+            cause + " (event " + std::to_string(pos) + ")");
+
+  options.poison_policy = PoisonPolicy::kQuarantine;
+  auto quarantined = RunEventReplay(framework, poisoned, options);
+  ASSERT_TRUE(quarantined.ok()) << quarantined.status().ToString();
+  ASSERT_EQ(quarantined->quarantined_events.size(), 1u);
+  EXPECT_EQ(quarantined->quarantined_events[0].event_index, pos);
+  EXPECT_EQ(quarantined->quarantined_events[0].cause, cause);
+
+  options.poison_policy = PoisonPolicy::kFail;
+  auto reference = RunEventReplay(framework, clean, options);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_EQ(quarantined->task_outcomes.size(),
+            reference->task_outcomes.size());
+  for (size_t i = 0; i < reference->task_outcomes.size(); ++i) {
+    EXPECT_EQ(quarantined->task_outcomes[i].worker,
+              reference->task_outcomes[i].worker)
+        << i;
+  }
+}
+
+TEST(ReplayPoisonTest, NonFiniteCoordinateIsPoisonUnderBothPolicies) {
+  ExpectPoisonUnderBothPolicies(
+      [](TimedEvent* e) { e->location.y = std::nan(""); },
+      "non-finite location coordinates");
+}
+
+TEST(ReplayPoisonTest, EmptyIdIsPoisonUnderBothPolicies) {
+  ExpectPoisonUnderBothPolicies([](TimedEvent* e) { e->id.clear(); },
+                                "empty event id");
+}
+
+TEST(ReplayPoisonTest, OverflowingCoordinateIsPoisonUnderBothPolicies) {
+  // Finite, but x*x + y*y overflows: no distance to it means anything.
+  ExpectPoisonUnderBothPolicies(
+      [](TimedEvent* e) { e->location = {1e300, -1e300}; },
+      "location too far out: its squared norm overflows");
+}
+
+TEST(ReplayPoisonTest, FailKeepsTheHistoricalTimeMessages) {
+  TbfFramework framework = BuildFramework();
+  const EventTrace clean = SmallTrace(60, 40, 0.1, 9);
+  const auto message = [&](const EventTrace& trace) {
+    auto report = RunEventReplay(framework, trace, ReplayOptions{});
+    EXPECT_FALSE(report.ok());
+    return report.status().message();
+  };
+  EXPECT_EQ(message(WithPoisonAt(clean, 7,
+                                 [](TimedEvent* e) {
+                                   e->time = std::nan("");
+                                 })),
+            "event times must be finite (event 7)");
+  EXPECT_EQ(message(WithPoisonAt(clean, 7,
+                                 [](TimedEvent* e) { e->time = -1.0; })),
+            "events must be in nondecreasing time order (event 7)");
 }
 
 }  // namespace

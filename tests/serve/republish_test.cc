@@ -127,7 +127,8 @@ TEST(RepublishTest, NoopRepublishIsDrawForDrawEquivalent) {
     const int op = static_cast<int>(script.UniformInt(0, 9));
     if (op < 4) {
       const std::string id = "w" + std::to_string(step);
-      LeafPath leaf = RandomLeafPath(depth, arity, &script);
+      const LeafCode leaf =
+          tree->codec()->Pack(RandomLeafPath(depth, arity, &script));
       Status a = (*with)->RegisterWorker(id, leaf, std::nullopt);
       Status b = (*without)->RegisterWorker(id, leaf, std::nullopt);
       ASSERT_EQ(a.code(), b.code()) << "step " << step;
@@ -139,7 +140,8 @@ TEST(RepublishTest, NoopRepublishIsDrawForDrawEquivalent) {
       ASSERT_EQ(a.code(), b.code()) << "step " << step;
     } else {
       const std::string id = "t" + std::to_string(step);
-      LeafPath leaf = RandomLeafPath(depth, arity, &script);
+      const LeafCode leaf =
+          tree->codec()->Pack(RandomLeafPath(depth, arity, &script));
       auto a = (*with)->SubmitTask(id, leaf, std::nullopt);
       auto b = (*without)->SubmitTask(id, leaf, std::nullopt);
       ASSERT_EQ(a.ok(), b.ok()) << "step " << step;
@@ -166,8 +168,8 @@ TEST(RepublishTest, RekeyFollowsPointsAndKeepsFakeLeaves) {
   ASSERT_TRUE(server.ok());
 
   // One worker on point 0's real leaf, one on a fake leaf.
-  const LeafPath real_leaf = tree->leaf_of_point(0);
-  const LeafPath fake_leaf = FindFakeLeaf(*tree);
+  const LeafCode real_leaf = tree->leaf_code_of_point(0);
+  const LeafCode fake_leaf = tree->codec()->Pack(FindFakeLeaf(*tree));
   ASSERT_TRUE((*server)->RegisterWorker("real", real_leaf, std::nullopt).ok());
   ASSERT_TRUE((*server)->RegisterWorker("fake", fake_leaf, std::nullopt).ok());
 
@@ -185,8 +187,8 @@ TEST(RepublishTest, RekeyFollowsPointsAndKeepsFakeLeaves) {
   // "real" reported point 0's leaf; on the new tree point 0 lives at the
   // old leaf of point 1 — a task submitted there must find the worker at
   // tree distance zero.
-  const LeafPath moved_leaf = new_tree->leaf_of_point(0);
-  EXPECT_EQ(moved_leaf, tree->leaf_of_point(1));
+  const LeafCode moved_leaf = new_tree->leaf_code_of_point(0);
+  EXPECT_TRUE(moved_leaf == tree->leaf_code_of_point(1));
   auto at_moved = (*server)->SubmitTask("t0", moved_leaf, std::nullopt);
   ASSERT_TRUE(at_moved.ok()) << at_moved.status();
   ASSERT_TRUE(at_moved->worker.has_value());
@@ -211,7 +213,8 @@ TEST(RepublishTest, MetricsAndEpochAccounting) {
   auto server = ShardedTbfServer::Create(tree, options);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE((*server)
-                  ->RegisterWorker("w0", tree->leaf_of_point(3), std::nullopt)
+                  ->RegisterWorker("w0", tree->leaf_code_of_point(3),
+                                   std::nullopt)
                   .ok());
 
   ASSERT_TRUE((*server)->Republish(SnapshotCopy(*tree)).ok());
@@ -233,7 +236,8 @@ TEST(RepublishTest, TreeEpochGuardsStateRestore) {
   auto server = ShardedTbfServer::Create(tree);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE((*server)
-                  ->RegisterWorker("w0", tree->leaf_of_point(0), std::nullopt)
+                  ->RegisterWorker("w0", tree->leaf_code_of_point(0),
+                                   std::nullopt)
                   .ok());
   ASSERT_TRUE((*server)->Republish(SnapshotCopy(*tree)).ok());
 
@@ -270,7 +274,7 @@ TEST(RepublishTest, InjectedFaultAbortsWithEngineUntouched) {
     ASSERT_TRUE(server.ok());
     ASSERT_TRUE(
         (*server)
-            ->RegisterWorker("w0", tree->leaf_of_point(0), std::nullopt)
+            ->RegisterWorker("w0", tree->leaf_code_of_point(0), std::nullopt)
             .ok());
     const CompleteHst* published = &(*server)->tree();
 
@@ -292,7 +296,7 @@ TEST(RepublishTest, InjectedFaultAbortsWithEngineUntouched) {
     // epoch, worker still reachable at its original leaf.
     EXPECT_EQ(&(*server)->tree(), published) << site;
     EXPECT_EQ((*server)->tree_epoch(), 0u) << site;
-    auto task = (*server)->SubmitTask("t0", tree->leaf_of_point(0),
+    auto task = (*server)->SubmitTask("t0", tree->leaf_code_of_point(0),
                                       std::nullopt);
     ASSERT_TRUE(task.ok()) << site;
     ASSERT_TRUE(task->worker.has_value()) << site;

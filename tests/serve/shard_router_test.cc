@@ -10,13 +10,19 @@
 namespace tbf {
 namespace {
 
+// Routes a digit path through the router's packed-code entry point.
+int ShardOf(const ShardRouter& router, const LeafPath& leaf) {
+  const LeafCodec codec(router.depth(), router.arity());
+  return router.ShardOf(codec.Pack(leaf), codec);
+}
+
 TEST(ShardRouterTest, SingleShardConsultsNoDigits) {
   ShardRouter router(6, 4, 1);
   EXPECT_EQ(router.prefix_depth(), 0);
   EXPECT_EQ(router.cutoff_level(), 6);
   Rng rng(3);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(router.ShardOf(RandomLeafPath(6, 4, &rng)), 0);
+    EXPECT_EQ(ShardOf(router, RandomLeafPath(6, 4, &rng)), 0);
   }
 }
 
@@ -39,15 +45,29 @@ TEST(ShardRouterTest, FitsBoundsTheShardCount) {
 }
 
 TEST(ShardRouterTest, PathAndCodeRoutingAgree) {
-  const int depth = 9, arity = 3;
-  LeafCodec codec(depth, arity);
+  // Code routing equals its definition on the digit path: the first
+  // prefix_depth digits as a radix-2^bits number, modulo K — also on a
+  // shape whose codes need 65 bits.
+  struct Shape {
+    int depth, arity;
+  };
   Rng rng(7);
-  for (int shards : {1, 2, 3, 5, 8, 27}) {
-    ShardRouter router(depth, arity, shards);
-    for (int i = 0; i < 200; ++i) {
-      LeafPath leaf = RandomLeafPath(depth, arity, &rng);
-      EXPECT_EQ(router.ShardOf(leaf), router.ShardOf(codec.Pack(leaf), codec))
-          << "shards=" << shards;
+  for (const Shape shape : {Shape{9, 3}, Shape{13, 32}}) {
+    const LeafCodec codec(shape.depth, shape.arity);
+    for (int shards : {1, 2, 3, 5, 8, 27}) {
+      ShardRouter router(shape.depth, shape.arity, shards);
+      for (int i = 0; i < 200; ++i) {
+        LeafPath leaf = RandomLeafPath(shape.depth, shape.arity, &rng);
+        uint64_t prefix = 0;
+        for (int d = 0; d < router.prefix_depth(); ++d) {
+          prefix = (prefix << codec.bits_per_digit()) |
+                   static_cast<uint64_t>(leaf[static_cast<size_t>(d)]);
+        }
+        EXPECT_EQ(
+            static_cast<uint64_t>(router.ShardOf(codec.Pack(leaf), codec)),
+            prefix % static_cast<uint64_t>(shards))
+            << "shards=" << shards << " depth=" << shape.depth;
+      }
     }
   }
 }
@@ -64,7 +84,7 @@ TEST(ShardRouterTest, RoutingDependsOnlyOnThePrefix) {
       b[static_cast<size_t>(d)] = static_cast<char16_t>(
           rng.UniformInt(0, arity - 1));
     }
-    EXPECT_EQ(router.ShardOf(a), router.ShardOf(b));
+    EXPECT_EQ(ShardOf(router, a), ShardOf(router, b));
   }
 }
 
@@ -79,7 +99,7 @@ TEST(ShardRouterTest, CrossShardLeavesDifferInsideThePrefix) {
     for (int i = 0; i < 300; ++i) {
       LeafPath a = RandomLeafPath(depth, arity, &rng);
       LeafPath b = RandomLeafPath(depth, arity, &rng);
-      if (router.ShardOf(a) == router.ShardOf(b)) continue;
+      if (ShardOf(router, a) == ShardOf(router, b)) continue;
       EXPECT_GT(LcaLevel(a, b), router.cutoff_level());
     }
   }
@@ -92,7 +112,7 @@ TEST(ShardRouterTest, AllShardsAreReachable) {
     std::set<int> seen;
     Rng rng(17);
     for (int i = 0; i < 4000 && static_cast<int>(seen.size()) < shards; ++i) {
-      int shard = router.ShardOf(RandomLeafPath(depth, arity, &rng));
+      int shard = ShardOf(router, RandomLeafPath(depth, arity, &rng));
       ASSERT_GE(shard, 0);
       ASSERT_LT(shard, shards);
       seen.insert(shard);

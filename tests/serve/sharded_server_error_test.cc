@@ -25,9 +25,9 @@ std::shared_ptr<const CompleteHst> BuildTree(uint64_t seed = 3) {
   return std::make_shared<const CompleteHst>(std::move(tree).MoveValueUnsafe());
 }
 
-LeafPath SomeLeaf(const CompleteHst& tree, uint64_t seed) {
+LeafCode SomeLeaf(const CompleteHst& tree, uint64_t seed) {
   Rng rng(seed);
-  return RandomLeafPath(tree.depth(), tree.arity(), &rng);
+  return tree.codec()->Pack(RandomLeafPath(tree.depth(), tree.arity(), &rng));
 }
 
 TEST(ShardedServerErrorTest, UnregisterUnknownIsPreciseNotFound) {
@@ -229,16 +229,6 @@ TEST(ShardedServerErrorTest, RestoreStateValidatesItsInput) {
               StatusCode::kFailedPrecondition);
   }
 
-  // Packed-mode mismatch (checkpoint from a different tree build).
-  {
-    auto target = ShardedTbfServer::Create(tree, options);
-    ASSERT_TRUE(target.ok());
-    ShardedServerState flipped = good;
-    flipped.packed = !flipped.packed;
-    EXPECT_EQ((*target)->RestoreState(flipped).code(),
-              StatusCode::kInvalidArgument);
-  }
-
   // Ledger presence mismatch (different budget options).
   {
     ShardedServerOptions budgeted = options;
@@ -274,12 +264,11 @@ TEST(ShardedServerErrorTest, RestoreStateValidatesItsInput) {
   // worker twice, hand a live worker's index id out again, or file a
   // worker under a shard its leaf does not route to. Each is refused
   // before anything changes: the same engine then restores the good state.
-  ASSERT_TRUE(good.packed);
   // With a non-power-of-two arity the all-ones digit field is no digit.
   const int bits = tree->codec()->bits_per_digit();
   const LeafCode field = (LeafCode{1} << bits) - 1;
   ASSERT_GT(static_cast<int>(field), tree->arity() - 1);
-  const int top_shift = 64 - bits;
+  const int top_shift = kLeafCodeBits - bits;
   const auto expect_refused = [&](const ShardedServerState& corrupt,
                                   const std::string& why) {
     auto target = ShardedTbfServer::Create(tree, options);

@@ -16,6 +16,12 @@
 namespace tbf {
 namespace {
 
+// The engine speaks packed codes; the cases below build digit paths (the
+// reference model's language) and pack them at the call.
+LeafCode Code(const CompleteHst& tree, const LeafPath& leaf) {
+  return tree.codec()->Pack(leaf);
+}
+
 std::shared_ptr<const CompleteHst> BuildTree(uint64_t seed = 3) {
   EuclideanMetric metric;
   Rng rng(seed);
@@ -112,7 +118,7 @@ void RunGoldenChurn(int num_shards, HstTieBreak tie_break,
       std::string id = "w" + std::to_string(next_worker++);
       LeafPath leaf = leaves.Next();
       Status a = model.RegisterWorker(id, leaf, eps);
-      Status b = (*sharded)->RegisterWorker(id, leaf, eps);
+      Status b = (*sharded)->RegisterWorker(id, Code(*tree, leaf), eps);
       ASSERT_EQ(a.code(), b.code()) << "step " << step;
       if (a.ok()) known_workers.push_back(id);
     } else if (op < 5 && !known_workers.empty()) {  // relocation
@@ -120,7 +126,7 @@ void RunGoldenChurn(int num_shards, HstTieBreak tie_break,
           script.UniformInt(0, static_cast<int64_t>(known_workers.size()) - 1))];
       LeafPath leaf = leaves.Next();
       Status a = model.RegisterWorker(id, leaf, eps);
-      Status b = (*sharded)->RegisterWorker(id, leaf, eps);
+      Status b = (*sharded)->RegisterWorker(id, Code(*tree, leaf), eps);
       ASSERT_EQ(a.code(), b.code()) << "step " << step;
     } else if (op < 6 && !known_workers.empty()) {  // departure
       const std::string& id = known_workers[static_cast<size_t>(
@@ -132,7 +138,7 @@ void RunGoldenChurn(int num_shards, HstTieBreak tie_break,
       std::string id = "t" + std::to_string(step);
       LeafPath leaf = leaves.Next();
       auto a = model.SubmitTask(id, leaf, eps);
-      auto b = (*sharded)->SubmitTask(id, leaf, eps);
+      auto b = (*sharded)->SubmitTask(id, Code(*tree, leaf), eps);
       ASSERT_EQ(a.status().code(), b.status().code()) << "step " << step;
       if (a.ok()) {
         ASSERT_EQ(a->worker, b->worker) << "step " << step;
@@ -177,12 +183,9 @@ TEST(ShardedServerTest, GoldenEquivalenceManyShardsWithBudgets) {
 
 TEST(ShardedServerTest, CodeEntryPointIsGoldenEquivalentAcrossShards) {
   // Same churn script, the model fed LeafPaths and the engine fed packed
-  // LeafCodes: the entry representation must not change one assignment
-  // (the path API packs at the boundary, so both engine entry points run
-  // the identical code-native core — this pins that equivalence down).
+  // LeafCodes: the representation must not change one assignment.
   auto tree = BuildTree();
   const LeafCodec* codec = tree->codec();
-  ASSERT_NE(codec, nullptr);
   for (int shards : {1, 2, 3, 4, 8}) {
     SCOPED_TRACE("num_shards=" + std::to_string(shards));
     ReferenceServer model(tree);
@@ -236,7 +239,7 @@ TEST(ShardedServerTest, CrossShardResolutionFindsTheGlobalNearest) {
     // Keep the whole pool out of subtree 0.
     if (leaf[0] == 0) leaf[0] = 1;
     std::string id = "w" + std::to_string(w);
-    ASSERT_TRUE((*server)->RegisterWorker(id, leaf).ok());
+    ASSERT_TRUE((*server)->RegisterWorker(id, Code(*tree, leaf)).ok());
     ASSERT_TRUE(model.RegisterWorker(id, leaf).ok());
   }
   EXPECT_EQ((*server)->shard_size(0), 0u);
@@ -245,7 +248,7 @@ TEST(ShardedServerTest, CrossShardResolutionFindsTheGlobalNearest) {
     leaf[0] = 0;  // home shard 0 is empty: always the slow path
     std::string id = "t" + std::to_string(t);
     auto a = model.SubmitTask(id, leaf);
-    auto b = (*server)->SubmitTask(id, leaf);
+    auto b = (*server)->SubmitTask(id, Code(*tree, leaf));
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ASSERT_EQ(a->worker, b->worker) << "task " << t;
@@ -262,8 +265,9 @@ TEST(ShardedServerTest, ShardSizesPartitionThePool) {
   for (int w = 0; w < 120; ++w) {
     ASSERT_TRUE((*server)
                     ->RegisterWorker("w" + std::to_string(w),
-                                     RandomLeafPath(tree->depth(),
-                                                    tree->arity(), &rng))
+                                     Code(*tree, RandomLeafPath(tree->depth(),
+                                                                tree->arity(),
+                                                                &rng)))
                     .ok());
   }
   size_t total = 0;
@@ -279,7 +283,7 @@ TEST(ShardedServerTest, EpochBudgetRollsOverPerUser) {
   options.lifetime_budget = 1.0;
   auto server = ShardedTbfServer::Create(tree, options);
   ASSERT_TRUE(server.ok());
-  const LeafPath leaf = tree->leaf_of_point(0);
+  const LeafCode leaf = tree->leaf_code_of_point(0);
 
   // Epoch 0: two reports of 0.2 fit, the third hits the epoch cap.
   EXPECT_TRUE((*server)->RegisterWorker("w", leaf, 0.2).ok());
@@ -309,13 +313,20 @@ TEST(ShardedServerTest, RejectsInvalidLeaves) {
   options.num_shards = 4;
   auto server = ShardedTbfServer::Create(tree, options);
   ASSERT_TRUE(server.ok());
-  LeafPath short_leaf;
-  short_leaf.push_back(0);
-  EXPECT_FALSE((*server)->RegisterWorker("w", short_leaf).ok());
-  LeafPath bogus(static_cast<size_t>(tree->depth()),
-                 static_cast<char16_t>(tree->arity()));
-  EXPECT_FALSE((*server)->RegisterWorker("w", bogus).ok());
-  EXPECT_FALSE((*server)->SubmitTask("t", bogus).ok());
+  const LeafCodec& codec = *tree->codec();
+  // A code with bits below the last digit names no leaf.
+  const LeafCode stray = tree->leaf_code_of_point(0) | 1;
+  EXPECT_FALSE((*server)->RegisterWorker("w", stray).ok());
+  EXPECT_FALSE((*server)->SubmitTask("t", stray).ok());
+  if ((tree->arity() & (tree->arity() - 1)) != 0) {
+    // Digit fields holding `arity` are out of range.
+    LeafCode bogus = 0;
+    for (int d = 0; d < tree->depth(); ++d) {
+      bogus = codec.WithDigit(bogus, d, tree->arity());
+    }
+    EXPECT_FALSE((*server)->RegisterWorker("w", bogus).ok());
+    EXPECT_FALSE((*server)->SubmitTask("t", bogus).ok());
+  }
   EXPECT_EQ((*server)->available_workers(), 0u);
 }
 
@@ -327,10 +338,13 @@ TEST(ShardedServerTest, RandomTieBreakStillNearest) {
   auto server = ShardedTbfServer::Create(tree, options);
   ASSERT_TRUE(server.ok());
   // Two co-located workers, one far: dispatch must pick a co-located one.
-  ASSERT_TRUE((*server)->RegisterWorker("near1", tree->leaf_of_point(7)).ok());
-  ASSERT_TRUE((*server)->RegisterWorker("near2", tree->leaf_of_point(7)).ok());
-  ASSERT_TRUE((*server)->RegisterWorker("far", tree->leaf_of_point(35)).ok());
-  auto dispatch = (*server)->SubmitTask("t", tree->leaf_of_point(7));
+  ASSERT_TRUE(
+      (*server)->RegisterWorker("near1", tree->leaf_code_of_point(7)).ok());
+  ASSERT_TRUE(
+      (*server)->RegisterWorker("near2", tree->leaf_code_of_point(7)).ok());
+  ASSERT_TRUE(
+      (*server)->RegisterWorker("far", tree->leaf_code_of_point(35)).ok());
+  auto dispatch = (*server)->SubmitTask("t", tree->leaf_code_of_point(7));
   ASSERT_TRUE(dispatch.ok());
   EXPECT_NE(*dispatch->worker, "far");
   EXPECT_DOUBLE_EQ(dispatch->reported_tree_distance, 0.0);
@@ -345,9 +359,11 @@ TEST(ShardedServerTest, RandomTieBreakIsUniformAcrossRuns) {
     options.seed = seed;
     auto server = ShardedTbfServer::Create(tree, options);
     ASSERT_TRUE(server.ok());
-    ASSERT_TRUE((*server)->RegisterWorker("a", tree->leaf_of_point(7)).ok());
-    ASSERT_TRUE((*server)->RegisterWorker("b", tree->leaf_of_point(7)).ok());
-    auto dispatch = (*server)->SubmitTask("t", tree->leaf_of_point(7));
+    ASSERT_TRUE(
+        (*server)->RegisterWorker("a", tree->leaf_code_of_point(7)).ok());
+    ASSERT_TRUE(
+        (*server)->RegisterWorker("b", tree->leaf_code_of_point(7)).ok());
+    auto dispatch = (*server)->SubmitTask("t", tree->leaf_code_of_point(7));
     ASSERT_TRUE(dispatch.ok());
     ++counts[*dispatch->worker];
   }
@@ -361,12 +377,13 @@ TEST(ShardedServerTest, ReportedTreeDistanceMatchesLeaves) {
     options.num_shards = shards;
     auto server = ShardedTbfServer::Create(tree, options);
     ASSERT_TRUE(server.ok());
-    ASSERT_TRUE((*server)->RegisterWorker("w", tree->leaf_of_point(5)).ok());
-    const LeafPath task_leaf = tree->leaf_of_point(30);
-    auto dispatch = (*server)->SubmitTask("t", task_leaf);
+    ASSERT_TRUE(
+        (*server)->RegisterWorker("w", tree->leaf_code_of_point(5)).ok());
+    auto dispatch = (*server)->SubmitTask("t", tree->leaf_code_of_point(30));
     ASSERT_TRUE(dispatch.ok());
     EXPECT_DOUBLE_EQ(dispatch->reported_tree_distance,
-                     tree->TreeDistance(task_leaf, tree->leaf_of_point(5)))
+                     tree->TreeDistance(tree->leaf_of_point(30),
+                                        tree->leaf_of_point(5)))
         << "shards=" << shards;
   }
 }
@@ -380,11 +397,12 @@ TEST(ShardedServerTest, TasksSpendBudgetToo) {
     auto server = ShardedTbfServer::Create(tree, options);
     ASSERT_TRUE(server.ok());
     ASSERT_TRUE(
-        (*server)->RegisterWorker("w", tree->leaf_of_point(0), 0.3).ok());
+        (*server)->RegisterWorker("w", tree->leaf_code_of_point(0), 0.3).ok());
     EXPECT_TRUE(
-        (*server)->SubmitTask("rider", tree->leaf_of_point(0), 0.3).ok());
+        (*server)->SubmitTask("rider", tree->leaf_code_of_point(0), 0.3).ok());
     // Same task id again: budget gone.
-    auto refused = (*server)->SubmitTask("rider", tree->leaf_of_point(0), 0.3);
+    auto refused =
+        (*server)->SubmitTask("rider", tree->leaf_code_of_point(0), 0.3);
     EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition)
         << "shards=" << shards;
   }
@@ -401,25 +419,25 @@ TEST(ShardedServerTest, BatchRegisterAndSubmitMatchSingleCalls) {
     ASSERT_TRUE(batch_server.ok());
     ASSERT_TRUE(single_server.ok());
 
-    std::vector<LeafReport> workers;
+    std::vector<LeafCodeReport> workers;
     for (int w = 0; w < 12; ++w) {
       workers.push_back(
-          {"w" + std::to_string(w), tree->leaf_of_point(w * 3), {}});
+          {"w" + std::to_string(w), tree->leaf_code_of_point(w * 3), {}});
     }
     std::vector<Status> statuses = (*batch_server)->RegisterWorkers(workers);
     ASSERT_EQ(statuses.size(), workers.size());
     for (size_t i = 0; i < workers.size(); ++i) {
       EXPECT_TRUE(statuses[i].ok()) << i;
       EXPECT_TRUE((*single_server)
-                      ->RegisterWorker(workers[i].user_id, workers[i].leaf)
+                      ->RegisterWorker(workers[i].user_id, workers[i].code)
                       .ok());
     }
     EXPECT_EQ((*batch_server)->available_workers(), workers.size());
 
-    std::vector<LeafReport> tasks;
+    std::vector<LeafCodeReport> tasks;
     for (int t = 0; t < 6; ++t) {
       tasks.push_back(
-          {"t" + std::to_string(t), tree->leaf_of_point(t * 5 + 1), {}});
+          {"t" + std::to_string(t), tree->leaf_code_of_point(t * 5 + 1), {}});
     }
     std::vector<BatchDispatchOutcome> outcomes =
         (*batch_server)->SubmitTasks(tasks);
@@ -427,7 +445,7 @@ TEST(ShardedServerTest, BatchRegisterAndSubmitMatchSingleCalls) {
     for (size_t t = 0; t < tasks.size(); ++t) {
       ASSERT_TRUE(outcomes[t].status.ok()) << t;
       auto expected =
-          (*single_server)->SubmitTask(tasks[t].user_id, tasks[t].leaf);
+          (*single_server)->SubmitTask(tasks[t].user_id, tasks[t].code);
       ASSERT_TRUE(expected.ok());
       // Batch submission is the same online process: identical assignment
       // sequence and reported distances.
@@ -440,66 +458,17 @@ TEST(ShardedServerTest, BatchRegisterAndSubmitMatchSingleCalls) {
   }
 }
 
-TEST(ShardedServerTest, CodeBatchSpansMatchPathBatches) {
-  auto tree = BuildTree();
-  const LeafCodec* codec = tree->codec();
-  ASSERT_NE(codec, nullptr);
-  for (int shards : {1, 4}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    ShardedServerOptions options;
-    options.num_shards = shards;
-    auto by_path = ShardedTbfServer::Create(tree, options);
-    auto by_code = ShardedTbfServer::Create(tree, options);
-    ASSERT_TRUE(by_path.ok());
-    ASSERT_TRUE(by_code.ok());
-
-    std::vector<LeafReport> path_workers;
-    std::vector<LeafCodeReport> code_workers;
-    for (int i = 0; i < 12; ++i) {
-      const LeafPath& leaf = tree->leaf_of_point(3 * i);
-      path_workers.push_back({"w" + std::to_string(i), leaf, std::nullopt});
-      code_workers.push_back(
-          {"w" + std::to_string(i), codec->Pack(leaf), std::nullopt});
-    }
-    auto path_statuses = (*by_path)->RegisterWorkers(path_workers);
-    auto code_statuses = (*by_code)->RegisterWorkers(code_workers);
-    ASSERT_EQ(path_statuses.size(), code_statuses.size());
-    for (size_t i = 0; i < path_statuses.size(); ++i) {
-      EXPECT_EQ(path_statuses[i].ok(), code_statuses[i].ok()) << i;
-    }
-
-    std::vector<LeafReport> path_tasks;
-    std::vector<LeafCodeReport> code_tasks;
-    for (int i = 0; i < 8; ++i) {
-      const LeafPath& leaf =
-          tree->leaf_of_point((5 * i + 1) % tree->num_points());
-      path_tasks.push_back({"t" + std::to_string(i), leaf, std::nullopt});
-      code_tasks.push_back(
-          {"t" + std::to_string(i), codec->Pack(leaf), std::nullopt});
-    }
-    auto path_outcomes = (*by_path)->SubmitTasks(path_tasks);
-    auto code_outcomes = (*by_code)->SubmitTasks(code_tasks);
-    ASSERT_EQ(path_outcomes.size(), code_outcomes.size());
-    for (size_t i = 0; i < path_outcomes.size(); ++i) {
-      EXPECT_EQ(path_outcomes[i].result.worker,
-                code_outcomes[i].result.worker)
-          << i;
-    }
-  }
-}
-
 TEST(ShardedServerTest, RejectsMalformedLeafCodes) {
   auto tree = BuildTree();
   const LeafCodec* codec = tree->codec();
-  ASSERT_NE(codec, nullptr);
   ShardedServerOptions options;
   options.num_shards = 4;
   auto server = ShardedTbfServer::Create(tree, options);
   ASSERT_TRUE(server.ok());
-  const LeafCode good = codec->Pack(tree->leaf_of_point(0));
+  const LeafCode good = tree->leaf_code_of_point(0);
   ASSERT_TRUE(ValidateReportedLeafCode(*tree, good).ok());
 
-  const int low = 64 - codec->bits_per_digit() * codec->depth();
+  const int low = codec->low_bits();
   if (low > 0) {
     // Stray bits below the last digit name no leaf: rejected, not aborted.
     EXPECT_FALSE((*server)->RegisterWorker("w", good | 1).ok());
@@ -521,11 +490,11 @@ TEST(ShardedServerTest, BatchRegisterSkipsOnlyFailedItems) {
   auto server = ShardedTbfServer::Create(tree, options);
   ASSERT_TRUE(server.ok());
 
-  std::vector<LeafReport> batch;
-  batch.push_back({"a", tree->leaf_of_point(0), 0.5});
-  batch.push_back({"b", tree->leaf_of_point(1), std::nullopt});  // no epsilon
-  batch.push_back({"c", LeafPath({0}), 0.5});                    // bad depth
-  batch.push_back({"d", tree->leaf_of_point(2), 0.5});
+  std::vector<LeafCodeReport> batch;
+  batch.push_back({"a", tree->leaf_code_of_point(0), 0.5});
+  batch.push_back({"b", tree->leaf_code_of_point(1), std::nullopt});  // no eps
+  batch.push_back({"c", tree->leaf_code_of_point(2) | 1, 0.5});  // stray bits
+  batch.push_back({"d", tree->leaf_code_of_point(2), 0.5});
   std::vector<Status> statuses = (*server)->RegisterWorkers(batch);
   ASSERT_EQ(statuses.size(), 4u);
   EXPECT_TRUE(statuses[0].ok());
@@ -573,14 +542,18 @@ TEST(ShardedServerTest, ConcurrentChurnKeepsInvariants) {
       const std::string prefix = "p" + std::to_string(thread_index) + "-";
       auto register_worker = [&](int w) {
         std::string id = prefix + "w" + std::to_string(w);
-        if (!engine->RegisterWorker(id, RandomLeafPath(depth, arity, &rng))
+        if (!engine
+                 ->RegisterWorker(
+                     id, Code(*tree, RandomLeafPath(depth, arity, &rng)))
                  .ok()) {
           ++failures;
         }
         // Every 10th worker is registered twice, the second time a
         // relocation.
         if (w % 10 == 0 &&
-            !engine->RegisterWorker(id, RandomLeafPath(depth, arity, &rng))
+            !engine
+                 ->RegisterWorker(
+                     id, Code(*tree, RandomLeafPath(depth, arity, &rng)))
                  .ok()) {
           ++failures;
         }
@@ -594,7 +567,8 @@ TEST(ShardedServerTest, ConcurrentChurnKeepsInvariants) {
       // Mixed wave: submissions racing departures.
       for (int t = 0; t < kTasksPerThread; ++t) {
         std::string id = prefix + "t" + std::to_string(t);
-        auto result = engine->SubmitTask(id, RandomLeafPath(depth, arity, &rng));
+        auto result = engine->SubmitTask(
+            id, Code(*tree, RandomLeafPath(depth, arity, &rng)));
         if (!result.ok()) {
           ++failures;
         } else if (result->worker) {

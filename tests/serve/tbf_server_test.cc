@@ -1,7 +1,7 @@
 // TbfServerTest: the single-server contract of the online engine
 // (ShardedTbfServer at its default K = 1) — lifecycle, id recycling,
-// relocation, leaf validation, budget enforcement and the code entry
-// point — checked call by call on small hand-written scripts. The
+// relocation, leaf-code validation and budget enforcement — checked call
+// by call on small hand-written scripts. The
 // reference-model golden tests in sharded_server_test.cc cover the same
 // semantics on long random churn and across shard counts.
 
@@ -39,12 +39,12 @@ TEST(TbfServerTest, RegisterSubmitLifecycle) {
   auto created = ShardedTbfServer::Create(tree);
   ASSERT_TRUE(created.ok());
   ShardedTbfServer& server = **created;
-  ASSERT_TRUE(server.RegisterWorker("w1", tree->leaf_of_point(0)).ok());
-  ASSERT_TRUE(server.RegisterWorker("w2", tree->leaf_of_point(20)).ok());
+  ASSERT_TRUE(server.RegisterWorker("w1", tree->leaf_code_of_point(0)).ok());
+  ASSERT_TRUE(server.RegisterWorker("w2", tree->leaf_code_of_point(20)).ok());
   EXPECT_EQ(server.available_workers(), 2u);
   EXPECT_TRUE(server.IsRegistered("w1"));
 
-  auto dispatch = server.SubmitTask("t1", tree->leaf_of_point(1));
+  auto dispatch = server.SubmitTask("t1", tree->leaf_code_of_point(1));
   ASSERT_TRUE(dispatch.ok());
   ASSERT_TRUE(dispatch->worker.has_value());
   EXPECT_EQ(*dispatch->worker, "w1");  // nearest on the tree
@@ -52,12 +52,12 @@ TEST(TbfServerTest, RegisterSubmitLifecycle) {
   EXPECT_EQ(server.assigned_tasks(), 1u);
   EXPECT_FALSE(server.IsRegistered("w1"));  // consumed
 
-  auto second = server.SubmitTask("t2", tree->leaf_of_point(1));
+  auto second = server.SubmitTask("t2", tree->leaf_code_of_point(1));
   ASSERT_TRUE(second.ok());
   ASSERT_TRUE(second->worker.has_value());
   EXPECT_EQ(*second->worker, "w2");
 
-  auto drained = server.SubmitTask("t3", tree->leaf_of_point(1));
+  auto drained = server.SubmitTask("t3", tree->leaf_code_of_point(1));
   ASSERT_TRUE(drained.ok());
   EXPECT_FALSE(drained->worker.has_value());
   EXPECT_EQ(server.assigned_tasks(), 2u);
@@ -69,10 +69,11 @@ TEST(TbfServerTest, IndexIdsAreRecycledAcrossAssignmentChurn) {
   ASSERT_TRUE(created.ok());
   ShardedTbfServer& server = **created;
   for (int round = 0; round < 50; ++round) {
-    ASSERT_TRUE(server.RegisterWorker("a", tree->leaf_of_point(0)).ok());
-    ASSERT_TRUE(server.RegisterWorker("b", tree->leaf_of_point(20)).ok());
+    ASSERT_TRUE(server.RegisterWorker("a", tree->leaf_code_of_point(0)).ok());
+    ASSERT_TRUE(server.RegisterWorker("b", tree->leaf_code_of_point(20)).ok());
     auto dispatch =
-        server.SubmitTask("t" + std::to_string(round), tree->leaf_of_point(1));
+        server.SubmitTask("t" + std::to_string(round),
+                          tree->leaf_code_of_point(1));
     ASSERT_TRUE(dispatch.ok());
     ASSERT_TRUE(dispatch->worker.has_value());
     ASSERT_TRUE(
@@ -89,11 +90,11 @@ TEST(TbfServerTest, RelocationMovesReport) {
   auto created = ShardedTbfServer::Create(tree);
   ASSERT_TRUE(created.ok());
   ShardedTbfServer& server = **created;
-  ASSERT_TRUE(server.RegisterWorker("w", tree->leaf_of_point(0)).ok());
+  ASSERT_TRUE(server.RegisterWorker("w", tree->leaf_code_of_point(0)).ok());
   // Relocate to the far corner.
-  ASSERT_TRUE(server.RegisterWorker("w", tree->leaf_of_point(35)).ok());
+  ASSERT_TRUE(server.RegisterWorker("w", tree->leaf_code_of_point(35)).ok());
   EXPECT_EQ(server.available_workers(), 1u);
-  auto dispatch = server.SubmitTask("t", tree->leaf_of_point(35));
+  auto dispatch = server.SubmitTask("t", tree->leaf_code_of_point(35));
   ASSERT_TRUE(dispatch.ok());
   ASSERT_TRUE(dispatch->worker.has_value());
   EXPECT_EQ(*dispatch->worker, "w");
@@ -105,7 +106,7 @@ TEST(TbfServerTest, UnregisterRemoves) {
   auto created = ShardedTbfServer::Create(tree);
   ASSERT_TRUE(created.ok());
   ShardedTbfServer& server = **created;
-  ASSERT_TRUE(server.RegisterWorker("w", tree->leaf_of_point(0)).ok());
+  ASSERT_TRUE(server.RegisterWorker("w", tree->leaf_code_of_point(0)).ok());
   ASSERT_TRUE(server.UnregisterWorker("w").ok());
   EXPECT_EQ(server.available_workers(), 0u);
   EXPECT_FALSE(server.IsRegistered("w"));
@@ -117,8 +118,9 @@ TEST(TbfServerTest, RejectsWrongDepthLeaves) {
   auto created = ShardedTbfServer::Create(tree);
   ASSERT_TRUE(created.ok());
   ShardedTbfServer& server = **created;
-  LeafPath bad;
-  bad.push_back(0);
+  // A set bit below the last digit names a leaf deeper than the tree.
+  const int low = tree->codec()->low_bits();
+  const LeafCode bad = tree->leaf_code_of_point(0) | (LeafCode{1} << (low - 1));
   EXPECT_FALSE(server.RegisterWorker("w", bad).ok());
   EXPECT_FALSE(server.SubmitTask("t", bad).ok());
   EXPECT_EQ(server.available_workers(), 0u);
@@ -131,11 +133,15 @@ TEST(TbfServerTest, RejectsOutOfRangeDigits) {
   auto created = ShardedTbfServer::Create(tree);
   ASSERT_TRUE(created.ok());
   ShardedTbfServer& server = **created;
-  LeafPath bogus(static_cast<size_t>(tree->depth()),
-                 static_cast<char16_t>(tree->arity()));
+  ASSERT_NE(tree->arity() & (tree->arity() - 1), 0)
+      << "every field of a power-of-two arity is a valid digit";
+  LeafCode bogus = 0;
+  for (int d = 0; d < tree->depth(); ++d) {
+    bogus = tree->codec()->WithDigit(bogus, d, tree->arity());
+  }
   EXPECT_FALSE(server.RegisterWorker("evil", bogus).ok());
   EXPECT_FALSE(server.IsRegistered("evil"));
-  ASSERT_TRUE(server.RegisterWorker("w", tree->leaf_of_point(0)).ok());
+  ASSERT_TRUE(server.RegisterWorker("w", tree->leaf_code_of_point(0)).ok());
   auto dispatch = server.SubmitTask("t", bogus);
   EXPECT_FALSE(dispatch.ok());
   EXPECT_EQ(server.available_workers(), 1u);  // pool untouched
@@ -151,16 +157,18 @@ TEST(TbfServerTest, BudgetEnforcement) {
   ASSERT_NE(server.ledger(), nullptr);
 
   // Must declare epsilon under enforcement.
-  EXPECT_EQ(server.RegisterWorker("w", tree->leaf_of_point(0)).code(),
+  EXPECT_EQ(server.RegisterWorker("w", tree->leaf_code_of_point(0)).code(),
             StatusCode::kInvalidArgument);
   // Two reports of 0.2 fit; a third exceeds 0.5.
-  EXPECT_TRUE(server.RegisterWorker("w", tree->leaf_of_point(0), 0.2).ok());
-  EXPECT_TRUE(server.RegisterWorker("w", tree->leaf_of_point(1), 0.2).ok());
-  Status third = server.RegisterWorker("w", tree->leaf_of_point(2), 0.2);
+  EXPECT_TRUE(
+      server.RegisterWorker("w", tree->leaf_code_of_point(0), 0.2).ok());
+  EXPECT_TRUE(
+      server.RegisterWorker("w", tree->leaf_code_of_point(1), 0.2).ok());
+  Status third = server.RegisterWorker("w", tree->leaf_code_of_point(2), 0.2);
   EXPECT_EQ(third.code(), StatusCode::kFailedPrecondition);
   // The refused relocation left the previous registration intact.
   EXPECT_EQ(server.available_workers(), 1u);
-  auto dispatch = server.SubmitTask("t", tree->leaf_of_point(1), 0.2);
+  auto dispatch = server.SubmitTask("t", tree->leaf_code_of_point(1), 0.2);
   ASSERT_TRUE(dispatch.ok());
   ASSERT_TRUE(dispatch->worker.has_value());
   EXPECT_EQ(*dispatch->worker, "w");
@@ -181,7 +189,8 @@ TEST(TbfServerTest, EndToEndWithMechanism) {
   Rng rng(21);
   for (int w = 0; w < 20; ++w) {
     Point loc{rng.Uniform(0, 100), rng.Uniform(0, 100)};
-    LeafPath reported = mechanism.Obfuscate(tree->MapToNearestLeaf(loc), &rng);
+    const LeafCode reported =
+        mechanism.ObfuscateCodeWalk(tree->MapToNearestLeafCode(loc), &rng);
     std::string id = "w";
     id += std::to_string(w);
     ASSERT_TRUE(server.RegisterWorker(id, reported).ok());
@@ -189,7 +198,8 @@ TEST(TbfServerTest, EndToEndWithMechanism) {
   size_t assigned = 0;
   for (int t = 0; t < 10; ++t) {
     Point loc{rng.Uniform(0, 100), rng.Uniform(0, 100)};
-    LeafPath reported = mechanism.Obfuscate(tree->MapToNearestLeaf(loc), &rng);
+    const LeafCode reported =
+        mechanism.ObfuscateCodeWalk(tree->MapToNearestLeafCode(loc), &rng);
     std::string id = "t";
     id += std::to_string(t);
     auto dispatch = server.SubmitTask(id, reported);
@@ -198,45 +208,6 @@ TEST(TbfServerTest, EndToEndWithMechanism) {
   }
   EXPECT_EQ(assigned, 10u);
   EXPECT_EQ(server.available_workers(), 10u);
-}
-
-TEST(TbfServerTest, CodeApiMatchesPathApiThroughChurn) {
-  // Two identically-seeded servers, one driven by LeafPaths, one by packed
-  // LeafCodes: every registration, assignment and distance must agree (the
-  // path API packs internally, so both run the same code-native engine).
-  auto tree = BuildTree();
-  const LeafCodec* codec = tree->codec();
-  ASSERT_NE(codec, nullptr);
-  auto path_created = ShardedTbfServer::Create(tree);
-  auto code_created = ShardedTbfServer::Create(tree);
-  ASSERT_TRUE(path_created.ok());
-  ASSERT_TRUE(code_created.ok());
-  ShardedTbfServer& by_path = **path_created;
-  ShardedTbfServer& by_code = **code_created;
-
-  Rng rng(31);
-  const int points = tree->num_points();
-  for (int round = 0; round < 200; ++round) {
-    const int op = static_cast<int>(rng.UniformInt(0, 2));
-    const LeafPath& leaf = tree->leaf_of_point(
-        static_cast<int>(rng.UniformInt(0, points - 1)));
-    const std::string id = "u" + std::to_string(rng.UniformInt(0, 20));
-    if (op == 0) {
-      EXPECT_EQ(by_path.RegisterWorker(id, leaf).ok(),
-                by_code.RegisterWorker(id, codec->Pack(leaf)).ok());
-    } else if (op == 1) {
-      auto a = by_path.SubmitTask(id, leaf);
-      auto b = by_code.SubmitTask(id, codec->Pack(leaf));
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      EXPECT_EQ(a->worker, b->worker) << "round " << round;
-      EXPECT_DOUBLE_EQ(a->reported_tree_distance, b->reported_tree_distance);
-    } else {
-      EXPECT_EQ(by_path.UnregisterWorker(id).ok(),
-                by_code.UnregisterWorker(id).ok());
-    }
-    EXPECT_EQ(by_path.available_workers(), by_code.available_workers());
-  }
 }
 
 }  // namespace

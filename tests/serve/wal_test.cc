@@ -89,23 +89,24 @@ TEST(WalRecordCodec, RoundTripsEveryKind) {
 
   records.push_back(ArrivalRecord(4, "w-1"));
 
-  WalRecord path_arrival;
-  path_arrival.kind = WalRecordKind::kWorkerArrival;
-  path_arrival.event_index = 6;
-  path_arrival.id = "w-2";
-  path_arrival.packed = false;
-  path_arrival.digits = LeafPath{0, 3, 1, 2};
-  path_arrival.outcome.status_code =
+  // A code using both words (a shape past 64 bits) round-trips whole.
+  WalRecord wide_arrival;
+  wide_arrival.kind = WalRecordKind::kWorkerArrival;
+  wide_arrival.event_index = 6;
+  wide_arrival.id = "w-2";
+  wide_arrival.packed = true;
+  wide_arrival.code =
+      (LeafCode{0xFEDCBA9876543210ull} << 64) | 0x8000000000000000ull;
+  wide_arrival.outcome.status_code =
       static_cast<int32_t>(StatusCode::kResourceExhausted);
-  path_arrival.outcome.message = "shed";
-  records.push_back(path_arrival);
+  wide_arrival.outcome.message = "shed";
+  records.push_back(wide_arrival);
 
   WalRecord task;
   task.kind = WalRecordKind::kTaskArrival;
   task.event_index = 8;
   task.id = "t-1";
-  task.packed = true;
-  task.code = 42;
+  task.code = 42;  // `packed` left at its default
   task.has_epsilon = true;
   task.declared_epsilon = 0.25;
   task.task_slot = 3;
@@ -166,8 +167,7 @@ TEST(WalRecordCodec, RoundTripsEveryKind) {
     EXPECT_EQ(decoded->event_index, rec.event_index);
     EXPECT_EQ(decoded->id, rec.id);
     EXPECT_EQ(decoded->packed, rec.packed);
-    EXPECT_EQ(decoded->code, rec.packed ? rec.code : 0u);
-    EXPECT_EQ(decoded->digits, rec.packed ? LeafPath{} : rec.digits);
+    EXPECT_TRUE(decoded->code == rec.code);
     EXPECT_EQ(decoded->has_epsilon, rec.has_epsilon);
     EXPECT_EQ(decoded->declared_epsilon,
               rec.has_epsilon ? rec.declared_epsilon : 0.0);
@@ -199,6 +199,21 @@ TEST(WalRecordCodec, RoundTripsEveryKind) {
       EXPECT_EQ(decoded->outcome.worker, rec.outcome.worker);
       EXPECT_EQ(decoded->outcome.tree_distance, rec.outcome.tree_distance);
     }
+  }
+}
+
+// The encoder writes the report of every arrival and task record, so a
+// caller that clears `packed` still journals a recoverable record.
+TEST(WalRecordCodec, ArrivalAndTaskRecordsAlwaysCarryTheirReport) {
+  for (const WalRecordKind kind :
+       {WalRecordKind::kWorkerArrival, WalRecordKind::kTaskArrival}) {
+    WalRecord rec = ArrivalRecord(1, "w");
+    rec.kind = kind;
+    rec.packed = false;
+    Result<WalRecord> decoded = DecodeWalRecord(EncodeWalRecord(rec));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_TRUE(decoded->packed);
+    EXPECT_TRUE(decoded->code == rec.code);
   }
 }
 
@@ -239,14 +254,39 @@ TEST(WalRecordCodec, RejectsPreciseCorruptions) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("worker flag"), std::string::npos);
 
-  // Unsupported segment-header format version.
-  WalRecord header;
-  header.kind = WalRecordKind::kSegmentHeader;
-  header.identity = TestIdentity();
-  header.format_version = 2;
-  r = DecodeWalRecord(EncodeWalRecord(header));
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("format version"), std::string::npos);
+  // An arrival or task record must carry its report. The encoder always
+  // writes it, so clear the flag in the bytes: kind u8, lsn u64,
+  // event_index u64, id (u32 length + bytes), then the flags byte.
+  for (const WalRecordKind kind :
+       {WalRecordKind::kWorkerArrival, WalRecordKind::kTaskArrival}) {
+    WalRecord no_report = ArrivalRecord(1, "w");
+    no_report.kind = kind;
+    std::string bytes = EncodeWalRecord(no_report);
+    const size_t flags_at = 1 + 8 + 8 + 4 + no_report.id.size();
+    ASSERT_EQ(bytes[flags_at] & 1, 1);
+    bytes[flags_at] = static_cast<char>(bytes[flags_at] & ~1);
+    r = DecodeWalRecord(bytes);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().message().find("without its report"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+
+  // Unsupported segment-header format versions, the previous one (whose
+  // records could carry a digit path instead of a code) included.
+  for (const uint32_t version : {1u, 3u}) {
+    WalRecord header;
+    header.kind = WalRecordKind::kSegmentHeader;
+    header.identity = TestIdentity();
+    header.format_version = version;
+    r = DecodeWalRecord(EncodeWalRecord(header));
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().message().find("unsupported format version " +
+                                        std::to_string(version) +
+                                        " (this build reads v2)"),
+              std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -608,8 +648,8 @@ TEST(WalFuzzTest, MutatedAndTruncatedPayloadsNeverCrash) {
     task.kind = WalRecordKind::kTaskArrival;
     task.event_index = 5;
     task.id = "task-1";
-    task.packed = false;
-    task.digits = LeafPath{1, 0, 2, 3, 1};
+    task.packed = true;
+    task.code = LeafCode{0x1234} << 100;
     task.task_slot = 2;
     task.outcome.has_worker = true;
     task.outcome.worker = "worker-xyz";

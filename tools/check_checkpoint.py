@@ -6,12 +6,13 @@ leaves behind, as an independent (non-C++) check that what the writer
 fsync'd to disk is a complete, CRC-clean, schema-valid snapshot, and
 against corrupted copies that must be refused.
 
-Format v4 (docs/ROBUSTNESS.md): the journal's frames (tools/tbf_frames.py)
+Format v5 (docs/ROBUSTNESS.md): the journal's frames (tools/tbf_frames.py)
     <len:u32 LE> <crc32:u32 LE> <payload: len bytes>
     payload = <kind:u8> <kind-specific fields, LE>
     file    = header record* end
-The header carries the magic "TBF-CKPT" and version 4; the end record
-counts the records before it.
+The header carries the magic "TBF-CKPT" and version 5; the end record
+counts the records before it. A worker row's report is its 128-bit leaf
+code (16 bytes), the only leaf encoding; v4 and older are refused.
 
 Exit status: 0 when every file validates, 1 otherwise (--expect-fail
 inverts it).
@@ -27,7 +28,7 @@ import sys
 from tbf_frames import FrameError, Reader, fail, file_checker_main, iter_frames
 
 MAGIC = b"TBF-CKPT"
-VERSION = 4
+VERSION = 5
 TEXT_MAGIC = b"TBFCKPT1 "  # the retired v1-v3 text format
 HIST_BUCKETS = 64  # obs::Histogram::kBuckets
 MAX_STATUS_CODE = 10  # StatusCode::kAborted
@@ -42,11 +43,11 @@ SCHEMA = [
     ("epoch", ["i64"] + [U64] * 6 + ["f64"] * 3 + [U64] * 4),
     ("task", ["str", "status", "optstr", "f64"]),
     ("quarantine", [U64, "str", "str"]),
-    ("server", ["flag", U64, U64]),
+    ("server", [U64, U64]),
     ("rng", ["str"]),
     ("slot", ["str"]),
     ("free", ["u32"]),
-    ("worker", ["str", U64, "str", "u32", "u32"]),
+    ("worker", ["str", "u128", "u32", "u32"]),
     ("ledger", ["i64", "f64", U64, U64, U64]),
     ("spend", ["flag", "str", "f64"]),  # scope: 0 epoch, 1 lifetime
     ("counter", ["str", "f64"]),
@@ -72,8 +73,8 @@ def read_field(r, kind):
         return code, r.string()
     if kind == "optstr":
         return r.string() if read_field(r, "flag") else None
-    return {"u32": r.u32, "u64": r.u64, "i64": r.i64, "f64": r.f64,
-            "str": r.string}[kind]()
+    return {"u32": r.u32, "u64": r.u64, "u128": r.u128, "i64": r.i64,
+            "f64": r.f64, "str": r.string}[kind]()
 
 
 def decode_record(payload, records, seen):
@@ -123,7 +124,7 @@ def check_file(path):
     except OSError as e:
         return fail(path, "unreadable: %s" % e)
     if blob.startswith(TEXT_MAGIC):
-        return fail(path, "text-format (v1-v3) checkpoint; v4 is binary")
+        return fail(path, "text-format (v1-v3) checkpoint; v5 is binary")
 
     seen = set()
     records = 0

@@ -6,15 +6,15 @@ chaos jobs, as an independent (non-C++) check that what the writer
 fsync'd to disk is a complete, CRC-clean, schema-valid tree, and against
 corrupted copies that must be refused.
 
-Format v2 (docs/ROBUSTNESS.md): the journal's frames (tools/tbf_frames.py)
+Format v3 (docs/ROBUSTNESS.md): the journal's frames (tools/tbf_frames.py)
     <len:u32 LE> <crc32:u32 LE> <payload: len bytes>
     payload = <kind:u8> <kind-specific fields, LE>
     file    = header points+ leaves+ end
-The header carries the magic "TBF-SNAP", version 2, flags (bit 0: leaves
-as packed u64 codes), depth, arity, scale and num_points. Point records
-hold whole (f64 x, f64 y) rows; leaf records whole u64 codes (flags bit 0
-set) or depth x u16 digit rows (clear); each table's rows total
-num_points. The end record counts the records before it.
+The header carries the magic "TBF-SNAP", version 3, depth, arity, scale
+and num_points; the shape must fit 128-bit leaf codes. Point records hold
+whole (f64 x, f64 y) rows; leaf records whole 16-byte leaf codes (low
+u64, then high u64); each table's rows total num_points. The end record
+counts the records before it. v2 and older are refused.
 
 Exit status: 0 when every file validates, 1 otherwise (--expect-fail
 inverts it).
@@ -32,8 +32,9 @@ import sys
 from tbf_frames import FrameError, Reader, fail, file_checker_main, iter_frames
 
 MAGIC = b"TBF-SNAP"
-VERSION = 2
-FLAG_PACKED = 1 << 0
+VERSION = 3
+CODE_BITS = 128  # kLeafCodeBits
+LEAF_BYTES = 16
 HEADER, POINTS, LEAVES, END = range(4)
 NAMES = ["header", "points", "leaves", "end"]
 
@@ -45,7 +46,7 @@ def bits_per_digit(arity):
 
 def shape_fits(depth, arity):
     """Mirror of LeafCodec::Fits."""
-    return depth >= 1 and arity >= 2 and depth * bits_per_digit(arity) <= 64
+    return depth >= 1 and arity >= 2 and depth * bits_per_digit(arity) <= CODE_BITS
 
 
 class Snapshot:
@@ -94,7 +95,7 @@ class Snapshot:
                 )
             self.ended = True
         else:
-            row = 16 if kind == POINTS else self.leaf_bytes
+            row = 16 if kind == POINTS else LEAF_BYTES
             if len(body) % row:
                 raise ValueError(
                     "%d trailing bytes after %d whole %d-byte rows"
@@ -111,30 +112,24 @@ class Snapshot:
             raise ValueError(
                 "unsupported version %d (this tool reads v%d)" % (version, VERSION)
             )
-        flags, depth, arity = r.u32(), r.i32(), r.i32()
+        depth, arity = r.i32(), r.i32()
         scale, self.num_points = r.f64(), r.u64()
         if not r.at_end():
             raise ValueError("trailing bytes after a complete record")
-        if flags & ~FLAG_PACKED:
-            raise ValueError("unknown flag bits 0x%x" % (flags & ~FLAG_PACKED))
         if depth < 1:
             raise ValueError("depth %d must be >= 1" % depth)
         if not 2 <= arity <= 0xFFFF:
             raise ValueError("arity %d out of range [2, 65535]" % arity)
         if not math.isfinite(scale) or scale <= 0.0:
             raise ValueError("scale must be positive and finite, got %r" % scale)
-        self.packed, fits = bool(flags & FLAG_PACKED), shape_fits(depth, arity)
-        if self.packed != fits:
+        if not shape_fits(depth, arity):
             raise ValueError(
-                "leaf encoding does not match the tree shape: packed flag %s "
-                "but depth %d x arity %d %s 64-bit codes"
-                % ("set" if self.packed else "clear", depth, arity,
-                   "fits" if fits else "does not fit")
+                "depth %d x arity %d does not fit %d-bit leaf codes"
+                % (depth, arity, CODE_BITS)
             )
         if self.num_points == 0:
             raise ValueError("empty point set")
         self.depth, self.arity = depth, arity
-        self.leaf_bytes = 8 if self.packed else 2 * depth
 
     def rows(self, kind, fmt):
         return [r for body in self.tables[kind] for r in struct.iter_unpack(fmt, body)]
@@ -148,7 +143,7 @@ class Snapshot:
                 % self.records
             )
         points = self.rows(POINTS, "<dd")
-        leaves = self.rows(LEAVES, "<Q" if self.packed else "<%dH" % self.depth)
+        leaves = [(hi << 64) | lo for lo, hi in self.rows(LEAVES, "<QQ")]
         for rows, table in ((points, "point"), (leaves, "leaf")):
             if len(rows) != self.num_points:
                 raise ValueError(
@@ -159,16 +154,14 @@ class Snapshot:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError("point %d: non-finite coordinate" % i)
         bits = bits_per_digit(self.arity)
-        # Packed digits sit root-first from the top bit down (LeafCodec);
+        # Digits sit root-first from the top bit down (LeafCodec);
         # everything below the last digit must be zero.
-        shifts = [64 - bits * (level + 1) for level in range(self.depth)]
+        shifts = [CODE_BITS - bits * (level + 1) for level in range(self.depth)]
         seen = set()
         for i, row in enumerate(leaves):
-            digits = row
-            if self.packed:
-                if row[0] & ((1 << shifts[-1]) - 1):
-                    raise ValueError("leaf %d: code has bits outside the shape" % i)
-                digits = [(row[0] >> s) & ((1 << bits) - 1) for s in shifts]
+            if row & ((1 << shifts[-1]) - 1):
+                raise ValueError("leaf %d: code has bits outside the shape" % i)
+            digits = [(row >> s) & ((1 << bits) - 1) for s in shifts]
             for level, digit in enumerate(digits):
                 if digit >= self.arity:
                     raise ValueError(
@@ -176,7 +169,7 @@ class Snapshot:
                         % (i, digit, level, self.arity)
                     )
             if row in seen:
-                raise ValueError("leaf %d: duplicate leaf path" % i)
+                raise ValueError("leaf %d: duplicate leaf" % i)
             seen.add(row)
 
 
@@ -200,9 +193,9 @@ def check_file(path):
     except ValueError as e:  # FrameError included
         return fail(path, str(e))
     print(
-        "OK   %s (%d points, depth %d, arity %d, %s leaves, %d records)"
+        "OK   %s (%d points, depth %d, arity %d, %d-bit codes, %d records)"
         % (path, snap.num_points, snap.depth, snap.arity,
-           "packed" if snap.packed else "digit", snap.records)
+           snap.depth * bits_per_digit(snap.arity), snap.records)
     )
     return True
 

@@ -13,6 +13,8 @@ Format (docs/ROBUSTNESS.md):
     kinds: 0 segment_header, 1 epoch_begin, 2 worker_arrival,
            3 task_arrival, 4 worker_departure, 5 quarantine,
            6 stream_fault, 7 republish
+    format version 2: every arrival/task record sets its report flag and
+    carries the reported 128-bit leaf code (16 bytes); v1 is refused.
 
 Checks, mirroring the C++ scanner (ScanWalDir) in strict mode:
   * every frame's CRC matches and no segment ends in a torn frame
@@ -49,7 +51,8 @@ KIND_NAMES = {
     7: "republish",
 }
 
-FLAG_PACKED = 1 << 0
+WAL_FORMAT_VERSION = 2
+FLAG_REPORT = 1 << 0
 FLAG_HAS_EPSILON = 1 << 1
 FLAG_FORCED = 1 << 2
 FLAG_HAS_WORKER = 1 << 3
@@ -79,8 +82,11 @@ def decode_record(payload):
     segment_seq = None
     if kind == 0:  # segment_header
         version = r.u32()
-        if version != 1:
-            raise ValueError("unsupported format version %d" % version)
+        if version != WAL_FORMAT_VERSION:
+            raise ValueError(
+                "unsupported format version %d (this build reads v%d)"
+                % (version, WAL_FORMAT_VERSION)
+            )
         segment_seq = r.u64()
         identity = (r.u32(), r.u32(), r.f64(), r.u64(), r.u64())
     elif kind == 1:  # epoch_begin
@@ -89,10 +95,9 @@ def decode_record(payload):
         r.u64()  # event_index
         r.string()  # id
         flags = r.u8()
-        if flags & FLAG_PACKED:
-            r.u64()  # leaf code
-        else:
-            r.path()  # leaf digits
+        if not flags & FLAG_REPORT:
+            raise ValueError("arrival/task record without its report (flag clear)")
+        r.u128()  # leaf code
         if flags & FLAG_HAS_EPSILON:
             r.f64()
         read_outcome(r)

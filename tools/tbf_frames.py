@@ -8,7 +8,8 @@ src/common/frames.h owns:
     frame := <len:u32 LE> <crc32:u32 LE> <payload: len bytes>
 
 The CRC-32 is zlib's (binascii.crc32). Payload fields are little-endian;
-doubles are IEEE-754 bits, strings <len:u32><bytes>. This module walks a
+doubles are IEEE-754 bits, strings <len:u32><bytes>, and a 128-bit leaf
+code is its low u64 then its high u64. This module walks a
 frame stream the way WalkFrames in src/common/frames.cc does, with the
 same record-precise messages, and reads payload fields with bounds
 checks. tools/check_wal.py, tools/check_checkpoint.py and
@@ -70,8 +71,9 @@ class Reader:
     def string(self):
         return self._take(self.u32(), "string body")
 
-    def path(self):
-        return self._take(2 * self.u32(), "leaf path body")
+    def u128(self):
+        lo, hi = struct.unpack("<QQ", self._take(16, "u128"))
+        return (hi << 64) | lo
 
     def at_end(self):
         return self.pos == len(self.data)
