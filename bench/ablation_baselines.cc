@@ -83,11 +83,11 @@ int main(int argc, char** argv) {
     auto framework = Unwrap(
         TbfFramework::Build(std::move(grid), metric, &tree_rng, tbf_options),
         "build framework");
-    std::vector<LeafPath> workers;
+    std::vector<LeafCode> workers;
     for (const Point& w : instance.workers) {
       workers.push_back(framework.ObfuscateLocation(w, &obf_rng));
     }
-    std::vector<LeafPath> tasks;
+    std::vector<LeafCode> tasks;
     for (const Point& t : instance.tasks) {
       tasks.push_back(framework.ObfuscateLocation(t, &obf_rng));
     }

@@ -80,13 +80,13 @@ int main(int argc, char** argv) {
   for (int workers : {Scaled(2000, options), Scaled(5000, options),
                       Scaled(10000, options), Scaled(20000, options)}) {
     Rng rng(static_cast<uint64_t>(workers));
-    std::vector<LeafPath> leaves;
+    std::vector<LeafCode> leaves;
     leaves.reserve(static_cast<size_t>(workers));
     for (int i = 0; i < workers; ++i) {
       Point p{rng.Uniform(0, 200), rng.Uniform(0, 200)};
       leaves.push_back(framework.ObfuscateLocation(p, &rng));
     }
-    std::vector<LeafPath> tasks;
+    std::vector<LeafCode> tasks;
     for (int i = 0; i < workers / 2; ++i) {
       Point p{rng.Uniform(0, 200), rng.Uniform(0, 200)};
       tasks.push_back(framework.ObfuscateLocation(p, &rng));
@@ -96,14 +96,14 @@ int main(int argc, char** argv) {
       HstGreedyMatcher matcher(leaves, framework.tree().depth(),
                                framework.tree().arity(), HstEngine::kLinearScan);
       WallTimer timer;
-      for (const LeafPath& t : tasks) matcher.Assign(t);
+      for (const LeafCode t : tasks) matcher.Assign(t);
       scan_secs = timer.ElapsedSeconds();
     }
     {
       HstGreedyMatcher matcher(leaves, framework.tree().depth(),
                                framework.tree().arity(), HstEngine::kIndex);
       WallTimer timer;
-      for (const LeafPath& t : tasks) matcher.Assign(t);
+      for (const LeafCode t : tasks) matcher.Assign(t);
       index_secs = timer.ElapsedSeconds();
     }
     engines.AddRow({AsciiTable::Num(workers), AsciiTable::Num(scan_secs),

@@ -246,8 +246,8 @@ void BM_TreeDistance(benchmark::State& state) {
   EuclideanMetric metric;
   Rng rng(5);
   auto tree = CompleteHst::BuildFromPoints(points, metric, &rng);
-  const LeafPath& a = tree->leaf_of_point(0);
-  const LeafPath& b = tree->leaf_of_point(tree->num_points() - 1);
+  const LeafCode a = tree->leaf_code_of_point(0);
+  const LeafCode b = tree->leaf_code_of_point(tree->num_points() - 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(tree->TreeDistance(a, b));
   }

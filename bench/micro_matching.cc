@@ -59,8 +59,8 @@ void BM_EuclidGreedyKdTree(benchmark::State& state) {
 BENCHMARK(BM_EuclidGreedyKdTree)->Arg(1000)->Arg(4000)->Arg(16000);
 
 struct HstData {
-  std::vector<LeafPath> workers;
-  std::vector<LeafPath> tasks;
+  std::vector<LeafCode> workers;
+  std::vector<LeafCode> tasks;
   int depth;
   int arity;
 };
@@ -89,7 +89,7 @@ void RunHstEpisode(benchmark::State& state, HstEngine engine) {
   HstData data = MakeHstData(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     HstGreedyMatcher matcher(data.workers, data.depth, data.arity, engine);
-    for (const LeafPath& t : data.tasks) {
+    for (const LeafCode t : data.tasks) {
       benchmark::DoNotOptimize(matcher.Assign(t));
     }
   }

@@ -84,7 +84,7 @@ const Setup& GetSetup(int grid_side) {
 void BM_RandomWalkObfuscate(benchmark::State& state) {
   const Setup& setup = GetSetup(static_cast<int>(state.range(0)));
   Rng rng(1);
-  const LeafPath& x = setup.tree.leaf_of_point(0);
+  const LeafPath x = setup.tree.leaf_of_point(0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(setup.mechanism.Obfuscate(x, &rng));
   }
@@ -97,7 +97,7 @@ BENCHMARK(BM_RandomWalkObfuscate)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 void BM_NaiveSample(benchmark::State& state) {
   const Setup& setup = GetSetup(static_cast<int>(state.range(0)));
   Rng rng(1);
-  const LeafPath& x = setup.tree.leaf_of_point(0);
+  const LeafPath x = setup.tree.leaf_of_point(0);
   for (auto _ : state) {
     auto z = setup.mechanism.SampleNaive(x, &rng, /*max_leaves=*/1 << 22);
     if (!z.ok()) state.SkipWithError("tree too large for Alg. 2");
@@ -111,7 +111,7 @@ BENCHMARK(BM_NaiveSample)->Arg(4)->Arg(8);
 void BM_ExactProbability(benchmark::State& state) {
   const Setup& setup = GetSetup(16);
   Rng rng(2);
-  const LeafPath& x = setup.tree.leaf_of_point(0);
+  const LeafPath x = setup.tree.leaf_of_point(0);
   LeafPath z = setup.mechanism.Obfuscate(x, &rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(setup.mechanism.Probability(x, z));
@@ -130,15 +130,16 @@ const Setup& GetShapedSetup(int depth, int arity) {
   auto key = std::make_pair(depth, arity);
   auto it = cache->find(key);
   if (it == cache->end()) {
+    const LeafCodec codec(depth, arity);
     std::vector<Point> points;
-    std::vector<LeafPath> paths;
+    std::vector<LeafCode> codes;
     for (int i = 0; i < 2; ++i) {
       points.push_back({static_cast<double>(i), 0.0});
-      paths.push_back(LeafPath(static_cast<size_t>(depth),
-                               static_cast<char16_t>(i)));
+      codes.push_back(codec.Pack(
+          LeafPath(static_cast<size_t>(depth), static_cast<char16_t>(i))));
     }
     auto tree = CompleteHst::FromParts(depth, arity, 1.0, std::move(points),
-                                       std::move(paths));
+                                       std::move(codes));
     auto mech = HstMechanism::Build(*tree, 0.05);
     it = cache
              ->emplace(key, Setup{std::move(tree).MoveValueUnsafe(),
@@ -154,7 +155,7 @@ void BM_WalkObfuscatePath(benchmark::State& state) {
   const Setup& setup = GetShapedSetup(static_cast<int>(state.range(0)),
                                       static_cast<int>(state.range(1)));
   Rng rng(1);
-  const LeafPath& x = setup.tree.leaf_of_point(0);
+  const LeafPath x = setup.tree.leaf_of_point(0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(setup.mechanism.Obfuscate(x, &rng));
   }
@@ -169,8 +170,7 @@ void BM_WalkObfuscateCode(benchmark::State& state) {
   const Setup& setup = GetShapedSetup(static_cast<int>(state.range(0)),
                                       static_cast<int>(state.range(1)));
   Rng rng(1);
-  const LeafCode x =
-      setup.mechanism.codec()->Pack(setup.tree.leaf_of_point(0));
+  const LeafCode x = setup.tree.leaf_code_of_point(0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(setup.mechanism.ObfuscateCodeWalk(x, &rng));
   }
@@ -186,8 +186,7 @@ void BM_InverseCdfObfuscateCode(benchmark::State& state) {
   const Setup& setup = GetShapedSetup(static_cast<int>(state.range(0)),
                                       static_cast<int>(state.range(1)));
   Rng rng(1);
-  const LeafCode x =
-      setup.mechanism.codec()->Pack(setup.tree.leaf_of_point(0));
+  const LeafCode x = setup.tree.leaf_code_of_point(0);
 
   const size_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
   for (int i = 0; i < 10000; ++i) {
@@ -221,8 +220,7 @@ void BM_ObliviousObfuscateCode(benchmark::State& state) {
   const Setup& setup = GetShapedSetup(static_cast<int>(state.range(0)),
                                       static_cast<int>(state.range(1)));
   Rng rng(1);
-  const LeafCode x =
-      setup.mechanism.codec()->Pack(setup.tree.leaf_of_point(0));
+  const LeafCode x = setup.tree.leaf_code_of_point(0);
 
   const size_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
   for (int i = 0; i < 10000; ++i) {
@@ -308,7 +306,7 @@ void BM_MapToNearestLeaf(benchmark::State& state) {
   Rng rng(4);
   for (auto _ : state) {
     Point p{rng.Uniform(0, 200), rng.Uniform(0, 200)};
-    benchmark::DoNotOptimize(setup.tree.MapToNearestLeaf(p));
+    benchmark::DoNotOptimize(setup.tree.MapToNearestLeafCode(p));
   }
 }
 BENCHMARK(BM_MapToNearestLeaf)->Arg(16)->Arg(32)->Arg(64);

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
 
   // Alg. 3 sampling vs the exact distribution, aggregated by LCA level.
   Rng sample_rng(11);
-  const LeafPath& x = tree->leaf_of_point(0);
+  const LeafPath x = tree->leaf_of_point(0);
   std::map<int, int> level_counts;
   for (int i = 0; i < samples; ++i) {
     ++level_counts[LcaLevel(x, mech->Obfuscate(x, &sample_rng))];

@@ -78,8 +78,9 @@ int main(int argc, char** argv) {
                                        (*leaves)[static_cast<size_t>(z)]);
     };
     auto distance = [&](int a, int b) {
-      return tree->TreeDistance((*leaves)[static_cast<size_t>(a)],
-                                (*leaves)[static_cast<size_t>(b)]);
+      return tree->TreeDistanceForLcaLevel(
+          LcaLevel((*leaves)[static_cast<size_t>(a)],
+                   (*leaves)[static_cast<size_t>(b)]));
     };
     GeoCheckReport report = CheckGeoIndistinguishability(
         static_cast<int>(leaves->size()), static_cast<int>(leaves->size()),

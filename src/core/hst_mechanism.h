@@ -27,6 +27,7 @@
 #pragma once
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -35,12 +36,11 @@
 #include "hst/leaf_code.h"
 #include "hst/leaf_path.h"
 #include "obs/metrics.h"
-#include "privacy/mechanism.h"
 
 namespace tbf {
 
 /// \brief Which sampler implementation draws mechanism outputs on the
-/// batched/serving paths (the LeafPath Obfuscate always walks).
+/// batched/serving paths (the path-based Obfuscate always walks).
 enum class SamplerKind {
   /// Algorithm 3 Bernoulli walk — the golden reference; default, so every
   /// existing golden/churn fixture keeps its draw sequence.
@@ -81,7 +81,7 @@ struct ObliviousTally {
 ///
 /// The object is immutable after construction and thread-safe for
 /// concurrent Obfuscate calls with distinct Rngs.
-class HstMechanism final : public LeafMechanism {
+class HstMechanism {
  public:
   /// \brief Builds the mechanism for `tree` with budget `epsilon`.
   ///
@@ -92,8 +92,9 @@ class HstMechanism final : public LeafMechanism {
   /// internal normalization scale.
   static Result<HstMechanism> Build(const CompleteHst& tree, double epsilon);
 
-  /// \brief Algorithm 3: random-walk sampling, O(D).
-  LeafPath Obfuscate(const LeafPath& truth, Rng* rng) const override;
+  /// \brief Algorithm 3: random-walk sampling, O(D) — the path-based
+  /// reference the packed samplers are tested against.
+  LeafPath Obfuscate(const LeafPath& truth, Rng* rng) const;
 
   /// \brief Fast sampler on packed codes: one Uniform01() picks the LCA
   /// ("turn") level by inverse CDF over the precomputed level marginal,
@@ -179,7 +180,7 @@ class HstMechanism final : public LeafMechanism {
   /// digit order. Only valid when c^D <= max_leaves (else error).
   Result<std::vector<LeafPath>> EnumerateLeaves(double max_leaves = 1 << 20) const;
 
-  double epsilon() const override { return epsilon_metric_; }
+  double epsilon() const { return epsilon_metric_; }
 
   /// Epsilon converted to tree units (epsilon / tree scale), the eps that
   /// appears in the weight formulas.
@@ -191,7 +192,7 @@ class HstMechanism final : public LeafMechanism {
   /// \brief Codec of the packed-code sampler API (never null).
   const LeafCodec* codec() const { return codec_ ? &*codec_ : nullptr; }
 
-  std::string Name() const override { return "hst-mechanism"; }
+  std::string Name() const { return "hst-mechanism"; }
 
  private:
   HstMechanism() = default;

@@ -26,38 +26,6 @@ Result<TbfFramework> TbfFramework::FromTree(
   return framework;
 }
 
-std::vector<LeafPath> TbfFramework::ObfuscateBatch(
-    const std::vector<Point>& locations, const Rng& stream, ThreadPool* pool,
-    BatchStageTimings* timings, uint64_t fork_offset,
-    std::optional<SamplerKind> sampler_override) const {
-  const size_t n = locations.size();
-  // Stage 1: nearest-predefined-point mapping (pure reads of the kd-tree).
-  std::vector<const LeafPath*> mapped(n, nullptr);
-  WallTimer timer;
-  pool->ParallelFor(n, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) mapped[i] = &TrueLeaf(locations[i]);
-  });
-  if (timings) timings->map_seconds += timer.ElapsedSeconds();
-
-  // Stage 2: mechanism draws, one ForkAt stream per item.
-  std::vector<LeafPath> reported(n);
-  timer.Restart();
-  const SamplerKind kind = sampler_override.value_or(sampler_);
-  const bool packed = kind != SamplerKind::kWalk;
-  const LeafCodec* codec = tree_->codec();
-  pool->ParallelFor(n, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      Rng item_rng = stream.ForkAt(fork_offset + i);
-      reported[i] =
-          packed ? codec->Unpack(mechanism_->ObfuscateCodeWith(
-                       codec->Pack(*mapped[i]), &item_rng, kind))
-                 : mechanism_->Obfuscate(*mapped[i], &item_rng);
-    }
-  });
-  if (timings) timings->obfuscate_seconds += timer.ElapsedSeconds();
-  return reported;
-}
-
 std::vector<LeafCode> TbfFramework::ObfuscateCodes(
     const std::vector<Point>& locations, const Rng& stream, ThreadPool* pool,
     BatchStageTimings* timings, uint64_t fork_offset,
@@ -74,9 +42,7 @@ std::vector<LeafCode> TbfFramework::ObfuscateCodes(
   });
   if (timings) timings->map_seconds += timer.ElapsedSeconds();
 
-  // Stage 2: mechanism draws in the packed domain, one ForkAt stream per
-  // item — same stream layout as ObfuscateBatch, so with the walk sampler
-  // the two pipelines report the same leaves.
+  // Stage 2: mechanism draws, one ForkAt stream per item.
   std::vector<LeafCode> reported(n);
   timer.Restart();
   const SamplerKind kind = sampler_override.value_or(sampler_);

@@ -72,42 +72,36 @@ class TbfFramework {
 
   /// \brief Client-side step without privacy: the leaf whose predefined
   /// point is nearest to `location`.
-  const LeafPath& TrueLeaf(const Point& location) const {
-    return tree_->MapToNearestLeaf(location);
+  LeafCode TrueLeaf(const Point& location) const {
+    return tree_->MapToNearestLeafCode(location);
   }
 
   /// \brief Full client-side step: map to the nearest leaf, then obfuscate
-  /// with the HST mechanism (what a worker/task actually reports).
-  LeafPath ObfuscateLocation(const Point& location, Rng* rng) const {
-    return mechanism_->Obfuscate(TrueLeaf(location), rng);
+  /// with the HST mechanism's Alg. 3 walk (what a worker/task actually
+  /// reports).
+  LeafCode ObfuscateLocation(const Point& location, Rng* rng) const {
+    return mechanism_->ObfuscateCodeWalk(TrueLeaf(location), rng);
   }
 
-  /// \brief Wall-clock breakdown of one ObfuscateBatch call.
+  /// \brief Wall-clock breakdown of one ObfuscateCodes call.
   struct BatchStageTimings {
     double map_seconds = 0.0;        ///< nearest-predefined-point mapping
-    double obfuscate_seconds = 0.0;  ///< mechanism random-walk draws
+    double obfuscate_seconds = 0.0;  ///< mechanism draws
   };
 
-  /// \brief Batch client-side reporting: maps and obfuscates `locations`
-  /// across `pool`'s threads. Item i draws from
+  /// \brief Batch client-side reporting: maps `locations` to their leaf
+  /// codes and obfuscates them across `pool`'s threads. Item i draws from
   /// stream.ForkAt(fork_offset + i), so the output is bit-identical
   /// regardless of thread count or scheduling — and a caller that chops
   /// one logical stream into several batches (the event-time replay loop
   /// obfuscates per epoch) gets results independent of where the cuts
   /// fall by passing the number of items already obfuscated as the
-  /// offset. `timings`, when given, accumulates the per-stage wall clock.
-  /// `sampler_override` replaces TbfOptions::sampler for this batch only
-  /// (the replay loop plumbs its per-run sampler through here).
-  std::vector<LeafPath> ObfuscateBatch(
-      const std::vector<Point>& locations, const Rng& stream, ThreadPool* pool,
-      BatchStageTimings* timings = nullptr, uint64_t fork_offset = 0,
-      std::optional<SamplerKind> sampler_override = std::nullopt) const;
-
-  /// \brief Code-native batch reporting: identical fork/determinism and
-  /// override contract to ObfuscateBatch, but maps to precomputed leaf
-  /// codes and samples in the packed domain — no LeafPath is materialized
-  /// for any item. With the default kWalk sampler, element i is exactly
-  /// codec()->Pack(ObfuscateBatch(...)[i]).
+  /// offset. With the default kWalk sampler, element i equals
+  /// ObfuscateLocation(locations[i], &r) for r =
+  /// stream.ForkAt(fork_offset + i). `timings`, when given, accumulates
+  /// the per-stage wall clock. `sampler_override` replaces
+  /// TbfOptions::sampler for this batch only (the replay loop plumbs its
+  /// per-run sampler through here).
   std::vector<LeafCode> ObfuscateCodes(
       const std::vector<Point>& locations, const Rng& stream, ThreadPool* pool,
       BatchStageTimings* timings = nullptr, uint64_t fork_offset = 0,
@@ -119,12 +113,6 @@ class TbfFramework {
 
   /// The sampler the batched paths draw with.
   SamplerKind sampler() const { return sampler_; }
-
-  /// Tree distance between two reported leaves, in metric units — all the
-  /// server ever evaluates.
-  double TreeDistance(const LeafPath& a, const LeafPath& b) const {
-    return tree_->TreeDistance(a, b);
-  }
 
   double epsilon() const { return mechanism_->epsilon(); }
 

@@ -61,41 +61,43 @@ Result<CompleteHst> CompleteHst::Build(const HstTree& tree,
   out.scale_ = tree.scale();
   out.points_ = std::move(points);
 
-  // Digit path of each real leaf: child index at each node on the
-  // root-to-leaf walk. Real children occupy digits 0..k-1 in construction
-  // order; digits k..c-1 are the fake children appended by padding. One
-  // pass over the nodes records every node's digit within its parent, so
-  // each leaf walk is O(D) instead of O(D * c) sibling scans.
-  out.leaf_paths_.resize(out.points_.size());
+  // Code of each real leaf: the child index at each node on the
+  // root-to-leaf walk, written into its digit field. Real children occupy
+  // digits 0..k-1 in construction order; digits k..c-1 are the fake
+  // children appended by padding. One pass over the nodes records every
+  // node's digit within its parent, so each leaf walk is O(D) instead of
+  // O(D * c) sibling scans.
+  out.codec_.emplace(out.depth_, out.arity_);
+  out.leaf_codes_.resize(out.points_.size());
   const auto& nodes = tree.nodes();
-  // Sentinel-initialized so a node missing from its parent's children list
-  // still trips the consistency check below (arity <= 65535, so 0xFFFF is
-  // never a real digit).
-  constexpr char16_t kNoDigit = 0xFFFF;
-  std::vector<char16_t> digit_of_node(nodes.size(), kNoDigit);
+  // -1 until a parent lists the node, so a node missing from its parent's
+  // children list trips the consistency check below.
+  std::vector<int> digit_of_node(nodes.size(), -1);
   for (size_t node = 0; node < nodes.size(); ++node) {
     const auto& children = nodes[node].children;
     for (size_t d = 0; d < children.size(); ++d) {
-      digit_of_node[static_cast<size_t>(children[d])] =
-          static_cast<char16_t>(d);
+      digit_of_node[static_cast<size_t>(children[d])] = static_cast<int>(d);
     }
   }
   for (size_t pid = 0; pid < out.points_.size(); ++pid) {
     int node = tree.leaf_of_point(static_cast<int>(pid));
-    LeafPath reversed;
+    LeafCode code = 0;
+    int position = out.depth_;
     while (nodes[static_cast<size_t>(node)].parent >= 0) {
-      TBF_CHECK(digit_of_node[static_cast<size_t>(node)] != kNoDigit)
+      TBF_CHECK(digit_of_node[static_cast<size_t>(node)] >= 0)
           << "tree child/parent inconsistency";
-      reversed.push_back(digit_of_node[static_cast<size_t>(node)]);
+      --position;
+      TBF_CHECK(position >= 0) << "leaf not at level 0";
+      code = out.codec_->WithDigit(code, position,
+                                   digit_of_node[static_cast<size_t>(node)]);
       node = nodes[static_cast<size_t>(node)].parent;
     }
-    LeafPath path(reversed.rbegin(), reversed.rend());
-    TBF_CHECK(static_cast<int>(path.size()) == out.depth_)
-        << "leaf not at level 0";
-    out.leaf_paths_[pid] = std::move(path);
+    TBF_CHECK(position == 0) << "leaf not at level 0";
+    out.leaf_codes_[pid] = code;
   }
 
-  TBF_CHECK(out.FinishLeafCodes()) << "duplicate leaf path in built tree";
+  const Status indexed = out.IndexLeafCodes();
+  TBF_CHECK(indexed.ok()) << "built tree: " << indexed.ToString();
   out.Mapper();  // the build path pays the k-d tree up front
   return out;
 }
@@ -128,8 +130,7 @@ Result<CompleteHst> CompleteHst::BuildFromPoints(const std::vector<Point>& point
 
 Result<CompleteHst> CompleteHst::FromParts(int depth, int arity, double scale,
                                            std::vector<Point> points,
-                                           std::vector<LeafPath> leaf_paths,
-                                           PartsValidation validation) {
+                                           std::vector<LeafCode> leaf_codes) {
   if (depth < 1) return Status::InvalidArgument("depth must be >= 1");
   if (arity < 2) return Status::InvalidArgument("arity must be >= 2");
   if (arity > std::numeric_limits<char16_t>::max()) {
@@ -137,8 +138,8 @@ Result<CompleteHst> CompleteHst::FromParts(int depth, int arity, double scale,
   }
   if (!(scale > 0.0)) return Status::InvalidArgument("scale must be positive");
   if (points.empty()) return Status::InvalidArgument("empty point set");
-  if (points.size() != leaf_paths.size()) {
-    return Status::InvalidArgument("points/leaf_paths size mismatch");
+  if (points.size() != leaf_codes.size()) {
+    return Status::InvalidArgument("points/leaf_codes size mismatch");
   }
   if (!LeafCodec::Fits(depth, arity)) return WideShape(depth, arity);
   CompleteHst out;
@@ -146,23 +147,16 @@ Result<CompleteHst> CompleteHst::FromParts(int depth, int arity, double scale,
   out.arity_ = arity;
   out.scale_ = scale;
   out.points_ = std::move(points);
-  out.leaf_paths_ = std::move(leaf_paths);
-  if (validation == PartsValidation::kFull) {
-    for (size_t pid = 0; pid < out.leaf_paths_.size(); ++pid) {
-      const LeafPath& path = out.leaf_paths_[pid];
-      if (static_cast<int>(path.size()) != depth) {
-        return Status::InvalidArgument("leaf path length != depth");
-      }
-      for (char16_t digit : path) {
-        if (static_cast<int>(digit) >= arity) {
-          return Status::InvalidArgument("leaf path digit out of arity range");
-        }
-      }
+  out.leaf_codes_ = std::move(leaf_codes);
+  out.codec_.emplace(depth, arity);
+  for (size_t row = 0; row < out.leaf_codes_.size(); ++row) {
+    const Status valid = out.codec_->Validate(out.leaf_codes_[row]);
+    if (!valid.ok()) {
+      return Status::InvalidArgument("row " + std::to_string(row) + ": " +
+                                     valid.message());
     }
   }
-  if (!out.FinishLeafCodes()) {
-    return Status::InvalidArgument("duplicate leaf path");
-  }
+  TBF_RETURN_NOT_OK(out.IndexLeafCodes());
   // No Mapper() here: the deserialization path returns as soon as the
   // lookup tables exist, deferring the k-d tree to the first
   // MapToNearest* call (a restarting server needs leaf lookups
@@ -170,43 +164,29 @@ Result<CompleteHst> CompleteHst::FromParts(int depth, int arity, double scale,
   return out;
 }
 
-bool CompleteHst::FinishLeafCodes() {
-  codec_.emplace(depth_, arity_);
-  leaf_codes_.reserve(leaf_paths_.size());
-  point_by_code_.reserve(leaf_paths_.size());
-  for (const LeafPath& path : leaf_paths_) {
-    const LeafCode code = codec_->Pack(path);
-    if (!point_by_code_.emplace(code, static_cast<int>(leaf_codes_.size()))
-             .second) {
-      return false;
+Status CompleteHst::IndexLeafCodes() {
+  point_by_code_.reserve(leaf_codes_.size());
+  for (size_t row = 0; row < leaf_codes_.size(); ++row) {
+    const auto [it, inserted] =
+        point_by_code_.emplace(leaf_codes_[row], static_cast<int>(row));
+    if (!inserted) {
+      return Status::InvalidArgument(
+          "row " + std::to_string(row) +
+          ": duplicate leaf path (first seen at row " +
+          std::to_string(it->second) + ")");
     }
-    leaf_codes_.push_back(code);
   }
-  return true;
+  return Status::OK();
 }
 
 double CompleteHst::num_leaves() const {
   return std::pow(static_cast<double>(arity_), depth_);
 }
 
-std::optional<int> CompleteHst::point_of_leaf(const LeafPath& leaf) const {
-  // Validate shape before packing (Pack CHECKs what a map lookup would
-  // simply miss).
-  if (static_cast<int>(leaf.size()) != depth_) return std::nullopt;
-  for (char16_t digit : leaf) {
-    if (static_cast<int>(digit) >= arity_) return std::nullopt;
-  }
-  return point_of_leaf(codec_->Pack(leaf));
-}
-
 std::optional<int> CompleteHst::point_of_leaf(LeafCode leaf) const {
   auto it = point_by_code_.find(leaf);
   if (it == point_by_code_.end()) return std::nullopt;
   return it->second;
-}
-
-double CompleteHst::TreeDistance(const LeafPath& a, const LeafPath& b) const {
-  return TreeDistanceForLevel(LcaLevel(a, b)) / scale_;
 }
 
 double CompleteHst::TreeDistanceForLcaLevel(int level) const {
@@ -223,10 +203,6 @@ int CompleteHst::MapToNearestPoint(const Point& location) const {
   int id = Mapper().NearestNeighbor(location);
   TBF_CHECK(id >= 0) << "empty predefined point set";
   return id;
-}
-
-const LeafPath& CompleteHst::MapToNearestLeaf(const Point& location) const {
-  return leaf_of_point(MapToNearestPoint(location));
 }
 
 LeafCode CompleteHst::MapToNearestLeafCode(const Point& location) const {

@@ -2,9 +2,9 @@
 //
 // Wraps an HstTree and pads it (conceptually) with fake nodes until every
 // internal node has exactly c children (Alg. 1 lines 14-15). Fake subtrees
-// are never materialized: leaves are addressed by digit paths (leaf_path.h)
-// and a digit combination that does not correspond to a real point is a fake
-// leaf. This keeps the memory footprint O(N * D) while the logical leaf set
+// are never materialized: each real point is stored with the packed code
+// of its leaf (leaf_code.h), and a code that names no real point is a fake
+// leaf. This keeps the memory footprint O(N) while the logical leaf set
 // has c^D elements.
 
 #pragma once
@@ -26,7 +26,8 @@
 namespace tbf {
 
 /// \brief The complete c-ary HST the server publishes: predefined points,
-/// their leaf paths, and the tree geometry (depth, arity, scale).
+/// the packed code of each one's leaf, and the tree geometry (depth,
+/// arity, scale).
 ///
 /// Thread-safe for concurrent reads after construction.
 class CompleteHst {
@@ -52,22 +53,15 @@ class CompleteHst {
                                              const Metric& metric, Rng* rng,
                                              const HstTreeOptions& options = {});
 
-  /// How much of the per-path validation FromParts repeats. Path
-  /// uniqueness is always checked (the parsers cannot do it cheaply);
-  /// kPrevalidated skips only the per-digit length/range loop for callers
-  /// that already proved both with row-precise errors of their own — the
-  /// binary snapshot loader, where the loop is a measurable share of the
-  /// restart path.
-  enum class PartsValidation { kFull, kPrevalidated };
-
   /// \brief Reconstructs a published tree from its parts (the
-  /// deserialization path — see hst/serialize.h). Validates depth/arity/
-  /// scale ranges, path lengths, digit bounds, and path uniqueness. Like
-  /// Build, refuses a shape whose leaf codes would need more than 128 bits.
-  static Result<CompleteHst> FromParts(
-      int depth, int arity, double scale, std::vector<Point> points,
-      std::vector<LeafPath> leaf_paths,
-      PartsValidation validation = PartsValidation::kFull);
+  /// deserialization path — see hst/serialize.h and hst/snapshot.h).
+  /// Validates depth/arity/scale ranges, every code (LeafCodec::Validate)
+  /// and code uniqueness; errors name the offending row ("row 2: duplicate
+  /// leaf path (first seen at row 0)"). Like Build, refuses a shape whose
+  /// leaf codes would need more than 128 bits.
+  static Result<CompleteHst> FromParts(int depth, int arity, double scale,
+                                       std::vector<Point> points,
+                                       std::vector<LeafCode> leaf_codes);
 
   /// Tree depth D (root level).
   int depth() const { return depth_; }
@@ -88,9 +82,10 @@ class CompleteHst {
   /// The predefined point set, by id.
   const std::vector<Point>& points() const { return points_; }
 
-  /// Digit path of the leaf holding real point `point_id`.
-  const LeafPath& leaf_of_point(int point_id) const {
-    return leaf_paths_[static_cast<size_t>(point_id)];
+  /// Digit path of the leaf holding real point `point_id`, unpacked on
+  /// each call (the text format and the path-based reference API).
+  LeafPath leaf_of_point(int point_id) const {
+    return codec_->Unpack(leaf_code_of_point(point_id));
   }
 
   /// \brief Packed code of the leaf holding real point `point_id`
@@ -103,16 +98,13 @@ class CompleteHst {
   /// constructed tree fits 128-bit codes).
   const LeafCodec* codec() const { return &*codec_; }
 
-  /// \brief Real point stored at `leaf`, or nullopt for fake leaves (and
-  /// for paths of the wrong length or with out-of-range digits). Packs at
-  /// the boundary and hits the LeafCode-keyed map.
-  std::optional<int> point_of_leaf(const LeafPath& leaf) const;
-
-  /// \brief Packed-domain lookup.
+  /// \brief Real point stored at `leaf`, or nullopt for fake leaves.
   std::optional<int> point_of_leaf(LeafCode leaf) const;
 
   /// \brief Tree distance between two leaves in *metric* units.
-  double TreeDistance(const LeafPath& a, const LeafPath& b) const;
+  double TreeDistance(LeafCode a, LeafCode b) const {
+    return TreeDistanceForLcaLevel(codec_->LcaLevel(a, b));
+  }
 
   /// \brief Tree distance in metric units for a given LCA level.
   double TreeDistanceForLcaLevel(int level) const;
@@ -120,9 +112,6 @@ class CompleteHst {
   /// \brief Id of the predefined point nearest to `location` in Euclidean
   /// distance (the client-side mapping step of the paper's workflow).
   int MapToNearestPoint(const Point& location) const;
-
-  /// \brief Leaf path of the nearest predefined point.
-  const LeafPath& MapToNearestLeaf(const Point& location) const;
 
   /// \brief Packed code of the nearest predefined point's leaf — the
   /// client-side mapping step of the code-native serve path.
@@ -135,16 +124,15 @@ class CompleteHst {
  private:
   CompleteHst() = default;
 
-  // Packs every real leaf once the paths are final and fills the
-  // code -> point lookup. Returns false on a duplicate leaf.
-  bool FinishLeafCodes();
+  // Fills the code -> point lookup once leaf_codes_ is final. On a
+  // duplicate leaf, names both rows.
+  Status IndexLeafCodes();
 
   int depth_ = 0;
   int arity_ = 2;
   double scale_ = 1.0;
   std::vector<Point> points_;
-  std::vector<LeafPath> leaf_paths_;
-  std::vector<LeafCode> leaf_codes_;  // parallel to leaf_paths_ (packed)
+  std::vector<LeafCode> leaf_codes_;  // by point id
   std::optional<LeafCodec> codec_;    // always set once constructed
   std::unordered_map<LeafCode, int, LeafCodeHash> point_by_code_;
 

@@ -1,5 +1,7 @@
 #include "hst/leaf_code.h"
 
+#include <string>
+
 #include "common/logging.h"
 
 namespace tbf {
@@ -40,6 +42,27 @@ LeafPath LeafCodec::Unpack(LeafCode code) const {
     path[static_cast<size_t>(j)] = static_cast<char16_t>(Digit(code, j));
   }
   return path;
+}
+
+Status LeafCodec::Validate(LeafCode code) const {
+  const int low = low_bits();
+  if (low > 0 && (code & ((LeafCode{1} << low) - 1)) != 0) {
+    return Status::InvalidArgument(
+        "code has bits outside the shape (below its last digit)");
+  }
+  // For power-of-two arity every digit field value is a valid digit.
+  if ((arity_ & (arity_ - 1)) != 0) {
+    for (int j = 0; j < depth_; ++j) {
+      const int digit = Digit(code, j);
+      if (digit >= arity_) {
+        return Status::InvalidArgument(
+            "digit " + std::to_string(digit) + " at position " +
+            std::to_string(j) + " exceeds the published arity " +
+            std::to_string(arity_));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 int LeafCodec::LcaLevelDigitLoop(LeafCode a, LeafCode b) const {

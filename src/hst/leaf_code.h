@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "common/status.h"
 #include "hst/leaf_path.h"
 
 namespace tbf {
@@ -84,6 +85,13 @@ class LeafCodec {
 
   /// \brief Reconstructs the digit path.
   LeafPath Unpack(LeafCode code) const;
+
+  /// \brief The one validity rule for a code from outside (a client
+  /// report, a snapshot row, FromParts): no set bit below the last digit,
+  /// or two distinct codes would name the same leaf, and, for a
+  /// non-power-of-two arity, every digit field below the arity. O(1) for
+  /// power-of-two arity, O(depth) otherwise.
+  Status Validate(LeafCode code) const;
 
   /// \brief Digit at root-first `position` in [0, depth).
   int Digit(LeafCode code, int position) const {

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
 
 namespace tbf {
 
@@ -78,19 +77,27 @@ Result<CompleteHst> ParseCompleteHst(const std::string& text) {
     return Status::InvalidArgument(
         "bad header: scale must be positive and finite");
   }
+  // Checked before the codec exists: its constructor CHECK-fails on a
+  // shape wider than a LeafCode.
+  if (!LeafCodec::Fits(depth, arity)) {
+    return Status::InvalidArgument(
+        "bad header: depth " + std::to_string(depth) + " x arity " +
+        std::to_string(arity) + " does not fit " +
+        std::to_string(kLeafCodeBits) + "-bit leaf codes");
+  }
+  const LeafCodec codec(depth, arity);
 
   size_t count = 0;
   if (!(in >> key >> count) || key != "points") {
     return Status::InvalidArgument("missing points count");
   }
   std::vector<Point> points;
-  std::vector<LeafPath> paths;
+  std::vector<LeafCode> codes;
   // Cap the speculative reserve: a corrupted count must fail with
   // "truncated point table", not a giant allocation.
   constexpr size_t kMaxReserve = size_t{1} << 20;
   points.reserve(std::min(count, kMaxReserve));
-  paths.reserve(std::min(count, kMaxReserve));
-  std::unordered_map<LeafPath, size_t> first_row_of_leaf;
+  codes.reserve(std::min(count, kMaxReserve));
   for (size_t i = 0; i < count; ++i) {
     double x = 0, y = 0;
     std::string path_text;
@@ -137,24 +144,17 @@ Result<CompleteHst> ParseCompleteHst(const std::string& text) {
           std::to_string(leaf.size()) + " digits, want depth " +
           std::to_string(depth));
     }
-    const auto [it, inserted] = first_row_of_leaf.emplace(leaf, i);
-    if (!inserted) {
-      return Status::InvalidArgument(
-          "row " + std::to_string(i) + ": duplicate leaf path (first seen at "
-          "row " + std::to_string(it->second) + ")");
-    }
     points.push_back({x, y});
-    paths.push_back(std::move(leaf));
+    codes.push_back(codec.Pack(leaf));
   }
   std::string extra;
   if (in >> extra) {
     return Status::InvalidArgument("trailing garbage after the point table "
                                    "('" + extra + "')");
   }
-  // FromParts re-validates the invariants above (cheap backstop) and
-  // rebuilds the nearest-leaf mapper.
+  // FromParts rejects duplicate leaves, naming both rows.
   return CompleteHst::FromParts(depth, arity, scale, std::move(points),
-                                std::move(paths));
+                                std::move(codes));
 }
 
 Status WriteCompleteHstFile(const CompleteHst& tree, const std::string& path) {

@@ -238,41 +238,21 @@ Result<CompleteHst> ParseHstSnapshot(const std::string& bytes) {
     }
   }
 
-  std::vector<LeafPath> leaves;
+  std::vector<LeafCode> leaves;
   leaves.reserve(num_points);
-  const LeafCodec codec(snap.depth, snap.arity);  // Fits checked
   for (const std::string_view record : snap.tables[kLeaves]) {
     for (size_t off = 0; off < record.size(); off += kLeafBytes) {
       uint64_t words[2];
       LoadWords<8>(record.data() + off, kLeafBytes, words);
-      const LeafCode code = (LeafCode{words[1]} << 64) | words[0];
-      const size_t i = leaves.size();
-      LeafPath leaf = codec.Unpack(code);
-      for (size_t d = 0; d < leaf.size(); ++d) {
-        if (static_cast<int>(leaf[d]) >= snap.arity) {
-          return Status::InvalidArgument(
-              "snapshot: leaf " + std::to_string(i) + ": digit " +
-              std::to_string(static_cast<int>(leaf[d])) + " at level " +
-              std::to_string(d) + " out of arity range [0, " +
-              std::to_string(snap.arity) + ")");
-        }
-      }
-      // Unpack masks each digit to the codec's bit width; re-packing
-      // detects bits below the last digit.
-      if (codec.Pack(leaf) != code) {
-        return Status::InvalidArgument("snapshot: leaf " + std::to_string(i) +
-                                       ": code has bits outside the shape");
-      }
-      leaves.push_back(std::move(leaf));
+      leaves.push_back((LeafCode{words[1]} << 64) | words[0]);
     }
   }
-  // FromParts checks duplicates/counts and rebuilds the leaf-lookup
-  // tables; kPrevalidated skips its per-digit loop (the ranges and
-  // lengths were proved above, with better error messages), and the
-  // nearest-point mapper is lazy — nothing until the first MapToNearest*.
-  Result<CompleteHst> tree = CompleteHst::FromParts(
-      snap.depth, snap.arity, snap.scale, std::move(points),
-      std::move(leaves), CompleteHst::PartsValidation::kPrevalidated);
+  // FromParts validates every code (LeafCodec::Validate) and rejects
+  // duplicates, naming the row; the nearest-point mapper is lazy —
+  // nothing until the first MapToNearest*.
+  Result<CompleteHst> tree =
+      CompleteHst::FromParts(snap.depth, snap.arity, snap.scale,
+                             std::move(points), std::move(leaves));
   if (!tree.ok()) {
     return Status::InvalidArgument("snapshot: " + tree.status().message());
   }

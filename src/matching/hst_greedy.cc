@@ -1,5 +1,7 @@
 #include "matching/hst_greedy.h"
 
+#include <utility>
+
 #include "common/logging.h"
 
 namespace tbf {
@@ -50,21 +52,21 @@ int ScanReservoir(const std::vector<LeafCode>& workers,
 
 }  // namespace
 
-HstGreedyMatcher::HstGreedyMatcher(std::vector<LeafPath> workers, int depth,
+HstGreedyMatcher::HstGreedyMatcher(std::vector<LeafCode> workers, int depth,
                                    int arity, HstEngine engine,
                                    HstTieBreak tie_break, Rng* rng)
     : engine_(engine),
       tie_break_(tie_break),
-      depth_(depth),
       codec_(depth, arity),
-      taken_(workers.size(), false),
-      available_count_(workers.size()),
+      workers_(std::move(workers)),
+      taken_(workers_.size(), false),
+      available_count_(workers_.size()),
       rng_(rng) {
   TBF_CHECK(tie_break_ == HstTieBreak::kCanonical || rng_ != nullptr)
       << "kUniformRandom tie-breaking requires an rng";
-  workers_.reserve(workers.size());
-  for (const LeafPath& leaf : workers) {
-    workers_.push_back(codec_.Pack(leaf));  // CHECKs the leaf depth
+  for (const LeafCode worker : workers_) {
+    const Status valid = codec_.Validate(worker);
+    TBF_CHECK(valid.ok()) << "worker leaf: " << valid.ToString();
   }
   if (engine_ == HstEngine::kIndex) {
     index_ = std::make_unique<HstAvailabilityIndex>(depth, arity);
@@ -74,10 +76,9 @@ HstGreedyMatcher::HstGreedyMatcher(std::vector<LeafPath> workers, int depth,
   }
 }
 
-int HstGreedyMatcher::Assign(const LeafPath& task) {
-  TBF_DCHECK(static_cast<int>(task.size()) == depth_) << "leaf depth mismatch";
+int HstGreedyMatcher::Assign(LeafCode code) {
+  TBF_DCHECK(codec_.Validate(code).ok()) << "invalid task leaf";
   if (available_count_ == 0) return -1;
-  const LeafCode code = codec_.Pack(task);
   int best = -1;
   if (engine_ == HstEngine::kIndex) {
     auto nearest = tie_break_ == HstTieBreak::kCanonical

@@ -3,10 +3,9 @@
 // tree. Used by both Lap-HG (on Laplace-obfuscated, re-mapped leaves) and
 // TBF (on leaves obfuscated by the HST mechanism).
 //
-// The matcher takes LeafPaths and packs each leaf once (every published
-// shape fits a LeafCode — see leaf_code.h): the scan engine's per-pair LCA
-// is one XOR + count-leading-zeros instead of a digit loop, and the index
-// engine runs on the flat node-pool trie.
+// The matcher works on packed leaf codes (leaf_code.h): the scan engine's
+// per-pair LCA is one XOR + count-leading-zeros, and the index engine runs
+// on the flat node-pool trie.
 
 #pragma once
 
@@ -17,7 +16,6 @@
 #include "hst/complete_hst.h"
 #include "hst/hst_index.h"
 #include "hst/leaf_code.h"
-#include "hst/leaf_path.h"
 
 namespace tbf {
 
@@ -36,25 +34,26 @@ enum class HstEngine {
 class HstGreedyMatcher {
  public:
   /// `workers` are the *reported* (obfuscated) worker leaves; `depth` and
-  /// `arity` describe the published complete HST. `rng` is required when
-  /// tie_break == kUniformRandom (not owned; must outlive the matcher).
-  HstGreedyMatcher(std::vector<LeafPath> workers, int depth, int arity,
+  /// `arity` describe the published complete HST, and every worker code
+  /// must be valid for it (LeafCodec::Validate; CHECK-fails otherwise).
+  /// `rng` is required when tie_break == kUniformRandom (not owned; must
+  /// outlive the matcher).
+  HstGreedyMatcher(std::vector<LeafCode> workers, int depth, int arity,
                    HstEngine engine = HstEngine::kLinearScan,
                    HstTieBreak tie_break = HstTieBreak::kCanonical,
                    Rng* rng = nullptr);
 
   /// \brief Assigns an available worker nearest on the tree to a task
   /// reported at leaf `task`; returns its id, or -1 when none remains.
-  int Assign(const LeafPath& task);
+  int Assign(LeafCode task);
 
   size_t available() const { return available_count_; }
 
  private:
   HstEngine engine_;
   HstTieBreak tie_break_;
-  int depth_;
   LeafCodec codec_;
-  std::vector<LeafCode> workers_;  // packed reported leaves
+  std::vector<LeafCode> workers_;  // reported leaves
   std::vector<bool> taken_;
   size_t available_count_;
   std::unique_ptr<HstAvailabilityIndex> index_;  // only for kIndex

@@ -127,20 +127,20 @@ void ProbMatcher::Consume(int worker_id) {
   --available_count_;
 }
 
-HstCaseStudyMatcher::HstCaseStudyMatcher(std::vector<LeafPath> workers, int depth,
-                                         int arity)
-    : index_(depth, arity) {
-  workers_.reserve(workers.size());
-  for (size_t i = 0; i < workers.size(); ++i) {
-    workers_.push_back(index_.codec()->Pack(workers[i]));
-    index_.Insert(workers_.back(), static_cast<int>(i));
+HstCaseStudyMatcher::HstCaseStudyMatcher(std::vector<LeafCode> workers,
+                                         int depth, int arity)
+    : index_(depth, arity), workers_(std::move(workers)) {
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    const Status valid = index_.codec()->Validate(workers_[i]);
+    TBF_CHECK(valid.ok()) << "worker leaf: " << valid.ToString();
+    index_.Insert(workers_[i], static_cast<int>(i));
   }
 }
 
-std::vector<int> HstCaseStudyMatcher::Candidates(const LeafPath& task,
+std::vector<int> HstCaseStudyMatcher::Candidates(LeafCode task,
                                                  size_t limit) const {
   std::vector<int> out;
-  for (const auto& item : index_.NearestK(index_.codec()->Pack(task), limit)) {
+  for (const auto& item : index_.NearestK(task, limit)) {
     out.push_back(item.first);
   }
   return out;

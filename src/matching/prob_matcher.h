@@ -23,7 +23,6 @@
 #include "common/rng.h"
 #include "geo/point.h"
 #include "hst/hst_index.h"
-#include "hst/leaf_path.h"
 
 namespace tbf {
 
@@ -90,13 +89,13 @@ class ProbMatcher {
 
 /// \brief TBF's matching-size variant: ranks available workers by HST
 /// distance to the reported task leaf (nearest reachable worker on the
-/// tree, Sec. IV-C). Leaves are packed once on the way in.
+/// tree, Sec. IV-C).
 class HstCaseStudyMatcher {
  public:
-  HstCaseStudyMatcher(std::vector<LeafPath> workers, int depth, int arity);
+  HstCaseStudyMatcher(std::vector<LeafCode> workers, int depth, int arity);
 
   /// Up to `limit` available workers in non-decreasing tree distance.
-  std::vector<int> Candidates(const LeafPath& task, size_t limit) const;
+  std::vector<int> Candidates(LeafCode task, size_t limit) const;
 
   void Consume(int worker_id);
 

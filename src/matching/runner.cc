@@ -142,10 +142,10 @@ Result<RunMetrics> RunEuclidPipeline(Algorithm algorithm,
 
 // Maps already-noisy points onto their nearest published leaves in parallel
 // (pure reads; ordering-independent).
-std::vector<LeafPath> MapToLeaves(const std::vector<Point>& points,
+std::vector<LeafCode> MapToLeaves(const std::vector<Point>& points,
                                   const TbfFramework& framework,
                                   ThreadPool* pool) {
-  std::vector<LeafPath> leaves(points.size());
+  std::vector<LeafCode> leaves(points.size());
   pool->ParallelFor(points.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       leaves[i] = framework.TrueLeaf(points[i]);
@@ -175,13 +175,13 @@ Result<RunMetrics> RunHstPipeline(Algorithm algorithm,
 
   // Client-side reporting, batched across the pool.
   WallTimer obf_timer;
-  std::vector<LeafPath> reported_workers;
-  std::vector<LeafPath> reported_tasks;
+  std::vector<LeafCode> reported_workers;
+  std::vector<LeafCode> reported_tasks;
   TbfFramework::BatchStageTimings batch_timings;
   if (algorithm == Algorithm::kTbf) {
-    reported_workers = framework.ObfuscateBatch(instance.workers, worker_stream,
+    reported_workers = framework.ObfuscateCodes(instance.workers, worker_stream,
                                                 &pool, &batch_timings);
-    reported_tasks = framework.ObfuscateBatch(instance.tasks, task_stream,
+    reported_tasks = framework.ObfuscateCodes(instance.tasks, task_stream,
                                               &pool, &batch_timings);
   } else {  // Lap-HG: Laplace noise in the plane, then map to the tree
     PlanarLaplaceMechanism laplace(config.epsilon,
@@ -357,10 +357,10 @@ Result<CaseStudyMetrics> RunTbfCaseStudy(const CaseStudyInstance& instance,
   probe.Sample();
 
   WallTimer obf_timer;
-  std::vector<LeafPath> reported_workers =
-      framework.ObfuscateBatch(instance.workers, worker_stream, &pool);
-  std::vector<LeafPath> reported_tasks =
-      framework.ObfuscateBatch(instance.tasks, task_stream, &pool);
+  std::vector<LeafCode> reported_workers =
+      framework.ObfuscateCodes(instance.workers, worker_stream, &pool);
+  std::vector<LeafCode> reported_tasks =
+      framework.ObfuscateCodes(instance.tasks, task_stream, &pool);
   metrics.obfuscate_seconds = obf_timer.ElapsedSeconds();
   probe.Sample();
 

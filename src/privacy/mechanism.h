@@ -1,11 +1,9 @@
-// Privacy mechanism interfaces (paper Def. 4).
+// Privacy mechanism interface (paper Def. 4).
 //
 // A mechanism maps a point of a metric space to an obfuscated point of the
-// same space, randomly. Two families exist in this library:
-//   * PointMechanism — obfuscates raw Euclidean coordinates (planar
-//     Laplace baseline, privacy/planar_laplace.h), and
-//   * LeafMechanism — obfuscates HST leaves (the paper's contribution,
-//     core/hst_mechanism.h).
+// same space, randomly. PointMechanism obfuscates raw Euclidean
+// coordinates (the planar Laplace baseline, privacy/planar_laplace.h); the
+// paper's own mechanism obfuscates HST leaves (core/hst_mechanism.h).
 
 #pragma once
 
@@ -13,7 +11,6 @@
 
 #include "common/rng.h"
 #include "geo/point.h"
-#include "hst/leaf_path.h"
 
 namespace tbf {
 
@@ -26,18 +23,6 @@ class PointMechanism {
   virtual Point Obfuscate(const Point& truth, Rng* rng) const = 0;
 
   /// The privacy budget epsilon this mechanism was configured with.
-  virtual double epsilon() const = 0;
-
-  virtual std::string Name() const = 0;
-};
-
-/// \brief Randomized map from a true HST leaf to a reported leaf.
-class LeafMechanism {
- public:
-  virtual ~LeafMechanism() = default;
-
-  virtual LeafPath Obfuscate(const LeafPath& truth, Rng* rng) const = 0;
-
   virtual double epsilon() const = 0;
 
   virtual std::string Name() const = 0;

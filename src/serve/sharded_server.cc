@@ -57,26 +57,6 @@ class InflightToken {
 
 }  // namespace
 
-Status ValidateReportedLeafCode(const CompleteHst& tree, LeafCode code) {
-  const LeafCodec* codec = tree.codec();
-  // Bits below the last digit must be zero, or two distinct codes could
-  // name the same leaf and canonical comparisons would drift.
-  const int low = codec->low_bits();
-  if (low > 0 && (code & ((LeafCode{1} << low) - 1)) != 0) {
-    return Status::InvalidArgument("leaf code has stray bits below the leaf");
-  }
-  // For power-of-two arity every digit field value is a valid digit;
-  // otherwise each field must be range-checked.
-  if ((tree.arity() & (tree.arity() - 1)) != 0) {
-    for (int j = 0; j < codec->depth(); ++j) {
-      if (codec->Digit(code, j) >= tree.arity()) {
-        return Status::InvalidArgument("leaf code digit exceeds the published arity");
-      }
-    }
-  }
-  return Status::OK();
-}
-
 Result<std::unique_ptr<ShardedTbfServer>> ShardedTbfServer::Create(
     std::shared_ptr<const CompleteHst> tree,
     const ShardedServerOptions& options) {
@@ -209,7 +189,9 @@ void ShardedTbfServer::ReleaseIndexId(int index_id) {
 Status ShardedTbfServer::RegisterWorker(
     const std::string& worker_id, LeafCode code,
     std::optional<double> declared_epsilon) {
-  TBF_RETURN_NOT_OK(ValidateReportedLeafCode(tree(), code));
+  // The flat index reads child tables by these digits: a bad code is
+  // refused here instead of aborting (or reading out of bounds) below.
+  TBF_RETURN_NOT_OK(tree().codec()->Validate(code));
   const int new_shard = router_.ShardOf(code, *tree().codec());
   // Admission control runs before the budget charge: a shed report must
   // not burn epsilon (the client will retry it verbatim).
@@ -353,7 +335,7 @@ DispatchResult ShardedTbfServer::ConsumeCandidate(const Candidate& candidate) {
 Result<DispatchResult> ShardedTbfServer::SubmitTask(
     const std::string& task_id, LeafCode code,
     std::optional<double> declared_epsilon) {
-  TBF_RETURN_NOT_OK(ValidateReportedLeafCode(tree(), code));
+  TBF_RETURN_NOT_OK(tree().codec()->Validate(code));
   const int home = router_.ShardOf(code, *tree().codec());
   // Admission control before the budget charge (see RegisterWorker).
   InflightToken inflight(shard_inflight_[static_cast<size_t>(home)].get(),
@@ -569,7 +551,7 @@ Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
       return Status::InvalidArgument("server state: shard out of range for '" +
                                      w.id + "'");
     }
-    const Status valid = ValidateReportedLeafCode(tree(), w.code);
+    const Status valid = tree().codec()->Validate(w.code);
     if (!valid.ok()) return refuse("has a bad leaf: " + valid.message());
     const int route = router_.ShardOf(w.code, *tree().codec());
     if (route != w.shard) {

@@ -98,14 +98,6 @@ struct BatchDispatchOutcome {
   DispatchResult result;  ///< meaningful when status.ok()
 };
 
-/// \brief Validation of an untrusted client leaf code against a published
-/// tree: rejects codes with stray bits below the last digit and (for
-/// non-power-of-two arity) digit fields >= arity. The flat index would
-/// index child tables with these digits, so bad ones are rejected up front
-/// instead of aborting (or reading out of bounds) deeper down. O(1) for
-/// power-of-two arity.
-Status ValidateReportedLeafCode(const CompleteHst& tree, LeafCode code);
-
 /// \brief Configuration of the sharded serving engine.
 struct ShardedServerOptions {
   /// Spatial shards (>= 1; at most arity^depth). Any count produces the

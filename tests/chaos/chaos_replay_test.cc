@@ -377,15 +377,15 @@ TEST(ChaosReplayTest, SeededSweepSurvivesAndBalances) {
 // A same-shape tree that genuinely re-keys live workers: the first two
 // predefined points trade leaves.
 std::shared_ptr<const CompleteHst> SwappedTree(const CompleteHst& tree) {
-  std::vector<LeafPath> paths;
-  paths.reserve(static_cast<size_t>(tree.num_points()));
+  std::vector<LeafCode> codes;
+  codes.reserve(static_cast<size_t>(tree.num_points()));
   for (int p = 0; p < tree.num_points(); ++p) {
-    paths.push_back(tree.leaf_of_point(p));
+    codes.push_back(tree.leaf_code_of_point(p));
   }
-  std::swap(paths[0], paths[1]);
+  std::swap(codes[0], codes[1]);
   auto swapped = CompleteHst::FromParts(tree.depth(), tree.arity(),
                                         tree.scale(), tree.points(),
-                                        std::move(paths));
+                                        std::move(codes));
   EXPECT_TRUE(swapped.ok()) << swapped.status();
   return std::make_shared<const CompleteHst>(
       std::move(swapped).MoveValueUnsafe());

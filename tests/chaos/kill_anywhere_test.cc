@@ -32,6 +32,7 @@
 
 #include "common/fault.h"
 #include "geo/grid.h"
+#include "hst/pack_paths.h"
 #include "hst/snapshot.h"
 #include "serve/recovery.h"
 #include "serve/replay.h"
@@ -81,7 +82,7 @@ std::shared_ptr<const CompleteHst> Wide65BitTree() {
     paths.push_back(std::move(path));
   }
   auto tree = CompleteHst::FromParts(13, 32, 0.05, std::move(points),
-                                     std::move(paths));
+                                     PackPaths(13, 32, paths));
   EXPECT_TRUE(tree.ok()) << tree.status();
   return std::make_shared<const CompleteHst>(std::move(tree).MoveValueUnsafe());
 }

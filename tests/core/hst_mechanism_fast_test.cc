@@ -18,7 +18,7 @@
 #include "common/thread_pool.h"
 #include "core/tbf.h"
 #include "geo/grid.h"
-#include "serve/sharded_server.h"
+#include "hst/pack_paths.h"
 
 namespace tbf {
 namespace {
@@ -36,7 +36,7 @@ CompleteHst ShapedTree(int depth, int arity) {
                              static_cast<char16_t>(i)));
   }
   auto tree = CompleteHst::FromParts(depth, arity, 1.0, std::move(points),
-                                     std::move(paths));
+                                     PackPaths(depth, arity, paths));
   EXPECT_TRUE(tree.ok()) << tree.status();
   return std::move(tree).MoveValueUnsafe();
 }
@@ -66,7 +66,7 @@ TEST(ObfuscateCodeTest, ChiSquareMatchesExactDistributionDepth4Arity4) {
         const std::vector<LeafPath>& leaves = *leaves_result;
         EXPECT_EQ(leaves.size(), 256u);
 
-        const LeafCode x = codec->Pack(tree.leaf_of_point(1));
+        const LeafCode x = tree.leaf_code_of_point(1);
         std::map<LeafCode, size_t> index_of;
         std::vector<double> expected;
         expected.reserve(leaves.size());
@@ -106,7 +106,7 @@ TEST(ObfuscateCodeTest, AllSamplersMarginalsAgreeAcrossRandomEpsilons) {
     HstMechanism m = BuildMechanism(tree, eps_tree);
     const LeafCodec* codec = m.codec();
     ASSERT_NE(codec, nullptr);
-    const LeafCode x = codec->Pack(tree.leaf_of_point(0));
+    const LeafCode x = tree.leaf_code_of_point(0);
 
     std::vector<double> level_probs;
     for (int level = 0; level <= m.depth(); ++level) {
@@ -250,7 +250,7 @@ TEST(ObfuscateCodeTest, CodeWalkIsDrawForDrawIdenticalToPathWalk) {
     HstMechanism m = BuildMechanism(tree, 0.15);
     const LeafCodec* codec = m.codec();
     ASSERT_NE(codec, nullptr);
-    const LeafPath& x = tree.leaf_of_point(0);
+    const LeafPath x = tree.leaf_of_point(0);
     const LeafCode cx = codec->Pack(x);
     for (uint64_t seed = 1; seed <= 200; ++seed) {
       Rng path_rng(seed);
@@ -273,12 +273,12 @@ TEST(ObfuscateCodeTest, OutputsAreValidLeafCodes) {
     HstMechanism m = BuildMechanism(tree, 0.05);
     const LeafCodec* codec = m.codec();
     ASSERT_NE(codec, nullptr);
-    const LeafCode x = codec->Pack(tree.leaf_of_point(0));
+    const LeafCode x = tree.leaf_code_of_point(0);
     Rng rng(7);
     for (int i = 0; i < 2000; ++i) {
       const LeafCode z = m.ObfuscateCode(x, &rng);
-      ASSERT_TRUE(ValidateReportedLeafCode(tree, z).ok())
-          << ValidateReportedLeafCode(tree, z).ToString();
+      const Status valid = codec->Validate(z);
+      ASSERT_TRUE(valid.ok()) << valid.ToString();
       for (int j = 0; j < codec->depth(); ++j) {
         ASSERT_LT(codec->Digit(z, j), shape.second);
       }
@@ -290,7 +290,7 @@ TEST(ObfuscateCodeTest, LargeEpsilonConcentratesAndSmallEpsilonSpreads) {
   CompleteHst tree = ShapedTree(4, 4);
   const LeafCodec* codec = tree.codec();
   ASSERT_NE(codec, nullptr);
-  const LeafCode x = codec->Pack(tree.leaf_of_point(0));
+  const LeafCode x = tree.leaf_code_of_point(0);
 
   HstMechanism sharp = BuildMechanism(tree, 50.0);
   Rng rng1(3);
@@ -304,15 +304,17 @@ TEST(ObfuscateCodeTest, LargeEpsilonConcentratesAndSmallEpsilonSpreads) {
   EXPECT_NEAR(flat.Probability(x, x), 1.0 / 256.0, 1e-4);
 }
 
-TEST(TbfFrameworkCodeBatchTest, ObfuscateCodesMatchesObfuscateBatchWalk) {
-  // With the default walk sampler the code pipeline must report exactly
-  // the packed leaves of the path pipeline — any thread count, any offset.
+TEST(TbfFrameworkCodeBatchTest, ObfuscateCodesMatchesReferenceWalk) {
+  // With the default walk sampler the batch must report exactly the packed
+  // output of the path-based Alg. 3 reference on each item's fork — any
+  // thread count, any offset.
   Rng rng(5);
   auto grid = UniformGridPoints(BBox::Square(100), 6);
   ASSERT_TRUE(grid.ok());
   auto framework =
       TbfFramework::Build(std::move(*grid), EuclideanMetric(), &rng);
   ASSERT_TRUE(framework.ok());
+  const CompleteHst& tree = framework->tree();
   const LeafCodec* codec = framework->codec();
   ASSERT_NE(codec, nullptr);
 
@@ -324,19 +326,22 @@ TEST(TbfFrameworkCodeBatchTest, ObfuscateCodesMatchesObfuscateBatchWalk) {
   const Rng stream(123);
   ThreadPool pool(3);
   const uint64_t offset = 41;
-  std::vector<LeafPath> paths =
-      framework->ObfuscateBatch(locations, stream, &pool, nullptr, offset);
   std::vector<LeafCode> codes =
       framework->ObfuscateCodes(locations, stream, &pool, nullptr, offset);
-  ASSERT_EQ(paths.size(), codes.size());
-  for (size_t i = 0; i < paths.size(); ++i) {
-    EXPECT_EQ(codes[i], codec->Pack(paths[i])) << i;
+  ASSERT_EQ(codes.size(), locations.size());
+  for (size_t i = 0; i < codes.size(); ++i) {
+    Rng item_rng = stream.ForkAt(offset + i);
+    const LeafPath truth =
+        tree.leaf_of_point(tree.MapToNearestPoint(locations[i]));
+    EXPECT_EQ(codes[i],
+              codec->Pack(framework->mechanism().Obfuscate(truth, &item_rng)))
+        << i;
   }
 }
 
-TEST(TbfFrameworkCodeBatchTest, InverseCdfSamplerAgreesAcrossBatchApis) {
-  // With kInverseCdf both batch entry points share the same draws, so the
-  // path pipeline must be the unpacked code pipeline.
+TEST(TbfFrameworkCodeBatchTest, InverseCdfSamplerAgreesWithPerItemDraws) {
+  // With kInverseCdf the batch draws item i with ObfuscateCode on its own
+  // fork of the stream.
   Rng rng(6);
   auto grid = UniformGridPoints(BBox::Square(100), 5);
   ASSERT_TRUE(grid.ok());
@@ -346,8 +351,6 @@ TEST(TbfFrameworkCodeBatchTest, InverseCdfSamplerAgreesAcrossBatchApis) {
       TbfFramework::Build(std::move(*grid), EuclideanMetric(), &rng, options);
   ASSERT_TRUE(framework.ok());
   EXPECT_EQ(framework->sampler(), SamplerKind::kInverseCdf);
-  const LeafCodec* codec = framework->codec();
-  ASSERT_NE(codec, nullptr);
 
   Rng loc_rng(9);
   std::vector<Point> locations;
@@ -356,13 +359,14 @@ TEST(TbfFrameworkCodeBatchTest, InverseCdfSamplerAgreesAcrossBatchApis) {
   }
   const Rng stream(77);
   ThreadPool pool(2);
-  std::vector<LeafPath> paths =
-      framework->ObfuscateBatch(locations, stream, &pool);
   std::vector<LeafCode> codes =
       framework->ObfuscateCodes(locations, stream, &pool);
-  ASSERT_EQ(paths.size(), codes.size());
-  for (size_t i = 0; i < paths.size(); ++i) {
-    EXPECT_EQ(paths[i], codec->Unpack(codes[i])) << i;
+  ASSERT_EQ(codes.size(), locations.size());
+  for (size_t i = 0; i < codes.size(); ++i) {
+    Rng item_rng = stream.ForkAt(i);
+    EXPECT_EQ(codes[i], framework->mechanism().ObfuscateCode(
+                            framework->TrueLeaf(locations[i]), &item_rng))
+        << i;
   }
 }
 

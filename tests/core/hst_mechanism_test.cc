@@ -66,7 +66,7 @@ TEST(HstMechanismTest, TableOneProbabilities) {
   // Paper Table I: probability that the output leaf sits in L_i(x).
   CompleteHst tree = BuildExampleTree();
   HstMechanism m = BuildExampleMechanism(tree, 0.1);
-  const LeafPath& x = tree.leaf_of_point(0);
+  const LeafPath x = tree.leaf_of_point(0);
   // Per-leaf probabilities (column "Probability").
   auto leaf_prob_at_level = [&](int level) {
     // Any z with lvl(x, z) = level has probability wt_level / WT.
@@ -97,7 +97,7 @@ TEST(HstMechanismTest, DistributionSumsToOne) {
     HstMechanism m = BuildExampleMechanism(tree, eps);
     auto leaves = m.EnumerateLeaves();
     ASSERT_TRUE(leaves.ok());
-    const LeafPath& x = tree.leaf_of_point(1);
+    const LeafPath x = tree.leaf_of_point(1);
     double total = 0.0;
     for (const LeafPath& z : *leaves) total += m.Probability(x, z);
     EXPECT_NEAR(total, 1.0, 1e-10) << "eps=" << eps;
@@ -119,7 +119,7 @@ TEST(HstMechanismTest, LevelProbabilityAggregatesLeafProbabilities) {
   HstMechanism m = BuildExampleMechanism(tree, 0.1);
   auto leaves = m.EnumerateLeaves();
   ASSERT_TRUE(leaves.ok());
-  const LeafPath& x = tree.leaf_of_point(2);
+  const LeafPath x = tree.leaf_of_point(2);
   std::map<int, double> by_level;
   for (const LeafPath& z : *leaves) {
     by_level[LcaLevel(x, z)] += m.Probability(x, z);
@@ -139,7 +139,7 @@ TEST(HstMechanismTest, WalkProbabilityEqualsClosedForm) {
     auto leaves = m.EnumerateLeaves();
     ASSERT_TRUE(leaves.ok());
     for (int p = 0; p < tree.num_points(); ++p) {
-      const LeafPath& x = tree.leaf_of_point(p);
+      const LeafPath x = tree.leaf_of_point(p);
       for (const LeafPath& z : *leaves) {
         EXPECT_NEAR(m.WalkProbability(x, z), m.Probability(x, z), 1e-12)
             << "eps=" << eps << " x=" << LeafPathToString(x)
@@ -156,7 +156,7 @@ TEST(HstMechanismTest, RandomWalkSamplesMatchExactDistribution) {
   auto leaves_result = m.EnumerateLeaves();
   ASSERT_TRUE(leaves_result.ok());
   const std::vector<LeafPath>& leaves = *leaves_result;
-  const LeafPath& x = tree.leaf_of_point(0);
+  const LeafPath x = tree.leaf_of_point(0);
 
   std::map<LeafPath, size_t> index_of;
   for (size_t i = 0; i < leaves.size(); ++i) index_of[leaves[i]] = i;
@@ -182,7 +182,7 @@ TEST(HstMechanismTest, NaiveSamplerMatchesExactDistribution) {
   auto leaves_result = m.EnumerateLeaves();
   ASSERT_TRUE(leaves_result.ok());
   const std::vector<LeafPath>& leaves = *leaves_result;
-  const LeafPath& x = tree.leaf_of_point(3);
+  const LeafPath x = tree.leaf_of_point(3);
 
   std::map<LeafPath, size_t> index_of;
   for (size_t i = 0; i < leaves.size(); ++i) index_of[leaves[i]] = i;
@@ -217,8 +217,8 @@ TEST(HstMechanismTest, GeoIndistinguishabilityExact) {
                               leaves[static_cast<size_t>(z)]);
     };
     auto distance = [&](int a, int b) {
-      return tree.TreeDistance(leaves[static_cast<size_t>(a)],
-                               leaves[static_cast<size_t>(b)]);
+      return tree.TreeDistanceForLcaLevel(LcaLevel(
+          leaves[static_cast<size_t>(a)], leaves[static_cast<size_t>(b)]));
     };
     GeoCheckReport report = CheckGeoIndistinguishability(
         static_cast<int>(leaves.size()), static_cast<int>(leaves.size()),
@@ -233,7 +233,7 @@ TEST(HstMechanismTest, ObfuscateOutputsValidLeaves) {
   CompleteHst tree = BuildExampleTree();
   HstMechanism m = BuildExampleMechanism(tree, 0.3);
   Rng rng(4);
-  const LeafPath& x = tree.leaf_of_point(0);
+  const LeafPath x = tree.leaf_of_point(0);
   for (int i = 0; i < 1000; ++i) {
     LeafPath z = m.Obfuscate(x, &rng);
     ASSERT_EQ(z.size(), static_cast<size_t>(tree.depth()));
@@ -247,7 +247,7 @@ TEST(HstMechanismTest, LargeEpsilonConcentratesOnTruth) {
   CompleteHst tree = BuildExampleTree();
   HstMechanism m = BuildExampleMechanism(tree, 50.0);
   Rng rng(5);
-  const LeafPath& x = tree.leaf_of_point(1);
+  const LeafPath x = tree.leaf_of_point(1);
   int exact = 0;
   for (int i = 0; i < 1000; ++i) {
     if (m.Obfuscate(x, &rng) == x) ++exact;
@@ -259,7 +259,7 @@ TEST(HstMechanismTest, SmallEpsilonSpreadsMass) {
   CompleteHst tree = BuildExampleTree();
   HstMechanism m = BuildExampleMechanism(tree, 1e-6);
   // With eps -> 0 all leaves become equally likely: P(truth) -> 1 / c^D.
-  const LeafPath& x = tree.leaf_of_point(1);
+  const LeafPath x = tree.leaf_of_point(1);
   EXPECT_NEAR(m.Probability(x, x), 1.0 / 16.0, 1e-4);
 }
 
@@ -342,7 +342,7 @@ TEST_P(MechanismSweepTest, WalkMatchesClosedFormOnGridTrees) {
   // Walk == closed form on sampled outputs.
   Rng sample_rng(GetParam().grid_side * 1000 +
                  static_cast<uint64_t>(GetParam().epsilon * 10));
-  const LeafPath& x = tree->leaf_of_point(GetParam().source_point);
+  const LeafPath x = tree->leaf_of_point(GetParam().source_point);
   for (int i = 0; i < 200; ++i) {
     LeafPath z = m->Obfuscate(x, &sample_rng);
     EXPECT_NEAR(m->WalkProbability(x, z), m->Probability(x, z),

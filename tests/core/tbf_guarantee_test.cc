@@ -110,7 +110,8 @@ TEST(ShippedMechanismTest, PublishedMechanismIsGeoIndistinguishable) {
                                     (*outputs)[static_cast<size_t>(z)]);
   };
   auto distance = [&](int a, int b) {
-    return framework.TreeDistance(tree.leaf_of_point(a), tree.leaf_of_point(b));
+    return tree.TreeDistance(tree.leaf_code_of_point(a),
+                             tree.leaf_code_of_point(b));
   };
   const GeoCheckReport report = CheckGeoIndistinguishability(
       tree.num_points(), static_cast<int>(outputs->size()),

@@ -43,27 +43,19 @@ TEST(TbfFrameworkTest, BuildFailsOnBadInputs) {
 TEST(TbfFrameworkTest, TrueLeafIsNearestPredefined) {
   TbfFramework f = BuildFramework();
   // Grid over [0,200], side 8: spacing 200/7 ~ 28.57; point (0,0) is id 0.
-  EXPECT_EQ(f.TrueLeaf({1, 1}), f.tree().leaf_of_point(0));
+  EXPECT_EQ(f.TrueLeaf({1, 1}), f.tree().leaf_code_of_point(0));
   // Query exactly on a predefined point.
   const Point p = f.tree().points()[10];
-  EXPECT_EQ(f.TrueLeaf(p), f.tree().leaf_of_point(10));
+  EXPECT_EQ(f.TrueLeaf(p), f.tree().leaf_code_of_point(10));
 }
 
 TEST(TbfFrameworkTest, ObfuscateLocationProducesValidLeaf) {
   TbfFramework f = BuildFramework();
   Rng rng(5);
   for (int i = 0; i < 200; ++i) {
-    LeafPath z = f.ObfuscateLocation({100, 100}, &rng);
-    EXPECT_EQ(z.size(), static_cast<size_t>(f.tree().depth()));
+    const LeafCode z = f.ObfuscateLocation({100, 100}, &rng);
+    EXPECT_TRUE(f.codec()->Validate(z).ok());
   }
-}
-
-TEST(TbfFrameworkTest, TreeDistanceDelegates) {
-  TbfFramework f = BuildFramework();
-  const LeafPath& a = f.tree().leaf_of_point(0);
-  const LeafPath& b = f.tree().leaf_of_point(63);
-  EXPECT_DOUBLE_EQ(f.TreeDistance(a, b), f.tree().TreeDistance(a, b));
-  EXPECT_DOUBLE_EQ(f.TreeDistance(a, a), 0.0);
 }
 
 TEST(TbfFrameworkTest, HigherEpsilonReportsCloserToTruth) {
@@ -75,10 +67,10 @@ TEST(TbfFrameworkTest, HigherEpsilonReportsCloserToTruth) {
   RunningStat d_strict, d_loose;
   const Point location{57, 133};
   for (int i = 0; i < 3000; ++i) {
-    d_strict.Add(strict.TreeDistance(strict.TrueLeaf(location),
-                                     strict.ObfuscateLocation(location, &rng1)));
-    d_loose.Add(loose.TreeDistance(loose.TrueLeaf(location),
-                                   loose.ObfuscateLocation(location, &rng2)));
+    d_strict.Add(strict.tree().TreeDistance(
+        strict.TrueLeaf(location), strict.ObfuscateLocation(location, &rng1)));
+    d_loose.Add(loose.tree().TreeDistance(
+        loose.TrueLeaf(location), loose.ObfuscateLocation(location, &rng2)));
   }
   EXPECT_GT(d_strict.mean(), d_loose.mean());
 }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "geo/grid.h"
 
@@ -55,7 +57,7 @@ TEST(CompleteHstTest, LeafPathsAreDistinct) {
 TEST(CompleteHstTest, PointOfLeafRoundTrip) {
   CompleteHst tree = BuildExample();
   for (int p = 0; p < tree.num_points(); ++p) {
-    auto back = tree.point_of_leaf(tree.leaf_of_point(p));
+    auto back = tree.point_of_leaf(tree.leaf_code_of_point(p));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, p);
   }
@@ -70,7 +72,9 @@ TEST(CompleteHstTest, FakeLeafHasNoPoint) {
     for (int b = 0; b < 4; ++b) {
       path[static_cast<size_t>(b)] = static_cast<char16_t>((mask >> b) & 1);
     }
-    if (!tree.point_of_leaf(path).has_value()) ++fake_count;
+    if (!tree.point_of_leaf(tree.codec()->Pack(path)).has_value()) {
+      ++fake_count;
+    }
   }
   EXPECT_EQ(fake_count, 12);
 }
@@ -87,8 +91,8 @@ TEST(CompleteHstTest, TreeDistanceMatchesUnpaddedTree) {
   const CompleteHst& complete = *complete_result;
   for (int a = 0; a < complete.num_points(); ++a) {
     for (int b = 0; b < complete.num_points(); ++b) {
-      EXPECT_NEAR(complete.TreeDistance(complete.leaf_of_point(a),
-                                        complete.leaf_of_point(b)),
+      EXPECT_NEAR(complete.TreeDistance(complete.leaf_code_of_point(a),
+                                        complete.leaf_code_of_point(b)),
                   tree_result->TreeDistanceBetweenPoints(a, b), 1e-9)
           << "pair " << a << "," << b;
     }
@@ -100,7 +104,8 @@ TEST(CompleteHstTest, TreeDistanceDominatesEuclidean) {
   auto pts = ExamplePoints();
   for (int a = 0; a < 4; ++a) {
     for (int b = a + 1; b < 4; ++b) {
-      double d_tree = tree.TreeDistance(tree.leaf_of_point(a), tree.leaf_of_point(b));
+      double d_tree = tree.TreeDistance(tree.leaf_code_of_point(a),
+                                        tree.leaf_code_of_point(b));
       double d_euclid = EuclideanDistance(pts[static_cast<size_t>(a)],
                                           pts[static_cast<size_t>(b)]);
       EXPECT_GE(d_tree, d_euclid * (1 - 1e-9));
@@ -125,7 +130,7 @@ TEST(CompleteHstTest, MapToNearestPointIsNearest) {
   EXPECT_EQ(tree.MapToNearestPoint({0.9, 1.2}), 0);
   // Near o4(4,4).
   EXPECT_EQ(tree.MapToNearestPoint({4.1, 4.2}), 3);
-  EXPECT_EQ(tree.MapToNearestLeaf({4.1, 4.2}), tree.leaf_of_point(3));
+  EXPECT_EQ(tree.MapToNearestLeafCode({4.1, 4.2}), tree.leaf_code_of_point(3));
 }
 
 TEST(CompleteHstTest, SiblingSetSizes) {
@@ -174,21 +179,25 @@ TEST(CompleteHstTest, LargerGridRoundTrips) {
   ASSERT_TRUE(tree.ok()) << tree.status();
   EXPECT_EQ(tree->num_points(), 256);
   for (int p = 0; p < tree->num_points(); p += 17) {
-    EXPECT_EQ(tree->point_of_leaf(tree->leaf_of_point(p)).value_or(-1), p);
+    EXPECT_EQ(tree->point_of_leaf(tree->leaf_code_of_point(p)).value_or(-1), p);
   }
 }
 
 TEST(CompleteHstTest, CodeKeyedLookupMatchesPathLookup) {
   CompleteHst tree = BuildExample();
   ASSERT_NE(tree.codec(), nullptr);
-  // Real and fake leaves agree between the path and code entry points.
+  // Every leaf of the complete tree, real or fake, resolves through the
+  // code map to the point whose unpacked path it is, or to nothing.
   LeafPath path(static_cast<size_t>(tree.depth()), 0);
   for (int mask = 0; mask < 16; ++mask) {
     for (int b = 0; b < 4; ++b) {
       path[static_cast<size_t>(b)] = static_cast<char16_t>((mask >> b) & 1);
     }
-    EXPECT_EQ(tree.point_of_leaf(path),
-              tree.point_of_leaf(tree.codec()->Pack(path)))
+    std::optional<int> by_path;
+    for (int p = 0; p < tree.num_points(); ++p) {
+      if (tree.leaf_of_point(p) == path) by_path = p;
+    }
+    EXPECT_EQ(tree.point_of_leaf(tree.codec()->Pack(path)), by_path)
         << "mask " << mask;
   }
   for (int p = 0; p < tree.num_points(); ++p) {
@@ -196,15 +205,11 @@ TEST(CompleteHstTest, CodeKeyedLookupMatchesPathLookup) {
   }
 }
 
-TEST(CompleteHstTest, MalformedPathsYieldNulloptNotCrash) {
+TEST(CompleteHstTest, MalformedCodesYieldNulloptNotCrash) {
   CompleteHst tree = BuildExample();
-  EXPECT_FALSE(tree.point_of_leaf(LeafPath()).has_value());
-  EXPECT_FALSE(
-      tree.point_of_leaf(LeafPath(static_cast<size_t>(tree.depth() + 1), 0))
-          .has_value());
-  LeafPath bad_digit(static_cast<size_t>(tree.depth()), 0);
-  bad_digit[0] = static_cast<char16_t>(tree.arity());  // out of range
-  EXPECT_FALSE(tree.point_of_leaf(bad_digit).has_value());
+  const LeafCode real = tree.leaf_code_of_point(0);
+  EXPECT_FALSE(tree.point_of_leaf(real | 1).has_value());  // stray low bit
+  EXPECT_FALSE(tree.point_of_leaf(~LeafCode{0}).has_value());
 }
 
 TEST(CompleteHstTest, WideShapeGetsACodecAndWiderIsRefused) {
@@ -212,20 +217,22 @@ TEST(CompleteHstTest, WideShapeGetsACodecAndWiderIsRefused) {
   // low word, and both lookups serve through the code map.
   const int depth = 65;
   std::vector<Point> pts = {{0, 0}, {10, 0}, {0, 10}};
+  const LeafCodec codec(depth, 2);
   std::vector<LeafPath> paths;
+  std::vector<LeafCode> codes;
   for (int p = 0; p < 3; ++p) {
     LeafPath path(static_cast<size_t>(depth), 0);
     path[static_cast<size_t>(depth - 1)] = static_cast<char16_t>(p % 2);
     path[static_cast<size_t>(depth - 2)] = static_cast<char16_t>(p / 2);
     paths.push_back(path);
+    codes.push_back(codec.Pack(path));
   }
-  auto tree = CompleteHst::FromParts(depth, 2, 1.0, pts, paths);
+  auto tree = CompleteHst::FromParts(depth, 2, 1.0, pts, codes);
   ASSERT_TRUE(tree.ok()) << tree.status();
   ASSERT_NE(tree->codec(), nullptr);
   EXPECT_EQ(tree->codec()->low_bits(), 63);
   for (int p = 0; p < 3; ++p) {
-    EXPECT_EQ(tree->point_of_leaf(paths[static_cast<size_t>(p)]).value_or(-1),
-              p);
+    EXPECT_EQ(tree->leaf_of_point(p), paths[static_cast<size_t>(p)]);
     EXPECT_EQ(tree->point_of_leaf(tree->leaf_code_of_point(p)).value_or(-1),
               p);
   }
@@ -233,14 +240,10 @@ TEST(CompleteHstTest, WideShapeGetsACodecAndWiderIsRefused) {
             uint64_t{1} << 63);
   LeafPath fake(static_cast<size_t>(depth), 0);
   fake[0] = 1;
-  EXPECT_FALSE(tree->point_of_leaf(fake).has_value());
+  EXPECT_FALSE(tree->point_of_leaf(codec.Pack(fake)).has_value());
 
   // 129 binary digits fit no code: refused, never published.
-  std::vector<LeafPath> deeper(
-      3, LeafPath(static_cast<size_t>(129), char16_t{0}));
-  deeper[1][0] = 1;
-  deeper[2][1] = 1;
-  auto refused = CompleteHst::FromParts(129, 2, 1.0, pts, deeper);
+  auto refused = CompleteHst::FromParts(129, 2, 1.0, pts, {0, 1, 2});
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(refused.status().message().find("needs 129 bits"),
@@ -308,11 +311,15 @@ TEST(CompleteHstTest, OverflowingLocationStillMapsToAPoint) {
 }
 
 TEST(CompleteHstTest, FromPartsRejectsDuplicateLeafThroughCodeMap) {
-  std::vector<Point> pts = {{0, 0}, {10, 0}};
-  LeafPath same(static_cast<size_t>(3), 1);
-  auto tree = CompleteHst::FromParts(3, 2, 1.0, pts, {same, same});
-  EXPECT_FALSE(tree.ok());
+  std::vector<Point> pts = {{0, 0}, {10, 0}, {0, 10}};
+  const LeafCode same = LeafCodec(3, 2).Pack(LeafPath(3, 1));
+  auto tree = CompleteHst::FromParts(3, 2, 1.0, pts, {same, 0, same});
+  ASSERT_FALSE(tree.ok());
   EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(tree.status().message().find(
+                "row 2: duplicate leaf path (first seen at row 0)"),
+            std::string::npos)
+      << tree.status();
 }
 
 }  // namespace

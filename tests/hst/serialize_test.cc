@@ -40,10 +40,10 @@ TEST(SerializeTest, RoundTripPreservesDistancesAndMapping) {
   ASSERT_TRUE(parsed.ok());
   for (int a = 0; a < original.num_points(); a += 3) {
     for (int b = 0; b < original.num_points(); b += 5) {
-      EXPECT_DOUBLE_EQ(
-          parsed->TreeDistance(parsed->leaf_of_point(a), parsed->leaf_of_point(b)),
-          original.TreeDistance(original.leaf_of_point(a),
-                                original.leaf_of_point(b)));
+      EXPECT_DOUBLE_EQ(parsed->TreeDistance(parsed->leaf_code_of_point(a),
+                                            parsed->leaf_code_of_point(b)),
+                       original.TreeDistance(original.leaf_code_of_point(a),
+                                             original.leaf_code_of_point(b)));
     }
   }
   Point query{33.3, 61.2};
@@ -76,9 +76,6 @@ TEST(SerializeTest, RoundTripPreservesPackedCodeDomain) {
     // Code-keyed inverse lookup agrees across the round trip...
     ASSERT_TRUE(parsed->point_of_leaf(code).has_value()) << "point " << p;
     EXPECT_EQ(*parsed->point_of_leaf(code), p);
-    // ...and with the LeafPath-keyed lookup on the same tree.
-    EXPECT_EQ(parsed->point_of_leaf(parsed->leaf_of_point(p)),
-              parsed->point_of_leaf(code));
     // Pack/Unpack through the parsed codec reproduces the published path.
     EXPECT_EQ(parsed_codec->Pack(original.leaf_of_point(p)), code);
     EXPECT_EQ(parsed_codec->Unpack(code), original.leaf_of_point(p));
@@ -108,6 +105,19 @@ TEST(SerializeTest, RejectsGarbage) {
   EXPECT_FALSE(ParseCompleteHst("tbf-hst 99\ndepth 1").ok());
 }
 
+TEST(SerializeTest, RejectsHeaderWiderThanLeafCode) {
+  // depth 25 x arity 36 needs 150 bits: refused before any codec exists.
+  auto parsed = ParseCompleteHst(
+      "tbf-hst 1\ndepth 25 arity 36 scale 8\npoints 1\n0 0 "
+      "0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find(
+                "depth 25 x arity 36 does not fit 128-bit leaf codes"),
+            std::string::npos)
+      << parsed.status();
+}
+
 TEST(SerializeTest, RejectsTruncatedPointTable) {
   CompleteHst tree = BuildTree();
   std::string text = SerializeCompleteHst(tree);
@@ -133,12 +143,9 @@ TEST(SerializeTest, MissingFileFails) {
 
 TEST(FromPartsTest, ValidatesInvariants) {
   std::vector<Point> pts = {{0, 0}, {1, 1}};
-  LeafPath a;
-  a.push_back(0);
-  a.push_back(0);
-  LeafPath b;
-  b.push_back(1);
-  b.push_back(0);
+  const LeafCodec codec(2, 2);
+  const LeafCode a = codec.Pack({char16_t{0}, char16_t{0}});
+  const LeafCode b = codec.Pack({char16_t{1}, char16_t{0}});
   // Happy path.
   EXPECT_TRUE(CompleteHst::FromParts(2, 2, 1.0, pts, {a, b}).ok());
   // Bad ranges / structure.
@@ -147,17 +154,14 @@ TEST(FromPartsTest, ValidatesInvariants) {
   EXPECT_FALSE(CompleteHst::FromParts(2, 2, 0.0, pts, {a, b}).ok());
   EXPECT_FALSE(CompleteHst::FromParts(2, 2, 1.0, {}, {}).ok());
   EXPECT_FALSE(CompleteHst::FromParts(2, 2, 1.0, pts, {a}).ok());
-  // Duplicate paths.
+  // Duplicate codes.
   EXPECT_FALSE(CompleteHst::FromParts(2, 2, 1.0, pts, {a, a}).ok());
-  // Path length mismatch.
-  LeafPath shorty;
-  shorty.push_back(0);
-  EXPECT_FALSE(CompleteHst::FromParts(2, 2, 1.0, pts, {a, shorty}).ok());
-  // Digit out of arity range.
-  LeafPath big;
-  big.push_back(5);
-  big.push_back(0);
-  EXPECT_FALSE(CompleteHst::FromParts(2, 2, 1.0, pts, {a, big}).ok());
+  // A third digit: bits below the last digit of a depth-2 code.
+  const LeafCode deeper = LeafCodec(3, 2).Pack(LeafPath(3, 1));
+  EXPECT_FALSE(CompleteHst::FromParts(2, 2, 1.0, pts, {a, deeper}).ok());
+  // Digit out of arity range (arity 3 takes 2-bit fields).
+  const LeafCode big = LeafCodec(2, 4).Pack({char16_t{3}, char16_t{0}});
+  EXPECT_FALSE(CompleteHst::FromParts(2, 3, 1.0, pts, {a, big}).ok());
 }
 
 TEST(FromPartsTest, ReconstructedTreeObfuscatesAndMatches) {

@@ -15,6 +15,7 @@
 #include "common/fault.h"
 #include "core/hst_mechanism.h"
 #include "geo/grid.h"
+#include "hst/pack_paths.h"
 
 namespace tbf {
 namespace {
@@ -38,7 +39,7 @@ CompleteHst BuildDeepTree() {
   paths[1][0] = char16_t{1};
   paths[2][1] = char16_t{1};
   auto tree = CompleteHst::FromParts(depth, 2, 2.5, std::move(points),
-                                     std::move(paths));
+                                     PackPaths(depth, 2, paths));
   EXPECT_TRUE(tree.ok()) << tree.status();
   return std::move(tree).MoveValueUnsafe();
 }
@@ -58,7 +59,7 @@ CompleteHst Build65BitTree(int n, uint64_t seed = 5) {
     paths.push_back(std::move(path));
   }
   auto tree = CompleteHst::FromParts(13, 32, 2.0, std::move(points),
-                                     std::move(paths));
+                                     PackPaths(13, 32, paths));
   EXPECT_TRUE(tree.ok()) << tree.status();
   return std::move(tree).MoveValueUnsafe();
 }
@@ -79,7 +80,7 @@ CompleteHst BuildWideTree(int depth, int n) {
     paths.push_back(std::move(path));
   }
   auto tree = CompleteHst::FromParts(depth, 2, 1.5, std::move(points),
-                                     std::move(paths));
+                                     PackPaths(depth, 2, paths));
   EXPECT_TRUE(tree.ok()) << tree.status();
   return std::move(tree).MoveValueUnsafe();
 }
@@ -191,10 +192,10 @@ TEST(HstSnapshotTest, RoundTripPreservesEverythingPacked) {
   // distances and client-side mapping are draw-for-draw identical.
   for (int a = 0; a < original.num_points(); a += 3) {
     for (int b = 0; b < original.num_points(); b += 5) {
-      EXPECT_DOUBLE_EQ(parsed->TreeDistance(parsed->leaf_of_point(a),
-                                            parsed->leaf_of_point(b)),
-                       original.TreeDistance(original.leaf_of_point(a),
-                                             original.leaf_of_point(b)));
+      EXPECT_DOUBLE_EQ(parsed->TreeDistance(parsed->leaf_code_of_point(a),
+                                            parsed->leaf_code_of_point(b)),
+                       original.TreeDistance(original.leaf_code_of_point(a),
+                                             original.leaf_code_of_point(b)));
     }
   }
   Point query{33.3, 61.2};
@@ -246,7 +247,7 @@ TEST(HstSnapshotTest, Rejects65BitShapeCorruption) {
   std::vector<std::string> records = base;
   PatchCode(&records[kLeafRecord], kOffRows,
             tree.leaf_code_of_point(0) | (LeafCode{1} << 62));
-  ExpectParseError(Reframe(records), "leaf 0: code has bits outside");
+  ExpectParseError(Reframe(records), "row 0: code has bits outside");
 
   // Leaf 1 rewritten to leaf 0's code: two points on one leaf.
   records = base;
@@ -456,20 +457,19 @@ TEST(HstSnapshotTest, RejectsNonFinitePoint) {
 TEST(HstSnapshotTest, RejectsCodeBitsOutsideShape) {
   // depth 3 x arity 4 = 6 bits of code at the top of the high word; the
   // low word's lowest byte is guaranteed outside the shape, so poisoning
-  // it survives the per-digit masking and must be caught by the re-pack
-  // identity check.
+  // it must be caught by the stray-bit check.
   std::vector<Point> points = {{0.0, 0.0}, {10.0, 0.0}, {0.0, 10.0}};
   std::vector<LeafPath> paths = {
       {char16_t{0}, char16_t{0}, char16_t{0}},
       {char16_t{1}, char16_t{0}, char16_t{0}},
       {char16_t{2}, char16_t{1}, char16_t{0}}};
-  auto tree =
-      CompleteHst::FromParts(3, 4, 2.0, std::move(points), std::move(paths));
+  auto tree = CompleteHst::FromParts(3, 4, 2.0, std::move(points),
+                                     PackPaths(3, 4, paths));
   ASSERT_TRUE(tree.ok()) << tree.status();
   ASSERT_NE(tree->codec(), nullptr);
   std::vector<std::string> records = RecordsOf(SerializeHstSnapshot(*tree));
   records[kLeafRecord][kOffRows] = static_cast<char>(0xFF);  // low byte
-  ExpectParseError(Reframe(records), "leaf 0: code has bits outside");
+  ExpectParseError(Reframe(records), "row 0: code has bits outside");
 }
 
 TEST(HstSnapshotTest, RejectsDigitOutOfArityRange) {
@@ -477,14 +477,14 @@ TEST(HstSnapshotTest, RejectsDigitOutOfArityRange) {
   std::vector<Point> points = {{0.0, 0.0}, {10.0, 0.0}};
   std::vector<LeafPath> paths = {{char16_t{0}, char16_t{0}},
                                  {char16_t{1}, char16_t{2}}};
-  auto tree =
-      CompleteHst::FromParts(2, 3, 2.0, std::move(points), std::move(paths));
+  auto tree = CompleteHst::FromParts(2, 3, 2.0, std::move(points),
+                                     PackPaths(2, 3, paths));
   ASSERT_TRUE(tree.ok()) << tree.status();
   std::vector<std::string> records = RecordsOf(SerializeHstSnapshot(*tree));
   // The high byte of leaf 0's code holds digit 0 in its top two bits.
   records[kLeafRecord][kOffRows + 15] = static_cast<char>(0xC0);
   ExpectParseError(Reframe(records),
-                   "leaf 0: digit 3 at level 0 out of arity range");
+                   "row 0: digit 3 at position 0 exceeds the published arity");
 }
 
 TEST(HstSnapshotTest, RejectsDuplicateLeafViaBackstop) {

@@ -94,13 +94,13 @@ TEST_F(PaperExampleTest, ExampleThreeWalkProbabilities) {
 TEST_F(PaperExampleTest, ExampleFourGreedyConsumesNearestWorkers) {
   // Alg. 4 over obfuscated nodes: each task takes the tree-nearest
   // unmatched worker and the worker set shrinks by one per task.
-  std::vector<LeafPath> workers = {tree_->leaf_of_point(0),
-                                   tree_->leaf_of_point(1),
-                                   tree_->leaf_of_point(3)};
+  std::vector<LeafCode> workers = {tree_->leaf_code_of_point(0),
+                                   tree_->leaf_code_of_point(1),
+                                   tree_->leaf_code_of_point(3)};
   HstGreedyMatcher matcher(workers, tree_->depth(), tree_->arity());
   std::vector<int> order;
   for (int pid : {1, 0, 2}) {
-    int w = matcher.Assign(tree_->leaf_of_point(pid));
+    int w = matcher.Assign(tree_->leaf_code_of_point(pid));
     ASSERT_GE(w, 0);
     order.push_back(w);
   }
@@ -115,8 +115,8 @@ TEST_F(PaperExampleTest, GeoIGuaranteeHoldsOnExampleTree) {
   for (int a = 0; a < 4; ++a) {
     for (int b = 0; b < 4; ++b) {
       if (a == b) continue;
-      const LeafPath& xa = tree_->leaf_of_point(a);
-      const LeafPath& xb = tree_->leaf_of_point(b);
+      const LeafPath xa = tree_->leaf_of_point(a);
+      const LeafPath xb = tree_->leaf_of_point(b);
       // Tree distance in tree units (Example 2 convention).
       double d_tree = TreeDistanceForLevel(LcaLevel(xa, xb));
       auto leaves = mech_->EnumerateLeaves();

@@ -18,8 +18,8 @@ namespace tbf {
 namespace {
 
 struct Episode {
-  std::vector<LeafPath> workers;
-  std::vector<LeafPath> tasks;
+  std::vector<LeafCode> workers;
+  std::vector<LeafCode> tasks;
   int depth = 0;
   int arity = 0;
 };
@@ -96,19 +96,19 @@ TEST(GoldenEquivalenceTest, FlatIndexMatchesMapIndexUniformDrawForDraw) {
     HstAvailabilityMapIndex reference(episode.depth, episode.arity);
     const LeafCodec& codec = *flat.codec();
     for (size_t i = 0; i < episode.workers.size(); ++i) {
-      flat.Insert(codec.Pack(episode.workers[i]), static_cast<int>(i));
-      reference.Insert(episode.workers[i], static_cast<int>(i));
+      flat.Insert(episode.workers[i], static_cast<int>(i));
+      reference.Insert(codec.Unpack(episode.workers[i]), static_cast<int>(i));
     }
     Rng flat_rng(spec.seed);
     Rng ref_rng(spec.seed);
-    for (const LeafPath& task : episode.tasks) {
-      auto a = flat.NearestUniform(codec.Pack(task), &flat_rng);
-      auto b = reference.NearestUniform(task, &ref_rng);
+    for (const LeafCode task : episode.tasks) {
+      auto a = flat.NearestUniform(task, &flat_rng);
+      auto b = reference.NearestUniform(codec.Unpack(task), &ref_rng);
       ASSERT_EQ(a, b);
       ASSERT_TRUE(a.has_value());
-      flat.Remove(codec.Pack(episode.workers[static_cast<size_t>(a->first)]),
-                  a->first);
-      reference.Remove(episode.workers[static_cast<size_t>(a->first)], a->first);
+      const LeafCode worker = episode.workers[static_cast<size_t>(a->first)];
+      flat.Remove(worker, a->first);
+      reference.Remove(codec.Unpack(worker), a->first);
     }
     EXPECT_EQ(flat_rng.NextU64(), ref_rng.NextU64());
   }

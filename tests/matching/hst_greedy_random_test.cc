@@ -4,19 +4,21 @@
 
 #include <map>
 
+#include "hst/pack_paths.h"
 #include "matching/hst_greedy.h"
 
 namespace tbf {
 namespace {
 
-LeafPath P(std::initializer_list<int> digits) {
+// Code of the binary-tree leaf spelled by `digits` (depth = digit count).
+LeafCode P(std::initializer_list<int> digits) {
   LeafPath p;
   for (int d : digits) p.push_back(static_cast<char16_t>(d));
-  return p;
+  return LeafCodec(static_cast<int>(p.size()), 2).Pack(p);
 }
 
 TEST(HstGreedyRandomTest, StillPicksMinimalDistance) {
-  std::vector<LeafPath> workers = {P({0, 0, 0}), P({1, 1, 1}), P({1, 1, 0})};
+  std::vector<LeafCode> workers = {P({0, 0, 0}), P({1, 1, 1}), P({1, 1, 0})};
   Rng rng(1);
   HstGreedyMatcher m(workers, 3, 2, HstEngine::kLinearScan,
                      HstTieBreak::kUniformRandom, &rng);
@@ -36,7 +38,7 @@ TEST_P(RandomTieBreakEngineTest, TiesAreUniform) {
   const int trials = 20000;
   Rng rng(42);
   for (int t = 0; t < trials; ++t) {
-    std::vector<LeafPath> workers(4, P({1, 0}));
+    std::vector<LeafCode> workers(4, P({1, 0}));
     HstGreedyMatcher m(workers, 2, 2, GetParam(),
                        HstTieBreak::kUniformRandom, &rng);
     ++counts[m.Assign(P({1, 0}))];
@@ -59,17 +61,20 @@ TEST_P(RandomTieBreakEngineTest, SameDistanceAsCanonical) {
     }
     return p;
   };
-  std::vector<LeafPath> workers;
-  for (int i = 0; i < 40; ++i) workers.push_back(random_leaf());
-  std::vector<LeafPath> tasks;
-  for (int i = 0; i < 40; ++i) tasks.push_back(random_leaf());
+  std::vector<LeafPath> worker_paths;
+  for (int i = 0; i < 40; ++i) worker_paths.push_back(random_leaf());
+  std::vector<LeafPath> task_paths;
+  for (int i = 0; i < 40; ++i) task_paths.push_back(random_leaf());
+  const std::vector<LeafCode> workers = PackPaths(depth, arity, worker_paths);
+  const std::vector<LeafCode> tasks = PackPaths(depth, arity, task_paths);
+  const LeafCodec codec(depth, arity);
 
   Rng rng(8);
   HstGreedyMatcher canonical(workers, depth, arity, GetParam(),
                              HstTieBreak::kCanonical);
   HstGreedyMatcher random(workers, depth, arity, GetParam(),
                           HstTieBreak::kUniformRandom, &rng);
-  for (const LeafPath& task : tasks) {
+  for (const LeafCode task : tasks) {
     int a = canonical.Assign(task);
     int b = random.Assign(task);
     ASSERT_EQ(a >= 0, b >= 0);
@@ -79,7 +84,7 @@ TEST_P(RandomTieBreakEngineTest, SameDistanceAsCanonical) {
     break;
   }
   // Fresh-state comparison for every task:
-  for (const LeafPath& task : tasks) {
+  for (const LeafCode task : tasks) {
     HstGreedyMatcher c2(workers, depth, arity, GetParam(),
                         HstTieBreak::kCanonical);
     HstGreedyMatcher r2(workers, depth, arity, GetParam(),
@@ -88,8 +93,8 @@ TEST_P(RandomTieBreakEngineTest, SameDistanceAsCanonical) {
     int b = r2.Assign(task);
     ASSERT_GE(a, 0);
     ASSERT_GE(b, 0);
-    EXPECT_EQ(LcaLevel(task, workers[static_cast<size_t>(a)]),
-              LcaLevel(task, workers[static_cast<size_t>(b)]));
+    EXPECT_EQ(codec.LcaLevel(task, workers[static_cast<size_t>(a)]),
+              codec.LcaLevel(task, workers[static_cast<size_t>(b)]));
   }
 }
 
@@ -98,7 +103,7 @@ INSTANTIATE_TEST_SUITE_P(Engines, RandomTieBreakEngineTest,
                                          HstEngine::kIndex));
 
 TEST(HstGreedyRandomDeathTest, RequiresRng) {
-  std::vector<LeafPath> workers = {P({0, 0})};
+  std::vector<LeafCode> workers = {P({0, 0})};
   EXPECT_DEATH(HstGreedyMatcher(workers, 2, 2, HstEngine::kLinearScan,
                                 HstTieBreak::kUniformRandom, nullptr),
                "requires an rng");

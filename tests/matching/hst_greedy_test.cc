@@ -4,19 +4,21 @@
 
 #include "common/rng.h"
 #include "geo/grid.h"
+#include "hst/pack_paths.h"
 
 namespace tbf {
 namespace {
 
-LeafPath P(std::initializer_list<int> digits) {
+// Code of the binary-tree leaf spelled by `digits` (depth = digit count).
+LeafCode P(std::initializer_list<int> digits) {
   LeafPath p;
   for (int d : digits) p.push_back(static_cast<char16_t>(d));
-  return p;
+  return LeafCodec(static_cast<int>(p.size()), 2).Pack(p);
 }
 
 TEST(HstGreedyTest, AssignsNearestOnTree) {
   // depth 3, arity 2.
-  std::vector<LeafPath> workers = {P({0, 0, 0}), P({1, 1, 1}), P({1, 1, 0})};
+  std::vector<LeafCode> workers = {P({0, 0, 0}), P({1, 1, 1}), P({1, 1, 0})};
   HstGreedyMatcher m(workers, 3, 2);
   // Task at (1,1,1): worker 1 co-located (level 0).
   EXPECT_EQ(m.Assign(P({1, 1, 1})), 1);
@@ -27,13 +29,13 @@ TEST(HstGreedyTest, AssignsNearestOnTree) {
 }
 
 TEST(HstGreedyTest, EmptyWorkers) {
-  HstGreedyMatcher m(std::vector<LeafPath>{}, 3, 2);
+  HstGreedyMatcher m(std::vector<LeafCode>{}, 3, 2);
   EXPECT_EQ(m.Assign(P({0, 0, 0})), -1);
 }
 
 TEST(HstGreedyTest, CanonicalTieBreak) {
   // Two workers both at LCA level 2 from the task; smaller leaf path wins.
-  std::vector<LeafPath> workers = {P({0, 1, 0}), P({0, 0, 1})};
+  std::vector<LeafCode> workers = {P({0, 1, 0}), P({0, 0, 1})};
   HstGreedyMatcher scan(workers, 3, 2, HstEngine::kLinearScan);
   EXPECT_EQ(scan.Assign(P({0, 1, 1})), 0);
 
@@ -42,7 +44,7 @@ TEST(HstGreedyTest, CanonicalTieBreak) {
 }
 
 TEST(HstGreedyTest, SameLeafTieBreakSmallestId) {
-  std::vector<LeafPath> workers = {P({1, 0}), P({1, 0}), P({1, 0})};
+  std::vector<LeafCode> workers = {P({1, 0}), P({1, 0}), P({1, 0})};
   HstGreedyMatcher m(workers, 2, 2, HstEngine::kIndex);
   EXPECT_EQ(m.Assign(P({1, 0})), 0);
   EXPECT_EQ(m.Assign(P({1, 0})), 1);
@@ -64,10 +66,12 @@ TEST_P(HstEngineEquivalenceTest, ScanAndIndexProduceIdenticalMatchings) {
   };
   std::vector<LeafPath> workers;
   for (int i = 0; i < 150; ++i) workers.push_back(random_leaf());
-  HstGreedyMatcher scan(workers, depth, arity, HstEngine::kLinearScan);
-  HstGreedyMatcher index(workers, depth, arity, HstEngine::kIndex);
+  const std::vector<LeafCode> codes = PackPaths(depth, arity, workers);
+  HstGreedyMatcher scan(codes, depth, arity, HstEngine::kLinearScan);
+  HstGreedyMatcher index(codes, depth, arity, HstEngine::kIndex);
+  const LeafCodec codec(depth, arity);
   for (int t = 0; t < 150; ++t) {
-    LeafPath task = random_leaf();
+    const LeafCode task = codec.Pack(random_leaf());
     int a = scan.Assign(task);
     int b = index.Assign(task);
     ASSERT_EQ(a, b) << "task " << t;
@@ -87,11 +91,11 @@ TEST(HstGreedyTest, MatchesPaperExampleFourSemantics) {
   auto tree = CompleteHst::BuildFromPoints(*grid, metric, &rng);
   ASSERT_TRUE(tree.ok());
 
-  std::vector<LeafPath> workers;
-  for (int p = 0; p < 8; ++p) workers.push_back(tree->leaf_of_point(p));
+  std::vector<LeafCode> workers;
+  for (int p = 0; p < 8; ++p) workers.push_back(tree->leaf_code_of_point(p));
   HstGreedyMatcher m(workers, tree->depth(), tree->arity());
 
-  LeafPath task = tree->leaf_of_point(9);
+  const LeafCode task = tree->leaf_code_of_point(9);
   int chosen = m.Assign(task);
   ASSERT_GE(chosen, 0);
   for (int w = 0; w < 8; ++w) {
@@ -101,8 +105,9 @@ TEST(HstGreedyTest, MatchesPaperExampleFourSemantics) {
 }
 
 TEST(HstGreedyDeathTest, DepthMismatchAborts) {
-  std::vector<LeafPath> workers = {P({0, 0})};
-  EXPECT_DEATH(HstGreedyMatcher(workers, 3, 2), "depth mismatch");
+  // A depth-3 leaf has a digit below the last digit of a depth-2 code.
+  std::vector<LeafCode> workers = {P({0, 0, 1})};
+  EXPECT_DEATH(HstGreedyMatcher(workers, 2, 2), "bits outside the shape");
 }
 
 }  // namespace

@@ -103,14 +103,15 @@ TEST(ProbMatcherDeathTest, MismatchedRadiiAbort) {
   EXPECT_DEATH(ProbMatcher({{0, 0}}, {1.0, 2.0}, table), "radii");
 }
 
-LeafPath P(std::initializer_list<int> digits) {
+// Code of the binary-tree leaf spelled by `digits` (depth = digit count).
+LeafCode P(std::initializer_list<int> digits) {
   LeafPath p;
   for (int d : digits) p.push_back(static_cast<char16_t>(d));
-  return p;
+  return LeafCodec(static_cast<int>(p.size()), 2).Pack(p);
 }
 
 TEST(HstCaseStudyMatcherTest, RanksByTreeDistance) {
-  std::vector<LeafPath> workers = {P({0, 0, 0}), P({1, 1, 0}), P({1, 1, 1})};
+  std::vector<LeafCode> workers = {P({0, 0, 0}), P({1, 1, 0}), P({1, 1, 1})};
   HstCaseStudyMatcher m(workers, 3, 2);
   std::vector<int> candidates = m.Candidates(P({1, 1, 1}), 3);
   ASSERT_EQ(candidates.size(), 3u);
@@ -120,7 +121,7 @@ TEST(HstCaseStudyMatcherTest, RanksByTreeDistance) {
 }
 
 TEST(HstCaseStudyMatcherTest, ConsumeRemoves) {
-  std::vector<LeafPath> workers = {P({0, 0}), P({0, 1})};
+  std::vector<LeafCode> workers = {P({0, 0}), P({0, 1})};
   HstCaseStudyMatcher m(workers, 2, 2);
   m.Consume(0);
   EXPECT_EQ(m.available(), 1u);
@@ -128,7 +129,7 @@ TEST(HstCaseStudyMatcherTest, ConsumeRemoves) {
 }
 
 TEST(HstCaseStudyMatcherTest, LimitRespected) {
-  std::vector<LeafPath> workers = {P({0, 0}), P({0, 1}), P({1, 0}), P({1, 1})};
+  std::vector<LeafCode> workers = {P({0, 0}), P({0, 1}), P({1, 0}), P({1, 1})};
   HstCaseStudyMatcher m(workers, 2, 2);
   EXPECT_EQ(m.Candidates(P({0, 0}), 2).size(), 2u);
 }

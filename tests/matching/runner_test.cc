@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "workload/synthetic.h"
 
@@ -192,6 +195,40 @@ TEST(RunnerTest, EnginesDoNotChangeResults) {
   }
 }
 
+// Pins the figure pipelines' draws: any change to how Lap-HG or TBF map,
+// obfuscate or match shows up here as a different total or assignment.
+TEST(RunnerTest, PinnedPipelineDraws) {
+  struct Pin {
+    Algorithm algorithm;
+    double total_distance;
+    std::vector<int> first_workers;
+  };
+  const std::vector<Pin> pins = {
+      {Algorithm::kTbf, 867.87201866273972,
+       {2, 4, 6, 1, 0, 60, 8, 7, 18, 10, 20, 23, 13, 9, 11, 74, 24, 14, 17, 35}},
+      {Algorithm::kLapHg, 972.6990895122799,
+       {2, 4, 6, 8, 0, 60, 11, 7, 9, 10, 18, 59, 3, 17, 19, 29, 13, 14, 22,
+        35}},
+  };
+  OnlineInstance inst = SmallInstance();
+  for (const Pin& pin : pins) {
+    for (HstEngine engine : {HstEngine::kLinearScan, HstEngine::kIndex}) {
+      SCOPED_TRACE(std::string(AlgorithmName(pin.algorithm)) + " engine " +
+                   std::to_string(static_cast<int>(engine)));
+      PipelineConfig config = SmallConfig();
+      config.hst_engine = engine;
+      auto metrics = RunPipeline(pin.algorithm, inst, config);
+      ASSERT_TRUE(metrics.ok()) << metrics.status();
+      EXPECT_EQ(metrics->total_distance, pin.total_distance);
+      std::vector<int> first;
+      for (size_t i = 0; i < pin.first_workers.size(); ++i) {
+        first.push_back(metrics->matching.pairs[i].worker_id);
+      }
+      EXPECT_EQ(first, pin.first_workers);
+    }
+  }
+}
+
 CaseStudyInstance SmallCaseStudy(uint64_t seed = 21) {
   SyntheticCaseStudyConfig config;
   config.base.num_tasks = 50;
@@ -234,6 +271,21 @@ TEST(CaseStudyTest, MoreNotificationsNeverHurt) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_GE(b->matching_size, a->matching_size);
+}
+
+TEST(CaseStudyTest, PinnedTbfDraws) {
+  CaseStudyInstance inst = SmallCaseStudy();
+  CaseStudyConfig config;
+  config.pipeline = SmallConfig();
+  for (const auto& [notify, size, notifications] :
+       {std::tuple<size_t, size_t, size_t>{1, 25, 50}, {5, 44, 111}}) {
+    SCOPED_TRACE("max_notifications " + std::to_string(notify));
+    config.max_notifications = notify;
+    auto metrics = RunCaseStudy(CaseStudyAlgorithm::kTbf, inst, config);
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+    EXPECT_EQ(metrics->matching_size, size);
+    EXPECT_EQ(metrics->notifications, notifications);
+  }
 }
 
 TEST(CaseStudyTest, RejectsMismatchedRadii) {

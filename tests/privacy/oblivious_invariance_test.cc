@@ -37,6 +37,7 @@
 #include "common/thread_pool.h"
 #include "core/tbf.h"
 #include "geo/grid.h"
+#include "hst/pack_paths.h"
 #include "serve/replay.h"
 #include "serve/sharded_server.h"
 #include "workload/synthetic.h"
@@ -57,7 +58,7 @@ CompleteHst ShapedTree(int depth, int arity) {
                              static_cast<char16_t>(i)));
   }
   auto tree = CompleteHst::FromParts(depth, arity, 1.0, std::move(points),
-                                     std::move(paths));
+                                     PackPaths(depth, arity, paths));
   EXPECT_TRUE(tree.ok()) << tree.status();
   return std::move(tree).MoveValueUnsafe();
 }
@@ -143,7 +144,7 @@ TEST(ObliviousInvarianceTest, TallyIdenticalAcrossSampledTruthsOfWideShapes) {
         Rng rng(seed);
         ObliviousTally tally;
         const LeafCode z = m.ObfuscateCodeOblivious(truth, &rng, &tally);
-        ASSERT_TRUE(ValidateReportedLeafCode(tree, z).ok())
+        ASSERT_TRUE(m.codec()->Validate(z).ok())
             << "depth=" << depth << " arity=" << arity;
         if (t == 0) reference = tally;
         ASSERT_EQ(tally, reference)
@@ -167,7 +168,7 @@ TEST(ObliviousInvarianceTest, TallyIndependentOfDrawnLevel) {
   HstMechanism m = BuildMechanism(tree, 0.3);
   const LeafCodec* codec = m.codec();
   ASSERT_NE(codec, nullptr);
-  const LeafCode x = codec->Pack(tree.leaf_of_point(0));
+  const LeafCode x = tree.leaf_code_of_point(0);
 
   std::set<int> levels_seen;
   ObliviousTally reference;
@@ -199,7 +200,7 @@ TEST(ObliviousInvarianceTest, ProbedOverloadMatchesPlainOverload) {
   for (const auto& shape : shapes) {
     CompleteHst tree = ShapedTree(shape.first, shape.second);
     HstMechanism m = BuildMechanism(tree, 0.15);
-    const LeafCode x = m.codec()->Pack(tree.leaf_of_point(0));
+    const LeafCode x = tree.leaf_code_of_point(0);
     for (uint64_t seed = 1; seed <= 100; ++seed) {
       Rng plain_rng(seed);
       Rng probed_rng(seed);
@@ -222,12 +223,12 @@ TEST(ObliviousInvarianceTest, OutputsAreValidLeafCodes) {
     HstMechanism m = BuildMechanism(tree, 0.05);
     const LeafCodec* codec = m.codec();
     ASSERT_NE(codec, nullptr);
-    const LeafCode x = codec->Pack(tree.leaf_of_point(0));
+    const LeafCode x = tree.leaf_code_of_point(0);
     Rng rng(7);
     for (int i = 0; i < 2000; ++i) {
       const LeafCode z = m.ObfuscateCodeOblivious(x, &rng);
-      ASSERT_TRUE(ValidateReportedLeafCode(tree, z).ok())
-          << ValidateReportedLeafCode(tree, z).ToString();
+      const Status valid = codec->Validate(z);
+      ASSERT_TRUE(valid.ok()) << valid.ToString();
       for (int j = 0; j < codec->depth(); ++j) {
         ASSERT_LT(codec->Digit(z, j), shape.second);
       }
@@ -244,7 +245,7 @@ std::string ObliviousChiSquareTrial(int depth, int arity, double eps_tree,
   CompleteHst tree = ShapedTree(depth, arity);
   HstMechanism m = BuildMechanism(tree, eps_tree);
   const std::vector<LeafCode> leaves = AllLeafCodes(m);
-  const LeafCode x = m.codec()->Pack(tree.leaf_of_point(0));
+  const LeafCode x = tree.leaf_code_of_point(0);
 
   std::map<LeafCode, size_t> index_of;
   std::vector<double> expected;
@@ -302,8 +303,8 @@ TEST(ObliviousChiSquareTest, MatchesExactDistributionOddArityThree) {
 }
 
 TEST(ObliviousBatchTest, BatchApisAgreeUnderObliviousSampler) {
-  // With kOblivious configured, the path pipeline must be the unpacked
-  // code pipeline (both draw via ForkAt item streams), and an explicit
+  // With kOblivious configured, the batch must draw item i with
+  // ObfuscateCodeOblivious on its own ForkAt stream, and an explicit
   // per-call override on a walk-configured framework must reproduce the
   // configured-sampler run draw for draw.
   Rng rng(6);
@@ -325,13 +326,14 @@ TEST(ObliviousBatchTest, BatchApisAgreeUnderObliviousSampler) {
   }
   const Rng stream(77);
   ThreadPool pool(2);
-  std::vector<LeafPath> paths =
-      framework->ObfuscateBatch(locations, stream, &pool);
   std::vector<LeafCode> codes =
       framework->ObfuscateCodes(locations, stream, &pool);
-  ASSERT_EQ(paths.size(), codes.size());
-  for (size_t i = 0; i < paths.size(); ++i) {
-    EXPECT_EQ(paths[i], codec->Unpack(codes[i])) << i;
+  ASSERT_EQ(codes.size(), locations.size());
+  for (size_t i = 0; i < codes.size(); ++i) {
+    Rng item_rng = stream.ForkAt(i);
+    EXPECT_EQ(codes[i], framework->mechanism().ObfuscateCodeOblivious(
+                            framework->TrueLeaf(locations[i]), &item_rng))
+        << i;
   }
 
   // Same grid, walk-configured framework + per-call override.

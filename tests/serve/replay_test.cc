@@ -78,18 +78,20 @@ TEST(ReplayTest, SequentialReplayMatchesDirectServerDrive) {
   auto report = RunEventReplay(framework, trace, options);
   ASSERT_TRUE(report.ok());
 
-  // Hand-drive the reference model with the identical report stream.
+  // Hand-drive the reference model with the identical report stream,
+  // drawn by the path-based Alg. 3 reference on each report's fork.
   ReferenceServer model(framework.tree_ptr());
-  ThreadPool pool(1);
+  const CompleteHst& tree = framework.tree();
   const Rng stream(options.obfuscation_seed);
-  std::vector<Point> locations;
+  std::vector<LeafPath> reports;
   for (const TimedEvent& event : trace.events) {
     if (event.kind != EventKind::kWorkerDeparture) {
-      locations.push_back(event.location);
+      Rng item_rng = stream.ForkAt(reports.size());
+      reports.push_back(framework.mechanism().Obfuscate(
+          tree.leaf_of_point(tree.MapToNearestPoint(event.location)),
+          &item_rng));
     }
   }
-  std::vector<LeafPath> reports =
-      framework.ObfuscateBatch(locations, stream, &pool);
 
   size_t next_report = 0;
   size_t next_task = 0;

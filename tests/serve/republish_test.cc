@@ -47,27 +47,26 @@ std::shared_ptr<const CompleteHst> SnapshotCopy(const CompleteHst& tree) {
 // A same-shape tree whose leaf assignment genuinely differs: the first
 // two points trade leaves. Every re-keyed real report must move.
 std::shared_ptr<const CompleteHst> SwapLeavesTree(const CompleteHst& tree) {
-  std::vector<LeafPath> paths;
-  paths.reserve(static_cast<size_t>(tree.num_points()));
+  std::vector<LeafCode> codes;
+  codes.reserve(static_cast<size_t>(tree.num_points()));
   for (int p = 0; p < tree.num_points(); ++p) {
-    paths.push_back(tree.leaf_of_point(p));
+    codes.push_back(tree.leaf_code_of_point(p));
   }
-  std::swap(paths[0], paths[1]);
+  std::swap(codes[0], codes[1]);
   auto swapped = CompleteHst::FromParts(tree.depth(), tree.arity(),
                                         tree.scale(), tree.points(),
-                                        std::move(paths));
+                                        std::move(codes));
   EXPECT_TRUE(swapped.ok()) << swapped.status();
   return std::make_shared<const CompleteHst>(
       std::move(swapped).MoveValueUnsafe());
 }
 
-// A digit path naming a fake leaf (no predefined point lives there).
-LeafPath FindFakeLeaf(const CompleteHst& tree) {
-  LeafPath leaf = tree.leaf_of_point(0);
+// A code naming a fake leaf (no predefined point lives there).
+LeafCode FindFakeLeaf(const CompleteHst& tree) {
+  const LeafCode leaf = tree.leaf_code_of_point(0);
   for (int level = tree.depth() - 1; level >= 0; --level) {
     for (int digit = 0; digit < tree.arity(); ++digit) {
-      LeafPath candidate = leaf;
-      candidate[static_cast<size_t>(level)] = static_cast<char16_t>(digit);
+      const LeafCode candidate = tree.codec()->WithDigit(leaf, level, digit);
       if (!tree.point_of_leaf(candidate).has_value()) return candidate;
     }
   }
@@ -86,10 +85,11 @@ TEST(RepublishTest, ValidatesArguments) {
 
   // A different shape cannot host the live reports.
   std::vector<Point> points = {{0.0, 0.0}, {10.0, 0.0}};
-  std::vector<LeafPath> paths = {{char16_t{0}, char16_t{0}},
-                                 {char16_t{1}, char16_t{0}}};
+  const LeafCodec codec(2, 2);
+  std::vector<LeafCode> codes = {codec.Pack({char16_t{0}, char16_t{0}}),
+                                 codec.Pack({char16_t{1}, char16_t{0}})};
   auto other = CompleteHst::FromParts(2, 2, 2.0, std::move(points),
-                                      std::move(paths));
+                                      std::move(codes));
   ASSERT_TRUE(other.ok());
   auto mismatched = (*server)->Republish(std::make_shared<const CompleteHst>(
       std::move(other).MoveValueUnsafe()));
@@ -169,7 +169,7 @@ TEST(RepublishTest, RekeyFollowsPointsAndKeepsFakeLeaves) {
 
   // One worker on point 0's real leaf, one on a fake leaf.
   const LeafCode real_leaf = tree->leaf_code_of_point(0);
-  const LeafCode fake_leaf = tree->codec()->Pack(FindFakeLeaf(*tree));
+  const LeafCode fake_leaf = FindFakeLeaf(*tree);
   ASSERT_TRUE((*server)->RegisterWorker("real", real_leaf, std::nullopt).ok());
   ASSERT_TRUE((*server)->RegisterWorker("fake", fake_leaf, std::nullopt).ok());
 

@@ -382,8 +382,8 @@ TEST(ShardedServerTest, ReportedTreeDistanceMatchesLeaves) {
     auto dispatch = (*server)->SubmitTask("t", tree->leaf_code_of_point(30));
     ASSERT_TRUE(dispatch.ok());
     EXPECT_DOUBLE_EQ(dispatch->reported_tree_distance,
-                     tree->TreeDistance(tree->leaf_of_point(30),
-                                        tree->leaf_of_point(5)))
+                     tree->TreeDistance(tree->leaf_code_of_point(30),
+                                        tree->leaf_code_of_point(5)))
         << "shards=" << shards;
   }
 }
@@ -466,7 +466,7 @@ TEST(ShardedServerTest, RejectsMalformedLeafCodes) {
   auto server = ShardedTbfServer::Create(tree, options);
   ASSERT_TRUE(server.ok());
   const LeafCode good = tree->leaf_code_of_point(0);
-  ASSERT_TRUE(ValidateReportedLeafCode(*tree, good).ok());
+  ASSERT_TRUE(codec->Validate(good).ok());
 
   const int low = codec->low_bits();
   if (low > 0) {
