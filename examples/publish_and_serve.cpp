@@ -1,9 +1,9 @@
 // Publish-and-serve: the deployment-shaped workflow.
 //
-//   1. The server builds the HST and *publishes* it as a text document
-//      (the format clients would download once).
-//   2. Clients parse the published document — no server randomness needed —
-//      and report obfuscated leaves, each declaring its epsilon.
+//   1. The server builds the HST and *publishes* it as a tree snapshot
+//      (hst/snapshot.h: the bytes clients would download once).
+//   2. Clients parse the published snapshot — no server randomness
+//      needed — and report obfuscated leaves, each declaring its epsilon.
 //   3. The server enforces a per-user lifetime privacy budget and
 //      dispatches tasks online; drivers re-register (spending budget) after
 //      each completed job.
@@ -15,7 +15,7 @@
 #include "common/cli.h"
 #include "core/hst_mechanism.h"
 #include "geo/grid.h"
-#include "hst/serialize.h"
+#include "hst/snapshot.h"
 #include "serve/sharded_server.h"
 
 using namespace tbf;
@@ -33,12 +33,12 @@ int main(int argc, char** argv) {
     std::cerr << built.status() << "\n";
     return 1;
   }
-  const std::string published = SerializeCompleteHst(*built);
-  std::cout << "published HST document: " << published.size() << " bytes, "
+  const std::string published = SerializeHstSnapshot(*built);
+  std::cout << "published HST snapshot: " << published.size() << " bytes, "
             << built->num_points() << " predefined points\n";
 
-  // --- Client side: parse the published document. ---
-  auto client_tree_result = ParseCompleteHst(published);
+  // --- Client side: parse the published snapshot. ---
+  auto client_tree_result = ParseHstSnapshot(published);
   if (!client_tree_result.ok()) {
     std::cerr << client_tree_result.status() << "\n";
     return 1;
@@ -67,17 +67,13 @@ int main(int argc, char** argv) {
                                         &world);
   };
 
-  // Three drivers join as one arrival wave (the batch API).
-  std::vector<LeafCodeReport> wave;
+  // Three drivers join.
   for (const auto& [id, loc] :
        {std::pair<const char*, Point>{"driver-ann", {40, 40}},
         {"driver-bo", {160, 40}},
         {"driver-cy", {100, 160}}}) {
-    wave.push_back({id, report(loc), eps});
-  }
-  std::vector<Status> joined = server.RegisterWorkers(wave);
-  for (size_t i = 0; i < wave.size(); ++i) {
-    std::cout << "register " << wave[i].user_id << ": " << joined[i] << "\n";
+    std::cout << "register " << id << ": "
+              << server.RegisterWorker(id, report(loc), eps) << "\n";
   }
 
   // Riders arrive; after each completed trip the driver re-registers at

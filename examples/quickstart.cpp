@@ -4,10 +4,10 @@
 //   1. The server builds and publishes a complete HST over predefined
 //      points (TbfFramework).
 //   2. Workers obfuscate client-side (batched HST mechanism) and register
-//      with the server in one wave (ShardedTbfServer::RegisterWorkers).
+//      with the server (ShardedTbfServer::RegisterWorker).
 //   3. Tasks arrive online, also reporting obfuscated leaves, and are
 //      dispatched to the nearest available worker on the tree
-//      (ShardedTbfServer::SubmitTasks).
+//      (ShardedTbfServer::SubmitTask).
 //
 // The snippet in docs/API.md is kept in sync with this file.
 //
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   }
   ShardedTbfServer& server = **created;
 
-  // --- Step 2: workers obfuscate client-side and register in one wave. ---
+  // --- Step 2: workers obfuscate client-side and register. ---
   Rng world(42);
   std::vector<Point> worker_locations;
   for (int w = 0; w < num_workers; ++w) {
@@ -65,12 +65,9 @@ int main(int argc, char** argv) {
   ThreadPool pool;  // batched reporting: item i draws from ForkAt(i)
   std::vector<LeafCode> worker_reports =
       framework->ObfuscateCodes(worker_locations, world.Split(1), &pool);
-  std::vector<LeafCodeReport> registrations;
   for (int w = 0; w < num_workers; ++w) {
-    registrations.push_back({"w" + std::to_string(w),
-                             worker_reports[static_cast<size_t>(w)], {}});
-  }
-  for (const Status& status : server.RegisterWorkers(registrations)) {
+    const Status status = server.RegisterWorker(
+        "w" + std::to_string(w), worker_reports[static_cast<size_t>(w)]);
     if (!status.ok()) std::cerr << status << "\n";
   }
   std::cout << server.available_workers() << " workers available\n";
@@ -82,32 +79,27 @@ int main(int argc, char** argv) {
   }
   std::vector<LeafCode> task_reports =
       framework->ObfuscateCodes(task_locations, world.Split(2), &pool);
-  std::vector<LeafCodeReport> submissions;
-  for (int t = 0; t < num_tasks; ++t) {
-    submissions.push_back({"t" + std::to_string(t),
-                           task_reports[static_cast<size_t>(t)], {}});
-  }
   double total_true_distance = 0.0;
-  std::vector<BatchDispatchOutcome> outcomes = server.SubmitTasks(submissions);
   for (int t = 0; t < num_tasks; ++t) {
-    const BatchDispatchOutcome& outcome = outcomes[static_cast<size_t>(t)];
-    if (!outcome.status.ok()) {
-      std::cerr << outcome.status << "\n";
+    Result<DispatchResult> dispatched = server.SubmitTask(
+        "t" + std::to_string(t), task_reports[static_cast<size_t>(t)]);
+    if (!dispatched.ok()) {
+      std::cerr << dispatched.status() << "\n";
       continue;
     }
+    const DispatchResult& result = *dispatched;
     double true_distance = 0.0;
-    if (outcome.result.worker) {
+    if (result.worker) {
       // The server never sees this: true travel cost, for reporting only.
-      int w = std::atoi(outcome.result.worker->c_str() + 1);
+      int w = std::atoi(result.worker->c_str() + 1);
       true_distance = EuclideanDistance(task_locations[static_cast<size_t>(t)],
                                         worker_locations[static_cast<size_t>(w)]);
       total_true_distance += true_distance;
     }
     std::cout << "task " << t << " at " << task_locations[static_cast<size_t>(t)]
               << " -> worker "
-              << (outcome.result.worker ? *outcome.result.worker : "<none>")
-              << " (reported tree distance "
-              << outcome.result.reported_tree_distance
+              << (result.worker ? *result.worker : "<none>")
+              << " (reported tree distance " << result.reported_tree_distance
               << ", true travel distance " << true_distance << ")\n";
   }
   std::cout << "total true distance: " << total_true_distance << "\n"

@@ -141,4 +141,55 @@ FrameWalk WalkFrames(
   return walk;
 }
 
+Status ArtifactReader::Read(std::string_view bytes, const Visit& visit) {
+  const FrameWalk walk = WalkFrames(
+      bytes, [&](std::string_view payload) { return Decode(payload, visit); });
+  const std::string name(format_.name);
+  if (walk.bad) return Status::InvalidArgument(name + " " + walk.bad_detail);
+  if (records_ == 0) return Status::InvalidArgument(name + ": empty file");
+  return Status::OK();
+}
+
+Status ArtifactReader::Decode(std::string_view payload, const Visit& visit) {
+  if (payload.empty()) return Status::InvalidArgument("empty record");
+  const auto kind = static_cast<uint8_t>(payload[0]);
+  if (kind >= format_.kinds.size()) {
+    return Status::InvalidArgument("unknown record kind " +
+                                   std::to_string(kind));
+  }
+  const std::string name = std::string(format_.kinds[kind]) + " record";
+  FieldReader io(payload, name.c_str());
+  uint8_t kind_byte = 0;
+  TBF_RETURN_NOT_OK(io(kind_byte));
+  if (records_ == 0 && kind != 0) {
+    return io.Refuse(std::string("the first record must be the ") +
+                     format_.name + " header");
+  }
+  if (ended_) return io.Refuse("follows the end record");
+  if (kind == 0) {
+    std::string magic;
+    uint32_t version = 0;
+    TBF_RETURN_NOT_OK(io(magic, version));
+    if (magic != format_.magic) return io.Refuse("bad magic '" + magic + "'");
+    if (version != format_.version) {
+      return io.Refuse("unsupported version " + std::to_string(version) +
+                       " (this build reads v" +
+                       std::to_string(format_.version) + ")");
+    }
+  } else if (kind == format_.kinds.size() - 1) {
+    uint64_t counted = 0;
+    TBF_RETURN_NOT_OK(io(counted));
+    if (counted != records_) {
+      return io.Refuse("counts " + std::to_string(counted) +
+                       " records before it, the file has " +
+                       std::to_string(records_));
+    }
+    ended_ = true;
+  }
+  TBF_RETURN_NOT_OK(visit(kind, io));
+  if (!io.AtEnd()) return io.Refuse("trailing bytes after a complete record");
+  ++records_;
+  return Status::OK();
+}
+
 }  // namespace tbf

@@ -1,25 +1,57 @@
-// The one binary frame format every on-disk artifact is written in:
-// journal segments (serve/wal.h), replay checkpoints (serve/checkpoint.h)
-// and tree snapshots (hst/snapshot.h) are all streams of
+// The one binary frame format and the one field codec every on-disk
+// artifact is written in: journal segments (serve/wal.h), replay
+// checkpoints (serve/checkpoint.h) and tree snapshots (hst/snapshot.h)
+// are all streams of
 //
-//   frame := <len:u32> <crc:u32> <payload: len bytes>
+//   frame   := <len:u32> <crc:u32> <payload: len bytes>
+//   payload := <kind:u8> <fields>
 //
 // with the CRC-32 below over the payload bytes. This module owns that
 // format: the CRC, the in-place frame writer, the frame walker (with its
-// payload cap and record-precise messages) and the little-endian field
-// helpers the artifacts build their payloads from. Integers are
-// little-endian (a 128-bit leaf code is its low u64 then its high u64),
-// doubles their IEEE-754 bit patterns, strings <len:u32><bytes>.
-// tools/tbf_frames.py mirrors it for the stdlib Python validators.
+// payload cap and record-precise messages), the field codec and the file
+// grammar checkpoints and snapshots share.
+//
+// Field codec. A record's layout is written once, as a schema: a function
+// template over an `io` that lists the record's fields in order,
+//
+//   template <typename Io, typename R>
+//   Status CursorFields(Io& io, R& r) { return io(r.next_event, r.lsn); }
+//
+// FieldWriter runs it by appending the fields (R is const), FieldReader
+// by parsing into them, so the two directions cannot drift. Encodings:
+// integers take their own width (u8/u32/u64, little-endian; a 128-bit
+// leaf code is its low u64 then its high u64), a bool is a 0/1 byte, a
+// FlagByte packs several bools into one byte, doubles are their IEEE-754
+// bit patterns, strings <len:u32><bytes>, a Status <code:u32><message>,
+// an optional string a 0/1 byte then the string. A schema states its
+// checks with `io.Check`, which only the reader enforces: the writer
+// writes what it is given, the reader decides. Every refusal is an
+// InvalidArgument naming the record; none crashes on corrupt input.
+//
+// File grammar (ArtifactFormat, ArtifactWriter, ArtifactReader). A
+// checkpoint or snapshot is one record stream whose first record (kind 0)
+// is the header — <magic:str><version:u32>, then the artifact's own
+// header fields — and whose last kind is the end record <records before
+// it:u64>, which nothing follows. The end count makes a file cut at a
+// frame boundary fail too.
+//
+// tools/tbf_frames.py mirrors the frames and fields for the stdlib
+// Python validators.
 
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <functional>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
 
 #include "common/result.h"
 
@@ -35,125 +67,249 @@ uint32_t Crc32(std::string_view data, uint32_t crc = 0);
 /// from driving a huge allocation. Writers split anything bigger.
 constexpr size_t kMaxFramePayload = size_t{1} << 22;
 
-namespace wire {
+/// \brief One bit of a FlagByte: `mask` selects the bit, `value` is the
+/// bool it carries (`const bool` when writing, `bool` when reading).
+template <typename B>
+struct Flag {
+  uint8_t mask;
+  B& value;
+};
+template <typename B>
+Flag(uint8_t, B&) -> Flag<B>;
 
-inline void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
+/// \brief A packed flag byte carrying `flags`, one bit each. FieldWriter
+/// sets each flag's bit when its bool is true; FieldReader sets each bool
+/// from its bit and refuses a byte with any other bit set, naming the
+/// byte: such a record is CRC-clean yet would re-encode to other bytes.
+template <typename... B>
+struct FlagByte {
+  explicit FlagByte(Flag<B>... f) : flags(f...) {}
+  std::tuple<Flag<B>...> flags;
+};
 
-inline void PutU16(std::string* out, uint16_t v) {
-  const char buf[2] = {static_cast<char>(v & 0xFF),
-                       static_cast<char>((v >> 8) & 0xFF)};
-  out->append(buf, 2);
-}
-
-inline void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out->append(buf, 4);  // one append, not four push_backs (hot path)
-}
-
-inline void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out->append(buf, 8);
-}
-
-inline void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-inline void PutF64(std::string* out, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-/// <len:u32><bytes>.
-inline void PutStr(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-/// Low word, then high word: 16 little-endian bytes.
-inline void PutU128(std::string* out, unsigned __int128 v) {
-  PutU64(out, static_cast<uint64_t>(v));
-  PutU64(out, static_cast<uint64_t>(v >> 64));
-}
-
-/// \brief Bounds-checked little-endian reader over one payload. A read
-/// past the end fails with "<what>: short read (<field> at byte N)".
-class ByteReader {
+/// \brief The writing `io` of a schema (see the file comment): appends
+/// each field to `out`.
+class FieldWriter {
  public:
-  ByteReader(std::string_view data, const char* what)
-      : data_(data), what_(what) {}
+  explicit FieldWriter(std::string* out) : out_(out) {}
 
-  Result<uint8_t> U8() {
-    if (pos_ + 1 > data_.size()) return Short("u8");
-    return static_cast<uint8_t>(data_[pos_++]);
+  template <typename... T>
+  Status operator()(const T&... fields) {
+    (Put(fields), ...);
+    return Status::OK();
   }
-  Result<uint32_t> U32() {
-    if (pos_ + 4 > data_.size()) return Short("u32");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
+
+  /// The writer writes what it is given; only FieldReader refuses.
+  template <typename Why>
+  Status Check(bool /*ok*/, const Why& /*why*/) const {
+    return Status::OK();
+  }
+
+ private:
+  template <typename T>
+  void Put(const T& v) {
+    if constexpr (sizeof(T) == 1) {  // bool, u8 or a one-byte enum
+      out_->push_back(static_cast<char>(v));
+    } else if constexpr (std::is_floating_point_v<T>) {
+      static_assert(sizeof(T) == 8);
+      uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof(bits));
+      Word(bits, 8);
+    } else if constexpr (sizeof(T) == 4) {
+      Word(static_cast<uint32_t>(v), 4);
+    } else if constexpr (std::is_same_v<T, unsigned __int128>) {
+      Word(static_cast<uint64_t>(v), 8);  // low word, then high word
+      Word(static_cast<uint64_t>(v >> 64), 8);
+    } else {
+      static_assert(std::is_integral_v<T> && sizeof(T) == 8);
+      Word(static_cast<uint64_t>(v), 8);
     }
-    pos_ += 4;
-    return v;
   }
-  Result<uint64_t> U64() {
-    if (pos_ + 8 > data_.size()) return Short("u64");
+  void Put(std::string_view s) {
+    Word(s.size(), 4);
+    out_->append(s.data(), s.size());
+  }
+  void Put(const std::string& s) { Put(std::string_view(s)); }
+  void Put(const Status& s) {
+    Put(static_cast<uint32_t>(s.code()));
+    Put(s.message());
+  }
+  void Put(const std::optional<std::string>& s) {
+    Put(s.has_value());
+    if (s) Put(*s);
+  }
+  template <typename T, size_t N>
+  void Put(const std::array<T, N>& values) {
+    for (const T& v : values) Put(v);
+  }
+  template <typename... B>
+  void Put(const FlagByte<B...>& f) {
+    uint8_t byte = 0;
+    std::apply(
+        [&byte](const auto&... flag) {
+          ((byte = static_cast<uint8_t>(byte | (flag.value ? flag.mask : 0))),
+           ...);
+        },
+        f.flags);
+    Put(byte);
+  }
+
+  // The low `bytes` (4 or 8) bytes of `v`, little-endian, in one append
+  // (the journal's hot path).
+  void Word(uint64_t v, size_t bytes) {
+    char buf[8];
+    for (size_t i = 0; i < bytes; ++i) {
+      buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
+    out_->append(buf, bytes);
+  }
+
+  std::string* out_;
+};
+
+/// \brief The reading `io` of a schema (see the file comment): parses
+/// each field from one payload, bounds-checked. A read past the end fails
+/// "<what>: short read (<field> at byte N)".
+class FieldReader {
+ public:
+  FieldReader(std::string_view payload, const char* what)
+      : data_(payload), what_(what) {}
+
+  template <typename... T>
+  Status operator()(T&&... fields) {
+    Status status = Status::OK();
+    static_cast<void>((... && (status = Get(fields)).ok()));
+    return status;
+  }
+
+  /// Refuses the record with InvalidArgument(`why`) unless `ok`; `why` is
+  /// the whole message, a string or a callable building it (so a check
+  /// that passes builds nothing).
+  template <typename Why>
+  Status Check(bool ok, const Why& why) const {
+    if (ok) return Status::OK();
+    if constexpr (std::is_invocable_v<const Why&>) {
+      return Status::InvalidArgument(why());
+    } else {
+      return Status::InvalidArgument(std::string(why));
+    }
+  }
+
+  /// InvalidArgument "<what>: <why>".
+  Status Refuse(const std::string& why) const {
+    return Status::InvalidArgument(std::string(what_) + ": " + why);
+  }
+
+  /// The unread rest of the payload, consumed (bulk tables).
+  std::string_view Rest() {
+    const std::string_view rest = data_.substr(pos_);
+    pos_ = data_.size();
+    return rest;
+  }
+
+  bool AtEnd() const { return pos_ == data_.size(); }
+
+ private:
+  template <typename T>
+  Status Get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      TBF_ASSIGN_OR_RETURN(const uint64_t b, Word(1, "u8"));
+      if (b > 1) {
+        return Refuse("flag byte " + std::to_string(b) + " is not 0/1");
+      }
+      v = b == 1;
+    } else if constexpr (sizeof(T) == 1) {
+      TBF_ASSIGN_OR_RETURN(const uint64_t b, Word(1, "u8"));
+      v = static_cast<T>(b);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      static_assert(sizeof(T) == 8);
+      TBF_ASSIGN_OR_RETURN(const uint64_t bits, Word(8, "u64"));
+      std::memcpy(&v, &bits, sizeof(v));
+    } else if constexpr (sizeof(T) == 4) {
+      TBF_ASSIGN_OR_RETURN(const uint64_t u, Word(4, "u32"));
+      v = static_cast<T>(static_cast<uint32_t>(u));
+    } else if constexpr (std::is_same_v<T, unsigned __int128>) {
+      TBF_ASSIGN_OR_RETURN(const uint64_t lo, Word(8, "u64"));
+      TBF_ASSIGN_OR_RETURN(const uint64_t hi, Word(8, "u64"));
+      v = (static_cast<unsigned __int128>(hi) << 64) | lo;
+    } else {
+      TBF_ASSIGN_OR_RETURN(const uint64_t u, Word(8, "u64"));
+      v = static_cast<T>(u);
+    }
+    return Status::OK();
+  }
+  Status Get(std::string& s) {
+    TBF_ASSIGN_OR_RETURN(const uint64_t len, Word(4, "u32"));
+    if (len > data_.size() - pos_) return Short("string body");
+    s.assign(data_.substr(pos_, len));
+    pos_ += len;
+    return Status::OK();
+  }
+  Status Get(Status& s) {
+    uint32_t code = 0;
+    std::string message;
+    TBF_RETURN_NOT_OK(operator()(code, message));
+    if (code > static_cast<uint32_t>(StatusCode::kAborted)) {
+      return Refuse("status code " + std::to_string(code) + " out of range");
+    }
+    s = code == 0 ? Status::OK()
+                  : Status(static_cast<StatusCode>(code), std::move(message));
+    return Status::OK();
+  }
+  Status Get(std::optional<std::string>& s) {
+    bool present = false;
+    TBF_RETURN_NOT_OK(Get(present));
+    if (present) return Get(s.emplace());
+    s.reset();
+    return Status::OK();
+  }
+  template <typename T, size_t N>
+  Status Get(std::array<T, N>& values) {
+    for (T& v : values) TBF_RETURN_NOT_OK(Get(v));
+    return Status::OK();
+  }
+  template <typename... B>
+  Status Get(FlagByte<B...>& f) {
+    TBF_ASSIGN_OR_RETURN(const uint64_t byte, Word(1, "u8"));
+    const uint64_t defined = std::apply(
+        [](const auto&... flag) { return (uint64_t{flag.mask} | ...); },
+        f.flags);
+    if ((byte & ~defined) != 0) {
+      char hex[64];
+      std::snprintf(hex, sizeof(hex),
+                    "flag byte 0x%02x sets undefined bits 0x%02x",
+                    static_cast<unsigned>(byte),
+                    static_cast<unsigned>(byte & ~defined));
+      return Refuse(hex);
+    }
+    std::apply(
+        [byte](auto&... flag) {
+          ((flag.value = (byte & flag.mask) != 0), ...);
+        },
+        f.flags);
+    return Status::OK();
+  }
+
+  // The next `bytes` (1, 4 or 8) little-endian bytes as a u64.
+  Result<uint64_t> Word(size_t bytes, const char* field) {
+    if (bytes > data_.size() - pos_) return Short(field);
     uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
+    for (size_t i = 0; i < bytes; ++i) {
       v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
            << (8 * i);
     }
-    pos_ += 8;
+    pos_ += bytes;
     return v;
   }
-  Result<int64_t> I64() {
-    TBF_ASSIGN_OR_RETURN(uint64_t v, U64());
-    return static_cast<int64_t>(v);
-  }
-  Result<double> F64() {
-    TBF_ASSIGN_OR_RETURN(uint64_t bits, U64());
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  Result<std::string> Str() {
-    TBF_ASSIGN_OR_RETURN(uint32_t len, U32());
-    if (len > data_.size() - pos_) return Short("string body");
-    std::string s(data_.substr(pos_, len));
-    pos_ += len;
-    return s;
-  }
-  Result<unsigned __int128> U128() {
-    TBF_ASSIGN_OR_RETURN(uint64_t lo, U64());
-    TBF_ASSIGN_OR_RETURN(uint64_t hi, U64());
-    return (static_cast<unsigned __int128>(hi) << 64) | lo;
-  }
-  bool AtEnd() const { return pos_ == data_.size(); }
-  size_t pos() const { return pos_; }
-
- private:
   Status Short(const char* field) const {
-    return Status::InvalidArgument(std::string(what_) + ": short read (" +
-                                   field + " at byte " + std::to_string(pos_) +
-                                   ")");
+    return Refuse(std::string("short read (") + field + " at byte " +
+                  std::to_string(pos_) + ")");
   }
 
   std::string_view data_;
   const char* what_;
   size_t pos_ = 0;
 };
-
-}  // namespace wire
 
 /// \brief In-place framing: BeginFrame reserves the 8-byte frame header
 /// at the end of `out` and returns where the frame starts; the caller
@@ -182,5 +338,85 @@ struct FrameWalk {
 FrameWalk WalkFrames(
     std::string_view bytes,
     const std::function<Status(std::string_view payload)>& visit);
+
+/// \brief One artifact's place in the shared file grammar (see the file
+/// comment).
+struct ArtifactFormat {
+  const char* name;       ///< "checkpoint": opens every file-level message
+  std::string_view magic;
+  uint32_t version;
+  /// Record names by kind: kinds.front() names the header (kind 0),
+  /// kinds.back() the end record.
+  std::span<const char* const> kinds;
+};
+
+/// \brief Writes one artifact: the header record on construction, then
+/// each Add, then the end record on Finish.
+class ArtifactWriter {
+ public:
+  /// Writes the header: magic, version, then `header_fields(io)`.
+  template <typename Fields>
+  ArtifactWriter(const ArtifactFormat& format, std::string* out,
+                 const Fields& header_fields)
+      : out_(out), end_kind_(static_cast<uint8_t>(format.kinds.size() - 1)) {
+    Add(0, [&](FieldWriter& io) {
+      io(format.magic, format.version);
+      header_fields(io);
+    });
+  }
+  ArtifactWriter(const ArtifactFormat& format, std::string* out)
+      : ArtifactWriter(format, out, [](FieldWriter&) {}) {}
+
+  /// Frames one record in place: the kind byte, then whatever
+  /// `fields(io)` writes.
+  template <typename Fields>
+  void Add(uint8_t kind, const Fields& fields) {
+    const size_t frame = BeginFrame(out_);
+    FieldWriter io(out_);
+    io(kind);
+    fields(io);
+    EndFrame(out_, frame);
+    ++records_;
+  }
+
+  /// Writes the end record, counting the records before it.
+  void Finish() {
+    const uint64_t records = records_;
+    Add(end_kind_, [records](FieldWriter& io) { io(records); });
+  }
+
+ private:
+  std::string* out_;
+  uint8_t end_kind_;
+  uint64_t records_ = 0;
+};
+
+/// \brief Reads one artifact against the shared file grammar.
+class ArtifactReader {
+ public:
+  /// Reads a record's own fields: the header's after its magic and
+  /// version, nothing for the end record.
+  using Visit = std::function<Status(uint8_t kind, FieldReader& io)>;
+
+  explicit ArtifactReader(const ArtifactFormat& format) : format_(format) {}
+
+  /// Walks the frames of `bytes`, checking each record's place in the
+  /// grammar, the header's magic and version and the end record's count,
+  /// and handing every record to `visit`; a record with bytes left over
+  /// after `visit` is refused. Fails "<name> record N (offset B): <reason>"
+  /// at the first bad record and "<name>: empty file" on no records. An
+  /// artifact checks on its own that the end record came.
+  Status Read(std::string_view bytes, const Visit& visit);
+
+  /// Records accepted so far.
+  uint64_t records() const { return records_; }
+
+ private:
+  Status Decode(std::string_view payload, const Visit& visit);
+
+  const ArtifactFormat& format_;
+  uint64_t records_ = 0;
+  bool ended_ = false;
+};
 
 }  // namespace tbf

@@ -55,8 +55,8 @@ class TbfFramework {
                                     const TbfOptions& options = {});
 
   /// \brief Derives the mechanism for an already published tree — one
-  /// reloaded from its snapshot (hst/snapshot.h) or its text form
-  /// (hst/serialize.h). `options.tree` is unused.
+  /// reloaded from its snapshot (hst/snapshot.h). `options.tree` is
+  /// unused.
   static Result<TbfFramework> FromTree(std::shared_ptr<const CompleteHst> tree,
                                        const TbfOptions& options = {});
 

@@ -53,8 +53,8 @@ class CompleteHst {
                                              const Metric& metric, Rng* rng,
                                              const HstTreeOptions& options = {});
 
-  /// \brief Reconstructs a published tree from its parts (the
-  /// deserialization path — see hst/serialize.h and hst/snapshot.h).
+  /// \brief Reconstructs a published tree from its parts (the snapshot
+  /// parser's path, hst/snapshot.h).
   /// Validates depth/arity/scale ranges, every code (LeafCodec::Validate)
   /// and code uniqueness; errors name the offending row ("row 2: duplicate
   /// leaf path (first seen at row 0)"). Like Build, refuses a shape whose
@@ -83,7 +83,7 @@ class CompleteHst {
   const std::vector<Point>& points() const { return points_; }
 
   /// Digit path of the leaf holding real point `point_id`, unpacked on
-  /// each call (the text format and the path-based reference API).
+  /// each call (the path-based reference API).
   LeafPath leaf_of_point(int point_id) const {
     return codec_->Unpack(leaf_code_of_point(point_id));
   }

@@ -1,7 +1,5 @@
 #include "hst/leaf_path.h"
 
-#include <cstdlib>
-
 #include "common/logging.h"
 #include "common/math.h"
 #include "common/rng.h"
@@ -43,21 +41,6 @@ LeafPath RandomLeafPath(int depth, int arity, Rng* rng) {
   path.reserve(static_cast<size_t>(depth));
   for (int i = 0; i < depth; ++i) {
     path.push_back(static_cast<char16_t>(rng->UniformInt(0, arity - 1)));
-  }
-  return path;
-}
-
-LeafPath LeafPathFromString(const std::string& text) {
-  LeafPath path;
-  if (text.empty()) return path;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t dot = text.find('.', pos);
-    if (dot == std::string::npos) dot = text.size();
-    int digit = std::atoi(text.substr(pos, dot - pos).c_str());
-    path.push_back(static_cast<char16_t>(digit));
-    pos = dot + 1;
-    if (dot == text.size()) break;
   }
   return path;
 }

@@ -40,10 +40,6 @@ LeafPath AncestorPrefix(const LeafPath& path, int level);
 /// \brief Renders a path as dot-separated digits, e.g. "0.2.1".
 std::string LeafPathToString(const LeafPath& path);
 
-/// \brief Parses the LeafPathToString format (digits separated by '.').
-/// An empty string yields an empty (root) path.
-LeafPath LeafPathFromString(const std::string& text);
-
 /// \brief Uniformly random leaf of a (depth, arity) tree — one UniformInt
 /// draw per digit. Synthetic-workload and test/bench helper.
 LeafPath RandomLeafPath(int depth, int arity, Rng* rng);

@@ -46,8 +46,13 @@ void LoadWords(const void* in, size_t bytes, void* out) {
   }
 }
 
-// Decodes one record per call, enforcing the file grammar (header, point
-// records, leaf records, end) and the header's schema. Table records are
+constexpr ArtifactFormat kFormat = {"snapshot", kMagic, kSnapshotVersion,
+                                     kRecNames};
+
+// Reads each record's own fields (the shared grammar in common/frames.h
+// reads the header's magic and version and checks the end count) and
+// enforces the rest of the snapshot grammar: the order header, point
+// records, leaf records, end, and the header's schema. Table records are
 // kept as views into the file and their rows only counted, so a corrupt
 // point count is caught against the actual table sizes (Finish) before
 // anything is allocated for the rows.
@@ -58,96 +63,52 @@ struct SnapshotDecoder {
   uint64_t num_points = 0;
   std::array<std::vector<std::string_view>, kNumRecs> tables;
   std::array<uint64_t, kNumRecs> rows{};
-  uint64_t records = 0;
-  uint8_t last = kHeader;
-  bool ended = false;
+  int last = -1;
 
-  Status Decode(std::string_view payload) {
-    if (payload.empty()) return Status::InvalidArgument("empty record");
-    const auto kind = static_cast<uint8_t>(payload[0]);
-    if (kind >= kNumRecs) {
-      return Status::InvalidArgument("unknown record kind " +
-                                     std::to_string(kind));
-    }
-    const std::string name = std::string(kRecNames[kind]) + " record";
-    const auto bad = [&name](const std::string& why) {
-      return Status::InvalidArgument(name + ": " + why);
-    };
-    if (records == 0 && kind != kHeader) {
-      return bad("the first record must be the snapshot header");
-    }
-    if (ended) return bad("follows the end record");
-    if (records > 0 && (kind < last || kind == kHeader)) {
-      return bad(std::string("follows a ") + kRecNames[last] +
-                 " record (the order is header, points, leaves, end)");
-    }
-    const std::string_view body = payload.substr(1);
-    wire::ByteReader r(body, name.c_str());
-    if (kind == kHeader) {
-      TBF_RETURN_NOT_OK(DecodeHeader(r, bad));
-    } else if (kind == kEnd) {
-      TBF_ASSIGN_OR_RETURN(const uint64_t counted, r.U64());
-      if (!r.AtEnd()) return bad("trailing bytes after a complete record");
-      if (counted != records) {
-        return bad("counts " + std::to_string(counted) +
-                   " records before it, the file has " +
-                   std::to_string(records));
-      }
-      ended = true;
-    } else {
-      const size_t row = kind == kPoints ? kPointBytes : kLeafBytes;
-      if (body.size() % row != 0) {
-        return bad(std::to_string(body.size() % row) +
-                   " trailing bytes after " +
-                   std::to_string(body.size() / row) + " whole " +
-                   std::to_string(row) + "-byte rows");
-      }
-      tables[kind].push_back(body);
-      rows[kind] += body.size() / row;
+  Status Visit(uint8_t kind, FieldReader& io) {
+    if (last >= 0 && (kind < last || kind == kHeader)) {
+      return io.Refuse(std::string("follows a ") + kRecNames[last] +
+                       " record (the order is header, points, leaves, end)");
     }
     last = kind;
-    ++records;
+    if (kind == kHeader) return DecodeHeader(io);
+    if (kind == kEnd) return Status::OK();
+    const std::string_view body = io.Rest();
+    const size_t row = kind == kPoints ? kPointBytes : kLeafBytes;
+    if (body.size() % row != 0) {
+      return io.Refuse(std::to_string(body.size() % row) +
+                       " trailing bytes after " +
+                       std::to_string(body.size() / row) + " whole " +
+                       std::to_string(row) + "-byte rows");
+    }
+    tables[kind].push_back(body);
+    rows[kind] += body.size() / row;
     return Status::OK();
   }
 
-  template <typename Bad>
-  Status DecodeHeader(wire::ByteReader& r, const Bad& bad) {
-    TBF_ASSIGN_OR_RETURN(const std::string magic, r.Str());
-    if (magic != kMagic) return bad("bad magic '" + magic + "'");
-    TBF_ASSIGN_OR_RETURN(const uint32_t version, r.U32());
-    if (version != kSnapshotVersion) {
-      return bad("unsupported version " + std::to_string(version) +
-                 " (this build reads v" + std::to_string(kSnapshotVersion) +
-                 ")");
-    }
-    TBF_ASSIGN_OR_RETURN(const uint32_t depth_bits, r.U32());
-    TBF_ASSIGN_OR_RETURN(const uint32_t arity_bits, r.U32());
-    TBF_ASSIGN_OR_RETURN(scale, r.F64());
-    TBF_ASSIGN_OR_RETURN(num_points, r.U64());
-    if (!r.AtEnd()) return bad("trailing bytes after a complete record");
-    depth = static_cast<int32_t>(depth_bits);
-    arity = static_cast<int32_t>(arity_bits);
+  Status DecodeHeader(FieldReader& io) {
+    TBF_RETURN_NOT_OK(io(depth, arity, scale, num_points));
     if (depth < 1) {
-      return bad("depth " + std::to_string(depth) + " must be >= 1");
+      return io.Refuse("depth " + std::to_string(depth) + " must be >= 1");
     }
     if (arity < 2 || arity > 0xFFFF) {
-      return bad("arity " + std::to_string(arity) + " out of range [2, 65535]");
+      return io.Refuse("arity " + std::to_string(arity) +
+                       " out of range [2, 65535]");
     }
     if (!std::isfinite(scale) || scale <= 0.0) {
-      return bad("scale must be positive and finite");
+      return io.Refuse("scale must be positive and finite");
     }
     if (!LeafCodec::Fits(depth, arity)) {
-      return bad("depth " + std::to_string(depth) + " x arity " +
-                 std::to_string(arity) + " does not fit " +
-                 std::to_string(kLeafCodeBits) + "-bit leaf codes");
+      return io.Refuse("depth " + std::to_string(depth) + " x arity " +
+                       std::to_string(arity) + " does not fit " +
+                       std::to_string(kLeafCodeBits) + "-bit leaf codes");
     }
-    if (num_points == 0) return bad("empty point set");
+    if (num_points == 0) return io.Refuse("empty point set");
     return Status::OK();
   }
 
-  Status Finish() const {
-    if (records == 0) return Status::InvalidArgument("snapshot: empty file");
-    if (!ended) {
+  Status Finish(uint64_t records) const {
+    if (last != kEnd) {
       return Status::InvalidArgument(
           "snapshot: no end record after " + std::to_string(records) +
           " records — truncated or corrupt file");
@@ -173,50 +134,35 @@ std::string SerializeHstSnapshot(const CompleteHst& tree) {
   // Frame overhead is 9 bytes per >= 64 KiB table record, plus the
   // header and end records.
   out.reserve(256 + table_bytes + table_bytes / 1024);
-  uint64_t records = 0;
-  // Frames one record in place: the payload is the kind byte, then
-  // whatever `fields` appends.
-  const auto add = [&](Rec kind, const auto& fields) {
-    const size_t frame = BeginFrame(&out);
-    wire::PutU8(&out, kind);
-    fields();
-    EndFrame(&out, frame);
-    ++records;
-  };
+  ArtifactWriter file(kFormat, &out, [&](FieldWriter& io) {
+    io(tree.depth(), tree.arity(), tree.scale(), uint64_t{n});
+  });
   // One table as consecutive records of whole rows.
-  const auto add_table = [&](Rec kind, size_t row_bytes, const auto& put_row) {
+  const auto add_table = [&](Rec kind, size_t row_bytes, const auto& row) {
     const size_t rows = std::max<size_t>(1, kTableRecordBytes / row_bytes);
     for (size_t first = 0; first < n; first += rows) {
-      add(kind, [&] {
-        for (size_t i = first; i < std::min(n, first + rows); ++i) put_row(i);
+      file.Add(kind, [&](FieldWriter& io) {
+        for (size_t i = first; i < std::min(n, first + rows); ++i) row(io, i);
       });
     }
   };
-  add(kHeader, [&] {
-    wire::PutStr(&out, kMagic);
-    wire::PutU32(&out, kSnapshotVersion);
-    wire::PutU32(&out, static_cast<uint32_t>(tree.depth()));
-    wire::PutU32(&out, static_cast<uint32_t>(tree.arity()));
-    wire::PutF64(&out, tree.scale());
-    wire::PutU64(&out, n);
+  add_table(kPoints, kPointBytes, [&](FieldWriter& io, size_t i) {
+    io(tree.points()[i].x, tree.points()[i].y);
   });
-  add_table(kPoints, kPointBytes, [&](size_t i) {
-    wire::PutF64(&out, tree.points()[i].x);
-    wire::PutF64(&out, tree.points()[i].y);
+  add_table(kLeaves, kLeafBytes, [&](FieldWriter& io, size_t i) {
+    io(tree.leaf_code_of_point(static_cast<int>(i)));
   });
-  add_table(kLeaves, kLeafBytes, [&](size_t i) {
-    wire::PutU128(&out, tree.leaf_code_of_point(static_cast<int>(i)));
-  });
-  add(kEnd, [&] { wire::PutU64(&out, records); });
+  file.Finish();
   return out;
 }
 
 Result<CompleteHst> ParseHstSnapshot(const std::string& bytes) {
   SnapshotDecoder snap;
-  const FrameWalk walk = WalkFrames(
-      bytes, [&snap](std::string_view p) { return snap.Decode(p); });
-  if (walk.bad) return Status::InvalidArgument("snapshot " + walk.bad_detail);
-  TBF_RETURN_NOT_OK(snap.Finish());
+  ArtifactReader file(kFormat);
+  TBF_RETURN_NOT_OK(file.Read(bytes, [&snap](uint8_t kind, FieldReader& io) {
+    return snap.Visit(kind, io);
+  }));
+  TBF_RETURN_NOT_OK(snap.Finish(file.records()));
   const uint64_t num_points = snap.num_points;
 
   // Both tables are size-checked against the header; read them in bulk

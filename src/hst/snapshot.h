@@ -1,17 +1,17 @@
-// Versioned binary snapshots of a CompleteHst — load without rebuild.
+// Versioned binary snapshots of a CompleteHst — the one tree format.
 //
-// The text format (hst/serialize.h) is the v1 *publication* wire format:
-// human-readable, diffable, what the server hands to clients. This module
-// is the *operational* format: a CRC-framed little-endian binary blob a
-// restarting server loads to come back up without paying HstTree::Build
-// again (only the leaf-lookup tables are reconstructed, and the
-// nearest-point mapper lazily on first use — orders of magnitude
-// cheaper than a full build; bench/micro_hst_build.cc measures the
-// ratio).
+// A snapshot is what the server publishes to clients (paper Fig. 1,
+// step 1: clients parse it without the server's build-time randomness)
+// and what a restarting server loads to come back up without paying
+// HstTree::Build again (only the leaf-lookup tables are reconstructed,
+// and the nearest-point mapper lazily on first use — orders of
+// magnitude cheaper than a full build; bench/micro_hst_build.cc
+// measures the ratio).
 //
-// On-disk layout: the journal's CRC frames (common/frames.h), like a
-// replay checkpoint, so tools/check_snapshot.py validates it with
-// tools/tbf_frames.py and nothing but the Python standard library:
+// On-disk layout: the shared frames, field codec and file grammar of
+// common/frames.h, like a replay checkpoint, so tools/check_snapshot.py
+// validates it with tools/tbf_frames.py and nothing but the Python
+// standard library:
 //
 //   file    := header points+ leaves+ end
 //   frame   := <len:u32> <crc:u32> <payload: len bytes>

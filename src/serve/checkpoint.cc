@@ -1,9 +1,6 @@
 #include "serve/checkpoint.h"
 
 #include <array>
-#include <cstring>
-#include <optional>
-#include <type_traits>
 
 #include "common/atomic_file.h"
 #include "common/frames.h"
@@ -15,35 +12,19 @@ uint32_t FingerprintEventTrace(const EventTrace& trace) {
   // across calls), but batching fields into 64 KiB chunks keeps the
   // per-call overhead off the per-event path: durable replays fingerprint
   // the whole trace on every run, so this is sized for 100k+ events.
+  // Every field is a u64 or an f64; an id is its u64 length, then bytes.
   uint32_t crc = 0;
   std::string chunk;
   constexpr size_t kFlushAt = size_t{1} << 16;
   chunk.reserve(kFlushAt + 64);
-  const auto add_u64 = [&chunk](uint64_t v) {
-    char bytes[8];
-    for (int i = 0; i < 8; ++i) {
-      bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
-    }
-    chunk.append(bytes, 8);
-  };
-  const auto add_double = [&add_u64](double v) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    add_u64(bits);
-  };
-  add_double(trace.region.min_x);
-  add_double(trace.region.min_y);
-  add_double(trace.region.max_x);
-  add_double(trace.region.max_y);
-  add_u64(trace.events.size());
+  FieldWriter io(&chunk);
+  io(trace.region.min_x, trace.region.min_y, trace.region.max_x,
+     trace.region.max_y, static_cast<uint64_t>(trace.events.size()));
   for (const TimedEvent& event : trace.events) {
-    add_u64(static_cast<uint64_t>(event.kind));
-    add_double(event.time);
-    add_u64(event.id.size());
+    io(static_cast<uint64_t>(event.kind), event.time,
+       static_cast<uint64_t>(event.id.size()));
     chunk += event.id;
-    add_double(event.location.x);
-    add_double(event.location.y);
+    io(event.location.x, event.location.y);
     if (chunk.size() >= kFlushAt) {
       crc = Crc32(chunk, crc);
       chunk.clear();
@@ -76,128 +57,10 @@ constexpr uint32_t kRequired = Bit(kHeader) | Bit(kIdentity) | Bit(kCursor) |
                                Bit(kReport) | Bit(kServer) | Bit(kRng) |
                                Bit(kEnd);
 constexpr uint32_t kSingletons = kRequired | Bit(kLedger);
+constexpr ArtifactFormat kFormat = {"checkpoint", kMagic, kCheckpointVersion,
+                                     kRecNames};
 constexpr uint8_t kSpendEpoch = 0;
 constexpr uint8_t kSpendLifetime = 1;
-
-// Field codecs. Each record's schema is one function template over an
-// `io` that FieldWriter implements by appending the fields and
-// FieldReader by parsing into them, so the two directions cannot drift.
-// Integers take their own width (u8/u32/u64, a LeafCode 16 bytes), bools
-// a 0/1 byte, doubles their IEEE-754 bits, strings <len:u32><bytes>; a
-// Status is <code:u32><message:str>, an optional string a 0/1 byte then
-// the string.
-class FieldWriter {
- public:
-  explicit FieldWriter(std::string* out) : out_(out) {}
-
-  template <typename... T>
-  Status operator()(const T&... fields) {
-    (Put(fields), ...);
-    return Status::OK();
-  }
-
- private:
-  template <typename T>
-  void Put(const T& v) {
-    if constexpr (sizeof(T) == 1) {  // bool or u8
-      wire::PutU8(out_, static_cast<uint8_t>(v));
-    } else if constexpr (std::is_floating_point_v<T>) {
-      wire::PutF64(out_, v);
-    } else if constexpr (sizeof(T) == 4) {
-      wire::PutU32(out_, static_cast<uint32_t>(v));
-    } else if constexpr (std::is_same_v<T, LeafCode>) {
-      wire::PutU128(out_, v);
-    } else {
-      static_assert(std::is_integral_v<T> && sizeof(T) == 8);
-      wire::PutU64(out_, static_cast<uint64_t>(v));
-    }
-  }
-  void Put(const std::string& s) { wire::PutStr(out_, s); }
-  void Put(const Status& s) {
-    Put(static_cast<uint32_t>(s.code()));
-    Put(s.message());
-  }
-  void Put(const std::optional<std::string>& s) {
-    Put(s.has_value());
-    if (s) Put(*s);
-  }
-  template <size_t N>
-  void Put(const std::array<uint64_t, N>& values) {
-    for (const uint64_t v : values) Put(v);
-  }
-
-  std::string* out_;
-};
-
-class FieldReader {
- public:
-  FieldReader(std::string_view payload, const char* what)
-      : r_(payload, what), what_(what) {}
-
-  template <typename... T>
-  Status operator()(T&... fields) {
-    Status status = Status::OK();
-    static_cast<void>((... && (status = Get(fields)).ok()));
-    return status;
-  }
-  bool AtEnd() const { return r_.AtEnd(); }
-
- private:
-  template <typename T>
-  Status Get(T& v) {
-    if constexpr (std::is_same_v<T, bool>) {
-      TBF_ASSIGN_OR_RETURN(const uint8_t b, r_.U8());
-      if (b > 1) return Bad("flag byte " + std::to_string(b) + " is not 0/1");
-      v = b == 1;
-    } else if constexpr (sizeof(T) == 1) {
-      TBF_ASSIGN_OR_RETURN(v, r_.U8());
-    } else if constexpr (std::is_floating_point_v<T>) {
-      TBF_ASSIGN_OR_RETURN(v, r_.F64());
-    } else if constexpr (sizeof(T) == 4) {
-      TBF_ASSIGN_OR_RETURN(const uint32_t u, r_.U32());
-      v = static_cast<T>(u);
-    } else if constexpr (std::is_same_v<T, LeafCode>) {
-      TBF_ASSIGN_OR_RETURN(v, r_.U128());
-    } else {
-      TBF_ASSIGN_OR_RETURN(const uint64_t u, r_.U64());
-      v = static_cast<T>(u);
-    }
-    return Status::OK();
-  }
-  Status Get(std::string& s) {
-    TBF_ASSIGN_OR_RETURN(s, r_.Str());
-    return Status::OK();
-  }
-  Status Get(Status& s) {
-    uint32_t code = 0;
-    std::string message;
-    TBF_RETURN_NOT_OK(operator()(code, message));
-    if (code > static_cast<uint32_t>(StatusCode::kAborted)) {
-      return Bad("status code " + std::to_string(code) + " out of range");
-    }
-    s = code == 0 ? Status::OK()
-                  : Status(static_cast<StatusCode>(code), std::move(message));
-    return Status::OK();
-  }
-  Status Get(std::optional<std::string>& s) {
-    bool present = false;
-    TBF_RETURN_NOT_OK(Get(present));
-    if (present) return Get(s.emplace());
-    s.reset();
-    return Status::OK();
-  }
-  template <size_t N>
-  Status Get(std::array<uint64_t, N>& values) {
-    for (uint64_t& v : values) TBF_RETURN_NOT_OK(Get(v));
-    return Status::OK();
-  }
-  Status Bad(const std::string& why) const {
-    return Status::InvalidArgument(std::string(what_) + ": " + why);
-  }
-
-  wire::ByteReader r_;
-  const char* what_;
-};
 
 // Record schemas; `C` is ReplayCheckpoint (or a row type), const when
 // writing.
@@ -251,38 +114,20 @@ Status HistogramFields(Io& io, H& h) {
   return io(h.name, h.count, h.sum, h.buckets);
 }
 
-// Decodes one record per call, enforcing the file grammar: header first,
-// end last, singletons once, spend rows after the ledger row.
+// Reads each record's own fields (the shared grammar in common/frames.h
+// reads the header's magic and version and checks the end count) and
+// enforces the rest of the checkpoint grammar: singletons once, spend
+// rows after the ledger row, every required record present.
 class CheckpointDecoder {
  public:
-  Status Decode(std::string_view payload) {
-    if (payload.empty()) return Status::InvalidArgument("empty record");
-    const auto kind = static_cast<uint8_t>(payload[0]);
-    if (kind >= kNumRecs) {
-      return Status::InvalidArgument("unknown record kind " +
-                                     std::to_string(kind));
-    }
-    const std::string name = std::string(kRecNames[kind]) + " record";
-    const auto bad = [&name](const std::string& why) {
-      return Status::InvalidArgument(name + ": " + why);
-    };
-    if (records_ == 0 && kind != kHeader) {
-      return bad("the first record must be the checkpoint header");
-    }
-    if ((seen_ & Bit(kEnd)) != 0) return bad("follows the end record");
-    if ((kSingletons & seen_ & Bit(kind)) != 0) return bad("duplicate");
-    FieldReader io(payload, name.c_str());
-    uint8_t kind_byte = 0;
-    TBF_RETURN_NOT_OK(io(kind_byte));
+  Status Visit(uint8_t kind, FieldReader& io) {
+    if ((kSingletons & seen_ & Bit(kind)) != 0) return io.Refuse("duplicate");
     TBF_RETURN_NOT_OK(DecodeFields(static_cast<Rec>(kind), io));
-    if (!io.AtEnd()) return bad("trailing bytes after a complete record");
     seen_ |= Bit(kind);
-    ++records_;
     return Status::OK();
   }
 
-  Status Finish() const {
-    if (records_ == 0) return Status::InvalidArgument("checkpoint: empty file");
+  Status Finish(uint64_t records) const {
     std::string missing;
     for (int kind = 0; kind < kNumRecs; ++kind) {
       if ((kRequired & ~seen_ & Bit(kind)) == 0) continue;
@@ -291,31 +136,18 @@ class CheckpointDecoder {
     if (missing.empty()) return Status::OK();
     return Status::InvalidArgument(
         "checkpoint: missing required record(s) " + missing + " after " +
-        std::to_string(records_) + " records — truncated or corrupt file");
+        std::to_string(records) + " records — truncated or corrupt file");
   }
 
   ReplayCheckpoint Take() { return std::move(c_); }
 
  private:
   Status DecodeFields(Rec kind, FieldReader& io) {
-    const auto bad = [kind](const std::string& why) {
-      return Status::InvalidArgument(std::string(kRecNames[kind]) +
-                                     " record: " + why);
-    };
     ShardedServerState& server = c_.server;
     switch (kind) {
-      case kHeader: {
-        std::string magic;
-        uint32_t version = 0;
-        TBF_RETURN_NOT_OK(io(magic, version));
-        if (magic != kMagic) return bad("bad magic '" + magic + "'");
-        if (version != kCheckpointVersion) {
-          return bad("unsupported version " + std::to_string(version) +
-                     " (this build reads v5)");
-        }
-        c_.version = static_cast<int>(version);
+      case kHeader:
+        c_.version = static_cast<int>(kCheckpointVersion);
         return Status::OK();
-      }
       case kIdentity: return IdentityFields(io, c_);
       case kCursor: return CursorFields(io, c_);
       case kReport: return ReportFields(io, c_.report);
@@ -330,11 +162,11 @@ class CheckpointDecoder {
       case kWorker: return WorkerFields(io, server.workers.emplace_back());
       case kLedger: return LedgerFields(io, server.ledger.emplace());
       case kSpend: {
-        if (!server.ledger) return bad("precedes the ledger record");
+        if (!server.ledger) return io.Refuse("precedes the ledger record");
         uint8_t scope = 0;
         TBF_RETURN_NOT_OK(io(scope));
         if (scope != kSpendEpoch && scope != kSpendLifetime) {
-          return bad("scope must be 0 (epoch) or 1 (lifetime)");
+          return io.Refuse("scope must be 0 (epoch) or 1 (lifetime)");
         }
         auto& spends = scope == kSpendEpoch ? server.ledger->epoch_spent
                                             : server.ledger->lifetime_spent;
@@ -351,21 +183,13 @@ class CheckpointDecoder {
       }
       case kHistogram:
         return HistogramFields(io, c_.metrics.histograms.emplace_back());
-      case kEnd: {
-        uint64_t records = 0;
-        TBF_RETURN_NOT_OK(io(records));
-        if (records == records_) return Status::OK();
-        return bad("counts " + std::to_string(records) +
-                   " records before it, the file has " +
-                   std::to_string(records_));
-      }
+      case kEnd:
       case kNumRecs: break;
     }
     return Status::OK();
   }
 
   ReplayCheckpoint c_;
-  uint64_t records_ = 0;
   uint32_t seen_ = 0;
 };
 
@@ -382,61 +206,50 @@ std::string SerializeReplayCheckpoint(const ReplayCheckpoint& c) {
                                      : 0);
   std::string out;
   out.reserve(64 * rows + 1024 * (c.metrics.histograms.size() + 1));
-  uint64_t records = 0;
-  // Frames one record in place (common/frames.h): the payload is the
-  // kind byte, then whatever `fields` writes.
-  const auto add = [&](Rec kind, const auto& fields) {
-    const size_t frame = BeginFrame(&out);
-    out.push_back(static_cast<char>(kind));
-    FieldWriter io(&out);
-    fields(io);
-    EndFrame(&out, frame);
-    ++records;
-  };
-  add(kHeader, [](FieldWriter& io) { io(std::string(kMagic), kCheckpointVersion); });
-  add(kIdentity, [&](FieldWriter& io) { IdentityFields(io, c); });
-  add(kCursor, [&](FieldWriter& io) { CursorFields(io, c); });
-  add(kReport, [&](FieldWriter& io) { ReportFields(io, c.report); });
+  ArtifactWriter file(kFormat, &out);
+  file.Add(kIdentity, [&](FieldWriter& io) { IdentityFields(io, c); });
+  file.Add(kCursor, [&](FieldWriter& io) { CursorFields(io, c); });
+  file.Add(kReport, [&](FieldWriter& io) { ReportFields(io, c.report); });
   for (const EpochStats& e : c.per_epoch) {
-    add(kEpoch, [&](FieldWriter& io) { EpochFields(io, e); });
+    file.Add(kEpoch, [&](FieldWriter& io) { EpochFields(io, e); });
   }
   for (const TaskOutcome& t : c.task_outcomes) {
-    add(kTask, [&](FieldWriter& io) { TaskFields(io, t); });
+    file.Add(kTask, [&](FieldWriter& io) { TaskFields(io, t); });
   }
   for (const QuarantineRecord& q : c.quarantined_events) {
-    add(kQuarantine, [&](FieldWriter& io) { QuarantineFields(io, q); });
+    file.Add(kQuarantine, [&](FieldWriter& io) { QuarantineFields(io, q); });
   }
-  add(kServer, [&](FieldWriter& io) { ServerFields(io, server); });
-  add(kRng, [&](FieldWriter& io) { io(server.rng_state); });
+  file.Add(kServer, [&](FieldWriter& io) { ServerFields(io, server); });
+  file.Add(kRng, [&](FieldWriter& io) { io(server.rng_state); });
   for (const std::string& id : server.worker_by_index_id) {
-    add(kSlot, [&](FieldWriter& io) { io(id); });
+    file.Add(kSlot, [&](FieldWriter& io) { io(id); });
   }
   for (const int id : server.free_index_ids) {
-    add(kFree, [&](FieldWriter& io) { io(id); });
+    file.Add(kFree, [&](FieldWriter& io) { io(id); });
   }
   for (const ShardedServerState::Worker& w : server.workers) {
-    add(kWorker, [&](FieldWriter& io) { WorkerFields(io, w); });
+    file.Add(kWorker, [&](FieldWriter& io) { WorkerFields(io, w); });
   }
   if (server.ledger) {
     const EpochBudgetLedger::State& ledger = *server.ledger;
-    add(kLedger, [&](FieldWriter& io) { LedgerFields(io, ledger); });
+    file.Add(kLedger, [&](FieldWriter& io) { LedgerFields(io, ledger); });
     for (const auto& [user, eps] : ledger.epoch_spent) {
-      add(kSpend, [&](FieldWriter& io) { io(kSpendEpoch, user, eps); });
+      file.Add(kSpend, [&](FieldWriter& io) { io(kSpendEpoch, user, eps); });
     }
     for (const auto& [user, eps] : ledger.lifetime_spent) {
-      add(kSpend, [&](FieldWriter& io) { io(kSpendLifetime, user, eps); });
+      file.Add(kSpend, [&](FieldWriter& io) { io(kSpendLifetime, user, eps); });
     }
   }
   for (const obs::CounterSample& sample : c.metrics.counters) {
-    add(kCounter, [&](FieldWriter& io) { io(sample.name, sample.value); });
+    file.Add(kCounter, [&](FieldWriter& io) { io(sample.name, sample.value); });
   }
   for (const obs::GaugeSample& sample : c.metrics.gauges) {
-    add(kGauge, [&](FieldWriter& io) { io(sample.name, sample.value); });
+    file.Add(kGauge, [&](FieldWriter& io) { io(sample.name, sample.value); });
   }
   for (const obs::HistogramSample& sample : c.metrics.histograms) {
-    add(kHistogram, [&](FieldWriter& io) { HistogramFields(io, sample); });
+    file.Add(kHistogram, [&](FieldWriter& io) { HistogramFields(io, sample); });
   }
-  add(kEnd, [records](FieldWriter& io) { io(records); });
+  file.Finish();
   return out;
 }
 
@@ -447,10 +260,11 @@ Result<ReplayCheckpoint> ParseReplayCheckpoint(const std::string& bytes) {
         "checkpoints only");
   }
   CheckpointDecoder decoder;
-  const FrameWalk walk = WalkFrames(
-      bytes, [&decoder](std::string_view p) { return decoder.Decode(p); });
-  if (walk.bad) return Status::InvalidArgument("checkpoint " + walk.bad_detail);
-  TBF_RETURN_NOT_OK(decoder.Finish());
+  ArtifactReader file(kFormat);
+  TBF_RETURN_NOT_OK(file.Read(bytes, [&decoder](uint8_t kind, FieldReader& io) {
+    return decoder.Visit(kind, io);
+  }));
+  TBF_RETURN_NOT_OK(decoder.Finish(file.records()));
   return decoder.Take();
 }
 

@@ -13,7 +13,8 @@
 // On-disk format, v5 (docs/ROBUSTNESS.md has the record catalog): a
 // stream of CRC-framed binary records in the frame format every on-disk
 // artifact shares (common/frames.h — the same frame writer, frame walker
-// and little-endian field helpers as the journal and tree snapshots):
+// and field codec as the journal, and the same file grammar as tree
+// snapshots):
 //
 //   file    := header record* end
 //   frame   := <len:u32> <crc:u32> <payload: len bytes>

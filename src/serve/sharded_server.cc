@@ -443,17 +443,6 @@ Result<DispatchResult> ShardedTbfServer::SubmitTask(
   return ConsumeCandidate(*best);
 }
 
-std::vector<Status> ShardedTbfServer::RegisterWorkers(
-    std::span<const LeafCodeReport> batch) {
-  std::vector<Status> statuses;
-  statuses.reserve(batch.size());
-  for (const LeafCodeReport& report : batch) {
-    statuses.push_back(
-        RegisterWorker(report.user_id, report.code, report.declared_epsilon));
-  }
-  return statuses;
-}
-
 ShardedServerState ShardedTbfServer::ExportState() const {
   ShardedServerState state;
   state.assigned_tasks =
@@ -579,24 +568,6 @@ Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
                         std::memory_order_relaxed);
   available_metric_->Set(static_cast<int64_t>(state.workers.size()));
   return Status::OK();
-}
-
-std::vector<BatchDispatchOutcome> ShardedTbfServer::SubmitTasks(
-    std::span<const LeafCodeReport> batch) {
-  std::vector<BatchDispatchOutcome> outcomes;
-  outcomes.reserve(batch.size());
-  for (const LeafCodeReport& report : batch) {
-    BatchDispatchOutcome outcome;
-    Result<DispatchResult> dispatched =
-        SubmitTask(report.user_id, report.code, report.declared_epsilon);
-    if (dispatched.ok()) {
-      outcome.result = std::move(dispatched).MoveValueUnsafe();
-    } else {
-      outcome.status = dispatched.status();
-    }
-    outcomes.push_back(std::move(outcome));
-  }
-  return outcomes;
 }
 
 }  // namespace tbf

@@ -1,7 +1,8 @@
 // ShardedTbfServer — the online serving engine: the untrusted
 // crowdsourcing server of the paper's interaction model (Sec. II-A).
 //
-//   * It holds the published CompleteHst (serializable via hst/serialize.h).
+//   * It holds the published CompleteHst (published and reloaded as a
+//     tree snapshot, hst/snapshot.h).
 //   * It accepts worker registrations and task submissions as *obfuscated
 //     leaves*; it never sees a true location, and its whole interface
 //     speaks packed leaf codes (hst/leaf_code.h; every published tree has
@@ -57,7 +58,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -80,22 +80,6 @@ struct DispatchResult {
   std::optional<std::string> worker;
   /// Tree distance (metric units) between the reported leaves.
   double reported_tree_distance = 0.0;
-};
-
-/// \brief One entry of a batch registration or submission: a user id plus
-/// the obfuscated leaf their client reported, as a packed LeafCode (what
-/// TbfFramework::ObfuscateCodes emits), and the declared epsilon when the
-/// server enforces budgets.
-struct LeafCodeReport {
-  std::string user_id;
-  LeafCode code = 0;
-  std::optional<double> declared_epsilon;
-};
-
-/// \brief Outcome of one item of a batch submission.
-struct BatchDispatchOutcome {
-  Status status;          ///< per-item admission result
-  DispatchResult result;  ///< meaningful when status.ok()
 };
 
 /// \brief Configuration of the sharded serving engine.
@@ -197,16 +181,6 @@ class ShardedTbfServer {
   Result<DispatchResult> SubmitTask(const std::string& task_id, LeafCode code,
                                     std::optional<double> declared_epsilon =
                                         std::nullopt);
-
-  /// \brief Batch wrappers: item k's status is exactly what the single
-  /// call would have returned, and a failed item is skipped while the rest
-  /// of the batch proceeds. Items are issued sequentially by the calling
-  /// thread, each seeing the pool its predecessors left behind;
-  /// parallelism comes from *concurrent* callers (the replay loop drives
-  /// one caller per shard).
-  std::vector<Status> RegisterWorkers(std::span<const LeafCodeReport> batch);
-  std::vector<BatchDispatchOutcome> SubmitTasks(
-      std::span<const LeafCodeReport> batch);
 
   /// \brief Rolls per-epoch budget accounting forward to `epoch` (no-op
   /// when no budget is set; going backwards fails).

@@ -26,15 +26,6 @@ double MonotonicSeconds() {
       .count();
 }
 
-using wire::ByteReader;
-using wire::PutF64;
-using wire::PutI64;
-using wire::PutU128;
-using wire::PutStr;
-using wire::PutU32;
-using wire::PutU64;
-using wire::PutU8;
-
 // Flags byte of dispatch records. kFlagReport must be set on every
 // arrival and task record: it carries the reported leaf code.
 constexpr uint8_t kFlagReport = 1 << 0;
@@ -43,21 +34,96 @@ constexpr uint8_t kFlagForced = 1 << 2;
 constexpr uint8_t kFlagHasWorker = 1 << 3;
 constexpr uint8_t kFlagMissed = 1 << 4;
 
-void PutOutcome(std::string* out, const WalOutcome& o) {
-  PutU32(out, static_cast<uint32_t>(o.status_code));
-  PutStr(out, o.message);
-  PutF64(out, o.epsilon_charged);
-  PutU8(out, o.budget_denied);
+// Record schemas (common/frames.h): one per WalRecordKind, run by
+// EncodeWalRecordTo with a FieldWriter over a const record and by
+// DecodeWalRecord with a FieldReader over a fresh one.
+template <typename Io, typename R>
+Status SegmentHeaderFields(Io& io, R& r) {
+  TBF_RETURN_NOT_OK(io(r.format_version));
+  TBF_RETURN_NOT_OK(io.Check(r.format_version == kWalFormatVersion, [&] {
+    return "wal segment header: unsupported format version " +
+           std::to_string(r.format_version) + " (this build reads v" +
+           std::to_string(kWalFormatVersion) + ")";
+  }));
+  return io(r.segment_seq, r.identity.trace_fingerprint,
+            r.identity.num_shards, r.identity.epoch_seconds,
+            r.identity.server_seed, r.identity.obfuscation_seed);
 }
 
-Status ReadOutcome(ByteReader* r, WalOutcome* o) {
-  TBF_ASSIGN_OR_RETURN(uint32_t code, r->U32());
-  o->status_code = static_cast<int32_t>(code);
-  TBF_ASSIGN_OR_RETURN(o->message, r->Str());
-  TBF_ASSIGN_OR_RETURN(o->epsilon_charged, r->F64());
-  TBF_ASSIGN_OR_RETURN(o->budget_denied, r->U8());
-  if (o->budget_denied > 2) {
-    return Status::InvalidArgument("wal record: budget_denied out of range");
+template <typename Io, typename R>
+Status EpochBeginFields(Io& io, R& r) {
+  return io(r.epoch, r.begin_index, r.arrivals_obfuscated, r.next_task_slot);
+}
+
+// Worker and task arrivals: the report, then the engine's outcome.
+template <typename Io, typename R>
+Status ArrivalFields(Io& io, R& r) {
+  // Every v2 arrival/task record carries its report, whatever `packed`
+  // says; a fresh record's `packed` is already true.
+  bool report = true;
+  TBF_RETURN_NOT_OK(io(r.event_index, r.id,
+                       FlagByte(Flag{kFlagReport, report},
+                                Flag{kFlagHasEpsilon, r.has_epsilon},
+                                Flag{kFlagForced, r.outcome.forced},
+                                Flag{kFlagHasWorker, r.outcome.has_worker})));
+  TBF_RETURN_NOT_OK(io.Check(
+      report,
+      "wal record: arrival/task record without its report (flag clear)"));
+  TBF_RETURN_NOT_OK(io(r.code));
+  if (r.has_epsilon) TBF_RETURN_NOT_OK(io(r.declared_epsilon));
+  TBF_RETURN_NOT_OK(io(r.outcome.status_code, r.outcome.message,
+                       r.outcome.epsilon_charged, r.outcome.budget_denied));
+  TBF_RETURN_NOT_OK(io.Check(r.outcome.budget_denied <= 2,
+                             "wal record: budget_denied out of range"));
+  if (r.kind != WalRecordKind::kTaskArrival) {
+    return io.Check(!r.outcome.has_worker,
+                    "wal record: worker flag on a non-task record");
+  }
+  TBF_RETURN_NOT_OK(io(r.task_slot));
+  if (r.outcome.has_worker) TBF_RETURN_NOT_OK(io(r.outcome.worker));
+  return io(r.outcome.tree_distance);
+}
+
+template <typename Io, typename R>
+Status DepartureFields(Io& io, R& r) {
+  return io(r.event_index, r.id, FlagByte(Flag{kFlagMissed, r.missed}));
+}
+
+template <typename Io, typename R>
+Status QuarantineFields(Io& io, R& r) {
+  return io(r.event_index, r.id, r.cause);
+}
+
+template <typename Io, typename R>
+Status StreamFaultFields(Io& io, R& r) {
+  TBF_RETURN_NOT_OK(io(r.event_index, r.fault_kind));
+  return io.Check(r.fault_kind <= 3, "wal record: fault_kind out of range");
+}
+
+template <typename Io, typename R>
+Status RepublishFields(Io& io, R& r) {
+  return io(r.tree_epoch);
+}
+
+// The whole payload: <kind:u8> <lsn:u64>, then the kind's schema.
+template <typename Io, typename R>
+Status RecordFields(Io& io, R& r) {
+  TBF_RETURN_NOT_OK(io(r.kind));
+  TBF_RETURN_NOT_OK(
+      io.Check(r.kind <= WalRecordKind::kRepublish, [&] {
+        return "wal record: unknown kind " +
+               std::to_string(static_cast<int>(r.kind));
+      }));
+  TBF_RETURN_NOT_OK(io(r.lsn));
+  switch (r.kind) {
+    case WalRecordKind::kSegmentHeader: return SegmentHeaderFields(io, r);
+    case WalRecordKind::kEpochBegin: return EpochBeginFields(io, r);
+    case WalRecordKind::kWorkerArrival:
+    case WalRecordKind::kTaskArrival: return ArrivalFields(io, r);
+    case WalRecordKind::kWorkerDeparture: return DepartureFields(io, r);
+    case WalRecordKind::kQuarantine: return QuarantineFields(io, r);
+    case WalRecordKind::kStreamFault: return StreamFaultFields(io, r);
+    case WalRecordKind::kRepublish: return RepublishFields(io, r);
   }
   return Status::OK();
 }
@@ -72,163 +138,19 @@ std::string EncodeWalRecord(const WalRecord& record) {
   return out;
 }
 
-void EncodeWalRecordTo(const WalRecord& record, std::string* out_ptr) {
-  std::string& out = *out_ptr;
-  PutU8(&out, static_cast<uint8_t>(record.kind));
-  PutU64(&out, record.lsn);
-  switch (record.kind) {
-    case WalRecordKind::kSegmentHeader:
-      PutU32(&out, record.format_version);
-      PutU64(&out, record.segment_seq);
-      PutU32(&out, record.identity.trace_fingerprint);
-      PutU32(&out, static_cast<uint32_t>(record.identity.num_shards));
-      PutF64(&out, record.identity.epoch_seconds);
-      PutU64(&out, record.identity.server_seed);
-      PutU64(&out, record.identity.obfuscation_seed);
-      break;
-    case WalRecordKind::kEpochBegin:
-      PutI64(&out, record.epoch);
-      PutU64(&out, record.begin_index);
-      PutU64(&out, record.arrivals_obfuscated);
-      PutI64(&out, record.next_task_slot);
-      break;
-    case WalRecordKind::kWorkerArrival:
-    case WalRecordKind::kTaskArrival: {
-      PutU64(&out, record.event_index);
-      PutStr(&out, record.id);
-      // Every v2 arrival/task record carries its report, whatever
-      // `packed` says.
-      uint8_t flags = kFlagReport;
-      if (record.has_epsilon) flags |= kFlagHasEpsilon;
-      if (record.outcome.forced) flags |= kFlagForced;
-      if (record.outcome.has_worker) flags |= kFlagHasWorker;
-      PutU8(&out, flags);
-      PutU128(&out, record.code);
-      if (record.has_epsilon) PutF64(&out, record.declared_epsilon);
-      PutOutcome(&out, record.outcome);
-      if (record.kind == WalRecordKind::kTaskArrival) {
-        PutI64(&out, record.task_slot);
-        if (record.outcome.has_worker) PutStr(&out, record.outcome.worker);
-        PutF64(&out, record.outcome.tree_distance);
-      }
-      break;
-    }
-    case WalRecordKind::kWorkerDeparture: {
-      PutU64(&out, record.event_index);
-      PutStr(&out, record.id);
-      PutU8(&out, record.missed ? kFlagMissed : 0);
-      break;
-    }
-    case WalRecordKind::kQuarantine:
-      PutU64(&out, record.event_index);
-      PutStr(&out, record.id);
-      PutStr(&out, record.cause);
-      break;
-    case WalRecordKind::kStreamFault:
-      PutU64(&out, record.event_index);
-      PutU8(&out, record.fault_kind);
-      break;
-    case WalRecordKind::kRepublish:
-      PutU64(&out, record.tree_epoch);
-      break;
-  }
+void EncodeWalRecordTo(const WalRecord& record, std::string* out) {
+  FieldWriter io(out);
+  static_cast<void>(RecordFields(io, record));
 }
 
 Result<WalRecord> DecodeWalRecord(std::string_view payload) {
-  ByteReader r(payload, "wal record");
+  FieldReader io(payload, "wal record");
   WalRecord rec;
-  TBF_ASSIGN_OR_RETURN(uint8_t kind, r.U8());
-  if (kind > static_cast<uint8_t>(WalRecordKind::kRepublish)) {
-    return Status::InvalidArgument("wal record: unknown kind " +
-                                   std::to_string(kind));
-  }
-  rec.kind = static_cast<WalRecordKind>(kind);
-  TBF_ASSIGN_OR_RETURN(rec.lsn, r.U64());
-  switch (rec.kind) {
-    case WalRecordKind::kSegmentHeader: {
-      TBF_ASSIGN_OR_RETURN(rec.format_version, r.U32());
-      if (rec.format_version != kWalFormatVersion) {
-        return Status::InvalidArgument(
-            "wal segment header: unsupported format version " +
-            std::to_string(rec.format_version) + " (this build reads v" +
-            std::to_string(kWalFormatVersion) + ")");
-      }
-      TBF_ASSIGN_OR_RETURN(rec.segment_seq, r.U64());
-      TBF_ASSIGN_OR_RETURN(rec.identity.trace_fingerprint, r.U32());
-      TBF_ASSIGN_OR_RETURN(uint32_t shards, r.U32());
-      rec.identity.num_shards = static_cast<int32_t>(shards);
-      TBF_ASSIGN_OR_RETURN(rec.identity.epoch_seconds, r.F64());
-      TBF_ASSIGN_OR_RETURN(rec.identity.server_seed, r.U64());
-      TBF_ASSIGN_OR_RETURN(rec.identity.obfuscation_seed, r.U64());
-      break;
-    }
-    case WalRecordKind::kEpochBegin: {
-      TBF_ASSIGN_OR_RETURN(rec.epoch, r.I64());
-      TBF_ASSIGN_OR_RETURN(rec.begin_index, r.U64());
-      TBF_ASSIGN_OR_RETURN(rec.arrivals_obfuscated, r.U64());
-      TBF_ASSIGN_OR_RETURN(rec.next_task_slot, r.I64());
-      break;
-    }
-    case WalRecordKind::kWorkerArrival:
-    case WalRecordKind::kTaskArrival: {
-      TBF_ASSIGN_OR_RETURN(rec.event_index, r.U64());
-      TBF_ASSIGN_OR_RETURN(rec.id, r.Str());
-      TBF_ASSIGN_OR_RETURN(uint8_t flags, r.U8());
-      rec.packed = (flags & kFlagReport) != 0;
-      rec.has_epsilon = (flags & kFlagHasEpsilon) != 0;
-      rec.outcome.forced = (flags & kFlagForced) != 0;
-      rec.outcome.has_worker = (flags & kFlagHasWorker) != 0;
-      if (!rec.packed) {
-        return Status::InvalidArgument(
-            "wal record: arrival/task record without its report (flag clear)");
-      }
-      TBF_ASSIGN_OR_RETURN(rec.code, r.U128());
-      if (rec.has_epsilon) {
-        TBF_ASSIGN_OR_RETURN(rec.declared_epsilon, r.F64());
-      }
-      TBF_RETURN_NOT_OK(ReadOutcome(&r, &rec.outcome));
-      if (rec.kind == WalRecordKind::kTaskArrival) {
-        TBF_ASSIGN_OR_RETURN(rec.task_slot, r.I64());
-        if (rec.outcome.has_worker) {
-          TBF_ASSIGN_OR_RETURN(rec.outcome.worker, r.Str());
-        }
-        TBF_ASSIGN_OR_RETURN(rec.outcome.tree_distance, r.F64());
-      } else if (rec.outcome.has_worker) {
-        return Status::InvalidArgument(
-            "wal record: worker flag on a non-task record");
-      }
-      break;
-    }
-    case WalRecordKind::kWorkerDeparture: {
-      TBF_ASSIGN_OR_RETURN(rec.event_index, r.U64());
-      TBF_ASSIGN_OR_RETURN(rec.id, r.Str());
-      TBF_ASSIGN_OR_RETURN(uint8_t flags, r.U8());
-      rec.missed = (flags & kFlagMissed) != 0;
-      break;
-    }
-    case WalRecordKind::kQuarantine: {
-      TBF_ASSIGN_OR_RETURN(rec.event_index, r.U64());
-      TBF_ASSIGN_OR_RETURN(rec.id, r.Str());
-      TBF_ASSIGN_OR_RETURN(rec.cause, r.Str());
-      break;
-    }
-    case WalRecordKind::kStreamFault: {
-      TBF_ASSIGN_OR_RETURN(rec.event_index, r.U64());
-      TBF_ASSIGN_OR_RETURN(rec.fault_kind, r.U8());
-      if (rec.fault_kind > 3) {
-        return Status::InvalidArgument("wal record: fault_kind out of range");
-      }
-      break;
-    }
-    case WalRecordKind::kRepublish: {
-      TBF_ASSIGN_OR_RETURN(rec.tree_epoch, r.U64());
-      break;
-    }
-  }
-  if (!r.AtEnd()) {
+  TBF_RETURN_NOT_OK(RecordFields(io, rec));
+  if (!io.AtEnd()) {
     return Status::InvalidArgument(
         "wal record: trailing bytes after a complete record (kind " +
-        std::to_string(kind) + ")");
+        std::to_string(static_cast<int>(rec.kind)) + ")");
   }
   return rec;
 }

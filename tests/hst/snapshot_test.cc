@@ -116,7 +116,8 @@ std::string Reframe(const std::vector<std::string>& records) {
 // The end record of a file with `records_before` records before it.
 std::string EndRecord(uint64_t records_before) {
   std::string payload(1, kEnd);
-  wire::PutU64(&payload, records_before);
+  FieldWriter io(&payload);
+  io(records_before);
   return payload;
 }
 
@@ -188,8 +189,8 @@ TEST(HstSnapshotTest, RoundTripPreservesEverythingPacked) {
     EXPECT_EQ(parsed->leaf_of_point(p), original.leaf_of_point(p));
     EXPECT_EQ(parsed->leaf_code_of_point(p), original.leaf_code_of_point(p));
   }
-  // The operational artifact must agree with the publication wire format:
-  // distances and client-side mapping are draw-for-draw identical.
+  // The parsed tree serves exactly as the built one: distances and
+  // client-side mapping are draw-for-draw identical.
   for (int a = 0; a < original.num_points(); a += 3) {
     for (int b = 0; b < original.num_points(); b += 5) {
       EXPECT_DOUBLE_EQ(parsed->TreeDistance(parsed->leaf_code_of_point(a),
@@ -299,6 +300,47 @@ TEST(HstSnapshotTest, RoundTripTablesSpanningSeveralRecords) {
 TEST(HstSnapshotTest, SerializationIsDeterministic) {
   CompleteHst tree = BuildTree(11);
   EXPECT_EQ(SerializeHstSnapshot(tree), SerializeHstSnapshot(tree));
+}
+
+TEST(HstSnapshotTest, RoundTripPreservesPackedCodeDomain) {
+  // The serve path runs entirely on packed LeafCodes, so publication must
+  // preserve the packed domain bit for bit: a client that parses the
+  // published tree has to compute the SAME codes the server computed, or
+  // every code-keyed exchange (reports, availability lookups, shard
+  // routing) silently desynchronizes. Checks codec shape, every
+  // precomputed leaf_code_of_point, the code-keyed point_of_leaf inverse,
+  // and the end-to-end MapToNearestLeafCode client mapping.
+  CompleteHst original = BuildTree(19, 6);
+  auto parsed = ParseHstSnapshot(SerializeHstSnapshot(original));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+
+  const LeafCodec* original_codec = original.codec();
+  const LeafCodec* parsed_codec = parsed->codec();
+  ASSERT_NE(original_codec, nullptr);
+  ASSERT_NE(parsed_codec, nullptr);
+  EXPECT_EQ(parsed_codec->depth(), original_codec->depth());
+  EXPECT_EQ(parsed_codec->arity(), original_codec->arity());
+  EXPECT_EQ(parsed_codec->bits_per_digit(), original_codec->bits_per_digit());
+
+  for (int p = 0; p < original.num_points(); ++p) {
+    const LeafCode code = original.leaf_code_of_point(p);
+    EXPECT_EQ(parsed->leaf_code_of_point(p), code) << "point " << p;
+    // Code-keyed inverse lookup agrees across the round trip...
+    ASSERT_TRUE(parsed->point_of_leaf(code).has_value()) << "point " << p;
+    EXPECT_EQ(*parsed->point_of_leaf(code), p);
+    // Pack/Unpack through the parsed codec reproduces the published path.
+    EXPECT_EQ(parsed_codec->Pack(original.leaf_of_point(p)), code);
+    EXPECT_EQ(parsed_codec->Unpack(code), original.leaf_of_point(p));
+  }
+
+  // Client-side mapping: arbitrary query locations map to the same packed
+  // code on both trees.
+  Rng rng(23);
+  for (int i = 0; i < 200; ++i) {
+    const Point query{rng.Uniform(-10, 110), rng.Uniform(-10, 110)};
+    EXPECT_EQ(parsed->MapToNearestLeafCode(query),
+              original.MapToNearestLeafCode(query));
+  }
 }
 
 // --- frame corruption ---------------------------------------------------
@@ -552,6 +594,43 @@ TEST(HstSnapshotTest, FileRoundTripAndMissingFile) {
   EXPECT_EQ(missing.status().code(), StatusCode::kIOError);
 
   std::remove(path.c_str());
+}
+
+// --- reconstruction from parts ----------------------------------------
+
+TEST(FromPartsTest, ValidatesInvariants) {
+  std::vector<Point> pts = {{0, 0}, {1, 1}};
+  const LeafCodec codec(2, 2);
+  const LeafCode a = codec.Pack({char16_t{0}, char16_t{0}});
+  const LeafCode b = codec.Pack({char16_t{1}, char16_t{0}});
+  // Happy path.
+  EXPECT_TRUE(CompleteHst::FromParts(2, 2, 1.0, pts, {a, b}).ok());
+  // Bad ranges / structure.
+  EXPECT_FALSE(CompleteHst::FromParts(0, 2, 1.0, pts, {a, b}).ok());
+  EXPECT_FALSE(CompleteHst::FromParts(2, 1, 1.0, pts, {a, b}).ok());
+  EXPECT_FALSE(CompleteHst::FromParts(2, 2, 0.0, pts, {a, b}).ok());
+  EXPECT_FALSE(CompleteHst::FromParts(2, 2, 1.0, {}, {}).ok());
+  EXPECT_FALSE(CompleteHst::FromParts(2, 2, 1.0, pts, {a}).ok());
+  // Duplicate codes.
+  EXPECT_FALSE(CompleteHst::FromParts(2, 2, 1.0, pts, {a, a}).ok());
+  // A third digit: bits below the last digit of a depth-2 code.
+  const LeafCode deeper = LeafCodec(3, 2).Pack(LeafPath(3, 1));
+  EXPECT_FALSE(CompleteHst::FromParts(2, 2, 1.0, pts, {a, deeper}).ok());
+  // Digit out of arity range (arity 3 takes 2-bit fields).
+  const LeafCode big = LeafCodec(2, 4).Pack({char16_t{3}, char16_t{0}});
+  EXPECT_FALSE(CompleteHst::FromParts(2, 3, 1.0, pts, {a, big}).ok());
+}
+
+TEST(FromPartsTest, ReconstructedTreeObfuscatesAndMatches) {
+  // A parsed tree supports the full client path: mechanism + obfuscation.
+  CompleteHst original = BuildTree(13);
+  auto parsed = ParseHstSnapshot(SerializeHstSnapshot(original));
+  ASSERT_TRUE(parsed.ok());
+  auto mech = HstMechanism::Build(*parsed, 0.5);
+  ASSERT_TRUE(mech.ok());
+  Rng rng(1);
+  LeafPath z = mech->Obfuscate(parsed->leaf_of_point(0), &rng);
+  EXPECT_EQ(z.size(), static_cast<size_t>(parsed->depth()));
 }
 
 #ifndef TBF_FAULTS_DISABLED

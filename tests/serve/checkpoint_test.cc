@@ -220,8 +220,8 @@ std::string Frame(uint8_t kind, const std::string& fields) {
 
 std::string HeaderFields(const std::string& magic, uint32_t version) {
   std::string fields;
-  wire::PutStr(&fields, magic);
-  wire::PutU32(&fields, version);
+  FieldWriter io(&fields);
+  io(magic, version);
   return fields;
 }
 
@@ -272,7 +272,8 @@ TEST(CheckpointTest, DetectsCorruptionPrecisely) {
                  "trailing bytes");
   std::string miscounted = bytes.substr(0, bytes.size() - end_frame.size());
   std::string count;
-  wire::PutU64(&count, 7);
+  FieldWriter io(&count);
+  io(uint64_t{7});
   ExpectRejected(miscounted + Frame(17, count), "end record: counts 7");
 
   // Short fields name the field and byte.

@@ -259,6 +259,19 @@ TEST(FormatGolden, CheckpointBytesArePinned) {
   EXPECT_EQ(SerializeReplayCheckpoint(*parsed), bytes);
 }
 
+// The trace fingerprint is stored in every journal segment header and
+// checkpoint, so its value is on-disk bytes too.
+TEST(FormatGolden, TraceFingerprintIsPinned) {
+  EventTrace trace;
+  trace.region = BBox{-1.5, 0.0, 100.0, 250.25};
+  trace.events.push_back(
+      {1.5, EventKind::kWorkerArrival, "w1", Point{3.0, 4.0}});
+  trace.events.push_back({2.25, EventKind::kTaskArrival, "task-2", Point{}});
+  trace.events.push_back(
+      {7.0, EventKind::kWorkerDeparture, "", Point{-0.5, 1e9}});
+  EXPECT_EQ(FingerprintEventTrace(trace), 3492778885u);
+}
+
 TEST(FormatGolden, SnapshotBytesArePinned) {
   // depth 2 x arity 3: four points on distinct leaves.
   const LeafCodec codec(2, 3);

@@ -408,56 +408,6 @@ TEST(ShardedServerTest, TasksSpendBudgetToo) {
   }
 }
 
-TEST(ShardedServerTest, BatchRegisterAndSubmitMatchSingleCalls) {
-  auto tree = BuildTree();
-  for (int shards : {1, 4}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    ShardedServerOptions options;
-    options.num_shards = shards;
-    auto batch_server = ShardedTbfServer::Create(tree, options);
-    auto single_server = ShardedTbfServer::Create(tree, options);
-    ASSERT_TRUE(batch_server.ok());
-    ASSERT_TRUE(single_server.ok());
-
-    std::vector<LeafCodeReport> workers;
-    for (int w = 0; w < 12; ++w) {
-      workers.push_back(
-          {"w" + std::to_string(w), tree->leaf_code_of_point(w * 3), {}});
-    }
-    std::vector<Status> statuses = (*batch_server)->RegisterWorkers(workers);
-    ASSERT_EQ(statuses.size(), workers.size());
-    for (size_t i = 0; i < workers.size(); ++i) {
-      EXPECT_TRUE(statuses[i].ok()) << i;
-      EXPECT_TRUE((*single_server)
-                      ->RegisterWorker(workers[i].user_id, workers[i].code)
-                      .ok());
-    }
-    EXPECT_EQ((*batch_server)->available_workers(), workers.size());
-
-    std::vector<LeafCodeReport> tasks;
-    for (int t = 0; t < 6; ++t) {
-      tasks.push_back(
-          {"t" + std::to_string(t), tree->leaf_code_of_point(t * 5 + 1), {}});
-    }
-    std::vector<BatchDispatchOutcome> outcomes =
-        (*batch_server)->SubmitTasks(tasks);
-    ASSERT_EQ(outcomes.size(), tasks.size());
-    for (size_t t = 0; t < tasks.size(); ++t) {
-      ASSERT_TRUE(outcomes[t].status.ok()) << t;
-      auto expected =
-          (*single_server)->SubmitTask(tasks[t].user_id, tasks[t].code);
-      ASSERT_TRUE(expected.ok());
-      // Batch submission is the same online process: identical assignment
-      // sequence and reported distances.
-      EXPECT_EQ(outcomes[t].result.worker, expected->worker) << t;
-      EXPECT_DOUBLE_EQ(outcomes[t].result.reported_tree_distance,
-                       expected->reported_tree_distance);
-    }
-    EXPECT_EQ((*batch_server)->assigned_tasks(),
-              (*single_server)->assigned_tasks());
-  }
-}
-
 TEST(ShardedServerTest, RejectsMalformedLeafCodes) {
   auto tree = BuildTree();
   const LeafCodec* codec = tree->codec();
@@ -490,22 +440,18 @@ TEST(ShardedServerTest, BatchRegisterSkipsOnlyFailedItems) {
   auto server = ShardedTbfServer::Create(tree, options);
   ASSERT_TRUE(server.ok());
 
-  std::vector<LeafCodeReport> batch;
-  batch.push_back({"a", tree->leaf_code_of_point(0), 0.5});
-  batch.push_back({"b", tree->leaf_code_of_point(1), std::nullopt});  // no eps
-  batch.push_back({"c", tree->leaf_code_of_point(2) | 1, 0.5});  // stray bits
-  batch.push_back({"d", tree->leaf_code_of_point(2), 0.5});
-  std::vector<Status> statuses = (*server)->RegisterWorkers(batch);
-  ASSERT_EQ(statuses.size(), 4u);
-  EXPECT_TRUE(statuses[0].ok());
-  EXPECT_FALSE(statuses[1].ok());
-  EXPECT_FALSE(statuses[2].ok());
-  EXPECT_TRUE(statuses[3].ok());
-  EXPECT_EQ((*server)->available_workers(), 2u);
-  EXPECT_TRUE((*server)->IsRegistered("a"));
-  EXPECT_FALSE((*server)->IsRegistered("b"));
-  EXPECT_FALSE((*server)->IsRegistered("c"));
-  EXPECT_TRUE((*server)->IsRegistered("d"));
+  // A refused registration (no declared epsilon under a budget, stray
+  // bits below the last digit) leaves the registrations around it intact.
+  ShardedTbfServer& s = **server;
+  EXPECT_TRUE(s.RegisterWorker("a", tree->leaf_code_of_point(0), 0.5).ok());
+  EXPECT_FALSE(s.RegisterWorker("b", tree->leaf_code_of_point(1)).ok());
+  EXPECT_FALSE(s.RegisterWorker("c", tree->leaf_code_of_point(2) | 1, 0.5).ok());
+  EXPECT_TRUE(s.RegisterWorker("d", tree->leaf_code_of_point(2), 0.5).ok());
+  EXPECT_EQ(s.available_workers(), 2u);
+  EXPECT_TRUE(s.IsRegistered("a"));
+  EXPECT_FALSE(s.IsRegistered("b"));
+  EXPECT_FALSE(s.IsRegistered("c"));
+  EXPECT_TRUE(s.IsRegistered("d"));
 }
 
 TEST(ShardedServerTest, ConcurrentChurnKeepsInvariants) {

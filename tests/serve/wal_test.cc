@@ -2,14 +2,14 @@
 // corruption rejection, fsync policies, rotation + compaction, torn-tail
 // repair, fault sites, and the seeded mutation + truncation fuzz sweep
 // over everything framed with the journal's records — journal payloads,
-// journal directories and replay checkpoints (2600 cases; house style of
-// hst/serialize_fuzz_test.cc).
+// journal directories and replay checkpoints (2600 cases).
 
 #include "serve/wal.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -270,6 +270,34 @@ TEST(WalRecordCodec, RejectsPreciseCorruptions) {
     EXPECT_NE(r.status().message().find("without its report"),
               std::string::npos)
         << r.status().ToString();
+  }
+
+  // A flag bit the record's kind does not define: CRC-clean, but it would
+  // re-encode to other bytes, so the decoder refuses it naming the byte.
+  // Arrivals and tasks define bits 0-3; departures only bit 4 (missed).
+  for (const WalRecordKind kind :
+       {WalRecordKind::kWorkerArrival, WalRecordKind::kTaskArrival,
+        WalRecordKind::kWorkerDeparture}) {
+    WalRecord rec = ArrivalRecord(1, "w");
+    rec.kind = kind;
+    const std::string bytes = EncodeWalRecord(rec);
+    const size_t flags_at = 1 + 8 + 8 + 4 + rec.id.size();
+    const bool departure = kind == WalRecordKind::kWorkerDeparture;
+    for (int bit = departure ? 0 : 4; bit < 8; ++bit) {
+      if (departure && bit == 4) continue;
+      std::string flipped = bytes;
+      flipped[flags_at] = static_cast<char>(flipped[flags_at] | (1 << bit));
+      r = DecodeWalRecord(flipped);
+      ASSERT_FALSE(r.ok()) << "kind " << static_cast<int>(kind) << " bit "
+                           << bit;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      char expected[64];
+      std::snprintf(expected, sizeof(expected),
+                    "wal record: flag byte 0x%02x sets undefined bits 0x%02x",
+                    static_cast<unsigned char>(flipped[flags_at]), 1u << bit);
+      EXPECT_NE(r.status().message().find(expected), std::string::npos)
+          << r.status().ToString();
+    }
   }
 
   // Unsupported segment-header format versions, the previous one (whose

@@ -15,6 +15,8 @@ Format (docs/ROBUSTNESS.md):
            6 stream_fault, 7 republish
     format version 2: every arrival/task record sets its report flag and
     carries the reported 128-bit leaf code (16 bytes); v1 is refused.
+    A flag byte may set only the bits its kind defines (arrival/task:
+    report, epsilon, forced, worker; departure: missed).
 
 Checks, mirroring the C++ scanner (ScanWalDir) in strict mode:
   * every frame's CRC matches and no segment ends in a torn frame
@@ -57,8 +59,21 @@ FLAG_HAS_EPSILON = 1 << 1
 FLAG_FORCED = 1 << 2
 FLAG_HAS_WORKER = 1 << 3
 FLAG_MISSED = 1 << 4
+# The bits each dispatch kind defines; any other set bit is refused (a
+# CRC-clean record that would re-encode to other bytes).
+ARRIVAL_FLAGS = FLAG_REPORT | FLAG_HAS_EPSILON | FLAG_FORCED | FLAG_HAS_WORKER
+DEPARTURE_FLAGS = FLAG_MISSED
 
 _SEG_RE = re.compile(r"^wal-(\d{8})\.seg$")
+
+
+def read_flags(r, defined):
+    flags = r.u8()
+    if flags & ~defined:
+        raise ValueError(
+            "flag byte 0x%02x sets undefined bits 0x%02x" % (flags, flags & ~defined)
+        )
+    return flags
 
 
 def read_outcome(r):
@@ -94,7 +109,7 @@ def decode_record(payload):
     elif kind in (2, 3):  # worker_arrival / task_arrival
         r.u64()  # event_index
         r.string()  # id
-        flags = r.u8()
+        flags = read_flags(r, ARRIVAL_FLAGS)
         if not flags & FLAG_REPORT:
             raise ValueError("arrival/task record without its report (flag clear)")
         r.u128()  # leaf code
@@ -111,7 +126,7 @@ def decode_record(payload):
     elif kind == 4:  # worker_departure
         r.u64()
         r.string()
-        r.u8()
+        read_flags(r, DEPARTURE_FLAGS)
     elif kind == 5:  # quarantine
         r.u64()
         r.string()
