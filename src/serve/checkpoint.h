@@ -3,10 +3,10 @@
 // A ReplayCheckpoint freezes everything the event-time replay loop needs
 // to continue draw-for-draw identically after a crash: the replay cursor
 // (next event, obfuscation fork offset, next task slot), the partial
-// report (outcome counters, per-epoch stats, task outcomes, quarantine
-// records), the engine's full state (worker registry, index-id pool
-// incl. free-list order, tie-break RNG, budget ledger) and the run's
-// metrics snapshot. Identity fields (trace fingerprint, shard count,
+// report (the ReplayCounts outcome tally, per-epoch stats, task
+// outcomes, quarantine records), the engine's full state (worker
+// registry, index-id pool incl. free-list order, tie-break RNG, budget
+// ledger) and the run's metrics snapshot. Identity fields (trace fingerprint, shard count,
 // epoch length, seeds) let resume refuse a checkpoint that does not
 // belong to the run being resumed.
 //
@@ -87,24 +87,12 @@ struct ReplayCheckpoint {
   /// value. 0 for non-durable runs (no journal).
   uint64_t wal_next_lsn = 0;
 
-  // Partial report: the deterministic outcome fields accumulated so far.
-  struct ReportCounters {
-    uint64_t registered = 0;
-    uint64_t assigned = 0;
-    uint64_t unassigned = 0;
-    uint64_t denied = 0;
-    uint64_t shed = 0;
-    uint64_t quarantined = 0;
-    uint64_t missed_departures = 0;
-    uint64_t processed_events = 0;
-    uint64_t faults_dropped = 0;
-    uint64_t faults_duplicated = 0;
-    uint64_t faults_reordered = 0;
-    uint64_t faults_stalled = 0;
-    uint64_t checkpoints_written = 0;
-  } report;
+  // Partial report: the outcome counters accumulated so far (restore
+  // takes all but checkpoints_written, which counts each run's own), the
+  // per-epoch stats, and one row per task dispatched so far.
+  ReplayCounts report;
   std::vector<EpochStats> per_epoch;
-  std::vector<TaskOutcome> task_outcomes;  ///< filled prefix only
+  std::vector<TaskOutcome> task_outcomes;  ///< next_task_slot rows
   std::vector<QuarantineRecord> quarantined_events;
 
   // Engine and flight-recorder state.

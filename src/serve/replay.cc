@@ -57,16 +57,82 @@ const char* PoisonCause(const TimedEvent& event,
   return nullptr;
 }
 
-struct LaneStats {
-  size_t registered = 0;
-  size_t assigned = 0;
-  size_t unassigned = 0;
-  size_t denied = 0;
-  size_t shed = 0;
-  size_t missed_departures = 0;
-};
-
 }  // namespace
+
+void ReplayCounts::Add(const WalRecord& rec) {
+  switch (rec.kind) {
+    case WalRecordKind::kWorkerArrival:
+    case WalRecordKind::kTaskArrival: {
+      ++processed_events;
+      const auto code = static_cast<StatusCode>(rec.outcome.status_code);
+      if (rec.outcome.forced) {
+        ++denied;
+      } else if (code == StatusCode::kOk) {
+        if (rec.kind == WalRecordKind::kWorkerArrival) {
+          ++registered;
+        } else {
+          ++(rec.outcome.has_worker ? assigned : unassigned);
+        }
+      } else if (code == StatusCode::kResourceExhausted) {
+        ++shed;
+      } else {
+        ++denied;
+      }
+      return;
+    }
+    case WalRecordKind::kWorkerDeparture:
+      ++processed_events;
+      if (rec.missed) ++missed_departures;
+      return;
+    case WalRecordKind::kQuarantine:
+      ++processed_events;
+      ++quarantined;
+      return;
+    case WalRecordKind::kStreamFault:
+      switch (rec.fault_kind) {
+        case 0: ++faults_dropped; break;
+        case 1: ++faults_duplicated; break;
+        case 2: ++faults_reordered; break;
+        case 3: ++faults_stalled; break;
+      }
+      return;
+    default:
+      return;
+  }
+}
+
+ReplayCounts& ReplayCounts::operator+=(const ReplayCounts& other) {
+  registered += other.registered;
+  assigned += other.assigned;
+  unassigned += other.unassigned;
+  denied += other.denied;
+  shed += other.shed;
+  quarantined += other.quarantined;
+  missed_departures += other.missed_departures;
+  processed_events += other.processed_events;
+  faults_dropped += other.faults_dropped;
+  faults_duplicated += other.faults_duplicated;
+  faults_reordered += other.faults_reordered;
+  faults_stalled += other.faults_stalled;
+  checkpoints_written += other.checkpoints_written;
+  return *this;
+}
+
+Status ReplayReport::CheckAccountingIdentity() const {
+  uint64_t departures_attempted = 0;
+  for (const EpochStats& e : per_epoch) departures_attempted += e.departures;
+  const uint64_t buckets = registered + assigned + unassigned + denied +
+                           shed + quarantined + departures_attempted;
+  const uint64_t stream = events - faults_dropped + faults_duplicated;
+  if (buckets == processed_events && processed_events == stream) {
+    return Status::OK();
+  }
+  return Status::Internal(
+      "replay accounting identity broken: outcome buckets sum to " +
+      std::to_string(buckets) + ", processed_events is " +
+      std::to_string(processed_events) + ", the stream holds " +
+      std::to_string(stream) + " events");
+}
 
 Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
                                     const EventTrace& trace,
@@ -192,9 +258,8 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     }
   }
   report.events = n;
-  report.task_outcomes.resize(report.task_arrivals);
+  report.task_outcomes.reserve(report.task_arrivals);
   if (trace.events.empty() && !options.resume_from_checkpoint && !durable) {
-    report.available_workers_end = 0;
     if (options.export_final_state) report.final_state = server->ExportState();
     return report;
   }
@@ -293,29 +358,12 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     // engine's metric kinds already registered.
     TBF_RETURN_NOT_OK(server->RestoreState(ckpt.server));
     run_metrics.Merge(ckpt.metrics);
-    report.registered = static_cast<size_t>(ckpt.report.registered);
-    report.assigned = static_cast<size_t>(ckpt.report.assigned);
-    report.unassigned = static_cast<size_t>(ckpt.report.unassigned);
-    report.denied = static_cast<size_t>(ckpt.report.denied);
-    report.shed = static_cast<size_t>(ckpt.report.shed);
-    report.quarantined = static_cast<size_t>(ckpt.report.quarantined);
-    report.missed_departures =
-        static_cast<size_t>(ckpt.report.missed_departures);
-    report.processed_events =
-        static_cast<size_t>(ckpt.report.processed_events);
-    report.faults_dropped = ckpt.report.faults_dropped;
-    report.faults_duplicated = ckpt.report.faults_duplicated;
-    report.faults_reordered = ckpt.report.faults_reordered;
-    report.faults_stalled = ckpt.report.faults_stalled;
     // checkpoints_written counts only this run's writes — not restored.
+    static_cast<ReplayCounts&>(report) = ckpt.report;
+    report.checkpoints_written = 0;
     report.per_epoch = std::move(ckpt.per_epoch);
     report.quarantined_events = std::move(ckpt.quarantined_events);
-    if (ckpt.task_outcomes.size() > report.task_outcomes.size()) {
-      report.task_outcomes.resize(ckpt.task_outcomes.size());
-    }
-    for (size_t i = 0; i < ckpt.task_outcomes.size(); ++i) {
-      report.task_outcomes[i] = std::move(ckpt.task_outcomes[i]);
-    }
+    report.task_outcomes = std::move(ckpt.task_outcomes);
     begin = static_cast<size_t>(ckpt.next_event);
     arrivals_obfuscated = ckpt.arrivals_obfuscated;
     next_task_slot = static_cast<int>(ckpt.next_task_slot);
@@ -455,27 +503,28 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
 
     EpochStats stats;
     stats.epoch = epoch;
+    ReplayCounts tally;  // this epoch's outcomes
 
+    // Quarantines and stream faults are tallied and journaled like
+    // dispatch records; a quarantine is also kept as a report row.
     const auto quarantine = [&](size_t i, std::string cause) -> Status {
-      ++stats.quarantined;
-      ++report.quarantined;
-      ++report.processed_events;
-      quarantined_metric->Add(1);
-      report.quarantined_events.push_back(QuarantineRecord{
-          static_cast<uint64_t>(i), trace.events[i].id, cause});
       WalRecord rec;
       rec.kind = WalRecordKind::kQuarantine;
       rec.event_index = static_cast<uint64_t>(i);
       rec.id = trace.events[i].id;
       rec.cause = std::move(cause);
+      tally.Add(rec);
+      quarantined_metric->Add(1);
+      report.quarantined_events.push_back(
+          QuarantineRecord{rec.event_index, rec.id, rec.cause});
       return journal(&rec);
     };
-    const auto journal_stream_fault = [&](size_t i,
-                                          uint8_t fault_kind) -> Status {
+    const auto stream_fault = [&](size_t i, uint8_t fault_kind) -> Status {
       WalRecord rec;
       rec.kind = WalRecordKind::kStreamFault;
       rec.event_index = static_cast<uint64_t>(i);
       rec.fault_kind = fault_kind;
+      tally.Add(rec);
       return journal(&rec);
     };
 
@@ -508,27 +557,23 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       }
       switch (action->kind) {
         case fault::FaultKind::kDrop:
-          ++report.faults_dropped;
-          TBF_RETURN_NOT_OK(journal_stream_fault(i, 0));
+          TBF_RETURN_NOT_OK(stream_fault(i, 0));
           break;
         case fault::FaultKind::kDuplicate:
-          ++report.faults_duplicated;
-          TBF_RETURN_NOT_OK(journal_stream_fault(i, 1));
+          TBF_RETURN_NOT_OK(stream_fault(i, 1));
           emit(static_cast<uint64_t>(i));
           emit(static_cast<uint64_t>(i));
           break;
         case fault::FaultKind::kReorder:
           if (!reorder_deferred) {
-            ++report.faults_reordered;
-            TBF_RETURN_NOT_OK(journal_stream_fault(i, 2));
+            TBF_RETURN_NOT_OK(stream_fault(i, 2));
             reorder_deferred = static_cast<uint64_t>(i);
           } else {
             emit(static_cast<uint64_t>(i));
           }
           break;
         case fault::FaultKind::kStall:
-          ++report.faults_stalled;
-          TBF_RETURN_NOT_OK(journal_stream_fault(i, 3));
+          TBF_RETURN_NOT_OK(stream_fault(i, 3));
           std::this_thread::sleep_for(
               std::chrono::duration<double, std::milli>(action->stall_ms));
           emit(static_cast<uint64_t>(i));
@@ -567,13 +612,10 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
         case EventKind::kTaskArrival:
           ++stats.task_arrivals;
           item.report_index = static_cast<int>(locations.size());
+          // One row per task dispatch (a duplicated task gets two, a
+          // dropped or quarantined one none), filled in by dispatch_one.
           item.task_slot = next_task_slot++;
-          // Duplication faults can mint more task dispatches than the
-          // trace has task arrivals.
-          if (static_cast<size_t>(next_task_slot) >
-              report.task_outcomes.size()) {
-            report.task_outcomes.resize(static_cast<size_t>(next_task_slot));
-          }
+          report.task_outcomes.emplace_back();
           locations.push_back(event.location);
           break;
         case EventKind::kWorkerDeparture:
@@ -581,7 +623,6 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
           break;
       }
       prepared.push_back(item);
-      ++report.processed_events;
     }
 
     std::vector<LeafCode> reports;
@@ -609,19 +650,13 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     // Dispatch. One lane per shard in parallel mode: lanes preserve
     // per-shard event order, the engine's locks linearize the rest.
     const auto dispatch_one = [&](const PreparedEvent& item,
-                                  LaneStats* lane) -> Status {
+                                  ReplayCounts* lane) -> Status {
       const TimedEvent& event = *item.event;
       const size_t idx = static_cast<size_t>(item.report_index);
-      // Forced budget denial ("replay.budget", hit-indexed by absolute
-      // trace position): refuse the report before it reaches the engine,
-      // exactly as a cap refusal would.
-      Status forced = Status::OK();
-      if (event.kind != EventKind::kWorkerDeparture) {
-        forced = TBF_FAULT_INJECT_AT("replay.budget", item.event_index);
-      }
       // Journal-after-apply: the record carries the engine's outcome and
-      // the ledger delta this one dispatch produced. Recovery re-decides
-      // the event and must reproduce this record exactly.
+      // the ledger delta this one dispatch produced. It is the event's
+      // only outcome: the tally and the task row are read off it, and
+      // recovery re-decides the event and must reproduce it exactly.
       WalRecord rec;
       rec.event_index = item.event_index;
       rec.id = event.id;
@@ -630,78 +665,47 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       const EpochBudgetLedger::Totals charged_before =
           event_ledger != nullptr ? event_ledger->totals()
                                   : EpochBudgetLedger::Totals{};
-      if (wal != nullptr && event.kind != EventKind::kWorkerDeparture) {
-        rec.packed = true;
+      Status status;  // the engine's answer, or the forced refusal
+      if (event.kind != EventKind::kWorkerDeparture) {
         rec.code = reports[idx];
         rec.has_epsilon = declared_epsilon.has_value();
         rec.declared_epsilon = declared_epsilon.value_or(0.0);
-        rec.outcome.forced = !forced.ok();
+        // Forced budget denial ("replay.budget", hit-indexed by absolute
+        // trace position): refuse the report before it reaches the
+        // engine, exactly as a cap refusal would.
+        status = TBF_FAULT_INJECT_AT("replay.budget", item.event_index);
+        rec.outcome.forced = !status.ok();
       }
       switch (event.kind) {
-        case EventKind::kWorkerArrival: {
-          const Status status =
-              !forced.ok() ? forced
-                           : server->RegisterWorker(event.id, reports[idx],
-                                                    declared_epsilon);
-          if (status.ok()) {
-            ++lane->registered;
-          } else if (status.code() == StatusCode::kResourceExhausted) {
-            ++lane->shed;
-          } else {
-            ++lane->denied;
-          }
+        case EventKind::kWorkerArrival:
           rec.kind = WalRecordKind::kWorkerArrival;
-          rec.outcome.status_code = static_cast<int32_t>(status.code());
-          if (!status.ok()) rec.outcome.message = status.message();
+          if (status.ok()) {
+            status = server->RegisterWorker(event.id, reports[idx],
+                                            declared_epsilon);
+          }
           break;
-        }
         case EventKind::kTaskArrival: {
-          TaskOutcome& outcome =
-              report.task_outcomes[static_cast<size_t>(item.task_slot)];
-          outcome.task_id = event.id;
           rec.kind = WalRecordKind::kTaskArrival;
           rec.task_slot = item.task_slot;
-          if (!forced.ok()) {
-            outcome.status = forced;
-            ++lane->denied;
-            rec.outcome.status_code = static_cast<int32_t>(forced.code());
-            rec.outcome.message = forced.message();
-            break;
-          }
+          if (!status.ok()) break;
           Result<DispatchResult> dispatched =
               server->SubmitTask(event.id, reports[idx], declared_epsilon);
-          if (dispatched.ok()) {
-            outcome.worker = dispatched->worker;
-            outcome.reported_tree_distance = dispatched->reported_tree_distance;
-            if (outcome.worker) {
-              ++lane->assigned;
-              rec.outcome.has_worker = true;
-              rec.outcome.worker = *outcome.worker;
-            } else {
-              ++lane->unassigned;
-            }
-            rec.outcome.tree_distance = outcome.reported_tree_distance;
-          } else {
-            outcome.status = dispatched.status();
-            if (outcome.status.code() == StatusCode::kResourceExhausted) {
-              ++lane->shed;
-            } else {
-              ++lane->denied;
-            }
-            rec.outcome.status_code =
-                static_cast<int32_t>(outcome.status.code());
-            rec.outcome.message = outcome.status.message();
+          if (!dispatched.ok()) {
+            status = dispatched.status();
+            break;
           }
+          rec.outcome.has_worker = dispatched->worker.has_value();
+          rec.outcome.worker = std::move(dispatched->worker).value_or("");
+          rec.outcome.tree_distance = dispatched->reported_tree_distance;
           break;
         }
-        case EventKind::kWorkerDeparture: {
-          Status status = server->UnregisterWorker(event.id);
-          if (!status.ok()) ++lane->missed_departures;
+        case EventKind::kWorkerDeparture:
           rec.kind = WalRecordKind::kWorkerDeparture;
-          rec.missed = !status.ok();
+          rec.missed = !server->UnregisterWorker(event.id).ok();
           break;
-        }
       }
+      rec.outcome.status_code = static_cast<int32_t>(status.code());
+      rec.outcome.message = status.message();
       if (event_ledger != nullptr) {
         const EpochBudgetLedger::Totals charged = event_ledger->totals();
         rec.outcome.epsilon_charged =
@@ -712,7 +716,18 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
           rec.outcome.budget_denied = 2;
         }
       }
-      return journal(&rec);
+      lane->Add(rec);
+      TBF_RETURN_NOT_OK(journal(&rec));
+      if (rec.kind == WalRecordKind::kTaskArrival) {
+        TaskOutcome& row =
+            report.task_outcomes[static_cast<size_t>(item.task_slot)];
+        row.task_id = std::move(rec.id);
+        row.status = Status(static_cast<StatusCode>(rec.outcome.status_code),
+                            std::move(rec.outcome.message));
+        if (rec.outcome.has_worker) row.worker = std::move(rec.outcome.worker);
+        row.reported_tree_distance = rec.outcome.tree_distance;
+      }
+      return Status::OK();
     };
 
     // Ledger totals bracket the dispatch: every charge (and denial)
@@ -722,15 +737,13 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
         ledger ? ledger->totals() : EpochBudgetLedger::Totals{};
 
     obs::ScopedTimer dispatch_timer(&stats.dispatch_seconds);
-    std::vector<LaneStats> lanes;
     if (!options.parallel_dispatch || options.num_shards == 1) {
-      lanes.resize(1);
       for (const PreparedEvent& item : prepared) {
-        TBF_RETURN_NOT_OK(dispatch_one(item, &lanes[0]));
+        TBF_RETURN_NOT_OK(dispatch_one(item, &tally));
       }
     } else {
       const size_t num_lanes = static_cast<size_t>(options.num_shards);
-      lanes.resize(num_lanes);
+      std::vector<ReplayCounts> lanes(num_lanes);
       std::vector<std::vector<const PreparedEvent*>> queues(num_lanes);
       const ShardRouter& router = server->router();
       const LeafCodec& codec = *framework.codec();
@@ -778,6 +791,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
         }
       });
       for (const Status& status : lane_status) TBF_RETURN_NOT_OK(status);
+      for (const ReplayCounts& lane : lanes) tally += lane;
     }
     dispatch_timer.Stop();  // stats.dispatch_seconds += elapsed
     if (ledger != nullptr) {
@@ -788,19 +802,12 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       stats.denied_lifetime_budget =
           totals.denied_lifetime - totals_before.denied_lifetime;
     }
-    for (const LaneStats& lane : lanes) {
-      report.registered += lane.registered;
-      stats.assigned += lane.assigned;
-      stats.unassigned += lane.unassigned;
-      stats.denied += lane.denied;
-      stats.shed += lane.shed;
-      report.missed_departures += lane.missed_departures;
-    }
-
-    report.assigned += stats.assigned;
-    report.unassigned += stats.unassigned;
-    report.denied += stats.denied;
-    report.shed += stats.shed;
+    stats.assigned = tally.assigned;
+    stats.unassigned = tally.unassigned;
+    stats.denied = tally.denied;
+    stats.shed = tally.shed;
+    stats.quarantined = tally.quarantined;
+    report += tally;
     report.obfuscate_seconds += stats.obfuscate_seconds;
     report.dispatch_seconds += stats.dispatch_seconds;
     report.per_epoch.push_back(stats);
@@ -817,23 +824,9 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       ckpt.next_event = static_cast<uint64_t>(end);
       ckpt.arrivals_obfuscated = arrivals_obfuscated;
       ckpt.next_task_slot = next_task_slot;
-      ckpt.report.registered = report.registered;
-      ckpt.report.assigned = report.assigned;
-      ckpt.report.unassigned = report.unassigned;
-      ckpt.report.denied = report.denied;
-      ckpt.report.shed = report.shed;
-      ckpt.report.quarantined = report.quarantined;
-      ckpt.report.missed_departures = report.missed_departures;
-      ckpt.report.processed_events = report.processed_events;
-      ckpt.report.faults_dropped = report.faults_dropped;
-      ckpt.report.faults_duplicated = report.faults_duplicated;
-      ckpt.report.faults_reordered = report.faults_reordered;
-      ckpt.report.faults_stalled = report.faults_stalled;
-      ckpt.report.checkpoints_written = report.checkpoints_written;
+      ckpt.report = report;
       ckpt.per_epoch = report.per_epoch;
-      ckpt.task_outcomes.assign(
-          report.task_outcomes.begin(),
-          report.task_outcomes.begin() + next_task_slot);
+      ckpt.task_outcomes = report.task_outcomes;
       ckpt.quarantined_events = report.quarantined_events;
       ckpt.server = server->ExportState();
       ckpt.metrics = run_metrics.Snapshot();
@@ -940,6 +933,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     report.denied_lifetime_budget = totals.denied_lifetime;
   }
   if (options.export_final_state) report.final_state = server->ExportState();
+  TBF_RETURN_NOT_OK(report.CheckAccountingIdentity());
   return report;
 }
 

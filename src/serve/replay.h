@@ -187,7 +187,9 @@ struct ReplayOptions {
   std::vector<ReplayRepublish> republishes;
 };
 
-/// \brief Outcome of one task-arrival event, in task arrival order.
+/// \brief Outcome of one dispatched task, read off its WalRecord. One row
+/// per task dispatch, in dispatch order: a duplicated task has two rows, a
+/// dropped or quarantined one none.
 struct TaskOutcome {
   std::string task_id;
   Status status;  ///< admission result; OK even when no worker was free
@@ -195,10 +197,10 @@ struct TaskOutcome {
   double reported_tree_distance = 0.0;
 };
 
-/// \brief Per-epoch measurements. Counts (arrivals/assigned/denied/...)
-/// are lane-counted by the loop itself, so they are exact and identical
-/// whether metrics are on or off; the epsilon fields are deltas of the
-/// engine ledger's always-on Totals across this epoch's dispatch.
+/// \brief Per-epoch measurements. Counts are exact and identical whether
+/// metrics are on or off (the outcome counts are copied from the epoch's
+/// ReplayCounts); the epsilon fields are deltas of the engine ledger's
+/// always-on Totals across this epoch's dispatch.
 struct EpochStats {
   int64_t epoch = 0;
   size_t worker_arrivals = 0;
@@ -206,7 +208,7 @@ struct EpochStats {
   size_t departures = 0;
   size_t assigned = 0;
   size_t unassigned = 0;
-  size_t denied = 0;  ///< reports refused (budget caps)
+  size_t denied = 0;  ///< reports refused (budget caps, forced refusals)
   double obfuscate_seconds = 0.0;
   double dispatch_seconds = 0.0;
 
@@ -241,51 +243,60 @@ struct ShardReplayCounters {
   uint64_t assigned = 0;         ///< assignments consumed from this shard
 };
 
-/// \brief Aggregate measurements of a replay run.
-struct ReplayReport {
-  size_t events = 0;
-  size_t worker_arrivals = 0;
-  size_t task_arrivals = 0;
-  size_t departures = 0;
-  size_t assigned = 0;
-  size_t unassigned = 0;
-  size_t denied = 0;
-  /// Departures of workers that were already assigned or gone (expected
-  /// churn, not an error).
-  size_t missed_departures = 0;
-  size_t epochs = 0;
-
-  // Robustness accounting. Every event the loop attempts lands in exactly
-  // one outcome bucket, so for any run (faults or not):
-  //
-  //   registered + assigned + unassigned + denied + shed + quarantined
-  //     + departures_attempted == processed_events
-  //
-  // where departures_attempted = (successful departures) +
-  // missed_departures, and processed_events = events - faults_dropped +
-  // faults_duplicated - (still-quarantined events are counted in
-  // processed_events too, as quarantine IS their outcome). The chaos
-  // harness asserts this identity under every shipped fault plan.
-
-  /// Worker registrations accepted by the engine.
-  size_t registered = 0;
-  /// Reports refused by admission control (ResourceExhausted).
-  size_t shed = 0;
-  /// Poison events quarantined instead of dispatched.
-  size_t quarantined = 0;
-  /// Events the loop handled (dispatched or quarantined):
-  /// events - faults_dropped + faults_duplicated.
-  size_t processed_events = 0;
-
-  /// Stream mutations actually fired by the armed fault plan (all zero
-  /// without one).
+/// \brief The outcome counters of a replay, or of one piece of it (a
+/// dispatch lane, an epoch), in the order of the checkpoint's `report`
+/// record. Every event the loop handles produces one WalRecord, journaled
+/// or not, and Add() is the only code that picks its counter.
+struct ReplayCounts {
+  uint64_t registered = 0;  ///< worker registrations accepted
+  uint64_t assigned = 0;    ///< tasks given a worker
+  uint64_t unassigned = 0;  ///< tasks admitted while no worker was free
+  /// Arrivals and tasks refused other than by admission control: budget
+  /// caps, forced refusals ("replay.budget", whatever their status) and
+  /// any other engine error.
+  uint64_t denied = 0;
+  uint64_t shed = 0;  ///< refused by admission control (ResourceExhausted)
+  uint64_t quarantined = 0;  ///< poison events quarantined, not dispatched
+  /// Departures of workers already assigned or gone (expected churn).
+  uint64_t missed_departures = 0;
+  /// Events dispatched or quarantined.
+  uint64_t processed_events = 0;
+  /// Stream mutations fired by the armed fault plan (zero without one).
   uint64_t faults_dropped = 0;
   uint64_t faults_duplicated = 0;
   uint64_t faults_reordered = 0;
   uint64_t faults_stalled = 0;
+  uint64_t checkpoints_written = 0;  ///< by this run (resume restarts at 0)
 
-  /// Checkpoints written by this run (resumed runs count only their own).
-  uint64_t checkpoints_written = 0;
+  /// Counts one record: an arrival or task in exactly one of registered,
+  /// assigned, unassigned, denied or shed, a missed departure, a
+  /// quarantine, or a stream fault by its fault_kind. Dispatch and
+  /// quarantine records also count as processed; other kinds add nothing.
+  void Add(const WalRecord& rec);
+  ReplayCounts& operator+=(const ReplayCounts& other);
+  bool operator==(const ReplayCounts& other) const = default;
+};
+
+/// \brief Aggregate measurements of a replay run. The outcome counters
+/// are the inherited ReplayCounts, the sum of every epoch's.
+struct ReplayReport : ReplayCounts {
+  size_t events = 0;
+  size_t worker_arrivals = 0;
+  size_t task_arrivals = 0;
+  size_t departures = 0;
+  size_t epochs = 0;
+
+  /// The accounting identity, which RunEventReplay checks before it
+  /// returns: every event lands in exactly one outcome bucket, so
+  ///
+  ///   registered + assigned + unassigned + denied + shed + quarantined
+  ///     + departures_attempted == processed_events
+  ///     == events - faults_dropped + faults_duplicated
+  ///
+  /// where departures_attempted sums the per-epoch departure counts
+  /// (successful plus missed). Internal with both sides when it fails.
+  Status CheckAccountingIdentity() const;
+
   /// True when this run resumed from a checkpoint or re-ran journaled
   /// work during recovery.
   bool resumed = false;
@@ -340,7 +351,7 @@ struct ReplayReport {
   obs::MetricsSnapshot metrics;
 
   std::vector<EpochStats> per_epoch;
-  std::vector<TaskOutcome> task_outcomes;  ///< task arrival order
+  std::vector<TaskOutcome> task_outcomes;  ///< one per task dispatch
 
   /// Poison events quarantined by this run, in trace order (empty unless
   /// poison_policy == kQuarantine).

@@ -56,17 +56,10 @@ EventTrace ChaosTrace(int workers = 160, int tasks = 120, uint64_t seed = 5) {
 }
 
 // Every event the loop attempted landed in exactly one outcome bucket
-// (see the identity note in serve/replay.h). Departure attempts are the
-// per-epoch prepared departure counts (successful + missed).
+// (see the identity note in serve/replay.h).
 void ExpectAccountingIdentity(const ReplayReport& r) {
-  size_t departures_attempted = 0;
-  for (const EpochStats& e : r.per_epoch) departures_attempted += e.departures;
-  EXPECT_EQ(r.registered + r.assigned + r.unassigned + r.denied + r.shed +
-                r.quarantined + departures_attempted,
-            r.processed_events);
-  EXPECT_EQ(r.processed_events,
-            r.events - static_cast<size_t>(r.faults_dropped) +
-                static_cast<size_t>(r.faults_duplicated));
+  EXPECT_TRUE(r.CheckAccountingIdentity().ok())
+      << r.CheckAccountingIdentity().ToString();
 }
 
 void ExpectDeterministicFieldsEqual(const ReplayReport& a,

@@ -6,7 +6,10 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <tuple>
+#include <vector>
 
+#include "common/fault.h"
 #include "common/thread_pool.h"
 #include "geo/grid.h"
 #include "serve/reference_server.h"
@@ -177,6 +180,85 @@ TEST(ReplayTest, EpochStatsAddUp) {
   EXPECT_GT(report->events_per_second, 0.0);
 }
 
+// A hand-made trace of (time, kind, id, location) events.
+EventTrace TraceOf(std::vector<TimedEvent> events) {
+  EventTrace trace;
+  trace.region = BBox::Square(200);
+  trace.events = std::move(events);
+  return trace;
+}
+
+// A forced refusal ("replay.budget") is a denial whatever status the plan
+// gives it, for a worker arrival exactly as for a task: it refuses the
+// report the way a budget cap would, not the way admission control does.
+TEST(ReplayTest, ForcedRefusalIsDeniedForWorkersAndTasks) {
+  TbfFramework framework = BuildFramework();
+  const EventTrace trace =
+      TraceOf({{0.0, EventKind::kWorkerArrival, "w0", {10, 10}},
+               {1.0, EventKind::kWorkerArrival, "w1", {20, 20}},
+               {2.0, EventKind::kTaskArrival, "t0", {15, 15}}});
+  fault::FaultPlan plan;
+  for (const uint64_t event : {0u, 2u}) {
+    fault::FaultSpec refusal;
+    refusal.site = "replay.budget";
+    refusal.after = event;
+    refusal.code = StatusCode::kResourceExhausted;
+    plan.faults.push_back(refusal);
+  }
+  fault::ScopedFaultPlan armed(plan);
+  if (!armed.armed()) GTEST_SKIP() << "fault injection compiled out";
+
+  auto report = RunEventReplay(framework, trace, ReplayOptions{});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->registered, 1u);
+  EXPECT_EQ(report->denied, 2u);
+  EXPECT_EQ(report->shed, 0u);
+  ASSERT_EQ(report->per_epoch.size(), 1u);
+  EXPECT_EQ(report->per_epoch[0].denied, 2u);
+  EXPECT_EQ(report->per_epoch[0].shed, 0u);
+  ASSERT_EQ(report->task_outcomes.size(), 1u);
+  EXPECT_EQ(report->task_outcomes[0].status.code(),
+            StatusCode::kResourceExhausted);
+}
+
+// task_outcomes holds one row per task the loop dispatched: a task that
+// never reaches dispatch (quarantined, or dropped by the stream) leaves
+// no row, so no blank row trails the real ones.
+TEST(ReplayTest, UndispatchedTasksLeaveNoRow) {
+  TbfFramework framework = BuildFramework();
+  const EventTrace trace =
+      TraceOf({{0.0, EventKind::kWorkerArrival, "w0", {10, 10}},
+               {1.0, EventKind::kTaskArrival, "t0", {15, 15}},
+               {2.0, EventKind::kTaskArrival, "t1", {std::nan(""), 15}},
+               {3.0, EventKind::kTaskArrival, "t2", {150, 150}}});
+  ReplayOptions options;
+  options.poison_policy = PoisonPolicy::kQuarantine;
+  const auto task_ids = [](const ReplayReport& report) {
+    std::vector<std::string> ids;
+    for (const TaskOutcome& row : report.task_outcomes) {
+      ids.push_back(row.task_id);
+    }
+    return ids;
+  };
+
+  auto quarantined = RunEventReplay(framework, trace, options);
+  ASSERT_TRUE(quarantined.ok()) << quarantined.status().ToString();
+  EXPECT_EQ(quarantined->quarantined, 1u);
+  EXPECT_EQ(task_ids(*quarantined), (std::vector<std::string>{"t0", "t2"}));
+  EXPECT_EQ(quarantined->assigned + quarantined->unassigned, 2u);
+
+  fault::FaultSpec drop;
+  drop.site = "replay.event";
+  drop.kind = fault::FaultKind::kDrop;
+  drop.after = 1;  // t0
+  fault::ScopedFaultPlan armed(fault::FaultPlan{{drop}});
+  if (!armed.armed()) GTEST_SKIP() << "fault injection compiled out";
+  auto dropped = RunEventReplay(framework, trace, options);
+  ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
+  EXPECT_EQ(dropped->faults_dropped, 1u);
+  EXPECT_EQ(task_ids(*dropped), (std::vector<std::string>{"t2"}));
+}
+
 TEST(ReplayTest, ParallelDispatchKeepsMatchingValid) {
   TbfFramework framework = BuildFramework();
   EventTrace trace = SmallTrace(400, 250, 0.1, 17);
@@ -302,7 +384,7 @@ TEST(ReplayTest, FlightRecorderFieldsDescribeTheRun) {
   EXPECT_LE(report->obfuscate_p50_ns, report->obfuscate_p99_ns);
 
   // Per-shard counters are exhaustive: summed over shards they equal the
-  // loop's own lane-counted totals (every registration succeeded — no
+  // loop's own ReplayCounts totals (every registration succeeded — no
   // budgets — and every assignment consumed a worker from some shard).
   ASSERT_EQ(report->per_shard.size(), 4u);
   uint64_t arrivals = 0, departures = 0, tasks = 0, assigned = 0;
@@ -460,6 +542,162 @@ TEST(ReplayPoisonTest, FailKeepsTheHistoricalTimeMessages) {
   EXPECT_EQ(message(WithPoisonAt(clean, 7,
                                  [](TimedEvent* e) { e->time = -1.0; })),
             "events must be in nondecreasing time order (event 7)");
+}
+
+// ReplayCounts::Add is the one classifier of outcomes. Each row names the
+// values of the record fields that decide its bucket (an empty list means
+// every value); the test sweeps every WalRecordKind x status x flag
+// combination, checks the rows cover each exactly once, and that the
+// record lands in exactly the row's bucket (none for `nullptr`), with
+// processed_events counting only dispatch and quarantine records.
+TEST(ReplayCountsTest, EveryRecordLandsInExactlyOneBucket) {
+  using Bucket = uint64_t ReplayCounts::*;
+  using K = WalRecordKind;
+  using C = StatusCode;
+  const std::vector<C> other_errors = {
+      C::kInvalidArgument, C::kOutOfRange, C::kNotFound,
+      C::kAlreadyExists, C::kFailedPrecondition, C::kInternal,
+      C::kIOError, C::kUnimplemented, C::kAborted};
+  struct Row {
+    K kind;
+    std::vector<C> codes;
+    std::vector<bool> forced;
+    std::vector<bool> has_worker;
+    std::vector<bool> missed;
+    std::vector<uint8_t> fault_kind;
+    Bucket bucket;
+    bool processed;
+  };
+  const std::vector<Row> rows = {
+      {K::kWorkerArrival, {C::kOk}, {false}, {}, {}, {},
+       &ReplayCounts::registered, true},
+      {K::kWorkerArrival, {C::kResourceExhausted}, {false}, {}, {}, {},
+       &ReplayCounts::shed, true},
+      {K::kWorkerArrival, other_errors, {false}, {}, {}, {},
+       &ReplayCounts::denied, true},
+      {K::kWorkerArrival, {}, {true}, {}, {}, {}, &ReplayCounts::denied,
+       true},
+      {K::kTaskArrival, {C::kOk}, {false}, {true}, {}, {},
+       &ReplayCounts::assigned, true},
+      {K::kTaskArrival, {C::kOk}, {false}, {false}, {}, {},
+       &ReplayCounts::unassigned, true},
+      {K::kTaskArrival, {C::kResourceExhausted}, {false}, {}, {}, {},
+       &ReplayCounts::shed, true},
+      {K::kTaskArrival, other_errors, {false}, {}, {}, {},
+       &ReplayCounts::denied, true},
+      {K::kTaskArrival, {}, {true}, {}, {}, {}, &ReplayCounts::denied, true},
+      {K::kWorkerDeparture, {}, {}, {}, {true}, {},
+       &ReplayCounts::missed_departures, true},
+      {K::kWorkerDeparture, {}, {}, {}, {false}, {}, nullptr, true},
+      {K::kQuarantine, {}, {}, {}, {}, {}, &ReplayCounts::quarantined, true},
+      {K::kStreamFault, {}, {}, {}, {}, {0}, &ReplayCounts::faults_dropped,
+       false},
+      {K::kStreamFault, {}, {}, {}, {}, {1},
+       &ReplayCounts::faults_duplicated, false},
+      {K::kStreamFault, {}, {}, {}, {}, {2}, &ReplayCounts::faults_reordered,
+       false},
+      {K::kStreamFault, {}, {}, {}, {}, {3}, &ReplayCounts::faults_stalled,
+       false},
+      {K::kSegmentHeader, {}, {}, {}, {}, {}, nullptr, false},
+      {K::kEpochBegin, {}, {}, {}, {}, {}, nullptr, false},
+      {K::kRepublish, {}, {}, {}, {}, {}, nullptr, false},
+  };
+  const std::vector<std::pair<const char*, Bucket>> buckets = {
+      {"registered", &ReplayCounts::registered},
+      {"assigned", &ReplayCounts::assigned},
+      {"unassigned", &ReplayCounts::unassigned},
+      {"denied", &ReplayCounts::denied},
+      {"shed", &ReplayCounts::shed},
+      {"quarantined", &ReplayCounts::quarantined},
+      {"missed_departures", &ReplayCounts::missed_departures},
+      {"faults_dropped", &ReplayCounts::faults_dropped},
+      {"faults_duplicated", &ReplayCounts::faults_duplicated},
+      {"faults_reordered", &ReplayCounts::faults_reordered},
+      {"faults_stalled", &ReplayCounts::faults_stalled},
+      {"checkpoints_written", &ReplayCounts::checkpoints_written},
+  };
+  std::vector<C> all_codes = other_errors;
+  all_codes.push_back(C::kOk);
+  all_codes.push_back(C::kResourceExhausted);
+  const std::vector<K> all_kinds = {
+      K::kSegmentHeader,   K::kEpochBegin, K::kWorkerArrival, K::kTaskArrival,
+      K::kWorkerDeparture, K::kQuarantine, K::kStreamFault,   K::kRepublish};
+  const auto or_all = [](const auto& values, const auto& all) {
+    return values.empty() ? all : values;
+  };
+
+  std::set<std::tuple<K, C, bool, bool, bool, uint8_t>> covered;
+  for (const Row& row : rows) {
+    for (const C code : or_all(row.codes, all_codes)) {
+      for (const bool forced : or_all(row.forced, std::vector{false, true})) {
+        for (const bool worker :
+             or_all(row.has_worker, std::vector{false, true})) {
+          for (const bool missed :
+               or_all(row.missed, std::vector{false, true})) {
+            for (const uint8_t fault_kind :
+                 or_all(row.fault_kind, std::vector<uint8_t>{0, 1, 2, 3})) {
+              EXPECT_TRUE(covered
+                              .emplace(row.kind, code, forced, worker,
+                                       missed, fault_kind)
+                              .second)
+                  << "two rows claim one combination";
+              WalRecord rec;
+              rec.kind = row.kind;
+              rec.outcome.status_code = static_cast<int32_t>(code);
+              rec.outcome.forced = forced;
+              rec.outcome.has_worker = worker;
+              rec.missed = missed;
+              rec.fault_kind = fault_kind;
+              ReplayCounts counts;
+              counts.Add(rec);
+              const std::string where =
+                  "kind " + std::to_string(static_cast<int>(row.kind)) +
+                  " code " + StatusCodeName(code) +
+                  " forced " + std::to_string(forced) + " worker " +
+                  std::to_string(worker) + " missed " +
+                  std::to_string(missed) + " fault " +
+                  std::to_string(fault_kind);
+              for (const auto& [name, bucket] : buckets) {
+                EXPECT_EQ(counts.*bucket, bucket == row.bucket ? 1u : 0u)
+                    << name << " for " << where;
+              }
+              EXPECT_EQ(counts.processed_events, row.processed ? 1u : 0u)
+                  << where;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(covered.size(),
+            all_kinds.size() * all_codes.size() * 2 * 2 * 2 * 4);
+}
+
+TEST(ReplayCountsTest, PlusEqualsAddsEveryCounter) {
+  ReplayCounts a;
+  a.registered = 1;
+  a.assigned = 2;
+  a.unassigned = 3;
+  a.denied = 4;
+  a.shed = 5;
+  a.quarantined = 6;
+  a.missed_departures = 7;
+  a.processed_events = 8;
+  a.faults_dropped = 9;
+  a.faults_duplicated = 10;
+  a.faults_reordered = 11;
+  a.faults_stalled = 12;
+  a.checkpoints_written = 13;
+  ReplayCounts sum;
+  sum += a;
+  EXPECT_EQ(sum, a);
+  sum += a;
+  EXPECT_EQ(sum.registered, 2u);
+  EXPECT_EQ(sum.checkpoints_written, 26u);
+  EXPECT_FALSE(sum == a);
+  ReplayCounts twice = a;
+  twice += a;
+  EXPECT_EQ(sum, twice);
 }
 
 }  // namespace
