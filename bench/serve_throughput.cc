@@ -222,6 +222,7 @@ void BM_ServeReplayDurable(benchmark::State& state) {
     state.PauseTiming();
     std::filesystem::remove_all(dir);  // each iteration is a fresh run
     std::filesystem::remove(dir + ".legacy.ckpt");
+    std::filesystem::remove(dir + ".legacy.ckpt.outcomes");
     state.ResumeTiming();
     auto report = RunEventReplay(workload.framework, *workload.trace, options);
     if (!report.ok()) {
@@ -234,6 +235,7 @@ void BM_ServeReplayDurable(benchmark::State& state) {
   }
   std::filesystem::remove_all(dir);
   std::filesystem::remove(dir + ".legacy.ckpt");
+  std::filesystem::remove(dir + ".legacy.ckpt.outcomes");
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(workload.trace->events.size()));
   // 0 = WAL off (legacy checkpoint only), 1 = group commit (default

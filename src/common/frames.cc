@@ -176,7 +176,7 @@ Status ArtifactReader::Decode(std::string_view payload, const Visit& visit) {
                        " (this build reads v" +
                        std::to_string(format_.version) + ")");
     }
-  } else if (kind == format_.kinds.size() - 1) {
+  } else if (format_.has_end && kind == format_.kinds.size() - 1) {
     uint64_t counted = 0;
     TBF_RETURN_NOT_OK(io(counted));
     if (counted != records_) {

@@ -1,7 +1,7 @@
 // The one binary frame format and the one field codec every on-disk
 // artifact is written in: journal segments (serve/wal.h), replay
-// checkpoints (serve/checkpoint.h) and tree snapshots (hst/snapshot.h)
-// are all streams of
+// checkpoints and their outcome log (serve/checkpoint.h) and tree
+// snapshots (hst/snapshot.h) are all streams of
 //
 //   frame   := <len:u32> <crc:u32> <payload: len bytes>
 //   payload := <kind:u8> <fields>
@@ -33,7 +33,9 @@
 // is the header — <magic:str><version:u32>, then the artifact's own
 // header fields — and whose last kind is the end record <records before
 // it:u64>, which nothing follows. The end count makes a file cut at a
-// frame boundary fail too.
+// frame boundary fail too. An append-only log (the outcome log) has the
+// same header and no end record: it grows, and what makes a prefix of it
+// whole is recorded elsewhere.
 //
 // tools/tbf_frames.py mirrors the frames and fields for the stdlib
 // Python validators.
@@ -322,6 +324,17 @@ void EndFrame(std::string* out, size_t frame_start);
 /// \brief Appends the frame `<len><crc><payload>` to `out`.
 void AppendFrame(std::string* out, std::string_view payload);
 
+/// \brief Frames one record in place at the end of `out`: the kind byte,
+/// then whatever `fields(io)` writes.
+template <typename Fields>
+void AppendRecord(std::string* out, uint8_t kind, const Fields& fields) {
+  const size_t frame = BeginFrame(out);
+  FieldWriter io(out);
+  io(kind);
+  fields(io);
+  EndFrame(out, frame);
+}
+
 /// \brief Outcome of walking a frame stream (see WalkFrames).
 struct FrameWalk {
   uint64_t frames = 0;       ///< frames the visitor accepted
@@ -346,12 +359,15 @@ struct ArtifactFormat {
   std::string_view magic;
   uint32_t version;
   /// Record names by kind: kinds.front() names the header (kind 0),
-  /// kinds.back() the end record.
+  /// kinds.back() the end record when the format has one.
   std::span<const char* const> kinds;
+  /// False for an append-only log, whose last kind is an ordinary record.
+  bool has_end = true;
 };
 
 /// \brief Writes one artifact: the header record on construction, then
-/// each Add, then the end record on Finish.
+/// each Add, then the end record on Finish (not for a format without
+/// one).
 class ArtifactWriter {
  public:
   /// Writes the header: magic, version, then `header_fields(io)`.
@@ -367,15 +383,10 @@ class ArtifactWriter {
   ArtifactWriter(const ArtifactFormat& format, std::string* out)
       : ArtifactWriter(format, out, [](FieldWriter&) {}) {}
 
-  /// Frames one record in place: the kind byte, then whatever
-  /// `fields(io)` writes.
+  /// Frames one record in place (AppendRecord).
   template <typename Fields>
   void Add(uint8_t kind, const Fields& fields) {
-    const size_t frame = BeginFrame(out_);
-    FieldWriter io(out_);
-    io(kind);
-    fields(io);
-    EndFrame(out_, frame);
+    AppendRecord(out_, kind, fields);
     ++records_;
   }
 

@@ -91,65 +91,75 @@ Status EpochBudgetLedger::Charge(const std::string& user, double epsilon) {
     denied_epoch_metric_->Add(1);
     return injected;
   }
-  const double in_epoch = SpentThisEpoch(user);
+  const double in_epoch = Spent(epoch_spent_, user);
   if (!FitsCap(in_epoch, epsilon, epoch_budget_)) {
     ++totals_.denied_epoch;
     denied_epoch_metric_->Add(1);
     return Status::FailedPrecondition("epoch budget exhausted for user " + user);
   }
-  const double lifetime = SpentLifetime(user);
+  // Without a lifetime cap there is no table to consult or update.
+  const double lifetime = lifetime_budget_ ? Spent(lifetime_spent_, user) : 0.0;
   if (!FitsCap(lifetime, epsilon, lifetime_budget_)) {
     ++totals_.denied_lifetime;
     denied_lifetime_metric_->Add(1);
     return Status::FailedPrecondition("lifetime budget exhausted for user " +
                                       user);
   }
-  const auto [epoch_it, new_in_epoch] = epoch_spent_.try_emplace(user);
-  epoch_it->second = in_epoch + epsilon;
-  if (new_in_epoch) epoch_order_.push_back(&*epoch_it);
-  const auto [lifetime_it, new_user] = lifetime_spent_.try_emplace(user);
-  lifetime_it->second = lifetime + epsilon;
-  if (new_user) lifetime_order_.push_back(&*lifetime_it);
+  Record(&epoch_spent_, &epoch_order_, user, in_epoch + epsilon);
+  if (lifetime_budget_ &&
+      Record(&lifetime_spent_, &lifetime_order_, user, lifetime + epsilon)) {
+    users_metric_->Set(static_cast<int64_t>(lifetime_spent_.size()));
+  }
   totals_.epsilon_spent += epsilon;
   ++totals_.charges;
   epsilon_spent_metric_->Add(epsilon);
   charges_metric_->Add(1);
-  users_metric_->Set(static_cast<int64_t>(lifetime_spent_.size()));
   return Status::OK();
+}
+
+double EpochBudgetLedger::Spent(const SpendMap& spent,
+                                const std::string& user) {
+  const auto it = spent.find(user);
+  return it == spent.end() ? 0.0 : it->second;
+}
+
+bool EpochBudgetLedger::Record(SpendMap* spent, SpendOrder* order,
+                               const std::string& user, double total) {
+  const auto [it, first] = spent->try_emplace(user, total);
+  if (first) {
+    order->push_back(&*it);
+  } else {
+    it->second = total;
+  }
+  return first;
 }
 
 bool EpochBudgetLedger::CanCharge(const std::string& user, double epsilon) const {
   return ChargeableEpsilon(epsilon) &&
-         FitsCap(SpentThisEpoch(user), epsilon, epoch_budget_) &&
-         FitsCap(SpentLifetime(user), epsilon, lifetime_budget_);
+         FitsCap(Spent(epoch_spent_, user), epsilon, epoch_budget_) &&
+         FitsCap(Spent(lifetime_spent_, user), epsilon, lifetime_budget_);
 }
 
 double EpochBudgetLedger::SpentThisEpoch(const std::string& user) const {
-  auto it = epoch_spent_.find(user);
-  return it == epoch_spent_.end() ? 0.0 : it->second;
+  return Spent(epoch_spent_, user);
 }
 
-double EpochBudgetLedger::SpentLifetime(const std::string& user) const {
-  auto it = lifetime_spent_.find(user);
-  return it == lifetime_spent_.end() ? 0.0 : it->second;
+std::optional<double> EpochBudgetLedger::SpentLifetime(
+    const std::string& user) const {
+  if (!lifetime_budget_) return std::nullopt;
+  return Spent(lifetime_spent_, user);
 }
 
 double EpochBudgetLedger::RemainingThisEpoch(const std::string& user) const {
   double rest = std::numeric_limits<double>::infinity();
-  if (epoch_budget_) rest = *epoch_budget_ - SpentThisEpoch(user);
+  if (epoch_budget_) rest = *epoch_budget_ - Spent(epoch_spent_, user);
   if (lifetime_budget_) {
-    rest = std::min(rest, *lifetime_budget_ - SpentLifetime(user));
+    rest = std::min(rest, *lifetime_budget_ - Spent(lifetime_spent_, user));
   }
   return rest > 0.0 ? rest : 0.0;
 }
 
 namespace {
-
-double MaxSpend(const std::unordered_map<std::string, double>& spent) {
-  double max_spend = 0.0;
-  for (const auto& [user, eps] : spent) max_spend = std::max(max_spend, eps);
-  return max_spend;
-}
 
 template <typename Order>
 std::vector<std::pair<std::string, double>> InOrder(const Order& order) {
@@ -183,8 +193,13 @@ Status LoadSpend(const std::vector<std::pair<std::string, double>>& rows,
 
 }  // namespace
 
-double EpochBudgetLedger::MaxLifetimeSpent() const {
-  return MaxSpend(lifetime_spent_);
+std::optional<double> EpochBudgetLedger::MaxLifetimeSpent() const {
+  if (!lifetime_budget_) return std::nullopt;
+  double max_spend = 0.0;
+  for (const auto& [user, eps] : lifetime_spent_) {
+    max_spend = std::max(max_spend, eps);
+  }
+  return max_spend;
 }
 
 EpochBudgetLedger::State EpochBudgetLedger::ExportState() const {
@@ -197,6 +212,11 @@ EpochBudgetLedger::State EpochBudgetLedger::ExportState() const {
 }
 
 Status EpochBudgetLedger::RestoreState(const State& state) {
+  if (!lifetime_budget_ && !state.lifetime_spent.empty()) {
+    return Status::InvalidArgument(
+        "ledger state: " + std::to_string(state.lifetime_spent.size()) +
+        " lifetime spend rows for a ledger without a lifetime cap");
+  }
   // Build aside and swap in, so a refused state leaves the ledger as it
   // was. Swapping maps keeps node addresses, so the order lists hold.
   SpendMap epoch_spent, lifetime_spent;

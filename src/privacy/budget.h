@@ -7,7 +7,10 @@
 // admission control: per-user spend is capped by an optional lifetime cap
 // that composes across all epochs and, optionally, rate-limited per
 // event-time epoch, so a user who burns their per-epoch allowance is
-// refused only until the next epoch begins (rollover).
+// refused only until the next epoch begins (rollover). A per-user
+// lifetime tally is kept only under a lifetime cap, the one thing it
+// decides; without one, the serving journal's per-event epsilon_charged
+// is the audit trail of every charge.
 
 #pragma once
 
@@ -35,10 +38,12 @@ int MaxReports(double total_budget, double epsilon_per_report);
 /// Charges are admitted only when they fit every configured cap: the
 /// per-epoch cap and the lifetime cap. A refused charge records nothing
 /// against either. Per-epoch spend is tracked (and exported) whether or
-/// not an epoch cap is set. BeginEpoch moves accounting to a later epoch and clears every
-/// user's per-epoch spend (rollover) — lifetime spend persists. Independent
-/// ledgers share no state, so a serving engine may keep one per shard (or
-/// one global one) without cross-talk.
+/// not an epoch cap is set; per-user lifetime spend (the lifetime table)
+/// only when a lifetime cap is set. BeginEpoch moves accounting to a
+/// later epoch and clears every user's per-epoch spend (rollover) —
+/// lifetime spend persists. The Totals count every charge either way.
+/// Independent ledgers share no state, so a serving engine may keep one
+/// per shard (or one global one) without cross-talk.
 ///
 /// Thread-compatible (guard externally if shared across threads).
 class EpochBudgetLedger {
@@ -61,6 +66,7 @@ class EpochBudgetLedger {
   struct State {
     int64_t epoch = 0;
     std::vector<std::pair<std::string, double>> epoch_spent;
+    /// The lifetime table: empty when no lifetime cap is set.
     std::vector<std::pair<std::string, double>> lifetime_spent;
     Totals totals;
   };
@@ -103,8 +109,10 @@ class EpochBudgetLedger {
   /// \brief Spend of `user` within the current epoch (0 for unknown users).
   double SpentThisEpoch(const std::string& user) const;
 
-  /// \brief Cumulative spend of `user` across all epochs.
-  double SpentLifetime(const std::string& user) const;
+  /// \brief Cumulative spend of `user` across all epochs (0 for unknown
+  /// users); nullopt when no lifetime cap is set, since the ledger then
+  /// keeps no lifetime table (sum the journal's epsilon_charged instead).
+  std::optional<double> SpentLifetime(const std::string& user) const;
 
   /// \brief Headroom of `user` under every configured cap (infinite when
   /// none is set).
@@ -115,24 +123,28 @@ class EpochBudgetLedger {
     return lifetime_budget_;
   }
 
-  /// Users with non-zero lifetime spend.
+  /// Users in the lifetime table: those with non-zero lifetime spend
+  /// when a lifetime cap is set, always 0 without one (no table is kept).
+  /// The tbf_privacy_users gauge mirrors it.
   size_t num_users() const { return lifetime_spent_.size(); }
 
   /// Cumulative admission/denial totals (see Totals).
   const Totals& totals() const { return totals_; }
 
-  /// \brief Largest lifetime spend across all users (0 when empty) — the
-  /// chaos harness asserts this never exceeds the lifetime cap.
-  double MaxLifetimeSpent() const;
+  /// \brief Largest lifetime spend across all users (0 when no user has
+  /// spent); nullopt when no lifetime cap is set (no table is kept).
+  std::optional<double> MaxLifetimeSpent() const;
 
   /// \brief Snapshot of the full accounting state, in first-charge order
   /// (O(users), no sort).
   State ExportState() const;
 
   /// \brief Restores a state produced by ExportState. Caps are not part of
-  /// the state and must match the construction parameters; the registry
-  /// counters are NOT re-added (a checkpoint resume merges the saved
-  /// metrics snapshot separately), only the gauges are refreshed.
+  /// the state and must match the construction parameters: lifetime rows
+  /// for a ledger without a lifetime cap are refused (InvalidArgument).
+  /// The registry counters are NOT re-added (a checkpoint resume merges
+  /// the saved metrics snapshot separately), only the gauges are
+  /// refreshed.
   Status RestoreState(const State& state);
 
  private:
@@ -145,8 +157,15 @@ class EpochBudgetLedger {
   /// pointers stay valid for the list's lifetime.
   using SpendOrder = std::vector<const SpendMap::value_type*>;
 
+  // `user`'s entry in `spent` (0 when absent).
+  static double Spent(const SpendMap& spent, const std::string& user);
+  // Sets `user`'s entry to `total`, appending a first entry to `order`;
+  // true when the entry is new.
+  static bool Record(SpendMap* spent, SpendOrder* order,
+                     const std::string& user, double total);
+
   SpendMap epoch_spent_;
-  SpendMap lifetime_spent_;
+  SpendMap lifetime_spent_;  // empty unless lifetime_budget_ is set
   SpendOrder epoch_order_;
   SpendOrder lifetime_order_;
 

@@ -1,11 +1,18 @@
 #include "serve/checkpoint.h"
 
 #include <array>
+#include <filesystem>
+
+#ifndef _WIN32
+#include <unistd.h>
+#endif
 
 #include "common/atomic_file.h"
 #include "common/frames.h"
 
 namespace tbf {
+
+namespace fs = std::filesystem;
 
 uint32_t FingerprintEventTrace(const EventTrace& trace) {
   // Byte-stream identical to CRC-ing each field separately (CRC chains
@@ -37,20 +44,19 @@ uint32_t FingerprintEventTrace(const EventTrace& trace) {
 namespace {
 
 constexpr std::string_view kMagic = "TBF-CKPT";
-constexpr uint32_t kCheckpointVersion = 5;
+constexpr uint32_t kCheckpointVersion = 6;
 // Header token of the retired v1-v3 text format.
 constexpr std::string_view kTextMagic = "TBFCKPT1 ";
 
-// Record kinds of a v5 file; docs/ROBUSTNESS.md has the catalog.
+// Record kinds of a v6 file; docs/ROBUSTNESS.md has the catalog.
 enum Rec : uint8_t {
-  kHeader, kIdentity, kCursor, kReport, kEpoch, kTask, kQuarantine, kServer,
-  kRng, kSlot, kFree, kWorker, kLedger, kSpend, kCounter, kGauge, kHistogram,
-  kEnd, kNumRecs,
+  kHeader, kIdentity, kCursor, kReport, kServer, kRng, kSlot, kFree, kWorker,
+  kLedger, kSpend, kCounter, kGauge, kHistogram, kEnd, kNumRecs,
 };
 constexpr std::array<const char*, kNumRecs> kRecNames = {
-    "header", "identity", "cursor", "report", "epoch", "task",
-    "quarantine", "server", "rng", "slot", "free", "worker",
-    "ledger", "spend", "counter", "gauge", "histogram", "end"};
+    "header", "identity", "cursor", "report", "server", "rng", "slot",
+    "free", "worker", "ledger", "spend", "counter", "gauge", "histogram",
+    "end"};
 
 constexpr uint32_t Bit(int kind) { return 1u << kind; }
 constexpr uint32_t kRequired = Bit(kHeader) | Bit(kIdentity) | Bit(kCursor) |
@@ -62,8 +68,8 @@ constexpr ArtifactFormat kFormat = {"checkpoint", kMagic, kCheckpointVersion,
 constexpr uint8_t kSpendEpoch = 0;
 constexpr uint8_t kSpendLifetime = 1;
 
-// Record schemas; `C` is ReplayCheckpoint (or a row type), const when
-// writing.
+// Record schemas; `C` is ReplayCheckpoint (or a row type, or the
+// WalIdentity of an outcome log's header), const when writing.
 template <typename Io, typename C>
 Status IdentityFields(Io& io, C& c) {
   return io(c.trace_fingerprint, c.num_shards, c.epoch_seconds, c.server_seed,
@@ -72,7 +78,8 @@ Status IdentityFields(Io& io, C& c) {
 template <typename Io, typename C>
 Status CursorFields(Io& io, C& c) {
   return io(c.next_event, c.arrivals_obfuscated, c.next_task_slot,
-            c.wal_next_lsn);
+            c.wal_next_lsn, c.outcome_log_bytes, c.epoch_rows,
+            c.quarantine_rows);
 }
 template <typename Io, typename R>
 Status ReportFields(Io& io, R& r) {
@@ -151,10 +158,6 @@ class CheckpointDecoder {
       case kIdentity: return IdentityFields(io, c_);
       case kCursor: return CursorFields(io, c_);
       case kReport: return ReportFields(io, c_.report);
-      case kEpoch: return EpochFields(io, c_.per_epoch.emplace_back());
-      case kTask: return TaskFields(io, c_.task_outcomes.emplace_back());
-      case kQuarantine:
-        return QuarantineFields(io, c_.quarantined_events.emplace_back());
       case kServer: return ServerFields(io, server);
       case kRng: return io(server.rng_state);
       case kSlot: return io(server.worker_by_index_id.emplace_back());
@@ -193,13 +196,30 @@ class CheckpointDecoder {
   uint32_t seen_ = 0;
 };
 
+// The outcome log (see checkpoint.h): the shared header carrying the run
+// identity, then epoch, task and quarantine rows in the schemas above.
+enum LogRec : uint8_t { kLogHeader, kLogEpoch, kLogTask, kLogQuarantine,
+                        kNumLogRecs };
+constexpr std::array<const char*, kNumLogRecs> kLogRecNames = {
+    "header", "epoch", "task", "quarantine"};
+constexpr ArtifactFormat kLogFormat = {"outcome log", "TBF-OLOG", 1,
+                                       kLogRecNames, /*has_end=*/false};
+
 }  // namespace
+
+WalIdentity IdentityOf(const ReplayCheckpoint& c) {
+  WalIdentity identity;
+  identity.trace_fingerprint = c.trace_fingerprint;
+  identity.num_shards = c.num_shards;
+  identity.epoch_seconds = c.epoch_seconds;
+  identity.server_seed = c.server_seed;
+  identity.obfuscation_seed = c.obfuscation_seed;
+  return identity;
+}
 
 std::string SerializeReplayCheckpoint(const ReplayCheckpoint& c) {
   const ShardedServerState& server = c.server;
-  const size_t rows = c.per_epoch.size() + c.task_outcomes.size() +
-                      c.quarantined_events.size() +
-                      server.worker_by_index_id.size() +
+  const size_t rows = server.worker_by_index_id.size() +
                       server.free_index_ids.size() + server.workers.size() +
                       (server.ledger ? server.ledger->epoch_spent.size() +
                                            server.ledger->lifetime_spent.size()
@@ -210,15 +230,6 @@ std::string SerializeReplayCheckpoint(const ReplayCheckpoint& c) {
   file.Add(kIdentity, [&](FieldWriter& io) { IdentityFields(io, c); });
   file.Add(kCursor, [&](FieldWriter& io) { CursorFields(io, c); });
   file.Add(kReport, [&](FieldWriter& io) { ReportFields(io, c.report); });
-  for (const EpochStats& e : c.per_epoch) {
-    file.Add(kEpoch, [&](FieldWriter& io) { EpochFields(io, e); });
-  }
-  for (const TaskOutcome& t : c.task_outcomes) {
-    file.Add(kTask, [&](FieldWriter& io) { TaskFields(io, t); });
-  }
-  for (const QuarantineRecord& q : c.quarantined_events) {
-    file.Add(kQuarantine, [&](FieldWriter& io) { QuarantineFields(io, q); });
-  }
   file.Add(kServer, [&](FieldWriter& io) { ServerFields(io, server); });
   file.Add(kRng, [&](FieldWriter& io) { io(server.rng_state); });
   for (const std::string& id : server.worker_by_index_id) {
@@ -256,7 +267,7 @@ std::string SerializeReplayCheckpoint(const ReplayCheckpoint& c) {
 Result<ReplayCheckpoint> ParseReplayCheckpoint(const std::string& bytes) {
   if (std::string_view(bytes).substr(0, kTextMagic.size()) == kTextMagic) {
     return Status::InvalidArgument(
-        "checkpoint: text-format (v1-v3) file; this build reads binary v5 "
+        "checkpoint: text-format (v1-v3) file; this build reads binary v6 "
         "checkpoints only");
   }
   CheckpointDecoder decoder;
@@ -278,6 +289,132 @@ Result<ReplayCheckpoint> ReadReplayCheckpointFile(const std::string& path) {
   TBF_ASSIGN_OR_RETURN(const std::string bytes,
                        ReadFileToString(path, "checkpoint"));
   return ParseReplayCheckpoint(bytes);
+}
+
+
+std::string OutcomeLogHeader(const WalIdentity& identity) {
+  std::string out;
+  ArtifactWriter(kLogFormat, &out,
+                 [&](FieldWriter& io) { IdentityFields(io, identity); });
+  return out;
+}
+
+void AppendOutcomeRows(std::span<const EpochStats> epochs,
+                       std::span<const TaskOutcome> tasks,
+                       std::span<const QuarantineRecord> quarantines,
+                       std::string* out) {
+  for (const EpochStats& e : epochs) {
+    AppendRecord(out, kLogEpoch, [&](FieldWriter& io) { EpochFields(io, e); });
+  }
+  for (const TaskOutcome& t : tasks) {
+    AppendRecord(out, kLogTask, [&](FieldWriter& io) { TaskFields(io, t); });
+  }
+  for (const QuarantineRecord& q : quarantines) {
+    AppendRecord(out, kLogQuarantine,
+                 [&](FieldWriter& io) { QuarantineFields(io, q); });
+  }
+}
+
+Status ParseOutcomeRows(std::string_view log, ReplayCheckpoint* c) {
+  c->per_epoch.clear();
+  c->task_outcomes.clear();
+  c->quarantined_events.clear();
+  const uint64_t covered = c->outcome_log_bytes;
+  if (covered == 0) return Status::OK();
+  const WalIdentity identity = IdentityOf(*c);
+  bool foreign = false;
+  ArtifactReader file(kLogFormat);
+  const Status read = file.Read(
+      log.substr(0, covered), [&](uint8_t kind, FieldReader& io) -> Status {
+        switch (static_cast<LogRec>(kind)) {
+          case kLogHeader: {
+            if (file.records() > 0) return io.Refuse("duplicate");
+            WalIdentity logged;
+            TBF_RETURN_NOT_OK(IdentityFields(io, logged));
+            foreign = !(logged == identity);
+            return foreign ? io.Refuse("identity mismatch") : Status::OK();
+          }
+          case kLogEpoch: return EpochFields(io, c->per_epoch.emplace_back());
+          case kLogTask: return TaskFields(io, c->task_outcomes.emplace_back());
+          case kLogQuarantine:
+            return QuarantineFields(io, c->quarantined_events.emplace_back());
+          case kNumLogRecs: break;
+        }
+        return Status::OK();
+      });
+  if (foreign) {
+    return Status::FailedPrecondition(
+        "outcome log: belongs to a different run than the checkpoint "
+        "(identity mismatch)");
+  }
+  if (log.size() < covered) {
+    return Status::InvalidArgument(
+        "outcome log: holds " + std::to_string(log.size()) +
+        " bytes, fewer than the " + std::to_string(covered) +
+        " the checkpoint covers");
+  }
+  return read;
+}
+
+Status ReadOutcomeRows(const std::string& path, ReplayCheckpoint* c) {
+  if (c->outcome_log_bytes == 0) return ParseOutcomeRows({}, c);
+  TBF_ASSIGN_OR_RETURN(const std::string log,
+                       ReadFileToString(path, "outcome log"));
+  return ParseOutcomeRows(log, c);
+}
+
+Result<std::unique_ptr<OutcomeLogWriter>> OutcomeLogWriter::Open(
+    const std::string& path, const WalIdentity& identity, uint64_t bytes) {
+  if (bytes > 0) {
+    // Continue after the covered prefix: rows past it belong to epochs the
+    // resumed run re-produces.
+    std::error_code ec;
+    const uintmax_t size = fs::file_size(path, ec);
+    if (ec || size < bytes) {
+      return Status::FailedPrecondition(
+          "outcome log " + path + " is shorter than the " +
+          std::to_string(bytes) + " bytes the resumed checkpoint covers");
+    }
+    fs::resize_file(path, bytes, ec);
+    if (ec) {
+      return Status::IOError("cannot truncate outcome log " + path + ": " +
+                             ec.message());
+    }
+  }
+  std::FILE* file = std::fopen(path.c_str(), bytes == 0 ? "wb" : "ab");
+  if (file == nullptr) {
+    return Status::IOError("cannot open outcome log: " + path);
+  }
+  std::unique_ptr<OutcomeLogWriter> writer(
+      new OutcomeLogWriter(path, file, bytes));
+  if (bytes == 0) {
+    writer->buffer_ = OutcomeLogHeader(identity);
+    TBF_RETURN_NOT_OK(writer->Flush());
+    TBF_RETURN_NOT_OK(FsyncParentDir(path));  // the new directory entry
+  }
+  return writer;
+}
+
+OutcomeLogWriter::~OutcomeLogWriter() { std::fclose(file_); }
+
+Status OutcomeLogWriter::Append(std::span<const EpochStats> epochs,
+                                std::span<const TaskOutcome> tasks,
+                                std::span<const QuarantineRecord> quarantines) {
+  buffer_.clear();
+  AppendOutcomeRows(epochs, tasks, quarantines, &buffer_);
+  return Flush();
+}
+
+Status OutcomeLogWriter::Flush() {
+  bool ok = std::fwrite(buffer_.data(), 1, buffer_.size(), file_) ==
+                buffer_.size() &&
+            std::fflush(file_) == 0;
+#ifndef _WIN32
+  ok = ok && fsync(fileno(file_)) == 0;
+#endif
+  if (!ok) return Status::IOError("outcome log write failed: " + path_);
+  bytes_ += buffer_.size();
+  return Status::OK();
 }
 
 }  // namespace tbf

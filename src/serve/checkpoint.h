@@ -1,39 +1,50 @@
-// Crash-safe replay checkpoints.
+// Crash-safe replay checkpoints and the outcome log.
 //
-// A ReplayCheckpoint freezes everything the event-time replay loop needs
-// to continue draw-for-draw identically after a crash: the replay cursor
-// (next event, obfuscation fork offset, next task slot), the partial
-// report (the ReplayCounts outcome tally, per-epoch stats, task
-// outcomes, quarantine records), the engine's full state (worker
-// registry, index-id pool incl. free-list order, tie-break RNG, budget
-// ledger) and the run's metrics snapshot. Identity fields (trace fingerprint, shard count,
-// epoch length, seeds) let resume refuse a checkpoint that does not
-// belong to the run being resumed.
+// A ReplayCheckpoint freezes the live state the event-time replay loop
+// needs to continue draw-for-draw identically after a crash: the replay
+// cursor (next event, obfuscation fork offset, next task slot, journal
+// and outcome-log positions), the ReplayCounts outcome tally, the
+// engine's full state (worker registry, index-id pool incl. free-list
+// order, tie-break RNG, budget ledger) and the run's metrics snapshot.
+// Identity fields (trace fingerprint, shard count, epoch length, seeds)
+// let resume refuse a checkpoint that does not belong to the run being
+// resumed. Its size follows the live state, not the length of the run.
 //
-// On-disk format, v5 (docs/ROBUSTNESS.md has the record catalog): a
-// stream of CRC-framed binary records in the frame format every on-disk
-// artifact shares (common/frames.h — the same frame writer, frame walker
-// and field codec as the journal, and the same file grammar as tree
-// snapshots):
+// History — one row per epoch, per task dispatch and per quarantined
+// event — lives in the append-only outcome log next to the checkpoints
+// (`<durable_dir>/outcomes`, or `<checkpoint_path>.outcomes` for a
+// single-file checkpoint). At each checkpoint the loop appends the rows
+// added since the previous one and fsyncs the log, then writes the
+// checkpoint, whose cursor records the log's byte length and row counts.
+// Resume reads the log up to that length (ReadOutcomeRows); anything
+// past it belongs to epochs the resumed run re-produces, and is cut.
 //
-//   file    := header record* end
-//   frame   := <len:u32> <crc:u32> <payload: len bytes>
-//   payload := <kind:u8> <kind-specific fields>
+// On-disk format (docs/ROBUSTNESS.md has the record catalogs): both files
+// are streams of CRC-framed binary records in the frame format every
+// on-disk artifact shares (common/frames.h — the same frame writer, frame
+// walker and field codec as the journal):
 //
-// The header carries the magic "TBF-CKPT" and the version; every other
-// row (identity, cursor, report, each epoch/task/quarantine row, server,
-// rng, each slot/free/worker row, ledger, each spend row, each
-// counter/gauge/histogram) is one record; the end record counts the
-// records before it, so a file cut at a frame boundary is refused too.
-// Integers are little-endian, doubles are IEEE-754 bit patterns (they
-// round-trip bit-exactly), strings are <len:u32><bytes>, and a worker's
-// report is its 128-bit LeafCode as 16 bytes (low u64, then high u64) —
-// the only leaf encoding. The CRC-32 (IEEE reflected, zlib/binascii-
-// compatible) covers each payload, so tools/check_checkpoint.py validates
-// a file with only the Python standard library. Older versions are
-// refused with InvalidArgument naming the version: v4 (whose server
-// record carried a packed-mode flag and whose worker rows carried a u64
-// code next to a "d0.d1…" digit string) and the v1-v3 text format.
+//   checkpoint  := header record* end        (v6, magic "TBF-CKPT")
+//   outcome log := header row*               (v1, magic "TBF-OLOG")
+//   frame       := <len:u32> <crc:u32> <payload: len bytes>
+//   payload     := <kind:u8> <kind-specific fields>
+//
+// A checkpoint's header carries the magic and the version; every other
+// row (identity, cursor, report, server, rng, each slot/free/worker row,
+// ledger, each spend row, each counter/gauge/histogram) is one record;
+// the end record counts the records before it, so a file cut at a frame
+// boundary is refused too. The checkpoint shares the snapshot's file
+// grammar. The outcome log has no end record (it grows): its header
+// carries the magic, the version and the run identity, and each row is
+// an epoch, task or quarantine record. Integers are little-endian,
+// doubles are IEEE-754 bit patterns (they round-trip bit-exactly),
+// strings are <len:u32><bytes>, and a worker's report is its 128-bit
+// LeafCode as 16 bytes (low u64, then high u64). The CRC-32 (IEEE
+// reflected, zlib/binascii-compatible) covers each payload, so
+// tools/check_checkpoint.py validates both with only the Python standard
+// library. Older checkpoint versions are refused with InvalidArgument
+// naming the version: v5 (which carried the history rows itself), v4
+// (two worker leaf encodings) and the v1-v3 text format.
 //
 // WriteReplayCheckpointFile is atomic: the bytes go to `<path>.tmp`,
 // are fsync'd, and rename(2) publishes them — a crash mid-write leaves
@@ -42,14 +53,19 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "obs/metrics.h"
 #include "serve/replay.h"
 #include "serve/sharded_server.h"
+#include "serve/wal.h"
 #include "workload/instance.h"
 
 namespace tbf {
@@ -63,10 +79,11 @@ uint32_t FingerprintEventTrace(const EventTrace& trace);
 ///
 /// Version history: v1-v3 were a line-oriented text format (v2 added the
 /// server's tree epoch, v3 the journal position wal_next_lsn); v4 was the
-/// binary record stream with two worker leaf encodings; v5 is the record
-/// stream described above, with one, and the only version read.
+/// binary record stream with two worker leaf encodings; v5 had one and
+/// still carried every history row; v6 moves those rows to the outcome
+/// log, and is the only version read.
 struct ReplayCheckpoint {
-  int version = 5;
+  int version = 6;
 
   // Identity: resume refuses a checkpoint whose trace or configuration
   // does not match the run being resumed.
@@ -87,20 +104,34 @@ struct ReplayCheckpoint {
   /// value. 0 for non-durable runs (no journal).
   uint64_t wal_next_lsn = 0;
 
-  // Partial report: the outcome counters accumulated so far (restore
-  // takes all but checkpoints_written, which counts each run's own), the
-  // per-epoch stats, and one row per task dispatched so far.
+  /// The outcome-log prefix this checkpoint covers: its length in bytes
+  /// and its epoch and quarantine row counts (its task rows number
+  /// next_task_slot). 0 when the run keeps no log.
+  uint64_t outcome_log_bytes = 0;
+  uint64_t epoch_rows = 0;
+  uint64_t quarantine_rows = 0;
+
+  /// The outcome counters accumulated so far (restore takes all but
+  /// checkpoints_written, which counts each run's own).
   ReplayCounts report;
-  std::vector<EpochStats> per_epoch;
+
+  // History rows: not part of the checkpoint file (SerializeReplayCheckpoint
+  // ignores them and ParseReplayCheckpoint leaves them empty). Resume
+  // reassembles them from the outcome log's covered prefix
+  // (ReadOutcomeRows) before it restores.
+  std::vector<EpochStats> per_epoch;       ///< epoch_rows rows
   std::vector<TaskOutcome> task_outcomes;  ///< next_task_slot rows
-  std::vector<QuarantineRecord> quarantined_events;
+  std::vector<QuarantineRecord> quarantined_events;  ///< quarantine_rows
 
   // Engine and flight-recorder state.
   ShardedServerState server;
   obs::MetricsSnapshot metrics;
 };
 
-/// \brief Serializes to the v5 record stream (see the format note above).
+/// \brief The run identity the checkpoint carries, as the journal states it.
+WalIdentity IdentityOf(const ReplayCheckpoint& checkpoint);
+
+/// \brief Serializes to the v6 record stream (see the format note above).
 std::string SerializeReplayCheckpoint(const ReplayCheckpoint& checkpoint);
 
 /// \brief Parses and validates (frames, CRCs, record schema, file
@@ -113,5 +144,61 @@ Status WriteReplayCheckpointFile(const ReplayCheckpoint& checkpoint,
                                  const std::string& path);
 
 Result<ReplayCheckpoint> ReadReplayCheckpointFile(const std::string& path);
+
+/// \brief The outcome log's header record, carrying `identity`.
+std::string OutcomeLogHeader(const WalIdentity& identity);
+
+/// \brief Appends one framed outcome-log row per element to `out`: the
+/// epochs, then the tasks, then the quarantines.
+void AppendOutcomeRows(std::span<const EpochStats> epochs,
+                       std::span<const TaskOutcome> tasks,
+                       std::span<const QuarantineRecord> quarantines,
+                       std::string* out);
+
+/// \brief Fills `checkpoint`'s history rows from the first
+/// checkpoint->outcome_log_bytes bytes of `log`: the header (whose
+/// identity must be the checkpoint's) and whole rows, CRC-clean and
+/// schema-valid. Anything past that length is ignored. InvalidArgument,
+/// naming the record and byte offset, when the log is shorter than the
+/// length, the length cuts a frame, or a record is bad. The row counts
+/// are the restore's to compare with the cursor.
+Status ParseOutcomeRows(std::string_view log, ReplayCheckpoint* checkpoint);
+
+/// \brief ParseOutcomeRows on the log file at `path` (not read when the
+/// checkpoint covers no log bytes).
+Status ReadOutcomeRows(const std::string& path, ReplayCheckpoint* checkpoint);
+
+/// \brief The writer of an outcome log: appends the rows each checkpoint
+/// adds and makes them durable before that checkpoint is written.
+class OutcomeLogWriter {
+ public:
+  /// Opens the log at `path` to continue after its first `bytes` bytes
+  /// (the covered length of the checkpoint being resumed), cutting
+  /// anything past them; 0 starts a new log with a header carrying
+  /// `identity`.
+  static Result<std::unique_ptr<OutcomeLogWriter>> Open(
+      const std::string& path, const WalIdentity& identity, uint64_t bytes);
+  ~OutcomeLogWriter();
+  OutcomeLogWriter(const OutcomeLogWriter&) = delete;
+  OutcomeLogWriter& operator=(const OutcomeLogWriter&) = delete;
+
+  /// Appends the rows (see AppendOutcomeRows), then flushes and fsyncs.
+  Status Append(std::span<const EpochStats> epochs,
+                std::span<const TaskOutcome> tasks,
+                std::span<const QuarantineRecord> quarantines);
+
+  /// Bytes in the log, the header included.
+  uint64_t bytes() const { return bytes_; }
+
+ private:
+  OutcomeLogWriter(std::string path, std::FILE* file, uint64_t bytes)
+      : path_(std::move(path)), file_(file), bytes_(bytes) {}
+  Status Flush();  // writes buffer_, flushes, fsyncs
+
+  std::string path_;
+  std::FILE* file_;
+  uint64_t bytes_;
+  std::string buffer_;  // one batch, framed
+};
 
 }  // namespace tbf

@@ -60,6 +60,10 @@ Result<ReplayCheckpoint> ReadCheckpointWithRetry(const std::string& path,
 
 }  // namespace
 
+std::string OutcomeLogPath(const std::string& dir) {
+  return dir + "/outcomes";
+}
+
 std::string ReplayCheckpointFileName(uint64_t ordinal) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "ckpt-%08llu.ckpt",
@@ -91,11 +95,23 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
   // Validate every candidate (retention + compaction need the full valid
   // list); the newest valid one becomes the restore point. Transient
   // IOErrors are retried; a file that still fails — or fails to parse —
-  // is rejected and the supervisor falls back to the next-newest.
+  // is rejected and the supervisor falls back to the next-newest. A
+  // checkpoint is valid only together with the outcome-log prefix it
+  // covers: a log cut below that length (or damaged inside it) rejects
+  // the checkpoint exactly as a corrupt file would, and a log of another
+  // run is never combined with it.
+  const std::string log_path = OutcomeLogPath(dir);
   for (const auto& [ordinal, path] : candidates) {
     Result<ReplayCheckpoint> read =
         ReadCheckpointWithRetry(path, policy, &run.io_retries);
-    if (!read.ok()) {
+    const Status rows =
+        read.ok() ? ReadOutcomeRows(log_path, &*read) : Status::OK();
+    if (rows.code() == StatusCode::kFailedPrecondition) {
+      return Status::FailedPrecondition("recovery: checkpoint " + path +
+                                        " and the outcome log in " + dir +
+                                        " belong to different runs");
+    }
+    if (!read.ok() || !rows.ok()) {
       ++run.checkpoints_rejected;
       continue;
     }
@@ -104,6 +120,17 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
     run.checkpoint = std::move(*read);
     run.checkpoint_path = path;
   }
+  // Rows past the restore point's prefix belong to epochs the replay loop
+  // re-produces (a crash after a log append, before its checkpoint).
+  const uint64_t log_cover =
+      run.checkpoint.has_value() ? run.checkpoint->outcome_log_bytes : 0;
+  if (fs::exists(log_path, ec) && fs::file_size(log_path, ec) > log_cover) {
+    fs::resize_file(log_path, log_cover, ec);
+    if (ec) {
+      return Status::IOError("recovery: cannot truncate outcome log " +
+                             log_path + ": " + ec.message());
+    }
+  }
 
   // Scan + repair the journal.
   TBF_ASSIGN_OR_RETURN(run.wal, ScanWalDir(dir, /*repair_torn_tail=*/true));
@@ -111,13 +138,7 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
   // Identity cross-check: a checkpoint and a journal from different runs
   // must never be combined.
   if (run.checkpoint.has_value() && run.wal.has_identity) {
-    WalIdentity from_ckpt;
-    from_ckpt.trace_fingerprint = run.checkpoint->trace_fingerprint;
-    from_ckpt.num_shards = run.checkpoint->num_shards;
-    from_ckpt.epoch_seconds = run.checkpoint->epoch_seconds;
-    from_ckpt.server_seed = run.checkpoint->server_seed;
-    from_ckpt.obfuscation_seed = run.checkpoint->obfuscation_seed;
-    if (!(from_ckpt == run.wal.identity)) {
+    if (!(IdentityOf(*run.checkpoint) == run.wal.identity)) {
       return Status::FailedPrecondition(
           "recovery: checkpoint " + run.checkpoint_path +
           " and the journal in " + dir + " belong to different runs");

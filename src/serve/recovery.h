@@ -1,16 +1,21 @@
 // Crash-anywhere recovery supervisor.
 //
-// A durable replay run leaves two kinds of artifacts in its directory:
-// periodic checkpoints `ckpt-<ordinal:08>.ckpt` (serve/checkpoint.h) and
-// the segmented event journal `wal-<seq:08>.seg` (serve/wal.h). After a
-// crash — mid-append, mid-fsync, mid-rotation, mid-checkpoint — recovery
-// proceeds in two steps:
+// A durable replay run leaves three kinds of artifacts in its directory:
+// periodic checkpoints `ckpt-<ordinal:08>.ckpt` and the append-only
+// outcome log `outcomes` (serve/checkpoint.h), and the segmented event
+// journal `wal-<seq:08>.seg` (serve/wal.h). After a crash — mid-append,
+// mid-fsync, mid-rotation, mid-checkpoint — recovery proceeds in two
+// steps:
 //
 //   1. RecoverReplayDir picks the newest *valid* checkpoint. A checkpoint
 //      that fails to read with a transient IOError is retried once with a
 //      bounded backoff (RecoveryPolicy); one that fails to *parse*
-//      (corruption) is rejected permanently and the supervisor falls back
-//      to the next-newest. It then scans the journal, repairs the torn
+//      (corruption), or whose outcome-log prefix is cut short or damaged,
+//      is rejected permanently and the supervisor falls back to the
+//      next-newest. It reassembles the chosen checkpoint's history rows
+//      from the log and truncates the log to that checkpoint's covered
+//      length (the loop re-produces the later rows). It then scans the
+//      journal, repairs the torn
 //      tail (truncating at the first bad CRC / short frame with a
 //      record-precise report), cross-checks the journal identity against
 //      the checkpoint, and locates the journal suffix: the first journal
@@ -61,6 +66,10 @@ struct RecoveryPolicy {
 /// \brief `ckpt-<ordinal:08>.ckpt`.
 std::string ReplayCheckpointFileName(uint64_t ordinal);
 
+/// \brief `<dir>/outcomes`: a durable directory's outcome log
+/// (serve/checkpoint.h).
+std::string OutcomeLogPath(const std::string& dir);
+
 /// \brief One surviving, *valid* checkpoint file (retention candidate).
 struct RetainedCheckpoint {
   uint64_t ordinal = 0;
@@ -70,7 +79,8 @@ struct RetainedCheckpoint {
 
 /// \brief Everything RecoverReplayDir learned about a durable directory.
 struct RecoveredRun {
-  /// Newest valid checkpoint, if any survived.
+  /// Newest valid checkpoint, if any survived, with its history rows
+  /// read from the outcome log.
   std::optional<ReplayCheckpoint> checkpoint;
   std::string checkpoint_path;  ///< "" when no checkpoint survived
 
@@ -90,8 +100,10 @@ struct RecoveredRun {
 };
 
 /// \brief Scans a durable replay directory: newest-valid checkpoint
-/// selection (transient reads retried, corrupt files rejected with
-/// fallback), journal scan + torn-tail repair, identity cross-checks,
+/// selection (transient reads retried, corrupt files and checkpoints
+/// whose outcome-log prefix is missing rejected with fallback), outcome
+/// log truncation to the chosen checkpoint, journal scan + torn-tail
+/// repair, identity cross-checks,
 /// suffix location. Applies nothing: the replay loop re-runs and
 /// verifies the suffix. Fails (never silently drops events) when the journal
 /// has a gap the surviving checkpoints cannot cover.

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <functional>
 #include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -292,6 +293,17 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       (options.checkpoint_path.empty() && !durable)
           ? 0
           : FingerprintEventTrace(trace);
+  WalIdentity run_identity;
+  run_identity.trace_fingerprint = trace_fingerprint;
+  run_identity.num_shards = options.num_shards;
+  run_identity.epoch_seconds = options.epoch_seconds;
+  run_identity.server_seed = options.server_seed;
+  run_identity.obfuscation_seed = options.obfuscation_seed;
+  // The history rows' one home: the outcome log next to the checkpoints.
+  const std::string outcome_log_path =
+      durable ? OutcomeLogPath(options.durable_dir)
+      : options.checkpoint_path.empty() ? std::string()
+                                        : options.checkpoint_path + ".outcomes";
 
   ThreadPool pool(options.threads);
   const Rng obfuscation_stream(options.obfuscation_seed);
@@ -301,9 +313,15 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
   int next_task_slot = 0;
   size_t begin = 0;
   size_t next_republish = 0;  // cursor into options.republishes
+  // Outcome-log coverage: its length and the rows of each kind it holds.
+  uint64_t logged_bytes = 0;
+  size_t logged_epochs = 0;
+  size_t logged_tasks = 0;
+  size_t logged_quarantines = 0;
 
-  // Restores a parsed checkpoint into the fresh engine + loop cursor;
-  // shared by single-file resume and the durable recovery supervisor.
+  // Restores a parsed checkpoint, its history rows read from the outcome
+  // log, into the fresh engine + loop cursor; shared by single-file resume
+  // and the durable recovery supervisor.
   const auto restore_from_checkpoint = [&](ReplayCheckpoint& ckpt) -> Status {
     if (ckpt.trace_fingerprint != trace_fingerprint) {
       return Status::FailedPrecondition(
@@ -321,7 +339,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       return Status::InvalidArgument(
           "checkpoint cursor out of range for this trace");
     }
-    // Every writer stores exactly the first next_task_slot task outcomes;
+    // Every writer logs exactly the first next_task_slot task outcomes;
     // any other slot would index past the restored rows.
     if (ckpt.next_task_slot < 0 ||
         static_cast<uint64_t>(ckpt.next_task_slot) !=
@@ -330,6 +348,15 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
           "checkpoint next_task_slot " + std::to_string(ckpt.next_task_slot) +
           " disagrees with its " + std::to_string(ckpt.task_outcomes.size()) +
           " task rows");
+    }
+    if (ckpt.epoch_rows != ckpt.per_epoch.size() ||
+        ckpt.quarantine_rows != ckpt.quarantined_events.size()) {
+      return Status::InvalidArgument(
+          "checkpoint cursor counts " + std::to_string(ckpt.epoch_rows) +
+          " epoch and " + std::to_string(ckpt.quarantine_rows) +
+          " quarantine rows, its outcome log holds " +
+          std::to_string(ckpt.per_epoch.size()) + " and " +
+          std::to_string(ckpt.quarantined_events.size()));
     }
     // Fast-forward the fresh engine through the prefix of the republish
     // schedule the checkpointed run had already applied: RestoreState
@@ -367,6 +394,10 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     begin = static_cast<size_t>(ckpt.next_event);
     arrivals_obfuscated = ckpt.arrivals_obfuscated;
     next_task_slot = static_cast<int>(ckpt.next_task_slot);
+    logged_bytes = ckpt.outcome_log_bytes;
+    logged_epochs = report.per_epoch.size();
+    logged_tasks = report.task_outcomes.size();
+    logged_quarantines = report.quarantined_events.size();
     report.resumed = true;
     return Status::OK();
   };
@@ -374,6 +405,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
   if (options.resume_from_checkpoint) {
     TBF_ASSIGN_OR_RETURN(ReplayCheckpoint ckpt,
                          ReadReplayCheckpointFile(options.checkpoint_path));
+    TBF_RETURN_NOT_OK(ReadOutcomeRows(outcome_log_path, &ckpt));
     TBF_RETURN_NOT_OK(restore_from_checkpoint(ckpt));
   }
 
@@ -389,20 +421,13 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
   obs::Counter* verified_events_metric = nullptr;
   std::vector<RetainedCheckpoint> retained;  // valid ckpts, ordinal order
   if (durable) {
-    WalIdentity wal_identity;
-    wal_identity.trace_fingerprint = trace_fingerprint;
-    wal_identity.num_shards = options.num_shards;
-    wal_identity.epoch_seconds = options.epoch_seconds;
-    wal_identity.server_seed = options.server_seed;
-    wal_identity.obfuscation_seed = options.obfuscation_seed;
-
     if (options.recover) {
       TBF_ASSIGN_OR_RETURN(
           RecoveredRun recovered,
           RecoverReplayDir(options.durable_dir, RecoveryPolicy{},
                            &run_metrics));
       if (recovered.wal.has_identity &&
-          !(recovered.wal.identity == wal_identity)) {
+          !(recovered.wal.identity == run_identity)) {
         return Status::FailedPrecondition(
             "recover: the journal in " + options.durable_dir +
             " belongs to a different run (identity mismatch)");
@@ -420,8 +445,14 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       verify_next = recovered.suffix_begin;
     }
     TBF_ASSIGN_OR_RETURN(wal, WalWriter::Open(options.durable_dir,
-                                              wal_identity, options.wal_fsync,
+                                              run_identity, options.wal_fsync,
                                               &run_metrics));
+  }
+  std::unique_ptr<OutcomeLogWriter> outcome_log;
+  if (!outcome_log_path.empty()) {
+    TBF_ASSIGN_OR_RETURN(outcome_log,
+                         OutcomeLogWriter::Open(outcome_log_path, run_identity,
+                                                logged_bytes));
   }
 
   // True while recovered journal records remain unverified. Segment
@@ -814,7 +845,20 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     begin = end;
 
     ++epochs_completed_this_run;
-    const auto build_checkpoint = [&]() -> ReplayCheckpoint {
+    // Appends the rows added since the previous checkpoint to the outcome
+    // log and makes them durable, then writes the checkpoint covering the
+    // log's new length.
+    const auto write_checkpoint = [&](const std::string& path,
+                                      uint64_t wal_next_lsn) -> Status {
+      TBF_RETURN_NOT_OK(outcome_log->Append(
+          std::span<const EpochStats>(report.per_epoch).subspan(logged_epochs),
+          std::span<const TaskOutcome>(report.task_outcomes)
+              .subspan(logged_tasks),
+          std::span<const QuarantineRecord>(report.quarantined_events)
+              .subspan(logged_quarantines)));
+      logged_epochs = report.per_epoch.size();
+      logged_tasks = report.task_outcomes.size();
+      logged_quarantines = report.quarantined_events.size();
       ReplayCheckpoint ckpt;
       ckpt.trace_fingerprint = trace_fingerprint;
       ckpt.num_shards = options.num_shards;
@@ -824,13 +868,14 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       ckpt.next_event = static_cast<uint64_t>(end);
       ckpt.arrivals_obfuscated = arrivals_obfuscated;
       ckpt.next_task_slot = next_task_slot;
+      ckpt.wal_next_lsn = wal_next_lsn;
+      ckpt.outcome_log_bytes = outcome_log->bytes();
+      ckpt.epoch_rows = logged_epochs;
+      ckpt.quarantine_rows = logged_quarantines;
       ckpt.report = report;
-      ckpt.per_epoch = report.per_epoch;
-      ckpt.task_outcomes = report.task_outcomes;
-      ckpt.quarantined_events = report.quarantined_events;
       ckpt.server = server->ExportState();
       ckpt.metrics = run_metrics.Snapshot();
-      return ckpt;
+      return WriteReplayCheckpointFile(ckpt, path);
     };
     const bool checkpoint_due =
         epochs_completed_this_run %
@@ -839,8 +884,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     if (!options.checkpoint_path.empty() && checkpoint_due) {
       ++report.checkpoints_written;
       checkpoint_metric->Add(1);
-      TBF_RETURN_NOT_OK(WriteReplayCheckpointFile(
-          build_checkpoint(), options.checkpoint_path));
+      TBF_RETURN_NOT_OK(write_checkpoint(options.checkpoint_path, 0));
     }
     // Durable checkpoint: journal barrier first, so wal_next_lsn names a
     // durable journal position; then retention + whole-segment rotation
@@ -852,14 +896,12 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       TBF_RETURN_NOT_OK(wal->Sync());
       ++report.checkpoints_written;
       checkpoint_metric->Add(1);
-      ReplayCheckpoint ckpt = build_checkpoint();
-      ckpt.wal_next_lsn = wal->next_lsn();
       const uint64_t ordinal = report.per_epoch.size();
+      const uint64_t wal_next_lsn = wal->next_lsn();
       const std::string ckpt_path =
           options.durable_dir + "/" + ReplayCheckpointFileName(ordinal);
-      TBF_RETURN_NOT_OK(WriteReplayCheckpointFile(ckpt, ckpt_path));
-      retained.push_back(
-          RetainedCheckpoint{ordinal, ckpt_path, ckpt.wal_next_lsn});
+      TBF_RETURN_NOT_OK(write_checkpoint(ckpt_path, wal_next_lsn));
+      retained.push_back(RetainedCheckpoint{ordinal, ckpt_path, wal_next_lsn});
       while (retained.size() >
              static_cast<size_t>(options.keep_checkpoints)) {
         std::remove(retained.front().path.c_str());

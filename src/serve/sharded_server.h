@@ -89,7 +89,9 @@ struct ShardedServerOptions {
   int num_shards = 1;
 
   /// Per-user lifetime epsilon cap: every declared report is charged, and
-  /// a charge that would exceed the cap is refused.
+  /// a charge that would exceed the cap is refused. Only under this cap
+  /// does the ledger keep (and the state export) a per-user lifetime
+  /// table.
   std::optional<double> lifetime_budget;
 
   /// Per-user per-epoch epsilon cap; epochs advance via BeginEpoch. When

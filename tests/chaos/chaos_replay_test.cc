@@ -227,7 +227,7 @@ TEST(ChaosReplayTest, KillAtCheckpointAndResumeMatchesUninterruptedRun) {
   // The checkpoint on disk is valid and points past epoch ordinal 3.
   auto ckpt = ReadReplayCheckpointFile(crash_path);
   ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
-  EXPECT_EQ(ckpt->per_epoch.size(), 4u);
+  EXPECT_EQ(ckpt->epoch_rows, 4u);
 
   // Resume with the *same* plan armed fresh: the already-passed kill
   // window (epoch ordinal 3) never re-fires, the stream chaos stays
@@ -246,8 +246,10 @@ TEST(ChaosReplayTest, KillAtCheckpointAndResumeMatchesUninterruptedRun) {
   ExpectAccountingIdentity(*resumed);
   ExpectDeterministicFieldsEqual(*baseline, *resumed);
 
-  std::remove(base_path.c_str());
-  std::remove(crash_path.c_str());
+  for (const std::string& file : {base_path, crash_path}) {
+    std::remove(file.c_str());
+    std::remove((file + ".outcomes").c_str());
+  }
 }
 
 TEST(ChaosReplayTest, ResumeRefusesForeignCheckpoints) {
@@ -277,6 +279,7 @@ TEST(ChaosReplayTest, ResumeRefusesForeignCheckpoints) {
   EXPECT_EQ(r2.status().code(), StatusCode::kFailedPrecondition);
 
   std::remove(path.c_str());
+  std::remove((path + ".outcomes").c_str());
 }
 
 TEST(ChaosReplayTest, LedgerNeverOverspendsUnderChaos) {
@@ -363,7 +366,10 @@ TEST(ChaosReplayTest, SeededSweepSurvivesAndBalances) {
     // The sweep's checkpoint parses back (CRC + schema).
     auto ckpt = ReadReplayCheckpointFile(options.checkpoint_path);
     ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
-    if (!keep_dir) std::remove(options.checkpoint_path.c_str());
+    if (!keep_dir) {
+      std::remove(options.checkpoint_path.c_str());
+      std::remove((options.checkpoint_path + ".outcomes").c_str());
+    }
   }
 }
 
@@ -475,8 +481,10 @@ TEST(ChaosReplayTest, KillAtRepublishSwapAndResumeMatchesUninterruptedRun) {
   ExpectAccountingIdentity(*resumed);
   ExpectDeterministicFieldsEqual(*baseline, *resumed);
 
-  std::remove(base_path.c_str());
-  std::remove(crash_path.c_str());
+  for (const std::string& file : {base_path, crash_path}) {
+    std::remove(file.c_str());
+    std::remove((file + ".outcomes").c_str());
+  }
 }
 
 TEST(ChaosReplayTest, KillAtSnapshotWriteLeavesPublishedSnapshotIntact) {

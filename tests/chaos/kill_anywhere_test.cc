@@ -15,6 +15,8 @@
 // A second drill runs the same kills on a tree whose leaf codes need 65
 // bits (depth 13, arity 32): the smallest shape past one 64-bit word,
 // served, journaled, checkpointed and snapshotted on its 128-bit codes.
+// A third runs them under the epoch cap alone, the durable benchmark's
+// budget configuration, where the ledger keeps no lifetime table.
 //
 // CI hooks: TBF_CHAOS_SEED pins the drill to one seed per job;
 // TBF_CHAOS_CHECKPOINT_DIR makes the last kill of each seed leave its
@@ -186,14 +188,17 @@ void ExpectLedgerNeverOverspends(const ShardedServerState& state,
 constexpr double kEpochBudget = 1.5;
 constexpr double kLifetimeBudget = 4.0;
 
-ReplayOptions DrillOptions(const std::string& dir, int policy_rotation) {
+// `lifetime_cap` false runs the epoch cap alone, as the durable benchmark
+// does: the ledger then keeps no lifetime table.
+ReplayOptions DrillOptions(const std::string& dir, int policy_rotation,
+                           bool lifetime_cap = true) {
   ReplayOptions options;
   options.epoch_seconds = 60.0;
   options.durable_dir = dir;
   options.keep_checkpoints = 2;
   options.checkpoint_every_epochs = 1;
   options.export_final_state = true;
-  options.lifetime_budget = kLifetimeBudget;
+  if (lifetime_cap) options.lifetime_budget = kLifetimeBudget;
   options.epoch_budget = kEpochBudget;
   switch (policy_rotation % 3) {
     case 0:
@@ -218,9 +223,9 @@ void KillAndRecover(const TbfFramework& framework, const EventTrace& trace,
                     const fault::FaultPlan& stream_plan,
                     const ReplayReport& reference, uint64_t kill_lsn,
                     int policy_rotation, const std::string& dir,
-                    const std::string& what) {
+                    const std::string& what, bool lifetime_cap = true) {
   fs::remove_all(dir);
-  ReplayOptions options = DrillOptions(dir, policy_rotation);
+  ReplayOptions options = DrillOptions(dir, policy_rotation, lifetime_cap);
   options.republishes = schedule;
   bool crashed = false;
   {
@@ -273,9 +278,10 @@ void KillAndRecover(const TbfFramework& framework, const EventTrace& trace,
 uint64_t RunReference(const TbfFramework& framework, const EventTrace& trace,
                       const std::vector<ReplayRepublish>& schedule,
                       const fault::FaultPlan& stream_plan,
-                      const std::string& dir, Result<ReplayReport>* out) {
+                      const std::string& dir, Result<ReplayReport>* out,
+                      bool lifetime_cap = true) {
   fs::remove_all(dir);
-  ReplayOptions options = DrillOptions(dir, 0);
+  ReplayOptions options = DrillOptions(dir, 0, lifetime_cap);
   options.republishes = schedule;
   {
     fault::ScopedFaultPlan armed(stream_plan);
@@ -412,6 +418,43 @@ TEST(KillAnywhereDrill, WideCodeShapeRecoversFieldForField) {
     ASSERT_TRUE(
         WriteHstSnapshotFile(*tree, std::string(artifact_root) + "/wide65.snap")
             .ok());
+  }
+}
+
+TEST(KillAnywhereDrill, EpochCapAloneRecoversFieldForField) {
+  // The benchmark's budget configuration: an epoch cap and no lifetime
+  // cap, so no lifetime table is kept, checkpointed or restored, and the
+  // history rows come back from the outcome log alone.
+  const char* artifact_root = std::getenv("TBF_CHAOS_CHECKPOINT_DIR");
+  TbfFramework framework = BuildFramework();
+  const std::vector<ReplayRepublish> schedule = {
+      {2, CopiedTree(framework.tree())}};
+  const EventTrace trace = DrillTrace(505);
+  const fault::FaultPlan no_faults;
+
+  Result<ReplayReport> clean = Status::Internal("unset");
+  const uint64_t total_lsns = RunReference(
+      framework, trace, schedule, no_faults,
+      ::testing::TempDir() + "/tbf_drill_clean_epochcap", &clean,
+      /*lifetime_cap=*/false);
+  ASSERT_TRUE(clean.ok());
+  ASSERT_GT(total_lsns, 10u);
+  ASSERT_TRUE(clean->final_state->ledger.has_value());
+  EXPECT_TRUE(clean->final_state->ledger->lifetime_spent.empty());
+
+  Rng kill_rng(505);
+  const int kills = 12;
+  for (int t = 0; t < kills; ++t) {
+    const uint64_t kill_lsn = kill_rng.NextU64() % total_lsns;
+    const bool keep_artifacts = artifact_root != nullptr && t + 1 == kills;
+    const std::string dir =
+        keep_artifacts
+            ? std::string(artifact_root) + "/kill_anywhere_epochcap"
+            : ::testing::TempDir() + "/tbf_drill_epochcap";
+    KillAndRecover(framework, trace, schedule, no_faults, *clean, kill_lsn, t,
+                   dir, "epochcap kill@" + std::to_string(kill_lsn),
+                   /*lifetime_cap=*/false);
+    if (!keep_artifacts) fs::remove_all(dir);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +25,13 @@ TEST(MaxReportsTest, Floors) {
   EXPECT_EQ(MaxReports(0.0, 0.2), 0);
 }
 
+// The lifetime spend of `user` on a ledger that keeps a lifetime table.
+double Lifetime(const EpochBudgetLedger& ledger, const std::string& user) {
+  const std::optional<double> spent = ledger.SpentLifetime(user);
+  EXPECT_TRUE(spent.has_value()) << "no lifetime table";
+  return spent.value_or(-1.0);
+}
+
 // LedgerTest: an EpochBudgetLedger with only a lifetime cap — the ledger
 // a server configured with `lifetime_budget` alone runs.
 
@@ -31,7 +39,7 @@ TEST(LedgerTest, ChargesAndTracks) {
   EpochBudgetLedger ledger(std::nullopt, 1.0);
   EXPECT_TRUE(ledger.Charge("alice", 0.4).ok());
   EXPECT_TRUE(ledger.Charge("alice", 0.4).ok());
-  EXPECT_DOUBLE_EQ(ledger.SpentLifetime("alice"), 0.8);
+  EXPECT_DOUBLE_EQ(Lifetime(ledger, "alice"), 0.8);
   EXPECT_NEAR(ledger.RemainingThisEpoch("alice"), 0.2, 1e-12);
   EXPECT_EQ(ledger.num_users(), 1u);
 }
@@ -46,10 +54,10 @@ TEST(LedgerTest, RefusesOverspend) {
   EXPECT_EQ(ledger.totals().denied_lifetime, 1u);
   EXPECT_EQ(ledger.totals().denied_epoch, 0u);
   // A refused charge must not consume anything.
-  EXPECT_DOUBLE_EQ(ledger.SpentLifetime("bob"), 0.9);
+  EXPECT_DOUBLE_EQ(Lifetime(ledger, "bob"), 0.9);
   // A smaller charge still fits.
   EXPECT_TRUE(ledger.Charge("bob", 0.1).ok());
-  EXPECT_NEAR(ledger.SpentLifetime("bob"), 1.0, 1e-12);
+  EXPECT_NEAR(Lifetime(ledger, "bob"), 1.0, 1e-12);
 }
 
 TEST(LedgerTest, ExactBudgetIsAdmitted) {
@@ -104,14 +112,14 @@ TEST(LedgerTest, RejectsNonFiniteCharge) {
   EXPECT_FALSE(ledger.CanCharge("mallory", nan));
   EXPECT_FALSE(ledger.CanCharge("mallory", inf));
   EXPECT_EQ(ledger.num_users(), 0u);
-  EXPECT_DOUBLE_EQ(ledger.SpentLifetime("mallory"), 0.0);
+  EXPECT_DOUBLE_EQ(Lifetime(ledger, "mallory"), 0.0);
   // The guard must not break legitimate extreme-but-finite charges.
   EXPECT_TRUE(ledger.Charge("mallory", 1e-300).ok());
 }
 
 TEST(LedgerTest, UnknownUserHasFullBudget) {
   EpochBudgetLedger ledger(std::nullopt, 2.0);
-  EXPECT_DOUBLE_EQ(ledger.SpentLifetime("nobody"), 0.0);
+  EXPECT_DOUBLE_EQ(Lifetime(ledger, "nobody"), 0.0);
   EXPECT_DOUBLE_EQ(ledger.RemainingThisEpoch("nobody"), 2.0);
 }
 
@@ -127,14 +135,16 @@ TEST(EpochLedgerTest, ExhaustedEpochBudgetRefusesUntilRollover) {
   EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
   // A refused charge records nothing.
   EXPECT_DOUBLE_EQ(ledger.SpentThisEpoch("alice"), 0.4);
-  EXPECT_DOUBLE_EQ(ledger.SpentLifetime("alice"), 0.4);
+  EXPECT_DOUBLE_EQ(ledger.totals().epsilon_spent, 0.4);
   EXPECT_DOUBLE_EQ(ledger.RemainingThisEpoch("alice"), 0.0);
   // Rollover restores the per-epoch headroom.
   ledger.AdvanceEpoch();
   EXPECT_EQ(ledger.epoch(), 1);
   EXPECT_TRUE(ledger.Charge("alice", 0.2).ok());
   EXPECT_DOUBLE_EQ(ledger.SpentThisEpoch("alice"), 0.2);
-  EXPECT_DOUBLE_EQ(ledger.SpentLifetime("alice"), 0.6);
+  // The epoch cap alone keeps no lifetime table; the totals compose.
+  EXPECT_FALSE(ledger.SpentLifetime("alice").has_value());
+  EXPECT_DOUBLE_EQ(ledger.totals().epsilon_spent, 0.6);
 }
 
 TEST(EpochLedgerTest, LifetimeCapBindsAcrossEpochs) {
@@ -149,7 +159,7 @@ TEST(EpochLedgerTest, LifetimeCapBindsAcrossEpochs) {
   ledger.AdvanceEpoch();
   // Lifetime exhausted: no rollover can help.
   EXPECT_EQ(ledger.Charge("bob", 0.1).code(), StatusCode::kFailedPrecondition);
-  EXPECT_DOUBLE_EQ(ledger.SpentLifetime("bob"), 0.6);
+  EXPECT_DOUBLE_EQ(Lifetime(ledger, "bob"), 0.6);
 }
 
 TEST(EpochLedgerTest, BeginEpochJumpsForwardButNeverBack) {
@@ -177,8 +187,8 @@ TEST(EpochLedgerTest, UsersAndLedgersAreIsolated) {
   EXPECT_TRUE(shard1.CanCharge("u", 0.5));
   EXPECT_TRUE(shard1.Charge("u", 0.5).ok());
   EXPECT_TRUE(shard0.Charge("v", 0.5).ok());
-  EXPECT_EQ(shard0.num_users(), 2u);
-  EXPECT_EQ(shard1.num_users(), 1u);
+  EXPECT_EQ(shard0.ExportState().epoch_spent.size(), 2u);
+  EXPECT_EQ(shard1.ExportState().epoch_spent.size(), 1u);
   // Rollover on one ledger does not advance the other.
   shard0.AdvanceEpoch();
   EXPECT_EQ(shard0.epoch(), 1);
@@ -225,7 +235,7 @@ TEST(EpochLedgerTest, RejectsNonFiniteCharge) {
   // A refused non-finite charge corrupts no accounting: the earlier valid
   // spend is still intact and further valid charges still work.
   EXPECT_DOUBLE_EQ(ledger.SpentThisEpoch("frank"), 0.5);
-  EXPECT_DOUBLE_EQ(ledger.SpentLifetime("frank"), 0.5);
+  EXPECT_DOUBLE_EQ(Lifetime(ledger, "frank"), 0.5);
   EXPECT_TRUE(ledger.Charge("frank", 0.5).ok());
   EXPECT_EQ(ledger.totals().charges, 2u);
 }
@@ -278,6 +288,56 @@ TEST(EpochLedgerTest, ExportListsUsersInFirstChargeOrderAndRestoreKeepsIt) {
   EXPECT_EQ(restored.RestoreState(repeated).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(restored.ExportState().lifetime_spent, want.lifetime_spent);
+}
+
+TEST(EpochLedgerTest, WithoutALifetimeCapNoLifetimeTableIsKept) {
+  // The epoch cap alone: per-user lifetime spend decides nothing, so the
+  // ledger keeps no table, and every accessor of it says so.
+  obs::MetricRegistry metrics;
+  EpochBudgetLedger ledger(1.0, std::nullopt, &metrics);
+  ASSERT_TRUE(ledger.Charge("zoe", 0.5).ok());
+  ASSERT_TRUE(ledger.Charge("adam", 0.25).ok());
+  ASSERT_TRUE(ledger.BeginEpoch(1).ok());
+  ASSERT_TRUE(ledger.Charge("zoe", 0.75).ok());
+  EXPECT_FALSE(ledger.SpentLifetime("zoe").has_value());
+  EXPECT_FALSE(ledger.SpentLifetime("nobody").has_value());
+  EXPECT_FALSE(ledger.MaxLifetimeSpent().has_value());
+  EXPECT_EQ(ledger.num_users(), 0u);
+  EXPECT_EQ(metrics.FindOrCreateGauge("tbf_privacy_users")->Value(), 0);
+  EXPECT_DOUBLE_EQ(ledger.RemainingThisEpoch("zoe"), 0.25);
+  // Every charge is still in the totals and the per-epoch table.
+  EXPECT_EQ(ledger.totals().charges, 3u);
+  EXPECT_DOUBLE_EQ(ledger.totals().epsilon_spent, 1.5);
+  const EpochBudgetLedger::State state = ledger.ExportState();
+  EXPECT_TRUE(state.lifetime_spent.empty());
+  EXPECT_EQ(state.epoch_spent.size(), 1u);
+
+  // Restore takes the state back, and refuses lifetime rows it cannot
+  // hold, changing nothing.
+  EpochBudgetLedger restored(1.0, std::nullopt, &metrics);
+  ASSERT_TRUE(restored.RestoreState(state).ok());
+  EXPECT_EQ(restored.ExportState().epoch_spent, state.epoch_spent);
+  EpochBudgetLedger::State with_rows = state;
+  with_rows.lifetime_spent.emplace_back("zoe", 1.25);
+  const Status refused = restored.RestoreState(with_rows);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.message().find("without a lifetime cap"),
+            std::string::npos)
+      << refused.message();
+  EXPECT_EQ(restored.ExportState().epoch_spent, state.epoch_spent);
+
+  // Under a lifetime cap the same charges fill the table.
+  obs::MetricRegistry capped_metrics;
+  EpochBudgetLedger capped(1.0, 10.0, &capped_metrics);
+  ASSERT_TRUE(capped.Charge("zoe", 0.5).ok());
+  ASSERT_TRUE(capped.Charge("adam", 0.25).ok());
+  ASSERT_TRUE(capped.BeginEpoch(1).ok());
+  ASSERT_TRUE(capped.Charge("zoe", 0.75).ok());
+  EXPECT_DOUBLE_EQ(Lifetime(capped, "zoe"), 1.25);
+  EXPECT_DOUBLE_EQ(Lifetime(capped, "nobody"), 0.0);
+  EXPECT_EQ(capped.MaxLifetimeSpent(), std::optional<double>(1.25));
+  EXPECT_EQ(capped.num_users(), 2u);
+  EXPECT_EQ(capped_metrics.FindOrCreateGauge("tbf_privacy_users")->Value(), 2);
 }
 
 TEST(EpochLedgerDeathTest, RejectsBadBudgets) {

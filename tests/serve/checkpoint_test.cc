@@ -4,13 +4,16 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <string>
 
 #include "common/frames.h"
 #include "geo/grid.h"
+#include "serve/recovery.h"
 #include "workload/synthetic.h"
 
 namespace tbf {
@@ -50,6 +53,13 @@ TEST(FingerprintTest, SeesEveryFieldAndNeverFails) {
   const uint32_t fp1 = FingerprintEventTrace(poison);
   const uint32_t fp2 = FingerprintEventTrace(poison);
   EXPECT_EQ(fp1, fp2);  // deterministic even for NaN payloads
+}
+
+// The outcome log holding `c`'s history rows: header, then every row.
+std::string OutcomeLogOf(const ReplayCheckpoint& c) {
+  std::string log = OutcomeLogHeader(IdentityOf(c));
+  AppendOutcomeRows(c.per_epoch, c.task_outcomes, c.quarantined_events, &log);
+  return log;
 }
 
 ReplayCheckpoint MakeTrickyCheckpoint() {
@@ -95,6 +105,9 @@ ReplayCheckpoint MakeTrickyCheckpoint() {
       QuarantineRecord{17, "", "empty event id"});
   c.quarantined_events.push_back(
       QuarantineRecord{21, "-weird id", "non-finite event time"});
+  c.outcome_log_bytes = OutcomeLogOf(c).size();
+  c.epoch_rows = 1;
+  c.quarantine_rows = 2;
 
   c.server.assigned_tasks = 5;
   c.server.rng_state = "7 1234 5678 90";  // spaces survive
@@ -148,6 +161,15 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   const std::string text = SerializeReplayCheckpoint(original);
   auto parsed = ParseReplayCheckpoint(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  // The file holds no history: the rows come back from the outcome log.
+  EXPECT_TRUE(parsed->per_epoch.empty());
+  EXPECT_TRUE(parsed->task_outcomes.empty());
+  EXPECT_TRUE(parsed->quarantined_events.empty());
+  EXPECT_EQ(parsed->outcome_log_bytes, original.outcome_log_bytes);
+  EXPECT_EQ(parsed->epoch_rows, 1u);
+  EXPECT_EQ(parsed->quarantine_rows, 2u);
+  const Status rows = ParseOutcomeRows(OutcomeLogOf(original), &*parsed);
+  ASSERT_TRUE(rows.ok()) << rows.ToString();
   const ReplayCheckpoint& c = *parsed;
 
   EXPECT_EQ(c.trace_fingerprint, original.trace_fingerprint);
@@ -181,7 +203,7 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
 
   EXPECT_EQ(c.report.checkpoints_written, 6u);
   EXPECT_EQ(c.wal_next_lsn, 1234u);
-  EXPECT_EQ(c.version, 5);
+  EXPECT_EQ(c.version, 6);
 
   EXPECT_EQ(c.server.rng_state, original.server.rng_state);
   EXPECT_EQ(c.server.worker_by_index_id, original.server.worker_by_index_id);
@@ -235,7 +257,7 @@ void ExpectRejected(const std::string& bytes, const std::string& needle) {
 
 TEST(CheckpointTest, DetectsCorruptionPrecisely) {
   const std::string bytes = SerializeReplayCheckpoint(MakeTrickyCheckpoint());
-  const std::string header = Frame(0, HeaderFields("TBF-CKPT", 5));
+  const std::string header = Frame(0, HeaderFields("TBF-CKPT", 6));
   ASSERT_EQ(bytes.substr(0, header.size()), header);
 
   // Flipped payload byte: CRC mismatch, naming the record and its offset.
@@ -247,34 +269,34 @@ TEST(CheckpointTest, DetectsCorruptionPrecisely) {
   // Torn tail inside a frame, and a cut exactly at a frame boundary (the
   // end record is gone): both refused, not silently short.
   ExpectRejected(bytes.substr(0, bytes.size() - 3), "past end of file");
-  const std::string end_frame = Frame(17, std::string(8, '\0'));
+  const std::string end_frame = Frame(14, std::string(8, '\0'));
   ExpectRejected(bytes.substr(0, bytes.size() - end_frame.size()),
                  "missing required record(s) end");
 
   // Header damage: wrong magic, unknown version, or no header at all.
   const std::string body = bytes.substr(header.size());
-  ExpectRejected(Frame(0, HeaderFields("TBF-NOPE", 5)) + body, "bad magic");
-  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 6)) + body,
-                 "unsupported version 6");
-  // The previous version, with its two worker leaf encodings, is refused
-  // by name.
-  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 4)) + body,
-                 "unsupported version 4 (this build reads v5)");
+  ExpectRejected(Frame(0, HeaderFields("TBF-NOPE", 6)) + body, "bad magic");
+  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 7)) + body,
+                 "unsupported version 7");
+  // The previous version, which carried the history rows, is refused by
+  // name.
+  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 5)) + body,
+                 "unsupported version 5 (this build reads v6)");
   ExpectRejected(body, "first record must be the checkpoint header");
 
   // Grammar: a duplicated singleton, a record after the end, a record of
   // unknown kind, trailing bytes, and an end record that miscounts.
   ExpectRejected(header + header + body, "header record: duplicate");
-  ExpectRejected(bytes + Frame(9, std::string(4, '\0')),
+  ExpectRejected(bytes + Frame(6, std::string(4, '\0')),
                  "slot record: follows the end record");
   ExpectRejected(header + Frame(42, ""), "unknown record kind 42");
-  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 5) + "x"),
+  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 6) + "x"),
                  "trailing bytes");
   std::string miscounted = bytes.substr(0, bytes.size() - end_frame.size());
   std::string count;
   FieldWriter io(&count);
   io(uint64_t{7});
-  ExpectRejected(miscounted + Frame(17, count), "end record: counts 7");
+  ExpectRejected(miscounted + Frame(14, count), "end record: counts 7");
 
   // Short fields name the field and byte.
   ExpectRejected(header + Frame(1, "abc"), "identity record: short read");
@@ -285,6 +307,118 @@ TEST(CheckpointTest, DetectsCorruptionPrecisely) {
   // Empty / garbage inputs.
   ExpectRejected("", "empty file");
   ExpectRejected("not a checkpoint at all", "checkpoint record 0 (offset 0)");
+}
+
+// Parses `log` for a copy of `c` covering its first `covered` bytes.
+Status ParseCovered(const ReplayCheckpoint& c, const std::string& log,
+                    uint64_t covered, ReplayCheckpoint* out) {
+  *out = c;
+  out->outcome_log_bytes = covered;
+  return ParseOutcomeRows(log, out);
+}
+
+TEST(OutcomeLogTest, ReadsTheCoveredPrefixAndRefusesDamagePrecisely) {
+  const ReplayCheckpoint c = MakeTrickyCheckpoint();
+  const std::string header = OutcomeLogHeader(IdentityOf(c));
+  const std::string log = OutcomeLogOf(c);
+  ReplayCheckpoint got;
+
+  // Rows past the covered length (a batch no checkpoint covers yet) are
+  // not read; a shorter covered prefix (an older checkpoint's) reads
+  // fewer rows.
+  std::string longer = log;
+  AppendOutcomeRows(c.per_epoch, {}, {}, &longer);
+  ASSERT_TRUE(ParseCovered(c, longer, log.size(), &got).ok());
+  EXPECT_EQ(got.per_epoch.size(), 1u);
+  EXPECT_EQ(got.task_outcomes.size(), 2u);
+  EXPECT_EQ(got.quarantined_events.size(), 2u);
+  std::string first_batch = header;
+  AppendOutcomeRows(c.per_epoch, {}, {}, &first_batch);
+  ASSERT_TRUE(ParseCovered(c, log, first_batch.size(), &got).ok());
+  EXPECT_EQ(got.per_epoch.size(), 1u);
+  EXPECT_TRUE(got.task_outcomes.empty());
+  // A checkpoint covering no log reads nothing, not even a file.
+  got.per_epoch.push_back({});
+  ASSERT_TRUE(ParseCovered(c, "", 0, &got).ok());
+  EXPECT_TRUE(got.per_epoch.empty());
+
+  const auto refused = [&](const std::string& bytes, uint64_t covered,
+                           const std::string& needle,
+                           StatusCode code = StatusCode::kInvalidArgument) {
+    const Status status = ParseCovered(c, bytes, covered, &got);
+    EXPECT_EQ(status.code(), code) << needle << ": " << status.ToString();
+    EXPECT_NE(status.message().find(needle), std::string::npos)
+        << status.message();
+  };
+  // A log cut below the covered length, and a length inside a frame.
+  refused(log.substr(0, log.size() - 3), log.size(), "fewer than");
+  refused(log, log.size() - 3, "past end of file");
+  // Damage inside the prefix names the record.
+  std::string flipped = log;
+  flipped[log.size() - 5] ^= 0x01;
+  refused(flipped, log.size(), "CRC mismatch");
+  refused(flipped, log.size(), "outcome log record ");
+  // Header damage, a log without its header, a second header, an
+  // unknown row kind.
+  const std::string bad_magic =
+      Frame(0, HeaderFields("TBF-NOPE", 1)) + log.substr(header.size());
+  refused(bad_magic, bad_magic.size(), "bad magic");
+  const std::string next_version =
+      Frame(0, HeaderFields("TBF-OLOG", 2)) + log.substr(header.size());
+  refused(next_version, next_version.size(),
+          "unsupported version 2 (this build reads v1)");
+  refused(log.substr(header.size()), log.size() - header.size(),
+          "the first record must be the outcome log header");
+  refused(header + header, 2 * header.size(), "header record: duplicate");
+  refused(header + Frame(9, ""), header.size() + 9, "unknown record kind 9");
+  // Another run's log is never read as this checkpoint's.
+  ReplayCheckpoint other = c;
+  other.server_seed += 1;
+  std::string foreign = OutcomeLogOf(other);
+  refused(foreign, foreign.size(), "different run",
+          StatusCode::kFailedPrecondition);
+}
+
+TEST(OutcomeLogTest, WriterAppendsDurablyAndResumesAtACoveredPrefix) {
+  const std::string path = ::testing::TempDir() + "/tbf_outcome_log_test";
+  const ReplayCheckpoint c = MakeTrickyCheckpoint();
+  const WalIdentity identity = IdentityOf(c);
+  uint64_t first_batch = 0;
+  {
+    auto writer = OutcomeLogWriter::Open(path, identity, 0);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    EXPECT_EQ((*writer)->bytes(), OutcomeLogHeader(identity).size());
+    ASSERT_TRUE((*writer)->Append(c.per_epoch, c.task_outcomes, {}).ok());
+    first_batch = (*writer)->bytes();
+    ASSERT_TRUE((*writer)->Append({}, {}, c.quarantined_events).ok());
+    EXPECT_EQ((*writer)->bytes(), OutcomeLogOf(c).size());
+  }
+  ReplayCheckpoint read = c;
+  read.outcome_log_bytes = first_batch;
+  ASSERT_TRUE(ReadOutcomeRows(path, &read).ok());
+  EXPECT_EQ(read.task_outcomes.size(), 2u);
+  EXPECT_TRUE(read.quarantined_events.empty());
+
+  // Resuming at the first batch cuts the second; the next append follows
+  // the cut.
+  {
+    auto writer = OutcomeLogWriter::Open(path, identity, first_batch);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE((*writer)->Append(c.per_epoch, {}, {}).ok());
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::string want = OutcomeLogHeader(identity);
+  AppendOutcomeRows(c.per_epoch, c.task_outcomes, {}, &want);
+  AppendOutcomeRows(c.per_epoch, {}, {}, &want);
+  EXPECT_TRUE(bytes == want);
+
+  // A log shorter than the covered prefix cannot be resumed.
+  EXPECT_FALSE(OutcomeLogWriter::Open(path, identity, want.size() + 1).ok());
+  std::remove(path.c_str());
+  read.outcome_log_bytes = 1;
+  EXPECT_EQ(ReadOutcomeRows(path, &read).code(), StatusCode::kIOError);
 }
 
 TEST(CheckpointTest, FileRoundTripIsAtomicAndLossless) {
@@ -340,11 +474,12 @@ TEST(CheckpointTest, RestoreExportIsAByteFixedPoint) {
   const std::string bytes((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
   std::remove(options.checkpoint_path.c_str());
+  std::remove((options.checkpoint_path + ".outcomes").c_str());
   auto decoded = ParseReplayCheckpoint(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   // The state is genuinely churned: several epochs, recycled index ids,
   // ledger rows in both scopes.
-  ASSERT_GE(decoded->per_epoch.size(), 6u);
+  ASSERT_GE(decoded->epoch_rows, 6u);
   ASSERT_FALSE(decoded->server.free_index_ids.empty());
   ASSERT_TRUE(decoded->server.ledger.has_value());
   ASSERT_FALSE(decoded->server.ledger->epoch_spent.empty());
@@ -366,6 +501,94 @@ TEST(CheckpointTest, RestoreExportIsAByteFixedPoint) {
   reexported.server = (*fresh)->ExportState();
   EXPECT_TRUE(SerializeReplayCheckpoint(reexported) == bytes)
       << "restore + export changed the checkpoint bytes";
+}
+
+// A durable, epoch-capped replay of `days` synthetic days at a steady
+// rate, with a few poison events quarantined. Returns the report, and the
+// newest checkpoint's size in `newest_bytes`.
+Result<ReplayReport> ReplaySyntheticDays(const TbfFramework& framework,
+                                         int days, const std::string& dir,
+                                         uint64_t* newest_bytes) {
+  SyntheticEventConfig config;
+  config.base.num_workers = 1500 * days;
+  config.base.num_tasks = 1800 * days;
+  config.base.seed = 8;
+  config.horizon_seconds = 86400.0 * days;
+  config.worker_arrival_fraction = 1.0;
+  config.departure_probability = 0.2;
+  TBF_ASSIGN_OR_RETURN(EventTrace trace, GenerateEventTrace(config));
+  for (size_t i = 500; i < trace.events.size(); i += 1000) {
+    trace.events[i].id.clear();  // poison: quarantined with its cause
+  }
+
+  ReplayOptions options;
+  options.epoch_seconds = 1800.0;
+  options.epoch_budget = 1.5;  // the epoch cap only: no lifetime table
+  options.poison_policy = PoisonPolicy::kQuarantine;
+  options.durable_dir = dir;
+  options.wal_fsync = WalFsyncPolicy::None();
+  options.checkpoint_every_epochs = 1;
+  std::filesystem::remove_all(dir);
+  TBF_ASSIGN_OR_RETURN(ReplayReport report,
+                       RunEventReplay(framework, trace, options));
+  TBF_ASSIGN_OR_RETURN(RecoveredRun recovered, RecoverReplayDir(dir));
+  if (!recovered.checkpoint.has_value()) {
+    return Status::Internal("no checkpoint survived");
+  }
+  *newest_bytes = std::filesystem::file_size(recovered.checkpoint_path);
+  return report;
+}
+
+// The outcome-log rows of one kind, re-encoded for a bytewise comparison.
+std::string Rows(std::span<const EpochStats> epochs,
+                 std::span<const TaskOutcome> tasks,
+                 std::span<const QuarantineRecord> quarantines) {
+  std::string out;
+  AppendOutcomeRows(epochs, tasks, quarantines, &out);
+  return out;
+}
+
+TEST(CheckpointTest, NewestCheckpointSizeIsFlatWhenTheTraceDoubles) {
+  Rng rng(7);
+  auto grid = UniformGridPoints(BBox::Square(200), 8);
+  ASSERT_TRUE(grid.ok());
+  auto framework = TbfFramework::Build(std::move(*grid), EuclideanMetric(),
+                                       &rng, TbfOptions{});
+  ASSERT_TRUE(framework.ok());
+
+  const std::string dir = ::testing::TempDir() + "/tbf_checkpoint_flat";
+  uint64_t one_day = 0;
+  uint64_t two_days = 0;
+  auto short_run = ReplaySyntheticDays(*framework, 1, dir + "_1", &one_day);
+  ASSERT_TRUE(short_run.ok()) << short_run.status().ToString();
+  auto long_run = ReplaySyntheticDays(*framework, 2, dir + "_2", &two_days);
+  ASSERT_TRUE(long_run.ok()) << long_run.status().ToString();
+  ASSERT_EQ(long_run->epochs, 2 * short_run->epochs);
+  ASSERT_GT(long_run->task_outcomes.size(),
+            short_run->task_outcomes.size() * 3 / 2);
+  ASSERT_GE(long_run->quarantined_events.size(), 5u);
+
+  // The newest checkpoint holds live state only: doubling the history
+  // leaves its size within 10%.
+  const double ratio =
+      static_cast<double>(two_days) / static_cast<double>(one_day);
+  EXPECT_GT(ratio, 0.9) << one_day << " vs " << two_days << " bytes";
+  EXPECT_LT(ratio, 1.1) << one_day << " vs " << two_days << " bytes";
+
+  // The history is in the outcome log, which decodes to exactly the
+  // report's rows.
+  auto recovered = RecoverReplayDir(dir + "_2");
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const ReplayCheckpoint& ckpt = *recovered->checkpoint;
+  EXPECT_EQ(ckpt.outcome_log_bytes,
+            std::filesystem::file_size(OutcomeLogPath(dir + "_2")));
+  EXPECT_EQ(Rows(ckpt.per_epoch, {}, {}), Rows(long_run->per_epoch, {}, {}));
+  EXPECT_EQ(Rows({}, ckpt.task_outcomes, {}),
+            Rows({}, long_run->task_outcomes, {}));
+  EXPECT_EQ(Rows({}, {}, ckpt.quarantined_events),
+            Rows({}, {}, long_run->quarantined_events));
+  std::filesystem::remove_all(dir + "_1");
+  std::filesystem::remove_all(dir + "_2");
 }
 
 }  // namespace

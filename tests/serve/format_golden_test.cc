@@ -1,14 +1,17 @@
 // Byte-golden pins for every on-disk record: one encoded journal record
 // of every WalRecordKind (and the flag variants of the dispatch
-// records), a small replay checkpoint and a small tree snapshot. The
-// formats carry no version bump when their codecs are rewritten, so the
-// bytes must not move: a journal, checkpoint or snapshot written by one
+// records), a small replay checkpoint, the outcome log's header and one
+// row of each kind, and a small tree snapshot. The formats carry no
+// version bump when their codecs are rewritten, so the bytes must not
+// move: a journal, checkpoint, outcome log or snapshot written by one
 // build must read back, byte for byte, in the next.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/frames.h"
@@ -189,6 +192,9 @@ ReplayCheckpoint SmallCheckpoint() {
   c.arrivals_obfuscated = 33;
   c.next_task_slot = 2;
   c.wal_next_lsn = 1234;
+  c.outcome_log_bytes = 321;
+  c.epoch_rows = 1;
+  c.quarantine_rows = 1;
   c.report.registered = 3;
   c.report.assigned = 1;
   c.report.processed_events = 40;
@@ -252,11 +258,55 @@ ReplayCheckpoint SmallCheckpoint() {
 
 TEST(FormatGolden, CheckpointBytesArePinned) {
   const std::string bytes = SerializeReplayCheckpoint(SmallCheckpoint());
-  EXPECT_EQ(bytes.size(), 1409u);
-  EXPECT_EQ(Crc32(bytes), 3962172021u);
+  EXPECT_EQ(bytes.size(), 1181u);
+  EXPECT_EQ(Crc32(bytes), 2930866747u);
   Result<ReplayCheckpoint> parsed = ParseReplayCheckpoint(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(SerializeReplayCheckpoint(*parsed), bytes);
+}
+
+// The outcome log's header and one row of each kind (two task rows: with
+// and without a worker), framed; then the log they make reads back.
+TEST(FormatGolden, OutcomeLogRowBytesArePinned) {
+  ReplayCheckpoint c = SmallCheckpoint();
+  std::string log = OutcomeLogHeader(IdentityOf(c));
+  EXPECT_EQ(Hex(log),
+            "31000000f715f28200080000005442462d4f4c4f4701000000efbead"
+            "de020000009a9999999999b93f07000000000000000b000000000000"
+            "00");
+  const std::vector<std::pair<std::string, std::string>> rows = {
+      {"epoch",
+       "71000000424311590101000000000000000300000000000000000000"
+       "00000000000000000000000000000000000000000000000000000000"
+       "00000000000000000000000000000000000000000000000000000000"
+       "000000f83f0000000000000000000000000000000000000000000000"
+       "000000000000000000"},
+      {"task with a worker",
+       "1e000000c77a7afd0202000000743100000000000000000102000000"
+       "77300000000000001d40"},
+      {"task without a worker",
+       "2e000000c0ac4bc602020000007432090000001600000065706f6368"
+       "2062756467657420657868617573746564000000000000000000"},
+      {"quarantine",
+       "1f000000df9745c7031100000000000000000000000e000000656d70"
+       "7479206576656e74206964"}};
+  std::vector<std::string> encoded(4);
+  AppendOutcomeRows(c.per_epoch, {}, {}, &encoded[0]);
+  AppendOutcomeRows({}, std::span(c.task_outcomes).first(1), {}, &encoded[1]);
+  AppendOutcomeRows({}, std::span(c.task_outcomes).last(1), {}, &encoded[2]);
+  AppendOutcomeRows({}, {}, c.quarantined_events, &encoded[3]);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(Hex(encoded[i]), rows[i].second) << rows[i].first;
+    log += encoded[i];
+  }
+  const ReplayCheckpoint want = c;
+  c.outcome_log_bytes = log.size();
+  ASSERT_TRUE(ParseOutcomeRows(log, &c).ok());
+  std::string reencoded = OutcomeLogHeader(IdentityOf(c));
+  AppendOutcomeRows(c.per_epoch, c.task_outcomes, c.quarantined_events,
+                    &reencoded);
+  EXPECT_EQ(reencoded, log);
+  EXPECT_EQ(c.task_outcomes.size(), want.task_outcomes.size());
 }
 
 // The trace fingerprint is stored in every journal segment header and

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -186,6 +187,100 @@ TEST(RecoveryTest, FallsBackWhenTheNewestCheckpointIsCorrupt) {
   EXPECT_EQ(text_after->checkpoint_path, previous.path);
 }
 
+// The report rows a recovered run must reproduce, field for field.
+void ExpectSameHistory(const ReplayReport& got, const ReplayReport& want) {
+  ASSERT_EQ(got.task_outcomes.size(), want.task_outcomes.size());
+  for (size_t i = 0; i < got.task_outcomes.size(); ++i) {
+    EXPECT_EQ(got.task_outcomes[i].task_id, want.task_outcomes[i].task_id);
+    EXPECT_EQ(got.task_outcomes[i].status, want.task_outcomes[i].status);
+    EXPECT_EQ(got.task_outcomes[i].worker, want.task_outcomes[i].worker);
+    EXPECT_EQ(got.task_outcomes[i].reported_tree_distance,
+              want.task_outcomes[i].reported_tree_distance);
+  }
+  ASSERT_EQ(got.per_epoch.size(), want.per_epoch.size());
+  for (size_t i = 0; i < got.per_epoch.size(); ++i) {
+    EXPECT_EQ(got.per_epoch[i].epoch, want.per_epoch[i].epoch);
+    EXPECT_EQ(got.per_epoch[i].assigned, want.per_epoch[i].assigned);
+    EXPECT_EQ(got.per_epoch[i].epsilon_spent, want.per_epoch[i].epsilon_spent);
+  }
+  EXPECT_EQ(got.assigned, want.assigned);
+  EXPECT_EQ(got.denied, want.denied);
+}
+
+TEST(RecoveryTest, OutcomeLogCutBelowTheNewestCheckpointFallsBack) {
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = SmallTrace();
+  const std::string dir = FreshDir("log_cut");
+  const ReplayOptions options = DurableOptions(dir);
+  auto durable = RunEventReplay(framework, trace, options);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+
+  auto before = RecoverReplayDir(dir);
+  ASSERT_TRUE(before.ok());
+  ASSERT_GE(before->retained.size(), 2u);
+  const std::string previous =
+      before->retained[before->retained.size() - 2].path;
+  auto older = ReadReplayCheckpointFile(previous);
+  ASSERT_TRUE(older.ok());
+  const uint64_t newest_bytes = before->checkpoint->outcome_log_bytes;
+  ASSERT_LT(older->outcome_log_bytes, newest_bytes);
+
+  // The log loses its last bytes below the newest checkpoint's length:
+  // that checkpoint is rejected like a corrupt file, the older one wins,
+  // and the log is cut back to the older one's length.
+  fs::resize_file(OutcomeLogPath(dir), newest_bytes - 1);
+  auto after = RecoverReplayDir(dir);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->checkpoints_rejected, 1u);
+  EXPECT_EQ(after->checkpoint_path, previous);
+  EXPECT_EQ(fs::file_size(OutcomeLogPath(dir)), older->outcome_log_bytes);
+  EXPECT_EQ(after->checkpoint->per_epoch.size(), older->epoch_rows);
+
+  // Recovery re-runs the journal from there and re-logs the lost rows.
+  ReplayOptions recover = options;
+  recover.recover = true;
+  auto recovered = RunEventReplay(framework, trace, recover);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ExpectSameHistory(*recovered, *durable);
+  ExpectServerStateEqual(*recovered->final_state, *durable->final_state);
+  auto reread = RecoverReplayDir(dir);
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+  EXPECT_EQ(reread->checkpoints_rejected, 0u);
+  EXPECT_EQ(reread->checkpoint->outcome_log_bytes, newest_bytes);
+}
+
+TEST(RecoveryTest, OutcomeLogTornTailPastTheNewestCheckpointIsTruncated) {
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = SmallTrace();
+  const std::string dir = FreshDir("log_torn_tail");
+  const ReplayOptions options = DurableOptions(dir);
+  auto durable = RunEventReplay(framework, trace, options);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  const uint64_t covered = fs::file_size(OutcomeLogPath(dir));
+
+  // A crash after a log append, before the checkpoint covering it: whole
+  // rows plus a torn one past the newest checkpoint's length.
+  {
+    std::string tail;
+    AppendOutcomeRows(durable->per_epoch, {}, {}, &tail);
+    std::ofstream log(OutcomeLogPath(dir), std::ios::binary | std::ios::app);
+    log << tail << tail.substr(0, tail.size() / 2);
+  }
+  auto after = RecoverReplayDir(dir);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->checkpoints_rejected, 0u);
+  EXPECT_EQ(after->checkpoint->outcome_log_bytes, covered);
+  EXPECT_EQ(fs::file_size(OutcomeLogPath(dir)), covered);
+  EXPECT_EQ(after->checkpoint->per_epoch.size(), durable->per_epoch.size());
+
+  ReplayOptions recover = options;
+  recover.recover = true;
+  auto recovered = RunEventReplay(framework, trace, recover);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ExpectSameHistory(*recovered, *durable);
+  EXPECT_EQ(fs::file_size(OutcomeLogPath(dir)), covered);
+}
+
 TEST(RecoveryTest, AllCheckpointsLostMeansGapUnlessJournalIsComplete) {
   TbfFramework framework = BuildFramework();
   EventTrace trace = SmallTrace();
@@ -278,6 +373,8 @@ TEST(RecoveryTest, CheckpointWithInconsistentTaskSlotIsRefused) {
   resume.durable_dir.clear();
   resume.checkpoint_path = dir + "/bumped.single";
   resume.resume_from_checkpoint = true;
+  // A single-file checkpoint's history rows sit next to it.
+  fs::copy_file(OutcomeLogPath(dir), resume.checkpoint_path + ".outcomes");
   const int64_t slot = oldest->next_task_slot;
   for (const int64_t bumped : {slot + 1, slot + 1000, int64_t{1} << 40,
                                int64_t{-1}}) {
@@ -622,6 +719,82 @@ TEST(RecoveryTest, CrashMidRunThenRecoverMatchesUninterrupted) {
   ExpectServerStateEqual(*recovered->final_state, *baseline->final_state);
   EXPECT_EQ(recovered->assigned, baseline->assigned);
   EXPECT_EQ(recovered->denied, baseline->denied);
+}
+
+// The composed-budget audit on the shipped path: across epochs, a live
+// republish and a crash + recover, the ledger's spend is the declared
+// epsilon times the admitted reports, and it is also what the durable
+// directory records: the oldest retained checkpoint's ledger total plus
+// the epsilon_charged of every journal record past that checkpoint (the
+// whole journal when no checkpoint was written). The epoch cap alone is
+// set, so no per-user lifetime table exists to audit against.
+TEST(RecoveryTest, LedgerSpendIsTheComposedEpsilonAndTheJournaledCharges) {
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = SmallTrace(120, 100, 9);
+  auto copy = ParseHstSnapshot(SerializeHstSnapshot(framework.tree()));
+  ASSERT_TRUE(copy.ok());
+  const std::vector<ReplayRepublish> schedule = {
+      {2, std::make_shared<const CompleteHst>(
+              std::move(copy).MoveValueUnsafe())}};
+  for (const bool checkpointed : {false, true}) {
+    SCOPED_TRACE(checkpointed ? "checkpointed" : "journal only");
+    const std::string dir =
+        FreshDir(checkpointed ? "audit_checkpointed" : "audit_journal");
+    ReplayOptions options = DurableOptions(dir);
+    options.lifetime_budget.reset();
+    options.republishes = schedule;
+    options.wal_fsync = WalFsyncPolicy::GroupCommit(8, 1 << 16, 0.01);
+    options.checkpoint_every_epochs = checkpointed ? 2 : 1 << 20;
+    {
+      fault::FaultPlan plan;
+      fault::FaultSpec kill;
+      kill.site = "wal.append";
+      kill.kind = fault::FaultKind::kFail;
+      kill.code = StatusCode::kAborted;
+      kill.after = 200;
+      kill.count = 1;
+      plan.faults.push_back(kill);
+      fault::ScopedFaultPlan armed(plan);
+      auto died = RunEventReplay(framework, trace, options);
+      ASSERT_FALSE(died.ok());
+    }
+    options.recover = true;
+    auto recovered = RunEventReplay(framework, trace, options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    ASSERT_TRUE(recovered->resumed);
+    ASSERT_EQ(recovered->republishes, 1u);
+    ASSERT_GT(recovered->epochs, 4u);
+
+    const double spent = recovered->epsilon_spent;
+    const uint64_t admitted =
+        recovered->registered + recovered->assigned + recovered->unassigned;
+    ASSERT_GT(admitted, 0u);
+    EXPECT_EQ(recovered->final_state->ledger->totals.charges, admitted);
+    EXPECT_NEAR(spent, framework.epsilon() * static_cast<double>(admitted),
+                1e-9 * spent);
+
+    auto post = RecoverReplayDir(dir);
+    ASSERT_TRUE(post.ok()) << post.status().ToString();
+    double covered = 0.0;  // spend the oldest retained checkpoint covers
+    uint64_t from_lsn = 0;
+    if (checkpointed) {
+      ASSERT_FALSE(post->retained.empty());
+      auto oldest = ReadReplayCheckpointFile(post->retained.front().path);
+      ASSERT_TRUE(oldest.ok());
+      covered = oldest->server.ledger->totals.epsilon_spent;
+      from_lsn = oldest->wal_next_lsn;
+      EXPECT_GT(covered, 0.0);
+    } else {
+      EXPECT_TRUE(post->retained.empty());
+      EXPECT_EQ(post->wal.records.front().lsn, 0u);
+    }
+    ASSERT_LE(post->wal.records.front().lsn, from_lsn);
+    double journaled = 0.0;
+    for (const WalRecord& rec : post->wal.records) {
+      if (rec.lsn >= from_lsn) journaled += rec.outcome.epsilon_charged;
+    }
+    EXPECT_NEAR(covered + journaled, spent, 1e-9 * spent);
+  }
 }
 
 #endif  // TBF_FAULTS_DISABLED

@@ -1,18 +1,34 @@
 #!/usr/bin/env python3
-"""Validates TBF replay checkpoint files (src/serve/checkpoint.cc format).
+"""Validates TBF replay checkpoint files and their outcome logs
+(src/serve/checkpoint.cc formats).
 
 Stdlib only — CI runs this against the checkpoints the seeded chaos drill
 leaves behind, as an independent (non-C++) check that what the writer
-fsync'd to disk is a complete, CRC-clean, schema-valid snapshot, and
+fsync'd to disk is a complete, CRC-clean, schema-valid snapshot of the
+live state, with the history rows it covers in the outcome log, and
 against corrupted copies that must be refused.
 
-Format v5 (docs/ROBUSTNESS.md): the journal's frames (tools/tbf_frames.py)
+Checkpoint v6 (docs/ROBUSTNESS.md): the journal's frames
+(tools/tbf_frames.py)
     <len:u32 LE> <crc32:u32 LE> <payload: len bytes>
     payload = <kind:u8> <kind-specific fields, LE>
     file    = header record* end
-The header carries the magic "TBF-CKPT" and version 5; the end record
+The header carries the magic "TBF-CKPT" and version 6; the end record
 counts the records before it. A worker row's report is its 128-bit leaf
-code (16 bytes), the only leaf encoding; v4 and older are refused.
+code (16 bytes). v5 (which carried the history rows) and older are
+refused.
+
+Outcome log v1, next to the checkpoint: <dir>/outcomes for a durable
+directory's ckpt-<ordinal:08>.ckpt, <file>.outcomes for any other
+checkpoint file. Same frames; log = header row*, the header carrying the
+magic "TBF-OLOG", version 1 and the run identity, each row an epoch, task
+or quarantine record. Checks: every frame CRC-clean to the end of the
+file (no torn tail: run this after recovery, as tools/check_wal.py), the
+header first and once with the checkpoint's identity, every row
+schema-valid; the checkpoint's covered length (cursor) falls on a frame
+boundary where the log holds exactly its epoch, task (next task slot) and
+quarantine row counts; and the log ends at the newest checkpoint's
+length.
 
 Exit status: 0 when every file validates, 1 otherwise (--expect-fail
 inverts it).
@@ -23,26 +39,31 @@ Usage:
     tools/check_checkpoint.py --expect-fail FILE...  # corrupted fixtures
 """
 
+import os
+import re
 import sys
 
 from tbf_frames import FrameError, Reader, fail, file_checker_main, iter_frames
 
 MAGIC = b"TBF-CKPT"
-VERSION = 5
+VERSION = 6
+LOG_MAGIC = b"TBF-OLOG"
+LOG_VERSION = 1
+DURABLE_NAME = re.compile(r"ckpt-(\d{8})\.ckpt$")
 TEXT_MAGIC = b"TBFCKPT1 "  # the retired v1-v3 text format
 HIST_BUCKETS = 64  # obs::Histogram::kBuckets
 MAX_STATUS_CODE = 10  # StatusCode::kAborted
 
 U64 = "u64"
+IDENTITY = ["u32", "u32", "f64", U64, U64]
 # kind byte -> (name, field types), in src/serve/checkpoint.cc order.
 SCHEMA = [
     ("header", ["str", "u32"]),
-    ("identity", ["u32", "u32", "f64", U64, U64]),
-    ("cursor", [U64, U64, "i64", U64]),
+    ("identity", IDENTITY),
+    # next event, arrivals obfuscated, next task slot, wal next lsn,
+    # outcome log bytes, epoch rows, quarantine rows
+    ("cursor", [U64, U64, "i64", U64, U64, U64, U64]),
     ("report", [U64] * 13),
-    ("epoch", ["i64"] + [U64] * 6 + ["f64"] * 3 + [U64] * 4),
-    ("task", ["str", "status", "optstr", "f64"]),
-    ("quarantine", [U64, "str", "str"]),
     ("server", [U64, U64]),
     ("rng", ["str"]),
     ("slot", ["str"]),
@@ -55,7 +76,13 @@ SCHEMA = [
     ("histogram", ["str", U64, U64] + [U64] * HIST_BUCKETS),
     ("end", [U64]),
 ]
-NAMES = [name for name, _ in SCHEMA]
+# The outcome log's header and rows.
+LOG_SCHEMA = [
+    ("header", ["str", "u32"] + IDENTITY),
+    ("epoch", ["i64"] + [U64] * 6 + ["f64"] * 3 + [U64] * 4),
+    ("task", ["str", "status", "optstr", "f64"]),
+    ("quarantine", [U64, "str", "str"]),
+]
 REQUIRED = {"header", "identity", "cursor", "report", "server", "rng", "end"}
 SINGLETONS = REQUIRED | {"ledger"}
 
@@ -77,22 +104,14 @@ def read_field(r, kind):
             "f64": r.f64, "str": r.string}[kind]()
 
 
-def decode_record(payload, records, seen):
-    """Decodes one payload against the schema and the file grammar;
-    returns the record name. Raises ValueError on any violation."""
+def decode_fields(payload, schema):
+    """Decodes one payload against `schema`; returns (name, values).
+    Raises ValueError on an unknown kind, a short read or trailing bytes."""
     if not payload:
         raise ValueError("empty record")
-    if payload[0] >= len(SCHEMA):
+    if payload[0] >= len(schema):
         raise ValueError("unknown record kind %d" % payload[0])
-    name, fields = SCHEMA[payload[0]]
-    if records == 0 and name != "header":
-        raise ValueError("%s record: the first record must be the checkpoint header" % name)
-    if "end" in seen:
-        raise ValueError("%s record: follows the end record" % name)
-    if name in SINGLETONS and name in seen:
-        raise ValueError("%s record: duplicate" % name)
-    if name == "spend" and "ledger" not in seen:
-        raise ValueError("spend record: precedes the ledger record")
+    name, fields = schema[payload[0]]
     r = Reader(payload)
     r.u8()
     try:
@@ -101,6 +120,21 @@ def decode_record(payload, records, seen):
         raise ValueError("%s: %s" % (name, e))
     if not r.at_end():
         raise ValueError("%s record: trailing bytes after a complete record" % name)
+    return name, values
+
+
+def decode_record(payload, records, seen):
+    """Decodes one checkpoint payload against the schema and the file
+    grammar; returns (name, values). Raises ValueError on any violation."""
+    name, values = decode_fields(payload, SCHEMA)
+    if records == 0 and name != "header":
+        raise ValueError("%s record: the first record must be the checkpoint header" % name)
+    if "end" in seen:
+        raise ValueError("%s record: follows the end record" % name)
+    if name in SINGLETONS and name in seen:
+        raise ValueError("%s record: duplicate" % name)
+    if name == "spend" and "ledger" not in seen:
+        raise ValueError("spend record: precedes the ledger record")
     if name == "header":
         if values[0] != MAGIC:
             raise ValueError("header record: bad magic %r" % values[0])
@@ -114,7 +148,76 @@ def decode_record(payload, records, seen):
             "end record: counts %d records before it, the file has %d"
             % (values[0], records)
         )
-    return name
+    return name, values
+
+
+def log_path_of(path):
+    """The outcome log a checkpoint file's rows live in, and whether a
+    newer checkpoint of the same log sits next to it."""
+    match = DURABLE_NAME.search(os.path.basename(path))
+    if not match:
+        return path + ".outcomes", False
+    directory = os.path.dirname(path) or "."
+    ordinals = [int(m.group(1)) for m in
+                (DURABLE_NAME.search(n) for n in os.listdir(directory)) if m]
+    return os.path.join(directory, "outcomes"), max(ordinals) > int(match.group(1))
+
+
+def check_log(path, identity, cursor):
+    """Validates the outcome log `path` against one checkpoint's identity
+    and cursor; returns an error message, or None."""
+    covered, epochs, quarantines = cursor[4], cursor[5], cursor[6]
+    want = (epochs, cursor[2], quarantines)  # task rows: next task slot
+    log_path, has_newer = log_path_of(path)
+    if covered == 0:
+        return None if want == (0, 0, 0) else (
+            "cursor counts %s rows but covers no outcome log" % (want,))
+    try:
+        with open(log_path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        return "outcome log %s unreadable: %s" % (log_path, e)
+    counts = {"epoch": 0, "task": 0, "quarantine": 0}
+    boundaries = {}  # frame end offset -> (epochs, tasks, quarantines)
+    try:
+        for ordinal, offset, payload in iter_frames(blob):
+            try:
+                name, values = decode_fields(payload, LOG_SCHEMA)
+                if (ordinal == 0) != (name == "header"):
+                    raise ValueError(
+                        "header record: duplicate" if ordinal else
+                        "%s record: the first record must be the outcome log "
+                        "header" % name)
+                if name == "header":
+                    if values[0] != LOG_MAGIC:
+                        raise ValueError("header record: bad magic %r" % values[0])
+                    if values[1] != LOG_VERSION:
+                        raise ValueError(
+                            "header record: unsupported version %d (this tool "
+                            "reads v%d)" % (values[1], LOG_VERSION))
+                    if values[2:] != identity:
+                        raise ValueError(
+                            "header record: identity differs from the "
+                            "checkpoint's (a different run)")
+                else:
+                    counts[name] += 1
+            except ValueError as e:
+                raise FrameError.at(ordinal, offset, str(e))
+            boundaries[offset + 8 + len(payload)] = (
+                counts["epoch"], counts["task"], counts["quarantine"])
+    except FrameError as e:
+        return "outcome log %s: %s" % (log_path, e)
+    if covered not in boundaries:
+        return ("covers %d bytes of outcome log %s (%d bytes), not a frame "
+                "boundary" % (covered, log_path, len(blob)))
+    if boundaries[covered] != want:
+        return ("outcome log %s holds %s (epoch, task, quarantine) rows at %d "
+                "bytes, the cursor counts %s"
+                % (log_path, boundaries[covered], covered, want))
+    if not has_newer and len(blob) != covered:
+        return ("outcome log %s runs %d bytes past the newest checkpoint "
+                "(rows recovery truncates)" % (log_path, len(blob) - covered))
+    return None
 
 
 def check_file(path):
@@ -124,16 +227,19 @@ def check_file(path):
     except OSError as e:
         return fail(path, "unreadable: %s" % e)
     if blob.startswith(TEXT_MAGIC):
-        return fail(path, "text-format (v1-v3) checkpoint; v5 is binary")
+        return fail(path, "text-format (v1-v3) checkpoint; v6 is binary")
 
     seen = set()
+    fields = {}
     records = 0
     try:
         for ordinal, offset, payload in iter_frames(blob):
             try:
-                seen.add(decode_record(payload, records, seen))
+                name, values = decode_record(payload, records, seen)
             except ValueError as e:
                 raise FrameError.at(ordinal, offset, str(e))
+            seen.add(name)
+            fields.setdefault(name, values)
             records += 1
     except FrameError as e:
         return fail(path, str(e))
@@ -146,7 +252,11 @@ def check_file(path):
             "missing required record(s) %s after %d records "
             "(truncated or corrupt file)" % (", ".join(sorted(missing)), records),
         )
-    print("OK   %s (%d records, %d bytes)" % (path, records, len(blob)))
+    problem = check_log(path, fields["identity"], fields["cursor"])
+    if problem:
+        return fail(path, problem)
+    print("OK   %s (%d records, %d bytes; outcome log: %d bytes)"
+          % (path, records, len(blob), fields["cursor"][4]))
     return True
 
 

@@ -1,8 +1,8 @@
 """Shared record framing for the TBF validators (stdlib only).
 
 Every on-disk artifact — journal segments (src/serve/wal.cc), replay
-checkpoints (src/serve/checkpoint.cc) and tree snapshots
-(src/hst/snapshot.cc) — is a stream of CRC-framed records, the format
+checkpoints and their outcome logs (src/serve/checkpoint.cc) and tree
+snapshots (src/hst/snapshot.cc) — is a stream of CRC-framed records, the format
 src/common/frames.h owns:
 
     frame := <len:u32 LE> <crc32:u32 LE> <payload: len bytes>
