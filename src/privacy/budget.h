@@ -9,8 +9,10 @@
 // event-time epoch, so a user who burns their per-epoch allowance is
 // refused only until the next epoch begins (rollover). A per-user
 // lifetime tally is kept only under a lifetime cap, the one thing it
-// decides; without one, the serving journal's per-event epsilon_charged
-// is the audit trail of every charge.
+// decides. Without one, per-user lifetime spend is not kept anywhere and
+// only the aggregate can be audited: a durable serving directory holds
+// its oldest retained checkpoint's ledger total plus the epsilon_charged
+// of every later journal record (docs/ROBUSTNESS.md).
 
 #pragma once
 
@@ -111,7 +113,8 @@ class EpochBudgetLedger {
 
   /// \brief Cumulative spend of `user` across all epochs (0 for unknown
   /// users); nullopt when no lifetime cap is set, since the ledger then
-  /// keeps no lifetime table (sum the journal's epsilon_charged instead).
+  /// keeps no lifetime table and per-user lifetime spend is not kept
+  /// (totals() still holds the aggregate).
   std::optional<double> SpentLifetime(const std::string& user) const;
 
   /// \brief Headroom of `user` under every configured cap (infinite when

@@ -4,8 +4,11 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
+#include <string_view>
 #include <thread>
 
+#include "common/atomic_file.h"
 #include "common/fault.h"
 #include "hst/snapshot.h"
 
@@ -58,6 +61,33 @@ Result<ReplayCheckpoint> ReadCheckpointWithRetry(const std::string& path,
   return last;
 }
 
+/// Reads the outcome log with the same retry policy. A log that does not
+/// exist reads as empty, so every checkpoint covering log bytes is
+/// rejected as cut short; an IOError that outlasts the retries is
+/// returned, since every checkpoint shares the log and no fallback helps.
+/// Fault site "recovery.outcome_log" fires once per attempt.
+Result<std::string> ReadOutcomeLogWithRetry(const std::string& path,
+                                            const RecoveryPolicy& policy,
+                                            uint64_t* io_retries) {
+  const int attempts = std::max(1, policy.max_attempts);
+  Status last = Status::OK();
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    Status injected = TBF_FAULT_INJECT("recovery.outcome_log");
+    std::error_code ec;
+    if (injected.ok() && !fs::exists(path, ec) && !ec) return std::string();
+    Result<std::string> read =
+        injected.ok() ? ReadFileToString(path, "outcome log")
+                      : Result<std::string>(injected);
+    if (read.ok()) return read;
+    last = read.status();
+    if (attempt + 1 < attempts) {
+      if (io_retries != nullptr) ++*io_retries;
+      SleepSeconds(policy.backoff_seconds);
+    }
+  }
+  return last;
+}
+
 }  // namespace
 
 std::string OutcomeLogPath(const std::string& dir) {
@@ -99,37 +129,37 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
   // checkpoint is valid only together with the outcome-log prefix it
   // covers: a log cut below that length (or damaged inside it) rejects
   // the checkpoint exactly as a corrupt file would, and a log of another
-  // run is never combined with it.
+  // run is never combined with it. Nothing is truncated here: the writer
+  // cuts the log to the restored prefix once every check has passed.
   const std::string log_path = OutcomeLogPath(dir);
+  std::optional<std::string> log;  // read once, when a checkpoint needs it
   for (const auto& [ordinal, path] : candidates) {
     Result<ReplayCheckpoint> read =
         ReadCheckpointWithRetry(path, policy, &run.io_retries);
+    if (!read.ok()) {
+      ++run.checkpoints_rejected;
+      continue;
+    }
+    if (read->outcome_log_bytes > 0 && !log.has_value()) {
+      TBF_ASSIGN_OR_RETURN(
+          log, ReadOutcomeLogWithRetry(log_path, policy, &run.io_retries));
+    }
     const Status rows =
-        read.ok() ? ReadOutcomeRows(log_path, &*read) : Status::OK();
+        ParseOutcomeRows(log.has_value() ? *log : std::string_view(), &*read);
+    if (rows.code() == StatusCode::kInvalidArgument) {
+      ++run.checkpoints_rejected;  // the prefix is cut short or damaged
+      continue;
+    }
     if (rows.code() == StatusCode::kFailedPrecondition) {
       return Status::FailedPrecondition("recovery: checkpoint " + path +
                                         " and the outcome log in " + dir +
                                         " belong to different runs");
     }
-    if (!read.ok() || !rows.ok()) {
-      ++run.checkpoints_rejected;
-      continue;
-    }
+    TBF_RETURN_NOT_OK(rows);
     run.retained.push_back(
         RetainedCheckpoint{ordinal, path, read->wal_next_lsn});
     run.checkpoint = std::move(*read);
     run.checkpoint_path = path;
-  }
-  // Rows past the restore point's prefix belong to epochs the replay loop
-  // re-produces (a crash after a log append, before its checkpoint).
-  const uint64_t log_cover =
-      run.checkpoint.has_value() ? run.checkpoint->outcome_log_bytes : 0;
-  if (fs::exists(log_path, ec) && fs::file_size(log_path, ec) > log_cover) {
-    fs::resize_file(log_path, log_cover, ec);
-    if (ec) {
-      return Status::IOError("recovery: cannot truncate outcome log " +
-                             log_path + ": " + ec.message());
-    }
   }
 
   // Scan + repair the journal.

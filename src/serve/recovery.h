@@ -12,10 +12,13 @@
 //      bounded backoff (RecoveryPolicy); one that fails to *parse*
 //      (corruption), or whose outcome-log prefix is cut short or damaged,
 //      is rejected permanently and the supervisor falls back to the
-//      next-newest. It reassembles the chosen checkpoint's history rows
-//      from the log and truncates the log to that checkpoint's covered
-//      length (the loop re-produces the later rows). It then scans the
-//      journal, repairs the torn
+//      next-newest. The outcome log is read once, with the same retry; a
+//      read that still fails fails recovery, since every checkpoint
+//      shares the log. It reassembles the chosen checkpoint's history
+//      rows from the log but cuts nothing: the replay loop's
+//      OutcomeLogWriter::Open truncates the log to that checkpoint's
+//      covered length once every check has passed (the loop re-produces
+//      the later rows). It then scans the journal, repairs the torn
 //      tail (truncating at the first bad CRC / short frame with a
 //      record-precise report), cross-checks the journal identity against
 //      the checkpoint, and locates the journal suffix: the first journal
@@ -36,7 +39,8 @@
 // _total, tbf_recovery_io_retries_total, tbf_wal_truncated_records_total
 // (RecoverReplayDir); tbf_recovery_replayed_records_total and
 // tbf_wal_recovered_events_total (the replay loop's verification).
-// Fault site: "recovery.scan" fires on every checkpoint read attempt.
+// Fault sites: "recovery.scan" fires on every checkpoint read attempt,
+// "recovery.outcome_log" on every outcome-log read attempt.
 
 #pragma once
 
@@ -101,12 +105,13 @@ struct RecoveredRun {
 
 /// \brief Scans a durable replay directory: newest-valid checkpoint
 /// selection (transient reads retried, corrupt files and checkpoints
-/// whose outcome-log prefix is missing rejected with fallback), outcome
-/// log truncation to the chosen checkpoint, journal scan + torn-tail
-/// repair, identity cross-checks,
-/// suffix location. Applies nothing: the replay loop re-runs and
-/// verifies the suffix. Fails (never silently drops events) when the journal
-/// has a gap the surviving checkpoints cannot cover.
+/// whose outcome-log prefix is cut short or damaged rejected with
+/// fallback), journal scan + torn-tail repair, identity cross-checks,
+/// suffix location. Applies nothing and leaves the outcome log as it
+/// found it: the replay loop re-runs and verifies the suffix, and its
+/// outcome-log writer cuts the log. Fails (never silently drops events)
+/// when the journal has a gap the surviving checkpoints cannot cover, and
+/// with the read's IOError when the outcome log stays unreadable.
 Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
                                       const RecoveryPolicy& policy = {},
                                       obs::MetricRegistry* metrics = nullptr);

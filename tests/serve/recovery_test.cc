@@ -1,5 +1,6 @@
 // Recovery supervisor: newest-valid checkpoint selection with fallback,
-// transient-IO retry with bounded backoff, gap detection, identity
+// transient-IO retry with bounded backoff (checkpoint and outcome-log
+// reads; an unreadable log cuts nothing), gap detection, identity
 // cross-checks, snapshot read retry, journal verification (a rewritten
 // record is a divergence naming its lsn), and an end-to-end crash/recover
 // equivalence smoke test (the full kill-anywhere drill lives in
@@ -226,23 +227,25 @@ TEST(RecoveryTest, OutcomeLogCutBelowTheNewestCheckpointFallsBack) {
   ASSERT_LT(older->outcome_log_bytes, newest_bytes);
 
   // The log loses its last bytes below the newest checkpoint's length:
-  // that checkpoint is rejected like a corrupt file, the older one wins,
-  // and the log is cut back to the older one's length.
+  // that checkpoint is rejected like a corrupt file and the older one
+  // wins. The scan itself cuts nothing.
   fs::resize_file(OutcomeLogPath(dir), newest_bytes - 1);
   auto after = RecoverReplayDir(dir);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after->checkpoints_rejected, 1u);
   EXPECT_EQ(after->checkpoint_path, previous);
-  EXPECT_EQ(fs::file_size(OutcomeLogPath(dir)), older->outcome_log_bytes);
+  EXPECT_EQ(fs::file_size(OutcomeLogPath(dir)), newest_bytes - 1);
   EXPECT_EQ(after->checkpoint->per_epoch.size(), older->epoch_rows);
 
-  // Recovery re-runs the journal from there and re-logs the lost rows.
+  // Recovery cuts the log back to the older checkpoint's length, re-runs
+  // the journal from there and re-logs the lost rows.
   ReplayOptions recover = options;
   recover.recover = true;
   auto recovered = RunEventReplay(framework, trace, recover);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ExpectSameHistory(*recovered, *durable);
   ExpectServerStateEqual(*recovered->final_state, *durable->final_state);
+  EXPECT_EQ(fs::file_size(OutcomeLogPath(dir)), newest_bytes);
   auto reread = RecoverReplayDir(dir);
   ASSERT_TRUE(reread.ok()) << reread.status().ToString();
   EXPECT_EQ(reread->checkpoints_rejected, 0u);
@@ -266,11 +269,13 @@ TEST(RecoveryTest, OutcomeLogTornTailPastTheNewestCheckpointIsTruncated) {
     std::ofstream log(OutcomeLogPath(dir), std::ios::binary | std::ios::app);
     log << tail << tail.substr(0, tail.size() / 2);
   }
+  const uint64_t torn = fs::file_size(OutcomeLogPath(dir));
+  ASSERT_GT(torn, covered);
   auto after = RecoverReplayDir(dir);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after->checkpoints_rejected, 0u);
   EXPECT_EQ(after->checkpoint->outcome_log_bytes, covered);
-  EXPECT_EQ(fs::file_size(OutcomeLogPath(dir)), covered);
+  EXPECT_EQ(fs::file_size(OutcomeLogPath(dir)), torn);  // the scan cuts nothing
   EXPECT_EQ(after->checkpoint->per_epoch.size(), durable->per_epoch.size());
 
   ReplayOptions recover = options;
@@ -632,6 +637,76 @@ TEST(RecoveryTest, ParseErrorsFailFastWithoutRetry) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->checkpoints_rejected, 1u);
   EXPECT_EQ(recovered->io_retries, 0u);  // no retry on corruption
+}
+
+TEST(RecoveryTest, OutcomeLogReadErrorsCutNothing) {
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = SmallTrace();
+  const std::string dir = FreshDir("log_io");
+  const ReplayOptions options = DurableOptions(dir);
+  auto durable = RunEventReplay(framework, trace, options);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  auto before = RecoverReplayDir(dir);
+  ASSERT_TRUE(before.ok());
+  const uint64_t covered = fs::file_size(OutcomeLogPath(dir));
+  ReplayOptions recover = options;
+  recover.recover = true;
+
+  const auto failing = [](const std::string& site, uint64_t count) {
+    fault::FaultPlan plan;
+    fault::FaultSpec spec;
+    spec.site = site;
+    spec.kind = fault::FaultKind::kFail;
+    spec.code = StatusCode::kIOError;
+    spec.count = count;
+    plan.faults.push_back(spec);
+    return plan;
+  };
+  {
+    // A transient log read is retried once, like a checkpoint read.
+    fault::ScopedFaultPlan armed(failing("recovery.outcome_log", 1));
+    ASSERT_TRUE(armed.armed());
+    auto recovered = RecoverReplayDir(dir);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered->io_retries, 1u);
+    EXPECT_EQ(recovered->checkpoints_rejected, 0u);
+    EXPECT_EQ(recovered->checkpoint_path, before->checkpoint_path);
+  }
+  {
+    // A log that stays unreadable fails recovery: every checkpoint shares
+    // it, so no fallback helps, and no checkpoint is rejected for it.
+    fault::ScopedFaultPlan armed(failing("recovery.outcome_log", 0));
+    ASSERT_TRUE(armed.armed());
+    auto scan = RecoverReplayDir(dir);
+    ASSERT_FALSE(scan.ok());
+    EXPECT_EQ(scan.status().code(), StatusCode::kIOError);
+    auto recovered = RunEventReplay(framework, trace, recover);
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_EQ(recovered.status().code(), StatusCode::kIOError);
+    EXPECT_EQ(fs::file_size(OutcomeLogPath(dir)), covered);
+  }
+  {
+    // Every checkpoint read fails: the compacted journal leaves a gap and
+    // recovery fails before anything touches the log.
+    fault::ScopedFaultPlan armed(failing("recovery.scan", 0));
+    ASSERT_TRUE(armed.armed());
+    auto recovered = RunEventReplay(framework, trace, recover);
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_EQ(recovered.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(fs::file_size(OutcomeLogPath(dir)), covered);
+  }
+
+  // Once the faults clear, every checkpoint and its log prefix recover.
+  auto after = RecoverReplayDir(dir);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->checkpoints_rejected, 0u);
+  EXPECT_EQ(after->retained.size(), before->retained.size());
+  EXPECT_EQ(after->checkpoint_path, before->checkpoint_path);
+  auto recovered = RunEventReplay(framework, trace, recover);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ExpectSameHistory(*recovered, *durable);
+  ExpectServerStateEqual(*recovered->final_state, *durable->final_state);
+  EXPECT_EQ(fs::file_size(OutcomeLogPath(dir)), covered);
 }
 
 TEST(RecoveryTest, SnapshotReadRetriesTransientIoErrors) {
