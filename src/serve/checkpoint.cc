@@ -44,19 +44,18 @@ uint32_t FingerprintEventTrace(const EventTrace& trace) {
 namespace {
 
 constexpr std::string_view kMagic = "TBF-CKPT";
-constexpr uint32_t kCheckpointVersion = 6;
+constexpr uint32_t kCheckpointVersion = 7;
 // Header token of the retired v1-v3 text format.
 constexpr std::string_view kTextMagic = "TBFCKPT1 ";
 
-// Record kinds of a v6 file; docs/ROBUSTNESS.md has the catalog.
+// Record kinds of a v7 file; docs/ROBUSTNESS.md has the catalog.
 enum Rec : uint8_t {
-  kHeader, kIdentity, kCursor, kReport, kServer, kRng, kSlot, kFree, kWorker,
+  kHeader, kIdentity, kCursor, kReport, kServer, kRng, kFree, kWorker,
   kLedger, kSpend, kCounter, kGauge, kHistogram, kEnd, kNumRecs,
 };
 constexpr std::array<const char*, kNumRecs> kRecNames = {
-    "header", "identity", "cursor", "report", "server", "rng", "slot",
-    "free", "worker", "ledger", "spend", "counter", "gauge", "histogram",
-    "end"};
+    "header", "identity", "cursor", "report", "server", "rng", "free",
+    "worker", "ledger", "spend", "counter", "gauge", "histogram", "end"};
 
 constexpr uint32_t Bit(int kind) { return 1u << kind; }
 constexpr uint32_t kRequired = Bit(kHeader) | Bit(kIdentity) | Bit(kCursor) |
@@ -105,7 +104,7 @@ Status QuarantineFields(Io& io, Q& q) {
 }
 template <typename Io, typename S>
 Status ServerFields(Io& io, S& s) {
-  return io(s.assigned_tasks, s.tree_epoch);
+  return io(s.assigned_tasks, s.tree_epoch, s.pool_size);
 }
 template <typename Io, typename W>
 Status WorkerFields(Io& io, W& w) {
@@ -160,7 +159,6 @@ class CheckpointDecoder {
       case kReport: return ReportFields(io, c_.report);
       case kServer: return ServerFields(io, server);
       case kRng: return io(server.rng_state);
-      case kSlot: return io(server.worker_by_index_id.emplace_back());
       case kFree: return io(server.free_index_ids.emplace_back());
       case kWorker: return WorkerFields(io, server.workers.emplace_back());
       case kLedger: return LedgerFields(io, server.ledger.emplace());
@@ -219,8 +217,7 @@ WalIdentity IdentityOf(const ReplayCheckpoint& c) {
 
 std::string SerializeReplayCheckpoint(const ReplayCheckpoint& c) {
   const ShardedServerState& server = c.server;
-  const size_t rows = server.worker_by_index_id.size() +
-                      server.free_index_ids.size() + server.workers.size() +
+  const size_t rows = server.free_index_ids.size() + server.workers.size() +
                       (server.ledger ? server.ledger->epoch_spent.size() +
                                            server.ledger->lifetime_spent.size()
                                      : 0);
@@ -232,9 +229,6 @@ std::string SerializeReplayCheckpoint(const ReplayCheckpoint& c) {
   file.Add(kReport, [&](FieldWriter& io) { ReportFields(io, c.report); });
   file.Add(kServer, [&](FieldWriter& io) { ServerFields(io, server); });
   file.Add(kRng, [&](FieldWriter& io) { io(server.rng_state); });
-  for (const std::string& id : server.worker_by_index_id) {
-    file.Add(kSlot, [&](FieldWriter& io) { io(id); });
-  }
   for (const int id : server.free_index_ids) {
     file.Add(kFree, [&](FieldWriter& io) { io(id); });
   }
@@ -267,7 +261,7 @@ std::string SerializeReplayCheckpoint(const ReplayCheckpoint& c) {
 Result<ReplayCheckpoint> ParseReplayCheckpoint(const std::string& bytes) {
   if (std::string_view(bytes).substr(0, kTextMagic.size()) == kTextMagic) {
     return Status::InvalidArgument(
-        "checkpoint: text-format (v1-v3) file; this build reads binary v6 "
+        "checkpoint: text-format (v1-v3) file; this build reads binary v7 "
         "checkpoints only");
   }
   CheckpointDecoder decoder;

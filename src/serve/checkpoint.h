@@ -4,7 +4,7 @@
 // needs to continue draw-for-draw identically after a crash: the replay
 // cursor (next event, obfuscation fork offset, next task slot, journal
 // and outcome-log positions), the ReplayCounts outcome tally, the
-// engine's full state (worker registry, index-id pool incl. free-list
+// engine's full state (worker registry, index-id pool size and free-list
 // order, tie-break RNG, budget ledger) and the run's metrics snapshot.
 // Identity fields (trace fingerprint, shard count, epoch length, seeds)
 // let resume refuse a checkpoint that does not belong to the run being
@@ -24,27 +24,29 @@
 // on-disk artifact shares (common/frames.h — the same frame writer, frame
 // walker and field codec as the journal):
 //
-//   checkpoint  := header record* end        (v6, magic "TBF-CKPT")
+//   checkpoint  := header record* end        (v7, magic "TBF-CKPT")
 //   outcome log := header row*               (v1, magic "TBF-OLOG")
 //   frame       := <len:u32> <crc:u32> <payload: len bytes>
 //   payload     := <kind:u8> <kind-specific fields>
 //
 // A checkpoint's header carries the magic and the version; every other
-// row (identity, cursor, report, server, rng, each slot/free/worker row,
+// row (identity, cursor, report, server, rng, each free/worker row,
 // ledger, each spend row, each counter/gauge/histogram) is one record;
 // the end record counts the records before it, so a file cut at a frame
-// boundary is refused too. The checkpoint shares the snapshot's file
-// grammar. The outcome log has no end record (it grows): its header
-// carries the magic, the version and the run identity, and each row is
-// an epoch, task or quarantine record. Integers are little-endian,
-// doubles are IEEE-754 bit patterns (they round-trip bit-exactly),
-// strings are <len:u32><bytes>, and a worker's report is its 128-bit
-// LeafCode as 16 bytes (low u64, then high u64). The CRC-32 (IEEE
-// reflected, zlib/binascii-compatible) covers each payload, so
-// tools/check_checkpoint.py validates both with only the Python standard
-// library. Older checkpoint versions are refused with InvalidArgument
-// naming the version: v5 (which carried the history rows itself), v4
-// (two worker leaf encodings) and the v1-v3 text format.
+// boundary is refused too. The server record carries the index-id pool
+// size; the worker rows' index ids and the free ids partition it. The
+// checkpoint shares the snapshot's file grammar. The outcome log has no
+// end record (it grows): its header carries the magic, the version and
+// the run identity, and each row is an epoch, task or quarantine record.
+// Integers are little-endian, doubles are IEEE-754 bit patterns (they
+// round-trip bit-exactly), strings are <len:u32><bytes>, and a worker's
+// report is its 128-bit LeafCode as 16 bytes (low u64, then high u64).
+// The CRC-32 (IEEE reflected, zlib/binascii-compatible) covers each
+// payload, so tools/check_checkpoint.py validates both with only the
+// Python standard library. Older checkpoint versions are refused with
+// InvalidArgument naming the version: v6 (which repeated each worker's
+// index id in a slot row per pool id), v5 (which carried the history rows
+// itself), v4 (two worker leaf encodings) and the v1-v3 text format.
 //
 // WriteReplayCheckpointFile is atomic: the bytes go to `<path>.tmp`,
 // are fsync'd, and rename(2) publishes them — a crash mid-write leaves
@@ -80,10 +82,11 @@ uint32_t FingerprintEventTrace(const EventTrace& trace);
 /// Version history: v1-v3 were a line-oriented text format (v2 added the
 /// server's tree epoch, v3 the journal position wal_next_lsn); v4 was the
 /// binary record stream with two worker leaf encodings; v5 had one and
-/// still carried every history row; v6 moves those rows to the outcome
-/// log, and is the only version read.
+/// still carried every history row; v6 moved those rows to the outcome
+/// log; v7 drops the slot rows for the pool size, and is the only version
+/// read.
 struct ReplayCheckpoint {
-  int version = 6;
+  int version = 7;
 
   // Identity: resume refuses a checkpoint whose trace or configuration
   // does not match the run being resumed.
@@ -131,7 +134,7 @@ struct ReplayCheckpoint {
 /// \brief The run identity the checkpoint carries, as the journal states it.
 WalIdentity IdentityOf(const ReplayCheckpoint& checkpoint);
 
-/// \brief Serializes to the v6 record stream (see the format note above).
+/// \brief Serializes to the v7 record stream (see the format note above).
 std::string SerializeReplayCheckpoint(const ReplayCheckpoint& checkpoint);
 
 /// \brief Parses and validates (frames, CRCs, record schema, file

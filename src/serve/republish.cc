@@ -79,8 +79,10 @@ Result<RepublishReport> ShardedTbfServer::Republish(
   std::vector<std::pair<std::string, LeafCode>> live;
   {
     std::lock_guard<std::mutex> pool_lock(pool_mu_);
-    live.reserve(workers_.size());
-    for (const auto& [id, state] : workers_) live.emplace_back(id, state.code);
+    live.reserve(index_of_.size());
+    for (const Slot& slot : slots_) {
+      if (slot.shard >= 0) live.emplace_back(slot.id, slot.code);
+    }
   }
   std::sort(live.begin(), live.end());
   WallTimer rekey_timer;
@@ -128,21 +130,24 @@ Result<RepublishReport> ShardedTbfServer::Republish(
   for (size_t s = 0; s < shards_.size(); ++s) {
     fresh.emplace_back(new_tree->depth(), new_tree->arity());
   }
-  for (auto& [id, state] : workers_) {
+  for (size_t index_id = 0; index_id < slots_.size(); ++index_id) {
+    Slot& slot = slots_[index_id];
+    if (slot.shard < 0) continue;  // a free slot
     LeafCode new_code;
     bool fake = false;
-    const auto it = staged.find(id);
-    if (it != staged.end() && it->second.old_code == state.code) {
+    const auto it = staged.find(slot.id);
+    if (it != staged.end() && it->second.old_code == slot.code) {
       new_code = it->second.new_code;
       fake = it->second.fake;
     } else {
-      new_code = RekeyReport(old_tree, *new_tree, state.code, &fake);
+      new_code = RekeyReport(old_tree, *new_tree, slot.code, &fake);
     }
     const int new_shard = router_.ShardOf(new_code, *new_tree->codec());
-    if (new_shard != state.shard) ++rep.relocated;
-    state.code = new_code;
-    state.shard = new_shard;
-    fresh[static_cast<size_t>(new_shard)].Insert(new_code, state.index_id);
+    if (new_shard != slot.shard) ++rep.relocated;
+    slot.code = new_code;
+    slot.shard = new_shard;
+    fresh[static_cast<size_t>(new_shard)].Insert(new_code,
+                                                  static_cast<int>(index_id));
     ++rep.workers_rekeyed;
     if (fake) {
       ++rep.fake_kept;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/fault.h"
-#include "common/logging.h"
 #include "common/timer.h"
 #include "obs/scoped_timer.h"
 
@@ -167,22 +166,22 @@ Status ShardedTbfServer::BeginEpoch(int64_t epoch) {
   return ledger_->BeginEpoch(epoch);
 }
 
-// Callers hold pool_mu_.
-int ShardedTbfServer::AcquireIndexId(const std::string& worker_id) {
+// Callers hold pool_mu_ and fill the returned id's slot.
+int ShardedTbfServer::AcquireIndexId() {
   if (!free_index_ids_.empty()) {
     const int index_id = free_index_ids_.back();
     free_index_ids_.pop_back();
-    worker_by_index_id_[static_cast<size_t>(index_id)] = worker_id;
     return index_id;
   }
-  const int index_id = static_cast<int>(worker_by_index_id_.size());
-  worker_by_index_id_.push_back(worker_id);
-  return index_id;
+  slots_.emplace_back();
+  return static_cast<int>(slots_.size()) - 1;
 }
 
 // Callers hold pool_mu_.
 void ShardedTbfServer::ReleaseIndexId(int index_id) {
-  worker_by_index_id_[static_cast<size_t>(index_id)].clear();
+  Slot& slot = slots_[static_cast<size_t>(index_id)];
+  slot.id.clear();
+  slot.shard = -1;
   free_index_ids_.push_back(index_id);
 }
 
@@ -192,6 +191,9 @@ Status ShardedTbfServer::RegisterWorker(
   // The flat index reads child tables by these digits: a bad code is
   // refused here instead of aborting (or reading out of bounds) below.
   TBF_RETURN_NOT_OK(tree().codec()->Validate(code));
+  if (worker_id.empty()) {
+    return Status::InvalidArgument("worker id must not be empty");
+  }
   const int new_shard = router_.ShardOf(code, *tree().codec());
   // Admission control runs before the budget charge: a shed report must
   // not burn epsilon (the client will retry it verbatim).
@@ -218,8 +220,10 @@ Status ShardedTbfServer::RegisterWorker(
     int observed_shard = -1;
     {
       std::lock_guard<std::mutex> pool_lock(pool_mu_);
-      auto it = workers_.find(worker_id);
-      if (it != workers_.end()) observed_shard = it->second.shard;
+      auto it = index_of_.find(worker_id);
+      if (it != index_of_.end()) {
+        observed_shard = slots_[static_cast<size_t>(it->second)].shard;
+      }
     }
     const int lo = observed_shard < 0 ? new_shard
                                       : std::min(observed_shard, new_shard);
@@ -231,26 +235,31 @@ Status ShardedTbfServer::RegisterWorker(
       lock_hi = std::unique_lock<std::mutex>(shards_[static_cast<size_t>(hi)]->mu);
     }
     std::lock_guard<std::mutex> pool_lock(pool_mu_);
-    auto it = workers_.find(worker_id);
-    const int current_shard = it == workers_.end() ? -1 : it->second.shard;
-    if (current_shard != observed_shard) continue;  // raced: retry
+    auto [it, fresh] = index_of_.try_emplace(worker_id, -1);
+    const int current_shard =
+        fresh ? -1 : slots_[static_cast<size_t>(it->second)].shard;
+    if (current_shard != observed_shard) {  // raced: retry
+      if (fresh) index_of_.erase(it);
+      continue;
+    }
 
-    if (it != workers_.end()) {
-      // Relocation: drop the old report before inserting the new one.
-      shards_[static_cast<size_t>(current_shard)]->index.Remove(
-          it->second.code, it->second.index_id);
-      ReleaseIndexId(it->second.index_id);
-    } else {
+    int& index_id = it->second;
+    if (fresh) {
       available_.fetch_add(1, std::memory_order_relaxed);
       available_metric_->Add(1);
+    } else {
+      // Relocation: drop the old report before inserting the new one.
+      shards_[static_cast<size_t>(current_shard)]->index.Remove(
+          slots_[static_cast<size_t>(index_id)].code, index_id);
+      ReleaseIndexId(index_id);
     }
     shard_arrivals_metric_[static_cast<size_t>(new_shard)]->Add(1);
-    const int index_id = AcquireIndexId(worker_id);
+    index_id = AcquireIndexId();
     shards_[static_cast<size_t>(new_shard)]->index.Insert(code, index_id);
-    WorkerState& state = workers_[worker_id];
-    state.code = code;
-    state.index_id = index_id;
-    state.shard = new_shard;
+    Slot& slot = slots_[static_cast<size_t>(index_id)];
+    slot.id = worker_id;
+    slot.code = code;
+    slot.shard = new_shard;
     return Status::OK();
   }
 }
@@ -260,25 +269,27 @@ Status ShardedTbfServer::UnregisterWorker(const std::string& worker_id) {
     int observed_shard = -1;
     {
       std::lock_guard<std::mutex> pool_lock(pool_mu_);
-      auto it = workers_.find(worker_id);
-      if (it == workers_.end()) {
+      auto it = index_of_.find(worker_id);
+      if (it == index_of_.end()) {
         return Status::NotFound("unknown worker " + worker_id);
       }
-      observed_shard = it->second.shard;
+      observed_shard = slots_[static_cast<size_t>(it->second)].shard;
     }
     std::unique_lock<std::mutex> shard_lock(
         shards_[static_cast<size_t>(observed_shard)]->mu);
     std::lock_guard<std::mutex> pool_lock(pool_mu_);
-    auto it = workers_.find(worker_id);
-    if (it == workers_.end()) {
+    auto it = index_of_.find(worker_id);
+    if (it == index_of_.end()) {
       // Concurrently assigned or unregistered: gone either way.
       return Status::NotFound("unknown worker " + worker_id);
     }
-    if (it->second.shard != observed_shard) continue;  // relocated: retry
-    shards_[static_cast<size_t>(observed_shard)]->index.Remove(
-        it->second.code, it->second.index_id);
-    ReleaseIndexId(it->second.index_id);
-    workers_.erase(it);
+    const int index_id = it->second;
+    const Slot& slot = slots_[static_cast<size_t>(index_id)];
+    if (slot.shard != observed_shard) continue;  // relocated: retry
+    shards_[static_cast<size_t>(observed_shard)]->index.Remove(slot.code,
+                                                               index_id);
+    ReleaseIndexId(index_id);
+    index_of_.erase(it);
     available_.fetch_sub(1, std::memory_order_relaxed);
     available_metric_->Add(-1);
     shard_departures_metric_[static_cast<size_t>(observed_shard)]->Add(1);
@@ -288,12 +299,12 @@ Status ShardedTbfServer::UnregisterWorker(const std::string& worker_id) {
 
 bool ShardedTbfServer::IsRegistered(const std::string& worker_id) const {
   std::lock_guard<std::mutex> pool_lock(pool_mu_);
-  return workers_.count(worker_id) > 0;
+  return index_of_.count(worker_id) > 0;
 }
 
 size_t ShardedTbfServer::index_id_pool_size() const {
   std::lock_guard<std::mutex> pool_lock(pool_mu_);
-  return worker_by_index_id_.size();
+  return slots_.size();
 }
 
 size_t ShardedTbfServer::shard_size(int shard) const {
@@ -314,19 +325,17 @@ std::optional<std::pair<int, int>> ShardedTbfServer::QueryShard(
 
 // The candidate's shard mutex and pool_mu_ must be held.
 DispatchResult ShardedTbfServer::ConsumeCandidate(const Candidate& candidate) {
-  const std::string worker_id =
-      worker_by_index_id_[static_cast<size_t>(candidate.index_id)];
-  const WorkerState& state = workers_.at(worker_id);
-  shards_[static_cast<size_t>(state.shard)]->index.Remove(state.code,
-                                                          state.index_id);
-  ReleaseIndexId(state.index_id);
-  workers_.erase(worker_id);  // assigned: must register anew to serve again
+  Slot& slot = slots_[static_cast<size_t>(candidate.index_id)];
+  shards_[static_cast<size_t>(slot.shard)]->index.Remove(slot.code,
+                                                         candidate.index_id);
+  index_of_.erase(slot.id);  // assigned: must register anew to serve again
+  DispatchResult result;
+  result.worker = std::move(slot.id);
+  ReleaseIndexId(candidate.index_id);
   available_.fetch_sub(1, std::memory_order_relaxed);
   assigned_tasks_.fetch_add(1, std::memory_order_relaxed);
   available_metric_->Add(-1);
   shard_assigned_metric_[static_cast<size_t>(candidate.shard)]->Add(1);
-  DispatchResult result;
-  result.worker = worker_id;
   result.reported_tree_distance =
       tree().TreeDistanceForLcaLevel(candidate.lca_level);
   return result;
@@ -415,25 +424,22 @@ Result<DispatchResult> ShardedTbfServer::SubmitTask(
   }
   std::lock_guard<std::mutex> pool_lock(pool_mu_);
   std::optional<Candidate> best;
-  const WorkerState* best_state = nullptr;
   for (int s = 0; s < router_.num_shards(); ++s) {
     auto nearest = shards_[static_cast<size_t>(s)]->index.Nearest(code);
     if (!nearest) continue;
-    const std::string& worker_id =
-        worker_by_index_id_[static_cast<size_t>(nearest->first)];
-    const WorkerState* state = &workers_.at(worker_id);
     // Canonical total order: (LCA level, worker leaf, index id) — exactly
     // the rule each index applies internally (unsigned code comparison is
     // lexicographic digit comparison), so the cross-shard minimum is the
     // choice one global index would have made.
-    const LeafCode worker_key = state->code;
-    const LeafCode best_key = best ? best_state->code : worker_key;
+    const LeafCode worker_key =
+        slots_[static_cast<size_t>(nearest->first)].code;
+    const LeafCode best_key =
+        best ? slots_[static_cast<size_t>(best->index_id)].code : worker_key;
     if (!best || nearest->second < best->lca_level ||
         (nearest->second == best->lca_level &&
          (worker_key < best_key ||
           (worker_key == best_key && nearest->first < best->index_id)))) {
       best = Candidate{s, nearest->first, nearest->second};
-      best_state = state;
     }
   }
   if (!best) {
@@ -451,30 +457,20 @@ ShardedServerState ShardedTbfServer::ExportState() const {
   state.rng_state = rng_.SerializeState();
   {
     std::lock_guard<std::mutex> pool_lock(pool_mu_);
-    state.worker_by_index_id = worker_by_index_id_;
+    state.pool_size = slots_.size();
     state.free_index_ids = free_index_ids_;
     // Index-id order: deterministic, reproduced by RestoreState (which
     // keeps every index id), and a single pass with no sort.
-    state.workers.reserve(workers_.size());
-    for (size_t index_id = 0; index_id < worker_by_index_id_.size();
-         ++index_id) {
-      const auto it = workers_.find(worker_by_index_id_[index_id]);
-      if (it == workers_.end() ||
-          it->second.index_id != static_cast<int>(index_id)) {
-        continue;  // a free slot
-      }
-      const WorkerState& worker = it->second;
+    state.workers.reserve(index_of_.size());
+    for (size_t index_id = 0; index_id < slots_.size(); ++index_id) {
+      const Slot& slot = slots_[index_id];
+      if (slot.shard < 0) continue;  // a free slot
       ShardedServerState::Worker& w = state.workers.emplace_back();
-      w.id = it->first;
-      w.code = worker.code;
-      w.index_id = worker.index_id;
-      w.shard = worker.shard;
+      w.id = slot.id;
+      w.code = slot.code;
+      w.index_id = static_cast<int>(index_id);
+      w.shard = slot.shard;
     }
-    // Every registered worker holds exactly one slot; a miss here would
-    // silently drop a live worker from the checkpoint.
-    TBF_CHECK(state.workers.size() == workers_.size())
-        << "ExportState: " << workers_.size() << " registered workers but "
-        << state.workers.size() << " reachable through their index ids";
   }
   if (ledger_ != nullptr) {
     std::lock_guard<std::mutex> lock(budget_mu_);
@@ -502,14 +498,24 @@ Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
   shard_locks.reserve(shards_.size());
   for (auto& shard : shards_) shard_locks.emplace_back(shard->mu);
   std::lock_guard<std::mutex> pool_lock(pool_mu_);
-  if (!workers_.empty()) {
+  if (!index_of_.empty()) {
     return Status::FailedPrecondition(
         "RestoreState requires a freshly created engine");
   }
   // Validate everything before the first mutation, so a refused state
   // leaves the engine fresh and the index never sees a bad digit or a
-  // duplicate item id.
-  const size_t pool_size = state.worker_by_index_id.size();
+  // duplicate item id. The held and free ids must partition
+  // [0, pool_size): a pool larger than the two lists leaves an id neither
+  // held nor free; otherwise the range and reuse checks below catch every
+  // overlap.
+  const size_t listed = state.workers.size() + state.free_index_ids.size();
+  if (state.pool_size > listed) {
+    return Status::InvalidArgument(
+        "server state: a pool of " + std::to_string(state.pool_size) +
+        " index ids leaves " + std::to_string(state.pool_size - listed) +
+        " neither held nor free");
+  }
+  const size_t pool_size = static_cast<size_t>(state.pool_size);
   std::vector<uint8_t> id_taken(pool_size, 0);
   for (int free_id : state.free_index_ids) {
     if (free_id < 0 || static_cast<size_t>(free_id) >= pool_size) {
@@ -521,20 +527,22 @@ Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
                                      " listed twice");
     }
   }
-  std::unordered_set<std::string_view> listed;
+  std::unordered_set<std::string_view> ids;
   for (const ShardedServerState::Worker& w : state.workers) {
     const auto refuse = [&w](const std::string& why) {
       return Status::InvalidArgument("server state: worker '" + w.id + "' " +
                                      why);
     };
-    if (w.index_id < 0 || static_cast<size_t>(w.index_id) >= pool_size ||
-        state.worker_by_index_id[static_cast<size_t>(w.index_id)] != w.id) {
-      return Status::InvalidArgument(
-          "server state: worker/index-id table mismatch for '" + w.id + "'");
+    if (w.id.empty()) {
+      return Status::InvalidArgument("server state: a worker has an empty id");
     }
-    if (!listed.insert(w.id).second) return refuse("is listed twice");
+    if (w.index_id < 0 || static_cast<size_t>(w.index_id) >= pool_size) {
+      return refuse("holds an index id out of range");
+    }
+    if (!ids.insert(w.id).second) return refuse("is listed twice");
     if (id_taken[static_cast<size_t>(w.index_id)]++ != 0) {
-      return refuse("holds a free index id");
+      return refuse("holds index id " + std::to_string(w.index_id) +
+                    ", which is already free or held");
     }
     if (w.shard < 0 || w.shard >= router_.num_shards()) {
       return Status::InvalidArgument("server state: shard out of range for '" +
@@ -557,10 +565,12 @@ Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
     TBF_RETURN_NOT_OK(ledger_->RestoreState(*state.ledger));
   }
   rng_ = rng;
-  worker_by_index_id_ = state.worker_by_index_id;
+  slots_.assign(pool_size, Slot{});
   free_index_ids_ = state.free_index_ids;
+  index_of_.reserve(state.workers.size());
   for (const ShardedServerState::Worker& w : state.workers) {
-    workers_[w.id] = WorkerState{w.code, w.index_id, w.shard};
+    slots_[static_cast<size_t>(w.index_id)] = Slot{w.id, w.code, w.shard};
+    index_of_.emplace(w.id, w.index_id);
     shards_[static_cast<size_t>(w.shard)]->index.Insert(w.code, w.index_id);
   }
   available_.store(state.workers.size(), std::memory_order_relaxed);

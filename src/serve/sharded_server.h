@@ -38,11 +38,13 @@
 // the same assignments as one global index (tests/serve/
 // sharded_server_test.cc checks this against a reference model).
 //
-// Shards share one worker registry and one LIFO index-id pool (pool_mu_):
-// ids recycle in the same order whatever K is, which is what makes the
-// equivalence hold even through churn, and its critical sections are a
-// few map/vector operations, orders of magnitude cheaper than an index
-// query.
+// Shards share one worker registry (pool_mu_): a dense slot table indexed
+// by index id, each slot holding its worker's id, report and shard (or
+// marked free), one map from worker id to index id, and one LIFO free
+// list. Ids recycle in the same order whatever K is, which is what makes
+// the equivalence hold even through churn. Each operation does at most one
+// string-keyed map operation under the locks, and the state export none: it
+// is one pass over the slot table.
 //
 // Budgets: BeginEpoch rolls per-epoch accounting forward (the replay loop
 // drives this from event time, serve/replay.h).
@@ -131,7 +133,8 @@ struct ShardedServerOptions {
 /// \brief Full serializable state of a ShardedTbfServer (crash-safe replay
 /// checkpoints). Everything is exported in a deterministic order (workers
 /// by index id, ledger spends in first-charge order) that RestoreState
-/// reproduces, so serialization is byte-stable without sorting.
+/// reproduces, so serialization is byte-stable without sorting. The index
+/// ids the workers hold and the free ids partition [0, pool_size).
 struct ShardedServerState {
   struct Worker {
     std::string id;
@@ -142,10 +145,10 @@ struct ShardedServerState {
 
   uint64_t assigned_tasks = 0;
   uint64_t tree_epoch = 0;  ///< republishes applied (published-tree version)
-  std::string rng_state;                     ///< Rng::SerializeState
-  std::vector<std::string> worker_by_index_id;  ///< "" = free slot
-  std::vector<int> free_index_ids;           ///< recycling order matters
-  std::vector<Worker> workers;               ///< index-id order
+  std::string rng_state;            ///< Rng::SerializeState
+  uint64_t pool_size = 0;           ///< index ids handed out so far
+  std::vector<int> free_index_ids;  ///< recycling order matters
+  std::vector<Worker> workers;      ///< index-id order
   std::optional<EpochBudgetLedger::State> ledger;
 };
 
@@ -167,7 +170,8 @@ class ShardedTbfServer {
   /// report; it is required (and charged per report) when the server
   /// enforces budgets. The charge happens first, and a refused charge
   /// leaves any previous registration untouched. The report stays packed
-  /// through routing, locking and the per-shard trie.
+  /// through routing, locking and the per-shard trie. An empty worker id
+  /// is refused with InvalidArgument.
   Status RegisterWorker(const std::string& worker_id, LeafCode code,
                         std::optional<double> declared_epsilon = std::nullopt);
 
@@ -271,9 +275,10 @@ class ShardedTbfServer {
   /// created engine with identical construction options (tree, shard
   /// count, budgets). After restore, the engine continues draw-for-draw
   /// as the exported one would have. Do not call concurrently with
-  /// operations. Inconsistent input (out-of-range or duplicated ids, a
-  /// leaf invalid for the published tree, a shard its leaf does not route
-  /// to, a bad RNG or ledger state) is refused with InvalidArgument before
+  /// operations. Inconsistent input (held and free index ids that do not
+  /// partition [0, pool_size), an empty or duplicated worker id, a leaf
+  /// invalid for the published tree, a shard its leaf does not route to, a
+  /// bad RNG or ledger state) is refused with InvalidArgument before
   /// anything changes, so a refused state leaves the engine fresh.
   Status RestoreState(const ShardedServerState& state);
 
@@ -284,10 +289,11 @@ class ShardedTbfServer {
     HstAvailabilityIndex index;
   };
 
-  // The engine stores, routes and indexes workers by packed LeafCode.
-  struct WorkerState {
+  // One index id's slot: the worker holding it and its packed report, or
+  // shard -1 when the id is free.
+  struct Slot {
+    std::string id;
     LeafCode code = 0;
-    int index_id = -1;
     int shard = -1;
   };
 
@@ -305,7 +311,7 @@ class ShardedTbfServer {
                           std::optional<double> declared_epsilon);
 
   // Shared LIFO id pool, guarded by pool_mu_.
-  int AcquireIndexId(const std::string& worker_id);
+  int AcquireIndexId();
   void ReleaseIndexId(int index_id);
 
   // Queries shard `shard` (its mutex must be held). Uses rng_ for
@@ -338,8 +344,8 @@ class ShardedTbfServer {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex pool_mu_;
-  std::unordered_map<std::string, WorkerState> workers_;
-  std::vector<std::string> worker_by_index_id_;
+  std::vector<Slot> slots_;  // by index id
+  std::unordered_map<std::string, int> index_of_;  // worker id -> index id
   std::vector<int> free_index_ids_;
 
   mutable std::mutex budget_mu_;

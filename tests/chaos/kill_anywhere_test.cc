@@ -102,7 +102,7 @@ void ExpectServerStateEqual(const ShardedServerState& got,
   EXPECT_EQ(got.assigned_tasks, want.assigned_tasks) << what;
   EXPECT_EQ(got.tree_epoch, want.tree_epoch) << what;
   EXPECT_EQ(got.rng_state, want.rng_state) << what;
-  EXPECT_EQ(got.worker_by_index_id, want.worker_by_index_id) << what;
+  EXPECT_EQ(got.pool_size, want.pool_size) << what;
   EXPECT_EQ(got.free_index_ids, want.free_index_ids) << what;
   ASSERT_EQ(got.workers.size(), want.workers.size()) << what;
   for (size_t i = 0; i < got.workers.size(); ++i) {

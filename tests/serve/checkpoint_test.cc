@@ -111,7 +111,7 @@ ReplayCheckpoint MakeTrickyCheckpoint() {
 
   c.server.assigned_tasks = 5;
   c.server.rng_state = "7 1234 5678 90";  // spaces survive
-  c.server.worker_by_index_id = {"w0", "", "w2"};
+  c.server.pool_size = 3;
   c.server.free_index_ids = {1};
   ShardedServerState::Worker w;
   w.id = "w0";
@@ -203,10 +203,10 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
 
   EXPECT_EQ(c.report.checkpoints_written, 6u);
   EXPECT_EQ(c.wal_next_lsn, 1234u);
-  EXPECT_EQ(c.version, 6);
+  EXPECT_EQ(c.version, 7);
 
   EXPECT_EQ(c.server.rng_state, original.server.rng_state);
-  EXPECT_EQ(c.server.worker_by_index_id, original.server.worker_by_index_id);
+  EXPECT_EQ(c.server.pool_size, 3u);
   EXPECT_EQ(c.server.free_index_ids, original.server.free_index_ids);
   ASSERT_EQ(c.server.workers.size(), 2u);
   EXPECT_EQ(c.server.workers[0].code, original.server.workers[0].code);
@@ -257,7 +257,7 @@ void ExpectRejected(const std::string& bytes, const std::string& needle) {
 
 TEST(CheckpointTest, DetectsCorruptionPrecisely) {
   const std::string bytes = SerializeReplayCheckpoint(MakeTrickyCheckpoint());
-  const std::string header = Frame(0, HeaderFields("TBF-CKPT", 6));
+  const std::string header = Frame(0, HeaderFields("TBF-CKPT", 7));
   ASSERT_EQ(bytes.substr(0, header.size()), header);
 
   // Flipped payload byte: CRC mismatch, naming the record and its offset.
@@ -269,34 +269,37 @@ TEST(CheckpointTest, DetectsCorruptionPrecisely) {
   // Torn tail inside a frame, and a cut exactly at a frame boundary (the
   // end record is gone): both refused, not silently short.
   ExpectRejected(bytes.substr(0, bytes.size() - 3), "past end of file");
-  const std::string end_frame = Frame(14, std::string(8, '\0'));
+  const std::string end_frame = Frame(13, std::string(8, '\0'));
   ExpectRejected(bytes.substr(0, bytes.size() - end_frame.size()),
                  "missing required record(s) end");
 
   // Header damage: wrong magic, unknown version, or no header at all.
   const std::string body = bytes.substr(header.size());
-  ExpectRejected(Frame(0, HeaderFields("TBF-NOPE", 6)) + body, "bad magic");
-  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 7)) + body,
-                 "unsupported version 7");
-  // The previous version, which carried the history rows, is refused by
-  // name.
+  ExpectRejected(Frame(0, HeaderFields("TBF-NOPE", 7)) + body, "bad magic");
+  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 8)) + body,
+                 "unsupported version 8");
+  // The previous versions are refused by name: v6, which repeated each
+  // worker's index id in a slot row, and v5, which carried the history
+  // rows.
+  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 6)) + body,
+                 "unsupported version 6 (this build reads v7)");
   ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 5)) + body,
-                 "unsupported version 5 (this build reads v6)");
+                 "unsupported version 5 (this build reads v7)");
   ExpectRejected(body, "first record must be the checkpoint header");
 
   // Grammar: a duplicated singleton, a record after the end, a record of
   // unknown kind, trailing bytes, and an end record that miscounts.
   ExpectRejected(header + header + body, "header record: duplicate");
   ExpectRejected(bytes + Frame(6, std::string(4, '\0')),
-                 "slot record: follows the end record");
+                 "free record: follows the end record");
   ExpectRejected(header + Frame(42, ""), "unknown record kind 42");
-  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 6) + "x"),
+  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 7) + "x"),
                  "trailing bytes");
   std::string miscounted = bytes.substr(0, bytes.size() - end_frame.size());
   std::string count;
   FieldWriter io(&count);
   io(uint64_t{7});
-  ExpectRejected(miscounted + Frame(14, count), "end record: counts 7");
+  ExpectRejected(miscounted + Frame(13, count), "end record: counts 7");
 
   // Short fields name the field and byte.
   ExpectRejected(header + Frame(1, "abc"), "identity record: short read");

@@ -219,7 +219,7 @@ ReplayCheckpoint SmallCheckpoint() {
   c.server.assigned_tasks = 1;
   c.server.tree_epoch = 1;
   c.server.rng_state = "7 1234";
-  c.server.worker_by_index_id = {"w0", ""};
+  c.server.pool_size = 2;
   c.server.free_index_ids = {1};
   ShardedServerState::Worker w;
   w.id = "w0";
@@ -258,8 +258,8 @@ ReplayCheckpoint SmallCheckpoint() {
 
 TEST(FormatGolden, CheckpointBytesArePinned) {
   const std::string bytes = SerializeReplayCheckpoint(SmallCheckpoint());
-  EXPECT_EQ(bytes.size(), 1181u);
-  EXPECT_EQ(Crc32(bytes), 2930866747u);
+  EXPECT_EQ(bytes.size(), 1161u);
+  EXPECT_EQ(Crc32(bytes), 866424663u);
   Result<ReplayCheckpoint> parsed = ParseReplayCheckpoint(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(SerializeReplayCheckpoint(*parsed), bytes);

@@ -88,7 +88,7 @@ void ExpectServerStateEqual(const ShardedServerState& a,
   EXPECT_EQ(a.assigned_tasks, b.assigned_tasks);
   EXPECT_EQ(a.tree_epoch, b.tree_epoch);
   EXPECT_EQ(a.rng_state, b.rng_state);
-  EXPECT_EQ(a.worker_by_index_id, b.worker_by_index_id);
+  EXPECT_EQ(a.pool_size, b.pool_size);
   EXPECT_EQ(a.free_index_ids, b.free_index_ids);
   ASSERT_EQ(a.workers.size(), b.workers.size());
   for (size_t i = 0; i < a.workers.size(); ++i) {

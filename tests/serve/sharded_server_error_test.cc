@@ -45,6 +45,22 @@ TEST(ShardedServerErrorTest, UnregisterUnknownIsPreciseNotFound) {
   EXPECT_EQ((*server)->available_workers(), 0u);
 }
 
+TEST(ShardedServerErrorTest, EmptyWorkerIdIsRefusedBeforeAnyCharge) {
+  // A worker row with an empty id does not restore (RestoreState refuses
+  // it), so the engine never admits one: the export stays restorable.
+  auto tree = BuildTree();
+  ShardedServerOptions options;
+  options.epoch_budget = 1.0;
+  auto server = ShardedTbfServer::Create(tree, options);
+  ASSERT_TRUE(server.ok());
+  const Status s = (*server)->RegisterWorker("", SomeLeaf(*tree, 1), 0.5);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("worker id must not be empty"), std::string::npos);
+  EXPECT_EQ((*server)->ledger()->totals().charges, 0u);
+  EXPECT_EQ((*server)->available_workers(), 0u);
+  EXPECT_EQ((*server)->index_id_pool_size(), 0u);
+}
+
 TEST(ShardedServerErrorTest, ReRegistrationRelocatesInsteadOfDuplicating) {
   auto tree = BuildTree();
   ShardedServerOptions options;
@@ -293,7 +309,7 @@ TEST(ShardedServerErrorTest, RestoreStateValidatesItsInput) {
   {
     ShardedServerState corrupt = good;
     corrupt.free_index_ids.push_back(corrupt.workers[0].index_id);
-    expect_refused(corrupt, "holds a free index id");
+    expect_refused(corrupt, "which is already free or held");
     corrupt.free_index_ids.push_back(corrupt.workers[0].index_id);
     expect_refused(corrupt, "free id 0 listed twice");
   }
@@ -301,6 +317,28 @@ TEST(ShardedServerErrorTest, RestoreStateValidatesItsInput) {
     ShardedServerState corrupt = good;
     corrupt.workers[0].shard = (corrupt.workers[0].shard + 1) % 4;
     expect_refused(corrupt, "routes to shard");
+  }
+  // The held and free ids must partition [0, pool_size): a larger pool
+  // leaves an id neither held nor free, and a smaller one leaves a held id
+  // outside it.
+  {
+    ShardedServerState corrupt = good;
+    ++corrupt.pool_size;
+    expect_refused(corrupt, "leaves 1 neither held nor free");
+    corrupt.pool_size = 0;
+    expect_refused(corrupt, "holds an index id out of range");
+  }
+  {
+    ShardedServerState corrupt = good;
+    corrupt.workers.push_back(corrupt.workers[0]);
+    corrupt.workers.back().id = "w2";
+    expect_refused(corrupt,
+                   "'w2' holds index id 0, which is already free or held");
+  }
+  {
+    ShardedServerState corrupt = good;
+    corrupt.workers[0].id.clear();
+    expect_refused(corrupt, "a worker has an empty id");
   }
 
   // The untouched export still restores, and the restored engine behaves

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "geo/grid.h"
+#include "serve/checkpoint.h"
 #include "serve/reference_server.h"
 
 namespace tbf {
@@ -91,7 +92,8 @@ class ChurnLeaves {
 // reference model (serve/reference_server.h) and the engine, asserting
 // draw-for-draw identical behavior at every step. This is the golden
 // equivalence contract: sharding is an implementation strategy, not a
-// semantics change.
+// semantics change. Neither is a checkpoint: every 50 steps the engine is
+// serialized, parsed and restored into a fresh one that carries on.
 void RunGoldenChurn(int num_shards, HstTieBreak tie_break,
                     std::optional<double> lifetime_budget, uint64_t seed) {
   SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
@@ -103,8 +105,10 @@ void RunGoldenChurn(int num_shards, HstTieBreak tie_break,
   sharded_options.tie_break = tie_break;
   sharded_options.seed = 99;
   sharded_options.lifetime_budget = lifetime_budget;
-  auto sharded = ShardedTbfServer::Create(tree, sharded_options);
-  ASSERT_TRUE(sharded.ok());
+  auto created = ShardedTbfServer::Create(tree, sharded_options);
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<ShardedTbfServer> sharded =
+      std::move(created).MoveValueUnsafe();
 
   Rng script(seed);
   ChurnLeaves leaves(*tree, &script);
@@ -118,7 +122,7 @@ void RunGoldenChurn(int num_shards, HstTieBreak tie_break,
       std::string id = "w" + std::to_string(next_worker++);
       LeafPath leaf = leaves.Next();
       Status a = model.RegisterWorker(id, leaf, eps);
-      Status b = (*sharded)->RegisterWorker(id, Code(*tree, leaf), eps);
+      Status b = sharded->RegisterWorker(id, Code(*tree, leaf), eps);
       ASSERT_EQ(a.code(), b.code()) << "step " << step;
       if (a.ok()) known_workers.push_back(id);
     } else if (op < 5 && !known_workers.empty()) {  // relocation
@@ -126,19 +130,19 @@ void RunGoldenChurn(int num_shards, HstTieBreak tie_break,
           script.UniformInt(0, static_cast<int64_t>(known_workers.size()) - 1))];
       LeafPath leaf = leaves.Next();
       Status a = model.RegisterWorker(id, leaf, eps);
-      Status b = (*sharded)->RegisterWorker(id, Code(*tree, leaf), eps);
+      Status b = sharded->RegisterWorker(id, Code(*tree, leaf), eps);
       ASSERT_EQ(a.code(), b.code()) << "step " << step;
     } else if (op < 6 && !known_workers.empty()) {  // departure
       const std::string& id = known_workers[static_cast<size_t>(
           script.UniformInt(0, static_cast<int64_t>(known_workers.size()) - 1))];
       Status a = model.UnregisterWorker(id);
-      Status b = (*sharded)->UnregisterWorker(id);
+      Status b = sharded->UnregisterWorker(id);
       ASSERT_EQ(a.code(), b.code()) << "step " << step;
     } else {  // task submission
       std::string id = "t" + std::to_string(step);
       LeafPath leaf = leaves.Next();
       auto a = model.SubmitTask(id, leaf, eps);
-      auto b = (*sharded)->SubmitTask(id, Code(*tree, leaf), eps);
+      auto b = sharded->SubmitTask(id, Code(*tree, leaf), eps);
       ASSERT_EQ(a.status().code(), b.status().code()) << "step " << step;
       if (a.ok()) {
         ASSERT_EQ(a->worker, b->worker) << "step " << step;
@@ -146,15 +150,30 @@ void RunGoldenChurn(int num_shards, HstTieBreak tie_break,
             << "step " << step;
       }
     }
-    ASSERT_EQ(model.available_workers(), (*sharded)->available_workers())
+    ASSERT_EQ(model.available_workers(), sharded->available_workers())
         << "step " << step;
-    ASSERT_EQ(model.assigned_tasks(), (*sharded)->assigned_tasks());
+    ASSERT_EQ(model.assigned_tasks(), sharded->assigned_tasks());
     // The shared id pool recycles exactly like the model's LIFO list.
-    ASSERT_EQ(model.index_id_pool_size(), (*sharded)->index_id_pool_size());
+    ASSERT_EQ(model.index_id_pool_size(), sharded->index_id_pool_size());
+    // Every 50 steps the churn moves to a fresh engine restored from the
+    // checkpoint codec's bytes: the slot table, the free-list order, the
+    // ledger and the tie-break RNG must carry on draw for draw.
+    if (step % 50 == 49) {
+      ReplayCheckpoint checkpoint;
+      checkpoint.server = sharded->ExportState();
+      auto parsed =
+          ParseReplayCheckpoint(SerializeReplayCheckpoint(checkpoint));
+      ASSERT_TRUE(parsed.ok()) << "step " << step << ": " << parsed.status();
+      auto restored = ShardedTbfServer::Create(tree, sharded_options);
+      ASSERT_TRUE(restored.ok());
+      const Status status = (*restored)->RestoreState(parsed->server);
+      ASSERT_TRUE(status.ok()) << "step " << step << ": " << status;
+      sharded = std::move(restored).MoveValueUnsafe();
+    }
   }
   // The workers remaining available agree one by one.
   for (const std::string& id : known_workers) {
-    EXPECT_EQ(model.IsRegistered(id), (*sharded)->IsRegistered(id)) << id;
+    EXPECT_EQ(model.IsRegistered(id), sharded->IsRegistered(id)) << id;
   }
 }
 

@@ -727,7 +727,7 @@ TEST(WalFuzzTest, MutatedAndTruncatedCheckpointsFailPrecisely) {
   }
   c.quarantined_events.push_back(QuarantineRecord{3, "w-x", "empty id"});
   c.server.rng_state = "1 2 3";
-  c.server.worker_by_index_id = {"w-0", "", "w-2"};
+  c.server.pool_size = 3;
   c.server.free_index_ids = {1};
   for (const int id : {0, 2}) {
     ShardedServerState::Worker w;

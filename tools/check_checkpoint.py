@@ -8,15 +8,18 @@ fsync'd to disk is a complete, CRC-clean, schema-valid snapshot of the
 live state, with the history rows it covers in the outcome log, and
 against corrupted copies that must be refused.
 
-Checkpoint v6 (docs/ROBUSTNESS.md): the journal's frames
+Checkpoint v7 (docs/ROBUSTNESS.md): the journal's frames
 (tools/tbf_frames.py)
     <len:u32 LE> <crc32:u32 LE> <payload: len bytes>
     payload = <kind:u8> <kind-specific fields, LE>
     file    = header record* end
-The header carries the magic "TBF-CKPT" and version 6; the end record
+The header carries the magic "TBF-CKPT" and version 7; the end record
 counts the records before it. A worker row's report is its 128-bit leaf
-code (16 bytes). v5 (which carried the history rows) and older are
-refused.
+code (16 bytes). The server record carries the index-id pool size, and
+the worker rows' index ids and the free ids must partition [0, pool
+size): no id outside it, none listed twice, none left out. v6 (which
+repeated each worker's index id in a slot row), v5 (which carried the
+history rows) and older are refused.
 
 Outcome log v1, next to the checkpoint: <dir>/outcomes for a durable
 directory's ckpt-<ordinal:08>.ckpt, <file>.outcomes for any other
@@ -46,7 +49,7 @@ import sys
 from tbf_frames import FrameError, Reader, fail, file_checker_main, iter_frames
 
 MAGIC = b"TBF-CKPT"
-VERSION = 6
+VERSION = 7
 LOG_MAGIC = b"TBF-OLOG"
 LOG_VERSION = 1
 DURABLE_NAME = re.compile(r"ckpt-(\d{8})\.ckpt$")
@@ -64,9 +67,8 @@ SCHEMA = [
     # outcome log bytes, epoch rows, quarantine rows
     ("cursor", [U64, U64, "i64", U64, U64, U64, U64]),
     ("report", [U64] * 13),
-    ("server", [U64, U64]),
+    ("server", [U64, U64, U64]),  # assigned tasks, tree epoch, pool size
     ("rng", ["str"]),
-    ("slot", ["str"]),
     ("free", ["u32"]),
     ("worker", ["str", "u128", "u32", "u32"]),
     ("ledger", ["i64", "f64", U64, U64, U64]),
@@ -151,6 +153,22 @@ def decode_record(payload, records, seen):
     return name, values
 
 
+def check_pool(pool_size, held, free):
+    """Checks that the held index ids (worker rows) and the free ids
+    partition [0, pool_size); returns an error message, or None."""
+    seen = set()
+    for index_id in held + free:
+        if index_id >= pool_size:
+            return "index id %d lies outside the pool of %d" % (index_id, pool_size)
+        if index_id in seen:
+            return "index id %d is held or free twice" % index_id
+        seen.add(index_id)
+    if len(seen) != pool_size:
+        return "the pool of %d index ids leaves %d neither held nor free" % (
+            pool_size, pool_size - len(seen))
+    return None
+
+
 def log_path_of(path):
     """The outcome log a checkpoint file's rows live in, and whether a
     newer checkpoint of the same log sits next to it."""
@@ -227,10 +245,11 @@ def check_file(path):
     except OSError as e:
         return fail(path, "unreadable: %s" % e)
     if blob.startswith(TEXT_MAGIC):
-        return fail(path, "text-format (v1-v3) checkpoint; v6 is binary")
+        return fail(path, "text-format (v1-v3) checkpoint; v7 is binary")
 
     seen = set()
     fields = {}
+    held, free = [], []
     records = 0
     try:
         for ordinal, offset, payload in iter_frames(blob):
@@ -240,6 +259,10 @@ def check_file(path):
                 raise FrameError.at(ordinal, offset, str(e))
             seen.add(name)
             fields.setdefault(name, values)
+            if name == "worker":
+                held.append(values[2])
+            elif name == "free":
+                free.append(values[0])
             records += 1
     except FrameError as e:
         return fail(path, str(e))
@@ -252,7 +275,8 @@ def check_file(path):
             "missing required record(s) %s after %d records "
             "(truncated or corrupt file)" % (", ".join(sorted(missing)), records),
         )
-    problem = check_log(path, fields["identity"], fields["cursor"])
+    problem = check_pool(fields["server"][2], held, free) or check_log(
+        path, fields["identity"], fields["cursor"])
     if problem:
         return fail(path, problem)
     print("OK   %s (%d records, %d bytes; outcome log: %d bytes)"
