@@ -4,7 +4,8 @@
 // code-native samplers (walk-vs-inverse-CDF and path-vs-code rows pair up
 // by identical depth/arity counters for BENCH JSON comparisons), and the
 // availability-index churn (packed insert/remove vs the LeafPath entry
-// point), and the per-report Rng stream set-up. The inverse-CDF row also
+// point), the per-report Rng stream set-up, and the batched client step
+// (ObfuscateCodes: nearest point, then draws). The inverse-CDF row also
 // audits the allocator: one sample must never touch the heap.
 
 #include <benchmark/benchmark.h>
@@ -18,7 +19,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/hst_mechanism.h"
+#include "core/tbf.h"
 #include "geo/grid.h"
 #include "hst/hst_index.h"
 #include "privacy/planar_laplace.h"
@@ -299,8 +302,8 @@ void BM_PlanarLaplace(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanarLaplace);
 
-// Client-side mapping: nearest predefined point via the k-d tree (32 x 32
-// is the grid perfbench/ publishes).
+// Client-side mapping: nearest predefined point, by rounding onto the grid
+// (every grid is a lattice; 32 x 32 is the grid perfbench/ publishes).
 void BM_MapToNearestLeaf(benchmark::State& state) {
   const Setup& setup = GetSetup(static_cast<int>(state.range(0)));
   Rng rng(4);
@@ -327,6 +330,30 @@ void BM_RngForkAtDraws(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RngForkAtDraws)->Arg(4)->Arg(16)->Arg(64)->Arg(400);
+
+// The whole client step per report, as the replay runs it: a batch of
+// 1,024 locations on the 32 x 32 grid mapped to their nearest points and
+// obfuscated (walk sampler) on one thread, ForkAt streams opened four at a
+// time.
+void BM_ObfuscateCodes(benchmark::State& state) {
+  auto grid = UniformGridPoints(BBox::Square(200), 32);
+  Rng build_rng(7);
+  auto framework = TbfFramework::Build(*grid, EuclideanMetric(), &build_rng);
+  Rng rng(8);
+  std::vector<Point> locations(1024);
+  for (Point& p : locations) p = {rng.Uniform(0, 200), rng.Uniform(0, 200)};
+  ThreadPool pool(1);
+  const Rng stream(9);
+  uint64_t offset = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        framework->ObfuscateCodes(locations, stream, &pool, nullptr, offset));
+    offset += locations.size();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(locations.size()));
+}
+BENCHMARK(BM_ObfuscateCodes);
 
 }  // namespace
 }  // namespace tbf

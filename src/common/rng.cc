@@ -214,4 +214,33 @@ Rng Rng::ForkAt(uint64_t index) const {
   return Rng(Mix(seed_ ^ Mix(index + 0x6a09e667f3bcc909ULL)));
 }
 
+std::array<Rng, 4> Rng::ForkAt4(uint64_t first) const {
+  std::array<Rng, 4> out = {ForkAt(first), ForkAt(first + 1),
+                            ForkAt(first + 2), ForkAt(first + 3)};
+  // Refill's k == 0 step for all four at once. Each chain is a serial
+  // multiply-add, so the four run side by side. They are four named
+  // scalars on purpose: a loop over a small array of chains compiles to a
+  // store/reload through the stack on every step.
+  uint64_t* const x0 = out[0].state_;
+  uint64_t* const x1 = out[1].state_;
+  uint64_t* const x2 = out[2].state_;
+  uint64_t* const x3 = out[3].state_;
+  uint64_t w0 = x0[0], w1 = x1[0], w2 = x2[0], w3 = x3[0];
+  for (uint32_t i = 1; i <= kM; ++i) {
+    w0 = SeedWord(w0, i);
+    w1 = SeedWord(w1, i);
+    w2 = SeedWord(w2, i);
+    w3 = SeedWord(w3, i);
+    x0[i] = w0;
+    x1[i] = w1;
+    x2[i] = w2;
+    x3[i] = w3;
+  }
+  for (Rng& r : out) {
+    TwistAt(r.state_, 0);
+    r.end_ = 1;
+  }
+  return out;
+}
+
 }  // namespace tbf

@@ -98,7 +98,9 @@ Result<CompleteHst> CompleteHst::Build(const HstTree& tree,
 
   const Status indexed = out.IndexLeafCodes();
   TBF_CHECK(indexed.ok()) << "built tree: " << indexed.ToString();
-  out.Mapper();  // the build path pays the k-d tree up front
+  // The build path pays the mapper up front: the lattice check, and the
+  // k-d tree only when the check fails.
+  if (out.Lattice() == nullptr) out.Tree();
   return out;
 }
 
@@ -157,9 +159,9 @@ Result<CompleteHst> CompleteHst::FromParts(int depth, int arity, double scale,
     }
   }
   TBF_RETURN_NOT_OK(out.IndexLeafCodes());
-  // No Mapper() here: the deserialization path returns as soon as the
-  // lookup tables exist, deferring the k-d tree to the first
-  // MapToNearest* call (a restarting server needs leaf lookups
+  // No mapper here: the deserialization path returns as soon as the
+  // lookup tables exist, deferring the lattice check and the k-d tree to
+  // the first MapToNearest* call (a restarting server needs leaf lookups
   // immediately, the mapper only on its first re-key or client mapping).
   return out;
 }
@@ -193,14 +195,29 @@ double CompleteHst::TreeDistanceForLcaLevel(int level) const {
   return TreeDistanceForLevel(level) / scale_;
 }
 
-const KdTree& CompleteHst::Mapper() const {
-  std::call_once(mapper_->once,
+const PointLattice* CompleteHst::Lattice() const {
+  LazyMapper& mapper = *mapper_;
+  if (!mapper.lattice_checked.load(std::memory_order_acquire)) {
+    std::call_once(mapper.lattice_once, [&] {
+      mapper.lattice = PointLattice::Detect(points_);
+      mapper.lattice_checked.store(true, std::memory_order_release);
+    });
+  }
+  return mapper.lattice ? &*mapper.lattice : nullptr;
+}
+
+const KdTree& CompleteHst::Tree() const {
+  std::call_once(mapper_->tree_once,
                  [this] { mapper_->tree = std::make_unique<KdTree>(points_); });
   return *mapper_->tree;
 }
 
 int CompleteHst::MapToNearestPoint(const Point& location) const {
-  int id = Mapper().NearestNeighbor(location);
+  if (const PointLattice* lattice = Lattice()) {
+    const int id = lattice->Nearest(location);
+    if (id >= 0) return id;
+  }
+  const int id = Tree().NearestNeighbor(location);
   TBF_CHECK(id >= 0) << "empty predefined point set";
   return id;
 }

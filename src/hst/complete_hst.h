@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -17,6 +18,7 @@
 
 #include "common/result.h"
 #include "geo/kdtree.h"
+#include "geo/lattice.h"
 #include "geo/metric.h"
 #include "geo/point.h"
 #include "hst/hst_tree.h"
@@ -110,7 +112,8 @@ class CompleteHst {
   double TreeDistanceForLcaLevel(int level) const;
 
   /// \brief Id of the predefined point nearest to `location` in Euclidean
-  /// distance (the client-side mapping step of the paper's workflow).
+  /// distance (the client-side mapping step of the paper's workflow);
+  /// the smaller id on equal distance, as KdTree::NearestNeighbor.
   int MapToNearestPoint(const Point& location) const;
 
   /// \brief Packed code of the nearest predefined point's leaf — the
@@ -136,18 +139,30 @@ class CompleteHst {
   std::optional<LeafCodec> codec_;    // always set once constructed
   std::unordered_map<LeafCode, int, LeafCodeHash> point_by_code_;
 
-  // Nearest-point mapper (the client-side mapping step), constructed on
-  // first use. A tree reloaded from its snapshot serves leaf-addressed
-  // lookups the moment the parse returns; the k-d tree is only needed by
-  // the MapToNearest* API (and republish re-keying), so FromParts defers
-  // its construction to the first mapping call while the build path
-  // pre-warms it. Heap-boxed because std::once_flag is immovable and
-  // CompleteHst must stay movable.
+  // Nearest-point mapper (the client-side mapping step). A point set that
+  // forms an axis-aligned lattice (every published grid) is answered by
+  // rounding (geo/lattice.h); queries outside the lattice's box, non-finite
+  // ones and every irregular set go to a k-d tree. Both answer with the
+  // k-d tree's tie rule, so which one runs never changes an id. A tree
+  // reloaded from its snapshot serves leaf-addressed lookups the moment
+  // the parse returns, so FromParts defers both to the first
+  // MapToNearest* call; the build path detects the lattice up front, and
+  // pays the k-d tree up front only for an irregular set. A lattice set
+  // builds its k-d tree on the first query the lattice cannot answer.
+  // Each part has its own once_flag; heap-boxed because std::once_flag
+  // is immovable and CompleteHst must stay movable.
   struct LazyMapper {
-    std::once_flag once;
+    std::once_flag lattice_once;
+    // Set once `lattice` is final, so the per-query check is one acquire
+    // load rather than a pass through std::call_once.
+    std::atomic<bool> lattice_checked{false};
+    std::optional<PointLattice> lattice;
+    std::once_flag tree_once;
     std::unique_ptr<KdTree> tree;
   };
-  const KdTree& Mapper() const;
+  // The detected lattice, or null for an irregular set.
+  const PointLattice* Lattice() const;
+  const KdTree& Tree() const;
   mutable std::unique_ptr<LazyMapper> mapper_ = std::make_unique<LazyMapper>();
 };
 

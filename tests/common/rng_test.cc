@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <random>
 #include <set>
@@ -325,6 +326,67 @@ TEST(RngOracleTest, LazyEngineMatchesStdMt19937_64) {
     std::mt19937_64 child_oracle(SplitMix(child_seed));
     ExpectMatchesOracle(&child, &child_oracle, count);
     ASSERT_EQ(parent.SerializeState(), OracleState(seed, parent_oracle));
+  }
+}
+
+TEST(RngOracleTest, ForkAt4MatchesSerialForkAt) {
+  // ForkAt4 seeds four streams in lockstep and twists each one's first
+  // word ahead of its first draw; nothing of that may show. Each stream
+  // equals ForkAt(first + j) for 1,000 words (past the lazily seeded word
+  // 157 and the regeneration at 312), and at every draw count around those
+  // boundaries a copy, an assigned copy and a restored copy continue it,
+  // with the serial stream's draw_count(). Before the first draw the
+  // serialized form differs (twisted word 0, index 0), but it restores to
+  // the same stream; after any draw it is the serial stream's.
+  const int kCounts[] = {0, 1, 155, 156, 311, 312, 313};
+  for (uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{77},
+                        uint64_t{0x243f6a8885a308d3}}) {
+    const Rng parent(seed);
+    for (uint64_t first : {uint64_t{0}, uint64_t{5}, ~uint64_t{0} - 1}) {
+      std::array<Rng, 4> group = parent.ForkAt4(first);
+      for (uint64_t j = 0; j < 4; ++j) {
+        Rng serial = parent.ForkAt(first + j);
+        ASSERT_EQ(group[j].seed(), serial.seed());
+        ASSERT_EQ(group[j].draw_count(), 0u);
+        for (int i = 0; i < 1000; ++i) {
+          ASSERT_EQ(group[j].NextU64(), serial.NextU64())
+              << "seed " << seed << " stream " << first + j << " draw " << i;
+        }
+        ASSERT_EQ(group[j].draw_count(), serial.draw_count());
+      }
+      for (int count : kCounts) {
+        std::array<Rng, 4> fresh = parent.ForkAt4(first);
+        for (uint64_t j = 0; j < 4; ++j) {
+          Rng serial = parent.ForkAt(first + j);
+          Rng& grouped = fresh[j];
+          for (int i = 0; i < count; ++i) {
+            ASSERT_EQ(grouped.NextU64(), serial.NextU64());
+          }
+          ASSERT_EQ(grouped.draw_count(), static_cast<uint64_t>(count));
+          ASSERT_EQ(grouped.draw_count(), serial.draw_count());
+          const std::string state = grouped.SerializeState();
+          if (count > 0) {
+            ASSERT_EQ(state, serial.SerializeState());
+          }
+          Rng restored(0);
+          ASSERT_TRUE(restored.RestoreState(state).ok());
+          Rng copy = grouped;
+          Rng assigned(1);
+          assigned = grouped;
+          ASSERT_EQ(copy.draw_count(), serial.draw_count());
+          ASSERT_EQ(assigned.draw_count(), serial.draw_count());
+          for (int i = 0; i < 400; ++i) {
+            const uint64_t expected = serial.NextU64();
+            ASSERT_EQ(grouped.NextU64(), expected) << "count " << count;
+            ASSERT_EQ(copy.NextU64(), expected) << "copy, count " << count;
+            ASSERT_EQ(assigned.NextU64(), expected) << "assigned, count " << count;
+            ASSERT_EQ(restored.NextU64(), expected) << "restored, count " << count;
+          }
+          ASSERT_EQ(grouped.SerializeState(), serial.SerializeState());
+          ASSERT_EQ(restored.SerializeState(), serial.SerializeState());
+        }
+      }
+    }
   }
 }
 

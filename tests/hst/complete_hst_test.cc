@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <iomanip>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
 
 #include "geo/grid.h"
+#include "geo/kdtree.h"
+#include "geo/lattice.h"
 
 namespace tbf {
 namespace {
@@ -320,6 +325,190 @@ TEST(CompleteHstTest, FromPartsRejectsDuplicateLeafThroughCodeMap) {
                 "row 2: duplicate leaf path (first seen at row 0)"),
             std::string::npos)
       << tree.status();
+}
+
+// ---- Nearest-point mapping: the lattice path against a k-d tree oracle ----
+
+// Coordinate values probing one axis of a lattice: every node, every
+// midpoint between neighbours and both quarter points, each node and
+// midpoint also one ulp to either side (the rounding and tie boundaries).
+std::vector<double> AxisProbes(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  std::vector<double> out;
+  auto with_neighbours = [&out](double v) {
+    out.push_back(v);
+    out.push_back(std::nextafter(v, -HUGE_VAL));
+    out.push_back(std::nextafter(v, HUGE_VAL));
+  };
+  for (size_t i = 0; i < values.size(); ++i) {
+    with_neighbours(values[i]);
+    if (i + 1 == values.size()) break;
+    const double gap = values[i + 1] - values[i];
+    with_neighbours(values[i] + gap / 2);
+    out.push_back(values[i] + gap / 4);
+    out.push_back(values[i] + 3 * gap / 4);
+  }
+  return out;
+}
+
+// Queries for `points`: the product of both axes' probes (capped, for
+// sets with many distinct coordinates), random points in the box, points
+// just and well outside it on every side, far ones and non-finite ones.
+std::vector<Point> ProbeQueries(const std::vector<Point>& points, uint64_t seed) {
+  std::vector<double> xs, ys;
+  for (const Point& p : points) {
+    xs.push_back(p.x);
+    ys.push_back(p.y);
+  }
+  const std::vector<double> px = AxisProbes(xs);
+  const std::vector<double> py = AxisProbes(ys);
+  std::vector<Point> out;
+  if (px.size() * py.size() <= 100000) {
+    for (double x : px) {
+      for (double y : py) out.emplace_back(x, y);
+    }
+  }
+  const double lo_x = *std::min_element(xs.begin(), xs.end());
+  const double hi_x = *std::max_element(xs.begin(), xs.end());
+  const double lo_y = *std::min_element(ys.begin(), ys.end());
+  const double hi_y = *std::max_element(ys.begin(), ys.end());
+  Rng rng(seed);
+  for (int i = 0; i < 2000; ++i) {
+    out.emplace_back(rng.Uniform(lo_x, hi_x), rng.Uniform(lo_y, hi_y));
+  }
+  const double span = std::max(hi_x - lo_x, hi_y - lo_y);
+  for (double margin : {0.0, 0.01, 0.3, 2.0}) {
+    const double d = margin * span;
+    const double below_x = d == 0 ? std::nextafter(lo_x, -HUGE_VAL) : lo_x - d;
+    const double above_x = d == 0 ? std::nextafter(hi_x, HUGE_VAL) : hi_x + d;
+    const double below_y = d == 0 ? std::nextafter(lo_y, -HUGE_VAL) : lo_y - d;
+    const double above_y = d == 0 ? std::nextafter(hi_y, HUGE_VAL) : hi_y + d;
+    for (int i = 0; i < 50; ++i) {
+      const double x = rng.Uniform(lo_x, hi_x);
+      const double y = rng.Uniform(lo_y, hi_y);
+      out.insert(out.end(), {{below_x, y}, {above_x, y}, {x, below_y}, {x, above_y}});
+    }
+    out.insert(out.end(), {{below_x, below_y}, {below_x, above_y},
+                           {above_x, below_y}, {above_x, above_y}});
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  out.insert(out.end(), {{1e300, -1e300}, {-1e300, 1e300}, {1e154, 1e154},
+                         {nan, lo_y}, {lo_x, nan}, {nan, nan}, {inf, lo_y},
+                         {lo_x, -inf}, {-inf, inf}, {lo_x, hi_y + 1e300}});
+  return out;
+}
+
+// MapToNearestPoint (and the leaf-code form) must equal an independent
+// k-d tree over the published points on every probe.
+void ExpectMapsLikeKdTree(const CompleteHst& tree, uint64_t seed) {
+  const KdTree oracle(tree.points());
+  for (const Point& q : ProbeQueries(tree.points(), seed)) {
+    const int expected = oracle.NearestNeighbor(q);
+    ASSERT_EQ(tree.MapToNearestPoint(q), expected)
+        << std::setprecision(17) << "query " << q;
+    ASSERT_EQ(tree.MapToNearestLeafCode(q), tree.leaf_code_of_point(expected));
+  }
+}
+
+CompleteHst BuildOver(const std::vector<Point>& points, uint64_t seed = 11) {
+  EuclideanMetric metric;
+  Rng rng(seed);
+  auto tree = CompleteHst::BuildFromPoints(points, metric, &rng);
+  EXPECT_TRUE(tree.ok()) << tree.status();
+  return std::move(tree).MoveValueUnsafe();
+}
+
+// The snapshot parser's path: the same parts, every mapper deferred.
+CompleteHst Reloaded(const CompleteHst& tree, std::vector<Point> points) {
+  std::vector<LeafCode> codes;
+  for (int p = 0; p < tree.num_points(); ++p) {
+    codes.push_back(tree.leaf_code_of_point(p));
+  }
+  codes.resize(points.size());
+  auto out = CompleteHst::FromParts(tree.depth(), tree.arity(), tree.scale(),
+                                    std::move(points), std::move(codes));
+  EXPECT_TRUE(out.ok()) << out.status();
+  return std::move(out).MoveValueUnsafe();
+}
+
+// `xs` x `ys` in a shuffled id order, so equal-distance ties are decided
+// by ids the row-major layout does not predict.
+std::vector<Point> ShuffledLattice(const std::vector<double>& xs,
+                                   const std::vector<double>& ys, uint64_t seed) {
+  std::vector<Point> out;
+  for (double x : xs) {
+    for (double y : ys) out.emplace_back(x, y);
+  }
+  Rng rng(seed);
+  rng.Shuffle(&out);
+  return out;
+}
+
+TEST(LatticeMapperTest, LatticeSetsMapLikeTheKdTree) {
+  auto grid = UniformGridPoints(BBox::Square(200), 32);
+  ASSERT_TRUE(grid.ok());
+  // 7 x 3, steps 1.25 and 4.5, the x values up to 0.05 off even spacing.
+  const std::vector<double> uneven_x = {-3.5, -2.2, -1.0, 0.27, 1.5, 2.76, 4.0};
+  const std::vector<double> uneven_y = {10.0, 14.5, 19.0};
+  const std::vector<std::vector<Point>> sets = {
+      *grid,
+      ShuffledLattice(uneven_x, uneven_y, 3),
+      ShuffledLattice({0.0, 1.0}, {-2.0, 5.0}, 4),
+  };
+  for (size_t i = 0; i < sets.size(); ++i) {
+    SCOPED_TRACE("set " + std::to_string(i));
+    const CompleteHst tree = BuildOver(sets[i]);
+    ASSERT_TRUE(PointLattice::Detect(tree.points()).has_value());
+    ExpectMapsLikeKdTree(tree, i);
+    ExpectMapsLikeKdTree(Reloaded(tree, tree.points()), i);
+  }
+}
+
+TEST(LatticeMapperTest, NearLatticeSetsKeepTheKdTree) {
+  auto grid_result = UniformGridPoints(BBox::Square(200), 12);
+  ASSERT_TRUE(grid_result.ok());
+  const std::vector<Point> grid = *grid_result;
+  const CompleteHst grid_tree = BuildOver(grid);
+
+  std::vector<Point> moved = grid;
+  moved[29].x = std::nextafter(moved[29].x, HUGE_VAL);
+  std::vector<Point> missing = grid;
+  missing.pop_back();
+  std::vector<Point> duplicate = grid;
+  duplicate[40] = duplicate[41];
+  // Points 0 and 12 are the first two of the lowest row.
+  std::vector<Point> duplicate_in_row = grid;
+  duplicate_in_row[12] = duplicate_in_row[0];
+  std::vector<Point> line;
+  for (int i = 0; i < 20; ++i) line.emplace_back(3.0 * i, 7.0);
+  // Gaps 1, 1 and 5: a lattice, but too uneven to locate by rounding.
+  const std::vector<Point> uneven =
+      ShuffledLattice({0.0, 1.0, 2.0, 7.0}, {0.0, 1.0, 2.0}, 5);
+  // 300 random points and a twin: BuildFromPoints snaps them onto a
+  // lattice's nodes, which leaves most of its cells empty.
+  Rng gen(17);
+  std::vector<Point> dense;
+  for (int i = 0; i < 300; ++i) {
+    dense.push_back({gen.Uniform(0, 100), gen.Uniform(0, 100)});
+  }
+  dense.push_back({dense[0].x + 1e-12, dense[0].y});
+
+  std::vector<std::pair<std::string, CompleteHst>> trees;
+  trees.emplace_back("moved", Reloaded(grid_tree, moved));
+  trees.emplace_back("missing", Reloaded(grid_tree, missing));
+  trees.emplace_back("duplicate", Reloaded(grid_tree, duplicate));
+  trees.emplace_back("duplicate in row", Reloaded(grid_tree, duplicate_in_row));
+  trees.emplace_back("line", BuildOver(line));
+  trees.emplace_back("uneven", BuildOver(uneven));
+  trees.emplace_back("dense", BuildOver(dense));
+  for (const auto& [name, tree] : trees) {
+    SCOPED_TRACE(name);
+    EXPECT_FALSE(PointLattice::Detect(tree.points()).has_value());
+    ExpectMapsLikeKdTree(tree, 7);
+  }
+  EXPECT_EQ(trees.back().second.num_points(), 300);
 }
 
 }  // namespace
