@@ -15,10 +15,10 @@
 #include "core/tbf.h"
 #include "geo/grid.h"
 #include "hst/hst_index.h"
-#include "hst/hst_map_index.h"
 #include "matching/greedy_euclid.h"
 #include "matching/hst_greedy.h"
 #include "matching/runner.h"
+#include "tests/hst/hst_map_index.h"
 #include "workload/synthetic.h"
 
 namespace tbf {

@@ -104,38 +104,6 @@ void KdTree::NearestRecursive(int node_index, const Point& query, double* best_d
   }
 }
 
-std::vector<int> KdTree::RadiusSearch(const Point& query, double radius) const {
-  std::vector<int> out;
-  if (root_ >= 0 && radius >= 0.0) {
-    RadiusRecursive(root_, query, radius * radius, &out);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void KdTree::RadiusRecursive(int node_index, const Point& query, double r2,
-                             std::vector<int>* out) const {
-  if (node_index < 0) return;
-  const Node& node = nodes_[static_cast<size_t>(node_index)];
-  if (node.subtree_active == 0) return;
-
-  int pid = node.point_id;
-  if (active_[static_cast<size_t>(pid)] &&
-      SquaredDistance(query, points_[static_cast<size_t>(pid)]) <= r2) {
-    out->push_back(pid);
-  }
-
-  const Point& p = points_[static_cast<size_t>(pid)];
-  double qv = node.axis == 0 ? query.x : query.y;
-  double pv = node.axis == 0 ? p.x : p.y;
-  double diff = qv - pv;
-  int near_child = diff <= 0 ? node.left : node.right;
-  int far_child = diff <= 0 ? node.right : node.left;
-
-  RadiusRecursive(near_child, query, r2, out);
-  if (diff * diff <= r2) RadiusRecursive(far_child, query, r2, out);
-}
-
 void KdTree::UpdateCountsOnPath(int id, int delta) {
   int node_index = node_of_point_[static_cast<size_t>(id)];
   while (node_index >= 0) {
@@ -153,18 +121,6 @@ void KdTree::Deactivate(int id) {
   ++deactivations_since_rebuild_;
   if (active_count_ > 0 && deactivations_since_rebuild_ * 2 > nodes_.size()) {
     Rebuild();
-  }
-}
-
-void KdTree::Activate(int id) {
-  size_t idx = static_cast<size_t>(id);
-  if (idx >= points_.size() || active_[idx]) return;
-  active_[idx] = true;
-  ++active_count_;
-  if (node_of_point_[idx] >= 0) {
-    UpdateCountsOnPath(id, 1);
-  } else {
-    Rebuild();  // point was dropped from the structure at the last rebuild
   }
 }
 

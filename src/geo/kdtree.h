@@ -31,15 +31,8 @@ class KdTree {
   /// active. Ties break toward the smaller id.
   int NearestNeighbor(const Point& query) const;
 
-  /// \brief Ids of all active points within `radius` of `query` (inclusive),
-  /// in ascending id order.
-  std::vector<int> RadiusSearch(const Point& query, double radius) const;
-
   /// \brief Marks a point inactive; no-op if already inactive.
   void Deactivate(int id);
-
-  /// \brief Marks a point active again.
-  void Activate(int id);
 
   bool IsActive(int id) const { return active_[static_cast<size_t>(id)]; }
 
@@ -60,8 +53,6 @@ class KdTree {
   void Rebuild();
   void NearestRecursive(int node, const Point& query, double* best_d2,
                         int* best_id) const;
-  void RadiusRecursive(int node, const Point& query, double r2,
-                       std::vector<int>* out) const;
   void UpdateCountsOnPath(int id, int delta);
 
   std::vector<Point> points_;

@@ -19,9 +19,9 @@
 // per *distinct leaf ever occupied* — not per concurrent item — so a
 // deployment cycling through the whole leaf space should plan for that
 // ceiling (or periodically rebuild the index to compact it). The map-based
-// original lives on in hst_map_index.h as the golden reference; equivalence
-// — including draw-for-draw identical NearestUniform randomization — is
-// enforced by fuzz tests.
+// original lives on as the test oracle tests/hst/hst_map_index.h;
+// equivalence — including draw-for-draw identical NearestUniform
+// randomization — is enforced by fuzz tests.
 
 #pragma once
 

@@ -115,22 +115,4 @@ Result<HstTree> HstTree::BuildReference(const std::vector<Point>& points,
   return tree;
 }
 
-double HstTree::TreeDistanceBetweenPoints(int point_a, int point_b) const {
-  if (point_a == point_b) return 0.0;
-  int a = leaf_of_point(point_a);
-  int b = leaf_of_point(point_b);
-  double dist_internal = 0.0;
-  // Leaves are at equal depth; climb in lockstep until the clusters merge.
-  while (a != b) {
-    const HstNode& na = nodes_[static_cast<size_t>(a)];
-    const HstNode& nb = nodes_[static_cast<size_t>(b)];
-    // Edge to parent from level i has length 2^{i+1}.
-    dist_internal += 2.0 * PowerOfTwo(na.level) + 2.0 * PowerOfTwo(nb.level);
-    a = na.parent;
-    b = nb.parent;
-    TBF_CHECK(a >= 0 && b >= 0) << "walked past the root";
-  }
-  return dist_internal / scale_;
-}
-
 }  // namespace tbf

@@ -81,8 +81,9 @@ class HstTree {
                                const Metric& metric, Rng* rng,
                                const HstTreeOptions& options = {});
 
-  /// \brief The seed's level-by-level O(N^2 D) Algorithm 1, kept verbatim
-  /// as the golden reference the fast builder is fuzz-pinned against
+  /// \brief The seed's level-by-level O(N^2 D) Algorithm 1, kept verbatim.
+  /// It ships because Build falls back to it for kGeneric metrics, and it
+  /// is the golden reference the fast builder is fuzz-pinned against
   /// (tests/hst/hst_build_golden_test.cc). Same contract as Build.
   static Result<HstTree> BuildReference(const std::vector<Point>& points,
                                         const Metric& metric, Rng* rng,
@@ -110,11 +111,6 @@ class HstTree {
   }
 
   size_t num_points() const { return leaf_of_point_.size(); }
-
-  /// \brief Distance between two points' leaves measured along the tree, in
-  /// *metric* units. O(depth). Used by tests to validate the FRT
-  /// distortion properties against the direct metric distance.
-  double TreeDistanceBetweenPoints(int point_a, int point_b) const;
 
  private:
   HstTree() = default;

@@ -65,11 +65,4 @@ Status LeafCodec::Validate(LeafCode code) const {
   return Status::OK();
 }
 
-int LeafCodec::LcaLevelDigitLoop(LeafCode a, LeafCode b) const {
-  for (int j = 0; j < depth_; ++j) {
-    if (Digit(a, j) != Digit(b, j)) return depth_ - j;
-  }
-  return 0;
-}
-
 }  // namespace tbf

@@ -123,10 +123,6 @@ class LeafCodec {
     return depth_ - CountlZero(diff) / bits_;
   }
 
-  /// \brief Reference implementation of LcaLevel walking the digits one by
-  /// one; used by tests to certify the bit-twiddling path.
-  int LcaLevelDigitLoop(LeafCode a, LeafCode b) const;
-
  private:
   int Shift(int position) const {
     return kLeafCodeBits - bits_ * (position + 1);

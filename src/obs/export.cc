@@ -50,28 +50,6 @@ void AppendSample(std::ostream& out, const std::string& base,
   out << ' ' << value << '\n';
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string ToPrometheusText(const MetricsSnapshot& snapshot) {
@@ -127,40 +105,6 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot) {
     }
   }
   return out.str();
-}
-
-std::string ToJsonLine(const MetricsSnapshot& snapshot) {
-  std::ostringstream out;
-  out << '{';
-  out << "\"counters\":{";
-  for (size_t i = 0; i < snapshot.counters.size(); ++i) {
-    if (i > 0) out << ',';
-    out << '"' << JsonEscape(snapshot.counters[i].name)
-        << "\":" << FormatDouble(snapshot.counters[i].value);
-  }
-  out << "},\"gauges\":{";
-  for (size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    if (i > 0) out << ',';
-    out << '"' << JsonEscape(snapshot.gauges[i].name)
-        << "\":" << FormatDouble(static_cast<double>(snapshot.gauges[i].value));
-  }
-  out << "},\"histograms\":{";
-  for (size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    const HistogramSample& h = snapshot.histograms[i];
-    if (i > 0) out << ',';
-    out << '"' << JsonEscape(h.name) << "\":{"
-        << "\"count\":" << h.count << ",\"sum\":" << h.sum
-        << ",\"mean\":" << FormatDouble(h.Mean())
-        << ",\"p50\":" << FormatDouble(h.Quantile(0.50))
-        << ",\"p95\":" << FormatDouble(h.Quantile(0.95))
-        << ",\"p99\":" << FormatDouble(h.Quantile(0.99)) << '}';
-  }
-  out << "}}";
-  return out.str();
-}
-
-void WriteJsonLine(const MetricsSnapshot& snapshot, std::ostream* out) {
-  (*out) << ToJsonLine(snapshot) << '\n';
 }
 
 }  // namespace obs

@@ -1,14 +1,10 @@
-// Snapshot exporters: Prometheus text exposition format and a JSON-lines
-// writer whose flat numeric records sit next to the BENCH_*.json
-// trajectory in CI artifacts.
+// Snapshot exporter: Prometheus text exposition format.
 //
-// Both exporters consume a MetricsSnapshot (plain data), so they never
-// touch registry locks or the hot path; call them from the reporter
-// thread or after a run.
+// It consumes a MetricsSnapshot (plain data), so it never touches
+// registry locks or the hot path; call it after a run.
 
 #pragma once
 
-#include <ostream>
 #include <string>
 
 #include "obs/metrics.h"
@@ -23,17 +19,6 @@ namespace obs {
 /// the closing `le="+Inf"`, `_sum` and `_count`. Registry names that
 /// carry a `{label="value"}` block keep those labels, merged with `le`.
 std::string ToPrometheusText(const MetricsSnapshot& snapshot);
-
-/// \brief One JSON object per call, no trailing newline:
-///   {"counters":{...},"gauges":{...},
-///    "histograms":{"name":{"count":..,"sum":..,"mean":..,
-///                          "p50":..,"p95":..,"p99":..}}}
-/// Values are finite numbers; names are JSON-escaped. Appending one line
-/// per interval yields a JSON-lines flight log.
-std::string ToJsonLine(const MetricsSnapshot& snapshot);
-
-/// \brief Writes ToJsonLine(snapshot) plus '\n' to `out`.
-void WriteJsonLine(const MetricsSnapshot& snapshot, std::ostream* out);
 
 }  // namespace obs
 }  // namespace tbf

@@ -30,8 +30,7 @@
 //
 // Snapshot()/Delta() give interval semantics: counters and histograms
 // subtract (monotone, so deltas are non-negative), gauges keep the newer
-// value. Exporters live in obs/export.h; the periodic reporter in
-// obs/reporter.h.
+// value. The Prometheus exporter lives in obs/export.h.
 
 #pragma once
 

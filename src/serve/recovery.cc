@@ -10,7 +10,6 @@
 
 #include "common/atomic_file.h"
 #include "common/fault.h"
-#include "hst/snapshot.h"
 
 namespace tbf {
 
@@ -35,53 +34,26 @@ bool IsCheckpointFileName(const std::string& name, uint64_t* ordinal) {
   return true;
 }
 
-/// Reads + parses one checkpoint with the transient-IO retry policy.
-/// Fault site "recovery.scan" fires once per attempt, so a seeded plan
-/// with count=1 exercises exactly the retry path.
-Result<ReplayCheckpoint> ReadCheckpointWithRetry(const std::string& path,
-                                                 const RecoveryPolicy& policy,
-                                                 uint64_t* io_retries) {
+/// Runs `read` under the transient-IO retry policy: an IOError is retried
+/// up to policy.max_attempts with backoff, anything else (corruption,
+/// schema) is returned at once because no retry can fix it. The fault
+/// site `site` fires once per attempt, so a seeded plan with count=1
+/// exercises exactly the retry path.
+template <typename T, typename Read>
+Result<T> ReadWithRetry([[maybe_unused]] const char* site,
+                        const RecoveryPolicy& policy, uint64_t* io_retries,
+                        Read read) {
   const int attempts = std::max(1, policy.max_attempts);
   Status last = Status::OK();
   for (int attempt = 0; attempt < attempts; ++attempt) {
-    Status injected = TBF_FAULT_INJECT("recovery.scan");
-    Result<ReplayCheckpoint> read =
-        injected.ok() ? ReadReplayCheckpointFile(path)
-                      : Result<ReplayCheckpoint>(injected);
-    if (read.ok()) return read;
-    if (read.status().code() != StatusCode::kIOError) {
-      return read.status();  // corruption / schema: fail fast, no retry
+    Status injected = TBF_FAULT_INJECT(site);
+    Result<T> result = injected.ok() ? read() : Result<T>(injected);
+    if (result.ok() || result.status().code() != StatusCode::kIOError) {
+      return result;
     }
-    last = read.status();
+    last = result.status();
     if (attempt + 1 < attempts) {
-      if (io_retries != nullptr) ++*io_retries;
-      SleepSeconds(policy.backoff_seconds);
-    }
-  }
-  return last;
-}
-
-/// Reads the outcome log with the same retry policy. A log that does not
-/// exist reads as empty, so every checkpoint covering log bytes is
-/// rejected as cut short; an IOError that outlasts the retries is
-/// returned, since every checkpoint shares the log and no fallback helps.
-/// Fault site "recovery.outcome_log" fires once per attempt.
-Result<std::string> ReadOutcomeLogWithRetry(const std::string& path,
-                                            const RecoveryPolicy& policy,
-                                            uint64_t* io_retries) {
-  const int attempts = std::max(1, policy.max_attempts);
-  Status last = Status::OK();
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    Status injected = TBF_FAULT_INJECT("recovery.outcome_log");
-    std::error_code ec;
-    if (injected.ok() && !fs::exists(path, ec) && !ec) return std::string();
-    Result<std::string> read =
-        injected.ok() ? ReadFileToString(path, "outcome log")
-                      : Result<std::string>(injected);
-    if (read.ok()) return read;
-    last = read.status();
-    if (attempt + 1 < attempts) {
-      if (io_retries != nullptr) ++*io_retries;
+      ++*io_retries;
       SleepSeconds(policy.backoff_seconds);
     }
   }
@@ -134,15 +106,28 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
   const std::string log_path = OutcomeLogPath(dir);
   std::optional<std::string> log;  // read once, when a checkpoint needs it
   for (const auto& [ordinal, path] : candidates) {
-    Result<ReplayCheckpoint> read =
-        ReadCheckpointWithRetry(path, policy, &run.io_retries);
+    Result<ReplayCheckpoint> read = ReadWithRetry<ReplayCheckpoint>(
+        "recovery.scan", policy, &run.io_retries,
+        [&] { return ReadReplayCheckpointFile(path); });
     if (!read.ok()) {
       ++run.checkpoints_rejected;
       continue;
     }
     if (read->outcome_log_bytes > 0 && !log.has_value()) {
+      // A log that does not exist reads as empty, so every checkpoint
+      // covering log bytes is rejected as cut short. A read that still
+      // fails fails recovery: every checkpoint shares the log, so no
+      // fallback helps.
       TBF_ASSIGN_OR_RETURN(
-          log, ReadOutcomeLogWithRetry(log_path, policy, &run.io_retries));
+          log, ReadWithRetry<std::string>(
+                   "recovery.outcome_log", policy, &run.io_retries,
+                   [&]() -> Result<std::string> {
+                     std::error_code missing;
+                     if (!fs::exists(log_path, missing) && !missing) {
+                       return std::string();
+                     }
+                     return ReadFileToString(log_path, "outcome log");
+                   }));
     }
     const Status rows =
         ParseOutcomeRows(log.has_value() ? *log : std::string_view(), &*read);
@@ -216,26 +201,6 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
         ->Add(run.wal.truncated_records);
   }
   return run;
-}
-
-Result<CompleteHst> ReadHstSnapshotFileWithRetry(const std::string& path,
-                                                 const RecoveryPolicy& policy,
-                                                 uint64_t* io_retries) {
-  const int attempts = std::max(1, policy.max_attempts);
-  Status last = Status::OK();
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    Result<CompleteHst> read = ReadHstSnapshotFile(path);
-    if (read.ok()) return read;
-    if (read.status().code() != StatusCode::kIOError) {
-      return read.status();  // corruption: retrying cannot help
-    }
-    last = read.status();
-    if (attempt + 1 < attempts) {
-      if (io_retries != nullptr) ++*io_retries;
-      SleepSeconds(policy.backoff_seconds);
-    }
-  }
-  return last;
 }
 
 }  // namespace tbf

@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "hst/complete_hst.h"
 #include "obs/metrics.h"
 #include "serve/checkpoint.h"
 #include "serve/wal.h"
@@ -115,13 +114,5 @@ struct RecoveredRun {
 Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
                                       const RecoveryPolicy& policy = {},
                                       obs::MetricRegistry* metrics = nullptr);
-
-/// \brief ReadHstSnapshotFile with the recovery retry policy: a transient
-/// IOError (file vanished mid-read, open refused) is retried up to
-/// policy.max_attempts with backoff; a parse error (corruption) fails
-/// fast. `io_retries`, when non-null, is incremented per retry.
-Result<CompleteHst> ReadHstSnapshotFileWithRetry(
-    const std::string& path, const RecoveryPolicy& policy = {},
-    uint64_t* io_retries = nullptr);
 
 }  // namespace tbf

@@ -323,17 +323,10 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
   // log, into the fresh engine + loop cursor; shared by single-file resume
   // and the durable recovery supervisor.
   const auto restore_from_checkpoint = [&](ReplayCheckpoint& ckpt) -> Status {
-    if (ckpt.trace_fingerprint != trace_fingerprint) {
+    if (!(IdentityOf(ckpt) == run_identity)) {
       return Status::FailedPrecondition(
-          "checkpoint does not belong to this trace (fingerprint mismatch)");
-    }
-    if (ckpt.num_shards != options.num_shards ||
-        ckpt.epoch_seconds != options.epoch_seconds ||
-        ckpt.server_seed != options.server_seed ||
-        ckpt.obfuscation_seed != options.obfuscation_seed) {
-      return Status::FailedPrecondition(
-          "checkpoint configuration mismatch (shards, epoch length or "
-          "seeds differ from the checkpointed run)");
+          "checkpoint belongs to a different run (trace fingerprint, shards, "
+          "epoch length or seeds differ)");
     }
     if (ckpt.next_event > n) {
       return Status::InvalidArgument(

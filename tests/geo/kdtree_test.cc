@@ -29,7 +29,6 @@ int LinearNearest(const std::vector<Point>& pts, const std::vector<bool>& active
 TEST(KdTreeTest, EmptyQueries) {
   KdTree tree(std::vector<Point>{});
   EXPECT_EQ(tree.NearestNeighbor({0, 0}), -1);
-  EXPECT_TRUE(tree.RadiusSearch({0, 0}, 10).empty());
 }
 
 TEST(KdTreeTest, SinglePoint) {
@@ -37,8 +36,6 @@ TEST(KdTreeTest, SinglePoint) {
   EXPECT_EQ(tree.NearestNeighbor({0, 0}), 0);
   tree.Deactivate(0);
   EXPECT_EQ(tree.NearestNeighbor({0, 0}), -1);
-  tree.Activate(0);
-  EXPECT_EQ(tree.NearestNeighbor({0, 0}), 0);
 }
 
 TEST(KdTreeTest, NearestMatchesLinearScanRandom) {
@@ -76,62 +73,6 @@ TEST(KdTreeTest, NearestUnderDeletions) {
   }
   EXPECT_EQ(tree.active_count(), 0u);
   EXPECT_EQ(tree.NearestNeighbor({0, 0}), -1);
-}
-
-TEST(KdTreeTest, ReactivationRestoresVisibility) {
-  std::vector<Point> pts = {{0, 0}, {10, 0}, {20, 0}};
-  KdTree tree(pts);
-  tree.Deactivate(0);
-  EXPECT_EQ(tree.NearestNeighbor({1, 0}), 1);
-  tree.Activate(0);
-  EXPECT_EQ(tree.NearestNeighbor({1, 0}), 0);
-}
-
-TEST(KdTreeTest, ActivateAfterRebuildWorks) {
-  // Force a rebuild (deactivate > half), then re-activate a dropped point.
-  std::vector<Point> pts;
-  for (int i = 0; i < 10; ++i) pts.push_back({static_cast<double>(i), 0});
-  KdTree tree(pts);
-  for (int i = 0; i < 8; ++i) tree.Deactivate(i);
-  EXPECT_EQ(tree.NearestNeighbor({0, 0}), 8);
-  tree.Activate(3);
-  EXPECT_EQ(tree.NearestNeighbor({0, 0}), 3);
-  EXPECT_EQ(tree.active_count(), 3u);
-}
-
-TEST(KdTreeTest, RadiusSearchExact) {
-  std::vector<Point> pts = {{0, 0}, {1, 0}, {2, 0}, {5, 0}};
-  KdTree tree(pts);
-  EXPECT_EQ(tree.RadiusSearch({0, 0}, 2.0), (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(tree.RadiusSearch({0, 0}, 0.5), (std::vector<int>{0}));
-  EXPECT_TRUE(tree.RadiusSearch({-10, 0}, 1.0).empty());
-}
-
-TEST(KdTreeTest, RadiusSearchRespectsDeactivation) {
-  std::vector<Point> pts = {{0, 0}, {1, 0}};
-  KdTree tree(pts);
-  tree.Deactivate(0);
-  EXPECT_EQ(tree.RadiusSearch({0, 0}, 5.0), (std::vector<int>{1}));
-}
-
-TEST(KdTreeTest, RadiusSearchMatchesLinearRandom) {
-  Rng rng(7);
-  std::vector<Point> pts;
-  for (int i = 0; i < 200; ++i) {
-    pts.push_back({rng.Uniform(0, 20), rng.Uniform(0, 20)});
-  }
-  KdTree tree(pts);
-  for (int q = 0; q < 50; ++q) {
-    Point query{rng.Uniform(0, 20), rng.Uniform(0, 20)};
-    double radius = rng.Uniform(0, 8);
-    std::vector<int> expected;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      if (EuclideanDistance(query, pts[i]) <= radius) {
-        expected.push_back(static_cast<int>(i));
-      }
-    }
-    EXPECT_EQ(tree.RadiusSearch(query, radius), expected);
-  }
 }
 
 TEST(KdTreeTest, DuplicatePointsTieBreakSmallestId) {

@@ -13,6 +13,7 @@
 #include "geo/grid.h"
 #include "geo/kdtree.h"
 #include "geo/lattice.h"
+#include "hst/tree_distance.h"
 
 namespace tbf {
 namespace {
@@ -98,7 +99,7 @@ TEST(CompleteHstTest, TreeDistanceMatchesUnpaddedTree) {
     for (int b = 0; b < complete.num_points(); ++b) {
       EXPECT_NEAR(complete.TreeDistance(complete.leaf_code_of_point(a),
                                         complete.leaf_code_of_point(b)),
-                  tree_result->TreeDistanceBetweenPoints(a, b), 1e-9)
+                  TreeDistanceBetweenPoints(*tree_result, a, b), 1e-9)
           << "pair " << a << "," << b;
     }
   }

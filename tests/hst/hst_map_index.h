@@ -1,16 +1,88 @@
-#include "hst/hst_map_index.h"
+// Reference availability index (hash-map based) — a test oracle.
+//
+// This is the original HstAvailabilityIndex implementation, kept verbatim
+// as the golden reference for the flat node-pool engine in
+// src/hst/hst_index.h: the fuzz and equivalence tests drive both through
+// identical operation sequences and require byte-identical answers
+// (including draw-for-draw identical NearestUniform randomization). It
+// allocates and hashes a LeafPath per probe, so it is an order of magnitude
+// slower; bench/micro_matching.cc times it next to the flat engine. Header
+// only, because the test build compiles only *_test.cc files.
+
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <optional>
+#include <set>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
+#include "common/rng.h"
+#include "hst/leaf_path.h"
 
 namespace tbf {
 
-HstAvailabilityMapIndex::HstAvailabilityMapIndex(int depth, int arity)
+/// \brief Map-based multiset of items on HST leaves; the semantics
+/// specification for HstAvailabilityIndex.
+class HstAvailabilityMapIndex {
+ public:
+  /// `depth`/`arity` must match the CompleteHst the leaf paths come from.
+  HstAvailabilityMapIndex(int depth, int arity);
+
+  /// Adds `item_id` at `leaf`. Ids must be unique across the index.
+  void Insert(const LeafPath& leaf, int item_id);
+
+  /// Removes `item_id` from `leaf`; the pair must be present.
+  void Remove(const LeafPath& leaf, int item_id);
+
+  /// Number of items currently present.
+  size_t size() const { return size_; }
+
+  bool empty() const { return size_ == 0; }
+
+  /// \brief Nearest item to `query` by tree distance (canonical
+  /// tie-breaking); nullopt when empty. Returns (item_id, lca_level).
+  std::optional<std::pair<int, int>> Nearest(const LeafPath& query) const;
+
+  /// \brief Like Nearest, but uniformly random among all items at the
+  /// minimal tree distance (subtree-count-weighted descent, O(c D)).
+  std::optional<std::pair<int, int>> NearestUniform(const LeafPath& query,
+                                                    Rng* rng) const;
+
+  /// \brief Up to `limit` items in non-decreasing tree distance from
+  /// `query` (canonical order). Each entry is (item_id, lca_level).
+  std::vector<std::pair<int, int>> NearestK(const LeafPath& query,
+                                            size_t limit) const;
+
+ private:
+  // Count of items in the subtree identified by a root prefix.
+  int CountAt(const LeafPath& prefix) const;
+
+  // Appends items under `prefix` in canonical order, skipping the child
+  // subtree `skip_digit` (pass -1 to skip none); stops once out->size()
+  // reaches limit.
+  void Collect(const LeafPath& prefix, int skip_digit, size_t limit, int level,
+               std::vector<std::pair<int, int>>* out) const;
+
+  int depth_;
+  int arity_;
+  size_t size_ = 0;
+  std::unordered_map<LeafPath, int> subtree_count_;       // keyed by prefix
+  std::unordered_map<LeafPath, std::set<int>> leaf_items_;  // keyed by full path
+  std::unordered_map<int, LeafPath> leaf_of_item_;          // global id check
+};
+
+inline HstAvailabilityMapIndex::HstAvailabilityMapIndex(int depth, int arity)
     : depth_(depth), arity_(arity) {
   TBF_CHECK(depth >= 1) << "depth must be >= 1";
   TBF_CHECK(arity >= 2) << "arity must be >= 2";
 }
 
-void HstAvailabilityMapIndex::Insert(const LeafPath& leaf, int item_id) {
+inline void HstAvailabilityMapIndex::Insert(const LeafPath& leaf, int item_id) {
   TBF_CHECK(static_cast<int>(leaf.size()) == depth_) << "leaf depth mismatch";
   TBF_CHECK(leaf_of_item_.emplace(item_id, leaf).second)
       << "duplicate item id " << item_id;
@@ -23,7 +95,7 @@ void HstAvailabilityMapIndex::Insert(const LeafPath& leaf, int item_id) {
   ++size_;
 }
 
-void HstAvailabilityMapIndex::Remove(const LeafPath& leaf, int item_id) {
+inline void HstAvailabilityMapIndex::Remove(const LeafPath& leaf, int item_id) {
   auto registered = leaf_of_item_.find(item_id);
   TBF_CHECK(registered != leaf_of_item_.end() && registered->second == leaf)
       << "item " << item_id << " not registered on this leaf";
@@ -41,20 +113,20 @@ void HstAvailabilityMapIndex::Remove(const LeafPath& leaf, int item_id) {
   --size_;
 }
 
-int HstAvailabilityMapIndex::CountAt(const LeafPath& prefix) const {
+inline int HstAvailabilityMapIndex::CountAt(const LeafPath& prefix) const {
   auto it = subtree_count_.find(prefix);
   return it == subtree_count_.end() ? 0 : it->second;
 }
 
-std::optional<std::pair<int, int>> HstAvailabilityMapIndex::Nearest(
+inline std::optional<std::pair<int, int>> HstAvailabilityMapIndex::Nearest(
     const LeafPath& query) const {
   auto result = NearestK(query, 1);
   if (result.empty()) return std::nullopt;
   return result[0];
 }
 
-std::optional<std::pair<int, int>> HstAvailabilityMapIndex::NearestUniform(
-    const LeafPath& query, Rng* rng) const {
+inline std::optional<std::pair<int, int>>
+HstAvailabilityMapIndex::NearestUniform(const LeafPath& query, Rng* rng) const {
   TBF_CHECK(static_cast<int>(query.size()) == depth_) << "leaf depth mismatch";
   TBF_CHECK(rng != nullptr) << "rng required";
   if (size_ == 0) return std::nullopt;
@@ -104,7 +176,7 @@ std::optional<std::pair<int, int>> HstAvailabilityMapIndex::NearestUniform(
   return std::nullopt;
 }
 
-std::vector<std::pair<int, int>> HstAvailabilityMapIndex::NearestK(
+inline std::vector<std::pair<int, int>> HstAvailabilityMapIndex::NearestK(
     const LeafPath& query, size_t limit) const {
   TBF_CHECK(static_cast<int>(query.size()) == depth_) << "leaf depth mismatch";
   std::vector<std::pair<int, int>> out;
@@ -134,9 +206,9 @@ std::vector<std::pair<int, int>> HstAvailabilityMapIndex::NearestK(
   return out;
 }
 
-void HstAvailabilityMapIndex::Collect(const LeafPath& prefix, int skip_digit,
-                                   size_t limit, int level,
-                                   std::vector<std::pair<int, int>>* out) const {
+inline void HstAvailabilityMapIndex::Collect(
+    const LeafPath& prefix, int skip_digit, size_t limit, int level,
+    std::vector<std::pair<int, int>>* out) const {
   if (out->size() >= limit) return;
   if (static_cast<int>(prefix.size()) == depth_) {
     auto it = leaf_items_.find(prefix);

@@ -8,6 +8,7 @@
 #include "common/math.h"
 #include "common/stats.h"
 #include "geo/grid.h"
+#include "hst/tree_distance.h"
 
 namespace tbf {
 namespace {
@@ -66,7 +67,7 @@ TEST(HstTreeTest, SinglePointTree) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->depth(), 1);
   EXPECT_EQ(result->num_points(), 1u);
-  EXPECT_EQ(result->TreeDistanceBetweenPoints(0, 0), 0.0);
+  EXPECT_EQ(TreeDistanceBetweenPoints(*result, 0, 0), 0.0);
 }
 
 TEST(HstTreeTest, ExampleDepthMatchesPaperFormula) {
@@ -172,8 +173,8 @@ TEST_P(HstTreeInvariantTest, TreeDistanceDominatesMetric) {
   for (size_t a = 0; a < points.size(); ++a) {
     for (size_t b = a + 1; b < points.size(); ++b) {
       double d_metric = metric.Distance(points[a], points[b]);
-      double d_tree = tree->TreeDistanceBetweenPoints(static_cast<int>(a),
-                                                      static_cast<int>(b));
+      double d_tree = TreeDistanceBetweenPoints(*tree, static_cast<int>(a),
+                                                static_cast<int>(b));
       EXPECT_GE(d_tree, d_metric * (1 - 1e-9))
           << "points " << a << "," << b;
     }
@@ -199,8 +200,8 @@ TEST(HstTreeTest, ExpectedDistortionIsLogarithmic) {
     double max_ratio = 0;
     for (size_t a = 0; a < points.size(); ++a) {
       for (size_t b = a + 1; b < points.size(); ++b) {
-        double ratio = tree->TreeDistanceBetweenPoints(static_cast<int>(a),
-                                                       static_cast<int>(b)) /
+        double ratio = TreeDistanceBetweenPoints(*tree, static_cast<int>(a),
+                                                 static_cast<int>(b)) /
                        metric.Distance(points[a], points[b]);
         max_ratio = std::max(max_ratio, ratio);
       }
@@ -224,10 +225,10 @@ TEST(HstTreeTest, DeterministicGivenSeed) {
   EXPECT_EQ(t1->nodes().size(), t2->nodes().size());
   for (size_t p = 0; p < 4; ++p) {
     for (size_t q = 0; q < 4; ++q) {
-      EXPECT_EQ(t1->TreeDistanceBetweenPoints(static_cast<int>(p),
-                                              static_cast<int>(q)),
-                t2->TreeDistanceBetweenPoints(static_cast<int>(p),
-                                              static_cast<int>(q)));
+      EXPECT_EQ(TreeDistanceBetweenPoints(*t1, static_cast<int>(p),
+                                          static_cast<int>(q)),
+                TreeDistanceBetweenPoints(*t2, static_cast<int>(p),
+                                          static_cast<int>(q)));
     }
   }
 }
@@ -242,7 +243,7 @@ TEST(HstTreeTest, ManhattanMetricSupported) {
     for (int b = a + 1; b < 4; ++b) {
       double d = metric.Distance(ExamplePoints()[static_cast<size_t>(a)],
                                  ExamplePoints()[static_cast<size_t>(b)]);
-      EXPECT_GE(tree->TreeDistanceBetweenPoints(a, b), d * (1 - 1e-9));
+      EXPECT_GE(TreeDistanceBetweenPoints(*tree, a, b), d * (1 - 1e-9));
     }
   }
 }

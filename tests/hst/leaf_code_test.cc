@@ -10,6 +10,15 @@
 namespace tbf {
 namespace {
 
+// Reference LcaLevel walking the digits one by one; certifies the
+// XOR + CountlZero path.
+int LcaLevelDigitLoop(const LeafCodec& codec, LeafCode a, LeafCode b) {
+  for (int j = 0; j < codec.depth(); ++j) {
+    if (codec.Digit(a, j) != codec.Digit(b, j)) return codec.depth() - j;
+  }
+  return 0;
+}
+
 TEST(LeafCodecTest, BitsPerDigit) {
   EXPECT_EQ(LeafCodec::BitsPerDigit(2), 1);
   EXPECT_EQ(LeafCodec::BitsPerDigit(3), 2);
@@ -78,7 +87,7 @@ TEST(LeafCodecTest, LcaLevelMatchesLeafPathReference) {
         LeafCode ca = codec.Pack(a);
         LeafCode cb = codec.Pack(b);
         EXPECT_EQ(codec.LcaLevel(ca, cb), expected);
-        EXPECT_EQ(codec.LcaLevelDigitLoop(ca, cb), expected);
+        EXPECT_EQ(LcaLevelDigitLoop(codec, ca, cb), expected);
       }
     }
   }

@@ -280,20 +280,6 @@ TEST(ExportTest, PrometheusRoundTripsThroughParser) {
   EXPECT_DOUBLE_EQ(parsed.at("tbf_lat_ns_bucket{le=\"+Inf\"}"), 3.0);
 }
 
-TEST(ExportTest, JsonLineCarriesHeadlineFields) {
-  MetricRegistry registry;
-  registry.FindOrCreateCounter("hits_total")->Add(2);
-  registry.FindOrCreateGauge("pool")->Set(9);
-  Histogram* hist = registry.FindOrCreateHistogram("lat_ns");
-  hist->Record(1000);
-  const std::string line = ToJsonLine(registry.Snapshot());
-  EXPECT_NE(line.find("\"hits_total\":2"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"pool\":9"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"count\":1"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"p50\""), std::string::npos) << line;
-  EXPECT_EQ(line.find('\n'), std::string::npos) << "one line, no newline";
-}
-
 #endif  // TBF_METRICS_DISABLED
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Recovery supervisor: newest-valid checkpoint selection with fallback,
 // transient-IO retry with bounded backoff (checkpoint and outcome-log
 // reads; an unreadable log cuts nothing), gap detection, identity
-// cross-checks, snapshot read retry, journal verification (a rewritten
+// cross-checks, journal verification (a rewritten
 // record is a divergence naming its lsn), and an end-to-end crash/recover
 // equivalence smoke test (the full kill-anywhere drill lives in
 // tests/chaos/kill_anywhere_test.cc).
@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/atomic_file.h"
 #include "common/fault.h"
 #include "common/frames.h"
 #include "geo/grid.h"
@@ -206,6 +207,51 @@ void ExpectSameHistory(const ReplayReport& got, const ReplayReport& want) {
   }
   EXPECT_EQ(got.assigned, want.assigned);
   EXPECT_EQ(got.denied, want.denied);
+}
+
+TEST(RecoveryTest, StrayTmpCheckpointIsIgnored) {
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = SmallTrace();
+  const std::string dir = FreshDir("stray_tmp");
+  const ReplayOptions options = DurableOptions(dir);
+  auto durable = RunEventReplay(framework, trace, options);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  auto before = RecoverReplayDir(dir);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_FALSE(before->retained.empty());
+
+  // A crash inside WriteFileAtomic leaves the next checkpoint's `.tmp`
+  // behind, cut short. Plant one: a truncated copy of the newest
+  // checkpoint under the next ordinal's tmp name.
+  const RetainedCheckpoint newest = before->retained.back();
+  auto bytes = ReadFileToString(newest.path, "checkpoint");
+  ASSERT_TRUE(bytes.ok());
+  {
+    std::ofstream tmp(
+        dir + "/" + ReplayCheckpointFileName(newest.ordinal + 1) + ".tmp",
+        std::ios::binary | std::ios::trunc);
+    tmp << bytes->substr(0, bytes->size() / 2);
+  }
+
+  // Not a checkpoint: neither a candidate nor a rejection.
+  auto after = RecoverReplayDir(dir);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->checkpoints_rejected, 0u);
+  EXPECT_EQ(after->checkpoint_path, before->checkpoint_path);
+  ASSERT_EQ(after->retained.size(), before->retained.size());
+  for (size_t i = 0; i < after->retained.size(); ++i) {
+    EXPECT_EQ(after->retained[i].ordinal, before->retained[i].ordinal);
+    EXPECT_EQ(after->retained[i].path, before->retained[i].path);
+    EXPECT_EQ(after->retained[i].wal_next_lsn,
+              before->retained[i].wal_next_lsn);
+  }
+
+  ReplayOptions recover = options;
+  recover.recover = true;
+  auto recovered = RunEventReplay(framework, trace, recover);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ExpectSameHistory(*recovered, *durable);
+  ExpectServerStateEqual(*recovered->final_state, *durable->final_state);
 }
 
 TEST(RecoveryTest, OutcomeLogCutBelowTheNewestCheckpointFallsBack) {
@@ -649,6 +695,8 @@ TEST(RecoveryTest, OutcomeLogReadErrorsCutNothing) {
   auto before = RecoverReplayDir(dir);
   ASSERT_TRUE(before.ok());
   const uint64_t covered = fs::file_size(OutcomeLogPath(dir));
+  auto log_bytes = ReadFileToString(OutcomeLogPath(dir), "outcome log");
+  ASSERT_TRUE(log_bytes.ok());
   ReplayOptions recover = options;
   recover.recover = true;
 
@@ -686,6 +734,31 @@ TEST(RecoveryTest, OutcomeLogReadErrorsCutNothing) {
     EXPECT_EQ(fs::file_size(OutcomeLogPath(dir)), covered);
   }
   {
+    // Only IOErrors are retried. The InvalidArgument fails the first
+    // attempt only, so a retry would succeed: recovery failing, with one
+    // hit at the site, shows none ran (io_retries == 0). Nothing is cut.
+    fault::FaultPlan plan = failing("recovery.outcome_log", 1);
+    plan.faults[0].code = StatusCode::kInvalidArgument;
+    {
+      fault::ScopedFaultPlan armed(plan);
+      ASSERT_TRUE(armed.armed());
+      auto scan = RecoverReplayDir(dir);
+      ASSERT_FALSE(scan.ok());
+      EXPECT_EQ(scan.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(
+          fault::FaultInjector::Global().hits("recovery.outcome_log"), 1u);
+    }
+    {
+      fault::ScopedFaultPlan armed(plan);
+      auto recovered = RunEventReplay(framework, trace, recover);
+      ASSERT_FALSE(recovered.ok());
+      EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument);
+    }
+    auto after_bytes = ReadFileToString(OutcomeLogPath(dir), "outcome log");
+    ASSERT_TRUE(after_bytes.ok());
+    EXPECT_EQ(*after_bytes, *log_bytes);
+  }
+  {
     // Every checkpoint read fails: the compacted journal leaves a gap and
     // recovery fails before anything touches the log.
     fault::ScopedFaultPlan armed(failing("recovery.scan", 0));
@@ -707,52 +780,6 @@ TEST(RecoveryTest, OutcomeLogReadErrorsCutNothing) {
   ExpectSameHistory(*recovered, *durable);
   ExpectServerStateEqual(*recovered->final_state, *durable->final_state);
   EXPECT_EQ(fs::file_size(OutcomeLogPath(dir)), covered);
-}
-
-TEST(RecoveryTest, SnapshotReadRetriesTransientIoErrors) {
-  TbfFramework framework = BuildFramework();
-  const std::string dir = FreshDir("snapshot");
-  const std::string path = dir + "/tree.snap";
-  ASSERT_TRUE(WriteHstSnapshotFile(framework.tree(), path).ok());
-
-  {
-    fault::FaultPlan plan;
-    fault::FaultSpec flake;
-    flake.site = "snapshot.load";
-    flake.kind = fault::FaultKind::kFail;
-    flake.code = StatusCode::kIOError;
-    flake.after = 0;
-    flake.count = 1;
-    plan.faults.push_back(flake);
-    fault::ScopedFaultPlan armed(plan);
-    uint64_t retries = 0;
-    auto read = ReadHstSnapshotFileWithRetry(path, {}, &retries);
-    ASSERT_TRUE(read.ok()) << read.status().ToString();
-    EXPECT_EQ(retries, 1u);
-  }
-  {
-    fault::FaultPlan plan;
-    fault::FaultSpec dead;
-    dead.site = "snapshot.load";
-    dead.kind = fault::FaultKind::kFail;
-    dead.code = StatusCode::kIOError;
-    dead.after = 0;
-    dead.count = 2;  // exhausts both attempts
-    plan.faults.push_back(dead);
-    fault::ScopedFaultPlan armed(plan);
-    uint64_t retries = 0;
-    auto read = ReadHstSnapshotFileWithRetry(path, {}, &retries);
-    ASSERT_FALSE(read.ok());
-    EXPECT_EQ(read.status().code(), StatusCode::kIOError);
-    EXPECT_EQ(retries, 1u);
-  }
-  // Corruption fails fast: no retry can fix a bad parse.
-  CorruptFile(path);
-  uint64_t retries = 0;
-  auto read = ReadHstSnapshotFileWithRetry(path, {}, &retries);
-  ASSERT_FALSE(read.ok());
-  EXPECT_NE(read.status().code(), StatusCode::kIOError);
-  EXPECT_EQ(retries, 0u);
 }
 
 TEST(RecoveryTest, CrashMidRunThenRecoverMatchesUninterrupted) {

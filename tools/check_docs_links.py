@@ -1,10 +1,17 @@
 #!/usr/bin/env python3
-"""Fails when README.md or docs/*.md contain broken relative links.
+"""Fails when README.md or docs/*.md contain broken relative links or
+name repo paths that do not exist.
 
 Checks every inline markdown link [text](target) whose target is not an
 absolute URL or a pure in-page anchor: the referenced file must exist
 relative to the file containing the link. Anchors on existing files are
 accepted without heading verification (headings move too often to pin).
+
+Also checks every backticked repo path outside code fences: a code span
+such as `src/obs/export.h` or `src/serve/replay.cc:408` that starts with
+a top-level source directory must name a file or directory relative to
+the repo root (a trailing `:line` is allowed). Spans holding a pattern
+rather than a path (`*`, `{`, `<` or `...`) are skipped.
 
 Usage: tools/check_docs_links.py [repo_root]
 """
@@ -15,8 +22,11 @@ from pathlib import Path
 
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # Inline code spans may contain [x](y)-looking text; strip them first.
-CODE_SPAN = re.compile(r"`[^`]*`")
+CODE_SPAN = re.compile(r"`([^`]*)`")
 FENCE = re.compile(r"^(```|~~~)")
+REPO_PATH = re.compile(
+    r"((?:src|tests|tools|bench|examples|docs|perfbench)/\S*?)(?::\d+)?")
+PATTERN_MARKS = ("*", "{", "<", "...")
 
 
 def candidate_files(root: Path):
@@ -37,6 +47,12 @@ def check_file(path: Path, root: Path):
             continue
         if in_fence:
             continue
+        for span in CODE_SPAN.findall(line):
+            repo_path = REPO_PATH.fullmatch(span)
+            if repo_path is None or any(m in span for m in PATTERN_MARKS):
+                continue
+            if not (root / repo_path.group(1)).exists():
+                errors.append(f"{path}:{line_number}: no such repo path: {span}")
         for target in LINK.findall(CODE_SPAN.sub("", line)):
             if target.startswith(("http://", "https://", "mailto:", "#")):
                 continue
