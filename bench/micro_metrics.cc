@@ -153,7 +153,6 @@ const ServeWorkload& GetWorkload() {
     auto grid = UniformGridPoints(BBox::Square(200), 32);
     TbfOptions options;
     options.epsilon = 0.6;
-    options.sampler = SamplerKind::kInverseCdf;
     auto framework = TbfFramework::Build(std::move(grid).MoveValueUnsafe(),
                                          EuclideanMetric(), &rng, options);
     SyntheticEventConfig config;
@@ -176,6 +175,7 @@ double ReplayEventsPerSecond(const ServeWorkload& workload, bool metrics_on,
   options.epoch_seconds = 30.0;
   options.num_shards = 1;
   options.threads = 1;
+  options.sampler = SamplerKind::kInverseCdf;
   auto report = RunEventReplay(workload.framework, workload.trace, options);
   obs::SetMetricsEnabled(true);
   if (!report.ok()) {

@@ -31,50 +31,37 @@ namespace tbf {
 namespace {
 
 struct ServeWorkload {
-  TbfFramework framework;
-  const EventTrace* trace;  // stable address in GetTrace's never-freed cache
+  const TbfFramework& framework;  // built once, never freed
+  const EventTrace& trace;        // one per worker count, never freed
 };
 
-// Framework + trace are shared across iterations and shard counts: the
-// bench measures serving, not setup. The sampler axis (0 = walk, 1 =
-// inverse-CDF, 2 = timing-oblivious) rebuilds only the framework; the
-// trace is generated once per worker count and shared by reference
-// across sampler entries.
-const EventTrace& GetTrace(int workers) {
-  static std::map<int, EventTrace>* cache = new std::map<int, EventTrace>;
-  auto it = cache->find(workers);
-  if (it != cache->end()) return it->second;
-
-  SyntheticEventConfig config;
-  config.base.num_workers = workers;
-  config.base.num_tasks = workers / 2;
-  config.base.seed = 17;
-  config.horizon_seconds = 600.0;
-  config.departure_probability = 0.05;
-  auto trace = GenerateEventTrace(config);
-  return cache->emplace(workers, std::move(trace).MoveValueUnsafe())
-      .first->second;
-}
-
-const ServeWorkload& GetWorkload(int workers, SamplerKind sampler) {
-  static std::map<std::pair<int, int>, ServeWorkload>* cache =
-      new std::map<std::pair<int, int>, ServeWorkload>;
-  const auto key = std::make_pair(workers, static_cast<int>(sampler));
-  auto it = cache->find(key);
-  if (it != cache->end()) return it->second;
-
-  Rng rng(3);
-  auto grid = UniformGridPoints(BBox::Square(200), 32);
-  TbfOptions options;
-  options.epsilon = 0.6;
-  options.sampler = sampler;
-  auto framework = TbfFramework::Build(std::move(grid).MoveValueUnsafe(),
-                                       EuclideanMetric(), &rng, options);
-
-  auto inserted = cache->emplace(
-      key, ServeWorkload{std::move(framework).MoveValueUnsafe(),
-                         &GetTrace(workers)});
-  return inserted.first->second;
+// Framework + trace are shared across iterations, shard counts and
+// samplers: the bench measures serving, not setup. The framework is built
+// once and the trace once per worker count; the sampler axis (0 = walk,
+// 1 = inverse-CDF, 2 = timing-oblivious) is a replay option.
+ServeWorkload GetWorkload(int workers) {
+  static const TbfFramework* framework = [] {
+    Rng rng(3);
+    auto grid = UniformGridPoints(BBox::Square(200), 32);
+    TbfOptions options;
+    options.epsilon = 0.6;
+    auto built = TbfFramework::Build(std::move(grid).MoveValueUnsafe(),
+                                     EuclideanMetric(), &rng, options);
+    return new TbfFramework(std::move(built).MoveValueUnsafe());
+  }();
+  static std::map<int, EventTrace>* traces = new std::map<int, EventTrace>;
+  auto it = traces->find(workers);
+  if (it == traces->end()) {
+    SyntheticEventConfig config;
+    config.base.num_workers = workers;
+    config.base.num_tasks = workers / 2;
+    config.base.seed = 17;
+    config.horizon_seconds = 600.0;
+    config.departure_probability = 0.05;
+    auto trace = GenerateEventTrace(config);
+    it = traces->emplace(workers, std::move(trace).MoveValueUnsafe()).first;
+  }
+  return ServeWorkload{*framework, it->second};
 }
 
 void BM_ServeReplay(benchmark::State& state) {
@@ -83,20 +70,21 @@ void BM_ServeReplay(benchmark::State& state) {
   const SamplerKind sampler = state.range(2) == 0   ? SamplerKind::kWalk
                               : state.range(2) == 1 ? SamplerKind::kInverseCdf
                                                     : SamplerKind::kOblivious;
-  const ServeWorkload& workload = GetWorkload(workers, sampler);
+  const ServeWorkload workload = GetWorkload(workers);
 
   ReplayOptions options;
   options.epoch_seconds = 30.0;
   options.num_shards = shards;
   options.threads = shards;  // one lane per shard
   options.parallel_dispatch = shards > 1;
+  options.sampler = sampler;
   size_t assigned = 0;
   size_t unassigned = 0;
   size_t denied = 0;
   size_t epochs = 0;
   double mean_tree_distance = 0.0;
   for (auto _ : state) {
-    auto report = RunEventReplay(workload.framework, *workload.trace, options);
+    auto report = RunEventReplay(workload.framework, workload.trace, options);
     if (!report.ok()) {
       state.SkipWithError(report.status().ToString().c_str());
       return;
@@ -119,7 +107,7 @@ void BM_ServeReplay(benchmark::State& state) {
     benchmark::DoNotOptimize(report->events_per_second);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(workload.trace->events.size()));
+                          static_cast<int64_t>(workload.trace.events.size()));
   state.counters["shards"] = shards;
   state.counters["assigned"] = static_cast<double>(assigned);
   state.counters["unassigned"] = static_cast<double>(unassigned);
@@ -146,7 +134,7 @@ void BM_ServeReplay(benchmark::State& state) {
 void BM_ServeReplayWithRepublish(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   const int shards = static_cast<int>(state.range(1));
-  const ServeWorkload& workload = GetWorkload(workers, SamplerKind::kWalk);
+  const ServeWorkload workload = GetWorkload(workers);
 
   auto copy = ParseHstSnapshot(SerializeHstSnapshot(workload.framework.tree()));
   if (!copy.ok()) {
@@ -168,7 +156,7 @@ void BM_ServeReplayWithRepublish(benchmark::State& state) {
   size_t unassigned = 0;
   uint64_t republishes = 0;
   for (auto _ : state) {
-    auto report = RunEventReplay(workload.framework, *workload.trace, options);
+    auto report = RunEventReplay(workload.framework, workload.trace, options);
     if (!report.ok()) {
       state.SkipWithError(report.status().ToString().c_str());
       return;
@@ -179,7 +167,7 @@ void BM_ServeReplayWithRepublish(benchmark::State& state) {
     benchmark::DoNotOptimize(report->events_per_second);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(workload.trace->events.size()));
+                          static_cast<int64_t>(workload.trace.events.size()));
   state.counters["shards"] = shards;
   state.counters["assigned"] = static_cast<double>(assigned);
   state.counters["unassigned"] = static_cast<double>(unassigned);
@@ -197,7 +185,7 @@ void BM_ServeReplayWithRepublish(benchmark::State& state) {
 void BM_ServeReplayDurable(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   const int policy = static_cast<int>(state.range(1));
-  const ServeWorkload& workload = GetWorkload(workers, SamplerKind::kWalk);
+  const ServeWorkload workload = GetWorkload(workers);
 
   const std::string dir =
       std::filesystem::temp_directory_path().string() + "/tbf_bench_wal";
@@ -224,7 +212,7 @@ void BM_ServeReplayDurable(benchmark::State& state) {
     std::filesystem::remove(dir + ".legacy.ckpt");
     std::filesystem::remove(dir + ".legacy.ckpt.outcomes");
     state.ResumeTiming();
-    auto report = RunEventReplay(workload.framework, *workload.trace, options);
+    auto report = RunEventReplay(workload.framework, workload.trace, options);
     if (!report.ok()) {
       state.SkipWithError(report.status().ToString().c_str());
       return;
@@ -237,7 +225,7 @@ void BM_ServeReplayDurable(benchmark::State& state) {
   std::filesystem::remove(dir + ".legacy.ckpt");
   std::filesystem::remove(dir + ".legacy.ckpt.outcomes");
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(workload.trace->events.size()));
+                          static_cast<int64_t>(workload.trace.events.size()));
   // 0 = WAL off (legacy checkpoint only), 1 = group commit (default
   // policy), 2 = every-record.
   state.counters["wal_policy"] = policy;

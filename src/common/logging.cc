@@ -51,7 +51,8 @@ void AppendWallClock(std::ostringstream& os) {
       duration_cast<milliseconds>(now.time_since_epoch()).count() % 1000);
   std::tm utc{};
   gmtime_r(&seconds, &utc);
-  char buffer[32];
+  // Room for seven full-range ints (the tm fields are unbounded to gcc).
+  char buffer[96];
   std::snprintf(buffer, sizeof(buffer), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
                 utc.tm_min, utc.tm_sec, millis);

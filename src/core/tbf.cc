@@ -11,7 +11,7 @@ Result<TbfFramework> TbfFramework::Build(std::vector<Point> predefined_points,
                                          const TbfOptions& options) {
   TBF_ASSIGN_OR_RETURN(
       CompleteHst tree,
-      CompleteHst::BuildFromPoints(predefined_points, metric, rng, options.tree));
+      CompleteHst::BuildFromPoints(predefined_points, metric, rng));
   return FromTree(std::make_shared<const CompleteHst>(std::move(tree)),
                   options);
 }
@@ -24,14 +24,13 @@ Result<TbfFramework> TbfFramework::FromTree(
   TBF_ASSIGN_OR_RETURN(HstMechanism mechanism,
                        HstMechanism::Build(*framework.tree_, options.epsilon));
   framework.mechanism_ = std::make_shared<const HstMechanism>(std::move(mechanism));
-  framework.sampler_ = options.sampler;
   return framework;
 }
 
 std::vector<LeafCode> TbfFramework::ObfuscateCodes(
     const std::vector<Point>& locations, const Rng& stream, ThreadPool* pool,
     BatchStageTimings* timings, uint64_t fork_offset,
-    std::optional<SamplerKind> sampler_override) const {
+    SamplerKind sampler) const {
   const size_t n = locations.size();
   // Stage 1: nearest-predefined-point mapping straight to point ids (the
   // packed code per id is precomputed on the tree).
@@ -48,11 +47,10 @@ std::vector<LeafCode> TbfFramework::ObfuscateCodes(
   // time (ForkAt4 yields the same streams) and singly at a chunk's tail.
   std::vector<LeafCode> reported(n);
   timer.Restart();
-  const SamplerKind kind = sampler_override.value_or(sampler_);
   pool->ParallelFor(n, [&](size_t begin, size_t end) {
     auto obfuscate = [&](size_t i, Rng* item_rng) {
       reported[i] = mechanism_->ObfuscateCodeWith(
-          tree_->leaf_code_of_point(mapped[i]), item_rng, kind);
+          tree_->leaf_code_of_point(mapped[i]), item_rng, sampler);
     };
     size_t i = begin;
     for (; end - i >= 4; i += 4) {

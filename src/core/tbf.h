@@ -14,7 +14,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -27,21 +26,11 @@
 
 namespace tbf {
 
-/// \brief Configuration of the published structure and the mechanism.
+/// \brief Configuration of the mechanism. The tree is built with the
+/// default Algorithm-1 options (HstTreeOptions).
 struct TbfOptions {
   /// Privacy budget per metric distance unit.
   double epsilon = 0.6;
-
-  /// Sampler driving the batched/serving obfuscation paths. kWalk (the
-  /// default) keeps every existing draw sequence bit-identical; kInverseCdf
-  /// draws the same distribution in O(1) rng calls per sample
-  /// (HstMechanism::ObfuscateCode); kOblivious draws it through a
-  /// constant-shape schedule whose timing and trip counts are independent
-  /// of the true leaf (HstMechanism::ObfuscateCodeOblivious).
-  SamplerKind sampler = SamplerKind::kWalk;
-
-  /// Algorithm-1 options (beta, normalization).
-  HstTreeOptions tree;
 };
 
 /// \brief The published HST + mechanism bundle shared by server and clients.
@@ -55,8 +44,7 @@ class TbfFramework {
                                     const TbfOptions& options = {});
 
   /// \brief Derives the mechanism for an already published tree — one
-  /// reloaded from its snapshot (hst/snapshot.h). `options.tree` is
-  /// unused.
+  /// reloaded from its snapshot (hst/snapshot.h).
   static Result<TbfFramework> FromTree(std::shared_ptr<const CompleteHst> tree,
                                        const TbfOptions& options = {});
 
@@ -96,23 +84,18 @@ class TbfFramework {
   /// one logical stream into several batches (the event-time replay loop
   /// obfuscates per epoch) gets results independent of where the cuts
   /// fall by passing the number of items already obfuscated as the
-  /// offset. With the default kWalk sampler, element i equals
-  /// ObfuscateLocation(locations[i], &r) for r =
-  /// stream.ForkAt(fork_offset + i). `timings`, when given, accumulates
-  /// the per-stage wall clock. `sampler_override` replaces
-  /// TbfOptions::sampler for this batch only (the replay loop plumbs its
-  /// per-run sampler through here).
+  /// offset. `sampler` picks the mechanism's draw (see SamplerKind); with
+  /// the default kWalk, element i equals ObfuscateLocation(locations[i],
+  /// &r) for r = stream.ForkAt(fork_offset + i). `timings`, when given,
+  /// accumulates the per-stage wall clock.
   std::vector<LeafCode> ObfuscateCodes(
       const std::vector<Point>& locations, const Rng& stream, ThreadPool* pool,
       BatchStageTimings* timings = nullptr, uint64_t fork_offset = 0,
-      std::optional<SamplerKind> sampler_override = std::nullopt) const;
+      SamplerKind sampler = SamplerKind::kWalk) const;
 
   /// \brief Codec of the published tree's packed leaf addressing (never
   /// null: every published tree fits 128-bit codes).
   const LeafCodec* codec() const { return tree_->codec(); }
-
-  /// The sampler the batched paths draw with.
-  SamplerKind sampler() const { return sampler_; }
 
   double epsilon() const { return mechanism_->epsilon(); }
 
@@ -121,7 +104,6 @@ class TbfFramework {
 
   std::shared_ptr<const CompleteHst> tree_;
   std::shared_ptr<const HstMechanism> mechanism_;
-  SamplerKind sampler_ = SamplerKind::kWalk;
 };
 
 }  // namespace tbf

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/memory.h"
@@ -105,10 +104,8 @@ Result<RunMetrics> RunEuclidPipeline(Algorithm algorithm,
 
   std::unique_ptr<PointMechanism> mechanism;
   if (algorithm == Algorithm::kLapGr) {
-    mechanism = std::make_unique<PlanarLaplaceMechanism>(
-        config.epsilon, config.clamp_laplace
-                            ? std::optional<BBox>(instance.region)
-                            : std::nullopt);
+    mechanism = std::make_unique<PlanarLaplaceMechanism>(config.epsilon,
+                                                         instance.region);
   } else if (algorithm == Algorithm::kExpGr) {
     TBF_ASSIGN_OR_RETURN(std::vector<Point> grid,
                          UniformGridPoints(instance.region, config.grid_side));
@@ -184,10 +181,7 @@ Result<RunMetrics> RunHstPipeline(Algorithm algorithm,
     reported_tasks = framework.ObfuscateCodes(instance.tasks, task_stream,
                                               &pool, &batch_timings);
   } else {  // Lap-HG: Laplace noise in the plane, then map to the tree
-    PlanarLaplaceMechanism laplace(config.epsilon,
-                                   config.clamp_laplace
-                                       ? std::optional<BBox>(instance.region)
-                                       : std::nullopt);
+    PlanarLaplaceMechanism laplace(config.epsilon, instance.region);
     WallTimer stage_timer;
     std::vector<Point> noisy_workers =
         ObfuscatePoints(instance.workers, laplace, worker_stream, &pool);
@@ -307,10 +301,7 @@ Result<CaseStudyMetrics> RunProbCaseStudy(const CaseStudyInstance& instance,
   metrics.build_seconds = build_timer.ElapsedSeconds();
   probe.Sample();
 
-  PlanarLaplaceMechanism laplace(config.pipeline.epsilon,
-                                 config.pipeline.clamp_laplace
-                                     ? std::optional<BBox>(instance.region)
-                                     : std::nullopt);
+  PlanarLaplaceMechanism laplace(config.pipeline.epsilon, instance.region);
   WallTimer obf_timer;
   std::vector<Point> reported_workers =
       ObfuscatePoints(instance.workers, laplace, worker_stream, &pool);

@@ -62,10 +62,6 @@ struct PipelineConfig {
   GreedyEngine greedy_engine = GreedyEngine::kLinearScan;
   HstEngine hst_engine = HstEngine::kLinearScan;
 
-  /// Clamp Laplace-obfuscated reports back into the region (practical
-  /// post-processing; Geo-I preserved).
-  bool clamp_laplace = true;
-
   /// Threads for the batched obfuscation stage (<= 0: all hardware
   /// threads). Results are bit-identical for every thread count: item i
   /// always draws from the same Rng::ForkAt(i) stream. Assignment itself

@@ -17,10 +17,11 @@ namespace fs = std::filesystem;
 
 namespace {
 
-void SleepSeconds(double seconds) {
-  if (seconds <= 0.0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-}
+// Reads per file (1 initial + 1 retry) and the sleep between them. Small:
+// the transient faults this guards against (NFS hiccup, overloaded disk)
+// clear in milliseconds.
+constexpr int kReadAttempts = 2;
+constexpr std::chrono::milliseconds kRetryBackoff{5};
 
 bool IsCheckpointFileName(const std::string& name, uint64_t* ordinal) {
   unsigned long long parsed = 0;
@@ -34,50 +35,33 @@ bool IsCheckpointFileName(const std::string& name, uint64_t* ordinal) {
   return true;
 }
 
-/// Runs `read` under the transient-IO retry policy: an IOError is retried
-/// up to policy.max_attempts with backoff, anything else (corruption,
-/// schema) is returned at once because no retry can fix it. The fault
+/// Runs `read` with the transient-IO retry: an IOError is retried up to
+/// kReadAttempts with backoff, anything else (corruption, schema) is
+/// returned at once because no retry can fix it. The fault
 /// site `site` fires once per attempt, so a seeded plan with count=1
 /// exercises exactly the retry path.
 template <typename T, typename Read>
 Result<T> ReadWithRetry([[maybe_unused]] const char* site,
-                        const RecoveryPolicy& policy, uint64_t* io_retries,
-                        Read read) {
-  const int attempts = std::max(1, policy.max_attempts);
+                        uint64_t* io_retries, Read read) {
   Status last = Status::OK();
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
     Status injected = TBF_FAULT_INJECT(site);
     Result<T> result = injected.ok() ? read() : Result<T>(injected);
     if (result.ok() || result.status().code() != StatusCode::kIOError) {
       return result;
     }
     last = result.status();
-    if (attempt + 1 < attempts) {
+    if (attempt + 1 < kReadAttempts) {
       ++*io_retries;
-      SleepSeconds(policy.backoff_seconds);
+      std::this_thread::sleep_for(kRetryBackoff);
     }
   }
   return last;
 }
 
-}  // namespace
-
-std::string OutcomeLogPath(const std::string& dir) {
-  return dir + "/outcomes";
-}
-
-std::string ReplayCheckpointFileName(uint64_t ordinal) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "ckpt-%08llu.ckpt",
-                static_cast<unsigned long long>(ordinal));
-  return buf;
-}
-
-Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
-                                      const RecoveryPolicy& policy,
-                                      obs::MetricRegistry* metrics) {
-  RecoveredRun run;
-
+// RecoverReplayDir's scan, filling `*run` as it goes so that a failed scan
+// still reports the attempts it made.
+Status ScanReplayDir(const std::string& dir, RecoveredRun* run) {
   // Enumerate surviving checkpoint files, ordinal ascending.
   std::vector<std::pair<uint64_t, std::string>> candidates;
   std::error_code ec;
@@ -107,10 +91,10 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
   std::optional<std::string> log;  // read once, when a checkpoint needs it
   for (const auto& [ordinal, path] : candidates) {
     Result<ReplayCheckpoint> read = ReadWithRetry<ReplayCheckpoint>(
-        "recovery.scan", policy, &run.io_retries,
+        "recovery.scan", &run->io_retries,
         [&] { return ReadReplayCheckpointFile(path); });
     if (!read.ok()) {
-      ++run.checkpoints_rejected;
+      ++run->checkpoints_rejected;
       continue;
     }
     if (read->outcome_log_bytes > 0 && !log.has_value()) {
@@ -120,7 +104,7 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
       // fallback helps.
       TBF_ASSIGN_OR_RETURN(
           log, ReadWithRetry<std::string>(
-                   "recovery.outcome_log", policy, &run.io_retries,
+                   "recovery.outcome_log", &run->io_retries,
                    [&]() -> Result<std::string> {
                      std::error_code missing;
                      if (!fs::exists(log_path, missing) && !missing) {
@@ -132,7 +116,7 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
     const Status rows =
         ParseOutcomeRows(log.has_value() ? *log : std::string_view(), &*read);
     if (rows.code() == StatusCode::kInvalidArgument) {
-      ++run.checkpoints_rejected;  // the prefix is cut short or damaged
+      ++run->checkpoints_rejected;  // the prefix is cut short or damaged
       continue;
     }
     if (rows.code() == StatusCode::kFailedPrecondition) {
@@ -141,21 +125,21 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
                                         " belong to different runs");
     }
     TBF_RETURN_NOT_OK(rows);
-    run.retained.push_back(
+    run->retained.push_back(
         RetainedCheckpoint{ordinal, path, read->wal_next_lsn});
-    run.checkpoint = std::move(*read);
-    run.checkpoint_path = path;
+    run->checkpoint = std::move(*read);
+    run->checkpoint_path = path;
   }
 
   // Scan + repair the journal.
-  TBF_ASSIGN_OR_RETURN(run.wal, ScanWalDir(dir, /*repair_torn_tail=*/true));
+  TBF_ASSIGN_OR_RETURN(run->wal, ScanWalDir(dir, /*repair_torn_tail=*/true));
 
   // Identity cross-check: a checkpoint and a journal from different runs
   // must never be combined.
-  if (run.checkpoint.has_value() && run.wal.has_identity) {
-    if (!(IdentityOf(*run.checkpoint) == run.wal.identity)) {
+  if (run->checkpoint.has_value() && run->wal.has_identity) {
+    if (!(IdentityOf(*run->checkpoint) == run->wal.identity)) {
       return Status::FailedPrecondition(
-          "recovery: checkpoint " + run.checkpoint_path +
+          "recovery: checkpoint " + run->checkpoint_path +
           " and the journal in " + dir + " belong to different runs");
     }
   }
@@ -163,17 +147,17 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
   // Locate the replay suffix. LSNs are contiguous, so coverage maps to an
   // index directly — and any gap is detectable, never silently skipped.
   const uint64_t cover =
-      run.checkpoint.has_value() ? run.checkpoint->wal_next_lsn : 0;
-  if (run.wal.records.empty()) {
+      run->checkpoint.has_value() ? run->checkpoint->wal_next_lsn : 0;
+  if (run->wal.records.empty()) {
     if (cover > 0) {
       return Status::FailedPrecondition(
-          "recovery: checkpoint " + run.checkpoint_path + " covers journal up "
+          "recovery: checkpoint " + run->checkpoint_path + " covers journal up "
           "to lsn " + std::to_string(cover) + " but no journal survived in " +
           dir);
     }
-    run.suffix_begin = 0;
+    run->suffix_begin = 0;
   } else {
-    const uint64_t first = run.wal.records.front().lsn;
+    const uint64_t first = run->wal.records.front().lsn;
     if (cover < first) {
       return Status::FailedPrecondition(
           "recovery: journal in " + dir + " begins at lsn " +
@@ -181,16 +165,36 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
           "only up to lsn " + std::to_string(cover) +
           " — events in the gap are unrecoverable");
     }
-    if (cover > run.wal.next_lsn) {
+    if (cover > run->wal.next_lsn) {
       return Status::Internal(
-          "recovery: checkpoint " + run.checkpoint_path + " claims journal "
+          "recovery: checkpoint " + run->checkpoint_path + " claims journal "
           "coverage up to lsn " + std::to_string(cover) +
-          " but the journal ends at lsn " + std::to_string(run.wal.next_lsn) +
+          " but the journal ends at lsn " + std::to_string(run->wal.next_lsn) +
           " — checkpoints must be written after a journal sync");
     }
-    run.suffix_begin = static_cast<size_t>(cover - first);
+    run->suffix_begin = static_cast<size_t>(cover - first);
   }
 
+  return Status::OK();
+}
+
+}  // namespace
+
+std::string OutcomeLogPath(const std::string& dir) {
+  return dir + "/outcomes";
+}
+
+std::string ReplayCheckpointFileName(uint64_t ordinal) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "ckpt-%08llu.ckpt",
+                static_cast<unsigned long long>(ordinal));
+  return buf;
+}
+
+Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
+                                      obs::MetricRegistry* metrics) {
+  RecoveredRun run;
+  const Status scanned = ScanReplayDir(dir, &run);
   if (metrics != nullptr) {
     metrics->FindOrCreateCounter("tbf_recovery_attempts_total")->Add(1);
     metrics->FindOrCreateCounter("tbf_recovery_checkpoints_rejected_total")
@@ -200,6 +204,7 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
     metrics->FindOrCreateCounter("tbf_wal_truncated_records_total")
         ->Add(run.wal.truncated_records);
   }
+  TBF_RETURN_NOT_OK(scanned);
   return run;
 }
 

@@ -8,8 +8,8 @@
 // steps:
 //
 //   1. RecoverReplayDir picks the newest *valid* checkpoint. A checkpoint
-//      that fails to read with a transient IOError is retried once with a
-//      bounded backoff (RecoveryPolicy); one that fails to *parse*
+//      that fails to read with a transient IOError is retried once after a
+//      5 ms backoff; one that fails to *parse*
 //      (corruption), or whose outcome-log prefix is cut short or damaged,
 //      is rejected permanently and the supervisor falls back to the
 //      next-newest. The outcome log is read once, with the same retry; a
@@ -56,16 +56,6 @@
 
 namespace tbf {
 
-/// \brief Bounded-retry policy for transient IO during recovery.
-struct RecoveryPolicy {
-  /// Total attempts per read (1 initial + retries). The issue ships
-  /// retry-once: 2 attempts.
-  int max_attempts = 2;
-  /// Sleep between attempts. Small: the transient faults this guards
-  /// against (NFS hiccup, overloaded disk) clear in milliseconds.
-  double backoff_seconds = 0.005;
-};
-
 /// \brief `ckpt-<ordinal:08>.ckpt`.
 std::string ReplayCheckpointFileName(uint64_t ordinal);
 
@@ -110,9 +100,10 @@ struct RecoveredRun {
 /// found it: the replay loop re-runs and verifies the suffix, and its
 /// outcome-log writer cuts the log. Fails (never silently drops events)
 /// when the journal has a gap the surviving checkpoints cannot cover, and
-/// with the read's IOError when the outcome log stays unreadable.
+/// with the read's IOError when the outcome log stays unreadable. The
+/// tbf_recovery_* and tbf_wal_truncated_records_total counters land in
+/// `metrics` (when given) on every exit, a failed scan included.
 Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
-                                      const RecoveryPolicy& policy = {},
                                       obs::MetricRegistry* metrics = nullptr);
 
 }  // namespace tbf

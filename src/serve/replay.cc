@@ -351,32 +351,26 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
           std::to_string(ckpt.per_epoch.size()) + " and " +
           std::to_string(ckpt.quarantined_events.size()));
     }
-    // Fast-forward the fresh engine through the prefix of the republish
-    // schedule the checkpointed run had already applied: RestoreState
-    // requires the engine to sit at the checkpoint's tree epoch (worker
-    // codes in the state are expressed in that tree). fast_forward skips
-    // the tbf_republish_* counters (the checkpoint's metric snapshot
-    // already contains them) and the republish fault sites (this is
-    // state reconstruction, not new work).
-    if (ckpt.server.tree_epoch > options.republishes.size()) {
+    // Worker codes in the state are expressed in the tree the checkpointed
+    // run had published at its tree epoch: the framework tree at epoch 0,
+    // schedule entry k - 1 at epoch k. RestoreState installs it directly;
+    // the checkpoint's metric snapshot already counts those republishes.
+    const uint64_t tree_epoch = ckpt.server.tree_epoch;
+    if (tree_epoch > options.republishes.size()) {
       return Status::FailedPrecondition(
-          "checkpoint tree epoch " + std::to_string(ckpt.server.tree_epoch) +
+          "checkpoint tree epoch " + std::to_string(tree_epoch) +
           " exceeds the republish schedule (" +
           std::to_string(options.republishes.size()) +
           " entries) — resumed with a different schedule?");
     }
-    for (size_t i = 0; i < ckpt.server.tree_epoch; ++i) {
-      RepublishOptions fast_forward;
-      fast_forward.fast_forward = true;
-      Result<RepublishReport> republished =
-          server->Republish(options.republishes[i].tree, fast_forward);
-      if (!republished.ok()) return republished.status();
-    }
-    next_republish = static_cast<size_t>(ckpt.server.tree_epoch);
-    report.republishes = ckpt.server.tree_epoch;
+    next_republish = static_cast<size_t>(tree_epoch);
+    report.republishes = tree_epoch;
     // Engine state first, then the metrics snapshot: Merge must see the
     // engine's metric kinds already registered.
-    TBF_RETURN_NOT_OK(server->RestoreState(ckpt.server));
+    TBF_RETURN_NOT_OK(server->RestoreState(
+        ckpt.server, tree_epoch == 0
+                         ? framework.tree_ptr()
+                         : options.republishes[tree_epoch - 1].tree));
     run_metrics.Merge(ckpt.metrics);
     // checkpoints_written counts only this run's writes — not restored.
     static_cast<ReplayCounts&>(report) = ckpt.report;
@@ -417,8 +411,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     if (options.recover) {
       TBF_ASSIGN_OR_RETURN(
           RecoveredRun recovered,
-          RecoverReplayDir(options.durable_dir, RecoveryPolicy{},
-                           &run_metrics));
+          RecoverReplayDir(options.durable_dir, &run_metrics));
       if (recovered.wal.has_identity &&
           !(recovered.wal.identity == run_identity)) {
         return Status::FailedPrecondition(
@@ -654,7 +647,8 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       obs::ScopedTimer obf_timer(&stats.obfuscate_seconds);
       reports = framework.ObfuscateCodes(locations, obfuscation_stream, &pool,
                                          nullptr, arrivals_obfuscated,
-                                         options.sampler);
+                                         options.sampler.value_or(
+                                             SamplerKind::kWalk));
     }
     arrivals_obfuscated += locations.size();
     if (!locations.empty()) {

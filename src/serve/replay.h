@@ -9,7 +9,7 @@
 //   1. Events are grouped into fixed event-time windows (epochs).
 //   2. Each epoch's arrivals are obfuscated client-side through the
 //      batched code-native pipeline (TbfFramework::ObfuscateCodes, one
-//      packed LeafCode per report, sampler per TbfOptions::sampler).
+//      packed LeafCode per report, sampler per ReplayOptions::sampler).
 //      Arrival i of the whole trace always draws from
 //      ForkAt(obfuscation_seed stream, i), so reports are bit-identical
 //      regardless of epoch length, thread count or shard count.
@@ -105,14 +105,13 @@ struct ReplayOptions {
   /// Seed of the client-side obfuscation stream.
   uint64_t obfuscation_seed = 11;
 
-  /// Mechanism sampler for the client-side obfuscation pass; nullopt uses
-  /// the framework's configured sampler (TbfOptions::sampler): kWalk,
-  /// kInverseCdf, or the timing-oblivious kOblivious. Like the seeds, the
+  /// Mechanism sampler for the client-side obfuscation pass
+  /// (TbfFramework::ObfuscateCodes): kWalk, kInverseCdf, or the
+  /// timing-oblivious kOblivious; nullopt means kWalk. Like the seeds, the
   /// sampler is part of a run's identity. Resuming a single-file
   /// checkpoint with a different sampler changes the obfuscation draw
-  /// stream and is on the caller, exactly as rebuilding the framework
-  /// differently would be. A durable `recover` with a different sampler
-  /// (or declared epsilon) re-draws reports that differ from the
+  /// stream and is on the caller. A durable `recover` with a different
+  /// sampler (or declared epsilon) re-draws reports that differ from the
   /// journaled ones and fails as a journal/state divergence.
   std::optional<SamplerKind> sampler;
 
@@ -181,9 +180,9 @@ struct ReplayOptions {
   /// rollover and dispatch. Entries must be strictly increasing in
   /// at_epoch with non-null trees of the framework tree's shape. Like the
   /// seeds, the schedule is part of a run's identity: checkpoints record
-  /// the engine's tree epoch, and resume fast-forwards the fresh engine
-  /// through the already-applied prefix of this schedule before restoring
-  /// state — resuming with a different schedule is on the caller.
+  /// the engine's tree epoch k, and resume restores the fresh engine onto
+  /// entry k - 1's tree (the framework tree at k = 0) without running a
+  /// republish — resuming with a different schedule is on the caller.
   std::vector<ReplayRepublish> republishes;
 };
 
@@ -305,8 +304,9 @@ struct ReplayReport : ReplayCounts {
   uint64_t recovered_events = 0;
   /// Torn journal records dropped by the tail repair during recovery.
   uint64_t wal_truncated_records = 0;
-  /// Scheduled republishes applied so far (resumed runs include the
-  /// fast-forwarded prefix, so the count matches the uninterrupted run).
+  /// Scheduled republishes applied so far (resumed runs include those
+  /// their checkpoint had applied, so the count matches the uninterrupted
+  /// run).
   uint64_t republishes = 0;
 
   double obfuscate_seconds = 0.0;

@@ -20,6 +20,10 @@ namespace tbf {
 
 namespace {
 
+// Workers re-keyed per phase-A batch; each batch is one "republish.rekey"
+// fault-site hit.
+constexpr size_t kRekeyBatchSize = 1024;
+
 // Translates one stored report old tree -> new tree. A report on a real
 // leaf follows its predefined point (MapToNearest* is exact: a point in
 // the set maps to its own leaf, so a bit-identical tree re-keys every
@@ -40,30 +44,13 @@ LeafCode RekeyReport(const CompleteHst& from, const CompleteHst& to,
 }  // namespace
 
 Result<RepublishReport> ShardedTbfServer::Republish(
-    std::shared_ptr<const CompleteHst> new_tree,
-    const RepublishOptions& options) {
-  if (new_tree == nullptr) {
-    return Status::InvalidArgument("republish: tree must not be null");
-  }
+    std::shared_ptr<const CompleteHst> new_tree) {
+  TBF_RETURN_NOT_OK(CheckPublishable(new_tree.get(), "republish"));
   // One republish at a time: the whole rekey + swap sequence runs against
-  // a stable old tree (only Republish itself ever changes the tree).
+  // a stable old tree (only Republish and RestoreState change the tree).
   std::lock_guard<std::mutex> republish_lock(republish_mu_);
   const CompleteHst& old_tree = tree();  // stable: republish_mu_ held
-  if (new_tree->depth() != old_tree.depth() ||
-      new_tree->arity() != old_tree.arity()) {
-    return Status::InvalidArgument(
-        "republish: new tree shape (depth " +
-        std::to_string(new_tree->depth()) + ", arity " +
-        std::to_string(new_tree->arity()) +
-        ") must match the published shape (depth " +
-        std::to_string(old_tree.depth()) + ", arity " +
-        std::to_string(old_tree.arity()) +
-        ") — live reports and shard routing are expressed in the published "
-        "geometry");
-  }
-  if (!options.fast_forward) republish_started_metric_->Add(1);
-  const size_t batch_size =
-      options.rekey_batch_size == 0 ? 1024 : options.rekey_batch_size;
+  republish_started_metric_->Add(1);
   RepublishReport rep;
 
   // Phase A — advisory re-key outside the locks. Snapshot the registry,
@@ -88,16 +75,14 @@ Result<RepublishReport> ShardedTbfServer::Republish(
   WallTimer rekey_timer;
   std::unordered_map<std::string, Staged> staged;
   staged.reserve(live.size());
-  for (size_t i = 0; i < live.size(); i += batch_size) {
-    if (!options.fast_forward) {
-      const Status injected =
-          TBF_FAULT_INJECT_AT("republish.rekey", i / batch_size);
-      if (!injected.ok()) {
-        republish_aborted_metric_->Add(1);
-        return injected;  // nothing applied yet: clean abort
-      }
+  for (size_t i = 0; i < live.size(); i += kRekeyBatchSize) {
+    const Status injected =
+        TBF_FAULT_INJECT_AT("republish.rekey", i / kRekeyBatchSize);
+    if (!injected.ok()) {
+      republish_aborted_metric_->Add(1);
+      return injected;  // nothing applied yet: clean abort
     }
-    const size_t end = std::min(live.size(), i + batch_size);
+    const size_t end = std::min(live.size(), i + kRekeyBatchSize);
     for (size_t j = i; j < end; ++j) {
       Staged entry;
       entry.old_code = live[j].second;
@@ -117,13 +102,11 @@ Result<RepublishReport> ShardedTbfServer::Republish(
   shard_locks.reserve(shards_.size());
   for (auto& shard : shards_) shard_locks.emplace_back(shard->mu);
   std::lock_guard<std::mutex> pool_lock(pool_mu_);
-  if (!options.fast_forward) {
-    const Status injected = TBF_FAULT_INJECT_AT(
-        "republish.swap", tree_epoch_.load(std::memory_order_relaxed));
-    if (!injected.ok()) {
-      republish_aborted_metric_->Add(1);
-      return injected;
-    }
+  const Status injected = TBF_FAULT_INJECT_AT(
+      "republish.swap", tree_epoch_.load(std::memory_order_relaxed));
+  if (!injected.ok()) {
+    republish_aborted_metric_->Add(1);
+    return injected;
   }
   std::vector<HstAvailabilityIndex> fresh;
   fresh.reserve(shards_.size());
@@ -158,19 +141,12 @@ Result<RepublishReport> ShardedTbfServer::Republish(
   for (size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->index = std::move(fresh[s]);
   }
-  {
-    std::lock_guard<std::mutex> tree_lock(tree_mu_);
-    tree_ptr_.store(new_tree.get(), std::memory_order_release);
-    tree_history_.push_back(std::move(new_tree));
-  }
-  rep.tree_epoch = tree_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  rep.tree_epoch = tree_epoch_.load(std::memory_order_relaxed) + 1;
+  InstallTree(std::move(new_tree), rep.tree_epoch);
   rep.shards_swapped = static_cast<int>(shards_.size());
   rep.swap_seconds = swap_timer.ElapsedSeconds();
-  if (!options.fast_forward) {
-    republish_rekeyed_metric_->Add(static_cast<uint64_t>(rep.workers_rekeyed));
-    republish_swapped_metric_->Add(static_cast<uint64_t>(rep.shards_swapped));
-  }
-  tree_epoch_metric_->Set(static_cast<int64_t>(rep.tree_epoch));
+  republish_rekeyed_metric_->Add(static_cast<uint64_t>(rep.workers_rekeyed));
+  republish_swapped_metric_->Add(static_cast<uint64_t>(rep.shards_swapped));
   return rep;
 }
 

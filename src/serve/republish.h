@@ -1,4 +1,4 @@
-// Zero-downtime republish: option/report types for
+// Zero-downtime republish: the report type of
 // ShardedTbfServer::Republish (serve/sharded_server.h), which atomically
 // swaps the engine's published tree while it keeps serving.
 //
@@ -9,8 +9,8 @@
 //      live reports, packed codes and shard routing are all expressed in
 //      the published geometry.
 //   2. Phase A — re-key: every live worker's stored report is translated
-//      old tree -> new tree in batches of `rekey_batch_size`, *outside*
-//      the engine's locks (traffic proceeds). A report on a real leaf
+//      old tree -> new tree in batches of 1024 workers, *outside* the
+//      engine's locks (traffic proceeds). A report on a real leaf
 //      follows its predefined point through MapToNearestLeafCode; a
 //      report on a fake leaf (obfuscation lands there) keeps its digits
 //      verbatim — which makes republishing a bit-identical tree
@@ -26,7 +26,8 @@
 // ordinal) and "republish.swap" (hit-indexed by the current tree epoch,
 // firing before any mutation) turn an injected failure into a clean
 // abort — the engine stays exactly as it was, counted in
-// tbf_republish_aborted_total.
+// tbf_republish_aborted_total. A resumed replay runs no republish:
+// RestoreState installs the checkpoint's tree at its epoch.
 
 #pragma once
 
@@ -34,20 +35,6 @@
 #include <cstdint>
 
 namespace tbf {
-
-/// \brief Tuning knobs of one Republish call.
-struct RepublishOptions {
-  /// Workers re-keyed per batch in phase A (each batch is one
-  /// "republish.rekey" fault-site hit). 0 falls back to the default.
-  size_t rekey_batch_size = 1024;
-
-  /// Replay-resume fast-forward: re-apply a republish that the
-  /// checkpointed run had already applied, without re-counting it in the
-  /// tbf_republish_* metrics (the checkpoint's metric snapshot already
-  /// contains it) and without re-firing its fault sites. Only the replay
-  /// loop (serve/replay.cc) should set this.
-  bool fast_forward = false;
-};
 
 /// \brief What one successful Republish did.
 struct RepublishReport {

@@ -54,6 +54,23 @@ class InflightToken {
   std::atomic<size_t>* total_count_;
 };
 
+// Admission control for an operation holding `inflight` at `shard`: the
+// "serve.admission" fault site, then the shard's backlog bound. A refusal
+// is counted in `shed_metric`. Callers run it before the budget charge: a
+// shed report must not burn epsilon (the client will retry it verbatim).
+Status Admit(const InflightToken& inflight, int shard, size_t max_backlog,
+             obs::Counter* shed_metric) {
+  Status admitted = TBF_FAULT_INJECT("serve.admission");
+  if (admitted.ok() && max_backlog > 0 &&
+      inflight.shard_backlog() > max_backlog) {
+    admitted = Status::ResourceExhausted(
+        "shard " + std::to_string(shard) + " backlog full (>" +
+        std::to_string(max_backlog) + " in flight)");
+  }
+  if (!admitted.ok()) shed_metric->Add(1);
+  return admitted;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<ShardedTbfServer>> ShardedTbfServer::Create(
@@ -138,9 +155,30 @@ ShardedTbfServer::ShardedTbfServer(std::shared_ptr<const CompleteHst> tree,
   tree_epoch_metric_ = metrics_->FindOrCreateGauge("tbf_serve_tree_epoch");
 }
 
-std::shared_ptr<const CompleteHst> ShardedTbfServer::tree_shared() const {
-  std::lock_guard<std::mutex> tree_lock(tree_mu_);
-  return tree_history_.back();
+Status ShardedTbfServer::CheckPublishable(const CompleteHst* tree,
+                                          const std::string& what) const {
+  if (tree == nullptr) {
+    return Status::InvalidArgument(what + ": tree must not be null");
+  }
+  if (tree->depth() != router_.depth() || tree->arity() != router_.arity()) {
+    return Status::InvalidArgument(
+        what + ": tree shape (depth " + std::to_string(tree->depth()) +
+        ", arity " + std::to_string(tree->arity()) +
+        ") must match the published shape (depth " +
+        std::to_string(router_.depth()) + ", arity " +
+        std::to_string(router_.arity()) +
+        ") — live reports and shard routing are expressed in the published "
+        "geometry");
+  }
+  return Status::OK();
+}
+
+void ShardedTbfServer::InstallTree(std::shared_ptr<const CompleteHst> tree,
+                                   uint64_t epoch) {
+  tree_ptr_.store(tree.get(), std::memory_order_release);
+  tree_history_.push_back(std::move(tree));
+  tree_epoch_.store(epoch, std::memory_order_release);
+  tree_epoch_metric_->Set(static_cast<int64_t>(epoch));
 }
 
 Status ShardedTbfServer::ChargeIfRequired(
@@ -195,21 +233,10 @@ Status ShardedTbfServer::RegisterWorker(
     return Status::InvalidArgument("worker id must not be empty");
   }
   const int new_shard = router_.ShardOf(code, *tree().codec());
-  // Admission control runs before the budget charge: a shed report must
-  // not burn epsilon (the client will retry it verbatim).
   InflightToken inflight(shard_inflight_[static_cast<size_t>(new_shard)].get(),
                          &total_inflight_);
-  Status admitted = TBF_FAULT_INJECT("serve.admission");
-  if (admitted.ok() && options_.max_backlog_per_shard > 0 &&
-      inflight.shard_backlog() > options_.max_backlog_per_shard) {
-    admitted = Status::ResourceExhausted(
-        "shard " + std::to_string(new_shard) + " backlog full (>" +
-        std::to_string(options_.max_backlog_per_shard) + " in flight)");
-  }
-  if (!admitted.ok()) {
-    shed_metric_->Add(1);
-    return admitted;
-  }
+  TBF_RETURN_NOT_OK(Admit(inflight, new_shard, options_.max_backlog_per_shard,
+                          shed_metric_));
   // Charge next: a refused charge must leave the pool untouched.
   TBF_RETURN_NOT_OK(ChargeIfRequired(worker_id, declared_epsilon));
   for (;;) {
@@ -346,20 +373,10 @@ Result<DispatchResult> ShardedTbfServer::SubmitTask(
     std::optional<double> declared_epsilon) {
   TBF_RETURN_NOT_OK(tree().codec()->Validate(code));
   const int home = router_.ShardOf(code, *tree().codec());
-  // Admission control before the budget charge (see RegisterWorker).
   InflightToken inflight(shard_inflight_[static_cast<size_t>(home)].get(),
                          &total_inflight_);
-  Status admitted = TBF_FAULT_INJECT("serve.admission");
-  if (admitted.ok() && options_.max_backlog_per_shard > 0 &&
-      inflight.shard_backlog() > options_.max_backlog_per_shard) {
-    admitted = Status::ResourceExhausted(
-        "shard " + std::to_string(home) + " backlog full (>" +
-        std::to_string(options_.max_backlog_per_shard) + " in flight)");
-  }
-  if (!admitted.ok()) {
-    shed_metric_->Add(1);
-    return admitted;
-  }
+  TBF_RETURN_NOT_OK(
+      Admit(inflight, home, options_.max_backlog_per_shard, shed_metric_));
   TBF_RETURN_NOT_OK(ChargeIfRequired(task_id, declared_epsilon));
   shard_tasks_metric_[static_cast<size_t>(home)]->Add(1);
   // Dispatch latency covers the whole resolution, lock waits included
@@ -479,20 +496,14 @@ ShardedServerState ShardedTbfServer::ExportState() const {
   return state;
 }
 
-Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
+Status ShardedTbfServer::RestoreState(const ShardedServerState& state,
+                                      std::shared_ptr<const CompleteHst> tree) {
   if ((state.ledger.has_value()) != (ledger_ != nullptr)) {
     return Status::InvalidArgument(
         "server state budget-ledger mismatch (checkpoint from different "
         "budget options?)");
   }
-  if (state.tree_epoch != tree_epoch_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition(
-        "server state tree-epoch mismatch (checkpoint at epoch " +
-        std::to_string(state.tree_epoch) + ", engine at " +
-        std::to_string(tree_epoch_.load(std::memory_order_acquire)) +
-        ") — fast-forward the engine by re-applying the republish schedule "
-        "before restoring");
-  }
+  TBF_RETURN_NOT_OK(CheckPublishable(tree.get(), "server state"));
   // The documented lock order: every shard mutex ascending, then the pool.
   std::vector<std::unique_lock<std::mutex>> shard_locks;
   shard_locks.reserve(shards_.size());
@@ -548,9 +559,9 @@ Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
       return Status::InvalidArgument("server state: shard out of range for '" +
                                      w.id + "'");
     }
-    const Status valid = tree().codec()->Validate(w.code);
+    const Status valid = tree->codec()->Validate(w.code);
     if (!valid.ok()) return refuse("has a bad leaf: " + valid.message());
-    const int route = router_.ShardOf(w.code, *tree().codec());
+    const int route = router_.ShardOf(w.code, *tree->codec());
     if (route != w.shard) {
       return refuse("is stored on shard " + std::to_string(w.shard) +
                     " but its leaf routes to shard " + std::to_string(route));
@@ -577,6 +588,7 @@ Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
   assigned_tasks_.store(static_cast<size_t>(state.assigned_tasks),
                         std::memory_order_relaxed);
   available_metric_->Set(static_cast<int64_t>(state.workers.size()));
+  InstallTree(std::move(tree), state.tree_epoch);
   return Status::OK();
 }
 

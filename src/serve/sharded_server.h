@@ -216,10 +216,11 @@ class ShardedTbfServer {
   /// tree epoch, firing before any mutation) abort cleanly: a failed
   /// republish leaves the engine exactly as it was. Concurrent Republish
   /// calls serialize.
-  Result<RepublishReport> Republish(std::shared_ptr<const CompleteHst> new_tree,
-                                    const RepublishOptions& options = {});
+  Result<RepublishReport> Republish(
+      std::shared_ptr<const CompleteHst> new_tree);
 
-  /// Number of republishes applied so far (0 for the construction tree).
+  /// Published-tree version: republishes applied so far, or the epoch
+  /// RestoreState installed (0 for the construction tree).
   uint64_t tree_epoch() const {
     return tree_epoch_.load(std::memory_order_acquire);
   }
@@ -250,13 +251,10 @@ class ShardedTbfServer {
   /// The currently published tree. References stay valid for the
   /// server's lifetime even across Republish (superseded trees are
   /// retained), but after a republish this accessor returns the *new*
-  /// tree — snapshot tree_shared() when you need one stable tree object.
+  /// tree — keep the reference when you need one stable tree object.
   const CompleteHst& tree() const {
     return *tree_ptr_.load(std::memory_order_acquire);
   }
-
-  /// Shared ownership of the currently published tree.
-  std::shared_ptr<const CompleteHst> tree_shared() const;
 
   /// The budget ledger, when either budget is set (else nullptr).
   /// Synchronize externally with concurrent operations before reading.
@@ -272,15 +270,19 @@ class ShardedTbfServer {
   ShardedServerState ExportState() const;
 
   /// \brief Restores a state exported by ExportState into a freshly
-  /// created engine with identical construction options (tree, shard
-  /// count, budgets). After restore, the engine continues draw-for-draw
-  /// as the exported one would have. Do not call concurrently with
-  /// operations. Inconsistent input (held and free index ids that do not
-  /// partition [0, pool_size), an empty or duplicated worker id, a leaf
-  /// invalid for the published tree, a shard its leaf does not route to, a
+  /// created engine with identical construction options (shard count,
+  /// budgets). `tree` is the tree the exporting engine had published at
+  /// state.tree_epoch (its construction tree at epoch 0); it becomes this
+  /// engine's published tree at that epoch, with no republish run. After
+  /// restore, the engine continues draw-for-draw as the exported one
+  /// would have. Do not call concurrently with operations. Inconsistent
+  /// input (a null tree or one of another shape, held and free index ids
+  /// that do not partition [0, pool_size), an empty or duplicated worker
+  /// id, a leaf invalid for `tree`, a shard its leaf does not route to, a
   /// bad RNG or ledger state) is refused with InvalidArgument before
   /// anything changes, so a refused state leaves the engine fresh.
-  Status RestoreState(const ShardedServerState& state);
+  Status RestoreState(const ShardedServerState& state,
+                      std::shared_ptr<const CompleteHst> tree);
 
  private:
   struct Shard {
@@ -310,6 +312,15 @@ class ShardedTbfServer {
   Status ChargeIfRequired(const std::string& user,
                           std::optional<double> declared_epsilon);
 
+  // OK when `tree` can be published: non-null and of the published shape
+  // (live reports, packed codes and shard routing are expressed in it).
+  Status CheckPublishable(const CompleteHst* tree,
+                          const std::string& what) const;
+
+  // Publishes `tree` as version `epoch`. Callers hold every shard mutex
+  // and pool_mu_.
+  void InstallTree(std::shared_ptr<const CompleteHst> tree, uint64_t epoch);
+
   // Shared LIFO id pool, guarded by pool_mu_.
   int AcquireIndexId();
   void ReleaseIndexId(int index_id);
@@ -332,10 +343,8 @@ class ShardedTbfServer {
   // tree ever published, so references handed out by tree() stay valid
   // across republishes for the server's whole lifetime. The flip happens
   // under ALL shard mutexes + pool_mu_ (so in-flight operations never
-  // straddle it) + tree_mu_; tree_epoch_ counts flips. republish_mu_
-  // serializes whole Republish calls so re-keying always runs against a
-  // stable old tree.
-  mutable std::mutex tree_mu_;
+  // straddle it); tree_epoch_ counts flips. republish_mu_ serializes whole
+  // Republish calls so re-keying always runs against a stable old tree.
   std::vector<std::shared_ptr<const CompleteHst>> tree_history_;
   std::atomic<const CompleteHst*> tree_ptr_{nullptr};
   std::atomic<uint64_t> tree_epoch_{0};

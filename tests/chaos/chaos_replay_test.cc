@@ -62,6 +62,8 @@ void ExpectAccountingIdentity(const ReplayReport& r) {
       << r.CheckAccountingIdentity().ToString();
 }
 
+#ifndef TBF_FAULTS_DISABLED
+
 void ExpectDeterministicFieldsEqual(const ReplayReport& a,
                                     const ReplayReport& b) {
   EXPECT_EQ(a.events, b.events);
@@ -125,8 +127,6 @@ void ExpectDeterministicFieldsEqual(const ReplayReport& a,
         << i;
   }
 }
-
-#ifndef TBF_FAULTS_DISABLED
 
 const std::vector<std::string>& AllChaosSites() {
   static const std::vector<std::string>* sites = new std::vector<std::string>{

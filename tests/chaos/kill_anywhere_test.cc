@@ -45,6 +45,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
+#ifndef TBF_FAULTS_DISABLED
+
 TbfFramework BuildFramework(double epsilon = 0.6, uint64_t seed = 7) {
   Rng rng(seed);
   auto grid = UniformGridPoints(BBox::Square(200), 8);
@@ -182,8 +184,6 @@ void ExpectLedgerNeverOverspends(const ShardedServerState& state,
     EXPECT_LE(spent, lifetime_budget + slack) << what << " user " << user;
   }
 }
-
-#ifndef TBF_FAULTS_DISABLED
 
 constexpr double kEpochBudget = 1.5;
 constexpr double kLifetimeBudget = 4.0;

@@ -345,12 +345,9 @@ TEST(TbfFrameworkCodeBatchTest, InverseCdfSamplerAgreesWithPerItemDraws) {
   Rng rng(6);
   auto grid = UniformGridPoints(BBox::Square(100), 5);
   ASSERT_TRUE(grid.ok());
-  TbfOptions options;
-  options.sampler = SamplerKind::kInverseCdf;
   auto framework =
-      TbfFramework::Build(std::move(*grid), EuclideanMetric(), &rng, options);
+      TbfFramework::Build(std::move(*grid), EuclideanMetric(), &rng);
   ASSERT_TRUE(framework.ok());
-  EXPECT_EQ(framework->sampler(), SamplerKind::kInverseCdf);
 
   Rng loc_rng(9);
   std::vector<Point> locations;
@@ -359,8 +356,8 @@ TEST(TbfFrameworkCodeBatchTest, InverseCdfSamplerAgreesWithPerItemDraws) {
   }
   const Rng stream(77);
   ThreadPool pool(2);
-  std::vector<LeafCode> codes =
-      framework->ObfuscateCodes(locations, stream, &pool);
+  std::vector<LeafCode> codes = framework->ObfuscateCodes(
+      locations, stream, &pool, nullptr, 0, SamplerKind::kInverseCdf);
   ASSERT_EQ(codes.size(), locations.size());
   for (size_t i = 0; i < codes.size(); ++i) {
     Rng item_rng = stream.ForkAt(i);

@@ -25,29 +25,30 @@ namespace {
 // 100 of 20k reports, so the chi-square below pools no cell.
 constexpr double kEpsilon = 0.005;
 
-TbfFramework BuildFramework(SamplerKind sampler) {
+TbfFramework BuildFramework() {
   Rng rng(3);
   auto grid = UniformGridPoints(BBox::Square(100), 4);
   EXPECT_TRUE(grid.ok()) << grid.status();
   TbfOptions options;
   options.epsilon = kEpsilon;
-  options.sampler = sampler;
   auto framework = TbfFramework::Build(std::move(grid).MoveValueUnsafe(),
                                        EuclideanMetric(), &rng, options);
   EXPECT_TRUE(framework.ok()) << framework.status();
   return std::move(framework).MoveValueUnsafe();
 }
 
-// Chi-square of the LCA levels of `n` reports of one location against
-// HstMechanism::LevelProbability; "" on pass, a diagnostic on rejection.
-std::string LevelMarginalTrial(const TbfFramework& framework, int n,
-                               uint64_t seed) {
+// Chi-square of the LCA levels of `n` reports of one location, drawn with
+// `sampler`, against HstMechanism::LevelProbability; "" on pass, a
+// diagnostic on rejection.
+std::string LevelMarginalTrial(const TbfFramework& framework,
+                               SamplerKind sampler, int n, uint64_t seed) {
   const Point location{40.0, 65.0};
   const LeafCode truth = framework.tree().leaf_code_of_point(
       framework.tree().MapToNearestPoint(location));
   ThreadPool pool(2);
   const std::vector<LeafCode> reports = framework.ObfuscateCodes(
-      std::vector<Point>(static_cast<size_t>(n), location), Rng(seed), &pool);
+      std::vector<Point>(static_cast<size_t>(n), location), Rng(seed), &pool,
+      nullptr, 0, sampler);
 
   const HstMechanism& mechanism = framework.mechanism();
   std::vector<double> expected;
@@ -80,13 +81,13 @@ std::string LevelMarginalTrial(const TbfFramework& framework, int n,
 class ShippedPathTest : public ::testing::TestWithParam<SamplerKind> {};
 
 TEST_P(ShippedPathTest, ObfuscateCodesFollowsLevelMarginal) {
-  const TbfFramework framework = BuildFramework(GetParam());
+  const TbfFramework framework = BuildFramework();
   ASSERT_NE(framework.codec(), nullptr);
   ASSERT_GE(framework.mechanism().depth(), 2);
   tbf::testing::ExpectStatistical(
       "ObfuscateCodes LCA levels vs LevelProbability",
       /*primary_seed=*/20261017, /*retry_seed=*/7331, [&](uint64_t seed) {
-        return LevelMarginalTrial(framework, 20000, seed);
+        return LevelMarginalTrial(framework, GetParam(), 20000, seed);
       });
 }
 
@@ -100,7 +101,7 @@ TEST(ShippedMechanismTest, PublishedMechanismIsGeoIndistinguishable) {
   // so one audit covers them all. Inputs are the leaves a client can map
   // to (the published points'); outputs are every leaf of the complete
   // tree the mechanism may report.
-  const TbfFramework framework = BuildFramework(SamplerKind::kWalk);
+  const TbfFramework framework = BuildFramework();
   const CompleteHst& tree = framework.tree();
   const HstMechanism& mechanism = framework.mechanism();
   auto outputs = mechanism.EnumerateLeaves(1 << 14);

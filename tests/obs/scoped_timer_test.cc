@@ -41,7 +41,7 @@ TEST(ScopedTimerTest, SecondsSinkWorksWithMetricsDisabled) {
     ScopedTimer timer(&seconds);
     // Enough work that any realistic steady_clock observes elapsed > 0.
     volatile unsigned sink = 0;
-    for (unsigned i = 0; i < 200000; ++i) sink += i;
+    for (unsigned i = 0; i < 200000; ++i) sink = sink + i;
   }
   SetMetricsEnabled(true);
   EXPECT_GT(seconds, 0.0);

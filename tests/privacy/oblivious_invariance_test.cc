@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <sstream>
@@ -40,6 +41,7 @@
 #include "hst/pack_paths.h"
 #include "serve/replay.h"
 #include "serve/sharded_server.h"
+#include "serve/wal.h"
 #include "workload/synthetic.h"
 
 namespace tbf {
@@ -303,19 +305,14 @@ TEST(ObliviousChiSquareTest, MatchesExactDistributionOddArityThree) {
 }
 
 TEST(ObliviousBatchTest, BatchApisAgreeUnderObliviousSampler) {
-  // With kOblivious configured, the batch must draw item i with
-  // ObfuscateCodeOblivious on its own ForkAt stream, and an explicit
-  // per-call override on a walk-configured framework must reproduce the
-  // configured-sampler run draw for draw.
+  // With kOblivious, the batch must draw item i with
+  // ObfuscateCodeOblivious on its own ForkAt stream.
   Rng rng(6);
   auto grid = UniformGridPoints(BBox::Square(100), 5);
   ASSERT_TRUE(grid.ok());
-  TbfOptions options;
-  options.sampler = SamplerKind::kOblivious;
   auto framework =
-      TbfFramework::Build(std::move(*grid), EuclideanMetric(), &rng, options);
+      TbfFramework::Build(std::move(*grid), EuclideanMetric(), &rng);
   ASSERT_TRUE(framework.ok());
-  EXPECT_EQ(framework->sampler(), SamplerKind::kOblivious);
   const LeafCodec* codec = framework->codec();
   ASSERT_NE(codec, nullptr);
 
@@ -326,8 +323,8 @@ TEST(ObliviousBatchTest, BatchApisAgreeUnderObliviousSampler) {
   }
   const Rng stream(77);
   ThreadPool pool(2);
-  std::vector<LeafCode> codes =
-      framework->ObfuscateCodes(locations, stream, &pool);
+  std::vector<LeafCode> codes = framework->ObfuscateCodes(
+      locations, stream, &pool, nullptr, 0, SamplerKind::kOblivious);
   ASSERT_EQ(codes.size(), locations.size());
   for (size_t i = 0; i < codes.size(); ++i) {
     Rng item_rng = stream.ForkAt(i);
@@ -335,24 +332,13 @@ TEST(ObliviousBatchTest, BatchApisAgreeUnderObliviousSampler) {
                             framework->TrueLeaf(locations[i]), &item_rng))
         << i;
   }
-
-  // Same grid, walk-configured framework + per-call override.
-  Rng rng2(6);
-  auto grid2 = UniformGridPoints(BBox::Square(100), 5);
-  ASSERT_TRUE(grid2.ok());
-  auto walk_framework =
-      TbfFramework::Build(std::move(*grid2), EuclideanMetric(), &rng2);
-  ASSERT_TRUE(walk_framework.ok());
-  std::vector<LeafCode> overridden = walk_framework->ObfuscateCodes(
-      locations, stream, &pool, nullptr, 0, SamplerKind::kOblivious);
-  EXPECT_EQ(overridden, codes);
 }
 
-TEST(ObliviousReplayTest, ReplaySamplerOptionMatchesConfiguredFramework) {
+TEST(ObliviousReplayTest, ReplaySamplerOptionMatchesObfuscateCodes) {
   // Serving end to end: a replay with ReplayOptions::sampler = kOblivious
-  // on a walk-configured framework must produce exactly the outcomes of
-  // the same replay on a kOblivious-configured framework with the option
-  // unset — the plumbing changes which sampler runs, nothing else.
+  // journals, for arrival i of the trace, exactly the code
+  // ObfuscateCodes draws with kOblivious for item i of the obfuscation
+  // stream; and leaving the option unset replays as kWalk, draw for draw.
   SyntheticEventConfig config;
   config.base.num_workers = 400;
   config.base.num_tasks = 200;
@@ -362,66 +348,81 @@ TEST(ObliviousReplayTest, ReplaySamplerOptionMatchesConfiguredFramework) {
   auto trace = GenerateEventTrace(config);
   ASSERT_TRUE(trace.ok());
 
-  auto build = [](SamplerKind sampler) {
-    Rng rng(3);
-    auto grid = UniformGridPoints(BBox::Square(200), 16);
-    EXPECT_TRUE(grid.ok());
-    TbfOptions options;
-    // Low enough that obfuscation genuinely spreads: the trailing
-    // negative check needs the walk and oblivious draw streams to land on
-    // different leaves somewhere in 200 tasks, which a near-identity
-    // mechanism (high epsilon) would mask.
-    options.epsilon = 0.05;
-    options.sampler = sampler;
-    auto framework = TbfFramework::Build(std::move(*grid), EuclideanMetric(),
-                                         &rng, options);
-    EXPECT_TRUE(framework.ok());
-    return std::move(framework).MoveValueUnsafe();
-  };
-  TbfFramework walk_framework = build(SamplerKind::kWalk);
-  TbfFramework oblivious_framework = build(SamplerKind::kOblivious);
+  Rng rng(3);
+  auto grid = UniformGridPoints(BBox::Square(200), 16);
+  ASSERT_TRUE(grid.ok());
+  TbfOptions tbf_options;
+  // Low enough that obfuscation genuinely spreads, so the walk and
+  // oblivious draw streams land on different leaves and a sampler that is
+  // not plumbed through shows.
+  tbf_options.epsilon = 0.05;
+  auto framework = TbfFramework::Build(std::move(*grid), EuclideanMetric(),
+                                       &rng, tbf_options);
+  ASSERT_TRUE(framework.ok());
 
+  std::vector<Point> arrivals;
+  for (const TimedEvent& event : trace->events) {
+    if (event.kind != EventKind::kWorkerDeparture) {
+      arrivals.push_back(event.location);
+    }
+  }
   ReplayOptions options;
   options.epoch_seconds = 30.0;
-  auto configured = RunEventReplay(oblivious_framework, *trace, options);
-  ASSERT_TRUE(configured.ok()) << configured.status();
+  ThreadPool pool(1);
+  const std::vector<LeafCode> expected =
+      framework->ObfuscateCodes(arrivals, Rng(options.obfuscation_seed), &pool,
+                                nullptr, 0, SamplerKind::kOblivious);
+  const std::vector<LeafCode> walk_codes = framework->ObfuscateCodes(
+      arrivals, Rng(options.obfuscation_seed), &pool);
+  ASSERT_NE(expected, walk_codes);
 
-  options.sampler = SamplerKind::kOblivious;
-  auto overridden = RunEventReplay(walk_framework, *trace, options);
-  ASSERT_TRUE(overridden.ok()) << overridden.status();
+  const std::string dir =
+      ::testing::TempDir() + "/tbf_oblivious_replay_journal";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ReplayOptions durable = options;
+  durable.sampler = SamplerKind::kOblivious;
+  durable.durable_dir = dir;
+  durable.wal_fsync = WalFsyncPolicy::None();
+  durable.checkpoint_every_epochs = 1000;  // no checkpoint, no compaction
+  auto oblivious = RunEventReplay(*framework, *trace, durable);
+  ASSERT_TRUE(oblivious.ok()) << oblivious.status();
+  auto journal = ScanWalDir(dir, /*repair_torn_tail=*/false);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  // Arrival ordinal of each trace index: departures draw nothing.
+  std::vector<size_t> ordinal(trace->events.size(), 0);
+  for (size_t i = 0, seen = 0; i < trace->events.size(); ++i) {
+    ordinal[i] = seen;
+    if (trace->events[i].kind != EventKind::kWorkerDeparture) ++seen;
+  }
+  size_t checked = 0;
+  for (const WalRecord& record : journal->records) {
+    if (record.kind != WalRecordKind::kWorkerArrival &&
+        record.kind != WalRecordKind::kTaskArrival) {
+      continue;
+    }
+    EXPECT_EQ(record.code,
+              expected[ordinal[static_cast<size_t>(record.event_index)]])
+        << record.event_index;
+    ++checked;
+  }
+  EXPECT_EQ(checked, arrivals.size());
+  std::filesystem::remove_all(dir);
 
-  ASSERT_EQ(configured->task_outcomes.size(),
-            overridden->task_outcomes.size());
-  for (size_t i = 0; i < configured->task_outcomes.size(); ++i) {
-    const TaskOutcome& a = configured->task_outcomes[i];
-    const TaskOutcome& b = overridden->task_outcomes[i];
+  auto unset = RunEventReplay(*framework, *trace, options);
+  ASSERT_TRUE(unset.ok()) << unset.status();
+  options.sampler = SamplerKind::kWalk;
+  auto walk = RunEventReplay(*framework, *trace, options);
+  ASSERT_TRUE(walk.ok()) << walk.status();
+  ASSERT_EQ(unset->task_outcomes.size(), walk->task_outcomes.size());
+  for (size_t i = 0; i < walk->task_outcomes.size(); ++i) {
+    const TaskOutcome& a = unset->task_outcomes[i];
+    const TaskOutcome& b = walk->task_outcomes[i];
     EXPECT_EQ(a.task_id, b.task_id) << i;
     EXPECT_EQ(a.worker, b.worker) << i;
     EXPECT_EQ(a.reported_tree_distance, b.reported_tree_distance) << i;
   }
-  EXPECT_EQ(configured->assigned, overridden->assigned);
-  EXPECT_EQ(configured->denied, overridden->denied);
-
-  // And the option changes behavior at all: the walk run reports
-  // different obfuscation draws, so outcomes diverge somewhere.
-  ReplayOptions walk_options;
-  walk_options.epoch_seconds = 30.0;
-  auto walk_run = RunEventReplay(walk_framework, *trace, walk_options);
-  ASSERT_TRUE(walk_run.ok());
-  bool any_difference =
-      walk_run->assigned != overridden->assigned ||
-      walk_run->task_outcomes.size() != overridden->task_outcomes.size();
-  for (size_t i = 0;
-       !any_difference && i < walk_run->task_outcomes.size(); ++i) {
-    any_difference =
-        walk_run->task_outcomes[i].worker !=
-            overridden->task_outcomes[i].worker ||
-        walk_run->task_outcomes[i].reported_tree_distance !=
-            overridden->task_outcomes[i].reported_tree_distance;
-  }
-  EXPECT_TRUE(any_difference)
-      << "walk and oblivious replays reported identical outcomes "
-         "everywhere — the sampler option is plausibly not plumbed";
+  EXPECT_EQ(unset->assigned, walk->assigned);
 }
 
 }  // namespace

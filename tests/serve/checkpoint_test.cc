@@ -498,7 +498,8 @@ TEST(CheckpointTest, RestoreExportIsAByteFixedPoint) {
   server_options.metrics = &metrics;
   auto fresh = ShardedTbfServer::Create(framework->tree_ptr(), server_options);
   ASSERT_TRUE(fresh.ok());
-  ASSERT_TRUE((*fresh)->RestoreState(decoded->server).ok());
+  ASSERT_TRUE(
+      (*fresh)->RestoreState(decoded->server, framework->tree_ptr()).ok());
 
   ReplayCheckpoint reexported = *decoded;
   reexported.server = (*fresh)->ExportState();

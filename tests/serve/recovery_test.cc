@@ -722,12 +722,20 @@ TEST(RecoveryTest, OutcomeLogReadErrorsCutNothing) {
   }
   {
     // A log that stays unreadable fails recovery: every checkpoint shares
-    // it, so no fallback helps, and no checkpoint is rejected for it.
+    // it, so no fallback helps, and no checkpoint is rejected for it. The
+    // failed recovery still records its attempt and its one retry.
     fault::ScopedFaultPlan armed(failing("recovery.outcome_log", 0));
     ASSERT_TRUE(armed.armed());
-    auto scan = RecoverReplayDir(dir);
+    obs::MetricRegistry registry;
+    auto scan = RecoverReplayDir(dir, &registry);
     ASSERT_FALSE(scan.ok());
     EXPECT_EQ(scan.status().code(), StatusCode::kIOError);
+    EXPECT_EQ(fault::FaultInjector::Global().hits("recovery.outcome_log"), 2u);
+    const obs::MetricsSnapshot metrics = registry.Snapshot();
+    EXPECT_EQ(metrics.CounterValue("tbf_recovery_attempts_total"), 1.0);
+    EXPECT_EQ(metrics.CounterValue("tbf_recovery_io_retries_total"), 1.0);
+    EXPECT_EQ(metrics.CounterValue("tbf_recovery_checkpoints_rejected_total"),
+              0.0);
     auto recovered = RunEventReplay(framework, trace, recover);
     ASSERT_FALSE(recovered.ok());
     EXPECT_EQ(recovered.status().code(), StatusCode::kIOError);
@@ -897,6 +905,93 @@ TEST(RecoveryTest, LedgerSpendIsTheComposedEpsilonAndTheJournaledCharges) {
     }
     EXPECT_NEAR(covered + journaled, spent, 1e-9 * spent);
   }
+}
+
+// The framework tree's points and leaves at `factor` times its scale: the
+// published shape, but every reported tree distance scales with it.
+std::shared_ptr<const CompleteHst> ScaledTree(const CompleteHst& tree,
+                                              double factor) {
+  std::vector<LeafCode> codes;
+  for (int p = 0; p < tree.num_points(); ++p) {
+    codes.push_back(tree.leaf_code_of_point(p));
+  }
+  auto scaled = CompleteHst::FromParts(tree.depth(), tree.arity(),
+                                       tree.scale() * factor, tree.points(),
+                                       std::move(codes));
+  EXPECT_TRUE(scaled.ok()) << scaled.status();
+  return std::make_shared<const CompleteHst>(
+      std::move(scaled).MoveValueUnsafe());
+}
+
+// A recovery whose checkpoint lies between two republishes restores the
+// engine onto the first one's tree without republishing again: it
+// re-produces the uninterrupted run's history (tree distances differ on
+// every tree of the schedule), and its tbf_republish_* counters and
+// tree-epoch gauge equal the uninterrupted run's.
+TEST(RecoveryTest, RestoredRepublishesAreCountedOnce) {
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = SmallTrace(120, 100, 9);
+  const std::vector<ReplayRepublish> schedule = {
+      {1, ScaledTree(framework.tree(), 2.0)},
+      {4, ScaledTree(framework.tree(), 3.0)}};
+  ReplayOptions options = DurableOptions(FreshDir("republish_reference"));
+  options.republishes = schedule;
+  options.keep_checkpoints = 100;  // no compaction: the journal stays whole
+  auto reference = RunEventReplay(framework, trace, options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(reference->republishes, 2u);
+  auto journal = ScanWalDir(options.durable_dir, /*repair_torn_tail=*/false);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  // The kill lands halfway between the two republishes, so the recovered
+  // run dispatches on the restored tree before the second one.
+  uint64_t republish_lsn[2] = {0, 0};
+  for (const WalRecord& rec : journal->records) {
+    if (rec.kind == WalRecordKind::kRepublish) {
+      republish_lsn[rec.tree_epoch - 1] = rec.lsn;
+    }
+  }
+  ASSERT_GT(republish_lsn[0], 0u);
+  ASSERT_GT(republish_lsn[1], republish_lsn[0]);
+
+  options.durable_dir = FreshDir("republish_recovered");
+  {
+    fault::FaultPlan plan;
+    fault::FaultSpec kill;
+    kill.site = "wal.append";
+    kill.kind = fault::FaultKind::kFail;
+    kill.code = StatusCode::kAborted;
+    kill.after = (republish_lsn[0] + republish_lsn[1]) / 2;
+    kill.count = 1;
+    plan.faults.push_back(kill);
+    fault::ScopedFaultPlan armed(plan);
+    ASSERT_FALSE(RunEventReplay(framework, trace, options).ok());
+  }
+  auto scan = RecoverReplayDir(options.durable_dir);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  ASSERT_TRUE(scan->checkpoint.has_value());
+  ASSERT_EQ(scan->checkpoint->server.tree_epoch, 1u);
+
+  options.recover = true;
+  auto recovered = RunEventReplay(framework, trace, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_TRUE(recovered->resumed);
+  EXPECT_EQ(recovered->republishes, 2u);
+  ExpectSameHistory(*recovered, *reference);
+  for (const char* name :
+       {"tbf_republish_started_total", "tbf_republish_rekeyed_workers_total",
+        "tbf_republish_swapped_shards_total", "tbf_republish_aborted_total"}) {
+    EXPECT_EQ(recovered->metrics.CounterValue(name),
+              reference->metrics.CounterValue(name))
+        << name;
+  }
+  EXPECT_EQ(recovered->metrics.CounterValue("tbf_republish_started_total"),
+            2.0);
+  const auto* want = reference->metrics.FindGauge("tbf_serve_tree_epoch");
+  const auto* got = recovered->metrics.FindGauge("tbf_serve_tree_epoch");
+  ASSERT_NE(want, nullptr);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->value, want->value);
+  EXPECT_EQ(got->value, 2);
 }
 
 #endif  // TBF_FAULTS_DISABLED

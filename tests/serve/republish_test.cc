@@ -6,8 +6,8 @@
 //  - workers whose report named a real leaf follow their predefined
 //    point onto the new tree; fake-leaf reports are kept digit for digit;
 //  - an injected fault at either site aborts with the engine untouched;
-//  - the tree epoch is part of exported state, and a checkpoint can only
-//    be restored into an engine at the same epoch;
+//  - the tree epoch is part of exported state, and a restore lands a
+//    fresh engine on the given tree at that epoch without republishing;
 //  - the replay loop applies a republish schedule deterministically.
 
 #include "serve/sharded_server.h"
@@ -61,6 +61,19 @@ std::shared_ptr<const CompleteHst> SwapLeavesTree(const CompleteHst& tree) {
       std::move(swapped).MoveValueUnsafe());
 }
 
+// A depth-2, arity-2 tree: a shape no BuildTree() tree has.
+std::shared_ptr<const CompleteHst> OtherShapeTree() {
+  std::vector<Point> points = {{0.0, 0.0}, {10.0, 0.0}};
+  const LeafCodec codec(2, 2);
+  std::vector<LeafCode> codes = {codec.Pack({char16_t{0}, char16_t{0}}),
+                                 codec.Pack({char16_t{1}, char16_t{0}})};
+  auto other = CompleteHst::FromParts(2, 2, 2.0, std::move(points),
+                                      std::move(codes));
+  EXPECT_TRUE(other.ok()) << other.status();
+  return std::make_shared<const CompleteHst>(
+      std::move(other).MoveValueUnsafe());
+}
+
 // A code naming a fake leaf (no predefined point lives there).
 LeafCode FindFakeLeaf(const CompleteHst& tree) {
   const LeafCode leaf = tree.leaf_code_of_point(0);
@@ -84,15 +97,7 @@ TEST(RepublishTest, ValidatesArguments) {
   EXPECT_EQ(null_result.status().code(), StatusCode::kInvalidArgument);
 
   // A different shape cannot host the live reports.
-  std::vector<Point> points = {{0.0, 0.0}, {10.0, 0.0}};
-  const LeafCodec codec(2, 2);
-  std::vector<LeafCode> codes = {codec.Pack({char16_t{0}, char16_t{0}}),
-                                 codec.Pack({char16_t{1}, char16_t{0}})};
-  auto other = CompleteHst::FromParts(2, 2, 2.0, std::move(points),
-                                      std::move(codes));
-  ASSERT_TRUE(other.ok());
-  auto mismatched = (*server)->Republish(std::make_shared<const CompleteHst>(
-      std::move(other).MoveValueUnsafe()));
+  auto mismatched = (*server)->Republish(OtherShapeTree());
   ASSERT_FALSE(mismatched.ok());
   EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(mismatched.status().message().find("must match the published"),
@@ -232,33 +237,89 @@ TEST(RepublishTest, MetricsAndEpochAccounting) {
 }
 
 TEST(RepublishTest, TreeEpochGuardsStateRestore) {
+  // An epoch-1 state restores onto the epoch-1 tree directly: no
+  // republish runs in the fresh engine, and it then continues draw for
+  // draw with the engine that republished. Worker codes are expressed in
+  // that tree, so a tree of another shape is refused.
   auto tree = BuildTree();
-  auto server = ShardedTbfServer::Create(tree);
+  auto next = SwapLeavesTree(*tree);
+  ShardedServerOptions options;
+  options.num_shards = 2;
+  obs::MetricRegistry registry;
+  options.metrics = &registry;
+  auto server = ShardedTbfServer::Create(tree, options);
   ASSERT_TRUE(server.ok());
-  ASSERT_TRUE((*server)
-                  ->RegisterWorker("w0", tree->leaf_code_of_point(0),
-                                   std::nullopt)
-                  .ok());
-  ASSERT_TRUE((*server)->Republish(SnapshotCopy(*tree)).ok());
-
-  ShardedServerState state = (*server)->ExportState();
+  for (int p = 0; p < 6; ++p) {
+    ASSERT_TRUE((*server)
+                    ->RegisterWorker("w" + std::to_string(p),
+                                     tree->leaf_code_of_point(p))
+                    .ok());
+  }
+  ASSERT_TRUE((*server)->RegisterWorker("fake", FindFakeLeaf(*tree)).ok());
+  ASSERT_TRUE((*server)->Republish(next).ok());
+  const ShardedServerState state = (*server)->ExportState();
   EXPECT_EQ(state.tree_epoch, 1u);
 
-  // A fresh engine sits at epoch 0: restoring an epoch-1 checkpoint must
-  // be refused until the engine is fast-forwarded through the schedule.
-  auto fresh = ShardedTbfServer::Create(tree);
+  obs::MetricRegistry fresh_registry;
+  options.metrics = &fresh_registry;
+  auto fresh = ShardedTbfServer::Create(tree, options);
   ASSERT_TRUE(fresh.ok());
-  Status refused = (*fresh)->RestoreState(state);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(refused.message().find("tree-epoch mismatch"), std::string::npos)
-      << refused;
+  // The shape is checked even for a state without a worker code the
+  // wrong tree could fail to validate.
+  const ShardedServerState empty = (*fresh)->ExportState();
+  for (const ShardedServerState* refused_state : {&state, &empty}) {
+    for (auto refused_tree : {OtherShapeTree(),
+                              std::shared_ptr<const CompleteHst>()}) {
+      const Status refused =
+          (*fresh)->RestoreState(*refused_state, refused_tree);
+      EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << refused;
+      EXPECT_EQ((*fresh)->tree_epoch(), 0u);
+      EXPECT_EQ((*fresh)->available_workers(), 0u);
+      EXPECT_EQ(&(*fresh)->tree(), tree.get());
+    }
+  }
 
-  RepublishOptions fast_forward;
-  fast_forward.fast_forward = true;
-  ASSERT_TRUE((*fresh)->Republish(SnapshotCopy(*tree), fast_forward).ok());
-  EXPECT_TRUE((*fresh)->RestoreState(state).ok());
-  EXPECT_EQ((*fresh)->available_workers(), 1u);
+  ASSERT_TRUE((*fresh)->RestoreState(state, next).ok());
+  EXPECT_EQ((*fresh)->tree_epoch(), 1u);
+  EXPECT_EQ(&(*fresh)->tree(), next.get());
+  EXPECT_EQ((*fresh)->available_workers(), (*server)->available_workers());
+  const obs::MetricsSnapshot restored = fresh_registry.Snapshot();
+  const auto* epoch_gauge = restored.FindGauge("tbf_serve_tree_epoch");
+  ASSERT_NE(epoch_gauge, nullptr);
+  EXPECT_EQ(epoch_gauge->value, 1);
+  EXPECT_EQ(restored.CounterValue("tbf_republish_started_total"), 0.0);
+
+  // Both engines now run the same script: same assignments, same state.
+  for (int i = 0; i < 12; ++i) {
+    const LeafCode code =
+        next->leaf_code_of_point((i * 7) % next->num_points());
+    if (i % 3 == 0) {
+      const std::string id = "late" + std::to_string(i);
+      ASSERT_TRUE((*server)->RegisterWorker(id, code).ok());
+      ASSERT_TRUE((*fresh)->RegisterWorker(id, code).ok());
+      continue;
+    }
+    const std::string task = "t" + std::to_string(i);
+    auto a = (*server)->SubmitTask(task, code);
+    auto b = (*fresh)->SubmitTask(task, code);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a->worker, b->worker) << task;
+    EXPECT_EQ(a->reported_tree_distance, b->reported_tree_distance) << task;
+  }
+  const ShardedServerState want = (*server)->ExportState();
+  const ShardedServerState got = (*fresh)->ExportState();
+  EXPECT_EQ(got.assigned_tasks, want.assigned_tasks);
+  EXPECT_EQ(got.tree_epoch, want.tree_epoch);
+  EXPECT_EQ(got.rng_state, want.rng_state);
+  EXPECT_EQ(got.pool_size, want.pool_size);
+  EXPECT_EQ(got.free_index_ids, want.free_index_ids);
+  ASSERT_EQ(got.workers.size(), want.workers.size());
+  for (size_t i = 0; i < want.workers.size(); ++i) {
+    EXPECT_EQ(got.workers[i].id, want.workers[i].id);
+    EXPECT_EQ(got.workers[i].code, want.workers[i].code);
+    EXPECT_EQ(got.workers[i].index_id, want.workers[i].index_id);
+    EXPECT_EQ(got.workers[i].shard, want.workers[i].shard);
+  }
 }
 
 #ifndef TBF_FAULTS_DISABLED

@@ -11,7 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "common/fault.h"
 #include "geo/grid.h"
+#include "obs/metrics.h"
 
 namespace tbf {
 namespace {
@@ -60,6 +62,52 @@ TEST(ShardedServerErrorTest, EmptyWorkerIdIsRefusedBeforeAnyCharge) {
   EXPECT_EQ((*server)->available_workers(), 0u);
   EXPECT_EQ((*server)->index_id_pool_size(), 0u);
 }
+
+#ifndef TBF_FAULTS_DISABLED
+
+TEST(ShardedServerErrorTest, AdmissionRefusalIsShedBeforeAnyCharge) {
+  // Both entry points share one admission check: a refusal at
+  // "serve.admission" returns the site's status, counts one shed and
+  // charges nothing, so the client can retry the same report.
+  auto tree = BuildTree();
+  obs::MetricRegistry registry;
+  ShardedServerOptions options;
+  options.epoch_budget = 1.0;
+  options.metrics = &registry;
+  auto server = ShardedTbfServer::Create(tree, options);
+  ASSERT_TRUE(server.ok());
+  fault::FaultPlan plan;
+  fault::FaultSpec spec;
+  spec.site = "serve.admission";
+  spec.kind = fault::FaultKind::kFail;
+  spec.code = StatusCode::kResourceExhausted;
+  spec.count = 2;
+  plan.faults.push_back(spec);
+  fault::ScopedFaultPlan armed(plan);
+  ASSERT_TRUE(armed.armed());
+
+  EXPECT_EQ((*server)->RegisterWorker("w", SomeLeaf(*tree, 1), 0.5).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ((*server)->SubmitTask("t", SomeLeaf(*tree, 2), 0.5)
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(registry.Snapshot().CounterValue("tbf_robustness_shed_total"),
+            2.0);
+  EXPECT_EQ((*server)->ledger()->totals().charges, 0u);
+  EXPECT_EQ((*server)->available_workers(), 0u);
+
+  // The site is spent: the retried reports are admitted and charged.
+  ASSERT_TRUE((*server)->RegisterWorker("w", SomeLeaf(*tree, 1), 0.5).ok());
+  auto task = (*server)->SubmitTask("t", SomeLeaf(*tree, 2), 0.5);
+  ASSERT_TRUE(task.ok()) << task.status();
+  EXPECT_EQ(task->worker, "w");
+  EXPECT_EQ((*server)->ledger()->totals().charges, 2u);
+  EXPECT_EQ(registry.Snapshot().CounterValue("tbf_robustness_shed_total"),
+            2.0);
+}
+
+#endif  // TBF_FAULTS_DISABLED
 
 TEST(ShardedServerErrorTest, ReRegistrationRelocatesInsteadOfDuplicating) {
   auto tree = BuildTree();
@@ -241,7 +289,7 @@ TEST(ShardedServerErrorTest, RestoreStateValidatesItsInput) {
     auto target = ShardedTbfServer::Create(tree, options);
     ASSERT_TRUE(target.ok());
     ASSERT_TRUE((*target)->RegisterWorker("other", SomeLeaf(*tree, 2)).ok());
-    EXPECT_EQ((*target)->RestoreState(good).code(),
+    EXPECT_EQ((*target)->RestoreState(good, tree).code(),
               StatusCode::kFailedPrecondition);
   }
 
@@ -251,7 +299,7 @@ TEST(ShardedServerErrorTest, RestoreStateValidatesItsInput) {
     budgeted.epoch_budget = 1.0;
     auto target = ShardedTbfServer::Create(tree, budgeted);
     ASSERT_TRUE(target.ok());
-    EXPECT_EQ((*target)->RestoreState(good).code(),
+    EXPECT_EQ((*target)->RestoreState(good, tree).code(),
               StatusCode::kInvalidArgument);
   }
 
@@ -261,7 +309,7 @@ TEST(ShardedServerErrorTest, RestoreStateValidatesItsInput) {
     ASSERT_TRUE(target.ok());
     ShardedServerState corrupt = good;
     corrupt.free_index_ids.push_back(1000);
-    const Status s = (*target)->RestoreState(corrupt);
+    const Status s = (*target)->RestoreState(corrupt, tree);
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(s.message().find("free id out of range"), std::string::npos);
   }
@@ -271,7 +319,7 @@ TEST(ShardedServerErrorTest, RestoreStateValidatesItsInput) {
     ShardedServerState corrupt = good;
     ASSERT_FALSE(corrupt.workers.empty());
     corrupt.workers[0].shard = 99;
-    const Status s = (*target)->RestoreState(corrupt);
+    const Status s = (*target)->RestoreState(corrupt, tree);
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(s.message().find("shard out of range"), std::string::npos);
   }
@@ -289,11 +337,11 @@ TEST(ShardedServerErrorTest, RestoreStateValidatesItsInput) {
                                   const std::string& why) {
     auto target = ShardedTbfServer::Create(tree, options);
     ASSERT_TRUE(target.ok());
-    const Status s = (*target)->RestoreState(corrupt);
+    const Status s = (*target)->RestoreState(corrupt, tree);
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << why;
     EXPECT_NE(s.message().find(why), std::string::npos) << s.ToString();
     EXPECT_EQ((*target)->available_workers(), 0u) << why;
-    EXPECT_TRUE((*target)->RestoreState(good).ok()) << why;
+    EXPECT_TRUE((*target)->RestoreState(good, tree).ok()) << why;
   };
   {
     ShardedServerState corrupt = good;
@@ -346,7 +394,7 @@ TEST(ShardedServerErrorTest, RestoreStateValidatesItsInput) {
   {
     auto target = ShardedTbfServer::Create(tree, options);
     ASSERT_TRUE(target.ok());
-    ASSERT_TRUE((*target)->RestoreState(good).ok());
+    ASSERT_TRUE((*target)->RestoreState(good, tree).ok());
     EXPECT_EQ((*target)->available_workers(), 1u);
     auto a = (*source)->SubmitTask("t", SomeLeaf(*tree, 3));
     auto b = (*target)->SubmitTask("t", SomeLeaf(*tree, 3));

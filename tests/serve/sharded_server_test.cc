@@ -166,7 +166,7 @@ void RunGoldenChurn(int num_shards, HstTieBreak tie_break,
       ASSERT_TRUE(parsed.ok()) << "step " << step << ": " << parsed.status();
       auto restored = ShardedTbfServer::Create(tree, sharded_options);
       ASSERT_TRUE(restored.ok());
-      const Status status = (*restored)->RestoreState(parsed->server);
+      const Status status = (*restored)->RestoreState(parsed->server, tree);
       ASSERT_TRUE(status.ok()) << "step " << step << ": " << status;
       sharded = std::move(restored).MoveValueUnsafe();
     }
