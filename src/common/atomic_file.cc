@@ -1,8 +1,7 @@
 #include "common/atomic_file.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <filesystem>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -68,13 +67,34 @@ Status FsyncParentDir(const std::string& path) {
 
 Result<std::string> ReadFileToString(const std::string& path,
                                      std::string_view what) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open " + std::string(what) + ": " + path);
+  const std::string label(what);
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    return Status::IOError("cannot open " + label + ": " + path);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+  // One read of the size the file has now, straight into the result. A
+  // directory, an unreadable file or a file that ends early fails: callers
+  // treat a short result as damage (a torn journal tail, a cut log).
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  std::string bytes;
+  size_t got = 0;
+  if (!ec) {
+    bytes.resize(size);
+    got = std::fread(bytes.data(), 1, bytes.size(), file);
+  }
+  const bool failed = ec || got != bytes.size() || std::ferror(file) != 0;
+  std::fclose(file);
+  if (ec) {
+    return Status::IOError("cannot read " + label + ": " + path + ": " +
+                           ec.message());
+  }
+  if (failed) {
+    return Status::IOError("cannot read " + label + ": " + path + ": read " +
+                           std::to_string(got) + " of " +
+                           std::to_string(bytes.size()) + " bytes");
+  }
+  return bytes;
 }
 
 }  // namespace tbf

@@ -34,7 +34,9 @@ Status FsyncDir(const std::string& dir_path);
 /// no directory component, "/" for root-level paths).
 Status FsyncParentDir(const std::string& path);
 
-/// \brief Slurps a file (binary-safe); IOError when it cannot be opened.
+/// \brief Reads a whole file (binary-safe). IOError when it cannot be
+/// opened, is not a regular file's bytes (a directory), or reads short or
+/// with an error: never a silently shorter result.
 Result<std::string> ReadFileToString(const std::string& path,
                                      std::string_view what);
 

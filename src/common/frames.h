@@ -11,6 +11,11 @@
 // payload cap and record-precise messages), the field codec and the file
 // grammar checkpoints and snapshots share.
 //
+// CRC. Crc32 folds 64-byte blocks with carry-less multiplies (PCLMULQDQ)
+// when the CPU has them, checked once at run time; the slice-by-8 table
+// serves the tail, buffers under 64 bytes and every other CPU. Both give
+// the same value.
+//
 // Field codec. A record's layout is written once, as a schema: a function
 // template over an `io` that lists the record's fields in order,
 //
@@ -37,12 +42,21 @@
 // same header and no end record: it grows, and what makes a prefix of it
 // whole is recorded elsewhere.
 //
+// Table records. Many rows of one schema (a snapshot's points, a
+// checkpoint's worker rows) are written as a table: consecutive records of
+// the table's kind, each <kind:u8> then whole rows back to back, at most
+// kTableRecordBytes of them (a larger row gets a record alone), read until
+// the payload ends. ArtifactWriter::AddTable writes them; FieldReader::Rows
+// reads them row by row, naming the row in a refusal and refusing a
+// record with no rows, which no writer produces.
+//
 // tools/tbf_frames.py mirrors the frames and fields for the stdlib
 // Python validators.
 
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -61,13 +75,18 @@ namespace tbf {
 
 /// \brief CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) —
 /// bit-compatible with zlib's crc32() and Python's binascii.crc32. Pass a
-/// previous return value as `crc` to checksum incrementally.
+/// previous return value as `crc` to checksum incrementally. Folds with
+/// PCLMULQDQ where the CPU has it (see the file comment).
 uint32_t Crc32(std::string_view data, uint32_t crc = 0);
 
 /// A frame claiming a larger payload than this is garbage (torn or
 /// corrupt), not a real record: the cap keeps a corrupted length field
 /// from driving a huge allocation. Writers split anything bigger.
 constexpr size_t kMaxFramePayload = size_t{1} << 22;
+
+/// A table record (see the file comment) holds whole rows and at most
+/// this many row bytes, far below the frame cap.
+constexpr size_t kTableRecordBytes = size_t{1} << 16;
 
 /// \brief One bit of a FlagByte: `mask` selects the bit, `value` is the
 /// bool it carries (`const bool` when writing, `bool` when reading).
@@ -89,11 +108,20 @@ struct FlagByte {
   std::tuple<Flag<B>...> flags;
 };
 
-/// \brief The writing `io` of a schema (see the file comment): appends
-/// each field to `out`.
+/// \brief The writing `io` of a schema (see the file comment): writes each
+/// field after `out`'s current bytes through a cursor. The writer grows
+/// `out` ahead of the cursor in bounded steps (kMinRoom doubling up to
+/// kMaxRoom: a record-sized first step, so a writer per journal record
+/// zero-fills no more than it writes), and its destructor cuts `out` back
+/// to the bytes written. So while a writer lives, `out` may hold room past
+/// its fields: read `out` only once the writer is gone.
 class FieldWriter {
  public:
-  explicit FieldWriter(std::string* out) : out_(out) {}
+  explicit FieldWriter(std::string* out)
+      : out_(out), data_(out->data()), pos_(out->size()), end_(pos_) {}
+  ~FieldWriter() { out_->resize(pos_); }
+  FieldWriter(const FieldWriter&) = delete;
+  FieldWriter& operator=(const FieldWriter&) = delete;
 
   template <typename... T>
   Status operator()(const T&... fields) {
@@ -107,29 +135,42 @@ class FieldWriter {
     return Status::OK();
   }
 
+  /// Writes `bytes` as they are, without a length (a caller that states
+  /// the length itself).
+  void Bytes(std::string_view bytes) {
+    std::memcpy(Room(bytes.size()), bytes.data(), bytes.size());
+  }
+
+  /// The length `out` will have: its bytes before the writer, then the
+  /// fields written so far.
+  size_t size() const { return pos_; }
+
  private:
+  static constexpr size_t kMinRoom = 128;
+  static constexpr size_t kMaxRoom = size_t{1} << 16;
+
   template <typename T>
   void Put(const T& v) {
     if constexpr (sizeof(T) == 1) {  // bool, u8 or a one-byte enum
-      out_->push_back(static_cast<char>(v));
+      *Room(1) = static_cast<char>(v);
     } else if constexpr (std::is_floating_point_v<T>) {
       static_assert(sizeof(T) == 8);
       uint64_t bits = 0;
       std::memcpy(&bits, &v, sizeof(bits));
-      Word(bits, 8);
+      Word<8>(bits);
     } else if constexpr (sizeof(T) == 4) {
-      Word(static_cast<uint32_t>(v), 4);
+      Word<4>(static_cast<uint32_t>(v));
     } else if constexpr (std::is_same_v<T, unsigned __int128>) {
-      Word(static_cast<uint64_t>(v), 8);  // low word, then high word
-      Word(static_cast<uint64_t>(v >> 64), 8);
+      Word<8>(static_cast<uint64_t>(v));  // low word, then high word
+      Word<8>(static_cast<uint64_t>(v >> 64));
     } else {
       static_assert(std::is_integral_v<T> && sizeof(T) == 8);
-      Word(static_cast<uint64_t>(v), 8);
+      Word<8>(static_cast<uint64_t>(v));
     }
   }
   void Put(std::string_view s) {
-    Word(s.size(), 4);
-    out_->append(s.data(), s.size());
+    Word<4>(s.size());
+    Bytes(s);
   }
   void Put(const std::string& s) { Put(std::string_view(s)); }
   void Put(const Status& s) {
@@ -156,17 +197,34 @@ class FieldWriter {
     Put(byte);
   }
 
-  // The low `bytes` (4 or 8) bytes of `v`, little-endian, in one append
-  // (the journal's hot path).
-  void Word(uint64_t v, size_t bytes) {
-    char buf[8];
-    for (size_t i = 0; i < bytes; ++i) {
-      buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  // The low `N` (4 or 8) bytes of `v`, little-endian.
+  template <size_t N>
+  void Word(uint64_t v) {
+    char* p = Room(N);
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(p, &v, N);
+    } else {
+      for (size_t i = 0; i < N; ++i) {
+        p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+      }
     }
-    out_->append(buf, bytes);
   }
 
+  // Claims the next `n` bytes at the cursor, growing `out` when the room
+  // left is short.
+  char* Room(size_t n) {
+    if (end_ - pos_ < n) Grow(n);
+    char* p = data_ + pos_;
+    pos_ += n;
+    return p;
+  }
+  void Grow(size_t n);
+
   std::string* out_;
+  char* data_;       // out_->data(), refreshed on each Grow
+  size_t pos_;       // the cursor
+  size_t end_;       // out_->size(): the cursor's room ends here
+  size_t step_ = 0;  // the last growth, kMinRoom..kMaxRoom
 };
 
 /// \brief The reading `io` of a schema (see the file comment): parses
@@ -197,9 +255,27 @@ class FieldReader {
     }
   }
 
-  /// InvalidArgument "<what>: <why>".
+  /// InvalidArgument "<what>: <why>", or "<table> row K: <why>" inside a
+  /// table row (Rows).
   Status Refuse(const std::string& why) const {
-    return Status::InvalidArgument(std::string(what_) + ": " + why);
+    const std::string where =
+        table_ == nullptr
+            ? std::string(what_)
+            : std::string(table_) + " row " + std::to_string(row_);
+    return Status::InvalidArgument(where + ": " + why);
+  }
+
+  /// Reads a table record's rows (see the file comment) until the payload
+  /// ends, calling `row()` for each. Rows are numbered from `first`, the
+  /// rows the table's earlier records held, so a refusal inside a row
+  /// names it: "<table> row K: <why>". A record with no rows is refused.
+  template <typename Row>
+  Status Rows(const char* table, uint64_t first, const Row& row) {
+    table_ = table;
+    row_ = first;
+    if (AtEnd()) return Refuse("empty table record");
+    for (; !AtEnd(); ++row_) TBF_RETURN_NOT_OK(row());
+    return Status::OK();
   }
 
   /// The unread rest of the payload, consumed (bulk tables).
@@ -311,6 +387,8 @@ class FieldReader {
   std::string_view data_;
   const char* what_;
   size_t pos_ = 0;
+  const char* table_ = nullptr;  // set by Rows
+  uint64_t row_ = 0;
 };
 
 /// \brief In-place framing: BeginFrame reserves the 8-byte frame header
@@ -329,9 +407,11 @@ void AppendFrame(std::string* out, std::string_view payload);
 template <typename Fields>
 void AppendRecord(std::string* out, uint8_t kind, const Fields& fields) {
   const size_t frame = BeginFrame(out);
-  FieldWriter io(out);
-  io(kind);
-  fields(io);
+  {
+    FieldWriter io(out);
+    io(kind);
+    fields(io);
+  }
   EndFrame(out, frame);
 }
 
@@ -388,6 +468,33 @@ class ArtifactWriter {
   void Add(uint8_t kind, const Fields& fields) {
     AppendRecord(out_, kind, fields);
     ++records_;
+  }
+
+  /// Writes rows [0, n) as a table (see the file comment): consecutive
+  /// `kind` records of whole rows, `row(io, i)` writing row i. A record is
+  /// closed before the row that would take its rows past
+  /// kTableRecordBytes, unless that row is its first. No rows, no record.
+  template <typename Row>
+  void AddTable(uint8_t kind, size_t n, const Row& row) {
+    size_t i = 0;
+    while (i < n) {
+      const size_t frame = BeginFrame(out_);
+      size_t cut = 0;  // where the record's last whole row ends
+      {
+        FieldWriter io(out_);
+        io(kind);
+        const size_t start = io.size();
+        cut = start;
+        for (; i < n; ++i) {
+          row(io, i);
+          if (io.size() - start > kTableRecordBytes && cut > start) break;
+          cut = io.size();
+        }
+      }
+      out_->resize(cut);  // row i, if it did not fit, opens the next record
+      EndFrame(out_, frame);
+      ++records_;
+    }
   }
 
   /// Writes the end record, counting the records before it.

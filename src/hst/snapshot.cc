@@ -28,9 +28,8 @@ enum Rec : uint8_t { kHeader, kPoints, kLeaves, kEnd, kNumRecs };
 constexpr std::array<const char*, kNumRecs> kRecNames = {"header", "points",
                                                          "leaves", "end"};
 
-// A table record carries whole rows and at most this many row bytes, far
-// below the frame cap: a 100k-point table (1.6 MB) must split.
-constexpr size_t kTableRecordBytes = size_t{1} << 16;
+// Point and leaf tables are table records (common/frames.h): a 100k-point
+// table (1.6 MB) splits into records of 4,096 rows.
 constexpr size_t kPointBytes = 16;  // f64 x, f64 y
 constexpr size_t kLeafBytes = 16;   // LeafCode: low u64, high u64
 
@@ -137,19 +136,10 @@ std::string SerializeHstSnapshot(const CompleteHst& tree) {
   ArtifactWriter file(kFormat, &out, [&](FieldWriter& io) {
     io(tree.depth(), tree.arity(), tree.scale(), uint64_t{n});
   });
-  // One table as consecutive records of whole rows.
-  const auto add_table = [&](Rec kind, size_t row_bytes, const auto& row) {
-    const size_t rows = std::max<size_t>(1, kTableRecordBytes / row_bytes);
-    for (size_t first = 0; first < n; first += rows) {
-      file.Add(kind, [&](FieldWriter& io) {
-        for (size_t i = first; i < std::min(n, first + rows); ++i) row(io, i);
-      });
-    }
-  };
-  add_table(kPoints, kPointBytes, [&](FieldWriter& io, size_t i) {
+  file.AddTable(kPoints, n, [&](FieldWriter& io, size_t i) {
     io(tree.points()[i].x, tree.points()[i].y);
   });
-  add_table(kLeaves, kLeafBytes, [&](FieldWriter& io, size_t i) {
+  file.AddTable(kLeaves, n, [&](FieldWriter& io, size_t i) {
     io(tree.leaf_code_of_point(static_cast<int>(i)));
   });
   file.Finish();

@@ -20,35 +20,40 @@ uint32_t FingerprintEventTrace(const EventTrace& trace) {
   // per-call overhead off the per-event path: durable replays fingerprint
   // the whole trace on every run, so this is sized for 100k+ events.
   // Every field is a u64 or an f64; an id is its u64 length, then bytes.
+  constexpr size_t kChunkBytes = size_t{1} << 16;
   uint32_t crc = 0;
   std::string chunk;
-  constexpr size_t kFlushAt = size_t{1} << 16;
-  chunk.reserve(kFlushAt + 64);
-  FieldWriter io(&chunk);
-  io(trace.region.min_x, trace.region.min_y, trace.region.max_x,
-     trace.region.max_y, static_cast<uint64_t>(trace.events.size()));
-  for (const TimedEvent& event : trace.events) {
-    io(static_cast<uint64_t>(event.kind), event.time,
-       static_cast<uint64_t>(event.id.size()));
-    chunk += event.id;
-    io(event.location.x, event.location.y);
-    if (chunk.size() >= kFlushAt) {
-      crc = Crc32(chunk, crc);
-      chunk.clear();
+  size_t next = 0;
+  do {
+    chunk.clear();
+    {
+      FieldWriter io(&chunk);
+      if (next == 0) {
+        io(trace.region.min_x, trace.region.min_y, trace.region.max_x,
+           trace.region.max_y, static_cast<uint64_t>(trace.events.size()));
+      }
+      for (; next < trace.events.size() && io.size() < kChunkBytes; ++next) {
+        const TimedEvent& event = trace.events[next];
+        io(static_cast<uint64_t>(event.kind), event.time,
+           static_cast<uint64_t>(event.id.size()));
+        io.Bytes(event.id);
+        io(event.location.x, event.location.y);
+      }
     }
-  }
-  if (!chunk.empty()) crc = Crc32(chunk, crc);
+    crc = Crc32(chunk, crc);
+  } while (next < trace.events.size());
   return crc;
 }
 
 namespace {
 
 constexpr std::string_view kMagic = "TBF-CKPT";
-constexpr uint32_t kCheckpointVersion = 7;
+constexpr uint32_t kCheckpointVersion = 8;
 // Header token of the retired v1-v3 text format.
 constexpr std::string_view kTextMagic = "TBFCKPT1 ";
 
-// Record kinds of a v7 file; docs/ROBUSTNESS.md has the catalog.
+// Record kinds of a v8 file; docs/ROBUSTNESS.md has the catalog. Free,
+// worker and spend records are table records (common/frames.h).
 enum Rec : uint8_t {
   kHeader, kIdentity, kCursor, kReport, kServer, kRng, kFree, kWorker,
   kLedger, kSpend, kCounter, kGauge, kHistogram, kEnd, kNumRecs,
@@ -159,20 +164,31 @@ class CheckpointDecoder {
       case kReport: return ReportFields(io, c_.report);
       case kServer: return ServerFields(io, server);
       case kRng: return io(server.rng_state);
-      case kFree: return io(server.free_index_ids.emplace_back());
-      case kWorker: return WorkerFields(io, server.workers.emplace_back());
+      case kFree:
+        return io.Rows("free", server.free_index_ids.size(), [&] {
+          return io(server.free_index_ids.emplace_back());
+        });
+      case kWorker:
+        return io.Rows("worker", server.workers.size(), [&] {
+          return WorkerFields(io, server.workers.emplace_back());
+        });
       case kLedger: return LedgerFields(io, server.ledger.emplace());
       case kSpend: {
         if (!server.ledger) return io.Refuse("precedes the ledger record");
-        uint8_t scope = 0;
-        TBF_RETURN_NOT_OK(io(scope));
-        if (scope != kSpendEpoch && scope != kSpendLifetime) {
-          return io.Refuse("scope must be 0 (epoch) or 1 (lifetime)");
-        }
-        auto& spends = scope == kSpendEpoch ? server.ledger->epoch_spent
-                                            : server.ledger->lifetime_spent;
-        auto& [user, eps] = spends.emplace_back();
-        return io(user, eps);
+        EpochBudgetLedger::State& ledger = *server.ledger;
+        return io.Rows(
+            "spend", ledger.epoch_spent.size() + ledger.lifetime_spent.size(),
+            [&]() -> Status {
+              uint8_t scope = 0;
+              TBF_RETURN_NOT_OK(io(scope));
+              if (scope != kSpendEpoch && scope != kSpendLifetime) {
+                return io.Refuse("scope must be 0 (epoch) or 1 (lifetime)");
+              }
+              auto& spends = scope == kSpendEpoch ? ledger.epoch_spent
+                                                  : ledger.lifetime_spent;
+              auto& [user, eps] = spends.emplace_back();
+              return io(user, eps);
+            });
       }
       case kCounter: {
         obs::CounterSample& sample = c_.metrics.counters.emplace_back();
@@ -229,21 +245,27 @@ std::string SerializeReplayCheckpoint(const ReplayCheckpoint& c) {
   file.Add(kReport, [&](FieldWriter& io) { ReportFields(io, c.report); });
   file.Add(kServer, [&](FieldWriter& io) { ServerFields(io, server); });
   file.Add(kRng, [&](FieldWriter& io) { io(server.rng_state); });
-  for (const int id : server.free_index_ids) {
-    file.Add(kFree, [&](FieldWriter& io) { io(id); });
-  }
-  for (const ShardedServerState::Worker& w : server.workers) {
-    file.Add(kWorker, [&](FieldWriter& io) { WorkerFields(io, w); });
-  }
+  file.AddTable(kFree, server.free_index_ids.size(),
+                [&](FieldWriter& io, size_t i) {
+                  io(server.free_index_ids[i]);
+                });
+  file.AddTable(kWorker, server.workers.size(),
+                [&](FieldWriter& io, size_t i) {
+                  WorkerFields(io, server.workers[i]);
+                });
   if (server.ledger) {
     const EpochBudgetLedger::State& ledger = *server.ledger;
     file.Add(kLedger, [&](FieldWriter& io) { LedgerFields(io, ledger); });
-    for (const auto& [user, eps] : ledger.epoch_spent) {
-      file.Add(kSpend, [&](FieldWriter& io) { io(kSpendEpoch, user, eps); });
-    }
-    for (const auto& [user, eps] : ledger.lifetime_spent) {
-      file.Add(kSpend, [&](FieldWriter& io) { io(kSpendLifetime, user, eps); });
-    }
+    // Epoch rows, then lifetime rows, each in first-charge order.
+    const size_t epoch_rows = ledger.epoch_spent.size();
+    file.AddTable(kSpend, epoch_rows + ledger.lifetime_spent.size(),
+                  [&](FieldWriter& io, size_t i) {
+                    const bool epoch = i < epoch_rows;
+                    const auto& [user, eps] =
+                        epoch ? ledger.epoch_spent[i]
+                              : ledger.lifetime_spent[i - epoch_rows];
+                    io(epoch ? kSpendEpoch : kSpendLifetime, user, eps);
+                  });
   }
   for (const obs::CounterSample& sample : c.metrics.counters) {
     file.Add(kCounter, [&](FieldWriter& io) { io(sample.name, sample.value); });
@@ -261,7 +283,7 @@ std::string SerializeReplayCheckpoint(const ReplayCheckpoint& c) {
 Result<ReplayCheckpoint> ParseReplayCheckpoint(const std::string& bytes) {
   if (std::string_view(bytes).substr(0, kTextMagic.size()) == kTextMagic) {
     return Status::InvalidArgument(
-        "checkpoint: text-format (v1-v3) file; this build reads binary v7 "
+        "checkpoint: text-format (v1-v3) file; this build reads binary v8 "
         "checkpoints only");
   }
   CheckpointDecoder decoder;

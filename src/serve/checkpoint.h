@@ -24,18 +24,20 @@
 // on-disk artifact shares (common/frames.h — the same frame writer, frame
 // walker and field codec as the journal):
 //
-//   checkpoint  := header record* end        (v7, magic "TBF-CKPT")
+//   checkpoint  := header record* end        (v8, magic "TBF-CKPT")
 //   outcome log := header row*               (v1, magic "TBF-OLOG")
 //   frame       := <len:u32> <crc:u32> <payload: len bytes>
 //   payload     := <kind:u8> <kind-specific fields>
 //
-// A checkpoint's header carries the magic and the version; every other
-// row (identity, cursor, report, server, rng, each free/worker row,
-// ledger, each spend row, each counter/gauge/histogram) is one record;
-// the end record counts the records before it, so a file cut at a frame
-// boundary is refused too. The server record carries the index-id pool
-// size; the worker rows' index ids and the free ids partition it. The
-// checkpoint shares the snapshot's file grammar. The outcome log has no
+// A checkpoint's header carries the magic and the version; identity,
+// cursor, report, server, rng, ledger and each counter, gauge and
+// histogram are one record each. Free ids, worker rows and spend rows are
+// tables: records of whole rows, at most 64 KiB of them each, read until
+// the payload ends (common/frames.h), so a damaged row is refused by its
+// row number. The end record counts the records before it, so a file cut
+// at a frame boundary is refused too. The server record carries the
+// index-id pool size; the worker rows' index ids and the free ids
+// partition it. The checkpoint shares the snapshot's file grammar. The outcome log has no
 // end record (it grows): its header carries the magic, the version and
 // the run identity, and each row is an epoch, task or quarantine record.
 // Integers are little-endian, doubles are IEEE-754 bit patterns (they
@@ -44,9 +46,10 @@
 // The CRC-32 (IEEE reflected, zlib/binascii-compatible) covers each
 // payload, so tools/check_checkpoint.py validates both with only the
 // Python standard library. Older checkpoint versions are refused with
-// InvalidArgument naming the version: v6 (which repeated each worker's
-// index id in a slot row per pool id), v5 (which carried the history rows
-// itself), v4 (two worker leaf encodings) and the v1-v3 text format.
+// InvalidArgument naming the version: v7 (one record per free, worker and
+// spend row), v6 (which repeated each worker's index id in a slot row per
+// pool id), v5 (which carried the history rows itself), v4 (two worker
+// leaf encodings) and the v1-v3 text format.
 //
 // WriteReplayCheckpointFile is atomic: the bytes go to `<path>.tmp`,
 // are fsync'd, and rename(2) publishes them — a crash mid-write leaves
@@ -83,10 +86,10 @@ uint32_t FingerprintEventTrace(const EventTrace& trace);
 /// server's tree epoch, v3 the journal position wal_next_lsn); v4 was the
 /// binary record stream with two worker leaf encodings; v5 had one and
 /// still carried every history row; v6 moved those rows to the outcome
-/// log; v7 drops the slot rows for the pool size, and is the only version
-/// read.
+/// log; v7 dropped the slot rows for the pool size; v8 writes the free,
+/// worker and spend rows as table records, and is the only version read.
 struct ReplayCheckpoint {
-  int version = 7;
+  int version = 8;
 
   // Identity: resume refuses a checkpoint whose trace or configuration
   // does not match the run being resumed.
@@ -134,7 +137,7 @@ struct ReplayCheckpoint {
 /// \brief The run identity the checkpoint carries, as the journal states it.
 WalIdentity IdentityOf(const ReplayCheckpoint& checkpoint);
 
-/// \brief Serializes to the v7 record stream (see the format note above).
+/// \brief Serializes to the v8 record stream (see the format note above).
 std::string SerializeReplayCheckpoint(const ReplayCheckpoint& checkpoint);
 
 /// \brief Parses and validates (frames, CRCs, record schema, file

@@ -116,8 +116,10 @@ std::string Reframe(const std::vector<std::string>& records) {
 // The end record of a file with `records_before` records before it.
 std::string EndRecord(uint64_t records_before) {
   std::string payload(1, kEnd);
-  FieldWriter io(&payload);
-  io(records_before);
+  {
+    FieldWriter io(&payload);
+    io(records_before);
+  }
   return payload;
 }
 

@@ -68,8 +68,10 @@ std::string SnapshotWithLeaf(const CompleteHst& tree, size_t row,
   EXPECT_EQ(records.size(), 4u);  // header, points, leaves, end
   std::string& leaves = records[2];
   std::string patched;
-  FieldWriter io(&patched);
-  io(code);
+  {
+    FieldWriter io(&patched);
+    io(code);
+  }
   leaves.replace(1 + 16 * row, 16, patched);
   std::string out;
   for (const std::string& record : records) AppendFrame(&out, record);

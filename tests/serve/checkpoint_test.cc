@@ -10,6 +10,8 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/frames.h"
 #include "geo/grid.h"
@@ -18,15 +20,6 @@
 
 namespace tbf {
 namespace {
-
-TEST(Crc32Test, MatchesTheStandardCheckValue) {
-  // The canonical CRC-32 check vector (zlib, binascii.crc32, PNG, ...).
-  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(Crc32(""), 0u);
-  // Incremental == one-shot.
-  const uint32_t partial = Crc32("12345");
-  EXPECT_EQ(Crc32("6789", partial), 0xCBF43926u);
-}
 
 TEST(FingerprintTest, SeesEveryFieldAndNeverFails) {
   EventTrace a;
@@ -203,7 +196,7 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
 
   EXPECT_EQ(c.report.checkpoints_written, 6u);
   EXPECT_EQ(c.wal_next_lsn, 1234u);
-  EXPECT_EQ(c.version, 7);
+  EXPECT_EQ(c.version, 8);
 
   EXPECT_EQ(c.server.rng_state, original.server.rng_state);
   EXPECT_EQ(c.server.pool_size, 3u);
@@ -242,8 +235,10 @@ std::string Frame(uint8_t kind, const std::string& fields) {
 
 std::string HeaderFields(const std::string& magic, uint32_t version) {
   std::string fields;
-  FieldWriter io(&fields);
-  io(magic, version);
+  {
+    FieldWriter io(&fields);
+    io(magic, version);
+  }
   return fields;
 }
 
@@ -255,9 +250,38 @@ void ExpectRejected(const std::string& bytes, const std::string& needle) {
       << parsed.status().message();
 }
 
+// The payloads of `bytes`' frames, in order.
+std::vector<std::string> Payloads(const std::string& bytes) {
+  std::vector<std::string> payloads;
+  const FrameWalk walk = WalkFrames(bytes, [&](std::string_view payload) {
+    payloads.emplace_back(payload);
+    return Status::OK();
+  });
+  EXPECT_FALSE(walk.bad) << walk.bad_detail;
+  return payloads;
+}
+
+// `bytes` with the payload of its first `kind` record replaced by
+// `edit(payload)`, reframed (so every CRC is clean).
+template <typename Edit>
+std::string WithRecord(const std::string& bytes, uint8_t kind,
+                       const Edit& edit) {
+  std::string out;
+  bool edited = false;
+  for (std::string payload : Payloads(bytes)) {
+    if (!edited && static_cast<uint8_t>(payload[0]) == kind) {
+      payload = edit(payload);
+      edited = true;
+    }
+    AppendFrame(&out, payload);
+  }
+  EXPECT_TRUE(edited) << "no record of kind " << int{kind};
+  return out;
+}
+
 TEST(CheckpointTest, DetectsCorruptionPrecisely) {
   const std::string bytes = SerializeReplayCheckpoint(MakeTrickyCheckpoint());
-  const std::string header = Frame(0, HeaderFields("TBF-CKPT", 7));
+  const std::string header = Frame(0, HeaderFields("TBF-CKPT", 8));
   ASSERT_EQ(bytes.substr(0, header.size()), header);
 
   // Flipped payload byte: CRC mismatch, naming the record and its offset.
@@ -275,16 +299,18 @@ TEST(CheckpointTest, DetectsCorruptionPrecisely) {
 
   // Header damage: wrong magic, unknown version, or no header at all.
   const std::string body = bytes.substr(header.size());
-  ExpectRejected(Frame(0, HeaderFields("TBF-NOPE", 7)) + body, "bad magic");
-  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 8)) + body,
-                 "unsupported version 8");
-  // The previous versions are refused by name: v6, which repeated each
-  // worker's index id in a slot row, and v5, which carried the history
-  // rows.
+  ExpectRejected(Frame(0, HeaderFields("TBF-NOPE", 8)) + body, "bad magic");
+  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 9)) + body,
+                 "unsupported version 9");
+  // The previous versions are refused by name: v7, which wrote one record
+  // per free, worker and spend row, v6, which repeated each worker's index
+  // id in a slot row, and v5, which carried the history rows.
+  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 7)) + body,
+                 "unsupported version 7 (this build reads v8)");
   ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 6)) + body,
-                 "unsupported version 6 (this build reads v7)");
+                 "unsupported version 6 (this build reads v8)");
   ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 5)) + body,
-                 "unsupported version 5 (this build reads v7)");
+                 "unsupported version 5 (this build reads v8)");
   ExpectRejected(body, "first record must be the checkpoint header");
 
   // Grammar: a duplicated singleton, a record after the end, a record of
@@ -293,16 +319,34 @@ TEST(CheckpointTest, DetectsCorruptionPrecisely) {
   ExpectRejected(bytes + Frame(6, std::string(4, '\0')),
                  "free record: follows the end record");
   ExpectRejected(header + Frame(42, ""), "unknown record kind 42");
-  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 7) + "x"),
+  ExpectRejected(Frame(0, HeaderFields("TBF-CKPT", 8) + "x"),
                  "trailing bytes");
   std::string miscounted = bytes.substr(0, bytes.size() - end_frame.size());
   std::string count;
-  FieldWriter io(&count);
-  io(uint64_t{7});
+  {
+    FieldWriter io(&count);
+    io(uint64_t{7});
+  }
   ExpectRejected(miscounted + Frame(13, count), "end record: counts 7");
 
   // Short fields name the field and byte.
   ExpectRejected(header + Frame(1, "abc"), "identity record: short read");
+
+  // Table records (CRC-clean, so only the rows are wrong) name the row: a
+  // worker table cut inside its second row (w2's id read, its code not), a
+  // free-id table with two bytes of a second id, and a free-id table with
+  // no rows.
+  ExpectRejected(WithRecord(bytes, 7,
+                            [](const std::string& p) {
+                              return p.substr(0, p.size() - 20);
+                            }),
+                 "worker row 1: short read (u64 at byte 37)");
+  ExpectRejected(
+      WithRecord(bytes, 6, [](const std::string& p) { return p + "ab"; }),
+      "free row 1: short read (u32 at byte 5)");
+  ExpectRejected(
+      WithRecord(bytes, 6, [](const std::string& p) { return p.substr(0, 1); }),
+      "free row 0: empty table record");
 
   // The retired text format gets a precise refusal, not a frame error.
   ExpectRejected("TBFCKPT1 0badc0de 12\nversion 3\n", "text-format");

@@ -258,8 +258,8 @@ ReplayCheckpoint SmallCheckpoint() {
 
 TEST(FormatGolden, CheckpointBytesArePinned) {
   const std::string bytes = SerializeReplayCheckpoint(SmallCheckpoint());
-  EXPECT_EQ(bytes.size(), 1161u);
-  EXPECT_EQ(Crc32(bytes), 866424663u);
+  EXPECT_EQ(bytes.size(), 1143u);
+  EXPECT_EQ(Crc32(bytes), 1545801290u);
   Result<ReplayCheckpoint> parsed = ParseReplayCheckpoint(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(SerializeReplayCheckpoint(*parsed), bytes);

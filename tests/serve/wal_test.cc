@@ -532,6 +532,31 @@ TEST(WalScanTest, HeaderlessLastSegmentIsDeletedMidRotationKill) {
   EXPECT_EQ(scan->segments.size(), 1u);
 }
 
+TEST(WalScanTest, UnreadableNewestSegmentFailsOpenAndIsKept) {
+  // A segment that cannot be read is not a torn one: repair must not cut
+  // or delete it. A directory in the newest segment's place reads with an
+  // error, so opening the journal fails with IOError and leaves it there.
+  const std::string dir = FreshDir("unreadable_tail");
+  {
+    auto writer = WalWriter::Open(dir, TestIdentity(),
+                                  WalFsyncPolicy::EveryRecord(), nullptr);
+    ASSERT_TRUE(writer.ok());
+    WalRecord rec = ArrivalRecord(0, "w");
+    ASSERT_TRUE((*writer)->Append(&rec).ok());
+    ASSERT_TRUE((*writer)->Close().ok());
+  }
+  const std::string seg1 = dir + "/" + WalSegmentFileName(1);
+  ASSERT_TRUE(fs::create_directory(seg1));
+
+  auto reopened = WalWriter::Open(dir, TestIdentity(),
+                                  WalFsyncPolicy::EveryRecord(), nullptr);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kIOError)
+      << reopened.status();
+  EXPECT_TRUE(fs::is_directory(seg1));
+  EXPECT_FALSE(ReadBytes(dir + "/" + WalSegmentFileName(0)).empty());
+}
+
 TEST(WalScanTest, MissingMiddleSegmentIsCorruption) {
   // Losing the *oldest* segment is indistinguishable from compaction and
   // must scan cleanly; losing a middle segment is a sequence gap.

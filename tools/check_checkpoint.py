@@ -8,18 +8,21 @@ fsync'd to disk is a complete, CRC-clean, schema-valid snapshot of the
 live state, with the history rows it covers in the outcome log, and
 against corrupted copies that must be refused.
 
-Checkpoint v7 (docs/ROBUSTNESS.md): the journal's frames
+Checkpoint v8 (docs/ROBUSTNESS.md): the journal's frames
 (tools/tbf_frames.py)
     <len:u32 LE> <crc32:u32 LE> <payload: len bytes>
     payload = <kind:u8> <kind-specific fields, LE>
     file    = header record* end
-The header carries the magic "TBF-CKPT" and version 7; the end record
-counts the records before it. A worker row's report is its 128-bit leaf
-code (16 bytes). The server record carries the index-id pool size, and
-the worker rows' index ids and the free ids must partition [0, pool
-size): no id outside it, none listed twice, none left out. v6 (which
-repeated each worker's index id in a slot row), v5 (which carried the
-history rows) and older are refused.
+The header carries the magic "TBF-CKPT" and version 8; the end record
+counts the records before it. Free, worker and spend records are tables:
+whole rows back to back, read until the payload ends; a row cut short is
+refused by its row number ("worker row K: ..."), and so is a table record
+with no rows. A worker row's report is its 128-bit leaf code (16 bytes).
+The server record carries the index-id pool size, and the worker rows'
+index ids and the free ids must partition [0, pool size): no id outside
+it, none listed twice, none left out. v7 (one record per free, worker and
+spend row), v6 (which repeated each worker's index id in a slot row), v5
+(which carried the history rows) and older are refused.
 
 Outcome log v1, next to the checkpoint: <dir>/outcomes for a durable
 directory's ckpt-<ordinal:08>.ckpt, <file>.outcomes for any other
@@ -49,7 +52,7 @@ import sys
 from tbf_frames import FrameError, Reader, fail, file_checker_main, iter_frames
 
 MAGIC = b"TBF-CKPT"
-VERSION = 7
+VERSION = 8
 LOG_MAGIC = b"TBF-OLOG"
 LOG_VERSION = 1
 DURABLE_NAME = re.compile(r"ckpt-(\d{8})\.ckpt$")
@@ -59,7 +62,8 @@ MAX_STATUS_CODE = 10  # StatusCode::kAborted
 
 U64 = "u64"
 IDENTITY = ["u32", "u32", "f64", U64, U64]
-# kind byte -> (name, field types), in src/serve/checkpoint.cc order.
+# kind byte -> (name, field types), in src/serve/checkpoint.cc order. The
+# fields of a table record (TABLES) are one row's.
 SCHEMA = [
     ("header", ["str", "u32"]),
     ("identity", IDENTITY),
@@ -85,6 +89,7 @@ LOG_SCHEMA = [
     ("task", ["str", "status", "optstr", "f64"]),
     ("quarantine", [U64, "str", "str"]),
 ]
+TABLES = {"free", "worker", "spend"}
 REQUIRED = {"header", "identity", "cursor", "report", "server", "rng", "end"}
 SINGLETONS = REQUIRED | {"ledger"}
 
@@ -106,9 +111,11 @@ def read_field(r, kind):
             "f64": r.f64, "str": r.string}[kind]()
 
 
-def decode_fields(payload, schema):
-    """Decodes one payload against `schema`; returns (name, values).
-    Raises ValueError on an unknown kind, a short read or trailing bytes."""
+def decode_fields(payload, schema, first_row=None):
+    """Decodes one payload against `schema`; returns (name, values). A kind
+    named in `first_row` is a table record: its values are its rows,
+    numbered in messages from first_row[name]. Raises ValueError on an
+    unknown kind, a short read, trailing bytes or a table with no rows."""
     if not payload:
         raise ValueError("empty record")
     if payload[0] >= len(schema):
@@ -116,6 +123,18 @@ def decode_fields(payload, schema):
     name, fields = schema[payload[0]]
     r = Reader(payload)
     r.u8()
+    if first_row and name in first_row:
+        rows = []
+        if r.at_end():
+            raise ValueError("%s row %d: empty table record"
+                             % (name, first_row[name]))
+        while not r.at_end():
+            try:
+                rows.append([read_field(r, field) for field in fields])
+            except ValueError as e:
+                raise ValueError("%s row %d: %s"
+                                 % (name, first_row[name] + len(rows), e))
+        return name, rows
     try:
         values = [read_field(r, field) for field in fields]
     except ValueError as e:
@@ -125,10 +144,12 @@ def decode_fields(payload, schema):
     return name, values
 
 
-def decode_record(payload, records, seen):
+def decode_record(payload, records, seen, rows):
     """Decodes one checkpoint payload against the schema and the file
-    grammar; returns (name, values). Raises ValueError on any violation."""
-    name, values = decode_fields(payload, SCHEMA)
+    grammar; returns (name, values), a table record's values being its rows
+    (`rows` counts each table's rows so far). Raises ValueError on any
+    violation."""
+    name, values = decode_fields(payload, SCHEMA, rows)
     if records == 0 and name != "header":
         raise ValueError("%s record: the first record must be the checkpoint header" % name)
     if "end" in seen:
@@ -245,24 +266,25 @@ def check_file(path):
     except OSError as e:
         return fail(path, "unreadable: %s" % e)
     if blob.startswith(TEXT_MAGIC):
-        return fail(path, "text-format (v1-v3) checkpoint; v7 is binary")
+        return fail(path, "text-format (v1-v3) checkpoint; v8 is binary")
 
     seen = set()
     fields = {}
-    held, free = [], []
+    tables = {name: [] for name in TABLES}
     records = 0
     try:
         for ordinal, offset, payload in iter_frames(blob):
             try:
-                name, values = decode_record(payload, records, seen)
+                name, values = decode_record(
+                    payload, records, seen,
+                    {table: len(rows) for table, rows in tables.items()})
             except ValueError as e:
                 raise FrameError.at(ordinal, offset, str(e))
             seen.add(name)
-            fields.setdefault(name, values)
-            if name == "worker":
-                held.append(values[2])
-            elif name == "free":
-                free.append(values[0])
+            if name in TABLES:
+                tables[name].extend(values)
+            else:
+                fields.setdefault(name, values)
             records += 1
     except FrameError as e:
         return fail(path, str(e))
@@ -275,6 +297,8 @@ def check_file(path):
             "missing required record(s) %s after %d records "
             "(truncated or corrupt file)" % (", ".join(sorted(missing)), records),
         )
+    held = [row[2] for row in tables["worker"]]
+    free = [row[0] for row in tables["free"]]
     problem = check_pool(fields["server"][2], held, free) or check_log(
         path, fields["identity"], fields["cursor"])
     if problem:
