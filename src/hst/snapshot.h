@@ -41,11 +41,6 @@
 // any table allocation), non-finite values and structural violations all
 // yield precise InvalidArgument statuses (with record and row indexes),
 // never a crash — the same contract the checkpoint parser honors.
-//
-// WriteHstSnapshotFile publishes atomically (tmp + fsync + rename) and
-// carries the fault site "snapshot.write"; ReadHstSnapshotFile carries
-// "snapshot.load". An injected failure on either aborts cleanly with the
-// target file untouched.
 
 #pragma once
 
@@ -65,8 +60,8 @@ std::string SerializeHstSnapshot(const CompleteHst& tree);
 /// CompleteHst::FromParts.
 Result<CompleteHst> ParseHstSnapshot(const std::string& bytes);
 
-/// \brief Atomic write (tmp + fsync + rename; fault site
-/// "snapshot.write" — an injected failure leaves `path` untouched).
+/// \brief Atomic write (WriteFileAtomic, common/atomic_file.h; fault
+/// site "snapshot.write" — an injected failure leaves `path` untouched).
 Status WriteHstSnapshotFile(const CompleteHst& tree, const std::string& path);
 
 /// \brief Reads and parses a snapshot file (fault site "snapshot.load").

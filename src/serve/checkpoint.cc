@@ -1,18 +1,11 @@
 #include "serve/checkpoint.h"
 
 #include <array>
-#include <filesystem>
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
 
 #include "common/atomic_file.h"
 #include "common/frames.h"
 
 namespace tbf {
-
-namespace fs = std::filesystem;
 
 uint32_t FingerprintEventTrace(const EventTrace& trace) {
   // Byte-stream identical to CRC-ing each field separately (CRC chains
@@ -307,7 +300,6 @@ Result<ReplayCheckpoint> ReadReplayCheckpointFile(const std::string& path) {
   return ParseReplayCheckpoint(bytes);
 }
 
-
 std::string OutcomeLogHeader(const WalIdentity& identity) {
   std::string out;
   ArtifactWriter(kLogFormat, &out,
@@ -377,60 +369,6 @@ Status ReadOutcomeRows(const std::string& path, ReplayCheckpoint* c) {
   TBF_ASSIGN_OR_RETURN(const std::string log,
                        ReadFileToString(path, "outcome log"));
   return ParseOutcomeRows(log, c);
-}
-
-Result<std::unique_ptr<OutcomeLogWriter>> OutcomeLogWriter::Open(
-    const std::string& path, const WalIdentity& identity, uint64_t bytes) {
-  if (bytes > 0) {
-    // Continue after the covered prefix: rows past it belong to epochs the
-    // resumed run re-produces.
-    std::error_code ec;
-    const uintmax_t size = fs::file_size(path, ec);
-    if (ec || size < bytes) {
-      return Status::FailedPrecondition(
-          "outcome log " + path + " is shorter than the " +
-          std::to_string(bytes) + " bytes the resumed checkpoint covers");
-    }
-    fs::resize_file(path, bytes, ec);
-    if (ec) {
-      return Status::IOError("cannot truncate outcome log " + path + ": " +
-                             ec.message());
-    }
-  }
-  std::FILE* file = std::fopen(path.c_str(), bytes == 0 ? "wb" : "ab");
-  if (file == nullptr) {
-    return Status::IOError("cannot open outcome log: " + path);
-  }
-  std::unique_ptr<OutcomeLogWriter> writer(
-      new OutcomeLogWriter(path, file, bytes));
-  if (bytes == 0) {
-    writer->buffer_ = OutcomeLogHeader(identity);
-    TBF_RETURN_NOT_OK(writer->Flush());
-    TBF_RETURN_NOT_OK(FsyncParentDir(path));  // the new directory entry
-  }
-  return writer;
-}
-
-OutcomeLogWriter::~OutcomeLogWriter() { std::fclose(file_); }
-
-Status OutcomeLogWriter::Append(std::span<const EpochStats> epochs,
-                                std::span<const TaskOutcome> tasks,
-                                std::span<const QuarantineRecord> quarantines) {
-  buffer_.clear();
-  AppendOutcomeRows(epochs, tasks, quarantines, &buffer_);
-  return Flush();
-}
-
-Status OutcomeLogWriter::Flush() {
-  bool ok = std::fwrite(buffer_.data(), 1, buffer_.size(), file_) ==
-                buffer_.size() &&
-            std::fflush(file_) == 0;
-#ifndef _WIN32
-  ok = ok && fsync(fileno(file_)) == 0;
-#endif
-  if (!ok) return Status::IOError("outcome log write failed: " + path_);
-  bytes_ += buffer_.size();
-  return Status::OK();
 }
 
 }  // namespace tbf

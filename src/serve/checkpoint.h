@@ -1,23 +1,21 @@
 // Crash-safe replay checkpoints and the outcome log.
 //
 // A ReplayCheckpoint freezes the live state the event-time replay loop
-// needs to continue draw-for-draw identically after a crash: the replay
-// cursor (next event, obfuscation fork offset, next task slot, journal
-// and outcome-log positions), the ReplayCounts outcome tally, the
-// engine's full state (worker registry, index-id pool size and free-list
-// order, tie-break RNG, budget ledger) and the run's metrics snapshot.
-// Identity fields (trace fingerprint, shard count, epoch length, seeds)
-// let resume refuse a checkpoint that does not belong to the run being
-// resumed. Its size follows the live state, not the length of the run.
+// needs to continue draw-for-draw identically after a crash (cursor,
+// outcome tally, the engine's full state, metrics), with the identity
+// that lets resume refuse a checkpoint of another run. Its size follows
+// the live state, not the length of the run.
 //
 // History — one row per epoch, per task dispatch and per quarantined
 // event — lives in the append-only outcome log next to the checkpoints
 // (`<durable_dir>/outcomes`, or `<checkpoint_path>.outcomes` for a
 // single-file checkpoint). At each checkpoint the loop appends the rows
-// added since the previous one and fsyncs the log, then writes the
-// checkpoint, whose cursor records the log's byte length and row counts.
+// added since the previous one (AppendOutcomeRows) and fsyncs the log,
+// then writes the checkpoint, whose cursor records the log's byte length
+// and row counts.
 // Resume reads the log up to that length (ReadOutcomeRows); anything
-// past it belongs to epochs the resumed run re-produces, and is cut.
+// past it belongs to epochs the resumed run re-produces, and is cut when
+// the loop reopens the log (AppendFile::OpenAt).
 //
 // On-disk format (docs/ROBUSTNESS.md has the record catalogs): both files
 // are streams of CRC-framed binary records in the frame format every
@@ -50,20 +48,13 @@
 // spend row), v6 (which repeated each worker's index id in a slot row per
 // pool id), v5 (which carried the history rows itself), v4 (two worker
 // leaf encodings) and the v1-v3 text format.
-//
-// WriteReplayCheckpointFile is atomic: the bytes go to `<path>.tmp`,
-// are fsync'd, and rename(2) publishes them — a crash mid-write leaves
-// either the previous checkpoint or a stray .tmp, never a torn file.
 
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -145,7 +136,8 @@ std::string SerializeReplayCheckpoint(const ReplayCheckpoint& checkpoint);
 /// InvalidArgument naming the record and byte offset, never a crash.
 Result<ReplayCheckpoint> ParseReplayCheckpoint(const std::string& bytes);
 
-/// \brief Atomic write: tmp file + fsync + rename.
+/// \brief Atomic write (WriteFileAtomic, common/atomic_file.h): a crash
+/// leaves the previous checkpoint or a stray `.tmp`, never a torn file.
 Status WriteReplayCheckpointFile(const ReplayCheckpoint& checkpoint,
                                  const std::string& path);
 
@@ -173,38 +165,5 @@ Status ParseOutcomeRows(std::string_view log, ReplayCheckpoint* checkpoint);
 /// \brief ParseOutcomeRows on the log file at `path` (not read when the
 /// checkpoint covers no log bytes).
 Status ReadOutcomeRows(const std::string& path, ReplayCheckpoint* checkpoint);
-
-/// \brief The writer of an outcome log: appends the rows each checkpoint
-/// adds and makes them durable before that checkpoint is written.
-class OutcomeLogWriter {
- public:
-  /// Opens the log at `path` to continue after its first `bytes` bytes
-  /// (the covered length of the checkpoint being resumed), cutting
-  /// anything past them; 0 starts a new log with a header carrying
-  /// `identity`.
-  static Result<std::unique_ptr<OutcomeLogWriter>> Open(
-      const std::string& path, const WalIdentity& identity, uint64_t bytes);
-  ~OutcomeLogWriter();
-  OutcomeLogWriter(const OutcomeLogWriter&) = delete;
-  OutcomeLogWriter& operator=(const OutcomeLogWriter&) = delete;
-
-  /// Appends the rows (see AppendOutcomeRows), then flushes and fsyncs.
-  Status Append(std::span<const EpochStats> epochs,
-                std::span<const TaskOutcome> tasks,
-                std::span<const QuarantineRecord> quarantines);
-
-  /// Bytes in the log, the header included.
-  uint64_t bytes() const { return bytes_; }
-
- private:
-  OutcomeLogWriter(std::string path, std::FILE* file, uint64_t bytes)
-      : path_(std::move(path)), file_(file), bytes_(bytes) {}
-  Status Flush();  // writes buffer_, flushes, fsyncs
-
-  std::string path_;
-  std::FILE* file_;
-  uint64_t bytes_;
-  std::string buffer_;  // one batch, framed
-};
 
 }  // namespace tbf

@@ -79,14 +79,9 @@ Status ScanReplayDir(const std::string& dir, RecoveredRun* run) {
   std::sort(candidates.begin(), candidates.end());
 
   // Validate every candidate (retention + compaction need the full valid
-  // list); the newest valid one becomes the restore point. Transient
-  // IOErrors are retried; a file that still fails — or fails to parse —
-  // is rejected and the supervisor falls back to the next-newest. A
-  // checkpoint is valid only together with the outcome-log prefix it
-  // covers: a log cut below that length (or damaged inside it) rejects
-  // the checkpoint exactly as a corrupt file would, and a log of another
-  // run is never combined with it. Nothing is truncated here: the writer
-  // cuts the log to the restored prefix once every check has passed.
+  // list); the newest valid one becomes the restore point. A checkpoint
+  // is valid only together with the outcome-log prefix it covers, and a
+  // log of another run is never combined with it. Nothing is cut here.
   const std::string log_path = OutcomeLogPath(dir);
   std::optional<std::string> log;  // read once, when a checkpoint needs it
   for (const auto& [ordinal, path] : candidates) {

@@ -7,33 +7,22 @@
 // mid-fsync, mid-rotation, mid-checkpoint — recovery proceeds in two
 // steps:
 //
-//   1. RecoverReplayDir picks the newest *valid* checkpoint. A checkpoint
-//      that fails to read with a transient IOError is retried once after a
-//      5 ms backoff; one that fails to *parse*
-//      (corruption), or whose outcome-log prefix is cut short or damaged,
-//      is rejected permanently and the supervisor falls back to the
-//      next-newest. The outcome log is read once, with the same retry; a
-//      read that still fails fails recovery, since every checkpoint
-//      shares the log. It reassembles the chosen checkpoint's history
-//      rows from the log but cuts nothing: the replay loop's
-//      OutcomeLogWriter::Open truncates the log to that checkpoint's
-//      covered length once every check has passed (the loop re-produces
-//      the later rows). It then scans the journal, repairs the torn
-//      tail (truncating at the first bad CRC / short frame with a
-//      record-precise report), cross-checks the journal identity against
-//      the checkpoint, and locates the journal suffix: the first journal
-//      record with lsn >= the checkpoint's wal_next_lsn.
+//   1. RecoverReplayDir (below) picks the newest *valid* checkpoint, with
+//      its history rows from the outcome log, scans and repairs the
+//      journal, cross-checks identities and locates the journal suffix:
+//      the first record with lsn >= the checkpoint's wal_next_lsn. It
+//      cuts nothing in the outcome log: the replay loop reopens the log
+//      at the checkpoint's covered length (AppendFile::OpenAt) once every
+//      check has passed, and re-produces the later rows.
 //   2. The replay loop (serve/replay.h, ReplayOptions::recover) restores
 //      the checkpoint into a fresh engine and continues from its cursor
-//      exactly as a fresh run would: republish, BeginEpoch, stage-1
-//      records, obfuscation, dispatch. Each record it produces is
-//      compared, byte for byte under the journaled lsn, with the next
-//      suffix record instead of being appended; the first difference is
-//      an Internal "journal/state divergence at lsn N" error, never a
-//      silent fork of history. Once every suffix record is verified the
-//      loop appends as usual. The engine is reached only through the
-//      loop's own dispatch, so recovery decides, charges and journals
-//      exactly what the uninterrupted run did.
+//      exactly as a fresh run would. Each record it produces is compared,
+//      byte for byte under the journaled lsn, with the next suffix record
+//      instead of being appended; the first difference is an Internal
+//      "journal/state divergence at lsn N" error, never a silent fork of
+//      history. Once every suffix record is verified the loop appends as
+//      usual, so recovery decides, charges and journals exactly what the
+//      uninterrupted run did.
 //
 // Metrics: tbf_recovery_attempts_total, tbf_recovery_checkpoints_rejected
 // _total, tbf_recovery_io_retries_total, tbf_wal_truncated_records_total
@@ -92,17 +81,13 @@ struct RecoveredRun {
   size_t suffix_begin = 0;
 };
 
-/// \brief Scans a durable replay directory: newest-valid checkpoint
-/// selection (transient reads retried, corrupt files and checkpoints
-/// whose outcome-log prefix is cut short or damaged rejected with
-/// fallback), journal scan + torn-tail repair, identity cross-checks,
-/// suffix location. Applies nothing and leaves the outcome log as it
-/// found it: the replay loop re-runs and verifies the suffix, and its
-/// outcome-log writer cuts the log. Fails (never silently drops events)
-/// when the journal has a gap the surviving checkpoints cannot cover, and
-/// with the read's IOError when the outcome log stays unreadable. The
-/// tbf_recovery_* and tbf_wal_truncated_records_total counters land in
-/// `metrics` (when given) on every exit, a failed scan included.
+/// \brief Step 1 above. A transient read is retried once after 5 ms; a
+/// corrupt checkpoint, or one whose outcome-log prefix is cut short or
+/// damaged, is rejected and the next-newest tried. Fails (never silently
+/// drops events) when the journal has a gap the surviving checkpoints
+/// cannot cover, and with the read's IOError when the outcome log stays
+/// unreadable. The tbf_recovery_* and tbf_wal_truncated_records_total
+/// counters land in `metrics` (when given) on every exit.
 Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
                                       obs::MetricRegistry* metrics = nullptr);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <optional>
 #include <span>
@@ -11,6 +10,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/atomic_file.h"
 #include "common/fault.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -434,11 +434,17 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
                                               run_identity, options.wal_fsync,
                                               &run_metrics));
   }
-  std::unique_ptr<OutcomeLogWriter> outcome_log;
+  // The outcome log continues after the prefix the restored checkpoint
+  // covers, cutting the rows of epochs this run re-produces, or starts
+  // anew with its header.
+  AppendFile outcome_log;
   if (!outcome_log_path.empty()) {
-    TBF_ASSIGN_OR_RETURN(outcome_log,
-                         OutcomeLogWriter::Open(outcome_log_path, run_identity,
-                                                logged_bytes));
+    TBF_ASSIGN_OR_RETURN(
+        outcome_log,
+        logged_bytes > 0
+            ? AppendFile::OpenAt(outcome_log_path, logged_bytes)
+            : AppendFile::CreateDurable(outcome_log_path,
+                                        OutcomeLogHeader(run_identity)));
   }
 
   // True while recovered journal records remain unverified. Segment
@@ -837,12 +843,18 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     // log's new length.
     const auto write_checkpoint = [&](const std::string& path,
                                       uint64_t wal_next_lsn) -> Status {
-      TBF_RETURN_NOT_OK(outcome_log->Append(
+      ++report.checkpoints_written;
+      checkpoint_metric->Add(1);
+      std::string rows;
+      AppendOutcomeRows(
           std::span<const EpochStats>(report.per_epoch).subspan(logged_epochs),
           std::span<const TaskOutcome>(report.task_outcomes)
               .subspan(logged_tasks),
           std::span<const QuarantineRecord>(report.quarantined_events)
-              .subspan(logged_quarantines)));
+              .subspan(logged_quarantines),
+          &rows);
+      TBF_RETURN_NOT_OK(outcome_log.Append(rows));
+      TBF_RETURN_NOT_OK(outcome_log.Sync());
       logged_epochs = report.per_epoch.size();
       logged_tasks = report.task_outcomes.size();
       logged_quarantines = report.quarantined_events.size();
@@ -856,7 +868,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       ckpt.arrivals_obfuscated = arrivals_obfuscated;
       ckpt.next_task_slot = next_task_slot;
       ckpt.wal_next_lsn = wal_next_lsn;
-      ckpt.outcome_log_bytes = outcome_log->bytes();
+      ckpt.outcome_log_bytes = outcome_log.size();
       ckpt.epoch_rows = logged_epochs;
       ckpt.quarantine_rows = logged_quarantines;
       ckpt.report = report;
@@ -869,8 +881,6 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
             static_cast<uint64_t>(options.checkpoint_every_epochs) ==
         0;
     if (!options.checkpoint_path.empty() && checkpoint_due) {
-      ++report.checkpoints_written;
-      checkpoint_metric->Add(1);
       TBF_RETURN_NOT_OK(write_checkpoint(options.checkpoint_path, 0));
     }
     // Durable checkpoint: journal barrier first, so wal_next_lsn names a
@@ -881,17 +891,17 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     // records this run has not yet re-produced.
     if (durable && checkpoint_due && !verifying()) {
       TBF_RETURN_NOT_OK(wal->Sync());
-      ++report.checkpoints_written;
-      checkpoint_metric->Add(1);
       const uint64_t ordinal = report.per_epoch.size();
       const uint64_t wal_next_lsn = wal->next_lsn();
       const std::string ckpt_path =
           options.durable_dir + "/" + ReplayCheckpointFileName(ordinal);
       TBF_RETURN_NOT_OK(write_checkpoint(ckpt_path, wal_next_lsn));
       retained.push_back(RetainedCheckpoint{ordinal, ckpt_path, wal_next_lsn});
+      // A retired checkpoint's removal is made durable by the rotation's
+      // directory sync.
       while (retained.size() >
              static_cast<size_t>(options.keep_checkpoints)) {
-        std::remove(retained.front().path.c_str());
+        TBF_RETURN_NOT_OK(RemoveFile(retained.front().path));
         retained.erase(retained.begin());
       }
       TBF_RETURN_NOT_OK(wal->Rotate());
@@ -914,6 +924,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
   // Final journal barrier: everything this run processed is durable
   // before the report is assembled.
   if (wal != nullptr) TBF_RETURN_NOT_OK(wal->Close());
+  TBF_RETURN_NOT_OK(outcome_log.Close());
 
   report.epochs = report.per_epoch.size();
   report.wall_seconds = total_timer.ElapsedSeconds();

@@ -137,18 +137,13 @@ struct ReplayOptions {
   bool resume_from_checkpoint = false;
 
   /// Durable serving (docs/ROBUSTNESS.md): when nonempty, the loop keeps
-  /// a segmented write-ahead journal (serve/wal.h) plus periodic ordinal
-  /// checkpoints `ckpt-<ordinal:08>.ckpt` in this directory. Every
-  /// replay event is journaled *with the obfuscated report it carried
-  /// and the outcome the engine produced*, so a crash anywhere is
-  /// recoverable field-for-field (set `recover`). Requires sequential
-  /// dispatch (the journal is an ordered log) and is mutually exclusive
-  /// with `checkpoint_path` (the single-file legacy checkpoint).
+  /// a write-ahead journal (serve/wal.h), ordinal checkpoints and the
+  /// outcome log in this directory, so a crash anywhere is recoverable
+  /// field-for-field (set `recover`). Requires sequential dispatch (the
+  /// journal is an ordered log); excludes `checkpoint_path`.
   std::string durable_dir;
 
-  /// Journal commit policy for durable runs (see WalFsyncPolicy):
-  /// kEveryRecord survives power loss per record, kGroupCommit (default)
-  /// loses at most one group, kNone survives process crashes only.
+  /// Journal commit policy for durable runs (see WalFsyncPolicy).
   WalFsyncPolicy wal_fsync;
 
   /// Durable checkpoints retained in `durable_dir`; older ones are

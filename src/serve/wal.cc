@@ -6,10 +6,6 @@
 #include <filesystem>
 #include <utility>
 
-#ifndef _WIN32
-#include <unistd.h>
-#endif
-
 #include "common/atomic_file.h"
 #include "common/fault.h"
 #include "common/frames.h"
@@ -162,34 +158,6 @@ std::string WalSegmentFileName(uint64_t seq) {
   return buf;
 }
 
-namespace {
-
-// Outcome of scanning one segment file's bytes: the valid records, the
-// byte length of the valid prefix, and — when a frame was bad — a
-// record-precise description of where and why.
-struct SegmentScan {
-  std::vector<WalRecord> records;
-  uint64_t valid_bytes = 0;
-  bool bad = false;
-  std::string bad_detail;  ///< "record N (offset B): reason"
-};
-
-SegmentScan ScanSegmentBytes(const std::string& blob) {
-  SegmentScan scan;
-  const FrameWalk walk =
-      WalkFrames(blob, [&scan](std::string_view payload) -> Status {
-        TBF_ASSIGN_OR_RETURN(WalRecord rec, DecodeWalRecord(payload));
-        scan.records.push_back(std::move(rec));
-        return Status::OK();
-      });
-  scan.valid_bytes = walk.valid_bytes;
-  scan.bad = walk.bad;
-  scan.bad_detail = walk.bad_detail;
-  return scan;
-}
-
-}  // namespace
-
 Result<WalScan> ScanWalDir(const std::string& dir, bool repair_torn_tail) {
   WalScan out;
   std::error_code ec;
@@ -227,7 +195,13 @@ Result<WalScan> ScanWalDir(const std::string& dir, bool repair_torn_tail) {
     const std::string& path = files[i].second;
     TBF_ASSIGN_OR_RETURN(std::string blob,
                          ReadFileToString(path, "wal segment"));
-    SegmentScan seg = ScanSegmentBytes(blob);
+    std::vector<WalRecord> records;
+    const FrameWalk seg =
+        WalkFrames(blob, [&records](std::string_view payload) -> Status {
+          TBF_ASSIGN_OR_RETURN(WalRecord rec, DecodeWalRecord(payload));
+          records.push_back(std::move(rec));
+          return Status::OK();
+        });
     const std::string where = "wal segment " + path + ": " + seg.bad_detail;
     if (seg.bad && !last) {
       return Status::InvalidArgument(
@@ -235,7 +209,7 @@ Result<WalScan> ScanWalDir(const std::string& dir, bool repair_torn_tail) {
     }
     // Every segment must open with a header whose seq matches its file
     // name and whose identity agrees with the rest of the journal.
-    if (seg.records.empty()) {
+    if (records.empty()) {
       if (!last) {
         return Status::InvalidArgument("wal segment " + path +
                                        ": no valid records (missing header)");
@@ -247,19 +221,14 @@ Result<WalScan> ScanWalDir(const std::string& dir, bool repair_torn_tail) {
       out.tail_detail = seg.bad ? where
                                 : "wal segment " + path + ": empty file";
       if (repair_torn_tail) {
-        std::error_code rm_ec;
-        fs::remove(path, rm_ec);
-        if (rm_ec) {
-          return Status::IOError("cannot remove torn wal segment " + path +
-                                 ": " + rm_ec.message());
-        }
+        TBF_RETURN_NOT_OK(RemoveFile(path));
         TBF_RETURN_NOT_OK(FsyncDir(dir));
         break;
       }
       return Status::InvalidArgument(out.tail_detail +
                                      " — torn tail (repair disabled)");
     }
-    const WalRecord& header = seg.records.front();
+    const WalRecord& header = records.front();
     if (header.kind != WalRecordKind::kSegmentHeader) {
       return Status::InvalidArgument("wal segment " + path +
                                      ": first record is not a segment header");
@@ -281,8 +250,8 @@ Result<WalScan> ScanWalDir(const std::string& dir, bool repair_torn_tail) {
       out.next_lsn = header.lsn;  // the oldest retained segment sets the base
       have_lsn = true;
     }
-    for (size_t k = 0; k < seg.records.size(); ++k) {
-      const WalRecord& rec = seg.records[k];
+    for (size_t k = 0; k < records.size(); ++k) {
+      const WalRecord& rec = records[k];
       if (rec.lsn != out.next_lsn) {
         return Status::InvalidArgument(
             "wal segment " + path + ": record " + std::to_string(k) +
@@ -299,10 +268,10 @@ Result<WalScan> ScanWalDir(const std::string& dir, bool repair_torn_tail) {
     info.seq = files[i].first;
     info.first_lsn = header.lsn;
     info.path = path;
-    info.records = seg.records.size();
+    info.records = records.size();
     info.bytes = seg.valid_bytes;
     out.segments.push_back(info);
-    for (WalRecord& rec : seg.records) out.records.push_back(std::move(rec));
+    for (WalRecord& rec : records) out.records.push_back(std::move(rec));
 
     if (seg.bad) {  // last segment, torn tail
       out.truncated_records += 1;
@@ -314,12 +283,10 @@ Result<WalScan> ScanWalDir(const std::string& dir, bool repair_torn_tail) {
         return Status::InvalidArgument(out.tail_detail +
                                        " — torn tail (repair disabled)");
       }
-      std::error_code tr_ec;
-      fs::resize_file(path, seg.valid_bytes, tr_ec);
-      if (tr_ec) {
-        return Status::IOError("cannot truncate torn wal segment " + path +
-                               ": " + tr_ec.message());
-      }
+      // Synced before anything is written after it: a cut lost in a power
+      // loss would leave the torn bytes before the next segment, where
+      // they read as corruption.
+      TBF_RETURN_NOT_OK(TruncateFile(path, seg.valid_bytes));
       out.segments.back().bytes = seg.valid_bytes;
     }
   }
@@ -367,7 +334,21 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
       new WalWriter(dir, identity, policy, metrics));
   writer->next_lsn_ = scan.next_lsn;
   writer->segments_ = std::move(scan.segments);
-  // Always start a fresh segment: appending into a repaired file would
+  // A last segment holding only its header (a finished run's last
+  // rotation) is continued under its own seq and LSN, so recovering a
+  // finished directory adds no segment. Its header and entry are synced
+  // again, as a fresh segment's are; it is never cut or rewritten, which
+  // could lose the only segment that anchors the LSN chain.
+  if (!writer->segments_.empty() && writer->segments_.back().records == 1) {
+    const WalSegmentInfo& last = writer->segments_.back();
+    TBF_ASSIGN_OR_RETURN(writer->file_,
+                         AppendFile::OpenAt(last.path, last.bytes));
+    TBF_RETURN_NOT_OK(writer->file_.Sync());
+    TBF_RETURN_NOT_OK(FsyncDir(dir));
+    writer->seq_ = last.seq;
+    return writer;
+  }
+  // Otherwise start a fresh segment: appending into a repaired file would
   // re-open a tail we just certified, and a fresh header re-anchors the
   // LSN chain after a mid-rotation crash.
   const uint64_t seq =
@@ -378,33 +359,20 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
 
 Status WalWriter::OpenSegment(uint64_t seq) {
   const std::string path = dir_ + "/" + WalSegmentFileName(seq);
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    poisoned_ = true;
-    return Status::IOError("cannot create wal segment: " + path);
-  }
-  file_ = file;
-  seq_ = seq;
-
   WalRecord header;
   header.kind = WalRecordKind::kSegmentHeader;
-  header.lsn = next_lsn_++;
+  header.lsn = next_lsn_;
   header.segment_seq = seq;
   header.identity = identity_;
   std::string frame;
   AppendFrame(&frame, EncodeWalRecord(header));
-  bool ok = std::fwrite(frame.data(), 1, frame.size(), file_) == frame.size();
-  ok = ok && std::fflush(file_) == 0;
-#ifndef _WIN32
-  ok = ok && fsync(fileno(file_)) == 0;
-#endif
-  if (!ok) {
-    poisoned_ = true;
-    return Status::IOError("cannot write wal segment header: " + path);
-  }
-  // Segment creation is a directory mutation: sync it so the file (and
+  // The header and the directory entry are both synced, so the file (and
   // with it the LSN chain) survives power loss.
-  TBF_RETURN_NOT_OK(FsyncDir(dir_));
+  Result<AppendFile> file = AppendFile::CreateDurable(path, frame);
+  TBF_RETURN_NOT_OK(Poison(file.status()));
+  file_ = std::move(file).MoveValueUnsafe();
+  seq_ = seq;
+  ++next_lsn_;
   if (bytes_ != nullptr) bytes_->Add(frame.size());
 
   WalSegmentInfo info;
@@ -418,27 +386,31 @@ Status WalWriter::OpenSegment(uint64_t seq) {
 }
 
 void WalWriter::SimulateTornCrash(uint64_t lsn) {
-  // A crash loses the unflushed group plus the in-flight frame at an
-  // arbitrary byte. Append has already framed the in-flight record into
-  // pending_, so the buffer holds exactly group+frame. Deterministic torn
-  // length (keyed by the LSN) keeps the chaos drill reproducible: prefix
-  // of [0, group+frame] bytes.
+  // A crash loses the unflushed group plus the in-flight frame (Append
+  // has framed it into pending_) at an arbitrary byte. The torn length,
+  // keyed by the LSN, keeps the chaos drill reproducible. The bytes reach
+  // the OS; the process is gone.
   const size_t torn =
       static_cast<size_t>((lsn * 2654435761ULL) % (pending_.size() + 1));
-  if (file_ != nullptr) {
-    std::fwrite(pending_.data(), 1, torn, file_);
-    std::fflush(file_);  // the bytes reached the OS; the process is gone
-  }
+  file_.Append(std::string_view(pending_).substr(0, torn)).ok();
   pending_.clear();
   pending_records_ = 0;
   poisoned_ = true;
 }
 
+Status WalWriter::Poison(Status status) {
+  if (!status.ok()) poisoned_ = true;
+  return status;
+}
+
+Status WalWriter::Usable() const {
+  if (!closed_ && !poisoned_) return Status::OK();
+  return Status::FailedPrecondition(
+      "wal writer is closed or poisoned by a previous failure");
+}
+
 Status WalWriter::Append(WalRecord* record) {
-  if (closed_ || poisoned_) {
-    return Status::FailedPrecondition(
-        "wal writer is closed or poisoned by a previous failure");
-  }
+  TBF_RETURN_NOT_OK(Usable());
   record->lsn = next_lsn_;
   // Frame the record in place at the tail of the group buffer — an
   // 8-byte header placeholder, the payload, then patch <len><crc> once
@@ -484,33 +456,15 @@ Status WalWriter::Commit(bool do_fsync) {
     return Status::OK();
   }
   if (!pending_.empty()) {
-    const bool ok =
-        std::fwrite(pending_.data(), 1, pending_.size(), file_) ==
-            pending_.size() &&
-        std::fflush(file_) == 0;
-    if (!ok) {
-      poisoned_ = true;
-      return Status::IOError("wal segment write failed: " +
-                             segments_.back().path);
-    }
+    TBF_RETURN_NOT_OK(Poison(file_.Append(pending_)));
     segments_.back().bytes += pending_.size();
     records_since_fsync_ += pending_records_;
     pending_.clear();
     pending_records_ = 0;
   }
   if (do_fsync) {
-    const Status injected = TBF_FAULT_INJECT("wal.fsync");
-    if (!injected.ok()) {
-      poisoned_ = true;
-      return injected;
-    }
-#ifndef _WIN32
-    if (fsync(fileno(file_)) != 0) {
-      poisoned_ = true;
-      return Status::IOError("wal segment fsync failed: " +
-                             segments_.back().path);
-    }
-#endif
+    TBF_RETURN_NOT_OK(Poison(TBF_FAULT_INJECT("wal.fsync")));
+    TBF_RETURN_NOT_OK(Poison(file_.Sync()));
     if (fsyncs_ != nullptr) fsyncs_->Add(1);
     if (group_size_ != nullptr && records_since_fsync_ > 0) {
       group_size_->Record(records_since_fsync_);
@@ -521,47 +475,31 @@ Status WalWriter::Commit(bool do_fsync) {
 }
 
 Status WalWriter::Sync() {
-  if (closed_ || poisoned_) {
-    return Status::FailedPrecondition(
-        "wal writer is closed or poisoned by a previous failure");
-  }
+  TBF_RETURN_NOT_OK(Usable());
   return Commit(/*do_fsync=*/true);
 }
 
 Status WalWriter::Rotate() {
   TBF_RETURN_NOT_OK(Sync());
-  const Status injected = TBF_FAULT_INJECT_AT("wal.rotate", seq_ + 1);
-  if (!injected.ok()) {
-    poisoned_ = true;
-    return injected;
-  }
-  std::fclose(file_);
-  file_ = nullptr;
+  TBF_RETURN_NOT_OK(Poison(TBF_FAULT_INJECT_AT("wal.rotate", seq_ + 1)));
+  TBF_RETURN_NOT_OK(Poison(file_.Close()));
   if (rotations_ != nullptr) rotations_->Add(1);
   return OpenSegment(seq_ + 1);
 }
 
 Status WalWriter::CompactBelow(uint64_t keep_from_lsn) {
-  if (closed_ || poisoned_) {
-    return Status::FailedPrecondition(
-        "wal writer is closed or poisoned by a previous failure");
-  }
-  bool removed = false;
+  TBF_RETURN_NOT_OK(Usable());
   // A segment is fully covered when its successor starts at or below the
   // keep point (its own records all have smaller LSNs). The active
-  // segment is never deleted.
+  // segment is never deleted. Oldest first, each removal synced before the
+  // next: a power loss that kept an older segment but lost a newer one's
+  // removal would leave a gap in the sequence.
   while (segments_.size() >= 2 && segments_[1].first_lsn <= keep_from_lsn) {
-    std::error_code ec;
-    fs::remove(segments_.front().path, ec);
-    if (ec) {
-      return Status::IOError("cannot remove compacted wal segment " +
-                             segments_.front().path + ": " + ec.message());
-    }
+    TBF_RETURN_NOT_OK(RemoveFile(segments_.front().path));
+    TBF_RETURN_NOT_OK(FsyncDir(dir_));
     segments_.erase(segments_.begin());
     if (compacted_ != nullptr) compacted_->Add(1);
-    removed = true;
   }
-  if (removed) TBF_RETURN_NOT_OK(FsyncDir(dir_));
   return Status::OK();
 }
 
@@ -570,13 +508,8 @@ Status WalWriter::Close() {
   closed_ = true;
   Status status = Status::OK();
   if (!poisoned_) status = Commit(/*do_fsync=*/true);
-  if (file_ != nullptr) {
-    if (std::fclose(file_) != 0 && status.ok()) {
-      status = Status::IOError("wal segment close failed");
-    }
-    file_ = nullptr;
-  }
-  return status;
+  const Status closed = file_.Close();
+  return status.ok() ? closed : status;
 }
 
 }  // namespace tbf

@@ -23,14 +23,11 @@
 //   frame   := <len:u32> <crc:u32> <payload: len bytes>
 //   payload := <kind:u8> <lsn:u64> <kind-specific fields>
 //
-// All integers are little-endian; doubles are IEEE-754 bit patterns
-// (u64); strings are <len:u32><bytes>; a reported leaf is its 128-bit
-// LeafCode as 16 bytes (low u64, then high u64). Format v2: every arrival
-// and task record carries exactly that code (its report flag must be
-// set); the v1 journal, whose records could carry a u16 digit path
-// instead, is refused with a message naming the version. The CRC-32
-// (IEEE reflected, zlib/binascii-compatible) covers the payload bytes,
-// so tools/check_wal.py can validate a segment with only the Python
+// Format v2: every arrival and task record carries its reported leaf as
+// a 128-bit LeafCode (its report flag must be set); the v1 journal, whose
+// records could carry a u16 digit path instead, is refused with a message
+// naming the version. The CRC-32 covers the payload bytes, so
+// tools/check_wal.py can validate a segment with only the Python
 // standard library. The first record of every segment is a
 // kSegmentHeader carrying the format version, the segment sequence
 // number, and the run's identity (trace fingerprint, shard count, epoch
@@ -43,22 +40,9 @@
 // verifies records with lsn >= wal_next_lsn and compaction deletes
 // segments entirely below the oldest retained checkpoint.
 //
-// Durability policies (WalFsyncPolicy):
-//   kEveryRecord  — write + fsync after every append. Survives power
-//                   loss up to the last acknowledged record.
-//   kGroupCommit  — appends buffer in memory; write + fsync when the
-//                   group reaches max_records or max_bytes, or when
-//                   max_delay_seconds elapsed since the group opened
-//                   (checked at the next append; Sync() flushes
-//                   unconditionally). A crash loses at most one group.
-//   kNone         — write (libc flush, no fsync) per append. Survives a
-//                   process crash, not power loss.
-//
-// Torn-tail repair: a crash mid-write leaves a partial frame (or a frame
-// whose payload CRC no longer matches) at the end of the *last* segment.
-// ScanWalDir truncates the tail at the first bad frame with a
-// record-precise status; a bad frame in any non-last segment is
-// corruption, not a torn write, and fails the scan (InvalidArgument).
+// When records become durable is the WalFsyncPolicy; the torn-tail repair
+// a crash calls for is ScanWalDir's. Every file operation goes through
+// common/atomic_file.h.
 //
 // Fault sites (docs/ROBUSTNESS.md): "wal.append" (hit-indexed by LSN; a
 // forced failure simulates a crash, leaving a deterministic torn prefix
@@ -68,13 +52,13 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/atomic_file.h"
 #include "common/result.h"
 #include "hst/leaf_code.h"
 #include "obs/metrics.h"
@@ -167,7 +151,11 @@ struct WalRecord {
   uint64_t tree_epoch = 0;
 };
 
-/// \brief When the journal write + fsync happens (see the file comment).
+/// \brief When the journal write + fsync happens. kEveryRecord writes and
+/// fsyncs each append: it survives power loss up to the last acknowledged
+/// record. kGroupCommit buffers appends and writes + fsyncs the group (see
+/// below): a crash loses at most one group. kNone writes each append with
+/// no fsync: it survives a process crash, not power loss.
 ///
 /// Group-commit defaults: `max_delay_seconds` is the durability bound (a
 /// crash loses at most that much event time), checked at the next append —
@@ -240,8 +228,9 @@ struct WalScan {
 /// LSN/segment contiguity.
 ///
 /// A bad frame at the end of the *last* segment is a torn write: with
-/// `repair_torn_tail` the file is truncated to its valid prefix (a last
-/// segment with no valid header is deleted outright) and the scan
+/// `repair_torn_tail` the file is truncated to its valid prefix and the
+/// cut synced (a last segment with no valid header is deleted outright,
+/// and the directory synced) and the scan
 /// reports what was dropped; without it the scan fails with the same
 /// record-precise status. A bad frame anywhere else is corruption and
 /// always fails (InvalidArgument). An empty or missing directory yields
@@ -256,7 +245,9 @@ class WalWriter {
  public:
   /// Opens `dir` for appending: scans + repairs the existing journal
   /// (identity must match when segments exist) and starts a fresh
-  /// segment after the last valid record. Metrics (may be null):
+  /// segment after the last valid record; a last segment that holds only
+  /// its header is rewritten under its own seq and LSN instead, so
+  /// reopening a finished journal adds no segment. Metrics (may be null):
   /// tbf_wal_appends_total, tbf_wal_fsyncs_total, tbf_wal_bytes_total,
   /// tbf_wal_group_size, tbf_wal_rotations_total,
   /// tbf_wal_compacted_segments_total.
@@ -299,6 +290,8 @@ class WalWriter {
   WalWriter(std::string dir, WalIdentity identity, WalFsyncPolicy policy,
             obs::MetricRegistry* metrics);
 
+  Status Usable() const;  ///< FailedPrecondition once closed or poisoned
+  Status Poison(Status status);  ///< poisons the writer if `status` failed
   Status OpenSegment(uint64_t seq);
   Status Commit(bool do_fsync);
   void SimulateTornCrash(uint64_t lsn);
@@ -306,7 +299,7 @@ class WalWriter {
   std::string dir_;
   WalIdentity identity_;
   WalFsyncPolicy policy_;
-  std::FILE* file_ = nullptr;
+  AppendFile file_;  ///< the active segment
   uint64_t next_lsn_ = 0;
   uint64_t seq_ = 0;
   std::vector<WalSegmentInfo> segments_;  ///< retained, seq order

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos/replay_compare.h"
 #include "common/fault.h"
 #include "geo/grid.h"
 #include "hst/pack_paths.h"
@@ -96,78 +97,6 @@ std::shared_ptr<const CompleteHst> CopiedTree(const CompleteHst& tree) {
   EXPECT_TRUE(copy.ok());
   return std::make_shared<const CompleteHst>(
       std::move(copy).MoveValueUnsafe());
-}
-
-void ExpectServerStateEqual(const ShardedServerState& got,
-                            const ShardedServerState& want,
-                            const std::string& what) {
-  EXPECT_EQ(got.assigned_tasks, want.assigned_tasks) << what;
-  EXPECT_EQ(got.tree_epoch, want.tree_epoch) << what;
-  EXPECT_EQ(got.rng_state, want.rng_state) << what;
-  EXPECT_EQ(got.pool_size, want.pool_size) << what;
-  EXPECT_EQ(got.free_index_ids, want.free_index_ids) << what;
-  ASSERT_EQ(got.workers.size(), want.workers.size()) << what;
-  for (size_t i = 0; i < got.workers.size(); ++i) {
-    EXPECT_EQ(got.workers[i].id, want.workers[i].id) << what << " #" << i;
-    EXPECT_EQ(got.workers[i].code, want.workers[i].code) << what << " #" << i;
-    EXPECT_EQ(got.workers[i].index_id, want.workers[i].index_id)
-        << what << " #" << i;
-    EXPECT_EQ(got.workers[i].shard, want.workers[i].shard) << what << " #" << i;
-  }
-  ASSERT_EQ(got.ledger.has_value(), want.ledger.has_value()) << what;
-  if (got.ledger.has_value()) {
-    EXPECT_EQ(got.ledger->epoch, want.ledger->epoch) << what;
-    EXPECT_EQ(got.ledger->epoch_spent, want.ledger->epoch_spent) << what;
-    EXPECT_EQ(got.ledger->lifetime_spent, want.ledger->lifetime_spent) << what;
-    EXPECT_EQ(got.ledger->totals.epsilon_spent,
-              want.ledger->totals.epsilon_spent)
-        << what;
-    EXPECT_EQ(got.ledger->totals.charges, want.ledger->totals.charges) << what;
-    EXPECT_EQ(got.ledger->totals.denied_epoch,
-              want.ledger->totals.denied_epoch)
-        << what;
-    EXPECT_EQ(got.ledger->totals.denied_lifetime,
-              want.ledger->totals.denied_lifetime)
-        << what;
-  }
-}
-
-void ExpectDeterministicReportEqual(const ReplayReport& got,
-                                    const ReplayReport& want,
-                                    const std::string& what) {
-  EXPECT_EQ(got.registered, want.registered) << what;
-  EXPECT_EQ(got.assigned, want.assigned) << what;
-  EXPECT_EQ(got.unassigned, want.unassigned) << what;
-  EXPECT_EQ(got.denied, want.denied) << what;
-  EXPECT_EQ(got.shed, want.shed) << what;
-  EXPECT_EQ(got.quarantined, want.quarantined) << what;
-  EXPECT_EQ(got.missed_departures, want.missed_departures) << what;
-  EXPECT_EQ(got.processed_events, want.processed_events) << what;
-  EXPECT_EQ(got.republishes, want.republishes) << what;
-  ASSERT_EQ(got.task_outcomes.size(), want.task_outcomes.size()) << what;
-  for (size_t i = 0; i < got.task_outcomes.size(); ++i) {
-    EXPECT_EQ(got.task_outcomes[i].task_id, want.task_outcomes[i].task_id)
-        << what << " task " << i;
-    EXPECT_EQ(got.task_outcomes[i].status.code(),
-              want.task_outcomes[i].status.code())
-        << what << " task " << i;
-    EXPECT_EQ(got.task_outcomes[i].worker, want.task_outcomes[i].worker)
-        << what << " task " << i;
-    EXPECT_EQ(got.task_outcomes[i].reported_tree_distance,
-              want.task_outcomes[i].reported_tree_distance)
-        << what << " task " << i;
-  }
-  ASSERT_EQ(got.per_epoch.size(), want.per_epoch.size()) << what;
-  for (size_t i = 0; i < got.per_epoch.size(); ++i) {
-    EXPECT_EQ(got.per_epoch[i].epsilon_spent, want.per_epoch[i].epsilon_spent)
-        << what << " epoch " << i;
-    EXPECT_EQ(got.per_epoch[i].denied_epoch_budget,
-              want.per_epoch[i].denied_epoch_budget)
-        << what << " epoch " << i;
-    EXPECT_EQ(got.per_epoch[i].denied_lifetime_budget,
-              want.per_epoch[i].denied_lifetime_budget)
-        << what << " epoch " << i;
-  }
 }
 
 // The privacy contract a crash must never break: no user exceeds their
@@ -260,9 +189,7 @@ void KillAndRecover(const TbfFramework& framework, const EventTrace& trace,
         << what << ": a crashed run recovered nothing";
   }
 
-  ExpectDeterministicReportEqual(*recovered, reference, what);
-  ExpectServerStateEqual(*recovered->final_state, *reference.final_state,
-                         what);
+  EXPECT_EQ(ReplayDifference(*recovered, reference), "") << what;
   ExpectLedgerNeverOverspends(*recovered->final_state, kEpochBudget,
                               kLifetimeBudget, what);
 

@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/atomic_file.h"
 #include "common/frames.h"
 #include "geo/grid.h"
 #include "serve/recovery.h"
@@ -427,18 +428,28 @@ TEST(OutcomeLogTest, ReadsTheCoveredPrefixAndRefusesDamagePrecisely) {
 }
 
 TEST(OutcomeLogTest, WriterAppendsDurablyAndResumesAtACoveredPrefix) {
+  // The replay loop's outcome-log writer: an AppendFile that starts with
+  // the header and appends one batch of rows per checkpoint.
   const std::string path = ::testing::TempDir() + "/tbf_outcome_log_test";
   const ReplayCheckpoint c = MakeTrickyCheckpoint();
   const WalIdentity identity = IdentityOf(c);
+  const auto append = [](AppendFile& log, std::span<const EpochStats> epochs,
+                         std::span<const TaskOutcome> tasks,
+                         std::span<const QuarantineRecord> quarantines) {
+    std::string rows;
+    AppendOutcomeRows(epochs, tasks, quarantines, &rows);
+    return log.Append(rows).ok() && log.Sync().ok();
+  };
   uint64_t first_batch = 0;
   {
-    auto writer = OutcomeLogWriter::Open(path, identity, 0);
-    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-    EXPECT_EQ((*writer)->bytes(), OutcomeLogHeader(identity).size());
-    ASSERT_TRUE((*writer)->Append(c.per_epoch, c.task_outcomes, {}).ok());
-    first_batch = (*writer)->bytes();
-    ASSERT_TRUE((*writer)->Append({}, {}, c.quarantined_events).ok());
-    EXPECT_EQ((*writer)->bytes(), OutcomeLogOf(c).size());
+    auto log = AppendFile::CreateDurable(path, OutcomeLogHeader(identity));
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    EXPECT_EQ(log->size(), OutcomeLogHeader(identity).size());
+    ASSERT_TRUE(append(*log, c.per_epoch, c.task_outcomes, {}));
+    first_batch = log->size();
+    ASSERT_TRUE(append(*log, {}, {}, c.quarantined_events));
+    EXPECT_EQ(log->size(), OutcomeLogOf(c).size());
+    ASSERT_TRUE(log->Close().ok());
   }
   ReplayCheckpoint read = c;
   read.outcome_log_bytes = first_batch;
@@ -449,9 +460,9 @@ TEST(OutcomeLogTest, WriterAppendsDurablyAndResumesAtACoveredPrefix) {
   // Resuming at the first batch cuts the second; the next append follows
   // the cut.
   {
-    auto writer = OutcomeLogWriter::Open(path, identity, first_batch);
-    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-    ASSERT_TRUE((*writer)->Append(c.per_epoch, {}, {}).ok());
+    auto log = AppendFile::OpenAt(path, first_batch);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    ASSERT_TRUE(append(*log, c.per_epoch, {}, {}));
   }
   std::ifstream in(path, std::ios::binary);
   const std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -462,7 +473,8 @@ TEST(OutcomeLogTest, WriterAppendsDurablyAndResumesAtACoveredPrefix) {
   EXPECT_TRUE(bytes == want);
 
   // A log shorter than the covered prefix cannot be resumed.
-  EXPECT_FALSE(OutcomeLogWriter::Open(path, identity, want.size() + 1).ok());
+  EXPECT_EQ(AppendFile::OpenAt(path, want.size() + 1).status().code(),
+            StatusCode::kFailedPrecondition);
   std::remove(path.c_str());
   read.outcome_log_bytes = 1;
   EXPECT_EQ(ReadOutcomeRows(path, &read).code(), StatusCode::kIOError);

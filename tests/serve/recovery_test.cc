@@ -15,11 +15,13 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "chaos/replay_compare.h"
 #include "common/atomic_file.h"
 #include "common/fault.h"
 #include "common/frames.h"
@@ -603,6 +605,66 @@ TEST(RecoveryTest, RecoverWithADifferentSamplerIsDivergence) {
   EXPECT_NE(recovered.status().message().find("journal/state divergence"),
             std::string::npos)
       << recovered.status().message();
+}
+
+// The file set of a directory: name -> bytes.
+std::map<std::string, std::string> FilesIn(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    auto bytes = ReadFileToString(entry.path().string(), "file");
+    EXPECT_TRUE(bytes.ok()) << bytes.status();
+    files[entry.path().filename().string()] = bytes.ok() ? *bytes : "";
+  }
+  return files;
+}
+
+TEST(RecoveryTest, RecoveringAFinishedDirectoryChangesNoFile) {
+  // A finished run's last rotation leaves a segment holding only its
+  // header. Each recovery continues that segment instead of adding
+  // another, so five recoveries leave every file byte for byte as the
+  // run left it, and each recovers the run field for field.
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = SmallTrace();
+  const std::string dir = FreshDir("finished");
+  auto run = RunEventReplay(framework, trace, DurableOptions(dir));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::map<std::string, std::string> files = FilesIn(dir);
+  ASSERT_EQ(files.count(WalSegmentFileName(run->checkpoints_written)), 1u);
+
+  ReplayOptions recover = DurableOptions(dir);
+  recover.recover = true;
+  for (int i = 0; i < 5; ++i) {
+    auto recovered = RunEventReplay(framework, trace, recover);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(ReplayDifference(*recovered, *run), "") << "recovery " << i;
+    EXPECT_TRUE(FilesIn(dir) == files) << "recovery " << i;
+  }
+}
+
+TEST(RecoveryTest, AFailedCheckpointRetireSurfacesItsError) {
+  // keep_checkpoints 1: the second checkpoint retires the first. A first
+  // checkpoint that cannot be removed (here a non-empty directory swapped
+  // in once the second is published) fails the run with that IOError.
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = SmallTrace();
+  const std::string dir = FreshDir("retire");
+  ReplayOptions options = DurableOptions(dir);
+  options.keep_checkpoints = 1;
+  const std::string first = dir + "/" + ReplayCheckpointFileName(1);
+  const std::string second = dir + "/" + ReplayCheckpointFileName(2);
+  SetFileOpHook([&](const FileOp& op) {
+    if (op.kind == FileOp::Kind::kRename && op.target == second) {
+      fs::remove(first);
+      fs::create_directories(first + "/held");
+    }
+  });
+  auto run = RunEventReplay(framework, trace, options);
+  SetFileOpHook(nullptr);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kIOError) << run.status();
+  EXPECT_NE(run.status().message().find("cannot remove " + first),
+            std::string::npos)
+      << run.status();
 }
 
 #ifndef TBF_FAULTS_DISABLED
