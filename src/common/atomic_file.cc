@@ -4,9 +4,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <system_error>
 #include <utility>
@@ -127,13 +129,17 @@ Status RemoveFile(const std::string& path) {
 }
 
 Status TruncateFile(const std::string& path, uint64_t size) {
-  const int fd = ::open(path.c_str(), O_WRONLY);
-  if (fd < 0) return ErrnoError("cannot open to truncate", path);
-  AppendFile file(fd, path, size);
-  if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
+  if (::truncate(path.c_str(), static_cast<off_t>(size)) != 0) {
     return ErrnoError("cannot truncate", path);
   }
   Report(FileOp::Kind::kTruncate, path, {}, size);
+  return SyncFile(path);
+}
+
+Status SyncFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return ErrnoError("cannot open to sync", path);
+  AppendFile file(fd, path, 0);
   TBF_RETURN_NOT_OK(file.Sync());
   return file.Close();
 }
@@ -172,6 +178,25 @@ Status FsyncDir(const std::string& dir_path) {
   ::close(fd);
   if (synced.ok()) Report(FileOp::Kind::kSyncDir, dir_path);
   return synced;
+}
+
+Result<std::vector<std::pair<uint64_t, std::string>>> ListNumberedFiles(
+    const std::string& dir, std::string (*name_of)(uint64_t)) {
+  std::vector<std::pair<uint64_t, std::string>> files;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    const size_t digits = name.find_first_of("0123456789");
+    if (digits == std::string::npos) continue;
+    const uint64_t n = std::strtoull(name.c_str() + digits, nullptr, 10);
+    if (name == name_of(n)) files.emplace_back(n, entry.path().string());
+  }
+  if (ec) {
+    return Status::IOError("cannot list directory " + dir + ": " +
+                           ec.message());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
 }
 
 Result<std::string> ReadFileToString(const std::string& path,

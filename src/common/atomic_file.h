@@ -1,7 +1,7 @@
 // How bytes become durable. Every create, append, sync, rename, remove
 // and truncate of a durable file in the library goes through this module:
-// the journal's segments (serve/wal.cc), the outcome log (the replay loop
-// in serve/replay.cc) and every whole-file artifact published atomically
+// the journal's segments (serve/wal.cc), the outcome log (ReplayStore in
+// serve/recovery.cc) and every whole-file artifact published atomically
 // (replay checkpoints in serve/checkpoint.cc, tree snapshots in
 // hst/snapshot.cc). What goes *in* those files is common/frames.h's CRC
 // frame stream; this module only gets the bytes onto disk and back.
@@ -26,6 +26,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/result.h"
 
@@ -90,7 +91,7 @@ class AppendFile {
   uint64_t size() const { return size_; }
 
  private:
-  friend Status TruncateFile(const std::string& path, uint64_t size);
+  friend Status SyncFile(const std::string& path);
   AppendFile(int fd, std::string path, uint64_t size)
       : fd_(fd), path_(std::move(path)), size_(size) {}
 
@@ -107,6 +108,10 @@ Status RemoveFile(const std::string& path);
 /// power loss.
 Status TruncateFile(const std::string& path, uint64_t size);
 
+/// \brief fsyncs the existing file `path`, whoever wrote it: bytes an
+/// earlier process left in the page cache survive power loss.
+Status SyncFile(const std::string& path);
+
 /// \brief Atomic publication: writes to `<path>.tmp`, fsyncs, then
 /// renames over `path` and fsyncs the parent directory. A crash leaves
 /// the previous file or a stray `<path>.tmp`, never a torn file. On
@@ -118,6 +123,11 @@ Status WriteFileAtomic(const std::string& path, std::string_view bytes,
 /// \brief fsyncs a directory, making its entries (freshly created,
 /// renamed or removed files) durable across power loss.
 Status FsyncDir(const std::string& dir_path);
+
+/// \brief The files in `dir` named `name_of(n)` for some n, as (n, path)
+/// by n ascending. IOError when `dir` cannot be listed.
+Result<std::vector<std::pair<uint64_t, std::string>>> ListNumberedFiles(
+    const std::string& dir, std::string (*name_of)(uint64_t));
 
 /// \brief Reads a whole file (binary-safe). IOError when it cannot be
 /// opened, is not a regular file's bytes (a directory), or reads short or

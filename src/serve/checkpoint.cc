@@ -364,11 +364,4 @@ Status ParseOutcomeRows(std::string_view log, ReplayCheckpoint* c) {
   return read;
 }
 
-Status ReadOutcomeRows(const std::string& path, ReplayCheckpoint* c) {
-  if (c->outcome_log_bytes == 0) return ParseOutcomeRows({}, c);
-  TBF_ASSIGN_OR_RETURN(const std::string log,
-                       ReadFileToString(path, "outcome log"));
-  return ParseOutcomeRows(log, c);
-}
-
 }  // namespace tbf

@@ -9,13 +9,13 @@
 // History — one row per epoch, per task dispatch and per quarantined
 // event — lives in the append-only outcome log next to the checkpoints
 // (`<durable_dir>/outcomes`, or `<checkpoint_path>.outcomes` for a
-// single-file checkpoint). At each checkpoint the loop appends the rows
-// added since the previous one (AppendOutcomeRows) and fsyncs the log,
-// then writes the checkpoint, whose cursor records the log's byte length
-// and row counts.
-// Resume reads the log up to that length (ReadOutcomeRows); anything
+// single-file checkpoint). At each checkpoint ReplayStore
+// (serve/recovery.h) appends the rows added since the previous one
+// (AppendOutcomeRows) and fsyncs the log, then writes the checkpoint,
+// whose cursor records the log's byte length and row counts.
+// Resume reads the log up to that length (ParseOutcomeRows); anything
 // past it belongs to epochs the resumed run re-produces, and is cut when
-// the loop reopens the log (AppendFile::OpenAt).
+// the store reopens the log (AppendFile::OpenAt).
 //
 // On-disk format (docs/ROBUSTNESS.md has the record catalogs): both files
 // are streams of CRC-framed binary records in the frame format every
@@ -115,7 +115,7 @@ struct ReplayCheckpoint {
   // History rows: not part of the checkpoint file (SerializeReplayCheckpoint
   // ignores them and ParseReplayCheckpoint leaves them empty). Resume
   // reassembles them from the outcome log's covered prefix
-  // (ReadOutcomeRows) before it restores.
+  // (ParseOutcomeRows) before it restores.
   std::vector<EpochStats> per_epoch;       ///< epoch_rows rows
   std::vector<TaskOutcome> task_outcomes;  ///< next_task_slot rows
   std::vector<QuarantineRecord> quarantined_events;  ///< quarantine_rows
@@ -161,9 +161,5 @@ void AppendOutcomeRows(std::span<const EpochStats> epochs,
 /// length, the length cuts a frame, or a record is bad. The row counts
 /// are the restore's to compare with the cursor.
 Status ParseOutcomeRows(std::string_view log, ReplayCheckpoint* checkpoint);
-
-/// \brief ParseOutcomeRows on the log file at `path` (not read when the
-/// checkpoint covers no log bytes).
-Status ReadOutcomeRows(const std::string& path, ReplayCheckpoint* checkpoint);
 
 }  // namespace tbf

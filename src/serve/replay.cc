@@ -1,22 +1,18 @@
 #include "serve/replay.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <functional>
 #include <optional>
-#include <span>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "common/atomic_file.h"
 #include "common/fault.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
-#include "serve/checkpoint.h"
 #include "serve/recovery.h"
 #include "serve/sharded_server.h"
 #include "serve/wal.h"
@@ -141,31 +137,16 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
   if (options.epoch_seconds <= 0.0) {
     return Status::InvalidArgument("epoch_seconds must be positive");
   }
-  const bool durable = !options.durable_dir.empty();
-  if ((!options.checkpoint_path.empty() || durable) &&
-      options.checkpoint_every_epochs < 1) {
-    return Status::InvalidArgument("checkpoint_every_epochs must be >= 1");
-  }
-  if (options.resume_from_checkpoint && options.checkpoint_path.empty()) {
-    return Status::InvalidArgument(
-        "resume_from_checkpoint requires checkpoint_path");
-  }
-  if (durable && !options.checkpoint_path.empty()) {
-    return Status::InvalidArgument(
-        "durable_dir and checkpoint_path are mutually exclusive (the "
-        "durable directory owns its own ordinal checkpoints)");
-  }
-  if (durable && options.parallel_dispatch && options.num_shards > 1) {
-    return Status::InvalidArgument(
-        "durable_dir requires sequential dispatch: the journal is an "
-        "ordered log and parallel lane interleaving is not replayable");
-  }
-  if (durable && options.keep_checkpoints < 1) {
-    return Status::InvalidArgument("keep_checkpoints must be >= 1");
-  }
-  if (options.recover && !durable) {
-    return Status::InvalidArgument("recover requires durable_dir");
-  }
+  // Each run instruments a private registry: interval deltas, latency
+  // percentiles and per-shard counters then describe exactly this run,
+  // isolated from the process-wide registry and concurrent replays.
+  // Declared before the server so every engine handle stays valid for
+  // the server's whole lifetime.
+  obs::MetricRegistry run_metrics;
+  ReplayReport report;
+  TBF_ASSIGN_OR_RETURN(
+      ReplayStore store,
+      ReplayStore::Create(options, trace, &run_metrics, &report));
   for (size_t i = 0; i < options.republishes.size(); ++i) {
     const ReplayRepublish& entry = options.republishes[i];
     if (entry.tree == nullptr) {
@@ -218,18 +199,10 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     }
   }
 
-  // Each run instruments a private registry: interval deltas, latency
-  // percentiles and per-shard counters then describe exactly this run,
-  // isolated from the process-wide registry and concurrent replays.
-  // Declared before the server so every engine handle stays valid for
-  // the server's whole lifetime.
-  obs::MetricRegistry run_metrics;
   obs::Histogram* obfuscate_hist =
       run_metrics.FindOrCreateHistogram("tbf_replay_obfuscate_latency_ns");
   obs::Counter* quarantined_metric =
       run_metrics.FindOrCreateCounter("tbf_robustness_quarantined_total");
-  obs::Counter* checkpoint_metric =
-      run_metrics.FindOrCreateCounter("tbf_robustness_checkpoints_total");
 
   ShardedServerOptions server_options;
   server_options.num_shards = options.num_shards;
@@ -250,7 +223,6 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
   const std::optional<double> declared_epsilon =
       budgets_on ? std::optional<double>(framework.epsilon()) : std::nullopt;
 
-  ReplayReport report;
   for (const TimedEvent& event : trace.events) {
     switch (event.kind) {
       case EventKind::kWorkerArrival: ++report.worker_arrivals; break;
@@ -260,10 +232,6 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
   }
   report.events = n;
   report.task_outcomes.reserve(report.task_arrivals);
-  if (trace.events.empty() && !options.resume_from_checkpoint && !durable) {
-    if (options.export_final_state) report.final_state = server->ExportState();
-    return report;
-  }
 
   // Epoch of every event, resolved up front: survivors by event time
   // relative to the first survivor, poison events by the window that is
@@ -289,22 +257,6 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     }
   }
 
-  const uint32_t trace_fingerprint =
-      (options.checkpoint_path.empty() && !durable)
-          ? 0
-          : FingerprintEventTrace(trace);
-  WalIdentity run_identity;
-  run_identity.trace_fingerprint = trace_fingerprint;
-  run_identity.num_shards = options.num_shards;
-  run_identity.epoch_seconds = options.epoch_seconds;
-  run_identity.server_seed = options.server_seed;
-  run_identity.obfuscation_seed = options.obfuscation_seed;
-  // The history rows' one home: the outcome log next to the checkpoints.
-  const std::string outcome_log_path =
-      durable ? OutcomeLogPath(options.durable_dir)
-      : options.checkpoint_path.empty() ? std::string()
-                                        : options.checkpoint_path + ".outcomes";
-
   ThreadPool pool(options.threads);
   const Rng obfuscation_stream(options.obfuscation_seed);
   // Obfuscate, route and dispatch entirely on LeafCodes (one 128-bit code
@@ -313,44 +265,10 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
   int next_task_slot = 0;
   size_t begin = 0;
   size_t next_republish = 0;  // cursor into options.republishes
-  // Outcome-log coverage: its length and the rows of each kind it holds.
-  uint64_t logged_bytes = 0;
-  size_t logged_epochs = 0;
-  size_t logged_tasks = 0;
-  size_t logged_quarantines = 0;
 
-  // Restores a parsed checkpoint, its history rows read from the outcome
-  // log, into the fresh engine + loop cursor; shared by single-file resume
-  // and the durable recovery supervisor.
-  const auto restore_from_checkpoint = [&](ReplayCheckpoint& ckpt) -> Status {
-    if (!(IdentityOf(ckpt) == run_identity)) {
-      return Status::FailedPrecondition(
-          "checkpoint belongs to a different run (trace fingerprint, shards, "
-          "epoch length or seeds differ)");
-    }
-    if (ckpt.next_event > n) {
-      return Status::InvalidArgument(
-          "checkpoint cursor out of range for this trace");
-    }
-    // Every writer logs exactly the first next_task_slot task outcomes;
-    // any other slot would index past the restored rows.
-    if (ckpt.next_task_slot < 0 ||
-        static_cast<uint64_t>(ckpt.next_task_slot) !=
-            ckpt.task_outcomes.size()) {
-      return Status::InvalidArgument(
-          "checkpoint next_task_slot " + std::to_string(ckpt.next_task_slot) +
-          " disagrees with its " + std::to_string(ckpt.task_outcomes.size()) +
-          " task rows");
-    }
-    if (ckpt.epoch_rows != ckpt.per_epoch.size() ||
-        ckpt.quarantine_rows != ckpt.quarantined_events.size()) {
-      return Status::InvalidArgument(
-          "checkpoint cursor counts " + std::to_string(ckpt.epoch_rows) +
-          " epoch and " + std::to_string(ckpt.quarantine_rows) +
-          " quarantine rows, its outcome log holds " +
-          std::to_string(ckpt.per_epoch.size()) + " and " +
-          std::to_string(ckpt.quarantined_events.size()));
-    }
+  // The store's restore point, if any, into the fresh engine and the loop
+  // cursor; the store has checked it belongs to this run and its rows.
+  const auto restore = [&](ReplayCheckpoint& ckpt) -> Status {
     // Worker codes in the state are expressed in the tree the checkpointed
     // run had published at its tree epoch: the framework tree at epoch 0,
     // schedule entry k - 1 at epoch k. RestoreState installs it directly;
@@ -381,117 +299,11 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     begin = static_cast<size_t>(ckpt.next_event);
     arrivals_obfuscated = ckpt.arrivals_obfuscated;
     next_task_slot = static_cast<int>(ckpt.next_task_slot);
-    logged_bytes = ckpt.outcome_log_bytes;
-    logged_epochs = report.per_epoch.size();
-    logged_tasks = report.task_outcomes.size();
-    logged_quarantines = report.quarantined_events.size();
-    report.resumed = true;
     return Status::OK();
   };
-
-  if (options.resume_from_checkpoint) {
-    TBF_ASSIGN_OR_RETURN(ReplayCheckpoint ckpt,
-                         ReadReplayCheckpointFile(options.checkpoint_path));
-    TBF_RETURN_NOT_OK(ReadOutcomeRows(outcome_log_path, &ckpt));
-    TBF_RETURN_NOT_OK(restore_from_checkpoint(ckpt));
-  }
-
-  // Durable serving: restore the directory's newest valid checkpoint, then
-  // open the journal for appending. The journal records past that
-  // checkpoint are not applied here: the loop below re-runs them from the
-  // checkpoint's cursor exactly as a fresh run would, and journal() checks
-  // each record it produces against the journaled one until none remain.
-  std::unique_ptr<WalWriter> wal;
-  std::vector<WalRecord> journaled;  // recovered journal, lsn order
-  size_t verify_next = 0;            // first journaled record not verified
-  obs::Counter* verified_records_metric = nullptr;
-  obs::Counter* verified_events_metric = nullptr;
-  std::vector<RetainedCheckpoint> retained;  // valid ckpts, ordinal order
-  if (durable) {
-    if (options.recover) {
-      TBF_ASSIGN_OR_RETURN(
-          RecoveredRun recovered,
-          RecoverReplayDir(options.durable_dir, &run_metrics));
-      if (recovered.wal.has_identity &&
-          !(recovered.wal.identity == run_identity)) {
-        return Status::FailedPrecondition(
-            "recover: the journal in " + options.durable_dir +
-            " belongs to a different run (identity mismatch)");
-      }
-      retained = std::move(recovered.retained);
-      report.wal_truncated_records = recovered.wal.truncated_records;
-      verified_records_metric = run_metrics.FindOrCreateCounter(
-          "tbf_recovery_replayed_records_total");
-      verified_events_metric =
-          run_metrics.FindOrCreateCounter("tbf_wal_recovered_events_total");
-      if (recovered.checkpoint.has_value()) {
-        TBF_RETURN_NOT_OK(restore_from_checkpoint(*recovered.checkpoint));
-      }
-      journaled = std::move(recovered.wal.records);
-      verify_next = recovered.suffix_begin;
-    }
-    TBF_ASSIGN_OR_RETURN(wal, WalWriter::Open(options.durable_dir,
-                                              run_identity, options.wal_fsync,
-                                              &run_metrics));
-  }
-  // The outcome log continues after the prefix the restored checkpoint
-  // covers, cutting the rows of epochs this run re-produces, or starts
-  // anew with its header.
-  AppendFile outcome_log;
-  if (!outcome_log_path.empty()) {
-    TBF_ASSIGN_OR_RETURN(
-        outcome_log,
-        logged_bytes > 0
-            ? AppendFile::OpenAt(outcome_log_path, logged_bytes)
-            : AppendFile::CreateDurable(outcome_log_path,
-                                        OutcomeLogHeader(run_identity)));
-  }
-
-  // True while recovered journal records remain unverified. Segment
-  // headers carry no loop state and are passed over.
-  const auto verifying = [&]() {
-    while (verify_next < journaled.size() &&
-           journaled[verify_next].kind == WalRecordKind::kSegmentHeader) {
-      ++verify_next;
-      verified_records_metric->Add(1);
-    }
-    return verify_next < journaled.size();
-  };
-  // Every record the loop produces goes through here. While recovered
-  // records remain, the record (re-decided by the loop from the restored
-  // state) must encode exactly as the journaled one under its lsn; any
-  // difference means the journal and this run disagree, and recovery
-  // must not guess which is right. Afterwards records are appended.
-  const auto journal = [&](WalRecord* rec) -> Status {
-    if (wal == nullptr) return Status::OK();
-    if (!verifying()) return wal->Append(rec);
-    const WalRecord& logged = journaled[verify_next];
-    rec->lsn = logged.lsn;
-    if (EncodeWalRecord(*rec) != EncodeWalRecord(logged)) {
-      const auto label = [](const WalRecord& r) {
-        return "kind " + std::to_string(static_cast<int>(r.kind)) +
-               ", event " + std::to_string(r.event_index) + " '" + r.id + "'";
-      };
-      return Status::Internal(
-          "recovery: journal/state divergence at lsn " +
-          std::to_string(logged.lsn) + ": the re-run loop produced (" +
-          label(*rec) + ") but the journal holds (" + label(logged) +
-          ") with different fields");
-    }
-    ++verify_next;
-    verified_records_metric->Add(1);
-    if (rec->kind == WalRecordKind::kWorkerArrival ||
-        rec->kind == WalRecordKind::kTaskArrival ||
-        rec->kind == WalRecordKind::kWorkerDeparture) {
-      ++report.recovered_events;
-      verified_events_metric->Add(1);
-    }
-    return Status::OK();
-  };
-  if (verifying()) report.resumed = true;
+  TBF_RETURN_NOT_OK(store.Open(restore));
 
   WallTimer total_timer;
-  uint64_t epochs_completed_this_run = 0;
 
   while (begin < n) {
     const int64_t epoch = event_epoch[begin];
@@ -512,7 +324,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       WalRecord rec;
       rec.kind = WalRecordKind::kRepublish;
       rec.tree_epoch = server->tree_epoch();
-      TBF_RETURN_NOT_OK(journal(&rec));
+      TBF_RETURN_NOT_OK(store.Record(&rec));
     }
     {
       WalRecord rec;
@@ -521,7 +333,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       rec.begin_index = static_cast<uint64_t>(begin);
       rec.arrivals_obfuscated = arrivals_obfuscated;
       rec.next_task_slot = next_task_slot;
-      TBF_RETURN_NOT_OK(journal(&rec));
+      TBF_RETURN_NOT_OK(store.Record(&rec));
     }
 
     EpochStats stats;
@@ -540,7 +352,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       quarantined_metric->Add(1);
       report.quarantined_events.push_back(
           QuarantineRecord{rec.event_index, rec.id, rec.cause});
-      return journal(&rec);
+      return store.Record(&rec);
     };
     const auto stream_fault = [&](size_t i, uint8_t fault_kind) -> Status {
       WalRecord rec;
@@ -548,7 +360,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       rec.event_index = static_cast<uint64_t>(i);
       rec.fault_kind = fault_kind;
       tally.Add(rec);
-      return journal(&rec);
+      return store.Record(&rec);
     };
 
     // The window's event order, after quarantine and after the armed
@@ -679,13 +491,13 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       const size_t idx = static_cast<size_t>(item.report_index);
       // Journal-after-apply: the record carries the engine's outcome and
       // the ledger delta this one dispatch produced. It is the event's
-      // only outcome: the tally and the task row are read off it, and
-      // recovery re-decides the event and must reproduce it exactly.
+      // only outcome: the tally and the task row are read off it, and a
+      // re-run from a checkpoint must reproduce it exactly.
       WalRecord rec;
       rec.event_index = item.event_index;
       rec.id = event.id;
       const EpochBudgetLedger* event_ledger =
-          wal != nullptr ? server->ledger() : nullptr;
+          store.journals() ? server->ledger() : nullptr;
       const EpochBudgetLedger::Totals charged_before =
           event_ledger != nullptr ? event_ledger->totals()
                                   : EpochBudgetLedger::Totals{};
@@ -741,7 +553,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
         }
       }
       lane->Add(rec);
-      TBF_RETURN_NOT_OK(journal(&rec));
+      TBF_RETURN_NOT_OK(store.Record(&rec));
       if (rec.kind == WalRecordKind::kTaskArrival) {
         TaskOutcome& row =
             report.task_outcomes[static_cast<size_t>(item.task_slot)];
@@ -837,76 +649,8 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     report.per_epoch.push_back(stats);
     begin = end;
 
-    ++epochs_completed_this_run;
-    // Appends the rows added since the previous checkpoint to the outcome
-    // log and makes them durable, then writes the checkpoint covering the
-    // log's new length.
-    const auto write_checkpoint = [&](const std::string& path,
-                                      uint64_t wal_next_lsn) -> Status {
-      ++report.checkpoints_written;
-      checkpoint_metric->Add(1);
-      std::string rows;
-      AppendOutcomeRows(
-          std::span<const EpochStats>(report.per_epoch).subspan(logged_epochs),
-          std::span<const TaskOutcome>(report.task_outcomes)
-              .subspan(logged_tasks),
-          std::span<const QuarantineRecord>(report.quarantined_events)
-              .subspan(logged_quarantines),
-          &rows);
-      TBF_RETURN_NOT_OK(outcome_log.Append(rows));
-      TBF_RETURN_NOT_OK(outcome_log.Sync());
-      logged_epochs = report.per_epoch.size();
-      logged_tasks = report.task_outcomes.size();
-      logged_quarantines = report.quarantined_events.size();
-      ReplayCheckpoint ckpt;
-      ckpt.trace_fingerprint = trace_fingerprint;
-      ckpt.num_shards = options.num_shards;
-      ckpt.epoch_seconds = options.epoch_seconds;
-      ckpt.server_seed = options.server_seed;
-      ckpt.obfuscation_seed = options.obfuscation_seed;
-      ckpt.next_event = static_cast<uint64_t>(end);
-      ckpt.arrivals_obfuscated = arrivals_obfuscated;
-      ckpt.next_task_slot = next_task_slot;
-      ckpt.wal_next_lsn = wal_next_lsn;
-      ckpt.outcome_log_bytes = outcome_log.size();
-      ckpt.epoch_rows = logged_epochs;
-      ckpt.quarantine_rows = logged_quarantines;
-      ckpt.report = report;
-      ckpt.server = server->ExportState();
-      ckpt.metrics = run_metrics.Snapshot();
-      return WriteReplayCheckpointFile(ckpt, path);
-    };
-    const bool checkpoint_due =
-        epochs_completed_this_run %
-            static_cast<uint64_t>(options.checkpoint_every_epochs) ==
-        0;
-    if (!options.checkpoint_path.empty() && checkpoint_due) {
-      TBF_RETURN_NOT_OK(write_checkpoint(options.checkpoint_path, 0));
-    }
-    // Durable checkpoint: journal barrier first, so wal_next_lsn names a
-    // durable journal position; then retention + whole-segment rotation
-    // and compaction below the *oldest* retained checkpoint (keeping the
-    // fallback recoverable). None while recovered journal records remain
-    // unverified: a checkpoint here would claim journal coverage of
-    // records this run has not yet re-produced.
-    if (durable && checkpoint_due && !verifying()) {
-      TBF_RETURN_NOT_OK(wal->Sync());
-      const uint64_t ordinal = report.per_epoch.size();
-      const uint64_t wal_next_lsn = wal->next_lsn();
-      const std::string ckpt_path =
-          options.durable_dir + "/" + ReplayCheckpointFileName(ordinal);
-      TBF_RETURN_NOT_OK(write_checkpoint(ckpt_path, wal_next_lsn));
-      retained.push_back(RetainedCheckpoint{ordinal, ckpt_path, wal_next_lsn});
-      // A retired checkpoint's removal is made durable by the rotation's
-      // directory sync.
-      while (retained.size() >
-             static_cast<size_t>(options.keep_checkpoints)) {
-        TBF_RETURN_NOT_OK(RemoveFile(retained.front().path));
-        retained.erase(retained.begin());
-      }
-      TBF_RETURN_NOT_OK(wal->Rotate());
-      TBF_RETURN_NOT_OK(wal->CompactBelow(retained.front().wal_next_lsn));
-    }
+    TBF_RETURN_NOT_OK(
+        store.EpochDone(end, arrivals_obfuscated, next_task_slot, *server));
     // Kill site, hit-indexed by the absolute epoch ordinal (stable across
     // resumes). It fires AFTER the checkpoint is durable, so a chaos plan
     // that aborts here models a crash whose latest checkpoint survived.
@@ -914,17 +658,9 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
         "replay.epoch", static_cast<uint64_t>(report.per_epoch.size() - 1)));
   }
 
-  if (verifying()) {
-    return Status::Internal(
-        "recovery: journal records from lsn " +
-        std::to_string(journaled[verify_next].lsn) +
-        " on were never re-produced by the replay loop — trace shorter "
-        "than the journaled run?");
-  }
   // Final journal barrier: everything this run processed is durable
   // before the report is assembled.
-  if (wal != nullptr) TBF_RETURN_NOT_OK(wal->Close());
-  TBF_RETURN_NOT_OK(outcome_log.Close());
+  TBF_RETURN_NOT_OK(store.Close());
 
   report.epochs = report.per_epoch.size();
   report.wall_seconds = total_timer.ElapsedSeconds();
@@ -942,29 +678,6 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     report.dispatch_p50_ns = h->Quantile(0.50);
     report.dispatch_p95_ns = h->Quantile(0.95);
     report.dispatch_p99_ns = h->Quantile(0.99);
-  }
-  if (const obs::HistogramSample* h =
-          report.metrics.FindHistogram("tbf_replay_obfuscate_latency_ns")) {
-    report.obfuscate_p50_ns = h->Quantile(0.50);
-    report.obfuscate_p95_ns = h->Quantile(0.95);
-    report.obfuscate_p99_ns = h->Quantile(0.99);
-  }
-  report.crossshard_fanouts = static_cast<uint64_t>(
-      report.metrics.CounterValue("tbf_serve_crossshard_fanout_total"));
-  report.per_shard.resize(static_cast<size_t>(server->num_shards()));
-  for (int s = 0; s < server->num_shards(); ++s) {
-    const std::string label = std::to_string(s);
-    ShardReplayCounters& shard = report.per_shard[static_cast<size_t>(s)];
-    shard.shard = s;
-    shard.worker_arrivals =
-        static_cast<uint64_t>(report.metrics.CounterValue(obs::LabeledName(
-            "tbf_serve_worker_arrivals_total", "shard", label)));
-    shard.departures = static_cast<uint64_t>(report.metrics.CounterValue(
-        obs::LabeledName("tbf_serve_departures_total", "shard", label)));
-    shard.tasks = static_cast<uint64_t>(report.metrics.CounterValue(
-        obs::LabeledName("tbf_serve_tasks_total", "shard", label)));
-    shard.assigned = static_cast<uint64_t>(report.metrics.CounterValue(
-        obs::LabeledName("tbf_serve_assigned_total", "shard", label)));
   }
   if (const EpochBudgetLedger* ledger = server->ledger()) {
     const EpochBudgetLedger::Totals& totals = ledger->totals();

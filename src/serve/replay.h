@@ -227,16 +227,6 @@ struct QuarantineRecord {
   std::string cause;         ///< human-readable reason
 };
 
-/// \brief End-of-run counters of one engine shard (from the run's metric
-/// registry; all zero when metrics are compiled out or disabled).
-struct ShardReplayCounters {
-  int shard = 0;
-  uint64_t worker_arrivals = 0;  ///< successful (re)registrations routed here
-  uint64_t departures = 0;       ///< successful unregistrations
-  uint64_t tasks = 0;            ///< tasks whose home shard this is
-  uint64_t assigned = 0;         ///< assignments consumed from this shard
-};
-
 /// \brief The outcome counters of a replay, or of one piece of it (a
 /// dispatch lane, an epoch), in the order of the checkpoint's `report`
 /// record. Every event the loop handles produces one WalRecord, journaled
@@ -311,38 +301,22 @@ struct ReplayReport : ReplayCounts {
 
   size_t available_workers_end = 0;  ///< pool size after the last event
 
-  // Flight-recorder view of the run. Each replay instruments a private
-  // MetricRegistry (isolated from the process-wide one), so the latency
-  // percentiles and per-shard counters below describe exactly this run.
-  // Histogram percentiles carry the power-of-two bucket error bound (at
-  // most a factor of 2); all of these are 0 when metrics are disabled.
-
-  /// Per-task dispatch latency (ns): SubmitTask entry to resolution,
-  /// from tbf_serve_dispatch_latency_ns.
+  /// Per-task dispatch latency (ns): SubmitTask entry to resolution, from
+  /// the run's tbf_serve_dispatch_latency_ns histogram (so within its
+  /// power-of-two bucket error bound; 0 when metrics are disabled).
   double dispatch_p50_ns = 0.0;
   double dispatch_p95_ns = 0.0;
   double dispatch_p99_ns = 0.0;
-
-  /// Per-report client-side obfuscation latency (ns): the batched pass's
-  /// wall time attributed evenly to its reports
-  /// (tbf_replay_obfuscate_latency_ns).
-  double obfuscate_p50_ns = 0.0;
-  double obfuscate_p95_ns = 0.0;
-  double obfuscate_p99_ns = 0.0;
-
-  /// Tasks that probed beyond their home shard (boundary fan-outs).
-  uint64_t crossshard_fanouts = 0;
 
   /// Whole-run privacy spend (ledger Totals; always on, exact).
   double epsilon_spent = 0.0;
   uint64_t denied_epoch_budget = 0;
   uint64_t denied_lifetime_budget = 0;
 
-  /// One entry per engine shard, indexed by shard id.
-  std::vector<ShardReplayCounters> per_shard;
-
-  /// Final snapshot of the run's private registry (every tbf_serve_* and
-  /// tbf_privacy_* series; see docs/OBSERVABILITY.md for the catalog).
+  /// Final snapshot of the run's private registry, isolated from the
+  /// process-wide one: every tbf_serve_*, tbf_privacy_* and tbf_replay_*
+  /// series of exactly this run, per-shard counters and the obfuscation
+  /// latency included (docs/OBSERVABILITY.md has the catalog).
   obs::MetricsSnapshot metrics;
 
   std::vector<EpochStats> per_epoch;

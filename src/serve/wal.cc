@@ -1,6 +1,5 @@
 #include "serve/wal.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -163,21 +162,8 @@ Result<WalScan> ScanWalDir(const std::string& dir, bool repair_torn_tail) {
   std::error_code ec;
   if (!fs::exists(dir, ec) || ec) return out;
 
-  std::vector<std::pair<uint64_t, std::string>> files;  // (seq, path)
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    unsigned long long seq = 0;
-    char trail = 0;
-    if (std::sscanf(name.c_str(), "wal-%8llu.se%c", &seq, &trail) == 2 &&
-        trail == 'g' && name == WalSegmentFileName(seq)) {
-      files.emplace_back(seq, entry.path().string());
-    }
-  }
-  if (ec) {
-    return Status::IOError("cannot list wal directory: " + dir + ": " +
-                           ec.message());
-  }
-  std::sort(files.begin(), files.end());
+  TBF_ASSIGN_OR_RETURN(const auto files,  // (seq, path)
+                       ListNumberedFiles(dir, WalSegmentFileName));
   if (files.empty()) return out;
 
   for (size_t i = 0; i + 1 < files.size(); ++i) {
@@ -347,6 +333,13 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
     TBF_RETURN_NOT_OK(FsyncDir(dir));
     writer->seq_ = last.seq;
     return writer;
+  }
+  // Any other last segment is synced before anything is written after it:
+  // the scan may have read its tail from the page cache alone (a process
+  // crash before its fsync), and a power loss dropping that tail later
+  // would leave a gap below the LSNs written next.
+  if (!writer->segments_.empty()) {
+    TBF_RETURN_NOT_OK(SyncFile(writer->segments_.back().path));
   }
   // Otherwise start a fresh segment: appending into a repaired file would
   // re-open a tail we just certified, and a fresh header re-anchors the

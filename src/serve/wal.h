@@ -244,10 +244,12 @@ Result<WalScan> ScanWalDir(const std::string& dir, bool repair_torn_tail);
 class WalWriter {
  public:
   /// Opens `dir` for appending: scans + repairs the existing journal
-  /// (identity must match when segments exist) and starts a fresh
-  /// segment after the last valid record; a last segment that holds only
-  /// its header is rewritten under its own seq and LSN instead, so
-  /// reopening a finished journal adds no segment. Metrics (may be null):
+  /// (identity must match when segments exist), syncs the last segment
+  /// (the scan may have read its tail from the page cache alone) and
+  /// starts a fresh segment after the last valid record; a last segment
+  /// that holds only its header is continued under its own seq and LSN
+  /// instead, so reopening a finished journal adds no segment. Metrics
+  /// (may be null):
   /// tbf_wal_appends_total, tbf_wal_fsyncs_total, tbf_wal_bytes_total,
   /// tbf_wal_group_size, tbf_wal_rotations_total,
   /// tbf_wal_compacted_segments_total.
@@ -284,7 +286,6 @@ class WalWriter {
 
   uint64_t next_lsn() const { return next_lsn_; }
   uint64_t segment_seq() const { return seq_; }
-  const std::string& dir() const { return dir_; }
 
  private:
   WalWriter(std::string dir, WalIdentity identity, WalFsyncPolicy policy,

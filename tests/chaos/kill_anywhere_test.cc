@@ -16,7 +16,10 @@
 // bits (depth 13, arity 32): the smallest shape past one 64-bit word,
 // served, journaled, checkpointed and snapshotted on its 128-bit codes.
 // A third runs them under the epoch cap alone, the durable benchmark's
-// budget configuration, where the ledger keeps no lifetime table.
+// budget configuration, where the ledger keeps no lifetime table; a
+// fourth under every setting of that benchmark's durable workload
+// (perfbench/workload.cc): 30 s epochs, a checkpoint every fourth epoch,
+// the default group commit, keep_checkpoints 2.
 //
 // CI hooks: TBF_CHAOS_SEED pins the drill to one seed per job;
 // TBF_CHAOS_CHECKPOINT_DIR makes the last kill of each seed leave its
@@ -117,18 +120,33 @@ void ExpectLedgerNeverOverspends(const ShardedServerState& state,
 constexpr double kEpochBudget = 1.5;
 constexpr double kLifetimeBudget = 4.0;
 
-// `lifetime_cap` false runs the epoch cap alone, as the durable benchmark
-// does: the ledger then keeps no lifetime table.
+enum class Settings {
+  kBothCaps,       ///< a checkpoint every epoch, both budget caps
+  kEpochCapAlone,  ///< the same, with the epoch cap alone
+  kBenchmark,      ///< the durable benchmark's settings (see the top)
+};
+
+// `settings` other than kBothCaps run the epoch cap alone, as the durable
+// benchmark does: the ledger then keeps no lifetime table. kBenchmark
+// ignores `policy_rotation`.
 ReplayOptions DrillOptions(const std::string& dir, int policy_rotation,
-                           bool lifetime_cap = true) {
+                           Settings settings = Settings::kBothCaps) {
   ReplayOptions options;
   options.epoch_seconds = 60.0;
   options.durable_dir = dir;
   options.keep_checkpoints = 2;
   options.checkpoint_every_epochs = 1;
   options.export_final_state = true;
-  if (lifetime_cap) options.lifetime_budget = kLifetimeBudget;
+  if (settings == Settings::kBothCaps) {
+    options.lifetime_budget = kLifetimeBudget;
+  }
   options.epoch_budget = kEpochBudget;
+  if (settings == Settings::kBenchmark) {
+    options.epoch_seconds = 30.0;
+    options.checkpoint_every_epochs = 4;
+    options.wal_fsync = WalFsyncPolicy::GroupCommit();
+    return options;
+  }
   switch (policy_rotation % 3) {
     case 0:
       options.wal_fsync = WalFsyncPolicy::EveryRecord();
@@ -152,9 +170,10 @@ void KillAndRecover(const TbfFramework& framework, const EventTrace& trace,
                     const fault::FaultPlan& stream_plan,
                     const ReplayReport& reference, uint64_t kill_lsn,
                     int policy_rotation, const std::string& dir,
-                    const std::string& what, bool lifetime_cap = true) {
+                    const std::string& what,
+                    Settings settings = Settings::kBothCaps) {
   fs::remove_all(dir);
-  ReplayOptions options = DrillOptions(dir, policy_rotation, lifetime_cap);
+  ReplayOptions options = DrillOptions(dir, policy_rotation, settings);
   options.republishes = schedule;
   bool crashed = false;
   {
@@ -206,9 +225,9 @@ uint64_t RunReference(const TbfFramework& framework, const EventTrace& trace,
                       const std::vector<ReplayRepublish>& schedule,
                       const fault::FaultPlan& stream_plan,
                       const std::string& dir, Result<ReplayReport>* out,
-                      bool lifetime_cap = true) {
+                      Settings settings = Settings::kBothCaps) {
   fs::remove_all(dir);
-  ReplayOptions options = DrillOptions(dir, 0, lifetime_cap);
+  ReplayOptions options = DrillOptions(dir, 0, settings);
   options.republishes = schedule;
   {
     fault::ScopedFaultPlan armed(stream_plan);
@@ -363,7 +382,7 @@ TEST(KillAnywhereDrill, EpochCapAloneRecoversFieldForField) {
   const uint64_t total_lsns = RunReference(
       framework, trace, schedule, no_faults,
       ::testing::TempDir() + "/tbf_drill_clean_epochcap", &clean,
-      /*lifetime_cap=*/false);
+      Settings::kEpochCapAlone);
   ASSERT_TRUE(clean.ok());
   ASSERT_GT(total_lsns, 10u);
   ASSERT_TRUE(clean->final_state->ledger.has_value());
@@ -380,8 +399,49 @@ TEST(KillAnywhereDrill, EpochCapAloneRecoversFieldForField) {
             : ::testing::TempDir() + "/tbf_drill_epochcap";
     KillAndRecover(framework, trace, schedule, no_faults, *clean, kill_lsn, t,
                    dir, "epochcap kill@" + std::to_string(kill_lsn),
-                   /*lifetime_cap=*/false);
+                   Settings::kEpochCapAlone);
     if (!keep_artifacts) fs::remove_all(dir);
+  }
+}
+
+TEST(KillAnywhereDrill, BenchmarkConfigurationRecoveryIsFieldForField) {
+  // The shipped durable configuration: every drill above checkpoints every
+  // epoch, this one every fourth, so kills land in the unverified journal
+  // between checkpoints and recovery re-runs up to four epochs.
+  const char* artifact_root = std::getenv("TBF_CHAOS_CHECKPOINT_DIR");
+  TbfFramework framework = BuildFramework();
+  const std::vector<ReplayRepublish> schedule = {
+      {2, CopiedTree(framework.tree())}};
+  const fault::FaultPlan no_faults;
+  const std::vector<uint64_t> seeds = {606, 707, 808};
+  const int kills_per_trace = 30;
+  for (const uint64_t seed : seeds) {
+    const EventTrace trace = DrillTrace(seed);
+    const std::string tag = "benchmark" + std::to_string(seed);
+    Result<ReplayReport> clean = Status::Internal("unset");
+    const uint64_t total_lsns = RunReference(
+        framework, trace, schedule, no_faults,
+        ::testing::TempDir() + "/tbf_drill_clean_" + tag, &clean,
+        Settings::kBenchmark);
+    ASSERT_TRUE(clean.ok()) << tag;
+    ASSERT_GT(total_lsns, 10u) << tag;
+    ASSERT_GE(clean->checkpoints_written, 4u) << tag;
+
+    Rng kill_rng(seed);
+    for (int t = 0; t < kills_per_trace; ++t) {
+      const uint64_t kill_lsn = kill_rng.NextU64() % total_lsns;
+      const bool keep_artifacts = artifact_root != nullptr &&
+                                  seed == seeds.back() &&
+                                  t + 1 == kills_per_trace;
+      const std::string dir =
+          keep_artifacts
+              ? std::string(artifact_root) + "/kill_anywhere_benchmark"
+              : ::testing::TempDir() + "/tbf_drill_" + tag;
+      KillAndRecover(framework, trace, schedule, no_faults, *clean, kill_lsn,
+                     t, dir, tag + " kill@" + std::to_string(kill_lsn),
+                     Settings::kBenchmark);
+      if (!keep_artifacts) fs::remove_all(dir);
+    }
   }
 }
 

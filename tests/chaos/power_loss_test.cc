@@ -21,7 +21,15 @@
 // other one. So crash points inside a recovery (the torn tail's cut, the
 // outcome log's cut, the reopened header-only segment) are covered too.
 //
-// Four configurations: keep_checkpoints 1 and 2, each under the
+// A second mode crashes the process first: at each operation of the run it
+// recovers the page-cache view (every operation issued so far applied),
+// which may read bytes no sync has made durable yet, and then crashes
+// that recovery at each of its own operations, the crash model applied to
+// the unsynced operations of the run and of the recovery together, until
+// the recovery has made every operation the run left unsynced durable. A
+// recovery that wrote after bytes it had not synced would lose them here.
+//
+// Four configurations per mode: keep_checkpoints 1 and 2, each under the
 // every-record and the group-commit journal policy. The drill injects no
 // faults, so it also runs with TBF_FAULTS=OFF.
 
@@ -188,6 +196,7 @@ class Disk {
         File& file = FileNamed(op.name);
         file.synced = Contents(file).back();
         file.unsynced.clear();
+        file.inherited = 0;
         return;
       }
       case Kind::kRename:
@@ -201,8 +210,38 @@ class Disk {
       case Kind::kSyncDir:
         synced_names_ = names_;
         entries_.clear();
+        inherited_entries_ = 0;
         return;
     }
+  }
+
+  // Marks every operation not yet durable as inherited: issued by a
+  // process that crashed before the operations applied from here on.
+  void Inherit() {
+    for (File& file : files_) file.inherited = file.unsynced.size();
+    inherited_entries_ = entries_.size();
+    inheriting_ = true;
+  }
+
+  // True once Inherit() was called and no crash state can differ in an
+  // inherited operation any more.
+  bool Settled() const {
+    if (!inheriting_ || inherited_entries_ > 0) return false;
+    for (const auto* names : {&names_, &synced_names_}) {
+      for (const auto& [name, id] : *names) {
+        if (files_[static_cast<size_t>(id)].inherited > 0) return false;
+      }
+    }
+    return true;
+  }
+
+  // What a process crash leaves: every operation issued so far applied.
+  DirState View() const {
+    DirState out;
+    for (const auto& [name, id] : names_) {
+      out[name] = Contents(files_[static_cast<size_t>(id)]).back();
+    }
+    return out;
   }
 
   // Every crash state the model allows now (possibly repeated).
@@ -243,6 +282,7 @@ class Disk {
   struct File {
     std::string synced;
     std::vector<Op> unsynced;  ///< kAppend and kTruncate, in issue order
+    size_t inherited = 0;      ///< of those, issued before Inherit()
   };
 
   File& FileNamed(const std::string& name) {
@@ -272,6 +312,8 @@ class Disk {
   std::map<std::string, int> names_;         ///< as issued
   std::map<std::string, int> synced_names_;  ///< as of the last kSyncDir
   std::vector<std::pair<Op, int>> entries_;  ///< unsynced, with their file
+  size_t inherited_entries_ = 0;  ///< of those, issued before Inherit()
+  bool inheriting_ = false;
 };
 
 void WriteState(const std::string& dir, const DirState& state) {
@@ -324,9 +366,11 @@ EventTrace DrillTrace() {
 
 class PowerLossDrill {
  public:
+  // `process_crash_first` selects the second mode (see the top).
   PowerLossDrill(const std::string& name, int keep_checkpoints,
-                 WalFsyncPolicy policy)
+                 WalFsyncPolicy policy, bool process_crash_first = false)
       : name_(name),
+        process_crash_first_(process_crash_first),
         root_(::testing::TempDir() + "/tbf_power_loss_" + name + "_" +
               std::to_string(::getpid())),
         framework_(BuildFramework()),
@@ -362,7 +406,11 @@ class PowerLossDrill {
     ASSERT_GT(reference_.epochs, 3u);
     ASSERT_GT(ops.size(), 50u);
 
-    CrashEverywhere(DirState{}, ops, "run", /*nest=*/true);
+    if (process_crash_first_) {
+      CrashAfterProcessCrashes(ops);
+    } else {
+      CrashEverywhere(Disk(DirState{}), ops, "run", /*nest=*/true);
+    }
     std::printf("[ drill    ] %s: %zu operations, %zu crash states "
                 "recovered (%zu of them inside %zu recoveries), %zu failed\n",
                 name_.c_str(), ops.size(), seen_.size(), inside_recovery_,
@@ -377,14 +425,45 @@ class PowerLossDrill {
   }
 
  private:
-  // Recovers every new crash state before each of `ops` and after the
-  // last, starting from `start`; with `nest`, a selection of those
-  // recoveries is recorded and crashed in turn.
-  void CrashEverywhere(const DirState& start, const std::vector<Op>& ops,
-                       const std::string& where, bool nest) {
-    Disk disk(start);
+  // Before each of `ops` and after the last: recovers the page-cache view
+  // of the run so far, recording it, then every new crash state of that
+  // recovery on the disk the run left.
+  void CrashAfterProcessCrashes(const std::vector<Op>& ops) {
+    Disk disk(DirState{});
+    std::map<std::string, std::vector<Op>> recorded;  // view key -> ops
     for (size_t k = 0; k <= ops.size(); ++k) {
       if (k > 0) disk.Apply(ops[k - 1]);
+      const std::string at =
+          "process crash before op " + std::to_string(k) +
+          (k < ops.size() ? " (" + Describe(ops[k]) + ")" : " (the end)");
+      const DirState view = disk.View();
+      auto [it, fresh] = recorded.try_emplace(Key(view));
+      if (fresh) {
+        const std::string failed = Recover(view, &it->second);
+        if (!failed.empty()) {
+          failures_.push_back(at + ", state " + Describe(view) + ": " +
+                              failed);
+          continue;
+        }
+        ++nested_;
+      }
+      Disk crashed = disk;
+      crashed.Inherit();
+      CrashEverywhere(std::move(crashed), it->second, at + " then recovery",
+                      /*nest=*/false);
+    }
+  }
+
+  // Recovers every new crash state before each of `ops` and after the
+  // last, starting from `disk`; with `nest`, a selection of those
+  // recoveries is recorded and crashed in turn.
+  void CrashEverywhere(Disk disk, const std::vector<Op>& ops,
+                       const std::string& where, bool nest) {
+    for (size_t k = 0; k <= ops.size(); ++k) {
+      if (k > 0) disk.Apply(ops[k - 1]);
+      // From here on the states are those of a recovery from a durable
+      // start, which the first mode covers.
+      if (disk.Settled()) return;
       const std::string at =
           where + " before op " + std::to_string(k) +
           (k < ops.size() ? " (" + Describe(ops[k]) + ")" : " (the end)");
@@ -404,8 +483,8 @@ class PowerLossDrill {
                               failed);
         } else if (record) {
           ++nested_;
-          CrashEverywhere(state, recovery_ops,
-                          at + " then recovery", /*nest=*/false);
+          CrashEverywhere(Disk(state), recovery_ops, at + " then recovery",
+                          /*nest=*/false);
         }
       }
     }
@@ -442,6 +521,7 @@ class PowerLossDrill {
   }
 
   std::string name_;
+  bool process_crash_first_;
   std::string root_;
   TbfFramework framework_;
   EventTrace trace_;
@@ -473,6 +553,30 @@ TEST(PowerLossDrill, GroupCommitKeepOne) {
 
 TEST(PowerLossDrill, GroupCommitKeepTwo) {
   PowerLossDrill("group_commit_keep2", 2, kGroupCommit).Run();
+}
+
+TEST(PowerLossDrill, ProcessCrashThenPowerLossEveryRecordKeepOne) {
+  PowerLossDrill("crash_every_record_keep1", 1, WalFsyncPolicy::EveryRecord(),
+                 /*process_crash_first=*/true)
+      .Run();
+}
+
+TEST(PowerLossDrill, ProcessCrashThenPowerLossEveryRecordKeepTwo) {
+  PowerLossDrill("crash_every_record_keep2", 2, WalFsyncPolicy::EveryRecord(),
+                 /*process_crash_first=*/true)
+      .Run();
+}
+
+TEST(PowerLossDrill, ProcessCrashThenPowerLossGroupCommitKeepOne) {
+  PowerLossDrill("crash_group_commit_keep1", 1, kGroupCommit,
+                 /*process_crash_first=*/true)
+      .Run();
+}
+
+TEST(PowerLossDrill, ProcessCrashThenPowerLossGroupCommitKeepTwo) {
+  PowerLossDrill("crash_group_commit_keep2", 2, kGroupCommit,
+                 /*process_crash_first=*/true)
+      .Run();
 }
 
 }  // namespace

@@ -107,6 +107,23 @@ TEST(AppendFileTest, RemoveAndTruncateReportTheirFailures) {
             StatusCode::kIOError);
 }
 
+TEST(AppendFileTest, SyncFileSyncsWhatAnotherWriterLeft) {
+  const std::string dir = FreshDir("sync");
+  const std::string path = dir + "/blob";
+  {
+    auto file = AppendFile::Create(path);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE(file->Append("unsynced").ok());
+  }
+  std::vector<FileOp::Kind> seen;
+  SetFileOpHook([&seen](const FileOp& op) { seen.push_back(op.kind); });
+  EXPECT_TRUE(SyncFile(path).ok());
+  SetFileOpHook(nullptr);
+  EXPECT_EQ(seen, std::vector<FileOp::Kind>{FileOp::Kind::kSync});
+  EXPECT_EQ(Slurp(path), "unsynced");
+  EXPECT_EQ(SyncFile(dir + "/none").code(), StatusCode::kIOError);
+}
+
 TEST(FileOpHookTest, SeesEveryOperationInOrderUntilRemoved) {
   const std::string dir = FreshDir("hook");
   std::vector<std::string> seen;

@@ -453,7 +453,9 @@ TEST(OutcomeLogTest, WriterAppendsDurablyAndResumesAtACoveredPrefix) {
   }
   ReplayCheckpoint read = c;
   read.outcome_log_bytes = first_batch;
-  ASSERT_TRUE(ReadOutcomeRows(path, &read).ok());
+  auto written = ReadFileToString(path, "outcome log");
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  ASSERT_TRUE(ParseOutcomeRows(*written, &read).ok());
   EXPECT_EQ(read.task_outcomes.size(), 2u);
   EXPECT_TRUE(read.quarantined_events.empty());
 
@@ -476,8 +478,6 @@ TEST(OutcomeLogTest, WriterAppendsDurablyAndResumesAtACoveredPrefix) {
   EXPECT_EQ(AppendFile::OpenAt(path, want.size() + 1).status().code(),
             StatusCode::kFailedPrecondition);
   std::remove(path.c_str());
-  read.outcome_log_bytes = 1;
-  EXPECT_EQ(ReadOutcomeRows(path, &read).code(), StatusCode::kIOError);
 }
 
 TEST(CheckpointTest, FileRoundTripIsAtomicAndLossless) {

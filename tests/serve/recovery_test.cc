@@ -667,6 +667,166 @@ TEST(RecoveryTest, AFailedCheckpointRetireSurfacesItsError) {
       << run.status();
 }
 
+// The durable file operations of `run`, each as "<kind> <file name>" ("."
+// for the directory), in the order they happened.
+std::vector<std::string> FileOpsOf(const std::function<void()>& run) {
+  static const char* const kKinds[] = {"create", "append", "sync", "truncate",
+                                       "rename", "remove", "syncdir"};
+  std::vector<std::string> ops;
+  SetFileOpHook([&ops](const FileOp& op) {
+    const std::string path(op.kind == FileOp::Kind::kRename ? op.target
+                                                            : op.path);
+    ops.push_back(std::string(kKinds[static_cast<int>(op.kind)]) + " " +
+                  (op.kind == FileOp::Kind::kSyncDir
+                       ? "."
+                       : fs::path(path).filename().string()));
+  });
+  run();
+  SetFileOpHook(nullptr);
+  return ops;
+}
+
+std::string Lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& line : lines) out += "\n  \"" + line + "\",";
+  return out;
+}
+
+// Seven epochs, a checkpoint after every second one, keep 2, and a
+// group-commit journal that commits only at the checkpoint's barrier: the
+// operations below are the checkpoint step's, in order. The seventh epoch
+// is not checkpointed, so its records end the journal past the newest
+// checkpoint.
+ReplayOptions GoldenOptions(const std::string& dir) {
+  ReplayOptions options = DurableOptions(dir);
+  options.checkpoint_every_epochs = 2;
+  options.wal_fsync = WalFsyncPolicy::GroupCommit(
+      /*max_records=*/1 << 20, /*max_bytes=*/1 << 30,
+      /*max_delay_seconds=*/1e9);
+  return options;
+}
+
+EventTrace GoldenTrace() {
+  SyntheticEventConfig config;
+  config.base.num_workers = 20;
+  config.base.num_tasks = 14;
+  config.base.seed = 41;
+  config.horizon_seconds = 420.0;
+  config.departure_probability = 0.15;
+  auto trace = GenerateEventTrace(config);
+  EXPECT_TRUE(trace.ok());
+  return std::move(trace).MoveValueUnsafe();
+}
+
+TEST(RecoveryTest, FreshGroupCommitRunMakesTheGoldenFileOperations) {
+  TbfFramework framework = BuildFramework();
+  const EventTrace trace = GoldenTrace();
+  const std::string dir = FreshDir("golden_ops");
+  Result<ReplayReport> run = Status::Internal("unset");
+  const std::vector<std::string> ops = FileOpsOf(
+      [&] { run = RunEventReplay(framework, trace, GoldenOptions(dir)); });
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run->epochs, 7u);
+  const std::vector<std::string> want = {
+      // Start: the first segment and the outcome log, each created
+      // durably.
+      "create wal-00000000.seg", "append wal-00000000.seg",
+      "sync wal-00000000.seg", "syncdir .",
+      "create outcomes", "append outcomes", "sync outcomes", "syncdir .",
+      // Checkpoint after epoch 2: journal barrier, outcome rows, the
+      // checkpoint's atomic write, rotation, compaction of segment 0.
+      "append wal-00000000.seg", "sync wal-00000000.seg",
+      "append outcomes", "sync outcomes",
+      "create ckpt-00000002.ckpt.tmp", "append ckpt-00000002.ckpt.tmp",
+      "sync ckpt-00000002.ckpt.tmp", "rename ckpt-00000002.ckpt", "syncdir .",
+      "create wal-00000001.seg", "append wal-00000001.seg",
+      "sync wal-00000001.seg", "syncdir .",
+      "remove wal-00000000.seg", "syncdir .",
+      // After epoch 4: nothing to retire or compact yet.
+      "append wal-00000001.seg", "sync wal-00000001.seg",
+      "append outcomes", "sync outcomes",
+      "create ckpt-00000004.ckpt.tmp", "append ckpt-00000004.ckpt.tmp",
+      "sync ckpt-00000004.ckpt.tmp", "rename ckpt-00000004.ckpt", "syncdir .",
+      "create wal-00000002.seg", "append wal-00000002.seg",
+      "sync wal-00000002.seg", "syncdir .",
+      // After epoch 6: checkpoint 2 retired, segment 1 compacted.
+      "append wal-00000002.seg", "sync wal-00000002.seg",
+      "append outcomes", "sync outcomes",
+      "create ckpt-00000006.ckpt.tmp", "append ckpt-00000006.ckpt.tmp",
+      "sync ckpt-00000006.ckpt.tmp", "rename ckpt-00000006.ckpt", "syncdir .",
+      "remove ckpt-00000002.ckpt",
+      "create wal-00000003.seg", "append wal-00000003.seg",
+      "sync wal-00000003.seg", "syncdir .",
+      "remove wal-00000001.seg", "syncdir .",
+      // Close: the seventh epoch's records, committed.
+      "append wal-00000003.seg", "sync wal-00000003.seg",
+  };
+  EXPECT_TRUE(ops == want) << "the run made:" << Lines(ops);
+}
+
+TEST(RecoveryTest, ConflictingPersistenceOptionsAreRefusedBeforeAnyFile) {
+  TbfFramework framework = BuildFramework();
+  const EventTrace trace = GoldenTrace();
+  const std::string dir = FreshDir("conflicting_options");
+  const auto with = [&](const std::function<void(ReplayOptions&)>& edit) {
+    ReplayOptions options = DurableOptions(dir + "/run");
+    edit(options);
+    return options;
+  };
+  const std::vector<ReplayOptions> refused = {
+      with([](ReplayOptions& o) { o.checkpoint_every_epochs = 0; }),
+      with([](ReplayOptions& o) {
+        o.durable_dir.clear();
+        o.resume_from_checkpoint = true;
+      }),
+      with([&](ReplayOptions& o) { o.checkpoint_path = dir + "/ckpt"; }),
+      with([](ReplayOptions& o) {
+        o.parallel_dispatch = true;
+        o.num_shards = 2;
+      }),
+      with([](ReplayOptions& o) { o.keep_checkpoints = 0; }),
+      with([](ReplayOptions& o) {
+        o.durable_dir.clear();
+        o.recover = true;
+      }),
+  };
+  for (size_t i = 0; i < refused.size(); ++i) {
+    Result<ReplayReport> run = Status::Internal("unset");
+    const std::vector<std::string> ops = FileOpsOf(
+        [&] { run = RunEventReplay(framework, trace, refused[i]); });
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << i;
+    EXPECT_TRUE(ops.empty()) << i << ":" << Lines(ops);
+  }
+  EXPECT_FALSE(fs::exists(dir + "/run"));
+}
+
+TEST(RecoveryTest, RecoverySyncsTheJournalItReadBeforeWritingAfterIt) {
+  // The recovery re-runs the seventh epoch from the newest checkpoint. The
+  // records it verifies may be only in the page cache (a process crash
+  // before their fsync): it syncs their segment before it opens the next
+  // one, so a later power loss cannot drop them from under it.
+  TbfFramework framework = BuildFramework();
+  const EventTrace trace = GoldenTrace();
+  const std::string dir = FreshDir("golden_recovery_ops");
+  auto run = RunEventReplay(framework, trace, GoldenOptions(dir));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ReplayOptions recover = GoldenOptions(dir);
+  recover.recover = true;
+  Result<ReplayReport> recovered = Status::Internal("unset");
+  const std::vector<std::string> ops = FileOpsOf(
+      [&] { recovered = RunEventReplay(framework, trace, recover); });
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_GT(recovered->recovered_events, 0u);
+  EXPECT_EQ(ReplayDifference(*recovered, *run), "");
+  const std::vector<std::string> want = {
+      "sync wal-00000003.seg",
+      "create wal-00000004.seg", "append wal-00000004.seg",
+      "sync wal-00000004.seg", "syncdir .",
+      "truncate outcomes",
+  };
+  EXPECT_TRUE(ops == want) << "the recovery made:" << Lines(ops);
+}
+
 #ifndef TBF_FAULTS_DISABLED
 
 TEST(RecoveryTest, TransientCheckpointReadIsRetriedOnce) {
