@@ -1,8 +1,9 @@
 #include "common/csv.h"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
+
+#include "common/atomic_file.h"
 
 namespace tbf {
 
@@ -63,11 +64,7 @@ std::string CsvWriter::ToString() const {
 }
 
 Status CsvWriter::WriteFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  out << ToString();
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  return WriteFileAtomic(path, ToString(), "csv");
 }
 
 Result<std::vector<std::vector<std::string>>> ParseCsv(const std::string& text) {
@@ -126,11 +123,8 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(const std::string& text) 
 }
 
 Result<std::vector<std::vector<std::string>>> ReadCsvFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseCsv(buf.str());
+  TBF_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path, "csv"));
+  return ParseCsv(text);
 }
 
 }  // namespace tbf

@@ -283,6 +283,7 @@ Status ArtifactReader::Decode(std::string_view payload, const Visit& visit) {
   TBF_RETURN_NOT_OK(visit(kind, io));
   if (!io.AtEnd()) return io.Refuse("trailing bytes after a complete record");
   ++records_;
+  bytes_ += kFrameHeaderBytes + payload.size();
   return Status::OK();
 }
 

@@ -526,14 +526,16 @@ class ArtifactReader {
   /// artifact checks on its own that the end record came.
   Status Read(std::string_view bytes, const Visit& visit);
 
-  /// Records accepted so far.
+  /// Records accepted so far, and the bytes their frames span.
   uint64_t records() const { return records_; }
+  uint64_t bytes() const { return bytes_; }
 
  private:
   Status Decode(std::string_view payload, const Visit& visit);
 
   const ArtifactFormat& format_;
   uint64_t records_ = 0;
+  uint64_t bytes_ = 0;
   bool ended_ = false;
 };
 

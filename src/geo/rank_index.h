@@ -73,8 +73,6 @@ class MinRankBallIndex {
                       double prune_radius, int initial_bound,
                       bool use_grid) const;
 
-  int num_centers() const { return static_cast<int>(centers_.size()); }
-
  private:
   struct KdNode {
     double min_x, min_y, max_x, max_y;  // subtree bounding box

@@ -106,11 +106,6 @@ class HstAvailabilityIndex {
     return children_[static_cast<size_t>(slot_[static_cast<size_t>(node)] + digit)];
   }
 
-  int32_t ChildCount(int32_t node, int digit) const {
-    const int32_t child = ChildAt(node, digit);
-    return child == kNoNode ? 0 : count_[static_cast<size_t>(child)];
-  }
-
   const std::vector<int>& ItemsOf(int32_t leaf_node) const {
     return leaf_items_[static_cast<size_t>(slot_[static_cast<size_t>(leaf_node)])];
   }

@@ -25,10 +25,6 @@ void SetMetricsEnabled(bool enabled) {
   internal::g_metrics_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-bool MetricsEnabled() {
-  return internal::g_metrics_enabled.load(std::memory_order_relaxed);
-}
-
 uint64_t Counter::Value() const {
   uint64_t total = 0;
   for (const internal::CounterStripe& s : stripes_) {
@@ -41,16 +37,6 @@ double DoubleCounter::Value() const {
   double total = 0.0;
   for (const internal::DoubleStripe& s : stripes_) {
     total += s.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t Histogram::Count() const {
-  uint64_t total = 0;
-  for (const Stripe& s : stripes_) {
-    for (const std::atomic<uint64_t>& b : s.buckets) {
-      total += b.load(std::memory_order_relaxed);
-    }
   }
   return total;
 }

@@ -51,7 +51,6 @@ namespace obs {
 /// become near-free no-ops when disabled; snapshots still work (they
 /// report whatever was recorded while enabled).
 void SetMetricsEnabled(bool enabled);
-bool MetricsEnabled();
 
 namespace internal {
 
@@ -200,8 +199,6 @@ class Histogram {
 #endif
   }
 
-  uint64_t Count() const;
-
  private:
   friend class MetricRegistry;
   Histogram() = default;
@@ -235,11 +232,6 @@ struct HistogramSample {
   /// covering bucket; 0 when empty. Power-of-two buckets bound the error
   /// by a factor of 2 — flight-recorder accuracy, not a benchmark timer.
   double Quantile(double q) const;
-
-  double Mean() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(sum) / static_cast<double>(count);
-  }
 
   /// Bucket-wise accumulation (commutative and associative).
   void MergeFrom(const HistogramSample& other);

@@ -121,11 +121,6 @@ class EpochBudgetLedger {
   /// none is set).
   double RemainingThisEpoch(const std::string& user) const;
 
-  const std::optional<double>& epoch_budget() const { return epoch_budget_; }
-  const std::optional<double>& lifetime_budget() const {
-    return lifetime_budget_;
-  }
-
   /// Users in the lifetime table: those with non-zero lifetime spend
   /// when a lifetime cap is set, always 0 without one (no table is kept).
   /// The tbf_privacy_users gauge mirrors it.

@@ -1,6 +1,8 @@
 #include "serve/checkpoint.h"
 
+#include <algorithm>
 #include <array>
+#include <optional>
 
 #include "common/atomic_file.h"
 #include "common/frames.h"
@@ -323,45 +325,94 @@ void AppendOutcomeRows(std::span<const EpochStats> epochs,
   }
 }
 
-Status ParseOutcomeRows(std::string_view log, ReplayCheckpoint* c) {
-  c->per_epoch.clear();
-  c->task_outcomes.clear();
-  c->quarantined_events.clear();
-  const uint64_t covered = c->outcome_log_bytes;
-  if (covered == 0) return Status::OK();
-  const WalIdentity identity = IdentityOf(*c);
-  bool foreign = false;
+std::vector<Status> ParseOutcomeRows(std::string_view log,
+                                     std::span<ReplayCheckpoint> checkpoints) {
+  uint64_t length = 0;
+  for (const ReplayCheckpoint& c : checkpoints) {
+    length = std::max(length, c.outcome_log_bytes);
+  }
+  // One walk, as far as the longest prefix reaches. The boundary after a
+  // record (the bytes before it and the rows of each kind) is noted when
+  // the next one is visited, and after the last record accepted; a record
+  // refused after its visit may leave a row behind that no boundary counts.
+  struct Boundary {
+    uint64_t bytes = 0;
+    size_t epochs = 0, tasks = 0, quarantines = 0;
+  };
+  std::vector<Boundary> ends;
+  std::optional<WalIdentity> identity;
+  ReplayCheckpoint rows;
   ArtifactReader file(kLogFormat);
-  const Status read = file.Read(
-      log.substr(0, covered), [&](uint8_t kind, FieldReader& io) -> Status {
+  const auto boundary = [&] {
+    ends.push_back({file.bytes(), rows.per_epoch.size(),
+                    rows.task_outcomes.size(), rows.quarantined_events.size()});
+  };
+  const Status stop = file.Read(
+      log.substr(0, length), [&](uint8_t kind, FieldReader& io) -> Status {
+        if (file.records() > 0) boundary();
         switch (static_cast<LogRec>(kind)) {
-          case kLogHeader: {
+          case kLogHeader:
             if (file.records() > 0) return io.Refuse("duplicate");
-            WalIdentity logged;
-            TBF_RETURN_NOT_OK(IdentityFields(io, logged));
-            foreign = !(logged == identity);
-            return foreign ? io.Refuse("identity mismatch") : Status::OK();
-          }
-          case kLogEpoch: return EpochFields(io, c->per_epoch.emplace_back());
-          case kLogTask: return TaskFields(io, c->task_outcomes.emplace_back());
+            return IdentityFields(io, identity.emplace());
+          case kLogEpoch: return EpochFields(io, rows.per_epoch.emplace_back());
+          case kLogTask: return TaskFields(io, rows.task_outcomes.emplace_back());
           case kLogQuarantine:
-            return QuarantineFields(io, c->quarantined_events.emplace_back());
+            return QuarantineFields(io, rows.quarantined_events.emplace_back());
           case kNumLogRecs: break;
         }
         return Status::OK();
       });
-  if (foreign) {
-    return Status::FailedPrecondition(
-        "outcome log: belongs to a different run than the checkpoint "
-        "(identity mismatch)");
+  if (file.records() > 0 && (ends.empty() || ends.back().bytes < file.bytes())) {
+    boundary();
   }
-  if (log.size() < covered) {
-    return Status::InvalidArgument(
-        "outcome log: holds " + std::to_string(log.size()) +
-        " bytes, fewer than the " + std::to_string(covered) +
-        " the checkpoint covers");
+
+  // Each checkpoint's covered length must be a boundary of that walk.
+  std::vector<Status> read;
+  ReplayCheckpoint* restore = nullptr;
+  Boundary restored;
+  for (ReplayCheckpoint& c : checkpoints) {
+    const uint64_t covered = c.outcome_log_bytes;
+    const auto at = std::lower_bound(
+        ends.begin(), ends.end(), covered,
+        [](const Boundary& end, uint64_t n) { return end.bytes < n; });
+    if (covered == 0) {
+      read.push_back(Status::OK());
+    } else if (!ends.empty() && ends.front().bytes <= covered &&
+               !(*identity == IdentityOf(c))) {  // the header was read
+      read.push_back(Status::FailedPrecondition(
+          "outcome log: belongs to a different run than the checkpoint "
+          "(identity mismatch)"));
+    } else if (log.size() < covered) {
+      read.push_back(Status::InvalidArgument(
+          "outcome log: holds " + std::to_string(log.size()) +
+          " bytes, fewer than the " + std::to_string(covered) +
+          " the checkpoint covers"));
+    } else if (at != ends.end() && at->bytes == covered) {
+      read.push_back(Status::OK());
+    } else if (at == ends.end() && !stop.ok()) {
+      read.push_back(stop);
+    } else {
+      read.push_back(Status::InvalidArgument(
+          "outcome log: the checkpoint's length " + std::to_string(covered) +
+          " cuts a record, not at a boundary"));
+    }
+    if (read.back().ok()) {
+      restore = &c;
+      restored = covered == 0 ? Boundary{} : *at;
+    }
   }
+  if (restore == nullptr) return read;
+  restore->per_epoch = std::move(rows.per_epoch);
+  restore->per_epoch.resize(restored.epochs);
+  restore->task_outcomes = std::move(rows.task_outcomes);
+  restore->task_outcomes.resize(restored.tasks);
+  restore->quarantined_events = std::move(rows.quarantined_events);
+  restore->quarantined_events.resize(restored.quarantines);
   return read;
+}
+
+Status ParseOutcomeRows(std::string_view log, ReplayCheckpoint* checkpoint) {
+  return ParseOutcomeRows(log, std::span(checkpoint, 1)).front();
 }
 
 }  // namespace tbf

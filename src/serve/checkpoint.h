@@ -153,13 +153,19 @@ void AppendOutcomeRows(std::span<const EpochStats> epochs,
                        std::span<const QuarantineRecord> quarantines,
                        std::string* out);
 
-/// \brief Fills `checkpoint`'s history rows from the first
-/// checkpoint->outcome_log_bytes bytes of `log`: the header (whose
-/// identity must be the checkpoint's) and whole rows, CRC-clean and
-/// schema-valid. Anything past that length is ignored. InvalidArgument,
+/// \brief Reads the outcome-log prefix each of `checkpoints` covers (its
+/// first outcome_log_bytes bytes of `log`) in one walk of the log: the
+/// header, whose identity must be the checkpoint's, and whole rows,
+/// CRC-clean and schema-valid. Returns one status per checkpoint:
+/// FailedPrecondition when the header names another run; InvalidArgument,
 /// naming the record and byte offset, when the log is shorter than the
-/// length, the length cuts a frame, or a record is bad. The row counts
-/// are the restore's to compare with the cursor.
+/// length, the length cuts a frame, or a record before it is bad. The last
+/// checkpoint read OK gets its history rows, the walk's first rows; the row
+/// counts are the restore's to compare with the cursor.
+std::vector<Status> ParseOutcomeRows(std::string_view log,
+                                     std::span<ReplayCheckpoint> checkpoints);
+
+/// \brief The same for one checkpoint.
 Status ParseOutcomeRows(std::string_view log, ReplayCheckpoint* checkpoint);
 
 }  // namespace tbf

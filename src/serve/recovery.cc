@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <iterator>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -56,66 +55,64 @@ Status ScanReplayDir(const std::string& dir, RecoveredRun* run) {
   TBF_ASSIGN_OR_RETURN(const auto candidates,
                        ListNumberedFiles(dir, ReplayCheckpointFileName));
 
-  // Validate every candidate (retention + compaction need the full valid
-  // list); the newest valid one becomes the restore point. A checkpoint
-  // is valid only together with the outcome-log prefix it covers, and a
-  // log of another run is never combined with it. Nothing is cut here.
-  const std::string log_path = OutcomeLogPath(dir);
-  std::optional<std::string> log;  // read once, when a checkpoint needs it
+  // Read every candidate (retention + compaction need the full valid list),
+  // then their outcome-log prefixes in one walk of the log. A checkpoint is
+  // valid only together with the prefix it covers, and a log of another run
+  // is never combined with it; the newest valid one becomes the restore
+  // point. Nothing is cut here.
+  std::vector<ReplayCheckpoint> read;
+  std::vector<RetainedCheckpoint> files;  // one per checkpoint read
+  bool covers_log = false;
   for (const auto& [ordinal, path] : candidates) {
-    Result<ReplayCheckpoint> read = ReadWithRetry<ReplayCheckpoint>(
+    Result<ReplayCheckpoint> checkpoint = ReadWithRetry<ReplayCheckpoint>(
         "recovery.scan", &run->io_retries,
         [&] { return ReadReplayCheckpointFile(path); });
-    if (!read.ok()) {
+    if (!checkpoint.ok()) {
       ++run->checkpoints_rejected;
       continue;
     }
-    if (read->outcome_log_bytes > 0 && !log.has_value()) {
-      // A log that does not exist reads as empty, so every checkpoint
-      // covering log bytes is rejected as cut short. A read that still
-      // fails fails recovery: every checkpoint shares the log, so no
-      // fallback helps.
-      TBF_ASSIGN_OR_RETURN(
-          log, ReadWithRetry<std::string>(
-                   "recovery.outcome_log", &run->io_retries,
-                   [&]() -> Result<std::string> {
-                     std::error_code missing;
-                     if (!fs::exists(log_path, missing) && !missing) {
-                       return std::string();
-                     }
-                     return ReadFileToString(log_path, "outcome log");
-                   }));
-    }
-    const Status rows =
-        ParseOutcomeRows(log.has_value() ? *log : std::string_view(), &*read);
-    if (rows.code() == StatusCode::kInvalidArgument) {
+    files.push_back(RetainedCheckpoint{ordinal, path, checkpoint->wal_next_lsn});
+    covers_log |= checkpoint->outcome_log_bytes > 0;
+    read.push_back(std::move(*checkpoint));
+  }
+  std::string log;  // not read when no checkpoint covers any of it
+  if (covers_log) {
+    // A log that does not exist reads as empty, so every checkpoint
+    // covering log bytes is rejected as cut short. A read that still
+    // fails fails recovery: every checkpoint shares the log, so no
+    // fallback helps.
+    const std::string log_path = OutcomeLogPath(dir);
+    TBF_ASSIGN_OR_RETURN(
+        log, ReadWithRetry<std::string>(
+                 "recovery.outcome_log", &run->io_retries,
+                 [&]() -> Result<std::string> {
+                   std::error_code missing;
+                   if (!fs::exists(log_path, missing) && !missing) {
+                     return std::string();
+                   }
+                   return ReadFileToString(log_path, "outcome log");
+                 }));
+  }
+  const std::vector<Status> rows = ParseOutcomeRows(log, read);
+  for (size_t i = 0; i < read.size(); ++i) {
+    if (rows[i].code() == StatusCode::kInvalidArgument) {
       ++run->checkpoints_rejected;  // the prefix is cut short or damaged
       continue;
     }
-    if (rows.code() == StatusCode::kFailedPrecondition) {
-      return Status::FailedPrecondition("recovery: checkpoint " + path +
+    if (rows[i].code() == StatusCode::kFailedPrecondition) {
+      return Status::FailedPrecondition("recovery: checkpoint " +
+                                        files[i].path +
                                         " and the outcome log in " + dir +
                                         " belong to different runs");
     }
-    TBF_RETURN_NOT_OK(rows);
-    run->retained.push_back(
-        RetainedCheckpoint{ordinal, path, read->wal_next_lsn});
-    run->checkpoint = std::move(*read);
-    run->checkpoint_path = path;
+    TBF_RETURN_NOT_OK(rows[i]);
+    run->retained.push_back(files[i]);
+    run->checkpoint = std::move(read[i]);  // the last one holds the rows
+    run->checkpoint_path = files[i].path;
   }
 
   // Scan + repair the journal.
   TBF_ASSIGN_OR_RETURN(run->wal, ScanWalDir(dir, /*repair_torn_tail=*/true));
-
-  // Identity cross-check: a checkpoint and a journal from different runs
-  // must never be combined.
-  if (run->checkpoint.has_value() && run->wal.has_identity) {
-    if (!(IdentityOf(*run->checkpoint) == run->wal.identity)) {
-      return Status::FailedPrecondition(
-          "recovery: checkpoint " + run->checkpoint_path +
-          " and the journal in " + dir + " belong to different runs");
-    }
-  }
 
   // Locate the replay suffix. LSNs are contiguous, so coverage maps to an
   // index directly — and any gap is detectable, never silently skipped.
@@ -149,6 +146,26 @@ Status ScanReplayDir(const std::string& dir, RecoveredRun* run) {
   }
 
   return Status::OK();
+}
+
+// A fresh run starts only in a directory that holds no run: appending to
+// another run's journal and starting its outcome log anew would leave a
+// directory whose checkpoints no recovery can use. Stray `.tmp` files are
+// not a run.
+Status RefuseUsedDir(const std::string& dir) {
+  std::error_code ec;
+  if (!fs::exists(dir, ec)) return Status::OK();
+  TBF_ASSIGN_OR_RETURN(const auto segments,
+                       ListNumberedFiles(dir, WalSegmentFileName));
+  TBF_ASSIGN_OR_RETURN(const auto checkpoints,
+                       ListNumberedFiles(dir, ReplayCheckpointFileName));
+  if (segments.empty() && checkpoints.empty() &&
+      !fs::exists(OutcomeLogPath(dir), ec)) {
+    return Status::OK();
+  }
+  return Status::FailedPrecondition(
+      "durable_dir " + dir + " already holds a run: set recover to continue "
+      "it, or start in an empty directory");
 }
 
 // Refuses a restore point of another run (`run` is this run's identity,
@@ -274,7 +291,9 @@ Result<ReplayStore> ReplayStore::Create(const ReplayOptions& options,
 
 Status ReplayStore::Open(
     const std::function<Status(ReplayCheckpoint&)>& restore) {
+  const std::string& dir = options_->durable_dir;
   std::optional<ReplayCheckpoint> restored;
+  WalScan journal;  // what the writer continues: a fresh run's is empty
   if (options_->resume_from_checkpoint) {
     TBF_ASSIGN_OR_RETURN(restored,
                          ReadReplayCheckpointFile(options_->checkpoint_path));
@@ -288,10 +307,10 @@ Status ReplayStore::Open(
     // The journal records past the checkpoint are not applied here: the
     // loop re-runs them from the checkpoint's cursor exactly as a fresh run
     // would, and Record checks each one it produces until none remain.
-    // A journal of another run is refused by CheckRestorePoint below when
-    // a checkpoint survived, and by WalWriter::Open otherwise.
+    // A checkpoint of another run is refused by CheckRestorePoint below, a
+    // journal of another run by WalWriter::Open.
     TBF_ASSIGN_OR_RETURN(RecoveredRun recovered,
-                         RecoverReplayDir(options_->durable_dir, metrics_));
+                         RecoverReplayDir(dir, metrics_));
     retained_ = std::move(recovered.retained);
     report_->wal_truncated_records = recovered.wal.truncated_records;
     verified_records_ =
@@ -299,14 +318,16 @@ Status ReplayStore::Open(
     verified_events_ =
         metrics_->FindOrCreateCounter("tbf_wal_recovered_events_total");
     restored = std::move(recovered.checkpoint);
-    std::vector<WalRecord>& records = recovered.wal.records;
-    journaled_.assign(
-        std::make_move_iterator(records.begin() + recovered.suffix_begin),
-        std::make_move_iterator(records.end()));
+    journaled_ = std::move(recovered.wal.records);
+    journaled_.erase(journaled_.begin(),
+                     journaled_.begin() + recovered.suffix_begin);
+    journal = std::move(recovered.wal);
     // Segment headers carry no loop state: they count as verified at once.
     verified_records_->Add(std::erase_if(journaled_, [](const WalRecord& r) {
       return r.kind == WalRecordKind::kSegmentHeader;
     }));
+  } else if (!dir.empty()) {
+    TBF_RETURN_NOT_OK(RefuseUsedDir(dir));
   }
   if (restored.has_value()) {
     TBF_RETURN_NOT_OK(
@@ -319,10 +340,10 @@ Status ReplayStore::Open(
   }
   report_->resumed = restored.has_value() || Verifying();
 
-  if (!options_->durable_dir.empty()) {
-    TBF_ASSIGN_OR_RETURN(wal_, WalWriter::Open(options_->durable_dir,
-                                               IdentityOf(blank_),
-                                               options_->wal_fsync, metrics_));
+  if (!dir.empty()) {
+    TBF_ASSIGN_OR_RETURN(
+        wal_, WalWriter::Open(dir, std::move(journal), IdentityOf(blank_),
+                              options_->wal_fsync, metrics_));
   }
   // The outcome log continues after the prefix the restored checkpoint
   // covers, cutting the rows of epochs this run re-produces, or starts

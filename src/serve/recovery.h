@@ -4,14 +4,15 @@
 // A durable replay run leaves three kinds of artifacts in its directory:
 // periodic checkpoints `ckpt-<ordinal:08>.ckpt` and the append-only
 // outcome log `outcomes` (serve/checkpoint.h), and the segmented event
-// journal `wal-<seq:08>.seg` (serve/wal.h). After a crash — mid-append,
-// mid-fsync, mid-rotation, mid-checkpoint — recovery proceeds in two
-// steps:
+// journal `wal-<seq:08>.seg` (serve/wal.h). The directory holds one run:
+// a fresh run refuses one that holds any of them. After a crash —
+// mid-append, mid-fsync, mid-rotation, mid-checkpoint — recovery reads
+// each file once and proceeds in two steps:
 //
 //   1. RecoverReplayDir (below) picks the newest *valid* checkpoint, with
-//      its history rows from the outcome log, scans and repairs the
-//      journal, cross-checks identities and locates the journal suffix:
-//      the first record with lsn >= the checkpoint's wal_next_lsn. It
+//      its history rows from one walk of the outcome log, scans and
+//      repairs the journal and locates the journal suffix: the first
+//      record with lsn >= the checkpoint's wal_next_lsn. It
 //      cuts nothing in the outcome log: ReplayStore::Open reopens the log
 //      at the checkpoint's covered length (AppendFile::OpenAt) once every
 //      check has passed, and the loop re-produces the later rows.
@@ -81,7 +82,8 @@ struct RecoveredRun {
   uint64_t checkpoints_rejected = 0;  ///< corrupt files skipped
   uint64_t io_retries = 0;            ///< transient IO reads retried
 
-  /// Journal scan after torn-tail repair.
+  /// Journal scan after torn-tail repair, which the store's writer
+  /// continues (its identity is checked there, against the run's).
   WalScan wal;
   /// Index into wal.records of the first record not covered by the
   /// checkpoint (== wal.records.size() when the checkpoint covers all).
@@ -117,8 +119,10 @@ class ReplayStore {
   /// RecoverReplayDir's when recovering), refuses one of another run or
   /// whose cursor disagrees with its rows, and hands it, with its history
   /// rows, to `restore`. Only then, every check passed, opens the journal
-  /// (WalWriter::Open syncs what recovery read of it first) and the outcome
-  /// log after the prefix the restore point covers.
+  /// after the recovery's scan (WalWriter::Open refuses a journal of
+  /// another run and syncs what recovery read of it first) and the outcome
+  /// log after the prefix the restore point covers. A fresh durable run
+  /// refuses a directory that holds a run before any file operation.
   Status Open(const std::function<Status(ReplayCheckpoint&)>& restore);
 
   /// True when records are journaled, with each dispatch's ledger charge.

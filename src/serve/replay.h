@@ -139,8 +139,10 @@ struct ReplayOptions {
   /// Durable serving (docs/ROBUSTNESS.md): when nonempty, the loop keeps
   /// a write-ahead journal (serve/wal.h), ordinal checkpoints and the
   /// outcome log in this directory, so a crash anywhere is recoverable
-  /// field-for-field (set `recover`). Requires sequential dispatch (the
-  /// journal is an ordered log); excludes `checkpoint_path`.
+  /// field-for-field (set `recover`). The directory holds one run: a
+  /// fresh run needs it missing or empty (FailedPrecondition when it holds
+  /// a journal segment, checkpoint or outcome log). Requires sequential
+  /// dispatch (the journal is an ordered log); excludes `checkpoint_path`.
   std::string durable_dir;
 
   /// Journal commit policy for durable runs (see WalFsyncPolicy).

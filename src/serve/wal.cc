@@ -175,7 +175,6 @@ Result<WalScan> ScanWalDir(const std::string& dir, bool repair_torn_tail) {
     }
   }
 
-  bool have_lsn = false;
   for (size_t i = 0; i < files.size(); ++i) {
     const bool last = i + 1 == files.size();
     const std::string& path = files[i].second;
@@ -232,9 +231,8 @@ Result<WalScan> ScanWalDir(const std::string& dir, bool repair_torn_tail) {
           "wal segment " + path +
           ": run identity differs from the preceding segments");
     }
-    if (!have_lsn) {
+    if (out.segments.empty()) {
       out.next_lsn = header.lsn;  // the oldest retained segment sets the base
-      have_lsn = true;
     }
     for (size_t k = 0; k < records.size(); ++k) {
       const WalRecord& rec = records[k];
@@ -273,7 +271,6 @@ Result<WalScan> ScanWalDir(const std::string& dir, bool repair_torn_tail) {
       // loss would leave the torn bytes before the next segment, where
       // they read as corruption.
       TBF_RETURN_NOT_OK(TruncateFile(path, seg.valid_bytes));
-      out.segments.back().bytes = seg.valid_bytes;
     }
   }
   return out;
@@ -304,17 +301,23 @@ WalWriter::~WalWriter() {
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(
     const std::string& dir, const WalIdentity& identity,
     const WalFsyncPolicy& policy, obs::MetricRegistry* metrics) {
+  TBF_ASSIGN_OR_RETURN(WalScan scan, ScanWalDir(dir, /*repair=*/true));
+  return Open(dir, std::move(scan), identity, policy, metrics);
+}
+
+Result<std::unique_ptr<WalWriter>> WalWriter::Open(
+    const std::string& dir, WalScan scan, const WalIdentity& identity,
+    const WalFsyncPolicy& policy, obs::MetricRegistry* metrics) {
+  if (scan.has_identity && !(scan.identity == identity)) {
+    return Status::FailedPrecondition(
+        "wal directory " + dir +
+        " belongs to a different run (identity mismatch)");
+  }
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
     return Status::IOError("cannot create wal directory " + dir + ": " +
                            ec.message());
-  }
-  TBF_ASSIGN_OR_RETURN(WalScan scan, ScanWalDir(dir, /*repair=*/true));
-  if (scan.has_identity && !(scan.identity == identity)) {
-    return Status::FailedPrecondition(
-        "wal directory " + dir +
-        " belongs to a different run (identity mismatch)");
   }
   std::unique_ptr<WalWriter> writer(
       new WalWriter(dir, identity, policy, metrics));

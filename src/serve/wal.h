@@ -243,16 +243,22 @@ Result<WalScan> ScanWalDir(const std::string& dir, bool repair_torn_tail);
 /// valid prefix.
 class WalWriter {
  public:
-  /// Opens `dir` for appending: scans + repairs the existing journal
-  /// (identity must match when segments exist), syncs the last segment
-  /// (the scan may have read its tail from the page cache alone) and
-  /// starts a fresh segment after the last valid record; a last segment
-  /// that holds only its header is continued under its own seq and LSN
-  /// instead, so reopening a finished journal adds no segment. Metrics
-  /// (may be null):
+  /// Opens `dir` for appending after the journal `scan` describes (a
+  /// repairing ScanWalDir of `dir`; its records are not read): refuses a
+  /// journal of another identity, syncs the last segment (the scan may
+  /// have read its tail from the page cache alone) and starts a fresh
+  /// segment after the last valid record; a last segment that holds only
+  /// its header is continued under its own seq and LSN instead, so
+  /// reopening a finished journal adds no segment. An empty scan starts
+  /// the journal, creating `dir`. Metrics (may be null):
   /// tbf_wal_appends_total, tbf_wal_fsyncs_total, tbf_wal_bytes_total,
   /// tbf_wal_group_size, tbf_wal_rotations_total,
   /// tbf_wal_compacted_segments_total.
+  static Result<std::unique_ptr<WalWriter>> Open(
+      const std::string& dir, WalScan scan, const WalIdentity& identity,
+      const WalFsyncPolicy& policy, obs::MetricRegistry* metrics);
+
+  /// Scans and repairs `dir` (ScanWalDir), then opens it as above.
   static Result<std::unique_ptr<WalWriter>> Open(
       const std::string& dir, const WalIdentity& identity,
       const WalFsyncPolicy& policy, obs::MetricRegistry* metrics);

@@ -3,10 +3,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <unordered_set>
 
+#include "common/atomic_file.h"
 #include "common/csv.h"
 #include "common/fault.h"
 
@@ -37,6 +37,21 @@ Result<double> ParseNumber(const std::string& cell, const char* what,
   return v;
 }
 
+// A `region,min_x,min_y,max_x,max_y` row (row `r`).
+Result<BBox> ParseRegion(const std::vector<std::string>& row, size_t r) {
+  if (row.size() != 5) {
+    return Status::InvalidArgument("region row needs 4 coordinates");
+  }
+  TBF_ASSIGN_OR_RETURN(double x0, ParseNumber(row[1], "min_x", r));
+  TBF_ASSIGN_OR_RETURN(double y0, ParseNumber(row[2], "min_y", r));
+  TBF_ASSIGN_OR_RETURN(double x1, ParseNumber(row[3], "max_x", r));
+  TBF_ASSIGN_OR_RETURN(double y1, ParseNumber(row[4], "max_y", r));
+  if (x1 <= x0 || y1 <= y0) {
+    return Status::InvalidArgument("region must have positive area");
+  }
+  return BBox(x0, y0, x1, y1);
+}
+
 struct ParsedTrace {
   BBox region;
   bool has_region = false;
@@ -54,17 +69,7 @@ Result<ParsedTrace> ParseTrace(const std::string& text) {
     if (row.empty()) continue;
     const std::string& kind = row[0];
     if (kind == "region") {
-      if (row.size() != 5) {
-        return Status::InvalidArgument("region row needs 4 coordinates");
-      }
-      TBF_ASSIGN_OR_RETURN(double x0, ParseNumber(row[1], "min_x", r));
-      TBF_ASSIGN_OR_RETURN(double y0, ParseNumber(row[2], "min_y", r));
-      TBF_ASSIGN_OR_RETURN(double x1, ParseNumber(row[3], "max_x", r));
-      TBF_ASSIGN_OR_RETURN(double y1, ParseNumber(row[4], "max_y", r));
-      if (x1 <= x0 || y1 <= y0) {
-        return Status::InvalidArgument("region must have positive area");
-      }
-      trace.region = BBox(x0, y0, x1, y1);
+      TBF_ASSIGN_OR_RETURN(trace.region, ParseRegion(row, r));
       trace.has_region = true;
     } else if (kind == "worker") {
       if (row.size() != 3 && row.size() != 4) {
@@ -209,17 +214,7 @@ Result<EventTrace> ReadEventTrace(const std::string& text) {
     if (row.empty()) continue;
     const std::string& kind = row[0];
     if (kind == "region") {
-      if (row.size() != 5) {
-        return Status::InvalidArgument("region row needs 4 coordinates");
-      }
-      TBF_ASSIGN_OR_RETURN(double x0, ParseNumber(row[1], "min_x", r));
-      TBF_ASSIGN_OR_RETURN(double y0, ParseNumber(row[2], "min_y", r));
-      TBF_ASSIGN_OR_RETURN(double x1, ParseNumber(row[3], "max_x", r));
-      TBF_ASSIGN_OR_RETURN(double y1, ParseNumber(row[4], "max_y", r));
-      if (x1 <= x0 || y1 <= y0) {
-        return Status::InvalidArgument("region must have positive area");
-      }
-      trace.region = BBox(x0, y0, x1, y1);
+      TBF_ASSIGN_OR_RETURN(trace.region, ParseRegion(row, r));
       has_region = true;
     } else if (kind == "event") {
       if (row.size() < 4) {
@@ -322,53 +317,33 @@ Result<CaseStudyInstance> ReadCaseStudyTrace(const std::string& text) {
   return instance;
 }
 
-namespace {
-
-Status WriteTextFile(const std::string& text, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  out << text;
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-Result<std::string> ReadTextFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-}  // namespace
-
 Status WriteInstanceTraceFile(const OnlineInstance& instance,
                               const std::string& path) {
-  return WriteTextFile(WriteInstanceTrace(instance), path);
+  return WriteFileAtomic(path, WriteInstanceTrace(instance), "trace");
 }
 
 Status WriteInstanceTraceFile(const CaseStudyInstance& instance,
                               const std::string& path) {
-  return WriteTextFile(WriteInstanceTrace(instance), path);
+  return WriteFileAtomic(path, WriteInstanceTrace(instance), "trace");
 }
 
 Status WriteEventTraceFile(const EventTrace& trace, const std::string& path) {
   TBF_ASSIGN_OR_RETURN(std::string text, WriteEventTrace(trace));
-  return WriteTextFile(text, path);
+  return WriteFileAtomic(path, text, "trace");
 }
 
 Result<OnlineInstance> ReadInstanceTraceFile(const std::string& path) {
-  TBF_ASSIGN_OR_RETURN(std::string text, ReadTextFile(path));
+  TBF_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path, "trace"));
   return ReadInstanceTrace(text);
 }
 
 Result<CaseStudyInstance> ReadCaseStudyTraceFile(const std::string& path) {
-  TBF_ASSIGN_OR_RETURN(std::string text, ReadTextFile(path));
+  TBF_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path, "trace"));
   return ReadCaseStudyTrace(text);
 }
 
 Result<EventTrace> ReadEventTraceFile(const std::string& path) {
-  TBF_ASSIGN_OR_RETURN(std::string text, ReadTextFile(path));
+  TBF_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path, "trace"));
   return ReadEventTrace(text);
 }
 

@@ -427,6 +427,69 @@ TEST(OutcomeLogTest, ReadsTheCoveredPrefixAndRefusesDamagePrecisely) {
           StatusCode::kFailedPrecondition);
 }
 
+TEST(OutcomeLogTest, OneWalkReadsEveryCoveredPrefix) {
+  // Recovery reads the prefixes of all its checkpoints in one walk of the
+  // log: each covered length must be a boundary of that walk, and the last
+  // checkpoint read OK gets the walk's first rows.
+  const ReplayCheckpoint c = MakeTrickyCheckpoint();
+  const std::string header = OutcomeLogHeader(IdentityOf(c));
+  std::string log = header;
+  AppendOutcomeRows(c.per_epoch, c.task_outcomes, {}, &log);
+  const uint64_t first_batch = log.size();
+  AppendOutcomeRows({}, {}, std::span(c.quarantined_events).first(1), &log);
+  const uint64_t before_last_row = log.size();
+  AppendOutcomeRows({}, {}, std::span(c.quarantined_events).last(1), &log);
+  const auto covering = [&](const std::vector<uint64_t>& lengths) {
+    std::vector<ReplayCheckpoint> out(lengths.size(), c);
+    for (size_t i = 0; i < lengths.size(); ++i) {
+      out[i].outcome_log_bytes = lengths[i];
+      out[i].per_epoch.clear();
+      out[i].task_outcomes.clear();
+      out[i].quarantined_events.clear();
+    }
+    return out;
+  };
+  const auto rows = [](const ReplayCheckpoint& got) {
+    return std::to_string(got.per_epoch.size()) + "/" +
+           std::to_string(got.task_outcomes.size()) + "/" +
+           std::to_string(got.quarantined_events.size());
+  };
+
+  std::vector<ReplayCheckpoint> all =
+      covering({0, header.size(), first_batch, first_batch + 3, log.size()});
+  std::vector<Status> read = ParseOutcomeRows(log, all);
+  ASSERT_EQ(read.size(), 5u);
+  for (const size_t i : {0, 1, 2, 4}) EXPECT_TRUE(read[i].ok()) << read[i];
+  EXPECT_EQ(read[3].code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(read[3].message().find("length " +
+                                   std::to_string(first_batch + 3) +
+                                   " cuts a record"),
+            std::string::npos)
+      << read[3];
+  EXPECT_EQ(rows(all[4]), "1/2/2");
+  EXPECT_EQ(rows(all[2]), "0/0/0");  // only the last one read OK gets rows
+
+  // A newest valid checkpoint that covers less than the walk gets the
+  // walk's first rows.
+  std::vector<ReplayCheckpoint> older =
+      covering({first_batch, log.size() + 1});
+  read = ParseOutcomeRows(log, older);
+  EXPECT_TRUE(read[0].ok()) << read[0];
+  EXPECT_NE(read[1].message().find("fewer than"), std::string::npos) << read[1];
+  EXPECT_EQ(rows(older[0]), "1/2/0");
+
+  // Damage in the last row ends the walk there: the prefixes before it
+  // still read, the damaged one is refused naming the record.
+  std::string damaged = log;
+  damaged[damaged.size() - 2] ^= 0x01;
+  std::vector<ReplayCheckpoint> torn = covering({before_last_row, log.size()});
+  read = ParseOutcomeRows(damaged, torn);
+  EXPECT_TRUE(read[0].ok()) << read[0];
+  EXPECT_EQ(rows(torn[0]), "1/2/1");
+  EXPECT_NE(read[1].message().find("outcome log record 5"), std::string::npos)
+      << read[1];
+}
+
 TEST(OutcomeLogTest, WriterAppendsDurablyAndResumesAtACoveredPrefix) {
   // The replay loop's outcome-log writer: an AppendFile that starts with
   // the header and appends one batch of rows per checkpoint.

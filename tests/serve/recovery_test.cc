@@ -800,6 +800,110 @@ TEST(RecoveryTest, ConflictingPersistenceOptionsAreRefusedBeforeAnyFile) {
   EXPECT_FALSE(fs::exists(dir + "/run"));
 }
 
+TEST(RecoveryTest, AFreshRunRefusesADirectoryThatHoldsARun) {
+  // A fresh run in a directory that holds a finished run would append to
+  // its journal and start its outcome log anew; killed before its first
+  // checkpoint, it would leave a journal that begins past anything the
+  // surviving checkpoints can cover. It is refused before any file
+  // operation instead, and the finished run still recovers.
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = SmallTrace();
+  const std::string dir = FreshDir("used");
+  const ReplayOptions options = DurableOptions(dir);
+  auto finished = RunEventReplay(framework, trace, options);
+  ASSERT_TRUE(finished.ok()) << finished.status().ToString();
+  const std::map<std::string, std::string> files = FilesIn(dir);
+
+  const auto expect_refused = [&](const ReplayOptions& fresh) {
+    Result<ReplayReport> run = Status::Internal("unset");
+    fault::FaultPlan plan;
+    fault::FaultSpec kill;
+    kill.site = "replay.epoch";
+    kill.kind = fault::FaultKind::kFail;
+    kill.code = StatusCode::kAborted;
+    kill.after = 1;
+    kill.count = 1;
+    plan.faults.push_back(kill);
+    fault::ScopedFaultPlan armed(plan);
+    const std::vector<std::string> ops =
+        FileOpsOf([&] { run = RunEventReplay(framework, trace, fresh); });
+    EXPECT_EQ(run.status().code(), StatusCode::kFailedPrecondition)
+        << fresh.durable_dir << ": " << run.status();
+    EXPECT_NE(run.status().message().find("recover"), std::string::npos)
+        << run.status();
+    EXPECT_TRUE(ops.empty()) << fresh.durable_dir << ":" << Lines(ops);
+  };
+  ReplayOptions again = options;
+  again.checkpoint_every_epochs = 3;
+  expect_refused(again);
+  EXPECT_TRUE(FilesIn(dir) == files);
+  ReplayOptions recover = options;
+  recover.recover = true;
+  auto recovered = RunEventReplay(framework, trace, recover);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(ReplayDifference(*recovered, *finished), "");
+
+  // Any one journal segment, checkpoint or outcome log holds a run.
+  for (const std::string prefix : {"wal-", "ckpt-", "outcomes"}) {
+    const auto file =
+        std::find_if(files.begin(), files.end(), [&](const auto& entry) {
+          return entry.first.rfind(prefix, 0) == 0;
+        });
+    ASSERT_NE(file, files.end()) << prefix;
+    ReplayOptions fresh = options;
+    fresh.durable_dir = FreshDir("used_" + prefix);
+    fs::copy_file(dir + "/" + file->first, fresh.durable_dir + "/" + file->first);
+    expect_refused(fresh);
+    EXPECT_EQ(FilesIn(fresh.durable_dir).size(), 1u) << prefix;
+  }
+
+  // A stray tmp file is not a run, and a missing directory is created.
+  const std::string stray = FreshDir("used_stray_tmp");
+  std::ofstream(stray + "/" + ReplayCheckpointFileName(3) + ".tmp") << "torn";
+  for (const std::string& fresh_dir : {stray, stray + "/missing"}) {
+    ReplayOptions fresh = options;
+    fresh.durable_dir = fresh_dir;
+    auto run = RunEventReplay(framework, trace, fresh);
+    ASSERT_TRUE(run.ok()) << fresh_dir << ": " << run.status();
+    EXPECT_EQ(ReplayDifference(*run, *finished), "") << fresh_dir;
+  }
+}
+
+TEST(RecoveryTest, AForeignJournalIsRefusedBeforeAnythingIsCut) {
+  // The journal's identity is checked once, by the writer that continues
+  // it: a directory whose checkpoints and outcome log are this run's but
+  // whose journal is another run's is refused, and no file in it changes.
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = SmallTrace();
+  const std::string dir = FreshDir("foreign_journal");
+  const std::string other_dir = FreshDir("foreign_journal_other");
+  const ReplayOptions options = DurableOptions(dir);
+  ASSERT_TRUE(RunEventReplay(framework, trace, options).ok());
+  ReplayOptions other = DurableOptions(other_dir);
+  other.server_seed = 999;  // the same journal positions, another identity
+  ASSERT_TRUE(RunEventReplay(framework, trace, other).ok());
+  for (const auto& [name, bytes] : FilesIn(dir)) {
+    if (name.rfind("wal-", 0) == 0) fs::remove(dir + "/" + name);
+  }
+  for (const auto& [name, bytes] : FilesIn(other_dir)) {
+    if (name.rfind("wal-", 0) == 0) {
+      fs::copy_file(other_dir + "/" + name, dir + "/" + name);
+    }
+  }
+  const std::map<std::string, std::string> files = FilesIn(dir);
+
+  ReplayOptions recover = options;
+  recover.recover = true;
+  auto recovered = RunEventReplay(framework, trace, recover);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kFailedPrecondition)
+      << recovered.status();
+  EXPECT_NE(recovered.status().message().find("different run"),
+            std::string::npos)
+      << recovered.status();
+  EXPECT_TRUE(FilesIn(dir) == files);
+}
+
 TEST(RecoveryTest, RecoverySyncsTheJournalItReadBeforeWritingAfterIt) {
   // The recovery re-runs the seventh epoch from the newest checkpoint. The
   // records it verifies may be only in the page cache (a process crash
