@@ -1,11 +1,11 @@
 // Microbenchmarks of the privacy mechanisms (google-benchmark):
 // the complexity claims of Sec. III-C/D — Alg. 2 enumerates O(c^D) leaves,
 // Alg. 3 walks O(D) — plus the planar Laplace baseline sampler, the
-// code-native samplers (walk-vs-inverse-CDF and path-vs-code rows pair up
+// code-native samplers (walk-vs-oblivious and path-vs-code rows pair up
 // by identical depth/arity counters for BENCH JSON comparisons), and the
 // availability-index churn (packed insert/remove vs the LeafPath entry
 // point), the per-report Rng stream set-up, and the batched client step
-// (ObfuscateCodes: nearest point, then draws). The inverse-CDF row also
+// (ObfuscateCodes: nearest point, then draws). The oblivious row also
 // audits the allocator: one sample must never touch the heap.
 
 #include <benchmark/benchmark.h>
@@ -125,7 +125,7 @@ BENCHMARK(BM_ExactProbability);
 // ------------------------- code-native sampler rows -----------------------
 // Exact (depth, arity) shapes via FromParts — the mechanism only reads the
 // shape and scale, so a handful of real points pins it precisely. The
-// acceptance shape of the fast path is depth 16, arity 4.
+// reference shape of these rows is depth 16, arity 4.
 
 const Setup& GetShapedSetup(int depth, int arity) {
   static std::map<std::pair<int, int>, Setup>* cache =
@@ -169,7 +169,7 @@ void BM_WalkObfuscatePath(benchmark::State& state) {
 BENCHMARK(BM_WalkObfuscatePath)->Args({16, 4})->Args({32, 2})->Args({10, 8});
 
 // Code-domain walk: same draw sequence, packed output (path-vs-code row).
-void BM_WalkObfuscateCode(benchmark::State& state) {
+void BM_ObfuscateCodeWalk(benchmark::State& state) {
   const Setup& setup = GetShapedSetup(static_cast<int>(state.range(0)),
                                       static_cast<int>(state.range(1)));
   Rng rng(1);
@@ -181,45 +181,13 @@ void BM_WalkObfuscateCode(benchmark::State& state) {
   state.counters["depth"] = setup.tree.depth();
   state.counters["arity"] = setup.tree.arity();
 }
-BENCHMARK(BM_WalkObfuscateCode)->Args({16, 4})->Args({32, 2})->Args({10, 8});
+BENCHMARK(BM_ObfuscateCodeWalk)->Args({16, 4})->Args({32, 2})->Args({10, 8});
 
-// Inverse-CDF fast path (walk-vs-inverse-CDF row), with the allocation
-// audit: 10k samples outside the timed loop must not allocate once.
-void BM_InverseCdfObfuscateCode(benchmark::State& state) {
-  const Setup& setup = GetShapedSetup(static_cast<int>(state.range(0)),
-                                      static_cast<int>(state.range(1)));
-  Rng rng(1);
-  const LeafCode x = setup.tree.leaf_code_of_point(0);
-
-  const size_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
-  for (int i = 0; i < 10000; ++i) {
-    benchmark::DoNotOptimize(setup.mechanism.ObfuscateCode(x, &rng));
-  }
-  const size_t audit_allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
-  if (audit_allocs != 0) {
-    state.SkipWithError("ObfuscateCode allocated on the sampling path");
-    return;
-  }
-
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(setup.mechanism.ObfuscateCode(x, &rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["depth"] = setup.tree.depth();
-  state.counters["arity"] = setup.tree.arity();
-  state.counters["audit_allocs_per_10k"] = static_cast<double>(audit_allocs);
-}
-BENCHMARK(BM_InverseCdfObfuscateCode)
-    ->Args({16, 4})
-    ->Args({32, 2})
-    ->Args({10, 8});
-
-// Timing-oblivious sampler (oblivious-vs-inverse-CDF row): constant-shape
+// Timing-oblivious sampler (oblivious-vs-walk row): constant-shape
 // schedule — depth + 2 rng words per sample no matter the truth or the
-// drawn level — with the same zero-allocation audit as the inverse-CDF
-// row: 10k samples outside the timed loop must never touch the heap.
-void BM_ObliviousObfuscateCode(benchmark::State& state) {
+// drawn level — with a zero-allocation audit: 10k samples outside the
+// timed loop must never touch the heap.
+void BM_ObfuscateCodeOblivious(benchmark::State& state) {
   const Setup& setup = GetShapedSetup(static_cast<int>(state.range(0)),
                                       static_cast<int>(state.range(1)));
   Rng rng(1);
@@ -244,16 +212,16 @@ void BM_ObliviousObfuscateCode(benchmark::State& state) {
   state.counters["arity"] = setup.tree.arity();
   state.counters["audit_allocs_per_10k"] = static_cast<double>(audit_allocs);
 }
-BENCHMARK(BM_ObliviousObfuscateCode)
+BENCHMARK(BM_ObfuscateCodeOblivious)
     ->Args({16, 4})
     ->Args({32, 2})
     ->Args({10, 8});
 
 // --------------------------- index churn rows ------------------------------
-// Steady-state insert/remove churn of the availability index at the fast
-// path's shape: one worker leaves a leaf, another arrives elsewhere —
-// exactly what every assignment + re-registration costs the trie, reading
-// digits straight out of the code.
+// Steady-state insert/remove churn of the availability index at the
+// sampler rows' reference shape: one worker leaves a leaf, another arrives
+// elsewhere — exactly what every assignment + re-registration costs the
+// trie, reading digits straight out of the code.
 
 constexpr int kChurnItems = 4096;
 

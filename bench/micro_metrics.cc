@@ -175,7 +175,6 @@ double ReplayEventsPerSecond(const ServeWorkload& workload, bool metrics_on,
   options.epoch_seconds = 30.0;
   options.num_shards = 1;
   options.threads = 1;
-  options.sampler = SamplerKind::kInverseCdf;
   auto report = RunEventReplay(workload.framework, workload.trace, options);
   obs::SetMetricsEnabled(true);
   if (!report.ok()) {

@@ -38,7 +38,7 @@ struct ServeWorkload {
 // Framework + trace are shared across iterations, shard counts and
 // samplers: the bench measures serving, not setup. The framework is built
 // once and the trace once per worker count; the sampler axis (0 = walk,
-// 1 = inverse-CDF, 2 = timing-oblivious) is a replay option.
+// 2 = timing-oblivious) is a replay option.
 ServeWorkload GetWorkload(int workers) {
   static const TbfFramework* framework = [] {
     Rng rng(3);
@@ -67,9 +67,8 @@ ServeWorkload GetWorkload(int workers) {
 void BM_ServeReplay(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   const int shards = static_cast<int>(state.range(1));
-  const SamplerKind sampler = state.range(2) == 0   ? SamplerKind::kWalk
-                              : state.range(2) == 1 ? SamplerKind::kInverseCdf
-                                                    : SamplerKind::kOblivious;
+  const SamplerKind sampler =
+      state.range(2) == 0 ? SamplerKind::kWalk : SamplerKind::kOblivious;
   const ServeWorkload workload = GetWorkload(workers);
 
   ReplayOptions options;
@@ -118,8 +117,9 @@ void BM_ServeReplay(benchmark::State& state) {
   state.counters["epochs"] = static_cast<double>(epochs);
   // Comparison fields: the serve path dispatches on packed LeafCodes end to
   // end (code_native = 1 distinguishes this JSON from pre-fast-path
-  // artifacts); sampler 0 = Bernoulli walk, 1 = inverse-CDF single draw,
-  // 2 = timing-oblivious constant-shape schedule.
+  // artifacts); sampler 0 = Bernoulli walk, 2 = timing-oblivious
+  // constant-shape schedule (1 was a retired sampler; the axis keeps the
+  // oblivious rows' names).
   state.counters["code_native"] =
       workload.framework.codec() != nullptr ? 1.0 : 0.0;
   state.counters["sampler"] = static_cast<double>(state.range(2));
@@ -257,9 +257,7 @@ BENCHMARK(BM_ServeReplay)
     ->Args({100000, 2, 0})
     ->Args({100000, 4, 0})
     ->Args({100000, 8, 0})
-    // Walk vs inverse-CDF vs oblivious, end to end at the 100k gate.
-    ->Args({100000, 1, 1})
-    ->Args({100000, 8, 1})
+    // Walk vs oblivious, end to end at the 100k gate.
     ->Args({100000, 1, 2})
     ->Args({100000, 8, 2});
 

@@ -9,7 +9,9 @@
 namespace tbf {
 
 Result<HstMechanism> HstMechanism::Build(const CompleteHst& tree, double epsilon) {
-  if (epsilon <= 0.0) return Status::InvalidArgument("epsilon must be positive");
+  if (!std::isfinite(epsilon) || epsilon <= 0.0) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
+  }
   HstMechanism m;
   m.depth_ = tree.depth();
   m.arity_ = tree.arity();
@@ -65,8 +67,8 @@ Result<HstMechanism> HstMechanism::Build(const CompleteHst& tree, double epsilon
         std::log(m.upward_prob_[static_cast<size_t>(i)]);
   }
 
-  // Inverse-CDF table of the level marginal P(lvl <= k) for the fast
-  // sampler. The walk turns at level i with probability
+  // Cumulative level marginal P(lvl <= k) for the oblivious sampler's
+  // scan. The walk turns at level i with probability
   // (prod_{j<i} pu_j)(1 - pu_i) = |L_i| wt_i / WT = LevelProbability(i)
   // (Theorem 2), so one Uniform01 against this table replaces up to D
   // Bernoulli draws. The last entry is clamped to 1 so a draw can never
@@ -81,30 +83,11 @@ Result<HstMechanism> HstMechanism::Build(const CompleteHst& tree, double epsilon
   m.cum_level_prob_[static_cast<size_t>(depth)] =
       std::max(m.cum_level_prob_[static_cast<size_t>(depth)], 1.0);
 
-  // Guide table accelerating the inverse-CDF lookup: bucket g covers
-  // u in [g/G, (g+1)/G) and level_guide_[g] is the smallest level whose
-  // cum exceeds the bucket's left edge, so a draw costs one multiply plus
-  // a scan of only the levels whose cum falls inside its bucket (usually
-  // none) — no data-dependent branch mispredicts from a binary search.
-  m.level_guide_.resize(kGuideSize);
-  int level = 0;
-  for (int g = 0; g < kGuideSize; ++g) {
-    const double edge = static_cast<double>(g) / kGuideSize;
-    while (level < depth &&
-           m.cum_level_prob_[static_cast<size_t>(level)] <= edge) {
-      ++level;
-    }
-    m.level_guide_[static_cast<size_t>(g)] = level;
-  }
-
-  m.pow2_arity_ = (m.arity_ & (m.arity_ - 1)) == 0;
   m.codec_.emplace(depth, m.arity_);  // every CompleteHst shape fits
 
   obs::MetricRegistry* metrics = obs::MetricRegistry::Global();
   m.draws_walk_ = metrics->FindOrCreateCounter(
       obs::LabeledName("tbf_mechanism_draws_total", "sampler", "walk"));
-  m.draws_inverse_cdf_ = metrics->FindOrCreateCounter(
-      obs::LabeledName("tbf_mechanism_draws_total", "sampler", "inverse_cdf"));
   m.draws_oblivious_ = metrics->FindOrCreateCounter(
       obs::LabeledName("tbf_mechanism_draws_total", "sampler", "oblivious"));
   m.draws_naive_ = metrics->FindOrCreateCounter(
@@ -112,29 +95,9 @@ Result<HstMechanism> HstMechanism::Build(const CompleteHst& tree, double epsilon
   return m;
 }
 
-int HstMechanism::TurnLevelFromUniform(double u) const {
-  // Indexed inverse CDF: the guide entry is exact for the bucket's left
-  // edge, so only levels whose cum crosses inside the bucket are scanned —
-  // in expectation (D + 1) / G extra steps, i.e. none for every realistic
-  // depth. Result identical to std::upper_bound (verified by tests).
-  int level =
-      level_guide_[static_cast<size_t>(u * kGuideSize)];
-  const double* cum = cum_level_prob_.data();
-  while (level < depth_ && cum[level] <= u) ++level;
-  return level;
-}
-
 namespace {
 
-// Rejection-free remap of `spare` uniform random bits onto [0, m): the
-// widening multiply-shift keeps the bias below m / 2^spare, which at the
-// >= 32 spare bits used here sits ~10 orders of magnitude under what any
-// statistical test in the suite could resolve.
-inline int RemapBits(uint64_t random_bits, int m, int spare) {
-  return static_cast<int>((random_bits * static_cast<uint64_t>(m)) >>
-                          spare);
-}
-
+// Uniform word onto [0, m) by widening multiply-shift (bias < m / 2^64).
 inline int RemapWord(uint64_t word, int m) {
   return static_cast<int>(
       (static_cast<unsigned __int128>(word) * static_cast<uint64_t>(m)) >> 64);
@@ -164,69 +127,14 @@ struct TallyProbe {
 
 }  // namespace
 
-LeafCode HstMechanism::ObfuscateCode(LeafCode truth, Rng* rng) const {
-  draws_inverse_cdf_->Add(1);
-  const int level = TurnLevelFromUniform(rng->Uniform01());
-  if (level == 0) return truth;  // LCA at the leaf: output x itself
-
-  // The first rewritten digit must leave the truth's subtree (uniform over
-  // the other c-1 children); every digit below it is uniform in [0, c).
-  const int first = depth_ - level;
-  const int old_digit = codec_->Digit(truth, first);
-  const int suffix_digits = level - 1;
-
-  if (pow2_arity_ && suffix_digits > 0) {
-    // Power-of-two arity: every bits_-wide field of uniform random bits is
-    // an exact uniform digit, so the whole suffix fills by one shift/mask.
-    // A suffix narrower than 64 bits comes from a single random word;
-    // when that word's unused high bits can carry the first-digit remap
-    // too, the entire rewrite costs one rng draw, and only suffixes
-    // within 32 bits of the full word draw a second word for the remap.
-    // A suffix of 64 bits or more (shapes beyond 64-bit codes) draws two
-    // words for the suffix and a third for the remap.
-    const int bits = codec_->bits_per_digit();
-    const int suffix_bits = bits * suffix_digits;
-    LeafCode random;
-    int pick;
-    if (suffix_bits < 64) {
-      const int spare = 64 - suffix_bits;
-      const uint64_t word = rng->NextU64();
-      pick = spare >= 32 ? RemapBits(word >> suffix_bits, arity_ - 1, spare)
-                         : RemapWord(rng->NextU64(), arity_ - 1);
-      random = word;
-    } else {
-      const uint64_t low_word = rng->NextU64();
-      random = (LeafCode{rng->NextU64()} << 64) | low_word;
-      pick = RemapWord(rng->NextU64(), arity_ - 1);
-    }
-    if (pick >= old_digit) ++pick;
-    LeafCode out = codec_->WithDigit(truth, first, pick);
-    const int low = codec_->low_bits();
-    const LeafCode suffix_mask = ((LeafCode{1} << suffix_bits) - 1) << low;
-    return (out & ~suffix_mask) | ((random << low) & suffix_mask);
-  }
-
-  int pick = RemapWord(rng->NextU64(), arity_ - 1);
-  if (pick >= old_digit) ++pick;
-  LeafCode out = codec_->WithDigit(truth, first, pick);
-  // Non-power-of-two arity: masked fields would be biased, so draw one
-  // UniformInt per suffix digit (still allocation-free).
-  for (int pos = first + 1; pos < depth_; ++pos) {
-    out = codec_->WithDigit(
-        out, pos, static_cast<int>(rng->UniformInt(0, arity_ - 1)));
-  }
-  return out;
-}
-
 template <typename Probe>
 LeafCode HstMechanism::ObfuscateCodeObliviousImpl(LeafCode truth, Rng* rng,
                                                   Probe probe) const {
   // Word 1: the turn level, by a full scan of the cumulative level table.
-  // Unlike TurnLevelFromUniform there is no guide-table shortcut and no
-  // early exit — every call executes exactly depth_ compare-accumulate
-  // steps, and the comparison feeds an integer add instead of a branch.
-  // The result is identical (the scan counts the levels whose cum <= u,
-  // which IS the smallest index with cum > u for a nondecreasing table).
+  // There is no early exit — every call executes exactly depth_
+  // compare-accumulate steps, and the comparison feeds an integer add
+  // instead of a branch. The scan counts the levels whose cum <= u, which
+  // IS the smallest index with cum > u for a nondecreasing table.
   const double u = rng->Uniform01();
   probe.RngWord();
   const double* cum = cum_level_prob_.data();
@@ -238,8 +146,7 @@ LeafCode HstMechanism::ObfuscateCodeObliviousImpl(LeafCode truth, Rng* rng,
 
   // Word 2: the first rewritten digit. Uniform over [0, arity - 1) by
   // Lemire-style bounded reduction of one full word (rejection-free for
-  // every arity — this replaces the odd-arity UniformInt fallback of the
-  // inverse-CDF path), with the != truth constraint folded in by the
+  // every arity), with the != truth constraint folded in by the
   // arithmetic shift past the true digit. At level == 0 the pick is
   // computed against the clamped position depth_ - 1 and then masked away
   // below; the draw happens regardless so the word count never moves.

@@ -6,20 +6,17 @@
 //   WT   = wt_0 + sum_{i=1..D} c^{i-1} (c-1) wt_i.
 // Theorem 1: this is eps-Geo-Indistinguishable w.r.t. the tree metric.
 //
-// Three samplers are provided, all drawing the identical distribution:
+// The samplers below all draw the identical distribution:
 //   * SampleNaive    — Algorithm 2: enumerates all c^D leaves, O(c^D); only
 //     feasible for small trees, kept as the reference for tests.
 //   * Obfuscate      — Algorithm 3: the random-walk sampler, O(D) Bernoulli
 //     draws; proven (Theorem 2, re-verified by tests here) to produce the
 //     identical distribution. ObfuscateCodeWalk is the same walk operating
-//     on packed LeafCodes, draw-for-draw identical.
-//   * ObfuscateCode  — the serving fast path: one Uniform01() inverse-CDF
-//     draw against the precomputed level marginal (binary search over a
-//     cumulative table), then the suffix digits of the packed code are
-//     rewritten in place — for power-of-two arity from one 64-bit random
-//     word with shift/mask (two when the suffix spans 64 bits or more),
-//     so a sample costs O(log D) + O(1) rng draws and zero heap
-//     allocations at any depth.
+//     on packed LeafCodes, draw-for-draw identical: SamplerKind::kWalk,
+//     the default of every serving path.
+//   * ObfuscateCodeOblivious — SamplerKind::kOblivious: a full-table scan
+//     of the level marginal and a constant-shape descent, so its timing
+//     and rng use do not depend on the true leaf.
 //
 // All probability math is in log space: wt_i underflows double by level ~6
 // at eps_T = 1, but log wt_i is exact at any depth.
@@ -45,9 +42,6 @@ enum class SamplerKind {
   /// Algorithm 3 Bernoulli walk — the golden reference; default, so every
   /// existing golden/churn fixture keeps its draw sequence.
   kWalk,
-  /// Single-draw inverse-CDF over the level marginal on packed codes —
-  /// same distribution, O(1) rng draws per sample (chi-square verified).
-  kInverseCdf,
   /// Timing-oblivious sampler: same distribution again, but every sample
   /// consumes exactly depth + 2 rng words and executes an identical
   /// fixed-trip-count instruction schedule no matter which leaf is the
@@ -96,14 +90,6 @@ class HstMechanism {
   /// reference the packed samplers are tested against.
   LeafPath Obfuscate(const LeafPath& truth, Rng* rng) const;
 
-  /// \brief Fast sampler on packed codes: one Uniform01() picks the LCA
-  /// ("turn") level by inverse CDF over the precomputed level marginal,
-  /// then the suffix digits are rewritten directly in the packed code (for
-  /// power-of-two arity from one or two extra random words). Same
-  /// distribution as Obfuscate (chi-square + marginal tests), O(1) rng
-  /// draws, no allocations.
-  LeafCode ObfuscateCode(LeafCode truth, Rng* rng) const;
-
   /// \brief Algorithm 3 on packed codes: consumes exactly the same rng
   /// draws as Obfuscate on the unpacked path, so for any seed
   /// ObfuscateCodeWalk(Pack(x)) == Pack(Obfuscate(x)) — the golden
@@ -111,7 +97,7 @@ class HstMechanism {
   LeafCode ObfuscateCodeWalk(LeafCode truth, Rng* rng) const;
 
   /// \brief Timing-oblivious sampler on packed codes: the same exact
-  /// distribution as ObfuscateCode, drawn through a schedule whose trip
+  /// distribution as ObfuscateCodeWalk, drawn through a schedule whose trip
   /// counts, rng-word consumption (exactly depth + 2 words) and executed
   /// operations are independent of the true leaf AND of the level drawn:
   /// the level comes from a full-table scan with no early exit, the
@@ -134,8 +120,6 @@ class HstMechanism {
     switch (kind) {
       case SamplerKind::kWalk:
         return ObfuscateCodeWalk(truth, rng);
-      case SamplerKind::kInverseCdf:
-        return ObfuscateCode(truth, rng);
       case SamplerKind::kOblivious:
         return ObfuscateCodeOblivious(truth, rng);
     }
@@ -197,13 +181,6 @@ class HstMechanism {
  private:
   HstMechanism() = default;
 
-  // Buckets of the inverse-CDF guide table (power of two: u * kGuideSize
-  // compiles to a multiply).
-  static constexpr int kGuideSize = 256;
-
-  // Turn level of the fast sampler: smallest k with cum_level_prob_[k] > u.
-  int TurnLevelFromUniform(double u) const;
-
   // Shared body of the oblivious sampler; Probe is either a no-op (plain
   // overload) or an ObliviousTally recorder (probed overload).
   template <typename Probe>
@@ -212,7 +189,6 @@ class HstMechanism {
 
   int depth_ = 0;
   int arity_ = 2;
-  bool pow2_arity_ = false;
   double epsilon_metric_ = 0.0;
   double epsilon_tree_ = 0.0;
   std::vector<double> log_weight_;       // log wt_i, i in [0, D]
@@ -220,8 +196,7 @@ class HstMechanism {
   std::vector<double> log_tail_weight_;  // log tw_k, k in [0, D+1] (last = -inf)
   std::vector<double> upward_prob_;      // pu_i, i in [0, D]
   std::vector<double> log_upward_prefix_;  // sum_{j<i} log pu_j, i in [0, D]
-  std::vector<double> cum_level_prob_;   // inverse-CDF table over levels
-  std::vector<int> level_guide_;         // bucket -> first candidate level
+  std::vector<double> cum_level_prob_;   // P(lvl <= k), the oblivious scan
   double log_total_weight_ = 0.0;        // log WT
   std::optional<LeafCodec> codec_;       // always set by Build
 
@@ -229,7 +204,6 @@ class HstMechanism {
   // in the process-wide registry): one relaxed striped increment per
   // sample, compiled out under TBF_METRICS_DISABLED.
   obs::Counter* draws_walk_ = nullptr;
-  obs::Counter* draws_inverse_cdf_ = nullptr;
   obs::Counter* draws_oblivious_ = nullptr;
   obs::Counter* draws_naive_ = nullptr;
 };

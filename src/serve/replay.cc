@@ -134,8 +134,8 @@ Status ReplayReport::CheckAccountingIdentity() const {
 Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
                                     const EventTrace& trace,
                                     const ReplayOptions& options) {
-  if (options.epoch_seconds <= 0.0) {
-    return Status::InvalidArgument("epoch_seconds must be positive");
+  if (!std::isfinite(options.epoch_seconds) || options.epoch_seconds <= 0.0) {
+    return Status::InvalidArgument("epoch_seconds must be positive and finite");
   }
   // Each run instruments a private registry: interval deltas, latency
   // percentiles and per-shard counters then describe exactly this run,

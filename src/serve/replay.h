@@ -106,7 +106,7 @@ struct ReplayOptions {
   uint64_t obfuscation_seed = 11;
 
   /// Mechanism sampler for the client-side obfuscation pass
-  /// (TbfFramework::ObfuscateCodes): kWalk, kInverseCdf, or the
+  /// (TbfFramework::ObfuscateCodes): kWalk (Alg. 3) or the
   /// timing-oblivious kOblivious; nullopt means kWalk. Like the seeds, the
   /// sampler is part of a run's identity. Resuming a single-file
   /// checkpoint with a different sampler changes the obfuscation draw

@@ -1,6 +1,7 @@
 #include "serve/sharded_server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -77,11 +78,14 @@ Result<std::unique_ptr<ShardedTbfServer>> ShardedTbfServer::Create(
     std::shared_ptr<const CompleteHst> tree,
     const ShardedServerOptions& options) {
   if (tree == nullptr) return Status::InvalidArgument("tree must not be null");
-  if (options.lifetime_budget && *options.lifetime_budget <= 0.0) {
-    return Status::InvalidArgument("lifetime budget must be positive");
+  if (options.lifetime_budget && (!std::isfinite(*options.lifetime_budget) ||
+                                  *options.lifetime_budget <= 0.0)) {
+    return Status::InvalidArgument(
+        "lifetime budget must be positive and finite");
   }
-  if (options.epoch_budget && *options.epoch_budget <= 0.0) {
-    return Status::InvalidArgument("epoch budget must be positive");
+  if (options.epoch_budget && (!std::isfinite(*options.epoch_budget) ||
+                               *options.epoch_budget <= 0.0)) {
+    return Status::InvalidArgument("epoch budget must be positive and finite");
   }
   if (!ShardRouter::Fits(tree->depth(), tree->arity(), options.num_shards)) {
     return Status::InvalidArgument(

@@ -25,23 +25,12 @@
 #include "geo/grid.h"
 #include "hst/snapshot.h"
 #include "serve/checkpoint.h"
+#include "serve/fixtures.h"
 #include "serve/replay.h"
 #include "workload/synthetic.h"
 
 namespace tbf {
 namespace {
-
-TbfFramework BuildFramework(double epsilon = 0.6, uint64_t seed = 7) {
-  Rng rng(seed);
-  auto grid = UniformGridPoints(BBox::Square(200), 8);
-  EXPECT_TRUE(grid.ok());
-  TbfOptions options;
-  options.epsilon = epsilon;
-  auto framework =
-      TbfFramework::Build(std::move(*grid), EuclideanMetric(), &rng, options);
-  EXPECT_TRUE(framework.ok());
-  return std::move(framework).MoveValueUnsafe();
-}
 
 EventTrace ChaosTrace(int workers = 160, int tasks = 120, uint64_t seed = 5) {
   SyntheticEventConfig config;

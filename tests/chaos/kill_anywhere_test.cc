@@ -40,6 +40,7 @@
 #include "geo/grid.h"
 #include "hst/pack_paths.h"
 #include "hst/snapshot.h"
+#include "serve/fixtures.h"
 #include "serve/recovery.h"
 #include "serve/replay.h"
 #include "workload/synthetic.h"
@@ -50,18 +51,6 @@ namespace {
 namespace fs = std::filesystem;
 
 #ifndef TBF_FAULTS_DISABLED
-
-TbfFramework BuildFramework(double epsilon = 0.6, uint64_t seed = 7) {
-  Rng rng(seed);
-  auto grid = UniformGridPoints(BBox::Square(200), 8);
-  EXPECT_TRUE(grid.ok());
-  TbfOptions options;
-  options.epsilon = epsilon;
-  auto framework =
-      TbfFramework::Build(std::move(*grid), EuclideanMetric(), &rng, options);
-  EXPECT_TRUE(framework.ok());
-  return std::move(framework).MoveValueUnsafe();
-}
 
 EventTrace DrillTrace(uint64_t seed) {
   SyntheticEventConfig config;

@@ -1,8 +1,9 @@
-// Tests of the code-native fast sampler (ObfuscateCode): exact-distribution
-// chi-square against Probability(), marginal agreement of the walk,
-// inverse-CDF and oblivious samplers across random epsilons, the
-// draw-for-draw identity of ObfuscateCodeWalk with the LeafPath walk, and
-// output validity (packed digit ranges) for power-of-two and odd arities.
+// Tests of the packed-code samplers (ObfuscateCodeWalk and
+// ObfuscateCodeOblivious): exact-distribution chi-square against
+// Probability(), marginal agreement of both samplers across random
+// epsilons, the draw-for-draw identity of ObfuscateCodeWalk with the
+// LeafPath walk, and output validity (packed digit ranges) for
+// power-of-two and odd arities.
 // (The oblivious sampler's full harness lives in
 // tests/privacy/oblivious_invariance_test.cc.)
 
@@ -47,56 +48,66 @@ HstMechanism BuildMechanism(const CompleteHst& tree, double eps_tree) {
   return std::move(m).MoveValueUnsafe();
 }
 
+constexpr SamplerKind kPackedSamplers[] = {SamplerKind::kWalk,
+                                           SamplerKind::kOblivious};
+
+const char* SamplerName(SamplerKind kind) {
+  return kind == SamplerKind::kOblivious ? "oblivious" : "walk";
+}
+
 TEST(ObfuscateCodeTest, ChiSquareMatchesExactDistributionDepth4Arity4) {
   // The issue's acceptance shape: depth 4, arity 4 — 256 leaves, all with
   // expected counts >= 5 at this (n, eps), so no cells are pooled and the
   // statistic has 255 degrees of freedom. Threshold: p > 0.01, named
   // seeds per tests/common/stat_policy.h.
-  tbf::testing::ExpectStatistical(
-      "inverse-CDF sampler vs Probability(), depth 4 arity 4",
-      /*primary_seed=*/20260730, /*retry_seed=*/511,
-      [](uint64_t seed) -> std::string {
-        CompleteHst tree = ShapedTree(4, 4);
-        HstMechanism m = BuildMechanism(tree, 0.1);
-        const LeafCodec* codec = m.codec();
-        EXPECT_NE(codec, nullptr);
+  for (const SamplerKind kind : kPackedSamplers) {
+    tbf::testing::ExpectStatistical(
+        std::string(SamplerName(kind)) +
+            " sampler vs Probability(), depth 4 arity 4",
+        /*primary_seed=*/20260730, /*retry_seed=*/511,
+        [kind](uint64_t seed) -> std::string {
+          CompleteHst tree = ShapedTree(4, 4);
+          HstMechanism m = BuildMechanism(tree, 0.1);
+          const LeafCodec* codec = m.codec();
+          EXPECT_NE(codec, nullptr);
 
-        auto leaves_result = m.EnumerateLeaves();
-        EXPECT_TRUE(leaves_result.ok());
-        const std::vector<LeafPath>& leaves = *leaves_result;
-        EXPECT_EQ(leaves.size(), 256u);
+          auto leaves_result = m.EnumerateLeaves();
+          EXPECT_TRUE(leaves_result.ok());
+          const std::vector<LeafPath>& leaves = *leaves_result;
+          EXPECT_EQ(leaves.size(), 256u);
 
-        const LeafCode x = tree.leaf_code_of_point(1);
-        std::map<LeafCode, size_t> index_of;
-        std::vector<double> expected;
-        expected.reserve(leaves.size());
-        for (size_t i = 0; i < leaves.size(); ++i) {
-          const LeafCode z = codec->Pack(leaves[i]);
-          index_of[z] = i;
-          expected.push_back(m.Probability(x, z));
-          EXPECT_GE(200000 * expected.back(), 5.0) << "cell would be pooled";
-        }
+          const LeafCode x = tree.leaf_code_of_point(1);
+          std::map<LeafCode, size_t> index_of;
+          std::vector<double> expected;
+          expected.reserve(leaves.size());
+          for (size_t i = 0; i < leaves.size(); ++i) {
+            const LeafCode z = codec->Pack(leaves[i]);
+            index_of[z] = i;
+            expected.push_back(m.Probability(x, z));
+            EXPECT_GE(200000 * expected.back(), 5.0) << "cell would be pooled";
+          }
 
-        Rng rng(seed);
-        const int n = 200000;
-        std::vector<size_t> observed(leaves.size(), 0);
-        for (int i = 0; i < n; ++i) {
-          ++observed[index_of.at(m.ObfuscateCode(x, &rng))];
-        }
-        const double chi2 = ChiSquareStatistic(observed, expected);
-        const double threshold = ChiSquareQuantile(255.0);
-        if (chi2 < threshold) return "";
-        std::ostringstream failure;
-        failure << "chi2=" << chi2 << " > " << threshold;
-        return failure.str();
-      });
+          Rng rng(seed);
+          const int n = 200000;
+          std::vector<size_t> observed(leaves.size(), 0);
+          for (int i = 0; i < n; ++i) {
+            ++observed[index_of.at(m.ObfuscateCodeWith(x, &rng, kind))];
+          }
+          const double chi2 = ChiSquareStatistic(observed, expected);
+          const double threshold = ChiSquareQuantile(255.0);
+          if (chi2 < threshold) return "";
+          std::ostringstream failure;
+          failure << "chi2=" << chi2 << " > " << threshold;
+          return failure.str();
+        });
+  }
 }
 
 TEST(ObfuscateCodeTest, AllSamplersMarginalsAgreeAcrossRandomEpsilons) {
-  // Fuzz: on random shapes and epsilons, all three samplers' LCA-level
+  // Fuzz: on random shapes and epsilons, both samplers' LCA-level
   // marginals must match the exact LevelProbability distribution within
   // the same p > 0.01 chi-square tolerance (driver seed 99 is the named
-  // seed; the +10 slack keeps the 15 statistics jointly clear of the
+  // seed; the +10 slack keeps the 10 statistics jointly clear of the
   // individual-tail accumulation).
   Rng driver(99);
   const int shapes[][2] = {{4, 4}, {6, 2}, {3, 5}, {5, 3}, {8, 4}};
@@ -117,24 +128,18 @@ TEST(ObfuscateCodeTest, AllSamplersMarginalsAgreeAcrossRandomEpsilons) {
         ChiSquareQuantile(static_cast<double>(m.depth())) + 10.0;
 
     Rng walk_rng(driver.NextU64());
-    Rng fast_rng(driver.NextU64());
+    driver.NextU64();  // a retired sampler's seed: keeps the others' seeds
     Rng oblivious_rng(driver.NextU64());
     std::vector<size_t> walk_counts(level_probs.size(), 0);
-    std::vector<size_t> fast_counts(level_probs.size(), 0);
     std::vector<size_t> oblivious_counts(level_probs.size(), 0);
     for (int i = 0; i < n; ++i) {
       ++walk_counts[static_cast<size_t>(
           codec->LcaLevel(x, m.ObfuscateCodeWalk(x, &walk_rng)))];
-      ++fast_counts[static_cast<size_t>(
-          codec->LcaLevel(x, m.ObfuscateCode(x, &fast_rng)))];
       ++oblivious_counts[static_cast<size_t>(
           codec->LcaLevel(x, m.ObfuscateCodeOblivious(x, &oblivious_rng)))];
     }
     EXPECT_LT(ChiSquareStatistic(walk_counts, level_probs), threshold)
         << "walk sampler, depth=" << shape[0] << " arity=" << shape[1]
-        << " eps=" << eps_tree;
-    EXPECT_LT(ChiSquareStatistic(fast_counts, level_probs), threshold)
-        << "fast sampler, depth=" << shape[0] << " arity=" << shape[1]
         << " eps=" << eps_tree;
     EXPECT_LT(ChiSquareStatistic(oblivious_counts, level_probs), threshold)
         << "oblivious sampler, depth=" << shape[0] << " arity=" << shape[1]
@@ -142,16 +147,16 @@ TEST(ObfuscateCodeTest, AllSamplersMarginalsAgreeAcrossRandomEpsilons) {
   }
 }
 
-// Chi-square of one sampler on a shape past 64 bits, where the full leaf
-// set is far too large to enumerate: the cells are (LCA level, digit at
-// `position`), whose exact probability is LevelProbability(level) times
-// the digit's conditional law — the truth's digit above the first
-// rewritten position, uniform over the other arity - 1 values at it, and
-// uniform over all `arity` values below it. Cells expected under 5 pool
-// into one. "" on pass, a diagnostic on rejection.
+// Chi-square of the oblivious sampler on a shape past 64 bits, where the
+// full leaf set is far too large to enumerate: the cells are (LCA level,
+// digit at `position`), whose exact probability is
+// LevelProbability(level) times the digit's conditional law — the
+// truth's digit above the first rewritten position, uniform over the
+// other arity - 1 values at it, and uniform over all `arity` values below
+// it. Cells expected under 5 pool into one. "" on pass, a diagnostic on
+// rejection.
 std::string WideShapeCellTrial(int depth, int arity, int position,
-                               double eps_tree, SamplerKind kind, int n,
-                               uint64_t seed) {
+                               double eps_tree, int n, uint64_t seed) {
   CompleteHst tree = ShapedTree(depth, arity);
   HstMechanism m = BuildMechanism(tree, eps_tree);
   const LeafCodec& codec = *m.codec();
@@ -180,7 +185,7 @@ std::string WideShapeCellTrial(int depth, int arity, int position,
   std::vector<size_t> counts(probs.size(), 0);
   Rng rng(seed);
   for (int i = 0; i < n; ++i) {
-    const LeafCode z = m.ObfuscateCodeWith(x, &rng, kind);
+    const LeafCode z = m.ObfuscateCodeOblivious(x, &rng);
     ++counts[cell(codec.LcaLevel(x, z), codec.Digit(z, position))];
   }
   std::vector<double> expected;
@@ -215,10 +220,9 @@ TEST(ObfuscateCodeTest, WideShapeSamplersMatchExactCellsAcrossWordBoundary) {
   // depth 13 x arity 32 (65 bits): the last digit straddles bit 64 of
   // the code, so every suffix the samplers write crosses the word
   // boundary. depth 20 x arity 16 (80 bits) at a tiny epsilon: levels
-  // 18-20 carry nearly all the mass, and there the power-of-two suffix is
-  // 68-76 bits, the inverse-CDF sampler's two-word fill. Position 16 is
-  // the first digit in the code's low word (filled from the low random
-  // word), position 4 one filled from the high random word.
+  // 18-20 carry nearly all the mass, and there the rewritten suffix is
+  // 68-76 bits wide. Position 16 is the first digit in the code's low
+  // word, position 4 one in its high word.
   struct Case {
     int depth, arity, position;
     double eps_tree;
@@ -226,18 +230,14 @@ TEST(ObfuscateCodeTest, WideShapeSamplersMatchExactCellsAcrossWordBoundary) {
   const Case cases[] = {
       {13, 32, 12, 0.01}, {20, 16, 16, 1e-7}, {20, 16, 4, 1e-7}};
   for (const Case& c : cases) {
-    for (const SamplerKind kind :
-         {SamplerKind::kInverseCdf, SamplerKind::kOblivious}) {
-      std::ostringstream label;
-      label << (kind == SamplerKind::kOblivious ? "oblivious" : "inverse-CDF")
-            << " sampler, depth " << c.depth << " arity " << c.arity;
-      tbf::testing::ExpectStatistical(
-          label.str(), /*primary_seed=*/20261017, /*retry_seed=*/6502,
-          [&](uint64_t seed) {
-            return WideShapeCellTrial(c.depth, c.arity, c.position,
-                                      c.eps_tree, kind, 100000, seed);
-          });
-    }
+    std::ostringstream label;
+    label << "oblivious sampler, depth " << c.depth << " arity " << c.arity;
+    tbf::testing::ExpectStatistical(
+        label.str(), /*primary_seed=*/20261017, /*retry_seed=*/6502,
+        [&](uint64_t seed) {
+          return WideShapeCellTrial(c.depth, c.arity, c.position, c.eps_tree,
+                                    100000, seed);
+        });
   }
 }
 
@@ -263,24 +263,25 @@ TEST(ObfuscateCodeTest, CodeWalkIsDrawForDrawIdenticalToPathWalk) {
 }
 
 TEST(ObfuscateCodeTest, OutputsAreValidLeafCodes) {
-  // Digit ranges and zero stray bits, for power-of-two and odd arities
-  // (the latter exercises the per-digit fallback of the suffix fill).
+  // Digit ranges and zero stray bits, for power-of-two and odd arities.
   // {13, 32}, {40, 3} and {64, 2} need more than 64 bits.
   const std::pair<int, int> shapes[] = {{16, 4}, {9, 7},  {21, 3},
                                         {8, 8},  {13, 32}, {40, 3}, {64, 2}};
-  for (const auto& shape : shapes) {
-    CompleteHst tree = ShapedTree(shape.first, shape.second);
-    HstMechanism m = BuildMechanism(tree, 0.05);
-    const LeafCodec* codec = m.codec();
-    ASSERT_NE(codec, nullptr);
-    const LeafCode x = tree.leaf_code_of_point(0);
-    Rng rng(7);
-    for (int i = 0; i < 2000; ++i) {
-      const LeafCode z = m.ObfuscateCode(x, &rng);
-      const Status valid = codec->Validate(z);
-      ASSERT_TRUE(valid.ok()) << valid.ToString();
-      for (int j = 0; j < codec->depth(); ++j) {
-        ASSERT_LT(codec->Digit(z, j), shape.second);
+  for (const SamplerKind kind : kPackedSamplers) {
+    for (const auto& shape : shapes) {
+      CompleteHst tree = ShapedTree(shape.first, shape.second);
+      HstMechanism m = BuildMechanism(tree, 0.05);
+      const LeafCodec* codec = m.codec();
+      ASSERT_NE(codec, nullptr);
+      const LeafCode x = tree.leaf_code_of_point(0);
+      Rng rng(7);
+      for (int i = 0; i < 2000; ++i) {
+        const LeafCode z = m.ObfuscateCodeWith(x, &rng, kind);
+        const Status valid = codec->Validate(z);
+        ASSERT_TRUE(valid.ok()) << SamplerName(kind) << ": " << valid;
+        for (int j = 0; j < codec->depth(); ++j) {
+          ASSERT_LT(codec->Digit(z, j), shape.second) << SamplerName(kind);
+        }
       }
     }
   }
@@ -293,12 +294,14 @@ TEST(ObfuscateCodeTest, LargeEpsilonConcentratesAndSmallEpsilonSpreads) {
   const LeafCode x = tree.leaf_code_of_point(0);
 
   HstMechanism sharp = BuildMechanism(tree, 50.0);
-  Rng rng1(3);
-  int exact = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (sharp.ObfuscateCode(x, &rng1) == x) ++exact;
+  for (const SamplerKind kind : kPackedSamplers) {
+    Rng rng1(3);
+    int exact = 0;
+    for (int i = 0; i < 1000; ++i) {
+      if (sharp.ObfuscateCodeWith(x, &rng1, kind) == x) ++exact;
+    }
+    EXPECT_GT(exact, 990) << SamplerName(kind);
   }
-  EXPECT_GT(exact, 990);
 
   HstMechanism flat = BuildMechanism(tree, 1e-7);
   EXPECT_NEAR(flat.Probability(x, x), 1.0 / 256.0, 1e-4);
@@ -335,34 +338,6 @@ TEST(TbfFrameworkCodeBatchTest, ObfuscateCodesMatchesReferenceWalk) {
         tree.leaf_of_point(tree.MapToNearestPoint(locations[i]));
     EXPECT_EQ(codes[i],
               codec->Pack(framework->mechanism().Obfuscate(truth, &item_rng)))
-        << i;
-  }
-}
-
-TEST(TbfFrameworkCodeBatchTest, InverseCdfSamplerAgreesWithPerItemDraws) {
-  // With kInverseCdf the batch draws item i with ObfuscateCode on its own
-  // fork of the stream.
-  Rng rng(6);
-  auto grid = UniformGridPoints(BBox::Square(100), 5);
-  ASSERT_TRUE(grid.ok());
-  auto framework =
-      TbfFramework::Build(std::move(*grid), EuclideanMetric(), &rng);
-  ASSERT_TRUE(framework.ok());
-
-  Rng loc_rng(9);
-  std::vector<Point> locations;
-  for (int i = 0; i < 300; ++i) {
-    locations.push_back({loc_rng.Uniform(0, 100), loc_rng.Uniform(0, 100)});
-  }
-  const Rng stream(77);
-  ThreadPool pool(2);
-  std::vector<LeafCode> codes = framework->ObfuscateCodes(
-      locations, stream, &pool, nullptr, 0, SamplerKind::kInverseCdf);
-  ASSERT_EQ(codes.size(), locations.size());
-  for (size_t i = 0; i < codes.size(); ++i) {
-    Rng item_rng = stream.ForkAt(i);
-    EXPECT_EQ(codes[i], framework->mechanism().ObfuscateCode(
-                            framework->TrueLeaf(locations[i]), &item_rng))
         << i;
   }
 }

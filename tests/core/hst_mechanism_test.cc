@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "common/math.h"
@@ -47,6 +48,10 @@ TEST(HstMechanismTest, RejectsNonPositiveEpsilon) {
   CompleteHst tree = BuildExampleTree();
   EXPECT_FALSE(HstMechanism::Build(tree, 0.0).ok());
   EXPECT_FALSE(HstMechanism::Build(tree, -0.5).ok());
+  // A NaN or infinite epsilon would make every report the true leaf.
+  EXPECT_FALSE(HstMechanism::Build(tree, std::nan("")).ok());
+  EXPECT_FALSE(
+      HstMechanism::Build(tree, std::numeric_limits<double>::infinity()).ok());
 }
 
 TEST(HstMechanismTest, TableOneWeights) {

@@ -18,7 +18,7 @@
 namespace tbf {
 namespace {
 
-constexpr SamplerKind kSamplers[] = {SamplerKind::kWalk, SamplerKind::kInverseCdf,
+constexpr SamplerKind kSamplers[] = {SamplerKind::kWalk,
                                      SamplerKind::kOblivious};
 
 std::shared_ptr<const CompleteHst> PublishGrid() {

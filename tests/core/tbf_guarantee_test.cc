@@ -93,7 +93,6 @@ TEST_P(ShippedPathTest, ObfuscateCodesFollowsLevelMarginal) {
 
 INSTANTIATE_TEST_SUITE_P(AllSamplers, ShippedPathTest,
                          ::testing::Values(SamplerKind::kWalk,
-                                           SamplerKind::kInverseCdf,
                                            SamplerKind::kOblivious));
 
 TEST(ShippedMechanismTest, PublishedMechanismIsGeoIndistinguishable) {

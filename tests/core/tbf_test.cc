@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/stats.h"
 #include "geo/grid.h"
 
@@ -37,6 +39,8 @@ TEST(TbfFrameworkTest, BuildFailsOnBadInputs) {
   bad.epsilon = 0.0;
   auto grid = UniformGridPoints(BBox::Square(10), 3);
   ASSERT_TRUE(grid.ok());
+  EXPECT_FALSE(TbfFramework::Build(*grid, metric, &rng, bad).ok());
+  bad.epsilon = std::nan("");
   EXPECT_FALSE(TbfFramework::Build(*grid, metric, &rng, bad).ok());
 }
 

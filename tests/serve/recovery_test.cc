@@ -27,6 +27,7 @@
 #include "common/frames.h"
 #include "geo/grid.h"
 #include "hst/snapshot.h"
+#include "serve/fixtures.h"
 #include "serve/replay.h"
 #include "workload/synthetic.h"
 
@@ -34,18 +35,6 @@ namespace tbf {
 namespace {
 
 namespace fs = std::filesystem;
-
-TbfFramework BuildFramework(double epsilon = 0.6, uint64_t seed = 7) {
-  Rng rng(seed);
-  auto grid = UniformGridPoints(BBox::Square(200), 8);
-  EXPECT_TRUE(grid.ok());
-  TbfOptions options;
-  options.epsilon = epsilon;
-  auto framework =
-      TbfFramework::Build(std::move(*grid), EuclideanMetric(), &rng, options);
-  EXPECT_TRUE(framework.ok());
-  return std::move(framework).MoveValueUnsafe();
-}
 
 EventTrace SmallTrace(int workers = 80, int tasks = 60, uint64_t seed = 5) {
   SyntheticEventConfig config;
@@ -598,7 +587,7 @@ TEST(RecoveryTest, RecoverWithADifferentSamplerIsDivergence) {
   // ones: recovery refuses instead of mixing two runs' reports.
   ReplayOptions resume = UncheckpointedOptions(dir);
   resume.recover = true;
-  resume.sampler = SamplerKind::kInverseCdf;
+  resume.sampler = SamplerKind::kOblivious;
   auto recovered = RunEventReplay(framework, trace, resume);
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kInternal);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <set>
 #include <string>
 #include <tuple>
@@ -12,24 +13,13 @@
 #include "common/fault.h"
 #include "common/thread_pool.h"
 #include "geo/grid.h"
+#include "serve/fixtures.h"
 #include "serve/reference_server.h"
 #include "workload/synthetic.h"
 #include "workload/trace.h"
 
 namespace tbf {
 namespace {
-
-TbfFramework BuildFramework(double epsilon = 0.6, uint64_t seed = 7) {
-  Rng rng(seed);
-  auto grid = UniformGridPoints(BBox::Square(200), 8);
-  EXPECT_TRUE(grid.ok());
-  TbfOptions options;
-  options.epsilon = epsilon;
-  auto framework =
-      TbfFramework::Build(std::move(*grid), EuclideanMetric(), &rng, options);
-  EXPECT_TRUE(framework.ok());
-  return std::move(framework).MoveValueUnsafe();
-}
 
 EventTrace SmallTrace(int workers = 80, int tasks = 40,
                       double departure_probability = 0.1,
@@ -50,6 +40,10 @@ TEST(ReplayTest, ValidatesInput) {
   EventTrace trace = SmallTrace();
   ReplayOptions options;
   options.epoch_seconds = 0.0;
+  EXPECT_FALSE(RunEventReplay(framework, trace, options).ok());
+  options.epoch_seconds = std::nan("");
+  EXPECT_FALSE(RunEventReplay(framework, trace, options).ok());
+  options.epoch_seconds = std::numeric_limits<double>::infinity();
   EXPECT_FALSE(RunEventReplay(framework, trace, options).ok());
 
   EventTrace unsorted = trace;

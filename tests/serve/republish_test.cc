@@ -21,20 +21,12 @@
 #include "common/fault.h"
 #include "geo/grid.h"
 #include "hst/snapshot.h"
+#include "serve/fixtures.h"
 #include "serve/replay.h"
 #include "workload/synthetic.h"
 
 namespace tbf {
 namespace {
-
-std::shared_ptr<const CompleteHst> BuildTree(uint64_t seed = 3) {
-  EuclideanMetric metric;
-  Rng rng(seed);
-  auto grid = UniformGridPoints(BBox::Square(100), 6);
-  auto tree = CompleteHst::BuildFromPoints(*grid, metric, &rng);
-  EXPECT_TRUE(tree.ok());
-  return std::make_shared<const CompleteHst>(std::move(tree).MoveValueUnsafe());
-}
 
 // A bit-identical copy by way of the operational snapshot format — the
 // exact artifact a restarting publisher would load.
@@ -375,18 +367,6 @@ TEST(RepublishTest, InjectedFaultAbortsWithEngineUntouched) {
 #endif  // TBF_FAULTS_DISABLED
 
 // --- replay-loop schedule integration -----------------------------------
-
-TbfFramework BuildFramework(double epsilon = 0.6, uint64_t seed = 7) {
-  Rng rng(seed);
-  auto grid = UniformGridPoints(BBox::Square(200), 8);
-  EXPECT_TRUE(grid.ok());
-  TbfOptions options;
-  options.epsilon = epsilon;
-  auto framework =
-      TbfFramework::Build(std::move(*grid), EuclideanMetric(), &rng, options);
-  EXPECT_TRUE(framework.ok());
-  return std::move(framework).MoveValueUnsafe();
-}
 
 EventTrace SmallTrace(int workers = 80, int tasks = 40, uint64_t seed = 5) {
   SyntheticEventConfig config;

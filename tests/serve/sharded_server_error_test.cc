@@ -14,18 +14,10 @@
 #include "common/fault.h"
 #include "geo/grid.h"
 #include "obs/metrics.h"
+#include "serve/fixtures.h"
 
 namespace tbf {
 namespace {
-
-std::shared_ptr<const CompleteHst> BuildTree(uint64_t seed = 3) {
-  EuclideanMetric metric;
-  Rng rng(seed);
-  auto grid = UniformGridPoints(BBox::Square(100), 6);
-  auto tree = CompleteHst::BuildFromPoints(*grid, metric, &rng);
-  EXPECT_TRUE(tree.ok());
-  return std::make_shared<const CompleteHst>(std::move(tree).MoveValueUnsafe());
-}
 
 LeafCode SomeLeaf(const CompleteHst& tree, uint64_t seed) {
   Rng rng(seed);

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <barrier>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -12,6 +14,7 @@
 
 #include "geo/grid.h"
 #include "serve/checkpoint.h"
+#include "serve/fixtures.h"
 #include "serve/reference_server.h"
 
 namespace tbf {
@@ -23,15 +26,6 @@ LeafCode Code(const CompleteHst& tree, const LeafPath& leaf) {
   return tree.codec()->Pack(leaf);
 }
 
-std::shared_ptr<const CompleteHst> BuildTree(uint64_t seed = 3) {
-  EuclideanMetric metric;
-  Rng rng(seed);
-  auto grid = UniformGridPoints(BBox::Square(100), 6);
-  auto tree = CompleteHst::BuildFromPoints(*grid, metric, &rng);
-  EXPECT_TRUE(tree.ok());
-  return std::make_shared<const CompleteHst>(std::move(tree).MoveValueUnsafe());
-}
-
 TEST(ShardedServerTest, CreateValidates) {
   auto tree = BuildTree();
   EXPECT_FALSE(ShardedTbfServer::Create(nullptr).ok());
@@ -39,8 +33,16 @@ TEST(ShardedServerTest, CreateValidates) {
   ShardedServerOptions bad_budget;
   bad_budget.lifetime_budget = 0.0;
   EXPECT_FALSE(ShardedTbfServer::Create(tree, bad_budget).ok());
+  bad_budget.lifetime_budget = std::nan("");
+  EXPECT_FALSE(ShardedTbfServer::Create(tree, bad_budget).ok());
+  bad_budget.lifetime_budget = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(ShardedTbfServer::Create(tree, bad_budget).ok());
   bad_budget.lifetime_budget = std::nullopt;
   bad_budget.epoch_budget = -1.0;
+  EXPECT_FALSE(ShardedTbfServer::Create(tree, bad_budget).ok());
+  bad_budget.epoch_budget = std::nan("");
+  EXPECT_FALSE(ShardedTbfServer::Create(tree, bad_budget).ok());
+  bad_budget.epoch_budget = std::numeric_limits<double>::infinity();
   EXPECT_FALSE(ShardedTbfServer::Create(tree, bad_budget).ok());
 
   ShardedServerOptions bad_shards;

@@ -9,19 +9,11 @@
 
 #include "core/hst_mechanism.h"
 #include "geo/grid.h"
+#include "serve/fixtures.h"
 #include "serve/sharded_server.h"
 
 namespace tbf {
 namespace {
-
-std::shared_ptr<const CompleteHst> BuildTree(uint64_t seed = 3) {
-  EuclideanMetric metric;
-  Rng rng(seed);
-  auto grid = UniformGridPoints(BBox::Square(100), 6);
-  auto tree = CompleteHst::BuildFromPoints(*grid, metric, &rng);
-  EXPECT_TRUE(tree.ok());
-  return std::make_shared<const CompleteHst>(std::move(tree).MoveValueUnsafe());
-}
 
 TEST(TbfServerTest, CreateValidates) {
   EXPECT_FALSE(ShardedTbfServer::Create(nullptr).ok());
