@@ -41,13 +41,15 @@ namespace tbf {
 enum class SamplerKind {
   /// Algorithm 3 Bernoulli walk — the golden reference; default, so every
   /// existing golden/churn fixture keeps its draw sequence.
-  kWalk,
+  kWalk = 0,
   /// Timing-oblivious sampler: same distribution again, but every sample
   /// consumes exactly depth + 2 rng words and executes an identical
   /// fixed-trip-count instruction schedule no matter which leaf is the
   /// truth or which level is drawn, so neither wall-clock nor trip counts
   /// leak the secret (tests/privacy/oblivious_invariance_test.cc).
-  kOblivious,
+  /// Value 1 belonged to the retired inverse-CDF sampler; the numbering is
+  /// kept so a kind prints and logs as the same number it always has.
+  kOblivious = 2,
 };
 
 /// \brief Executed-operation tally of one ObfuscateCodeOblivious call,
